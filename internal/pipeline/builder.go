@@ -186,7 +186,9 @@ func (b *Builder) AdvanceEvery(every time.Duration) *Builder {
 // AdvanceEvery the checkpoint cadence fires on its own. Terminals
 // that cannot snapshot (MAWI, arbitrary sinks) ignore the cadence;
 // the built-in detector and IDS sinks opt in by implementing
-// setCheckpoint(time.Duration, string).
+// setCheckpoint(time.Duration, string). A zero every with a dir cuts
+// no periodic checkpoints but gives a hooked IDS sink (see IDSHook)
+// the directory for its final cut.
 func (b *Builder) CheckpointEvery(every time.Duration, dir string) *Builder {
 	b.ckptEvery = every
 	b.ckptDir = dir
@@ -310,7 +312,7 @@ func (b *Builder) RunInto(ctx context.Context, sink RecordSink) error {
 			cs.setCadence(b.advanceEvery)
 		}
 	}
-	if b.ckptEvery > 0 && b.ckptDir != "" {
+	if b.ckptDir != "" {
 		if cs, ok := sink.(interface{ setCheckpoint(time.Duration, string) }); ok {
 			cs.setCheckpoint(b.ckptEvery, b.ckptDir)
 		}

@@ -6,7 +6,7 @@ package pipeline
 // # Consistency
 //
 // A checkpoint is only ever written at a cadence fire point: the
-// moment the cadence machinery (due/splitByCadences) observes the first
+// moment the cadence machinery (cadence.due) observes the first
 // record at or past the cadence boundary, before that record is
 // processed. Records are non-decreasing, and the cadence fires at the
 // FIRST record carrying its timestamp, so at a fire with time t every
@@ -37,11 +37,18 @@ package pipeline
 // Checkpoints are one file per cut, named by the mark's UnixNano
 // (zero-padded so lexical order is time order), written to a temp file
 // and renamed into place — a crash mid-write never leaves a readable
-// partial checkpoint, and LatestCheckpoint never picks one up.
+// partial checkpoint, and LatestCheckpoint never picks one up. A cut
+// off the cadence (a stopping serving sink's final state) also
+// publishes its cadence phase, first, in a "<checkpoint>.marks"
+// sidecar that ResumeFile reads back.
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -50,6 +57,7 @@ import (
 
 	"v6scan/internal/checkpoint"
 	"v6scan/internal/core"
+	"v6scan/internal/firewall"
 	"v6scan/internal/ids"
 )
 
@@ -62,84 +70,177 @@ type Checkpointer interface {
 	Checkpoint(w io.Writer, mark time.Time) error
 }
 
-// checkpointPolicy is the embedded per-sink checkpoint cadence: which
-// directory to write to, how often (stream time), and the cadence
-// mark. It shares the due/splitByCadences machinery with the eviction
-// cadence, so checkpoint cuts land exactly at cadence fire points on
-// both the record and batch paths.
-type checkpointPolicy struct {
+// cadence is the stream-time schedule every detector and IDS sink
+// embeds: the eviction cadence (AdvanceEvery — its fire runs the
+// sink's advance, Detector.Advance or Engine.Tick), the checkpoint
+// cadence riding it (CheckpointEvery, into CheckpointDir), both
+// cadences' marks — the phase a checkpoint carries — and the metrics
+// bundle the fires report into. Builder.AdvanceEvery,
+// CheckpointEvery and Instrument reach it through RunInto.
+type cadence struct {
+	AdvanceEvery    time.Duration
 	CheckpointEvery time.Duration
 	CheckpointDir   string
+	lastAdvance     time.Time
 	lastCkpt        time.Time
-	// met is the sink's metrics bundle (nil when uninstrumented). It
-	// lives on the embedded policy so every terminal sink gets the
-	// setMetrics hook, the advance-fire counter, and checkpoint timing
-	// from one place.
-	met *Metrics
+	met             *Metrics
 }
 
-// setCheckpoint lets Builder.CheckpointEvery reach a sink through
-// RunInto, mirroring setCadence.
-func (p *checkpointPolicy) setCheckpoint(every time.Duration, dir string) {
-	p.CheckpointEvery = every
-	p.CheckpointDir = dir
+// cadenced is a sink its embedded cadence drives: at a fire point it
+// advances, may be snapshotted, then runs fired; between fire points
+// it processes record runs.
+type cadenced interface {
+	Checkpointer
+	advance(t time.Time) error
+	fired(t time.Time) error
+	process(recs []firewall.Record) error
 }
 
-// setMetrics lets Builder.Instrument reach a sink through RunInto,
-// mirroring setCadence. Promoted onto all four terminal sinks by
-// embedding.
-func (p *checkpointPolicy) setMetrics(m *Metrics) { p.met = m }
+func (c *cadence) setCadence(every time.Duration) { c.AdvanceEvery = every }
 
-// writeTimed is WriteCheckpoint with duration/outcome instrumentation.
-func (p *checkpointPolicy) writeTimed(ck Checkpointer, t time.Time) error {
-	start := time.Now()
-	err := WriteCheckpoint(p.CheckpointDir, ck, t)
-	p.met.checkpointDone(time.Since(start), err)
+func (c *cadence) setCheckpoint(every time.Duration, dir string) {
+	c.CheckpointEvery, c.CheckpointDir = every, dir
+}
+
+func (c *cadence) setMetrics(m *Metrics) { c.met = m }
+
+// setPhase restores both cadence marks (Resume).
+func (c *cadence) setPhase(m marks) { c.lastAdvance, c.lastCkpt = m.Advance, m.Checkpoint }
+
+// checkpoints reports whether periodic checkpoints are on.
+func (c *cadence) checkpoints() bool { return c.CheckpointEvery > 0 && c.CheckpointDir != "" }
+
+// due reports whether t is a fire point, advancing the mark of the
+// driving cadence: the eviction cadence when there is one, else the
+// checkpoint cadence alone.
+func (c *cadence) due(t time.Time) bool {
+	if c.AdvanceEvery > 0 {
+		return due(&c.lastAdvance, c.AdvanceEvery, t)
+	}
+	return c.checkpoints() && due(&c.lastCkpt, c.CheckpointEvery, t)
+}
+
+// fire runs the fire point at t: the advance, then — at the first
+// eviction fire at least CheckpointEvery past the last cut, or at
+// every fire of a checkpoint-only cadence — a snapshot, then fired.
+// Cutting after the advance keeps the snapshot inclusive of the
+// eviction's effect and the eviction mark equal to the snapshot mark
+// (see the package comment above on resume phase).
+func (c *cadence) fire(s cadenced, t time.Time) error {
+	if c.AdvanceEvery > 0 {
+		if err := s.advance(t); err != nil {
+			return err
+		}
+		c.met.advanceFired(t)
+	}
+	if c.AdvanceEvery <= 0 || (c.checkpoints() && due(&c.lastCkpt, c.CheckpointEvery, t)) {
+		start := time.Now()
+		err := WriteCheckpoint(c.CheckpointDir, s, t)
+		c.met.checkpointDone(time.Since(start), err)
+		if err != nil {
+			return err
+		}
+	}
+	return s.fired(t)
+}
+
+// at is the record path's cadence check, run before the record at t.
+func (c *cadence) at(s cadenced, t time.Time) error {
+	if c.due(t) {
+		return c.fire(s, t)
+	}
+	return nil
+}
+
+// split drives a batch through s, splitting it at every fire point
+// and firing there first — exactly the positions the record path
+// fires at, so batch size never changes which sessions merge, when
+// eviction horizons advance, or where checkpoints cut.
+func (c *cadence) split(s cadenced, recs []firewall.Record) error {
+	if c.AdvanceEvery <= 0 && !c.checkpoints() {
+		return s.process(recs)
+	}
+	start := 0
+	for i := range recs {
+		if !c.due(recs[i].Time) {
+			continue
+		}
+		if err := s.process(recs[start:i]); err != nil {
+			return err
+		}
+		start = i
+		if err := c.fire(s, recs[i].Time); err != nil {
+			return err
+		}
+	}
+	return s.process(recs[start:])
+}
+
+// due reports whether a stream-time cadence has elapsed at t,
+// advancing the stored mark when it has. A zero or negative cadence
+// never fires; the first record only arms the mark.
+func due(last *time.Time, every time.Duration, t time.Time) bool {
+	if every <= 0 {
+		return false
+	}
+	if last.IsZero() || t.Sub(*last) >= every {
+		fire := !last.IsZero()
+		*last = t
+		return fire
+	}
+	return false
+}
+
+// marks is a cadence's phase at a cut: both marks at the instant the
+// snapshot was taken. A cut at a fire point t has both equal to t,
+// which Resume assumes; a cut off the cadence — a stopping sink's
+// final state at its newest record + 1ns — would shift the resumed
+// tick schedule that way, so its phase travels in a sidecar file
+// "<checkpoint>.marks" holding this JSON (or in the Handoff).
+type marks struct {
+	Advance    time.Time `json:"advance"`
+	Checkpoint time.Time `json:"checkpoint"`
+}
+
+// cutFinal snapshots ck at mark — a valid cut off the cadence: every
+// consumed record is before it — and publishes it with its phase
+// sidecar when CheckpointDir is set.
+func (c *cadence) cutFinal(ck Checkpointer, mark time.Time) (*Handoff, error) {
+	var buf bytes.Buffer
+	if err := ck.Checkpoint(&buf, mark); err != nil {
+		return nil, err
+	}
+	h := &Handoff{snapshot: buf.Bytes(), phase: marks{c.lastAdvance, c.lastCkpt}}
+	if c.CheckpointDir != "" {
+		start := time.Now()
+		err := writeCheckpoint(c.CheckpointDir, h, mark, &h.phase)
+		c.met.checkpointDone(time.Since(start), err)
+		if err != nil {
+			return nil, err
+		}
+		c.lastCkpt = mark
+	}
+	return h, nil
+}
+
+// Handoff is a stopped IDS sink's final state for a next run to
+// continue from: the snapshot a checkpoint and its sidecar would hold,
+// kept in memory (the serve daemon's reload path).
+type Handoff struct {
+	snapshot []byte
+	phase    marks
+}
+
+// Checkpoint implements Checkpointer by writing the held snapshot.
+func (h *Handoff) Checkpoint(w io.Writer, _ time.Time) error {
+	_, err := w.Write(h.snapshot)
 	return err
 }
 
-// enabled reports whether the policy should participate in the
-// cadence machinery.
-func (p *checkpointPolicy) enabled() bool {
-	return p.CheckpointEvery > 0 && p.CheckpointDir != ""
-}
-
-// maybeCheckpoint is the cadence check run at eviction fire points
-// (or at every record when no eviction cadence exists): when due at
-// t, snapshot ck at mark t. Running it only after the advance/tick
-// keeps the snapshot inclusive of the eviction's effect and the
-// eviction mark equal to the snapshot mark (see the package comment
-// above on resume phase).
-func (p *checkpointPolicy) maybeCheckpoint(ck Checkpointer, t time.Time) error {
-	if p.enabled() && due(&p.lastCkpt, p.CheckpointEvery, t) {
-		return p.writeTimed(ck, t)
-	}
-	return nil
-}
-
-// cadences assembles a sink's batch-path cadence list: the eviction
-// cadence with the checkpoint check riding inside its fire (so
-// snapshots land only on eviction fire points), or — when the sink
-// has no eviction cadence — the checkpoint cadence alone driving the
-// batch splits. Mirrors exactly what the sinks' Consume does record
-// by record.
-func (p *checkpointPolicy) cadences(ck Checkpointer, advEvery time.Duration,
-	lastAdv *time.Time, advFire func(time.Time) error) []cadence {
-	if advEvery > 0 {
-		fire := func(t time.Time) error {
-			if err := advFire(t); err != nil {
-				return err
-			}
-			p.met.advanceFired(t)
-			return p.maybeCheckpoint(ck, t)
-		}
-		return []cadence{{lastAdv, advEvery, fire}}
-	}
-	if p.enabled() {
-		return []cadence{{&p.lastCkpt, p.CheckpointEvery,
-			func(t time.Time) error { return p.writeTimed(ck, t) }}}
-	}
-	return nil
+// Resume restores a sink from the handoff, in the cadence phase it was
+// cut in, as ResumeFile does from a checkpoint and its sidecar.
+func (h *Handoff) Resume(shards int) (*Resumed, error) {
+	return resume(bytes.NewReader(h.snapshot), shards, &h.phase)
 }
 
 // checkpointFileName names a checkpoint by its mark so lexical order
@@ -148,27 +249,48 @@ func checkpointFileName(mark time.Time) string {
 	return fmt.Sprintf("%020d.ckpt", mark.UnixNano())
 }
 
-// CheckpointPath returns the path WriteCheckpoint publishes a cut at
-// mark under — for callers that place sidecar files next to a
-// checkpoint (the serve daemon's cadence-phase marks).
-func CheckpointPath(dir string, mark time.Time) string {
-	return filepath.Join(dir, checkpointFileName(mark))
-}
-
 // WriteCheckpoint writes one snapshot of ck at mark into dir,
 // atomically: the bytes land in a temp file that is renamed into its
 // final name only after a successful sync, so readers never observe a
 // partial checkpoint.
 func WriteCheckpoint(dir string, ck Checkpointer, mark time.Time) error {
+	return writeCheckpoint(dir, ck, mark, nil)
+}
+
+// writeCheckpoint is WriteCheckpoint with an optional phase sidecar,
+// published first: a crash between the two leaves an orphan sidecar,
+// which nothing reads, never a checkpoint missing its phase.
+func writeCheckpoint(dir string, ck Checkpointer, mark time.Time, phase *marks) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("pipeline: creating checkpoint dir: %w", err)
 	}
-	f, err := os.CreateTemp(dir, checkpointTempPattern)
+	final := filepath.Join(dir, checkpointFileName(mark))
+	if phase != nil {
+		b, err := json.Marshal(phase)
+		if err != nil {
+			return err
+		}
+		if err := publishFile(final+sidecarSuffix, func(w io.Writer) error {
+			_, err := w.Write(b)
+			return err
+		}); err != nil {
+			return err
+		}
+	}
+	return publishFile(final, func(w io.Writer) error { return ck.Checkpoint(w, mark) })
+}
+
+// publishFile writes path atomically: write fills a temp file beside
+// it, which is synced and renamed into place, so a reader sees the
+// whole file or none. A crash strands only the temp file, which
+// SweepCheckpointTemps collects.
+func publishFile(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), checkpointTempPattern)
 	if err != nil {
 		return fmt.Errorf("pipeline: creating checkpoint: %w", err)
 	}
 	tmp := f.Name()
-	if err := ck.Checkpoint(f, mark); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -182,13 +304,17 @@ func WriteCheckpoint(dir string, ck Checkpointer, mark time.Time) error {
 		os.Remove(tmp)
 		return fmt.Errorf("pipeline: writing checkpoint: %w", err)
 	}
-	final := filepath.Join(dir, checkpointFileName(mark))
-	if err := os.Rename(tmp, final); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("pipeline: publishing checkpoint: %w", err)
 	}
 	return nil
 }
+
+// sidecarSuffix names a checkpoint's phase sidecar. The extra suffix
+// is exactly what LatestCheckpoint ignores, so a sidecar is never
+// mistaken for a checkpoint.
+const sidecarSuffix = ".marks"
 
 // checkpointTempPattern is the os.CreateTemp pattern WriteCheckpoint
 // stages bytes under; checkpointTempPrefix selects the files it
@@ -309,69 +435,90 @@ type Resumed struct {
 // restores the sharded variant — the shard count need not match the
 // one the snapshot was taken at. The restored sink's cadence marks are
 // set to the snapshot's cut, so eviction and checkpoint cadences
-// resume in phase with the interrupted run.
-func Resume(r io.Reader, shards int) (*Resumed, error) {
-	cr, err := checkpoint.NewReader(r)
+// resume in phase with an interrupted run cut at a fire point.
+func Resume(r io.Reader, shards int) (*Resumed, error) { return resume(r, shards, nil) }
+
+// ResumeFile is Resume over a checkpoint file path, in the phase its
+// sidecar records when it has one (a cut off the cadence). A sidecar
+// that exists but cannot be read or parsed fails the resume.
+func ResumeFile(path string, shards int) (*Resumed, error) {
+	phase, err := readPhase(path + sidecarSuffix)
 	if err != nil {
 		return nil, err
 	}
-	hdr := cr.Header()
-	res := &Resumed{Kind: hdr.Kind, Mark: hdr.Mark, Horizon: hdr.Horizon}
-	switch hdr.Kind {
-	case checkpoint.KindDetector:
-		if shards > 1 {
-			d, err := core.RestoreShardedDetector(cr, shards)
-			if err != nil {
-				return nil, err
-			}
-			s := NewShardedSink(d)
-			s.lastAdvance = hdr.Mark
-			s.lastCkpt = hdr.Mark
-			res.Sink = s
-		} else {
-			d, err := core.RestoreDetector(cr)
-			if err != nil {
-				return nil, err
-			}
-			s := NewDetectorSink(d)
-			s.lastAdvance = hdr.Mark
-			s.lastCkpt = hdr.Mark
-			res.Sink = s
-		}
-	case checkpoint.KindIDS:
-		if shards > 1 {
-			e, err := ids.RestoreShardedEngine(cr, shards)
-			if err != nil {
-				return nil, err
-			}
-			s := NewShardedIDSSink(e)
-			s.lastAdvance = hdr.Mark
-			s.lastCkpt = hdr.Mark
-			res.Sink = s
-		} else {
-			e, err := ids.RestoreEngine(cr)
-			if err != nil {
-				return nil, err
-			}
-			s := NewIDSSink(e)
-			s.lastAdvance = hdr.Mark
-			s.lastCkpt = hdr.Mark
-			res.Sink = s
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown snapshot kind %d", checkpoint.ErrFormat, hdr.Kind)
-	}
-	return res, nil
-}
-
-// ResumeFile is Resume over a checkpoint file path.
-func ResumeFile(path string, shards int) (*Resumed, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Resume(f, shards)
+	return resume(f, shards, phase)
+}
+
+// readPhase loads a phase sidecar; nil, nil when there is none.
+func readPhase(path string) (*marks, error) {
+	b, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: reading checkpoint sidecar: %w", err)
+	}
+	var m marks
+	if err := json.Unmarshal(b, &m); err != nil {
+		return nil, fmt.Errorf("pipeline: checkpoint sidecar %s: %w", path, err)
+	}
+	return &m, nil
+}
+
+// resume restores the sink a snapshot holds, in phase — or, when phase
+// is nil, with both cadence marks at the snapshot's cut.
+func resume(r io.Reader, shards int, phase *marks) (*Resumed, error) {
+	cr, err := checkpoint.NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	hdr := cr.Header()
+	var sink interface {
+		RecordSink
+		setPhase(marks)
+	}
+	switch {
+	case hdr.Kind == checkpoint.KindDetector && shards > 1:
+		d, err := core.RestoreShardedDetector(cr, shards)
+		if err != nil {
+			return nil, err
+		}
+		sink = NewShardedSink(d)
+	case hdr.Kind == checkpoint.KindDetector:
+		d, err := core.RestoreDetector(cr)
+		if err != nil {
+			return nil, err
+		}
+		sink = NewDetectorSink(d)
+	case hdr.Kind == checkpoint.KindIDS && shards > 1:
+		e, err := ids.RestoreShardedEngine(cr, shards)
+		if err != nil {
+			return nil, err
+		}
+		s := NewShardedIDSSink(e)
+		s.lastSeen = hdr.Horizon
+		sink = s
+	case hdr.Kind == checkpoint.KindIDS:
+		e, err := ids.RestoreEngine(cr)
+		if err != nil {
+			return nil, err
+		}
+		s := NewIDSSink(e)
+		s.lastSeen = hdr.Horizon
+		sink = s
+	default:
+		return nil, fmt.Errorf("%w: unknown snapshot kind %d", checkpoint.ErrFormat, hdr.Kind)
+	}
+	if phase == nil {
+		phase = &marks{hdr.Mark, hdr.Mark}
+	}
+	sink.setPhase(*phase)
+	return &Resumed{Sink: sink, Kind: hdr.Kind, Mark: hdr.Mark, Horizon: hdr.Horizon}, nil
 }
 
 // Checkpoint implements Checkpointer: a consistent snapshot of the
@@ -387,13 +534,8 @@ func (s *ShardedSink) Checkpoint(w io.Writer, mark time.Time) error {
 }
 
 // Checkpoint implements Checkpointer: a consistent snapshot of the
-// wrapped engine.
-func (s *IDSSink) Checkpoint(w io.Writer, mark time.Time) error {
-	return s.E.Snapshot(w, mark)
-}
-
-// Checkpoint implements Checkpointer: a dispatcher barrier drains
-// in-flight batches, then all shards snapshot as one global cut.
-func (s *ShardedIDSSink) Checkpoint(w io.Writer, mark time.Time) error {
+// engine — on the sharded one, after a dispatcher barrier drains
+// in-flight batches, all shards as one global cut.
+func (s *idsSink[E]) Checkpoint(w io.Writer, mark time.Time) error {
 	return s.E.Snapshot(w, mark)
 }

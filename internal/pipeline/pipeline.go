@@ -106,9 +106,9 @@
 // The durable-state layer (Checkpointer, Builder.CheckpointEvery,
 // Resume) extends the ownership and ordering rules to snapshots:
 //
-//   - Snapshots are cut only at cadence fire points. The cadence
-//     machinery (due on the record path, splitByCadences on the batch
-//     path) fires at the FIRST record at or past the boundary, before
+//   - Periodic snapshots are cut only at cadence fire points. The
+//     cadence machinery (the same due check on the record and batch
+//     paths) fires at the FIRST record at or past the boundary, before
 //     that record is consumed, so a snapshot with mark t captures
 //     exactly the records with Time < t — the same cut on both paths,
 //     at any batch size.
@@ -119,7 +119,9 @@
 //     live run had applied, checkpointing never perturbs the (for the
 //     IDS, semantic) eviction schedule, and a resumed run's cadence
 //     marks — both restored to the snapshot mark — are exactly in
-//     phase with the uninterrupted run's.
+//     phase with the uninterrupted run's. The one cut off the cadence,
+//     a stopping serving sink's final state (IDSHook), carries its
+//     phase in a sidecar that ResumeFile restores instead.
 //   - Sharded sinks snapshot through a dispatcher barrier: the barrier
 //     drains every in-flight batch and establishes a happens-before
 //     edge from each worker to the snapshotting goroutine, so reading

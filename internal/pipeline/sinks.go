@@ -1,11 +1,13 @@
 package pipeline
 
 import (
+	"io"
 	"time"
 
 	"v6scan/internal/core"
 	"v6scan/internal/firewall"
 	"v6scan/internal/ids"
+	"v6scan/internal/netaddr6"
 )
 
 // Every built-in terminal sink implements the unified Sink lifecycle:
@@ -62,41 +64,26 @@ var Discard RecordSink = SinkFunc(func(firewall.Record) error { return nil })
 // a session closed early by Advance is exactly the session Finish
 // would have closed — so the cadence is purely a memory bound.
 //
-// The embedded checkpointPolicy (Builder.CheckpointEvery) adds a
-// second cadence that snapshots the detector to disk at consistent
-// stream-time cuts; at a shared fire point the advance runs first, so
-// the snapshot includes the eviction horizon's effect.
+// The embedded cadence's CheckpointEvery (Builder.CheckpointEvery)
+// adds a second cadence that snapshots the detector to disk at
+// consistent stream-time cuts; at a shared fire point the advance
+// runs first, so the snapshot includes the eviction horizon's effect.
 type DetectorSink struct {
-	D            *core.Detector
-	AdvanceEvery time.Duration
-	checkpointPolicy
-	lastAdvance time.Time
-	flushed     bool
+	D *core.Detector
+	cadence
+	flushed bool
 }
 
 // NewDetectorSink wraps a detector.
 func NewDetectorSink(d *core.Detector) *DetectorSink { return &DetectorSink{D: d} }
-
-// setCadence lets Builder.AdvanceEvery reach this sink through
-// RunInto.
-func (s *DetectorSink) setCadence(d time.Duration) { s.AdvanceEvery = d }
 
 // Consume implements RecordSink. The cadence check runs before the
 // record is ingested, as on IDSSink: a record that jumped past the
 // cadence first advances the eviction horizon, then contributes its
 // own activity.
 func (s *DetectorSink) Consume(r firewall.Record) error {
-	switch {
-	case due(&s.lastAdvance, s.AdvanceEvery, r.Time):
-		s.D.Advance(r.Time)
-		s.met.advanceFired(r.Time)
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	case s.AdvanceEvery <= 0:
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
+	if err := s.at(s, r.Time); err != nil {
+		return err
 	}
 	return s.D.Process(r)
 }
@@ -104,14 +91,11 @@ func (s *DetectorSink) Consume(r firewall.Record) error {
 // ConsumeBatch implements BatchSink, splitting the batch at every
 // cadence point so advances and checkpoints fire at the same stream
 // positions as on the per-record path.
-func (s *DetectorSink) ConsumeBatch(recs []firewall.Record) error {
-	return splitByCadences(recs,
-		s.cadences(s, s.AdvanceEvery, &s.lastAdvance,
-			func(t time.Time) error { s.D.Advance(t); return nil }),
-		func(part []firewall.Record) error {
-			return s.D.ProcessBatch(part)
-		})
-}
+func (s *DetectorSink) ConsumeBatch(recs []firewall.Record) error { return s.split(s, recs) }
+
+func (s *DetectorSink) advance(t time.Time) error            { s.D.Advance(t); return nil }
+func (s *DetectorSink) fired(time.Time) error                { return nil }
+func (s *DetectorSink) process(recs []firewall.Record) error { return s.D.ProcessBatch(recs) }
 
 // Flush implements RecordSink, finalizing the detector exactly once.
 func (s *DetectorSink) Flush() error {
@@ -139,46 +123,29 @@ func (s *DetectorSink) Result() *core.Detector { return s.D }
 // lag the global clock — and the merged output stays byte-identical
 // to the unsharded, un-advanced detector's.
 type ShardedSink struct {
-	D            *core.ShardedDetector
-	AdvanceEvery time.Duration
-	checkpointPolicy
-	lastAdvance time.Time
+	D *core.ShardedDetector
+	cadence
 }
 
 // NewShardedSink wraps a sharded detector.
 func NewShardedSink(d *core.ShardedDetector) *ShardedSink { return &ShardedSink{D: d} }
 
-// setCadence lets Builder.AdvanceEvery reach this sink through
-// RunInto.
-func (s *ShardedSink) setCadence(d time.Duration) { s.AdvanceEvery = d }
-
 // Consume implements RecordSink via the detector's staged batching;
 // the cadence check runs before ingestion, as on DetectorSink.
 func (s *ShardedSink) Consume(r firewall.Record) error {
-	switch {
-	case due(&s.lastAdvance, s.AdvanceEvery, r.Time):
-		if err := s.D.Advance(r.Time); err != nil {
-			return err
-		}
-		s.met.advanceFired(r.Time)
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	case s.AdvanceEvery <= 0:
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
+	if err := s.at(s, r.Time); err != nil {
+		return err
 	}
 	return s.D.Process(r)
 }
 
 // ConsumeBatch implements BatchSink, splitting at cadence points as on
 // DetectorSink.
-func (s *ShardedSink) ConsumeBatch(recs []firewall.Record) error {
-	return splitByCadences(recs,
-		s.cadences(s, s.AdvanceEvery, &s.lastAdvance, s.D.Advance),
-		s.D.ProcessBatch)
-}
+func (s *ShardedSink) ConsumeBatch(recs []firewall.Record) error { return s.split(s, recs) }
+
+func (s *ShardedSink) advance(t time.Time) error            { return s.D.Advance(t) }
+func (s *ShardedSink) fired(time.Time) error                { return nil }
+func (s *ShardedSink) process(recs []firewall.Record) error { return s.D.ProcessBatch(recs) }
 
 // Flush implements RecordSink. The detector's Finish is idempotent, so
 // repeat flushes only re-report the first worker error.
@@ -232,45 +199,85 @@ func (s *MAWISink) Close() error { return s.Flush() }
 // Result returns the window's detected scans. Valid after Flush.
 func (s *MAWISink) Result() []core.MAWIScan { return s.Scans }
 
+// IDSEngine is the engine an IDS sink drives — *ids.Engine, or
+// *ids.ShardedEngine across worker shards — and what its hook reads.
+type IDSEngine interface {
+	Process(r firewall.Record)
+	ProcessBatch(recs []firewall.Record)
+	Tick(now time.Time)
+	Drain() []ids.Alert
+	Flush() []ids.Alert
+	Snapshot(w io.Writer, mark time.Time) error
+	Candidates(l netaddr6.AggLevel) int
+	MemoryBytes() int
+	DroppedCandidates() uint64
+}
+
+// IDSHook lets a long-running consumer — the v6scand daemon — act
+// inside an IDS sink at the points a batch run has no use for. Every
+// call runs on the pipeline's dispatching goroutine.
+type IDSHook interface {
+	// Fired runs at every fire point t of the sink's cadence, after its
+	// Tick and any checkpoint cut, before the record at t reaches the
+	// engine: the moment to Drain what the tick alerted on. lastCkpt
+	// is the newest checkpoint's mark. The cut precedes the drain, so a
+	// run resumed from a cut at t reports t's alerts again — delivery
+	// is at least once, never lossy.
+	Fired(t, lastCkpt time.Time) error
+	// Consumed runs after each record run reaches the engine; last is
+	// the newest record time consumed.
+	Consumed(last time.Time)
+	// Stopped runs once when Flush begins, before the engine's final
+	// sweep. final is the sink's state cut off the cadence at the
+	// newest consumed record's time + 1ns — already published, with
+	// its phase sidecar, when CheckpointDir is set — or nil when the
+	// sink holds no stream position. lastCkpt is as in Fired.
+	Stopped(final *Handoff, lastCkpt time.Time) error
+}
+
 // IDSSink terminates a pipeline in the dynamic-aggregation IDS engine;
 // Flush stores the accumulated alerts in Alerts.
 //
 // AdvanceEvery, when positive, forwards Engine.Tick on a stream-time
 // cadence (checked at record/batch granularity) so idle candidates
 // are evicted mid-stream as in an inline deployment; zero leaves all
-// eviction to Flush. The field carries the same name on every
-// cadence-capable sink, so Builder.AdvanceEvery drives whichever
-// terminal follows. The embedded checkpointPolicy behaves as on
-// DetectorSink: the tick fires before the snapshot at a shared cut.
-type IDSSink struct {
-	E *ids.Engine
-	// AdvanceEvery is the unified eviction cadence.
-	AdvanceEvery time.Duration
-	// TickEvery is the cadence's original name on the IDS sinks.
-	// It still works — AdvanceEvery wins when both are set.
-	//
-	// Deprecated: set AdvanceEvery (or Builder.AdvanceEvery) instead.
-	TickEvery time.Duration
-	checkpointPolicy
-	Alerts      []ids.Alert
-	lastAdvance time.Time
-	flushed     bool
-}
+// eviction to Flush. Checkpoints ride the cadence as on DetectorSink:
+// the tick fires before the snapshot at a shared cut. A hook (Attach)
+// turns the batch terminal into the serving one.
+type IDSSink struct{ idsSink[*ids.Engine] }
+
+// ShardedIDSSink is IDSSink over the sharded IDS engine, which
+// forwards batches to its parallel ProcessBatch path; Flush stops the
+// workers and stores the deterministically merged alerts in Alerts.
+type ShardedIDSSink struct{ idsSink[*ids.ShardedEngine] }
 
 // NewIDSSink wraps an IDS engine.
-func NewIDSSink(e *ids.Engine) *IDSSink { return &IDSSink{E: e} }
+func NewIDSSink(e *ids.Engine) *IDSSink { return &IDSSink{idsSink[*ids.Engine]{E: e}} }
 
-// setCadence lets Builder.AdvanceEvery reach this sink through
-// RunInto (the builder cadence drives Tick here).
-func (s *IDSSink) setCadence(d time.Duration) { s.AdvanceEvery = d }
+// NewShardedIDSSink wraps a sharded IDS engine.
+func NewShardedIDSSink(e *ids.ShardedEngine) *ShardedIDSSink {
+	return &ShardedIDSSink{idsSink[*ids.ShardedEngine]{E: e}}
+}
 
-// advanceCadence resolves the unified field against its deprecated
-// alias: AdvanceEvery when set, else TickEvery.
-func (s *IDSSink) advanceCadence() time.Duration {
-	if s.AdvanceEvery > 0 {
-		return s.AdvanceEvery
-	}
-	return s.TickEvery
+// idsSink is the one IDS terminal behind IDSSink and ShardedIDSSink.
+type idsSink[E IDSEngine] struct {
+	E E
+	cadence
+	Alerts []ids.Alert
+	// hook is the serving seam Attach installs; nil in a batch run.
+	hook IDSHook
+	// lastSeen is the newest record time the engine consumed — the
+	// stream position a stopping hooked sink cuts its final state at.
+	lastSeen time.Time
+	flushed  bool
+}
+
+// Attach installs h as the sink's hook and returns its engine: the
+// shard-independent handle for a caller that holds either IDS sink
+// only as a RecordSink, such as a Resumed one.
+func (s *idsSink[E]) Attach(h IDSHook) IDSEngine {
+	s.hook = h
+	return s.E
 }
 
 // Consume implements RecordSink. The cadence check runs before the
@@ -278,21 +285,15 @@ func (s *IDSSink) advanceCadence() time.Duration {
 // cadence first advances the engine clock (evicting candidates that
 // went idle during the gap, as an inline deployment's timer would)
 // and only then contributes its own activity.
-func (s *IDSSink) Consume(r firewall.Record) error {
-	adv := s.advanceCadence()
-	switch {
-	case due(&s.lastAdvance, adv, r.Time):
-		s.E.Tick(r.Time)
-		s.met.advanceFired(r.Time)
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	case adv <= 0:
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
+func (s *idsSink[E]) Consume(r firewall.Record) error {
+	if err := s.at(s, r.Time); err != nil {
+		return err
 	}
 	s.E.Process(r)
+	s.lastSeen = r.Time
+	if s.hook != nil {
+		s.hook.Consumed(s.lastSeen)
+	}
 	return nil
 }
 
@@ -300,180 +301,62 @@ func (s *IDSSink) Consume(r firewall.Record) error {
 // cadence point so ticks and checkpoints fire at the same stream
 // positions as on the per-record path — batch size (and stages that
 // force the record path) never change which sessions merge.
-func (s *IDSSink) ConsumeBatch(recs []firewall.Record) error {
-	return splitByCadences(recs,
-		s.cadences(s, s.advanceCadence(), &s.lastAdvance,
-			func(t time.Time) error { s.E.Tick(t); return nil }),
-		func(part []firewall.Record) error { s.E.ProcessBatch(part); return nil })
+func (s *idsSink[E]) ConsumeBatch(recs []firewall.Record) error {
+	if err := s.split(s, recs); err != nil {
+		return err
+	}
+	if s.hook != nil && len(recs) > 0 {
+		s.hook.Consumed(s.lastSeen)
+	}
+	return nil
+}
+
+func (s *idsSink[E]) advance(t time.Time) error { s.E.Tick(t); return nil }
+
+func (s *idsSink[E]) fired(t time.Time) error {
+	if s.hook == nil {
+		return nil
+	}
+	return s.hook.Fired(t, s.lastCkpt)
+}
+
+func (s *idsSink[E]) process(recs []firewall.Record) error {
+	if len(recs) > 0 {
+		s.E.ProcessBatch(recs)
+		s.lastSeen = recs[len(recs)-1].Time
+	}
+	return nil
 }
 
 // Flush implements RecordSink, draining the engine exactly once (a
 // second Flush would return an empty alert set, so repeats are
-// no-ops).
-func (s *IDSSink) Flush() error {
-	if !s.flushed {
-		s.flushed = true
-		s.Alerts = s.E.Flush()
+// no-ops). A hooked sink first cuts its final state and hands it to
+// the hook's Stopped.
+func (s *idsSink[E]) Flush() error {
+	if s.flushed {
+		return nil
 	}
-	return nil
+	s.flushed = true
+	var err error
+	if s.hook != nil {
+		var final *Handoff
+		if !s.lastSeen.IsZero() {
+			final, err = s.cutFinal(s, s.lastSeen.Add(time.Nanosecond))
+		}
+		if err == nil {
+			err = s.hook.Stopped(final, s.lastCkpt)
+		}
+	}
+	s.Alerts = s.E.Flush()
+	return err
 }
 
 // Close implements Sink.
-func (s *IDSSink) Close() error { return s.Flush() }
+func (s *idsSink[E]) Close() error { return s.Flush() }
 
-// Result returns the accumulated alerts. Valid after Flush.
-func (s *IDSSink) Result() []ids.Alert { return s.Alerts }
-
-// ShardedIDSSink terminates a pipeline in the sharded IDS engine,
-// forwarding batches to its parallel ProcessBatch path; Flush stops
-// the workers and stores the deterministically merged alerts in
-// Alerts. AdvanceEvery (and the deprecated TickEvery alias) behaves
-// as on IDSSink.
-type ShardedIDSSink struct {
-	E *ids.ShardedEngine
-	// AdvanceEvery is the unified eviction cadence.
-	AdvanceEvery time.Duration
-	// TickEvery is the cadence's original name on the IDS sinks.
-	// It still works — AdvanceEvery wins when both are set.
-	//
-	// Deprecated: set AdvanceEvery (or Builder.AdvanceEvery) instead.
-	TickEvery time.Duration
-	checkpointPolicy
-	Alerts      []ids.Alert
-	lastAdvance time.Time
-	flushed     bool
-}
-
-// NewShardedIDSSink wraps a sharded IDS engine.
-func NewShardedIDSSink(e *ids.ShardedEngine) *ShardedIDSSink { return &ShardedIDSSink{E: e} }
-
-// setCadence lets Builder.AdvanceEvery reach this sink through
-// RunInto (the builder cadence drives Tick here).
-func (s *ShardedIDSSink) setCadence(d time.Duration) { s.AdvanceEvery = d }
-
-// advanceCadence resolves the unified field against its deprecated
-// alias, as on IDSSink.
-func (s *ShardedIDSSink) advanceCadence() time.Duration {
-	if s.AdvanceEvery > 0 {
-		return s.AdvanceEvery
-	}
-	return s.TickEvery
-}
-
-// Consume implements RecordSink via the engine's staged batching; the
-// cadence check runs before ingestion, as on IDSSink.
-func (s *ShardedIDSSink) Consume(r firewall.Record) error {
-	adv := s.advanceCadence()
-	switch {
-	case due(&s.lastAdvance, adv, r.Time):
-		s.E.Tick(r.Time)
-		s.met.advanceFired(r.Time)
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	case adv <= 0:
-		if err := s.maybeCheckpoint(s, r.Time); err != nil {
-			return err
-		}
-	}
-	s.E.Process(r)
-	return nil
-}
-
-// ConsumeBatch implements BatchSink, splitting at cadence points as
-// on IDSSink.
-func (s *ShardedIDSSink) ConsumeBatch(recs []firewall.Record) error {
-	return splitByCadences(recs,
-		s.cadences(s, s.advanceCadence(), &s.lastAdvance,
-			func(t time.Time) error { s.E.Tick(t); return nil }),
-		func(part []firewall.Record) error { s.E.ProcessBatch(part); return nil })
-}
-
-// Flush implements RecordSink, stopping the workers and merging the
-// alerts exactly once.
-func (s *ShardedIDSSink) Flush() error {
-	if !s.flushed {
-		s.flushed = true
-		s.Alerts = s.E.Flush()
-	}
-	return nil
-}
-
-// Close implements Sink.
-func (s *ShardedIDSSink) Close() error { return s.Flush() }
-
-// Result returns the deterministically merged alerts. Valid after
-// Flush.
-func (s *ShardedIDSSink) Result() []ids.Alert { return s.Alerts }
-
-// cadence is one stream-time cadence a batch is split against: a
-// mark, a period, and the action to run at each fire point. A zero
-// cadence (nil mark or non-positive period) never fires.
-type cadence struct {
-	last  *time.Time
-	every time.Duration
-	fire  func(time.Time) error
-}
-
-// splitByCadences drives a batch through process, splitting it at the
-// union of every cadence's stream-time fire points and invoking the
-// fires there first — exactly the positions the per-record path (due
-// checks before each Consume) would fire at, so batch size never
-// changes which sessions merge, when eviction horizons advance, or
-// where checkpoints cut. All-zero cadences degrade to one process
-// call. Shared by the detector sinks (fire = Advance) and the IDS
-// sinks (fire = Tick); checkpointPolicy.cadences assembles each
-// sink's list, with the checkpoint check riding inside the eviction
-// fire when both are configured.
-func splitByCadences(recs []firewall.Record, cads []cadence,
-	process func([]firewall.Record) error) error {
-	active := false
-	for i := range cads {
-		if cads[i].last != nil && cads[i].every > 0 {
-			active = true
-		}
-	}
-	if !active {
-		return process(recs)
-	}
-	start := 0
-	for i := range recs {
-		t := recs[i].Time
-		split := false
-		for j := range cads {
-			c := &cads[j]
-			if c.last == nil || !due(c.last, c.every, t) {
-				continue
-			}
-			if !split {
-				if err := process(recs[start:i]); err != nil {
-					return err
-				}
-				start = i
-				split = true
-			}
-			if err := c.fire(t); err != nil {
-				return err
-			}
-		}
-	}
-	return process(recs[start:])
-}
-
-// due reports whether a stream-time tick cadence has elapsed at t,
-// advancing the stored mark when it has. A zero or negative cadence
-// never fires; the first record only arms the mark.
-func due(last *time.Time, every time.Duration, t time.Time) bool {
-	if every <= 0 {
-		return false
-	}
-	if last.IsZero() || t.Sub(*last) >= every {
-		fire := !last.IsZero()
-		*last = t
-		return fire
-	}
-	return false
-}
+// Result returns the accumulated alerts — merged deterministically on
+// the sharded engine. Valid after Flush.
+func (s *idsSink[E]) Result() []ids.Alert { return s.Alerts }
 
 // LogSink writes every record to a binary firewall log; Flush drains
 // the writer's buffer.

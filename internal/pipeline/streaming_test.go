@@ -23,7 +23,7 @@ import (
 // (TestShardedParity, TestShardedIDSParity) to the full streaming
 // path this package owns: a chunked source (binary log, pcap) feeding
 // the builder chain with WindowSort reordering and a sink-driven
-// AdvanceEvery/TickEvery cadence that forwards eviction horizons
+// AdvanceEvery cadence that forwards eviction horizons
 // through the dispatcher's marks. The invariants:
 //
 //   - Detector: AdvanceEvery only bounds memory — output at any shard
@@ -219,11 +219,11 @@ func canonicalIDSAlerts(alerts []ids.Alert) string {
 	return b.String()
 }
 
-// TestShardedIDSParityStreamingTickEvery extends TestShardedIDSParity
-// to the sink-driven cadence: IDS ticks are semantic, so the sharded
-// streaming engines must match the unsharded engine run at the
-// identical TickEvery cadence, byte for byte.
-func TestShardedIDSParityStreamingTickEvery(t *testing.T) {
+// TestShardedIDSParityStreamingAdvanceEvery extends
+// TestShardedIDSParity to the sink-driven cadence: IDS ticks are
+// semantic, so the sharded streaming engines must match the unsharded
+// engine run at the identical AdvanceEvery cadence, byte for byte.
+func TestShardedIDSParityStreamingAdvanceEvery(t *testing.T) {
 	recs := streamParityRecords(40_000, 0)
 	cfg := ids.Config{
 		MinDsts: 20,
@@ -252,7 +252,7 @@ func TestShardedIDSParityStreamingTickEvery(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := canonicalIDSAlerts(alerts); got != want {
-			t.Errorf("shards=%d: streaming TickEvery alerts differ from unsharded\n got:\n%s\nwant:\n%s", shards, got, want)
+			t.Errorf("shards=%d: streaming AdvanceEvery alerts differ from unsharded\n got:\n%s\nwant:\n%s", shards, got, want)
 		}
 	}
 }
@@ -274,12 +274,12 @@ func TestRunIntoAppliesAdvanceEvery(t *testing.T) {
 	}
 
 	ids1 := NewIDSSink(ids.New(ids.DefaultConfig()))
-	ids1.TickEvery = time.Minute
+	ids1.AdvanceEvery = time.Minute
 	if err := From(SliceSource(recs)).RunInto(context.Background(), ids1); err != nil {
 		t.Fatal(err)
 	}
-	if ids1.TickEvery != time.Minute {
-		t.Fatalf("zero builder cadence clobbered the sink's TickEvery: %v", ids1.TickEvery)
+	if ids1.AdvanceEvery != time.Minute {
+		t.Fatalf("zero builder cadence clobbered the sink's AdvanceEvery: %v", ids1.AdvanceEvery)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 )
 
 // blocklist accumulates alert prefixes and mirrors them to a rule
-// file. It is owned by the pump (the pipeline's dispatching
-// goroutine); nothing else touches it.
+// file. Only the daemon's IDS-sink hook touches it, on the pipeline's
+// dispatching goroutine.
 type blocklist struct {
 	path string
 	set  map[netip.Prefix]struct{}

@@ -11,8 +11,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -146,5 +149,68 @@ func TestKillResumeParity(t *testing.T) {
 	got = alertsJSON(t, append(append([]SeqAlert{}, d1.alerts()...), d2.alerts()...))
 	if got != want {
 		t.Fatalf("re-sharded resume diverges:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestDaemonMatchesBatch: the daemon is the batch IDS run live. Over a
+// finished log whose last record jumps past the timeout — so every
+// alert fires on a tick, none waits for the final sweep the daemon
+// discards — the alerts it publishes equal the batch pipeline's at the
+// same cadence, byte for byte, plain and sharded.
+func TestDaemonMatchesBatch(t *testing.T) {
+	var recs []firewall.Record
+	recs = append(recs, scanBurst("2001:db8:bad1::1", 0, 20)...)
+	recs = append(recs, scanBurst("2001:db8:bad1::2", 30*time.Second, 20)...) // same /64: aggregates
+	recs = append(recs, fillers(1, 20)...)
+	recs = append(recs, scanBurst("2001:db8:bad2::1", 20*time.Minute, 20)...)
+	recs = append(recs, scanBurst("2001:db8:bad3:1::1", 20*time.Minute+10*time.Second, 20)...)
+	recs = append(recs, fillers(21, 40)...)
+	recs = append(recs, fillers(120, 121)...) // the jump: idles everything past the timeout
+	pipeline.SortByTime(recs)
+
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprint("shards=", shards), func(t *testing.T) {
+			batch, err := pipeline.From(pipeline.SliceSource(recs)).
+				AdvanceEvery(time.Minute).
+				IDS(context.Background(), testIDS(), shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch) < 3 {
+				t.Fatalf("degenerate reference: %d alerts", len(batch))
+			}
+			want := make([]SeqAlert, len(batch))
+			for i, a := range batch {
+				want[i] = SeqAlert{Alert: a}
+			}
+
+			log := filepath.Join(t.TempDir(), "fw.log")
+			appendLog(t, log, recs)
+			dr := startDaemon(t, Config{
+				LogPath:      log,
+				Shards:       shards,
+				IDS:          testIDS(),
+				AdvanceEvery: time.Minute,
+			})
+			dr.waitRecords(t, uint64(len(recs)))
+			dr.stop(t)
+			// The daemon publishes in fire order, the batch run returns
+			// one list in the engine's order (first activity, address,
+			// prefix length); compare in the latter.
+			got := dr.alerts()
+			sort.SliceStable(got, func(i, j int) bool {
+				a, b := got[i].Alert, got[j].Alert
+				if !a.First.Equal(b.First) {
+					return a.First.Before(b.First)
+				}
+				if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
+					return c < 0
+				}
+				return a.Prefix.Bits() < b.Prefix.Bits()
+			})
+			if got, want := alertsJSON(t, got), alertsJSON(t, want); got != want {
+				t.Fatalf("daemon alerts differ from batch:\ndaemon:\n%s\nbatch:\n%s", got, want)
+			}
+		})
 	}
 }

@@ -8,19 +8,23 @@
 // # Lifecycle
 //
 // A Daemon runs in generations. Each generation opens the tail, builds
-// a pipeline into the pump (the daemon's terminal sink, which owns the
-// IDS engine), and streams until the run context is cancelled (SIGTERM
-// path: drain what is durable, cut a final checkpoint, exit) or a
-// Reload is requested (SIGHUP path: same drain and final cut, then a
-// new generation resumes from the just-cut state in place — the log is
-// reopened, so a renamed or replaced path is picked up, and an
-// OnReload hook may revise the serving configuration).
+// a pipeline into the pipeline's IDS sink — the terminal a batch
+// `v6scan -ids` run uses, so the daemon ticks, splits batches and cuts
+// checkpoints exactly where the batch run would — with the daemon
+// attached as the sink's hook (see generation.go), and streams until
+// the run context is cancelled (SIGTERM path: drain what is durable,
+// cut a final checkpoint, exit) or a Reload is requested (SIGHUP path:
+// same drain and final cut, then a new generation resumes from the
+// just-cut state in place — the log is reopened, so a renamed or
+// replaced path is picked up, and an OnReload hook may revise the
+// serving configuration).
 //
 // Crash recovery is the batch CLI's resume story: start the daemon
 // with Config.Resume and it restores the latest checkpoint, replays
 // the log with the already-processed prefix skipped, and continues.
 // Alerts of the exact fire a periodic checkpoint was cut at are
-// re-published on such a resume (at-least-once delivery; see pump.go).
+// re-published on such a resume (at-least-once delivery; see
+// generation.go).
 //
 // # Concurrency
 //
@@ -31,16 +35,13 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync/atomic"
 	"time"
 
-	"v6scan/internal/checkpoint"
 	"v6scan/internal/ids"
 	"v6scan/internal/metrics"
 	"v6scan/internal/netaddr6"
@@ -62,8 +63,8 @@ type Config struct {
 	// minute) — the daemon's alerting latency.
 	AdvanceEvery time.Duration
 	// CheckpointEvery / CheckpointDir enable periodic snapshots at
-	// tick-aligned cuts. CheckpointDir alone still gets the final
-	// shutdown snapshot.
+	// tick-aligned cuts; CheckpointEvery requires CheckpointDir.
+	// CheckpointDir alone still gets the final shutdown snapshot.
 	CheckpointEvery time.Duration
 	CheckpointDir   string
 	// Resume restores the latest checkpoint in CheckpointDir at
@@ -168,6 +169,9 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return nil, errors.New("serve: Resume requires CheckpointDir")
 	}
+	if cfg.CheckpointEvery > 0 && cfg.CheckpointDir == "" {
+		return nil, errors.New("serve: CheckpointEvery requires CheckpointDir")
+	}
 	d := &Daemon{
 		cfg:      cfg,
 		hub:      newHub(cfg.AlertBacklog, cfg.SSEBuffer),
@@ -254,21 +258,21 @@ func (d *Daemon) Reload() {
 // clean drain and final checkpoint) or a pipeline error. It blocks;
 // start the HTTP server around it.
 func (d *Daemon) Run(ctx context.Context) error {
-	var carry *handoff
+	var carry *pipeline.Handoff
 	for gen := 1; ; gen++ {
 		d.sm.generation.Set(float64(gen))
-		p, horizon, err := d.newPump(carry)
+		g, err := d.newGeneration(carry)
 		if err != nil {
 			return err
 		}
-		reloaded, err := d.runGeneration(ctx, gen, p, horizon)
+		reloaded, err := d.runGeneration(ctx, gen, g)
 		if err != nil {
 			return err
 		}
 		if !reloaded {
 			return nil
 		}
-		carry = &p.out
+		carry = g.final
 		if d.cfg.OnReload != nil {
 			d.cfg = d.cfg.OnReload(d.cfg)
 		}
@@ -277,15 +281,14 @@ func (d *Daemon) Run(ctx context.Context) error {
 
 // runGeneration streams one pipeline until stop or reload; reports
 // which ended it.
-func (d *Daemon) runGeneration(ctx context.Context, gen int, p *pump, horizon time.Time) (reloaded bool, err error) {
+func (d *Daemon) runGeneration(ctx context.Context, gen int, g *generation) (reloaded bool, err error) {
 	genCtx, genCancel := context.WithCancel(context.Background())
 	defer genCancel()
-	tail := pipeline.NewTailSource(d.cfg.LogPath, pipeline.TailConfig{
+	g.tail = pipeline.NewTailSource(d.cfg.LogPath, pipeline.TailConfig{
 		Poll:    d.cfg.Poll,
 		Context: genCtx,
 	})
-	p.tail = tail
-	p.generationStart(gen)
+	g.start(gen)
 
 	stop := make(chan struct{})
 	defer close(stop)
@@ -300,118 +303,88 @@ func (d *Daemon) runGeneration(ctx context.Context, gen int, p *pump, horizon ti
 		genCancel() // the tail drains what is durable, then ends cleanly
 	}()
 
-	b := pipeline.From(tail).Instrument(d.pm)
+	b := pipeline.From(g.tail).Instrument(d.pm).
+		AdvanceEvery(d.cfg.AdvanceEvery).
+		CheckpointEvery(d.cfg.CheckpointEvery, d.cfg.CheckpointDir)
 	if d.cfg.ArtifactFilter {
 		b = b.Artifact()
 	}
-	if !horizon.IsZero() {
-		b = b.ResumeFrom(horizon)
+	if !g.restored.IsZero() {
+		b = b.ResumeFrom(g.restored.Add(-time.Nanosecond))
 	}
-	if err := b.RunInto(context.Background(), p); err != nil {
+	if err := b.RunInto(context.Background(), g.sink); err != nil {
 		return false, err
 	}
 	return sawReload.Load(), nil
 }
 
-// newPump builds a generation's terminal: engine state from the
-// previous generation's handoff, else the latest disk checkpoint
-// (Config.Resume), else fresh. horizon is the replay skip bound for
-// restored state.
-func (d *Daemon) newPump(carry *handoff) (*pump, time.Time, error) {
-	p := &pump{
-		d:            d,
-		advanceEvery: d.cfg.AdvanceEvery,
-		ckptEvery:    d.cfg.CheckpointEvery,
-		ckptDir:      d.cfg.CheckpointDir,
-	}
+// newGeneration builds a generation's IDS sink: restored from the
+// previous generation's final cut, else from the latest disk
+// checkpoint (Config.Resume), else fresh — and attaches the generation
+// as its hook.
+func (d *Daemon) newGeneration(carry *pipeline.Handoff) (*generation, error) {
+	var res *pipeline.Resumed
+	var err error
 	switch {
-	case carry != nil && carry.snapshot != nil:
-		eng, mark, err := restoreEngine(bytes.NewReader(carry.snapshot), d.cfg.Shards)
-		if err != nil {
-			return nil, time.Time{}, fmt.Errorf("serve: reload handoff: %w", err)
+	case carry != nil:
+		if res, err = carry.Resume(d.cfg.Shards); err != nil {
+			return nil, fmt.Errorf("serve: reload handoff: %w", err)
 		}
-		p.eng = eng
-		p.lastAdvance, p.lastCkpt = carry.marks.Advance, carry.marks.Checkpoint
-		return p, mark.Add(-time.Nanosecond), nil
 	case d.cfg.Resume:
 		// Clear out temp files stranded by a crashed writer before
 		// scanning the directory for the newest snapshot.
 		if _, err := pipeline.SweepCheckpointTemps(d.cfg.CheckpointDir); err != nil {
-			return nil, time.Time{}, err
+			return nil, err
 		}
 		path, err := pipeline.LatestCheckpoint(d.cfg.CheckpointDir)
 		if err != nil {
-			return nil, time.Time{}, err
+			return nil, err
 		}
 		if path != "" {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, time.Time{}, err
+			if res, err = pipeline.ResumeFile(path, d.cfg.Shards); err != nil {
+				return nil, fmt.Errorf("serve: resuming %s: %w", path, err)
 			}
-			eng, mark, err := restoreEngine(f, d.cfg.Shards)
-			f.Close()
-			if err != nil {
-				return nil, time.Time{}, fmt.Errorf("serve: resuming %s: %w", path, err)
-			}
-			p.eng = eng
-			// Fire-point cuts carry their phase in the mark itself; a
-			// shutdown cut carries it in the sidecar.
-			p.lastAdvance, p.lastCkpt = mark, mark
-			if m, ok := readMarks(path + ".marks"); ok {
-				p.lastAdvance, p.lastCkpt = m.Advance, m.Checkpoint
-			}
-			return p, mark.Add(-time.Nanosecond), nil
 		}
 	}
-	if d.cfg.Shards > 1 {
-		p.eng = ids.NewSharded(d.cfg.IDS, d.cfg.Shards)
-	} else {
-		p.eng = ids.New(d.cfg.IDS)
-	}
-	return p, time.Time{}, nil
-}
-
-// restoreEngine rebuilds an IDS engine (re-sharded per the daemon's
-// config) from a snapshot stream and returns its cut mark. It reuses
-// the pipeline's resume machinery so config normalization and
-// re-sharding behave exactly as in the batch CLI.
-func restoreEngine(r io.Reader, shards int) (engine, time.Time, error) {
-	res, err := pipeline.Resume(r, shards)
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	if res.Kind != checkpoint.KindIDS {
-		return nil, time.Time{}, fmt.Errorf("checkpoint holds a detector snapshot, not IDS state")
-	}
-	switch s := res.Sink.(type) {
-	case *pipeline.IDSSink:
-		return s.E, res.Mark, nil
-	case *pipeline.ShardedIDSSink:
-		return s.E, res.Mark, nil
+	g := &generation{d: d}
+	switch {
+	case res != nil:
+		s, ok := res.Sink.(idsTerminal)
+		if !ok {
+			return nil, errors.New("serve: checkpoint holds a detector snapshot, not IDS state")
+		}
+		g.sink, g.restored = s, res.Mark
+	case d.cfg.Shards > 1:
+		g.sink = pipeline.NewShardedIDSSink(ids.NewSharded(d.cfg.IDS, d.cfg.Shards))
 	default:
-		return nil, time.Time{}, fmt.Errorf("unexpected resumed sink %T", res.Sink)
+		g.sink = pipeline.NewIDSSink(ids.New(d.cfg.IDS))
 	}
+	g.eng = g.sink.Attach(g)
+	return g, nil
 }
 
-// generationStart publishes the restored-state view and drains any
-// pending alerts the snapshot carried (non-empty only when resuming a
-// checkpoint cut mid-fire — the at-least-once crash-recovery path).
-func (p *pump) generationStart(gen int) {
-	d := p.d
+// start publishes the generation's first State and any alerts the
+// restored state still held. Those exist only when resuming a
+// checkpoint cut at a tick fire, before the fire's drain (the
+// at-least-once crash-recovery path) — so the restored mark is both
+// the last tick and the last checkpoint.
+func (g *generation) start(gen int) {
+	d := g.d
 	cur := *d.state.Load()
 	cur.Generation = gen
 	cur.Running = true
 	cur.UpdatedAt = time.Now()
 	d.state.Store(&cur)
-	if pending := p.eng.Drain(); len(pending) > 0 {
-		d.publish(p, pending, p.lastAdvance)
+	if pending := g.eng.Drain(); len(pending) > 0 {
+		g.lastCkpt = g.restored
+		d.publish(g, pending, g.restored)
 	}
 }
 
 // publish is the tick-fire hook: hand alerts to the hub and the
 // blocklist, refresh the engine-derived gauges and the full State.
 // Runs on the dispatching goroutine only.
-func (d *Daemon) publish(p *pump, alerts []ids.Alert, tick time.Time) {
+func (d *Daemon) publish(g *generation, alerts []ids.Alert, tick time.Time) {
 	if len(alerts) > 0 {
 		// Export before notifying: a consumer reacting to the SSE
 		// event (a firewall reload hook, the smoke test) must find the
@@ -427,19 +400,19 @@ func (d *Daemon) publish(p *pump, alerts []ids.Alert, tick time.Time) {
 	}
 	cur := *d.state.Load()
 	cur.LastTick = tick
-	cur.LastCheckpoint = p.lastCkpt
+	cur.LastCheckpoint = g.lastCkpt
 	cur.Candidates = make(map[string]int, len(d.levels))
 	for _, l := range d.levels {
-		n := p.eng.Candidates(l)
+		n := g.eng.Candidates(l)
 		cur.Candidates[l.String()] = n
 		d.sm.candidates[l].Set(float64(n))
 	}
-	cur.DroppedCandidates = p.eng.DroppedCandidates()
+	cur.DroppedCandidates = g.eng.DroppedCandidates()
 	d.sm.dropped.Set(float64(cur.DroppedCandidates))
-	cur.MemoryBytes = p.eng.MemoryBytes()
+	cur.MemoryBytes = g.eng.MemoryBytes()
 	d.sm.memoryBytes.Set(float64(cur.MemoryBytes))
 	cur.DroppedPerShard, cur.QueueDepth = nil, 0
-	if se, ok := p.eng.(shardedEngine); ok {
+	if se, ok := g.eng.(shardedEngine); ok {
 		cur.DroppedPerShard = se.DroppedPerShard()
 		for i, v := range cur.DroppedPerShard {
 			if i < len(d.sm.droppedPerShard) {
@@ -449,35 +422,35 @@ func (d *Daemon) publish(p *pump, alerts []ids.Alert, tick time.Time) {
 		cur.QueueDepth = se.QueueDepth()
 		d.sm.queueDepth.Set(float64(cur.QueueDepth))
 	}
-	d.finishState(&cur, p)
+	d.finishState(&cur, g)
 }
 
 // publishLight refreshes only the stream-progress fields — cheap
 // enough for every batch, so /api/state is current even between tick
 // fires.
-func (d *Daemon) publishLight(p *pump) {
+func (d *Daemon) publishLight(g *generation) {
 	cur := *d.state.Load()
-	d.finishState(&cur, p)
+	d.finishState(&cur, g)
 }
 
 // publishFinal marks the daemon stopped (or the generation over).
-func (d *Daemon) publishFinal(p *pump) {
+func (d *Daemon) publishFinal(g *generation) {
 	cur := *d.state.Load()
 	cur.Running = false
-	cur.LastCheckpoint = p.lastCkpt
-	d.finishState(&cur, p)
+	cur.LastCheckpoint = g.lastCkpt
+	d.finishState(&cur, g)
 }
 
 // finishState stamps the shared trailer fields and stores the new
 // snapshot.
-func (d *Daemon) finishState(s *State, p *pump) {
+func (d *Daemon) finishState(s *State, g *generation) {
 	s.Records = d.pm.SourceRecords.Value()
-	if p.lastSeen.After(s.StreamTime) {
-		s.StreamTime = p.lastSeen
+	if g.lastSeen.After(s.StreamTime) {
+		s.StreamTime = g.lastSeen
 	}
 	s.AlertsPublished = d.sm.alerts.Value()
-	if p.tail != nil {
-		s.Tail = p.tail.Stats()
+	if g.tail != nil {
+		s.Tail = g.tail.Stats()
 	}
 	s.UpdatedAt = time.Now()
 	d.state.Store(s)

@@ -77,6 +77,24 @@ func appendLog(t *testing.T, path string, recs []firewall.Record) {
 	}
 }
 
+// sidecar is the JSON of a checkpoint's "<ckpt>.marks" cadence-phase
+// sidecar, as external readers (the CI smoke job, the benchmark) see it.
+type sidecar struct {
+	Advance    time.Time `json:"advance"`
+	Checkpoint time.Time `json:"checkpoint"`
+}
+
+// readMarks loads a checkpoint's sidecar; ok=false when it is missing
+// or does not parse.
+func readMarks(path string) (sidecar, bool) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return sidecar{}, false
+	}
+	var m sidecar
+	return m, json.Unmarshal(b, &m) == nil
+}
+
 // testIDS is a small-threshold config so 20-destination bursts alert.
 func testIDS() ids.Config {
 	return ids.Config{MinDsts: 5, Timeout: 10 * time.Minute}
@@ -401,4 +419,53 @@ func TestDaemonReload(t *testing.T) {
 		t.Fatalf("post-reload alerts %s do not name the scanner", alertsJSON(t, got))
 	}
 	dr.stop(t)
+}
+
+// TestNewDaemonRejectsCheckpointWithoutDir: a checkpoint setting with
+// nowhere to write is a configuration error up front, not a cadence
+// that silently never fires.
+func TestNewDaemonRejectsCheckpointWithoutDir(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"Resume":          {LogPath: "fw.log", Resume: true},
+		"CheckpointEvery": {LogPath: "fw.log", CheckpointEvery: time.Hour},
+	} {
+		if _, err := NewDaemon(cfg); err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
+			t.Errorf("%s without CheckpointDir: err = %v, want a CheckpointDir error", name, err)
+		}
+	}
+	if _, err := NewDaemon(Config{LogPath: "fw.log", CheckpointEvery: time.Hour, CheckpointDir: t.TempDir()}); err != nil {
+		t.Fatalf("valid checkpoint config rejected: %v", err)
+	}
+}
+
+// TestDaemonIdleReloadCarriesState: a generation that consumes nothing
+// new — reloaded again before the log grows — still hands its restored
+// state on, so back-to-back reloads neither lose the engine nor replay
+// the log into a fresh one and publish its alerts a second time.
+func TestDaemonIdleReloadCarriesState(t *testing.T) {
+	log := filepath.Join(t.TempDir(), "fw.log")
+	dr := startDaemon(t, Config{LogPath: log, IDS: testIDS(), AdvanceEvery: time.Minute})
+	first := append(scanBurst("2001:db8:bad::1", 0, 20), fillers(1, 15)...)
+	appendLog(t, log, first)
+	dr.waitAlerts(t, 1)
+
+	for gen := 2; gen <= 3; gen++ {
+		dr.d.Reload()
+		deadline := time.Now().Add(10 * time.Second)
+		for dr.d.State().Generation < gen {
+			if time.Now().After(deadline) {
+				t.Fatalf("generation = %d, want %d", dr.d.State().Generation, gen)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Every generation re-reads the log from its start; the third
+	// must skip what the first consumed.
+	appendLog(t, log, fillers(40, 41))
+	dr.waitRecords(t, uint64(3*len(first)+1))
+	dr.stop(t)
+	got := alertsJSON(t, dr.alerts())
+	if n := strings.Count(got, `"prefix":"2001:db8:bad::1/128"`); n != 1 {
+		t.Fatalf("scanner alert published %d times, want once:\n%s", n, got)
+	}
 }

@@ -62,8 +62,7 @@
 // horizon to the detector/IDS terminals — sharded ones included — so
 // idle per-source state is released continuously instead of
 // accumulating until the end of input. AdvanceEvery is the one
-// cadence name across all terminals (the IDS sinks' former TickEvery
-// field remains as a deprecated alias). Arbitrary terminals plug in
+// cadence name across all terminals. Arbitrary terminals plug in
 // through RunInto, which owns the sink lifecycle (Flush to finalize,
 // Close to release, typed Result accessors):
 //
@@ -124,10 +123,9 @@
 //	NewMAWISink(NewMAWIDetector(c))         → .MAWI(ctx, c)
 //
 // Likewise the two eviction-cadence names are now one: the builder's
-// AdvanceEvery drives whichever terminal follows, and the IDS sinks'
-// TickEvery field is a deprecated alias for their AdvanceEvery. A
-// plain Detector fed record by record (Process / Finish / Scans)
-// remains fully supported for single-goroutine use.
+// AdvanceEvery drives whichever terminal follows. A plain Detector
+// fed record by record (Process / Finish / Scans) remains fully
+// supported for single-goroutine use.
 package v6scan
 
 import (
@@ -690,8 +688,9 @@ type (
 	PipelineMetrics = pipeline.Metrics
 	// ServeConfig parameterizes the serving daemon.
 	ServeConfig = serve.Config
-	// ServeDaemon tails a log, runs the IDS continuously, and serves
-	// state, alerts (paginated + SSE), and metrics over HTTP.
+	// ServeDaemon tails a log into the same IDS sink a batch run
+	// terminates in, and serves state, alerts (paginated + SSE), and
+	// metrics over HTTP.
 	ServeDaemon = serve.Daemon
 	// ServeState is the read-side serving snapshot (/api/state).
 	ServeState = serve.State
