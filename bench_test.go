@@ -272,6 +272,7 @@ func BenchmarkArtifactFilter(b *testing.B) {
 	gen := artifacts.New(artifacts.DefaultConfig(), res.Telescope, nil)
 	var recs []Record
 	gen.EmitDay(benchStart, func(r Record) { recs = append(recs, r) })
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := NewArtifactFilter()
@@ -284,6 +285,7 @@ func BenchmarkArtifactFilter(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(recs)), "records/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/record")
 }
 
 func BenchmarkA4CloudCaseStudy(b *testing.B) {

@@ -1,10 +1,13 @@
 package firewall
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"net/netip"
+	"slices"
 	"sort"
-	"time"
 
+	"v6scan/internal/layers"
 	"v6scan/internal/netaddr6"
 )
 
@@ -23,7 +26,17 @@ import (
 //
 // Records are buffered per day and emitted when the day completes, so
 // input must be time-ordered across days (the order log files are
-// written in). Within a day, any order is accepted.
+// written in). Within a day, any order is accepted. The open day only
+// moves forward: a late record stamped with an earlier UTC day than
+// the open one joins the open day instead of reopening its own, so no
+// day is ever judged as two windows.
+//
+// Each completed day comes back as one slice holding its survivors in
+// time order, ties in arrival order. The slice is the filter's day
+// buffer handed over: the caller owns it, and the filter never reads
+// or writes it again. DupThreshold (a non-negative count) is applied
+// as records arrive and MaxDupShare when a day completes; set both
+// before the first Push.
 type ArtifactFilter struct {
 	// DupThreshold is the per-(dst,port) daily packet count above which
 	// further packets count as duplicates (paper: 5).
@@ -32,20 +45,31 @@ type ArtifactFilter struct {
 	// dropped for the day (paper: 0.30).
 	MaxDupShare float64
 
-	day     time.Time // start of the buffered UTC day; zero when empty
-	sources map[netip.Prefix]*daySource
-	stats   FilterStats
+	// The open day is [lo, hi) in Unix seconds; lo == hi == 0 and
+	// !open when nothing is buffered, so any record opens a day.
+	open   bool
+	lo, hi int64
+	// recs holds the open day's records in arrival order; owner[i] is
+	// recs[i]'s source slot. dayCap sizes the next day's buffer.
+	recs   []Record
+	owner  []int32
+	dayCap int
+	// slotOf maps a source /64 (its high 64 bits) to its slot in slots.
+	slotOf map[uint64]int32
+	slots  []srcSlot
+	dups   dupTable
+	stats  FilterStats
 }
 
-type daySource struct {
-	records []Record
-	// dupCount counts packets per (dst, proto, port) triple.
-	dupCount map[dupKey]int
-}
-
-type dupKey struct {
-	dst netip.Addr
-	svc Service
+// srcSlot is one source /64's tally for the open day.
+type srcSlot struct {
+	net uint64 // the /64's high 64 bits
+	n   int    // records buffered
+	// dup is the day's duplicate packets so far, Σ(cnt−DupThreshold)
+	// over the source's (dst, service) keys with cnt > DupThreshold:
+	// each packet that lifts its key past the threshold adds one.
+	dup  int
+	drop bool // set at flush: the source is an artifact today
 }
 
 // FilterStats accumulates what the filter removed, powering the
@@ -64,7 +88,8 @@ func NewArtifactFilter() *ArtifactFilter {
 	return &ArtifactFilter{
 		DupThreshold: 5,
 		MaxDupShare:  0.30,
-		sources:      make(map[netip.Prefix]*daySource),
+		slotOf:       make(map[uint64]int32),
+		dups:         dupTable{ents: make([]dupEntry, dupTableMin)},
 		stats: FilterStats{
 			DroppedByService:    make(map[Service]uint64),
 			DroppedSrcByService: make(map[Service]map[netip.Prefix]struct{}),
@@ -72,32 +97,63 @@ func NewArtifactFilter() *ArtifactFilter {
 	}
 }
 
-// Push adds one record. If the record starts a new UTC day, the
-// previous day is finalized and its surviving records returned in
-// timestamp order.
+// Push adds one record. If the record starts a later UTC day than the
+// open one, the open day is finalized and its surviving records
+// returned (see the type doc for their order and ownership).
 func (f *ArtifactFilter) Push(r Record) []Record {
-	day := r.Time.UTC().Truncate(24 * time.Hour)
 	var out []Record
-	if !f.day.IsZero() && day.After(f.day) {
+	if sec := r.Time.Unix(); sec < f.lo || sec >= f.hi {
+		out = f.advance(sec)
+	}
+	f.stats.PacketsIn++
+	src, dst := r.Src.As16(), r.Dst.As16()
+	net := binary.BigEndian.Uint64(src[:8])
+	if net == 0 && !netaddr6.IsIPv6(r.Src) {
+		// IPv4, IPv4-mapped and zero addresses all land here.
+		panic("firewall: artifact filter on non-IPv6 source " + r.Src.String())
+	}
+	slot, ok := f.slotOf[net]
+	if !ok {
+		slot = int32(len(f.slots))
+		f.slotOf[net] = slot
+		f.slots = append(f.slots, srcSlot{net: net})
+	}
+	s := &f.slots[slot]
+	s.n++
+	svc := uint32(r.Proto)<<16 | uint32(r.DstPort)
+	if int(f.dups.bump(slot, binary.BigEndian.Uint64(dst[:8]), binary.BigEndian.Uint64(dst[8:]), svc)) > f.DupThreshold {
+		s.dup++
+	}
+	f.recs = append(f.recs, r)
+	f.owner = append(f.owner, slot)
+	return out
+}
+
+// advance handles a record outside the open day: a later day flushes
+// the open one and opens the record's; an earlier day joins the open
+// day unchanged.
+func (f *ArtifactFilter) advance(sec int64) []Record {
+	var out []Record
+	if f.open {
+		if sec < f.lo {
+			return nil
+		}
 		out = f.flush()
 	}
-	f.day = day
-	f.stats.PacketsIn++
-	src := netaddr6.Aggregate(r.Src, netaddr6.Agg64)
-	ds := f.sources[src]
-	if ds == nil {
-		ds = &daySource{dupCount: make(map[dupKey]int)}
-		f.sources[src] = ds
+	const day = 24 * 60 * 60
+	f.open = true
+	f.lo = sec - (sec%day+day)%day
+	f.hi = f.lo + day
+	if f.recs == nil {
+		f.recs = make([]Record, 0, f.dayCap)
 	}
-	ds.records = append(ds.records, r)
-	ds.dupCount[dupKey{dst: r.Dst, svc: r.Service()}]++
 	return out
 }
 
 // Close finalizes the buffered day and returns its surviving records.
 func (f *ArtifactFilter) Close() []Record {
 	out := f.flush()
-	f.day = time.Time{}
+	f.open, f.lo, f.hi = false, 0, 0
 	return out
 }
 
@@ -105,51 +161,147 @@ func (f *ArtifactFilter) Close() []Record {
 // callers typically read it after Close.
 func (f *ArtifactFilter) Stats() FilterStats { return f.stats }
 
+// flush judges every source of the open day, compacts the survivors in
+// place and hands the buffer over.
 func (f *ArtifactFilter) flush() []Record {
-	var out []Record
-	// Deterministic iteration: sort sources.
-	srcs := make([]netip.Prefix, 0, len(f.sources))
-	for p := range f.sources {
-		srcs = append(srcs, p)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].Addr().Compare(srcs[j].Addr()) < 0 })
-	for _, p := range srcs {
-		ds := f.sources[p]
-		if f.isArtifact(ds) {
+	dropped := false
+	for i := range f.slots {
+		s := &f.slots[i]
+		if float64(s.dup)/float64(s.n) > f.MaxDupShare {
+			s.drop, dropped = true, true
 			f.stats.SourcesDropped++
-			f.stats.PacketsDropped += uint64(len(ds.records))
-			for _, r := range ds.records {
-				svc := r.Service()
-				f.stats.DroppedByService[svc]++
-				set := f.stats.DroppedSrcByService[svc]
-				if set == nil {
-					set = make(map[netip.Prefix]struct{})
-					f.stats.DroppedSrcByService[svc] = set
-				}
-				set[p] = struct{}{}
-			}
+			f.stats.PacketsDropped += uint64(s.n)
+		}
+	}
+	if dropped {
+		f.countDropped()
+	}
+	recs := f.recs
+	w, ordered := 0, true
+	for i := range recs {
+		if dropped && f.slots[f.owner[i]].drop {
 			continue
 		}
-		out = append(out, ds.records...)
+		if w != i {
+			recs[w] = recs[i]
+		}
+		if ordered && w > 0 && recs[w].Time.Before(recs[w-1].Time) {
+			ordered = false
+		}
+		w++
 	}
-	f.sources = make(map[netip.Prefix]*daySource)
-	sort.Slice(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
+	out := recs[:w]
+	if !ordered {
+		slices.SortStableFunc(out, func(a, b Record) int { return a.Time.Compare(b.Time) })
+	}
+
+	f.dayCap = len(recs)
+	f.owner = f.owner[:0]
+	clear(f.slotOf)
+	f.slots = f.slots[:0]
+	f.dups.reset()
+	if w == 0 {
+		// Nothing handed over: keep the buffer for the next day.
+		f.recs = recs[:0]
+		return nil
+	}
+	f.recs = nil
 	return out
 }
 
-// isArtifact applies the k-duplicate share rule to one source-day.
-func (f *ArtifactFilter) isArtifact(ds *daySource) bool {
-	if len(ds.records) == 0 {
-		return false
+// countDropped adds the open day's dropped sources to the per-service
+// stats, one (dst, service) key at a time rather than per record.
+func (f *ArtifactFilter) countDropped() {
+	for i := range f.dups.ents {
+		e := &f.dups.ents[i]
+		if e.cnt == 0 || !f.slots[e.slot].drop {
+			continue
+		}
+		svc := Service{Proto: layers.IPProtocol(e.svc >> 16), Port: uint16(e.svc)}
+		f.stats.DroppedByService[svc] += uint64(e.cnt)
+		set := f.stats.DroppedSrcByService[svc]
+		if set == nil {
+			set = make(map[netip.Prefix]struct{})
+			f.stats.DroppedSrcByService[svc] = set
+		}
+		set[netip.PrefixFrom(netaddr6.U128{Hi: f.slots[e.slot].net}.ToAddr(), 64)] = struct{}{}
 	}
-	var dupPackets int
-	for _, cnt := range ds.dupCount {
-		if cnt > f.DupThreshold {
-			// Packets beyond the threshold are the duplicates.
-			dupPackets += cnt - f.DupThreshold
+}
+
+// dupTable counts the open day's packets per (source slot, destination,
+// service) key: open addressing with linear probing over a power-of-two
+// slice, grown by doubling and cleared, not freed, between days.
+type dupTable struct {
+	ents []dupEntry
+	used int
+}
+
+type dupEntry struct {
+	hi, lo uint64 // destination address
+	svc    uint32 // proto<<16 | port
+	slot   int32
+	cnt    int32 // packets; 0 marks a free entry
+}
+
+// dupTableMin is the initial table size. It is deliberately tiny: the
+// table is kept across days, so it grows to the busiest day once.
+const dupTableMin = 16
+
+// bump counts one packet under the key and returns the key's count.
+func (t *dupTable) bump(slot int32, hi, lo uint64, svc uint32) int32 {
+	mask := uint64(len(t.ents) - 1)
+	for i := dupHash(slot, hi, lo, svc) & mask; ; i = (i + 1) & mask {
+		e := &t.ents[i]
+		if e.cnt == 0 {
+			if 2*(t.used+1) > len(t.ents) {
+				t.grow()
+				return t.bump(slot, hi, lo, svc)
+			}
+			*e = dupEntry{hi: hi, lo: lo, svc: svc, slot: slot, cnt: 1}
+			t.used++
+			return 1
+		}
+		if e.lo == lo && e.hi == hi && e.svc == svc && e.slot == slot {
+			e.cnt++
+			return e.cnt
 		}
 	}
-	return float64(dupPackets)/float64(len(ds.records)) > f.MaxDupShare
+}
+
+// grow doubles the table and reinserts the live entries.
+func (t *dupTable) grow() {
+	old := t.ents
+	t.ents = make([]dupEntry, 2*len(old))
+	mask := uint64(len(t.ents) - 1)
+	for _, e := range old {
+		if e.cnt == 0 {
+			continue
+		}
+		i := dupHash(e.slot, e.hi, e.lo, e.svc) & mask
+		for t.ents[i].cnt != 0 {
+			i = (i + 1) & mask
+		}
+		t.ents[i] = e
+	}
+}
+
+func (t *dupTable) reset() {
+	if t.used > 0 {
+		clear(t.ents)
+		t.used = 0
+	}
+}
+
+// dupHash is a murmur3-style finalizer over the folded key; its low
+// bits index the table.
+func dupHash(slot int32, hi, lo uint64, svc uint32) uint64 {
+	x := lo ^ bits.RotateLeft64(hi, 31) ^ (uint64(svc)<<32|uint64(uint32(slot)))*0x9e3779b97f4a7c15
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // TopFilteredServices returns the services that dominate dropped

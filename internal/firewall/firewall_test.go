@@ -250,6 +250,35 @@ func TestArtifactFilterDayBoundary(t *testing.T) {
 	}
 }
 
+func TestArtifactFilterLateRecordJoinsOpenDay(t *testing.T) {
+	// Day 2 sends 10 packets to one (dst,port), 5 before and 5 after a
+	// late day-1 record to the same pair: the open day must stay day 2,
+	// so all 11 packets are judged together (6 duplicates / 11 = 55%)
+	// instead of as two 5-packet windows with no duplicates.
+	f := NewArtifactFilter()
+	day2 := time.Date(2021, 6, 2, 10, 0, 0, 0, time.UTC)
+	late := time.Date(2021, 6, 1, 23, 59, 0, 0, time.UTC)
+	push := func(ts time.Time) {
+		t.Helper()
+		if out := f.Push(rec(ts, "2001:db8::1", "2001:db8:f::1", layers.ProtoUDP, 500)); len(out) != 0 {
+			t.Fatalf("push at %v emitted %d records mid-day", ts, len(out))
+		}
+	}
+	for i := 0; i < 5; i++ {
+		push(day2.Add(time.Duration(i) * time.Minute))
+	}
+	push(late)
+	for i := 5; i < 10; i++ {
+		push(day2.Add(time.Duration(i) * time.Minute))
+	}
+	if out := f.Close(); len(out) != 0 {
+		t.Errorf("%d survived, want 0 (one window for the open day)", len(out))
+	}
+	if st := f.Stats(); st.SourcesDropped != 1 || st.PacketsDropped != 11 {
+		t.Errorf("stats: %+v", st)
+	}
+}
+
 func TestArtifactFilterPerDayIndependence(t *testing.T) {
 	// 10 packets to one pair within a single day trips the filter (5
 	// duplicates / 10 = 50%); the same 10 packets spread across two days

@@ -286,8 +286,9 @@ func (a *ArtifactStage) Consume(r firewall.Record) error {
 
 // ConsumeBatch implements BatchSink. The filter buffers per day
 // internally, so the batch path's contribution is on the output side:
-// each completed day's survivors (a fresh slice the filter hands over)
-// flow downstream as one batch, keeping the chain batch-to-batch.
+// each completed day's survivors flow downstream as one batch, keeping
+// the chain batch-to-batch. That batch is the filter's day buffer,
+// handed over for good, so downstream may keep it past the call.
 func (a *ArtifactStage) ConsumeBatch(recs []firewall.Record) error {
 	for i := range recs {
 		if out := a.f.Push(recs[i]); len(out) > 0 {

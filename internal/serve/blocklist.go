@@ -7,11 +7,15 @@ package serve
 // list or the next one, never a partial write.
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/netip"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"v6scan/internal/ids"
 )
@@ -26,6 +30,37 @@ type blocklist struct {
 
 func newBlocklist(path string) *blocklist {
 	return &blocklist{path: path, set: make(map[netip.Prefix]struct{})}
+}
+
+// load seeds the set from the rule file an earlier run exported, so a
+// resumed daemon's next rewrite keeps those prefixes. A missing file
+// is an empty set; blank lines are skipped; any other line that is not
+// a CIDR prefix is an error naming the file and line.
+func (b *blocklist) load() error {
+	f, err := os.Open(b.path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("serve: blocklist load: %w", err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for line := 1; sc.Scan(); line++ {
+		text := strings.TrimSpace(sc.Text())
+		if text == "" {
+			continue
+		}
+		p, err := netip.ParsePrefix(text)
+		if err != nil {
+			return fmt.Errorf("serve: blocklist %s:%d: %w", b.path, line, err)
+		}
+		b.set[p] = struct{}{}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("serve: blocklist load: %w", err)
+	}
+	return nil
 }
 
 // add folds a batch of alerts in and reports whether the set grew.

@@ -76,7 +76,8 @@ type Config struct {
 	// ArtifactFilter applies the 5-duplicate artifact pre-filter.
 	ArtifactFilter bool
 	// BlocklistPath, when set, mirrors every alerted prefix into an
-	// atomically rewritten one-CIDR-per-line rule file.
+	// atomically rewritten one-CIDR-per-line rule file. With Resume,
+	// the set starts from the file's existing prefixes.
 	BlocklistPath string
 	// AlertBacklog bounds the paginable alert ring (default 4096);
 	// SSEBuffer bounds each SSE client's buffer (default 64).
@@ -180,6 +181,11 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	if cfg.BlocklistPath != "" {
 		d.block = newBlocklist(cfg.BlocklistPath)
+		if cfg.Resume {
+			if err := d.block.load(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	d.reg = cfg.Registry
 	if d.reg == nil {
@@ -187,6 +193,9 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	d.pm = pipeline.RegisterMetrics(d.reg)
 	d.registerServeMetrics()
+	if d.block != nil {
+		d.sm.blocklistEntries.Set(float64(len(d.block.set)))
+	}
 	d.state.Store(&State{Candidates: map[string]int{}, UpdatedAt: time.Now()})
 	return d, nil
 }

@@ -254,6 +254,84 @@ func TestBlocklistExport(t *testing.T) {
 	}
 }
 
+// TestResumeKeepsBlocklist: a resumed daemon's first new alert
+// rewrites the blocklist with the earlier run's prefixes still in it.
+func TestResumeKeepsBlocklist(t *testing.T) {
+	dir := t.TempDir()
+	log := filepath.Join(dir, "fw.log")
+	block := filepath.Join(dir, "block.rules")
+	cfg := Config{
+		LogPath:       log,
+		IDS:           testIDS(),
+		AdvanceEvery:  time.Minute,
+		CheckpointDir: filepath.Join(dir, "ckpt"),
+		BlocklistPath: block,
+	}
+	appendLog(t, log, append(scanBurst("2001:db8:bad1::1", 0, 20), fillers(1, 15)...))
+	d1 := startDaemon(t, cfg)
+	d1.waitAlerts(t, 1)
+	d1.stop(t)
+	first, err := os.ReadFile(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(first), "2001:db8:bad1:") {
+		t.Fatalf("first run's blocklist %q does not name its scanner", first)
+	}
+
+	appendLog(t, log, append(scanBurst("2001:db8:bad2::1", 20*time.Minute, 20), fillers(21, 35)...))
+	cfg.Resume = true
+	d2 := startDaemon(t, cfg)
+	d2.waitAlerts(t, 1)
+	d2.stop(t)
+	want := map[string]bool{}
+	for _, line := range strings.Fields(string(first)) {
+		want[line] = true
+	}
+	for _, a := range d2.alerts() {
+		if strings.HasPrefix(a.Alert.Prefix.String(), "2001:db8:bad1:") {
+			t.Fatalf("resumed run re-alerted on the first scanner: %v", a.Alert.Prefix)
+		}
+		want[a.Alert.Prefix.String()] = true
+	}
+	got, err := os.ReadFile(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Fields(string(got))
+	if len(lines) != len(want) {
+		t.Fatalf("blocklist after resume = %q, want the %d prefixes of both runs", got, len(want))
+	}
+	for _, line := range lines {
+		if !want[line] {
+			t.Fatalf("blocklist after resume has unexpected %q", line)
+		}
+	}
+}
+
+// TestResumeBlocklistLoad: on resume a missing rule file is an empty
+// set, and a line that is not a prefix fails NewDaemon naming the file
+// and line.
+func TestResumeBlocklistLoad(t *testing.T) {
+	dir := t.TempDir()
+	block := filepath.Join(dir, "block.rules")
+	cfg := Config{LogPath: filepath.Join(dir, "fw.log"), CheckpointDir: dir, Resume: true, BlocklistPath: block}
+	d, err := NewDaemon(cfg)
+	if err != nil {
+		t.Fatalf("missing blocklist: %v", err)
+	}
+	if len(d.block.set) != 0 {
+		t.Fatalf("missing blocklist loaded %d prefixes", len(d.block.set))
+	}
+	if err := os.WriteFile(block, []byte("2001:db8:1::/48\nnot-a-prefix\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewDaemon(cfg)
+	if err == nil || !strings.Contains(err.Error(), block+":2") {
+		t.Fatalf("bad line: err %v, want one naming %s:2", err, block)
+	}
+}
+
 // TestDaemonEndToEnd: the acceptance scenario — records appended to a
 // live log are observed through /api/state, an alert reaches both the
 // SSE stream and /api/alerts, /metrics exposes the serving families,
