@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"runtime"
 	"sort"
 	"testing"
@@ -835,6 +836,80 @@ func benchmarkIDSSharded(b *testing.B, shards int) {
 
 func BenchmarkIDSSharded1(b *testing.B) { benchmarkIDSSharded(b, 1) }
 func BenchmarkIDSSharded4(b *testing.B) { benchmarkIDSSharded(b, 4) }
+
+// benchRecordsChurn returns a time-ordered, churn-shaped IDS stream:
+// background sources that each send 1–3 records within ten minutes
+// from a random /64 of one of 256 /48s (so /128, /64 and /48
+// candidates are created and go idle continuously), plus a
+// single-address scanner every 20 minutes probing 150 destinations
+// over five minutes.
+func benchRecordsChurn(hours int, bgPerSec float64) []Record {
+	rng := rand.New(rand.NewSource(20))
+	secs := int64(hours) * 3600
+	dstBase := netaddr6.MustPrefix("2001:db8:f000::/44")
+	var p48s []netip.Prefix
+	for i := 0; i < 256; i++ {
+		p48s = append(p48s, netaddr6.RandomSubprefix(netaddr6.MustPrefix("2400::/12"), 48, rng))
+	}
+	at := func(sec int64) time.Time { return benchStart.Add(time.Duration(sec) * time.Second) }
+	var recs []Record
+	for i := 0; i < int(bgPerSec*float64(secs)/2); i++ {
+		src := netaddr6.RandomAddrIn(p48s[rng.Intn(len(p48s))], rng)
+		t0 := rng.Int63n(secs)
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			recs = append(recs, Record{
+				Time: at(min(t0+rng.Int63n(600), secs-1)), Src: src, Dst: netaddr6.RandomAddrIn(dstBase, rng),
+				Proto: layers.ProtoTCP, DstPort: 443, Length: 60,
+			})
+		}
+	}
+	for t0 := int64(0); t0+300 < secs; t0 += 1200 {
+		src := netaddr6.RandomAddrIn(netaddr6.MustPrefix("2a00::/16"), rng)
+		for k := 0; k < 150; k++ {
+			recs = append(recs, Record{
+				Time: at(t0 + int64(k)*2), Src: src, Dst: netaddr6.RandomAddrIn(dstBase, rng),
+				Proto: layers.ProtoTCP, DstPort: 22, Length: 60,
+			})
+		}
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
+	return recs
+}
+
+// BenchmarkIDSMinuteTick measures the IDS at the cadence v6scan -ids
+// and v6scand run it: one Tick per stream minute over a churn-shaped
+// stream (six stream hours), so the sweep cost of every tick counts —
+// the per-10k-record cadence of the benchmarks above hides it. ns/tick
+// is the time inside Tick alone; ns/record is the whole pass.
+func BenchmarkIDSMinuteTick(b *testing.B) {
+	recs := benchRecordsChurn(6, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var tickNs time.Duration
+	ticks := 0
+	for i := 0; i < b.N; i++ {
+		e := NewIDS(DefaultIDSConfig())
+		for j := 0; j < len(recs); {
+			minute := recs[j].Time.Truncate(time.Minute).Add(time.Minute)
+			k := j
+			for k < len(recs) && recs[k].Time.Before(minute) {
+				k++
+			}
+			e.ProcessBatch(recs[j:k])
+			start := time.Now()
+			e.Tick(minute)
+			tickNs += time.Since(start)
+			ticks++
+			j = k
+		}
+		if alerts := e.Flush(); len(alerts) == 0 {
+			b.Fatal("no alerts")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+	b.ReportMetric(float64(tickNs.Nanoseconds())/float64(ticks), "ns/tick")
+	b.ReportMetric(float64(len(recs)), "records/op")
+}
 
 // encodeBenchLog writes records to an in-memory binary log for the
 // ingest benchmarks.

@@ -103,14 +103,19 @@ type Header struct {
 	Horizon time.Time
 }
 
-func encodeTime(t time.Time) int64 {
+// EncodeTime maps an instant onto the snapshot time axis: UnixNano,
+// with math.MinInt64 for the zero time. The mapping preserves order,
+// so state kept on this axis (the IDS engine's last-activity column)
+// can be compared as integers and encoded without converting back.
+func EncodeTime(t time.Time) int64 {
 	if t.IsZero() {
 		return timeSentinel
 	}
 	return t.UnixNano()
 }
 
-func decodeTime(v int64) time.Time {
+// DecodeTime inverts EncodeTime.
+func DecodeTime(v int64) time.Time {
 	if v == timeSentinel {
 		return time.Time{}
 	}
@@ -122,7 +127,6 @@ func decodeTime(v int64) time.Time {
 // Writer emits one snapshot: header, sections, end marker.
 type Writer struct {
 	w   io.Writer
-	buf []byte
 	err error
 }
 
@@ -137,8 +141,8 @@ func NewWriter(w io.Writer, kind uint8, mark time.Time) (*Writer, error) {
 	binary.LittleEndian.PutUint16(h[8:10], Version)
 	h[10] = kind
 	h[11] = 0 // reserved
-	binary.LittleEndian.PutUint64(h[12:20], uint64(encodeTime(mark)))
-	binary.LittleEndian.PutUint64(h[20:28], uint64(encodeTime(mark.Add(-time.Nanosecond))))
+	binary.LittleEndian.PutUint64(h[12:20], uint64(EncodeTime(mark)))
+	binary.LittleEndian.PutUint64(h[20:28], uint64(EncodeTime(mark.Add(-time.Nanosecond))))
 	binary.LittleEndian.PutUint32(h[28:32], crc32.Checksum(h[:28], castagnoli))
 	if _, err := w.Write(h[:]); err != nil {
 		return nil, err
@@ -146,18 +150,25 @@ func NewWriter(w io.Writer, kind uint8, mark time.Time) (*Writer, error) {
 	return &Writer{w: w}, nil
 }
 
-// Section writes one CRC-guarded section.
+// Section writes one CRC-guarded section: the 5-byte framing, the
+// payload as given (not copied; Section does not retain it), and the
+// CRC computed over framing then payload.
 func (sw *Writer) Section(kind uint8, payload []byte) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	sw.buf = sw.buf[:0]
-	sw.buf = append(sw.buf, kind)
-	sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(len(payload)))
-	sw.buf = append(sw.buf, payload...)
-	sw.buf = binary.LittleEndian.AppendUint32(sw.buf, crc32.Checksum(sw.buf, castagnoli))
-	_, sw.err = sw.w.Write(sw.buf)
-	return sw.err
+	var pre [5]byte
+	pre[0] = kind
+	binary.LittleEndian.PutUint32(pre[1:], uint32(len(payload)))
+	crc := crc32.Update(crc32.Checksum(pre[:], castagnoli), castagnoli, payload)
+	var post [4]byte
+	binary.LittleEndian.PutUint32(post[:], crc)
+	for _, b := range [...][]byte{pre[:], payload, post[:]} {
+		if _, sw.err = sw.w.Write(b); sw.err != nil {
+			return sw.err
+		}
+	}
+	return nil
 }
 
 // Close writes the end marker. It does not close the underlying
@@ -188,8 +199,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	hdr := Header{
 		Version: binary.LittleEndian.Uint16(h[8:10]),
 		Kind:    h[10],
-		Mark:    decodeTime(int64(binary.LittleEndian.Uint64(h[12:20]))),
-		Horizon: decodeTime(int64(binary.LittleEndian.Uint64(h[20:28]))),
+		Mark:    DecodeTime(int64(binary.LittleEndian.Uint64(h[12:20]))),
+		Horizon: DecodeTime(int64(binary.LittleEndian.Uint64(h[20:28]))),
 	}
 	if hdr.Version != Version {
 		return nil, fmt.Errorf("%w: version %d (supported: %d)", ErrVersion, hdr.Version, Version)
@@ -215,38 +226,39 @@ func (sr *Reader) Next() (kind uint8, payload []byte, err error) {
 	if n > 1<<31 {
 		return 0, nil, fmt.Errorf("%w: section length %d", ErrFormat, n)
 	}
-	// Read the payload in bounded chunks so the allocation grows only
-	// with bytes actually present — a corrupted length field must fail
-	// as ErrTruncated after the real input runs out, not reserve
-	// gigabytes up front.
+	// Read the payload straight into the buffer's spare capacity,
+	// doubling it (from sectionChunk, capped at n) only when full, so
+	// the allocation stays within twice the bytes actually present — a
+	// corrupted length field must fail as ErrTruncated after the real
+	// input runs out, not reserve gigabytes up front.
 	const sectionChunk = 64 << 10
-	var zero [sectionChunk]byte
-	sr.buf = sr.buf[:0]
-	for remaining := int(n); remaining > 0; {
-		c := remaining
-		if c > sectionChunk {
-			c = sectionChunk
+	buf := sr.buf[:0]
+	for len(buf) < int(n) {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(int(n), max(2*cap(buf), sectionChunk)))
+			copy(grown, buf)
+			buf = grown
 		}
-		start := len(sr.buf)
-		sr.buf = append(sr.buf, zero[:c]...)
-		if _, err := io.ReadFull(sr.r, sr.buf[start:]); err != nil {
+		m, err := io.ReadFull(sr.r, buf[len(buf):min(int(n), cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
 			return 0, nil, fmt.Errorf("%w: section payload: %v", ErrTruncated, err)
 		}
-		remaining -= c
 	}
+	sr.buf = buf
 	var crcb [4]byte
 	if _, err := io.ReadFull(sr.r, crcb[:]); err != nil {
 		return 0, nil, fmt.Errorf("%w: section checksum: %v", ErrTruncated, err)
 	}
 	crc := crc32.Checksum(pre[:], castagnoli)
-	crc = crc32.Update(crc, castagnoli, sr.buf)
+	crc = crc32.Update(crc, castagnoli, buf)
 	if binary.LittleEndian.Uint32(crcb[:]) != crc {
 		return 0, nil, fmt.Errorf("%w: section kind %d", ErrChecksum, kind)
 	}
 	if kind == secEnd {
 		return 0, nil, io.EOF
 	}
-	return kind, sr.buf, nil
+	return kind, buf, nil
 }
 
 // Enc is an append-based canonical little-endian payload encoder.
@@ -276,7 +288,7 @@ func (e *Enc) Uvarint(v uint64) { e.B = binary.AppendUvarint(e.B, v) }
 func (e *Enc) Varint(v int64) { e.B = binary.AppendVarint(e.B, v) }
 
 // Time appends an instant (fixed-width; MinInt64 for the zero time).
-func (e *Enc) Time(t time.Time) { e.U64(uint64(encodeTime(t))) }
+func (e *Enc) Time(t time.Time) { e.U64(uint64(EncodeTime(t))) }
 
 // Raw appends bytes verbatim (the caller fixed the length elsewhere).
 func (e *Enc) Raw(b []byte) { e.B = append(e.B, b...) }
@@ -374,7 +386,7 @@ func (d *Dec) Varint() int64 {
 }
 
 // Time reads an instant written by Enc.Time.
-func (d *Dec) Time() time.Time { return decodeTime(int64(d.U64())) }
+func (d *Dec) Time() time.Time { return DecodeTime(int64(d.U64())) }
 
 // Raw reads n bytes verbatim. The returned slice aliases the payload.
 func (d *Dec) Raw(n int) []byte {

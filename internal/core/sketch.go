@@ -15,8 +15,20 @@ import (
 // bytes (default 1 KiB) at a relative error of ≈1.04/√(2^precision)
 // (≈3.2% at precision 10), which is ample for a ≥100-destinations
 // threshold. bench_test.go ablates it against the exact map.
+//
+// The sketch also counts its zero registers, so Estimate is O(1) while
+// at least a third of them are zero — the regime of every candidate
+// below a ≥100-destinations threshold at the default precision. The
+// shortcut is exact, not an approximation: with zeros ≥ m/3 the
+// harmonic sum is ≥ zeros ≥ m/3 (each zero register adds 1), so the
+// raw estimate α·m²/sum is ≤ 3α·m ≈ 2.16m < 2.5m and the full loop
+// would take the linear-counting branch m·ln(m/zeros) anyway — the
+// same float operations on the same inputs.
 type DstSketch struct {
 	registers []uint8
+	// zeros counts zero registers; −1 marks it unknown (a restored
+	// sketch, until the first full-loop Estimate records it).
+	zeros     int32
 	precision uint8
 }
 
@@ -29,7 +41,7 @@ func NewDstSketch(precision uint8) *DstSketch {
 	if precision > 16 {
 		precision = 16
 	}
-	return &DstSketch{registers: make([]uint8, 1<<precision), precision: precision}
+	return &DstSketch{registers: make([]uint8, 1<<precision), zeros: 1 << precision, precision: precision}
 }
 
 // Add observes one destination address.
@@ -52,14 +64,23 @@ func (s *DstSketch) addHash(h uint64) {
 		rank++
 		rest <<= 1
 	}
-	if rank > s.registers[idx] {
+	if r := s.registers[idx]; rank > r {
+		if r == 0 && s.zeros > 0 {
+			s.zeros--
+		}
 		s.registers[idx] = rank
 	}
 }
 
 // Estimate returns the approximate number of distinct addresses added.
+// While a known zero count covers a third of the registers it returns
+// the linear-counting estimate directly (exact; see DstSketch);
+// otherwise it runs the full loop and records the zero count.
 func (s *DstSketch) Estimate() uint64 {
 	m := float64(len(s.registers))
+	if z := s.zeros; z >= 0 && 3*int(z) >= len(s.registers) {
+		return uint64(m*math.Log(m/float64(z)) + 0.5)
+	}
 	var sum float64
 	zeros := 0
 	for _, r := range s.registers {
@@ -68,6 +89,7 @@ func (s *DstSketch) Estimate() uint64 {
 			zeros++
 		}
 	}
+	s.zeros = int32(zeros)
 	alpha := 0.7213 / (1 + 1.079/m)
 	e := alpha * m * m / sum
 	// Small-range correction (linear counting).
@@ -90,7 +112,9 @@ func (s *DstSketch) Precision() uint8 { return s.precision }
 func (s *DstSketch) Registers() []uint8 { return s.registers }
 
 // RestoreDstSketch rebuilds a sketch from a precision and register
-// array previously obtained from Registers. The registers are copied.
+// array previously obtained from Registers. The registers are copied;
+// the zero count is left unknown rather than counted here (restore
+// time matters more than the first Estimate, which records it).
 func RestoreDstSketch(precision uint8, registers []uint8) (*DstSketch, error) {
 	if precision < 4 || precision > 16 {
 		return nil, fmt.Errorf("core: sketch precision %d out of range [4,16]", precision)
@@ -99,7 +123,7 @@ func RestoreDstSketch(precision uint8, registers []uint8) (*DstSketch, error) {
 		return nil, fmt.Errorf("core: sketch register count %d does not match precision %d (want %d)",
 			len(registers), precision, 1<<precision)
 	}
-	s := &DstSketch{registers: make([]uint8, len(registers)), precision: precision}
+	s := &DstSketch{registers: make([]uint8, len(registers)), zeros: -1, precision: precision}
 	copy(s.registers, registers)
 	return s, nil
 }
@@ -108,7 +132,10 @@ func RestoreDstSketch(precision uint8, registers []uint8) (*DstSketch, error) {
 // allocated state so callers can pool and reuse sketches (the IDS
 // engine's candidate arena does): a reset sketch is observationally
 // identical to a new one at the same precision.
-func (s *DstSketch) Reset() { clear(s.registers) }
+func (s *DstSketch) Reset() {
+	clear(s.registers)
+	s.zeros = int32(len(s.registers))
+}
 
 // hashAddr is a 64-bit mix of an IPv6 address (SplitMix64-style over
 // both halves) — fast, stateless, and adequate for cardinality

@@ -31,20 +31,27 @@
 // because the sketch, unlike a set, has no cheap intermediate size: the
 // first distinct second address pays the full 2^precision registers, so
 // there is nothing to re-tune between 1 and materialization — the only
-// knob is SketchPrecision. ProcessBatch additionally groups adjacent
-// same-source records so a burst of N records to one candidate costs
-// one index probe per level. ShardedEngine (sharded.go) runs N engines
+// knob is SketchPrecision. Each level also keeps its candidates' last
+// activity in a dense column indexed by handle, so a minute Tick is one
+// linear pass over plain integers that touches a candidate only when it
+// is due, and a due candidate below the threshold is recycled after an
+// O(1) sketch estimate (see core.DstSketch). ProcessBatch additionally
+// groups adjacent same-source records so a burst of N records to one
+// candidate costs one index probe per level. ShardedEngine (sharded.go) runs N engines
 // in parallel, partitioned by coarsest-level source prefix, with
 // byte-identical merged output.
 package ids
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"v6scan/internal/checkpoint"
 	"v6scan/internal/core"
 	"v6scan/internal/firewall"
 	"v6scan/internal/netaddr6"
@@ -120,20 +127,39 @@ func (a Alert) String() string {
 }
 
 // sortAlerts orders alerts by first activity, then address, then
-// prefix length. The comparator is a total order (no two distinct
-// alerts compare equal: a level appears at most once per prefix), so
-// the result is deterministic regardless of accumulation order — the
-// property ShardedEngine's merge relies on for byte-identical output.
+// prefix length, then the remaining fields (alertLess). The comparator
+// is a total order, so the result is deterministic regardless of
+// accumulation order — the property ShardedEngine's merge and a
+// restored engine (whose pending alerts come back in this order) rely
+// on for byte-identical output. The tie-breaking fields matter only
+// when one prefix alerts twice with the same first activity between
+// drains, which takes out-of-order input.
 func sortAlerts(alerts []Alert) {
-	sort.Slice(alerts, func(i, j int) bool {
-		if !alerts[i].First.Equal(alerts[j].First) {
-			return alerts[i].First.Before(alerts[j].First)
-		}
-		if c := alerts[i].Prefix.Addr().Compare(alerts[j].Prefix.Addr()); c != 0 {
-			return c < 0
-		}
-		return alerts[i].Prefix.Bits() < alerts[j].Prefix.Bits()
-	})
+	sort.Slice(alerts, func(i, j int) bool { return alertLess(&alerts[i], &alerts[j]) })
+}
+
+// alertLess is a full total order over alerts: first activity,
+// address and prefix length, then every remaining field.
+func alertLess(a, b *Alert) bool {
+	if !a.First.Equal(b.First) {
+		return a.First.Before(b.First)
+	}
+	if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
+		return c < 0
+	}
+	if a.Prefix.Bits() != b.Prefix.Bits() {
+		return a.Prefix.Bits() < b.Prefix.Bits()
+	}
+	if !a.Last.Equal(b.Last) {
+		return a.Last.Before(b.Last)
+	}
+	if a.EstimatedDsts != b.EstimatedDsts {
+		return a.EstimatedDsts < b.EstimatedDsts
+	}
+	if a.Packets != b.Packets {
+		return a.Packets < b.Packets
+	}
+	return !a.Escalated && b.Escalated
 }
 
 // candidate is the in-flight state for one aggregated source prefix.
@@ -147,11 +173,15 @@ func sortAlerts(alerts []Alert) {
 // below), with their sketches reset and pooled alongside: steady-state
 // ingest otherwise allocates one candidate per source per level, which
 // dominates the engine's allocation rate on million-record days.
+// A candidate's last activity is not here: it lives in the level's
+// dense last column, and key lets sweep delete a due candidate from
+// the index without ranging over it.
 type candidate struct {
-	firstDst    netaddr6.U128
-	sketch      *core.DstSketch
-	packets     uint64
-	first, last time.Time
+	key      netaddr6.U128
+	firstDst netaddr6.U128
+	sketch   *core.DstSketch
+	packets  uint64
+	first    time.Time
 }
 
 // estimate returns the candidate's destination cardinality: exactly 1
@@ -172,13 +202,19 @@ func (c *candidate) estimate() uint64 {
 type level struct {
 	agg netaddr6.AggLevel
 	idx u128idx.Index
+	// last is the dense last-activity column, indexed by handle: each
+	// live candidate's latest record time on the checkpoint time axis
+	// (checkpoint.EncodeTime); free handles hold freeLast. It is the only
+	// copy of a candidate's last activity, and sweep's idle test reads
+	// nothing else.
+	last []int64
 	// oldest is a conservative lower bound on every live candidate's
-	// last-activity time (zero when unknown/empty). Candidate activity
-	// only moves last forward, so the bound lets sweep skip the whole
-	// level — exactly, not heuristically — when even the stalest
-	// possible candidate would not be idle yet: the common case for
-	// minute-cadence Ticks over an hour-scale timeout.
-	oldest time.Time
+	// last activity (freeLast when the level is empty). Activity only
+	// moves a candidate's last forward, so the bound lets sweep skip
+	// the whole level — exactly, not heuristically — when even the
+	// stalest possible candidate would not be idle yet: the common case
+	// for minute-cadence Ticks over an hour-scale timeout.
+	oldest int64
 	// pages, free, next and freeSketch implement the handle-addressed
 	// candidate arena: handles are page<<candidatePageShift | offset,
 	// evicted candidates return through free, and their sketches are
@@ -201,20 +237,32 @@ func (lv *level) candidate(h uint32) *candidate {
 	return &lv.pages[h>>candidatePageShift][h&(candidatePageSize-1)]
 }
 
-// alloc returns a zeroed candidate and its handle, from the free list
-// or by carving the next page slot.
-func (lv *level) alloc() (uint32, *candidate) {
+// freeLast is the last-column value of a free handle and the oldest
+// bound of an empty level: no cutoff is above it, so it is never due.
+// It is the final instant of the checkpoint time axis (2262-04-11);
+// activity at or past it is outside what the engine, like the
+// checkpoint format, represents.
+const freeLast = math.MaxInt64
+
+// alloc returns a zeroed candidate keyed key and its handle, from the
+// free list or by carving the next page slot. The caller sets the
+// handle's last-column entry.
+func (lv *level) alloc(key netaddr6.U128) (uint32, *candidate) {
+	var h uint32
 	if n := len(lv.free) - 1; n >= 0 {
-		h := lv.free[n]
+		h = lv.free[n]
 		lv.free = lv.free[:n]
-		return h, lv.candidate(h)
+	} else {
+		if int(lv.next) == len(lv.pages)<<candidatePageShift {
+			lv.pages = append(lv.pages, make([]candidate, candidatePageSize))
+		}
+		h = lv.next
+		lv.next++
+		lv.last = append(lv.last, freeLast)
 	}
-	if int(lv.next) == len(lv.pages)<<candidatePageShift {
-		lv.pages = append(lv.pages, make([]candidate, candidatePageSize))
-	}
-	h := lv.next
-	lv.next++
-	return h, lv.candidate(h)
+	c := lv.candidate(h)
+	c.key = key
+	return h, c
 }
 
 // recycle resets an evicted candidate and returns its handle (and its
@@ -225,6 +273,7 @@ func (lv *level) recycle(h uint32, c *candidate) {
 		lv.freeSketch = append(lv.freeSketch, c.sketch)
 	}
 	*c = candidate{}
+	lv.last[h] = freeLast
 	lv.free = append(lv.free, h)
 }
 
@@ -297,7 +346,7 @@ func New(cfg Config) *Engine {
 	cfg.Levels = levels
 	e := &Engine{cfg: cfg}
 	for _, l := range levels {
-		e.levels = append(e.levels, &level{agg: l})
+		e.levels = append(e.levels, &level{agg: l, oldest: freeLast})
 	}
 	return e
 }
@@ -332,66 +381,73 @@ func (e *Engine) ProcessBatch(recs []firewall.Record) {
 
 // ingestRun applies one same-source run: a single index probe per
 // level resolves (or, below the MaxCandidates bound, creates in the
-// same probe) the candidate, and each record then updates it through
-// the cached pointer. No index mutation happens inside a run, so the
-// value pointer from the initial probe stays valid throughout.
+// same probe) the candidate, each record's destination then updates it
+// through the cached pointer, and the run's activity bounds apply once.
+// No index mutation happens inside a run, so the value pointer from
+// the initial probe stays valid throughout.
+//
+// A candidate's activity bounds are the earliest and latest record
+// times seen, not the first and last to arrive: without a sorting
+// window a late record must neither pull Last backwards nor make the
+// candidate look idle early.
 func (e *Engine) ingestRun(rs []firewall.Record) {
 	e.scrDst = e.scrDst[:0]
-	for _, r := range rs {
+	lo, hi := 0, 0 // the run's earliest and latest records
+	for k, r := range rs {
 		if r.Time.After(e.now) {
 			e.now = r.Time
 		}
+		if r.Time.Before(rs[lo].Time) {
+			lo = k
+		}
+		if r.Time.After(rs[hi].Time) {
+			hi = k
+		}
 		e.scrDst = append(e.scrDst, netaddr6.ToU128(r.Dst))
 	}
+	first, last := rs[lo].Time, checkpoint.EncodeTime(rs[hi].Time)
 	src := netaddr6.ToU128(rs[0].Src)
 	for _, lv := range e.levels {
 		key := src.Mask(int(lv.agg))
-		var c *candidate
+		var (
+			h uint32
+			c *candidate
+		)
+		dsts := e.scrDst
 		if lv.idx.Len() < e.cfg.MaxCandidates {
 			// Below the bound, lookup and admission are one probe.
 			vp, existed := lv.idx.RefH(u128idx.Hash(key), key)
-			if existed {
-				c = lv.candidate(*vp)
-			} else {
-				var h uint32
-				h, c = lv.alloc()
+			if !existed {
+				h, c = lv.alloc(key)
 				*vp = h
-				c.firstDst, c.first = e.scrDst[0], rs[0].Time
-				lv.observe(c, rs[0])
-				if len(rs) == 1 {
-					continue
-				}
-				rs := rs[1:]
-				for k, r := range rs {
-					lv.observeDst(c, e.scrDst[k+1], e.cfg.SketchPrecision)
-					lv.observe(c, r)
-				}
-				continue
+				c.firstDst, c.first = dsts[0], first
+				lv.last[h] = last
+				lv.oldest = min(lv.oldest, last)
+				dsts = dsts[1:]
+			} else {
+				h = *vp
+				c = lv.candidate(h)
 			}
 		} else {
 			// At the bound only existing candidates admit records; a
 			// missing key drops every record of the run, as the
 			// per-record path did.
-			h, ok := lv.idx.GetH(u128idx.Hash(key), key)
-			if !ok {
+			var ok bool
+			if h, ok = lv.idx.GetH(u128idx.Hash(key), key); !ok {
 				e.dropped.Add(uint64(len(rs)))
 				continue
 			}
 			c = lv.candidate(h)
 		}
-		for k, r := range rs {
-			lv.observeDst(c, e.scrDst[k], e.cfg.SketchPrecision)
-			lv.observe(c, r)
+		for _, d := range dsts {
+			lv.observeDst(c, d, e.cfg.SketchPrecision)
 		}
-	}
-}
-
-// observe applies one record's bookkeeping to a resolved candidate.
-func (lv *level) observe(c *candidate, r firewall.Record) {
-	c.packets++
-	c.last = r.Time
-	if lv.oldest.IsZero() || r.Time.Before(lv.oldest) {
-		lv.oldest = r.Time
+		c.packets += uint64(len(rs))
+		if first.Before(c.first) {
+			c.first = first
+		}
+		// Only moves forward, so the level's oldest bound stays valid.
+		lv.last[h] = max(lv.last[h], last)
 	}
 }
 
@@ -451,57 +507,61 @@ func (e *Engine) MemoryBytes() int {
 // first, applying the suppression/escalation logic. The level order
 // was fixed at New; within a level, closed candidates are visited in
 // address order for determinism.
+//
+// A candidate is idle when now − last > Timeout, i.e. last < cutoff
+// with cutoff = now − Timeout (saturating, on the checkpoint time
+// axis). The scan reads only the dense last column and touches a
+// candidate's page only when it is due; Flush uses a cutoff above
+// every live entry.
 func (e *Engine) sweep(all bool) {
-	type closedScan struct {
-		key netaddr6.U128
-		h   uint32
+	cutoff := int64(freeLast)
+	if !all {
+		now, timeout := checkpoint.EncodeTime(e.now), int64(e.cfg.Timeout)
+		cutoff = math.MinInt64
+		if now >= math.MinInt64+timeout {
+			cutoff = now - timeout
+		}
 	}
 	var (
-		closed  []closedScan // reused per level
+		closed  []uint32 // due handles at or above the threshold, reused per level
 		emitted []Alert
 	)
 	for _, lv := range e.levels {
-		if lv.idx.Len() == 0 {
-			continue
-		}
-		if !all && e.now.Sub(lv.oldest) <= e.cfg.Timeout {
+		if lv.idx.Len() == 0 || lv.oldest >= cutoff {
 			// Even the stalest candidate is within the timeout: no
-			// eviction possible at this level, skip the table scan.
+			// eviction possible at this level, skip the column scan.
 			continue
 		}
 		closed = closed[:0]
-		var oldest time.Time
-		lv.idx.Range(func(key netaddr6.U128, h uint32) bool {
-			c := lv.candidate(h)
-			if !all && e.now.Sub(c.last) <= e.cfg.Timeout {
-				if oldest.IsZero() || c.last.Before(oldest) {
-					oldest = c.last
-				}
-				return true
+		oldest := int64(freeLast)
+		for h, last := range lv.last {
+			if last >= cutoff {
+				oldest = min(oldest, last)
+				continue
 			}
-			lv.idx.Delete(key)
+			c := lv.candidate(uint32(h))
+			lv.idx.Delete(c.key)
 			if c.estimate() >= uint64(e.cfg.MinDsts) {
-				closed = append(closed, closedScan{key: key, h: h})
+				closed = append(closed, uint32(h))
 			} else {
-				lv.recycle(h, c)
+				lv.recycle(uint32(h), c)
 			}
-			return true
-		})
-		// Tighten the bound to the surviving minimum (zero when the
+		}
+		// Tighten the bound to the surviving minimum (freeLast when the
 		// level emptied).
 		lv.oldest = oldest
 		if len(closed) == 0 {
 			continue
 		}
-		sort.Slice(closed, func(i, j int) bool { return closed[i].key.Cmp(closed[j].key) < 0 })
+		slices.SortFunc(closed, func(a, b uint32) int { return lv.candidate(a).key.Cmp(lv.candidate(b).key) })
 		// Suppression: a coarser candidate is redundant if
 		// already-emitted more specific alerts cover CoverageShare of
 		// its destinations (approximated by cardinality sums — sketches
 		// cannot intersect, and scan destination sets at different
 		// levels of one entity nest).
-		for _, cs := range closed {
-			c := lv.candidate(cs.h)
-			prefix := netip.PrefixFrom(cs.key.ToAddr(), int(lv.agg))
+		for _, h := range closed {
+			c := lv.candidate(h)
+			prefix := netip.PrefixFrom(c.key.ToAddr(), int(lv.agg))
 			var coveredDsts uint64
 			for _, a := range emitted {
 				if netaddr6.PrefixContains(prefix, a.Prefix) {
@@ -518,14 +578,14 @@ func (e *Engine) sweep(all bool) {
 				EstimatedDsts: est,
 				Packets:       c.packets,
 				First:         c.first,
-				Last:          c.last,
+				Last:          checkpoint.DecodeTime(lv.last[h]),
 				Escalated:     coveredDsts > 0 || lv.agg != e.levels[0].agg,
 			})
 		}
 		// Alerts hold copies of everything they need; the closed
 		// candidates (and their sketches) can re-enter the arena.
-		for _, cs := range closed {
-			lv.recycle(cs.h, lv.candidate(cs.h))
+		for _, h := range closed {
+			lv.recycle(h, lv.candidate(h))
 		}
 	}
 	e.alerts = append(e.alerts, emitted...)

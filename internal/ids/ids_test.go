@@ -296,3 +296,26 @@ func indexOf(s, sub string) int {
 	}
 	return -1
 }
+
+// TestLateRecordKeepsActivityBounds: without a sorting window a record
+// can arrive after later ones. It must neither pull the alert's Last
+// backwards nor make its candidate look idle before its latest
+// activity is Timeout old.
+func TestLateRecordKeepsActivityBounds(t *testing.T) {
+	e := New(Config{MinDsts: 1, Levels: []netaddr6.AggLevel{netaddr6.Agg128}})
+	src := netaddr6.MustAddr("2001:db8:bad0::1")
+	latest, late := t0.Add(30*time.Minute), t0
+	e.Process(rec(latest, src, netaddr6.MustAddr("2001:db8:f::1")))
+	e.Process(rec(late, src, netaddr6.MustAddr("2001:db8:f::2")))
+	e.Tick(latest.Add(time.Hour - time.Second)) // > Timeout after late, not after latest
+	if got := e.Candidates(netaddr6.Agg128); got != 1 {
+		t.Fatalf("candidate evicted %v after its latest activity: Candidates = %d", time.Hour-time.Second, got)
+	}
+	alerts := e.Flush()
+	if len(alerts) != 1 {
+		t.Fatalf("alerts: %v", alerts)
+	}
+	if a := alerts[0]; !a.First.Equal(late) || !a.Last.Equal(latest) {
+		t.Errorf("activity bounds %v–%v, want %v–%v", a.First, a.Last, late, latest)
+	}
+}

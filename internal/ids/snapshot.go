@@ -15,16 +15,19 @@ package ids
 //     final sweep ignores now entirely, so a shard whose private clock
 //     lagged the global one behaves identically after restore;
 //   - each level's oldest-activity bound is recomputed tight (the
-//     minimum surviving candidate's last activity) rather than
-//     serialized: the bound only gates a skip-the-table-scan fast
-//     path, and a tighter bound provably never changes which
-//     candidates close or what alerts emit.
+//     minimum restored last activity) rather than serialized: the
+//     bound only gates a skip-the-column-scan fast path, and a tighter
+//     bound provably never changes which candidates close or what
+//     alerts emit. Last activity encodes straight from the level's
+//     last column, which is on the checkpoint time axis
+//     (checkpoint.EncodeTime), so those bytes equal Enc.Time of the
+//     decoded instant.
 
 import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"v6scan/internal/checkpoint"
@@ -99,27 +102,29 @@ func snapshotEngines(w io.Writer, cfg Config, engines []*Engine, mark time.Time)
 		return err
 	}
 	// One global section per level: candidates from every shard, sorted
-	// by key, independent of shard count and map iteration order.
-	type keyed struct {
-		key netaddr6.U128
-		c   *candidate
+	// by key, independent of shard count and map iteration order. The
+	// one encoder buffer serves every section (Section does not retain
+	// it).
+	type live struct {
+		c    *candidate
+		last int64
 	}
-	var cands []keyed
+	var cands []live
 	for li := range cfg.Levels {
 		cands = cands[:0]
 		for _, eng := range engines {
 			lv := eng.levels[li]
-			lv.idx.Range(func(key netaddr6.U128, h uint32) bool {
-				cands = append(cands, keyed{key, lv.candidate(h)})
+			lv.idx.Range(func(_ netaddr6.U128, h uint32) bool {
+				cands = append(cands, live{lv.candidate(h), lv.last[h]})
 				return true
 			})
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].key.Cmp(cands[j].key) < 0 })
+		slices.SortFunc(cands, func(a, b live) int { return a.c.key.Cmp(b.c.key) })
 		e.B = e.B[:0]
 		e.Varint(int64(cfg.Levels[li]))
 		e.Uvarint(uint64(len(cands)))
-		for _, kc := range cands {
-			encodeCandidate(&e, kc.key, kc.c)
+		for _, lc := range cands {
+			encodeCandidate(&e, lc.c, lc.last)
 		}
 		if err := cw.Section(checkpoint.SecLevel, e.B); err != nil {
 			return err
@@ -140,7 +145,7 @@ func snapshotEngines(w io.Writer, cfg Config, engines []*Engine, mark time.Time)
 		dropped += eng.dropped.Load()
 		alerts = append(alerts, eng.alerts...)
 	}
-	sort.Slice(alerts, func(i, j int) bool { return alertLess(&alerts[i], &alerts[j]) })
+	sortAlerts(alerts)
 	e.Time(now)
 	e.Uvarint(dropped)
 	e.Uvarint(uint64(len(alerts)))
@@ -276,13 +281,14 @@ func idsLevelIndex(levels []netaddr6.AggLevel, l netaddr6.AggLevel) (int, error)
 // distinct shapes (the sketch's registers are its complete state; the
 // inline destination is the whole state before materialization), so
 // restore reproduces the exact representation and a re-snapshot the
-// exact bytes.
-func encodeCandidate(e *checkpoint.Enc, key netaddr6.U128, c *candidate) {
-	e.U64(key.Hi)
-	e.U64(key.Lo)
+// exact bytes. last is the candidate's last-column entry, already on
+// Enc.Time's axis.
+func encodeCandidate(e *checkpoint.Enc, c *candidate, last int64) {
+	e.U64(c.key.Hi)
+	e.U64(c.key.Lo)
 	e.Uvarint(c.packets)
 	e.Time(c.first)
-	e.Time(c.last)
+	e.U64(uint64(last))
 	if c.sketch == nil {
 		e.U8(0)
 		e.U64(c.firstDst.Hi)
@@ -302,10 +308,10 @@ func decodeCandidate(d *checkpoint.Dec, engines []*Engine, li int, coarsest neta
 		shard = dispatch.Partition(key.ToAddr(), coarsest, n)
 	}
 	lv := engines[shard].levels[li]
-	h, c := lv.alloc()
+	h, c := lv.alloc(key)
 	c.packets = d.Uvarint()
 	c.first = d.Time()
-	c.last = d.Time()
+	last := int64(d.U64()) // Dec.Time's axis, kept as the column stores it
 	switch flag := d.U8(); flag {
 	case 0:
 		c.firstDst = netaddr6.U128{Hi: d.U64(), Lo: d.U64()}
@@ -334,38 +340,13 @@ func decodeCandidate(d *checkpoint.Dec, engines []*Engine, li int, coarsest neta
 		return err
 	}
 	lv.idx.Put(key, h)
-	// Recompute the oldest-activity bound tight: the minimum surviving
-	// last-activity time (see the package comment above for why tight
-	// vs the live engine's conservative bound cannot change output).
-	if lv.oldest.IsZero() || c.last.Before(lv.oldest) {
-		lv.oldest = c.last
-	}
+	lv.last[h] = last
+	// Recompute the oldest-activity bound tight: the minimum restored
+	// last activity (see the comment at the top of this file for why
+	// tight vs the live engine's conservative bound cannot change
+	// output).
+	lv.oldest = min(lv.oldest, last)
 	return nil
-}
-
-// alertLess is a full total order over alerts: Drain's sort keys
-// first, then every remaining field, so canonical encoding never
-// depends on accumulation order.
-func alertLess(a, b *Alert) bool {
-	if !a.First.Equal(b.First) {
-		return a.First.Before(b.First)
-	}
-	if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
-		return c < 0
-	}
-	if a.Prefix.Bits() != b.Prefix.Bits() {
-		return a.Prefix.Bits() < b.Prefix.Bits()
-	}
-	if !a.Last.Equal(b.Last) {
-		return a.Last.Before(b.Last)
-	}
-	if a.EstimatedDsts != b.EstimatedDsts {
-		return a.EstimatedDsts < b.EstimatedDsts
-	}
-	if a.Packets != b.Packets {
-		return a.Packets < b.Packets
-	}
-	return !a.Escalated && b.Escalated
 }
 
 func encodeAlert(e *checkpoint.Enc, a *Alert) {
