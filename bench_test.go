@@ -671,13 +671,12 @@ func BenchmarkEndToEndDay(b *testing.B) {
 
 // BenchmarkEndToEndFilteredPipeline runs a full simulated CDN day
 // through the builder-composed filtered pipeline — policy stage,
-// artifact stage, sharded detector sink — on both dispatch paths: the
-// batch path (every stage is batch-native, so records flow
-// batch-to-batch end to end) and the record path (forced by hiding the
-// source's batch capability). The batch path must not be slower; it is
-// the deployment-shaped counterpart of BenchmarkEndToEndDay's
-// hand-wired loop. (Replaces BenchmarkEndToEndDayPipeline, which only
-// measured the nested-constructor record path.)
+// artifact stage, sharded detector sink — fed two ways: "batch" from a
+// slice source, and "record" from a record-at-a-time producer through
+// the SourceFunc edge adapter, the simulator's path. The adapter's
+// staging must not make the record edge measurably slower; it is the
+// deployment-shaped counterpart of BenchmarkEndToEndDay's hand-wired
+// loop.
 func BenchmarkEndToEndFilteredPipeline(b *testing.B) {
 	allowParallelism(b, 9)
 	res := benchRun(b)
@@ -685,7 +684,7 @@ func BenchmarkEndToEndFilteredPipeline(b *testing.B) {
 	res.Census.EmitDay(benchStart.Add(48*time.Hour), func(r Record) { recs = append(recs, r) })
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
 
-	run := func(b *testing.B, src RecordSource, wantBatched bool) {
+	run := func(b *testing.B, src RecordSource) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -694,9 +693,6 @@ func BenchmarkEndToEndFilteredPipeline(b *testing.B) {
 				Policy(DefaultCollectPolicy()).
 				Artifact().
 				Build(sink)
-			if p.Batched() != wantBatched {
-				b.Fatalf("Batched() = %v, want %v", p.Batched(), wantBatched)
-			}
 			if err := p.Run(); err != nil {
 				b.Fatal(err)
 			}
@@ -708,10 +704,17 @@ func BenchmarkEndToEndFilteredPipeline(b *testing.B) {
 	}
 
 	b.Run("batch", func(b *testing.B) {
-		run(b, NewSliceSource(recs), true)
+		run(b, NewSliceSource(recs))
 	})
 	b.Run("record", func(b *testing.B) {
-		run(b, SourceFunc(NewSliceSource(recs).Emit), false)
+		run(b, SourceFunc(func(emit func(Record) error) error {
+			for _, r := range recs {
+				if err := emit(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		}))
 	})
 }
 

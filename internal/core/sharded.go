@@ -15,8 +15,8 @@ import (
 // exactly one shard and the combined output is identical to a single
 // Detector's, independent of shard count (see TestShardedParity).
 //
-// Each shard owns a private Detector; partitioning, staging, the
-// worker goroutines and their pooled batch buffers are the shared
+// Each shard owns a private Detector; partitioning, the worker
+// goroutines and their pooled batch buffers are the shared
 // dispatch.Dispatcher's (see that package's doc for the ownership
 // model). Finish drains the workers and merges per-level results
 // deterministically (scans ordered by start time, then source);
@@ -77,21 +77,16 @@ func (sd *ShardedDetector) NumShards() int { return len(sd.shards) }
 // dispatch.Dispatcher.QueueDepth).
 func (sd *ShardedDetector) QueueDepth() int { return sd.disp.QueueDepth() }
 
-// Process ingests one record, staging it until a batch accumulates.
-// Records must be in non-decreasing time order, as for Detector.
-func (sd *ShardedDetector) Process(r firewall.Record) error {
-	return sd.disp.Process(r)
-}
-
 // ProcessBatch partitions a time-ordered run of records across the
-// shards and dispatches it. The slice is not retained.
+// shards and dispatches it. Records must be in non-decreasing time
+// order, as for Detector. The slice is not retained.
 func (sd *ShardedDetector) ProcessBatch(recs []firewall.Record) error {
 	return sd.disp.ProcessBatch(recs)
 }
 
 // Advance closes every session idle past the timeout as of now, like
-// Detector.Advance. Pending staged records are dispatched first so
-// eviction sees them.
+// Detector.Advance. The horizon travels to every shard ordered with
+// the records dispatched before it, so eviction sees them.
 func (sd *ShardedDetector) Advance(now time.Time) error {
 	return sd.disp.Mark(now)
 }

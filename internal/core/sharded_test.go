@@ -123,7 +123,7 @@ func TestShardedParity(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 8} {
 		sd := NewShardedDetector(cfg, shards)
-		// Mixed feeding: odd batch sizes plus the staged Process path,
+		// Mixed feeding: odd batch sizes plus single-record batches,
 		// with periodic Advance, mirroring the reference run.
 		for j := 0; j < len(recs); {
 			if j%3 == 0 {
@@ -133,7 +133,7 @@ func TestShardedParity(t *testing.T) {
 				}
 				j = end
 			} else {
-				if err := sd.Process(recs[j]); err != nil {
+				if err := sd.ProcessBatch(recs[j : j+1]); err != nil {
 					t.Fatal(err)
 				}
 				j++

@@ -1,7 +1,6 @@
-// Package dispatch provides the shared worker/staging/dispatch
-// scaffolding for sharded record consumers — the scaffolding that was
-// previously duplicated between core.ShardedDetector and
-// ids.ShardedEngine.
+// Package dispatch provides the shared worker/dispatch scaffolding
+// for sharded record consumers — the scaffolding that was previously
+// duplicated between core.ShardedDetector and ids.ShardedEngine.
 //
 // # Sharding invariant
 //
@@ -12,22 +11,20 @@
 // level lives in exactly one shard, and a deterministic merge of the
 // per-shard results is byte-identical to a single serial consumer's
 // output at any shard count. Consumers own their per-shard state and
-// the merge; the dispatcher owns partitioning, staging, the worker
-// goroutines, and their shutdown.
+// the merge; the dispatcher owns partitioning, the worker goroutines,
+// and their shutdown.
 //
 // # Pooled ownership model
 //
 // Dispatch is allocation-flat in steady state: per-shard batch buffers
 // come from a process-wide sync.Pool arena (GetBatch/PutBatch) shared
 // with the pipeline sources. The dispatching goroutine partitions each
-// incoming run into pooled buffers and hands each buffer to its shard's
-// channel; the worker goroutine recycles the buffer into the pool
-// after the Worker callback returns. The single-shard fast path hands
-// the staging buffer itself to the worker and replaces it from the
-// pool, so even the staged Process path copies each record exactly
-// once. The contract mirrors pipeline batch ownership: a Worker may
-// read (and a consumer may compact) the slice only for the duration of
-// the call, and anything that retains records beyond it must copy —
+// incoming run into pooled buffers — copying each record exactly once —
+// and hands each buffer to its shard's channel; the worker goroutine
+// recycles the buffer into the pool after the Worker callback returns.
+// The contract mirrors pipeline batch ownership: a Worker may read
+// (and a consumer may compact) the slice only for the duration of the
+// call, and anything that retains records beyond it must copy —
 // after the call returns, the buffer re-enters the pool and WILL be
 // overwritten by a later batch.
 //
@@ -35,11 +32,11 @@
 //
 // The error path is parameterized by the Worker: detector workers can
 // fail (time-order violations), IDS workers cannot. The first Worker
-// error is recorded and surfaces at the next Process/ProcessBatch/
-// Mark/Barrier call and again at Close; after a failure, workers keep
-// draining (and recycling) queued batches without processing them so
-// Close never leaks a goroutine. Consumers whose workers never fail
-// simply ignore the returned errors.
+// error is recorded and surfaces at the next ProcessBatch/Mark/Barrier
+// call and again at Close; after a failure, workers keep draining (and
+// recycling) queued batches without processing them so Close never
+// leaks a goroutine. Consumers whose workers never fail simply ignore
+// the returned errors.
 package dispatch
 
 import (
@@ -142,16 +139,9 @@ type Config struct {
 	// Level is the partition aggregation level (normally
 	// CoarsestLevel of the consumer's configured levels).
 	Level netaddr6.AggLevel
-	// BatchSize is the staging threshold for the single-record Process
-	// path (default 2048) — large enough to amortize channel traffic,
-	// small enough that streaming callers see timely progress.
-	BatchSize int
 	// Depth is the per-shard queue depth in batches (default 4).
 	Depth int
 }
-
-// DefaultBatchSize is the default staging threshold for Process.
-const DefaultBatchSize = 2048
 
 // defaultDepth is the default per-shard channel depth.
 const defaultDepth = 4
@@ -184,13 +174,10 @@ type Dispatcher struct {
 	err atomic.Pointer[error]
 
 	// parts is the reused partition scratch (one slot per shard, nil
-	// between dispatches); staged buffers single-record Process calls.
-	parts    []*[]firewall.Record
-	staged   *[]firewall.Record
-	barrier  chan struct{}
-	batch    int
-	closed   bool
-	closeErr error
+	// between dispatches).
+	parts   []*[]firewall.Record
+	barrier chan struct{}
+	closed  bool
 }
 
 // New returns a dispatcher running w across cfg.Shards worker
@@ -199,10 +186,6 @@ func New(cfg Config, w Worker) *Dispatcher {
 	n := cfg.Shards
 	if n < 1 {
 		n = 1
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
 	}
 	depth := cfg.Depth
 	if depth <= 0 {
@@ -215,7 +198,6 @@ func New(cfg Config, w Worker) *Dispatcher {
 		chans:   make([]chan msg, n),
 		parts:   make([]*[]firewall.Record, n),
 		barrier: make(chan struct{}, n),
-		batch:   batch,
 	}
 	for i := range d.chans {
 		d.chans[i] = make(chan msg, depth)
@@ -267,74 +249,25 @@ func (d *Dispatcher) worker(i int) {
 	}
 }
 
-// Process stages one record, dispatching when BatchSize accumulate.
-func (d *Dispatcher) Process(r firewall.Record) error {
-	if d.staged == nil {
-		d.staged = GetBatch(d.batch)
-	}
-	*d.staged = append(*d.staged, r)
-	if len(*d.staged) >= d.batch {
-		return d.flushStaged()
-	}
-	return nil
-}
-
 // ProcessBatch partitions a run of records across the shards and
 // dispatches it. The slice is not retained — records are copied into
 // pooled per-shard buffers — so callers may reuse the backing array.
-// Staged Process records are dispatched first to preserve order.
 func (d *Dispatcher) ProcessBatch(recs []firewall.Record) error {
-	if err := d.flushStaged(); err != nil {
-		return err
-	}
 	return d.dispatch(recs, time.Time{})
 }
 
-// Mark broadcasts an eviction/tick horizon to every shard (after
-// dispatching any staged records, so eviction sees them). Workers
-// receive it as a non-zero mark, ordered with the record stream.
+// Mark broadcasts an eviction/tick horizon to every shard. Workers
+// receive it as a non-zero mark, ordered with the record stream, so
+// eviction sees every record dispatched before it.
 func (d *Dispatcher) Mark(t time.Time) error {
-	if err := d.flushStaged(); err != nil {
-		return err
-	}
 	return d.dispatch(nil, t)
 }
 
-// flushStaged dispatches the staging buffer. On the single-shard fast
-// path the buffer itself is handed to the worker and replaced from the
-// pool — no copy; multi-shard partitioning copies each record into its
-// shard's pooled buffer exactly once.
-func (d *Dispatcher) flushStaged() error {
-	if d.staged == nil || len(*d.staged) == 0 {
-		return nil
-	}
-	if err := d.checkLive(); err != nil {
-		// The records cannot be delivered; drop them so a caller that
-		// keeps Processing past the error does not grow the buffer
-		// unboundedly.
-		*d.staged = (*d.staged)[:0]
-		return err
-	}
-	if d.n == 1 {
-		b := d.staged
-		d.staged = nil
-		d.chans[0] <- msg{recs: *b, buf: b}
-		return nil
-	}
-	err := d.dispatch(*d.staged, time.Time{})
-	*d.staged = (*d.staged)[:0]
-	return err
-}
-
-func (d *Dispatcher) checkLive() error {
+func (d *Dispatcher) dispatch(recs []firewall.Record, mark time.Time) error {
 	if d.closed {
 		return ErrClosed
 	}
-	return d.Err()
-}
-
-func (d *Dispatcher) dispatch(recs []firewall.Record, mark time.Time) error {
-	if err := d.checkLive(); err != nil {
+	if err := d.Err(); err != nil {
 		return err
 	}
 	if len(recs) == 0 && mark.IsZero() {
@@ -378,15 +311,11 @@ func (d *Dispatcher) dispatch(recs []firewall.Record, mark time.Time) error {
 	return nil
 }
 
-// Barrier blocks until every shard has processed all queued work
-// (including any staged records, dispatched first), after which the
-// dispatching goroutine may read shard-owned state directly — the
-// channel round-trip establishes the happens-before edge. Returns the
-// first worker error, if any.
+// Barrier blocks until every shard has processed all queued work,
+// after which the dispatching goroutine may read shard-owned state
+// directly — the channel round-trip establishes the happens-before
+// edge. Returns the first worker error, if any.
 func (d *Dispatcher) Barrier() error {
-	if err := d.flushStaged(); err != nil {
-		return err
-	}
 	if d.closed {
 		return ErrClosed
 	}
@@ -399,31 +328,17 @@ func (d *Dispatcher) Barrier() error {
 	return d.Err()
 }
 
-// Close dispatches any staged records, stops the workers, and joins
-// them. It is idempotent: repeat calls re-report the first worker
-// error (or the close-time flush error). A worker error never skips
+// Close stops the workers and joins them. It is idempotent: repeat
+// calls re-report the first worker error. A worker error never skips
 // the shutdown — the channels close and the workers drain and join
 // either way, so a failed run cannot leak its shard goroutines.
 func (d *Dispatcher) Close() error {
-	if d.closed {
-		if err := d.Err(); err != nil {
-			return err
+	if !d.closed {
+		d.closed = true
+		for _, ch := range d.chans {
+			close(ch)
 		}
-		return d.closeErr
+		d.wg.Wait()
 	}
-	ferr := d.flushStaged()
-	d.closed = true
-	for _, ch := range d.chans {
-		close(ch)
-	}
-	d.wg.Wait()
-	if d.staged != nil {
-		PutBatch(d.staged)
-		d.staged = nil
-	}
-	d.closeErr = ferr
-	if err := d.Err(); err != nil {
-		return err
-	}
-	return ferr
+	return d.Err()
 }

@@ -47,27 +47,23 @@ func TestDispatcherDeliveryParity(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			got := make([][]firewall.Record, shards)
-			d := New(Config{Shards: shards, Level: testLevel, BatchSize: 64},
+			d := New(Config{Shards: shards, Level: testLevel},
 				func(shard int, recs []firewall.Record, mark time.Time) error {
 					// Copy: the slice is recycled after return.
 					got[shard] = append(got[shard], recs...)
 					return nil
 				})
 			recs := testRecords(5000, 1)
-			// Mixed feeding: batches of odd sizes plus the staged path.
+			// Mixed feeding: batches of odd sizes plus single records.
 			for i := 0; i < len(recs); {
+				end := i + 1
 				if i%3 == 0 {
-					end := min(i+257, len(recs))
-					if err := d.ProcessBatch(recs[i:end]); err != nil {
-						t.Fatal(err)
-					}
-					i = end
-				} else {
-					if err := d.Process(recs[i]); err != nil {
-						t.Fatal(err)
-					}
-					i++
+					end = min(i+257, len(recs))
 				}
+				if err := d.ProcessBatch(recs[i:end]); err != nil {
+					t.Fatal(err)
+				}
+				i = end
 			}
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
@@ -108,7 +104,7 @@ func TestDispatcherDeliveryParity(t *testing.T) {
 func TestDispatcherPoolAliasingSafety(t *testing.T) {
 	const shards = 4
 	var torn atomic.Int32
-	d := New(Config{Shards: shards, Level: testLevel, BatchSize: 128, Depth: 2},
+	d := New(Config{Shards: shards, Level: testLevel, Depth: 2},
 		func(shard int, recs []firewall.Record, mark time.Time) error {
 			if len(recs) == 0 {
 				return nil
@@ -190,9 +186,9 @@ func TestDispatcherErrorPath(t *testing.T) {
 	}
 }
 
-// TestDispatcherMarkOrdering verifies Mark flushes staged records
-// first and reaches every shard — including shards that saw no
-// records — ordered with the stream.
+// TestDispatcherMarkOrdering verifies Mark reaches every shard —
+// including shards that saw no records — ordered with the stream:
+// records dispatched before it never arrive after it.
 func TestDispatcherMarkOrdering(t *testing.T) {
 	const shards = 4
 	type event struct {
@@ -200,16 +196,16 @@ func TestDispatcherMarkOrdering(t *testing.T) {
 		mark time.Time
 	}
 	events := make([][]event, shards)
-	d := New(Config{Shards: shards, Level: testLevel, BatchSize: 1 << 20},
+	d := New(Config{Shards: shards, Level: testLevel},
 		func(shard int, recs []firewall.Record, mark time.Time) error {
 			events[shard] = append(events[shard], event{recs: len(recs), mark: mark})
 			return nil
 		})
 	// A handful of records (fewer shards covered than exist is fine),
-	// staged but not yet flushed, then a Mark.
+	// one at a time, then a Mark.
 	recs := testRecords(10, 1)
-	for _, r := range recs {
-		if err := d.Process(r); err != nil {
+	for i := range recs {
+		if err := d.ProcessBatch(recs[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +226,7 @@ func TestDispatcherMarkOrdering(t *testing.T) {
 				if !ev.mark.Equal(horizon) {
 					t.Fatalf("shard %d mark %v, want %v", shard, ev.mark, horizon)
 				}
-				// Records staged before the Mark must not arrive after it.
+				// Records dispatched before the Mark must not arrive after it.
 				for _, later := range evs[i+1:] {
 					if later.recs > 0 {
 						t.Fatalf("shard %d received records after the mark", shard)
@@ -253,14 +249,14 @@ func TestDispatcherMarkOrdering(t *testing.T) {
 func TestDispatcherBarrier(t *testing.T) {
 	const shards = 4
 	counts := make([]int, shards) // worker-owned between barriers
-	d := New(Config{Shards: shards, Level: testLevel, BatchSize: 32},
+	d := New(Config{Shards: shards, Level: testLevel},
 		func(shard int, recs []firewall.Record, mark time.Time) error {
 			counts[shard] += len(recs)
 			return nil
 		})
 	recs := testRecords(3000, 1)
-	for _, r := range recs {
-		if err := d.Process(r); err != nil {
+	for i := 0; i < len(recs); i += 32 {
+		if err := d.ProcessBatch(recs[i:min(i+32, len(recs))]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +268,7 @@ func TestDispatcherBarrier(t *testing.T) {
 		total += c
 	}
 	if total != len(recs) {
-		t.Fatalf("after Barrier %d records visible, want %d (staged records must flush first)", total, len(recs))
+		t.Fatalf("after Barrier %d records visible, want %d (queued batches must drain first)", total, len(recs))
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -282,18 +278,19 @@ func TestDispatcherBarrier(t *testing.T) {
 	}
 }
 
-// TestDispatcherSingleShardTransfer verifies the single-shard fast
-// path hands whole staged batches through (BatchSize records at a
-// time) rather than re-chunking, and that Close flushes the tail.
+// TestDispatcherSingleShardTransfer verifies the single-shard path
+// hands each ProcessBatch run through whole rather than re-chunking,
+// including the short tail.
 func TestDispatcherSingleShardTransfer(t *testing.T) {
 	var sizes []int
-	d := New(Config{Shards: 1, Level: testLevel, BatchSize: 64},
+	d := New(Config{Shards: 1, Level: testLevel},
 		func(shard int, recs []firewall.Record, mark time.Time) error {
 			sizes = append(sizes, len(recs))
 			return nil
 		})
-	for _, r := range testRecords(200, 1) {
-		if err := d.Process(r); err != nil {
+	recs := testRecords(200, 1)
+	for i := 0; i < len(recs); i += 64 {
+		if err := d.ProcessBatch(recs[i:min(i+64, len(recs))]); err != nil {
 			t.Fatal(err)
 		}
 	}

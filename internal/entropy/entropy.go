@@ -9,6 +9,7 @@ package entropy
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Counter accumulates observations of discrete values (e.g. packet
@@ -67,10 +68,18 @@ func (c *Counter) Shannon() float64 {
 		// Zero or one distinct value: entropy 0.
 		return 0
 	}
+	// Sum in value order, not map order: a float sum's rounding depends
+	// on its order, and map order changes from run to run, so the low
+	// bits — which checkpoints store — would too.
+	vals := make([]uint64, 0, len(c.counts))
+	for v := range c.counts {
+		vals = append(vals, v)
+	}
+	slices.Sort(vals)
 	var h float64
 	n := float64(c.total)
-	for _, cnt := range c.counts {
-		p := float64(cnt) / n
+	for _, v := range vals {
+		p := float64(c.counts[v]) / n
 		h -= p * math.Log2(p)
 	}
 	return h

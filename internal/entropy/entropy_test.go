@@ -192,3 +192,24 @@ func TestLooksGaussian(t *testing.T) {
 		t.Error("tiny sample classified Gaussian")
 	}
 }
+
+// TestShannonDeterministic: the entropy of one multiset is bit-identical
+// however its counter was built — map iteration order must not reach
+// the float sum.
+func TestShannonDeterministic(t *testing.T) {
+	var want uint64
+	for rep := 0; rep < 20; rep++ {
+		// The same 61 values and counts, inserted from a different start.
+		var c Counter
+		for i := 0; i < 61; i++ {
+			v := uint64((i + rep*7) % 61)
+			c.ObserveN(v, v%5+1)
+		}
+		got := math.Float64bits(c.Shannon())
+		if rep == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("rep %d: Shannon bits %x, want %x", rep, got, want)
+		}
+	}
+}

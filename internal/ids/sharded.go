@@ -23,7 +23,7 @@ import (
 // sharded engine admits candidates (and so may emit alerts) a single
 // engine would have dropped.
 //
-// Each shard owns a private Engine; partitioning, staging, the worker
+// Each shard owns a private Engine; partitioning, the worker
 // goroutines and their pooled batch buffers are the shared
 // dispatch.Dispatcher's (IDS workers cannot fail, so the dispatcher's
 // error path stays unused). Tick forwards the eviction horizon to
@@ -90,17 +90,6 @@ func (se *ShardedEngine) NumShards() int { return len(se.shards) }
 // a gauge.
 func (se *ShardedEngine) QueueDepth() int { return se.disp.QueueDepth() }
 
-// Process ingests one record, staging it until a batch accumulates.
-func (se *ShardedEngine) Process(r firewall.Record) {
-	if se.flushed {
-		panic("ids: ShardedEngine used after Flush")
-	}
-	if r.Time.After(se.lastSeen) {
-		se.lastSeen = r.Time
-	}
-	se.disp.Process(r)
-}
-
 // ProcessBatch partitions a run of records across the shards and
 // dispatches it. The slice is not retained, so callers may reuse the
 // backing array between calls.
@@ -119,8 +108,9 @@ func (se *ShardedEngine) ProcessBatch(recs []firewall.Record) {
 // Tick advances time on every shard, evicting idle candidates exactly
 // as a single Engine would: the forwarded horizon is the later of now
 // and the latest dispatched record time, so shards whose own records
-// lag the global clock still close the same candidates. Pending staged
-// records are dispatched first so eviction sees them.
+// lag the global clock still close the same candidates. The horizon
+// travels ordered with the records dispatched before it, so eviction
+// sees them.
 func (se *ShardedEngine) Tick(now time.Time) {
 	if se.flushed {
 		panic("ids: ShardedEngine used after Flush")
@@ -146,8 +136,8 @@ func (se *ShardedEngine) Drain() []Alert {
 	return out
 }
 
-// Flush dispatches any staged records, stops the workers, evicts every
-// candidate, and returns all pending alerts merged deterministically.
+// Flush stops the workers, evicts every candidate, and returns all
+// pending alerts merged deterministically.
 // The engine is not reusable afterwards (Drain and the accessors
 // remain valid).
 func (se *ShardedEngine) Flush() []Alert {

@@ -113,7 +113,7 @@ func TestShardedIDSParity(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		se := NewSharded(cfg, shards)
 		var gotMid string
-		// Mixed feeding: odd batch sizes plus the staged Process path,
+		// Mixed feeding: odd batch sizes plus single-record batches,
 		// with Ticks and the mid-stream Drain at the reference points.
 		// Batches never cross a tick boundary — Tick's horizon is the
 		// latest dispatched record, so a batch overshooting the
@@ -129,7 +129,7 @@ func TestShardedIDSParity(t *testing.T) {
 				}
 				j = end
 			} else {
-				se.Process(recs[j])
+				se.ProcessBatch(recs[j : j+1])
 				if err := checkpoints(j, se, &gotMid); err != nil {
 					t.Fatal(err)
 				}

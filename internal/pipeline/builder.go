@@ -27,13 +27,11 @@ import (
 // made, after which the builder is spent; a second terminal call
 // panics.
 //
-// Every stage the builder emits is batch-native, so when the source
-// batches (BatchSource) and the terminal sink consumes batches
-// (BatchSink), the built pipeline reports Batched() == true and
-// records flow batch-to-batch through the entire chain. The terminal
-// helpers own the sink lifecycle: they run the pipeline, Flush
-// (finalize) and Close (release) the sink even on mid-stream errors,
-// and return the sink's typed result.
+// Records flow batch-to-batch from the source's EmitBatch through
+// every stage to the terminal's ConsumeBatch. The terminal helpers own
+// the sink lifecycle: they run the pipeline, Flush (finalize) and
+// Close (release) the sink even on mid-stream errors, and return the
+// sink's typed result.
 type Builder struct {
 	src    Source
 	stages []func(next RecordSink) RecordSink
@@ -242,9 +240,8 @@ func (b *Builder) Artifact(filter ...*firewall.ArtifactFilter) *Builder {
 // branches first, in argument order), and the stream continues down
 // the main chain. Branches are flushed when the pipeline flushes, and
 // RunInto closes branches implementing Sink along with the terminal.
-// On the batch path each batch-capable branch but the main chain
-// receives a copy, so a compacting branch cannot corrupt its
-// siblings' view.
+// Every branch but the main chain receives a copy of each batch, so a
+// compacting branch cannot corrupt its siblings' view.
 func (b *Builder) Tee(branches ...RecordSink) *Builder {
 	b.branches = append(b.branches, branches...)
 	return b.stage(func(next RecordSink) RecordSink {
@@ -277,28 +274,16 @@ func (b *Builder) Into(sink RecordSink) RecordSink {
 }
 
 // Build folds the stages around sink and couples the source to the
-// chain. The returned pipeline's Batched() asserts full batch
-// continuity: the source batches, every stage is batch-native, and
-// the terminal sink consumes batches.
+// chain.
 func (b *Builder) Build(sink RecordSink) *Pipeline {
 	if b.src == nil {
 		panic("pipeline: Build on a source-less Chain builder (use Into)")
 	}
-	b.mark()
-	_, batched := sink.(BatchSink)
-	head := sink
-	for i := len(b.stages) - 1; i >= 0; i-- {
-		head = b.stages[i](head)
-		if _, ok := head.(BatchSink); !ok {
-			batched = false
-		}
-	}
+	head := b.Into(sink)
 	if b.met != nil {
 		head = &meterStage{m: b.met, next: head}
 	}
-	p := New(b.src, head)
-	p.batched = p.batched && batched
-	return p
+	return New(b.src, head)
 }
 
 // RunInto builds the pipeline into sink and runs it under ctx, owning

@@ -61,20 +61,24 @@ func mixedStream(days, perDay int) []firewall.Record {
 	return recs
 }
 
-// recordOnlySink deliberately does not implement BatchSink, to force
-// and to detect the per-record path.
-type recordOnlySink struct {
+// collectSink keeps a copy of every record it consumes and counts
+// flushes.
+type collectSink struct {
 	recs    []firewall.Record
 	flushes int
 }
 
-func (s *recordOnlySink) Consume(r firewall.Record) error { s.recs = append(s.recs, r); return nil }
-func (s *recordOnlySink) Flush() error                    { s.flushes++; return nil }
+func (s *collectSink) ConsumeBatch(recs []firewall.Record) error {
+	s.recs = append(s.recs, recs...)
+	return nil
+}
+func (s *collectSink) Flush() error { s.flushes++; return nil }
 
 // TestBuilderMatchesNestedChain runs the full paper chain (policy →
 // day sort → artifact filter → detector) both ways — nested
-// constructors fed record by record, and the batch-native builder
-// pipeline — and requires identical scans and filter statistics.
+// constructors fed one record per batch, and the builder pipeline at
+// the default batch size, sharded — and requires identical scans and
+// filter statistics.
 func TestBuilderMatchesNestedChain(t *testing.T) {
 	recs := mixedStream(3, 2000)
 	pol := firewall.DefaultCollectPolicy()
@@ -82,14 +86,7 @@ func TestBuilderMatchesNestedChain(t *testing.T) {
 	refFilter := firewall.NewArtifactFilter()
 	refDet := core.NewDetector(core.DefaultConfig())
 	refHead := Policy(pol, NewDaySort(NewArtifactStage(refFilter, NewDetectorSink(refDet))))
-	for _, r := range recs {
-		if err := refHead.Consume(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := refHead.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	feedBatches(t, refHead, recs, 1)
 
 	filter := firewall.NewArtifactFilter()
 	var counted *Counter
@@ -118,36 +115,7 @@ func TestBuilderMatchesNestedChain(t *testing.T) {
 	}
 }
 
-// TestBuilderBatchContinuity verifies the Batched assertion: true only
-// when the source batches, every stage is batch-native, and the
-// terminal consumes batches.
-func TestBuilderBatchContinuity(t *testing.T) {
-	recs := scanStream(10)
-	full := From(SliceSource(recs)).
-		Policy(firewall.DefaultCollectPolicy()).
-		DaySort().
-		Artifact().
-		Build(NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 2)))
-	if !full.Batched() {
-		t.Fatal("fully filtered builder pipeline should be batched end to end")
-	}
-	if err := full.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	if p := From(SliceSource(recs)).Build(&recordOnlySink{}); p.Batched() {
-		t.Fatal("record-only terminal cannot be batched")
-	}
-	src := SourceFunc(SliceSource(recs).Emit)
-	if p := From(src).Policy(firewall.DefaultCollectPolicy()).Build(Discard); p.Batched() {
-		t.Fatal("non-batching source cannot be batched")
-	}
-	if p := New(SliceSource(recs), Discard); !p.Batched() {
-		t.Fatal("New with batch source and batch sink should report batched")
-	}
-}
-
-// TestBuilderTeeBranchesSeePreCompactionStream verifies batch-path
+// TestBuilderTeeBranchesSeePreCompactionStream verifies batch
 // mutation safety: a Tee branch must observe the full stream even when
 // the continuing main chain compacts batches in place.
 func TestBuilderTeeBranchesSeePreCompactionStream(t *testing.T) {
@@ -162,11 +130,7 @@ func TestBuilderTeeBranchesSeePreCompactionStream(t *testing.T) {
 		Tee(Chain().Counter(&branch).Into(Discard)).
 		Policy(firewall.DefaultCollectPolicy()).
 		Counter(&main)
-	p := b.Build(Discard)
-	if !p.Batched() {
-		t.Fatal("tee chain should stay batched")
-	}
-	if err := p.Run(); err != nil {
+	if err := b.Build(Discard).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if branch.Count() != uint64(len(recs)) {
@@ -192,9 +156,12 @@ type closeTrackingSink struct {
 	closes  int
 }
 
-func (s *closeTrackingSink) Consume(firewall.Record) error { s.recs++; return nil }
-func (s *closeTrackingSink) Flush() error                  { s.flushes++; return nil }
-func (s *closeTrackingSink) Close() error                  { s.closes++; return nil }
+func (s *closeTrackingSink) ConsumeBatch(recs []firewall.Record) error {
+	s.recs += len(recs)
+	return nil
+}
+func (s *closeTrackingSink) Flush() error { s.flushes++; return nil }
+func (s *closeTrackingSink) Close() error { s.closes++; return nil }
 
 // TestRunIntoClosesTeeBranches verifies the unified lifecycle reaches
 // Tee side sinks: RunInto must close branch sinks implementing Sink,
@@ -227,25 +194,6 @@ func TestBuilderSingleUse(t *testing.T) {
 		}
 	}()
 	b.Build(Discard)
-}
-
-// TestTeeRecordOnlyBranchOnBatchPath checks a non-batch branch sink
-// still sees every record when the tee runs on the batch path.
-func TestTeeRecordOnlyBranchOnBatchPath(t *testing.T) {
-	recs := scanStream(1000)
-	branch := &recordOnlySink{}
-	var main *Counter
-	b := From(SliceSource(recs)).Tee(branch).Counter(&main)
-	p := b.Build(Discard)
-	if !p.Batched() {
-		t.Fatal("main chain should stay batched around a record-only branch")
-	}
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(branch.recs) != len(recs) || main.Count() != uint64(len(recs)) {
-		t.Fatalf("branch saw %d, main %d, want %d", len(branch.recs), main.Count(), len(recs))
-	}
 }
 
 // TestBuilderTerminalHelpers checks that Detect/IDS/MAWI produce the
@@ -311,14 +259,7 @@ func TestChainInto(t *testing.T) {
 	recs[7].DstPort = 80
 	// Shuffle within the day to prove DaySort runs after Filter.
 	recs[3], recs[40] = recs[40], recs[3]
-	for _, r := range recs {
-		if err := sink.Consume(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	feedBatches(t, sink, recs, 7)
 	if len(seen) != 49 {
 		t.Fatalf("saw %d records, want 49", len(seen))
 	}
@@ -329,17 +270,18 @@ func TestChainInto(t *testing.T) {
 	}
 }
 
-// TestRunContextCancel verifies cancellation aborts both dispatch
-// paths with ctx's error while still flushing the chain.
+// TestRunContextCancel verifies cancellation aborts a batch source and
+// a record-at-a-time producer (SourceFunc) with ctx's error while
+// still flushing the chain.
 func TestRunContextCancel(t *testing.T) {
 	recs := scanStream(10_000)
 
 	t.Run("batch", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
-		sink := &recordOnlySink{}
-		// SinkFunc-based head keeps the chain batched; cancel fires
-		// mid-first-batch, so the second batch must never arrive.
+		sink := &collectSink{}
+		// Cancel fires mid-first-batch, so the second batch must never
+		// arrive.
 		head := Tap(func(firewall.Record) {
 			if n++; n == 100 {
 				cancel()
@@ -360,21 +302,31 @@ func TestRunContextCancel(t *testing.T) {
 
 	t.Run("record", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
-		n := 0
-		sink := &recordOnlySink{}
-		// The head must hide its batch capability to force the
-		// per-record dispatch path.
-		p := New(SliceSource(recs), &wrapRecordOnly{Tap(func(firewall.Record) {
+		n, pushed := 0, 0
+		sink := &collectSink{}
+		// The producer pushes one record at a time; the cancelled run
+		// must fail its push of the second batch's last record.
+		src := SourceFunc(func(emit func(firewall.Record) error) error {
+			for _, r := range recs {
+				pushed++
+				if err := emit(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		p := New(src, Tap(func(firewall.Record) {
 			if n++; n == 100 {
 				cancel()
 			}
-		}, sink)})
+		}, sink))
 		err := p.RunContext(ctx)
 		if err != context.Canceled {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		if len(sink.recs) != 100 {
-			t.Fatalf("consumed %d records, want 100", len(sink.recs))
+		if len(sink.recs) != DefaultBatchSize || pushed != 2*DefaultBatchSize {
+			t.Fatalf("consumed %d records after %d pushes, want %d after %d",
+				len(sink.recs), pushed, DefaultBatchSize, 2*DefaultBatchSize)
 		}
 		if sink.flushes != 1 {
 			t.Fatalf("flushes = %d, want 1", sink.flushes)
@@ -398,9 +350,3 @@ func TestRunContextCancel(t *testing.T) {
 		_ = sink.Result() // must not panic: Close implies Finish
 	})
 }
-
-// wrapRecordOnly hides an inner sink's batch capability.
-type wrapRecordOnly struct{ inner RecordSink }
-
-func (w *wrapRecordOnly) Consume(r firewall.Record) error { return w.inner.Consume(r) }
-func (w *wrapRecordOnly) Flush() error                    { return w.inner.Flush() }

@@ -91,33 +91,24 @@ func NewPublishSink(ctx context.Context, b *bus.Bus, level netaddr6.AggLevel, to
 // (including EOS markers). Safe after the run ends.
 func (s *PublishSink) Envelopes() uint64 { return s.envelopes }
 
-// route stages one record on its topic, publishing the topic's stage
-// when it reaches a full batch.
-func (s *PublishSink) route(r firewall.Record) error {
-	p := 0
-	if len(s.topics) > 1 {
-		p = dispatch.Partition(r.Src, s.level, len(s.topics))
-	}
-	st := s.stage[p]
-	*st = append(*st, r)
-	if len(*st) >= DefaultBatchSize {
-		return s.publishTopic(p)
-	}
-	return nil
-}
-
-// Consume implements RecordSink.
-func (s *PublishSink) Consume(r firewall.Record) error { return s.route(r) }
-
-// ConsumeBatch implements BatchSink: the batch is partitioned into the
-// staging buffers and every non-empty stage is published before the
-// call returns, so a topic never lags the stream by more than one
-// batch — that bound is what keeps a merging subscriber's bounded
-// buffers from stalling a publisher on skewed traffic.
+// ConsumeBatch implements RecordSink: the batch is partitioned into the
+// staging buffers (a stage reaching DefaultBatchSize is published at
+// once) and every non-empty stage is published before the call
+// returns, so a topic never lags the stream by more than one batch —
+// that bound is what keeps a merging subscriber's bounded buffers from
+// stalling a publisher on skewed traffic.
 func (s *PublishSink) ConsumeBatch(recs []firewall.Record) error {
 	for _, r := range recs {
-		if err := s.route(r); err != nil {
-			return err
+		p := 0
+		if len(s.topics) > 1 {
+			p = dispatch.Partition(r.Src, s.level, len(s.topics))
+		}
+		st := s.stage[p]
+		*st = append(*st, r)
+		if len(*st) >= DefaultBatchSize {
+			if err := s.publishTopic(p); err != nil {
+				return err
+			}
 		}
 	}
 	return s.publishPending()
@@ -232,26 +223,12 @@ func NewSubscribeSource(ctx context.Context, b *bus.Bus, topic string) *Subscrib
 	return s
 }
 
-// Emit implements Source by riding EmitBatch.
-func (s *SubscribeSource) Emit(emit func(r firewall.Record) error) error {
-	return s.EmitBatch(DefaultBatchSize, func(recs []firewall.Record) error {
-		for _, r := range recs {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// EmitBatch implements BatchSource.
+// EmitBatch implements Source.
 func (s *SubscribeSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error {
 	if s.err != nil {
 		return fmt.Errorf("pipeline: subscribing to %s: %w", s.topic, s.err)
 	}
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
+	batchSize = batchLimit(batchSize)
 	defer s.sub.Close()
 	buf := dispatch.GetBatch(batchSize)
 	var env events.Envelope

@@ -144,18 +144,10 @@ func (c *cadence) fire(s cadenced, t time.Time) error {
 	return s.fired(t)
 }
 
-// at is the record path's cadence check, run before the record at t.
-func (c *cadence) at(s cadenced, t time.Time) error {
-	if c.due(t) {
-		return c.fire(s, t)
-	}
-	return nil
-}
-
 // split drives a batch through s, splitting it at every fire point
-// and firing there first — exactly the positions the record path
-// fires at, so batch size never changes which sessions merge, when
-// eviction horizons advance, or where checkpoints cut.
+// and firing there first. Fire points are a function of the record
+// sequence alone, so batch size never changes which sessions merge,
+// when eviction horizons advance, or where checkpoints cut.
 func (c *cadence) split(s cadenced, recs []firewall.Record) error {
 	if c.AdvanceEvery <= 0 && !c.checkpoints() {
 		return s.process(recs)

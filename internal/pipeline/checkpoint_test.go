@@ -483,19 +483,15 @@ func TestCheckpointFilePublishing(t *testing.T) {
 
 	recs := ckptRecords(2_000)
 	sink := NewDetectorSink(core.NewDetector(streamParityConfig()))
-	for _, r := range recs[:1_000] {
-		if err := sink.Consume(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := sink.ConsumeBatch(recs[:1_000]); err != nil {
+		t.Fatal(err)
 	}
 	m1, m2 := recs[1_000].Time, recs[1_500].Time
 	if err := WriteCheckpoint(dir, sink, m1); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs[1_000:1_500] {
-		if err := sink.Consume(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := sink.ConsumeBatch(recs[1_000:1_500]); err != nil {
+		t.Fatal(err)
 	}
 	if err := WriteCheckpoint(dir, sink, m2); err != nil {
 		t.Fatal(err)
@@ -645,10 +641,8 @@ func TestSweepCheckpointTemps(t *testing.T) {
 	// A real checkpoint, published atomically.
 	sink := NewDetectorSink(core.NewDetector(streamParityConfig()))
 	recs := ckptRecords(500)
-	for _, r := range recs {
-		if err := sink.Consume(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := sink.ConsumeBatch(recs); err != nil {
+		t.Fatal(err)
 	}
 	mark := recs[len(recs)-1].Time
 	if err := WriteCheckpoint(dir, sink, mark); err != nil {

@@ -31,19 +31,7 @@ func NewFilesSource(paths ...string) *FilesSource {
 // means one worker per CPU.
 func (s *FilesSource) SetDecodeWorkers(n int) { s.workers = n }
 
-// Emit implements Source on top of the batch path.
-func (s *FilesSource) Emit(emit func(r firewall.Record) error) error {
-	return s.EmitBatch(DefaultBatchSize, func(recs []firewall.Record) error {
-		for _, r := range recs {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// EmitBatch implements BatchSource. The worker budget is divided
+// EmitBatch implements Source. The worker budget is divided
 // across files (rounding up, minimum one each): the merge consumes the
 // files at similar rates, so per-file decode only needs a share of the
 // total throughput.
@@ -88,7 +76,7 @@ func (s *FilesSource) EmitBatch(batchSize int, emit func(recs []firewall.Record)
 		srcs = append(srcs, NewParallelLogSource(f, fi.Size(), perFile))
 	}
 	if len(srcs) == 1 {
-		return srcs[0].(BatchSource).EmitBatch(batchSize, emit)
+		return srcs[0].EmitBatch(batchSize, emit)
 	}
 	return NewMergeSource(srcs...).EmitBatch(batchSize, emit)
 }

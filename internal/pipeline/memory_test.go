@@ -43,17 +43,7 @@ func (c churnSource) record(i int) firewall.Record {
 	}
 }
 
-// Emit implements Source.
-func (c churnSource) Emit(emit func(r firewall.Record) error) error {
-	for i := 0; i < c.n; i++ {
-		if err := emit(c.record(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EmitBatch implements BatchSource on the pooled-buffer contract.
+// EmitBatch implements Source on the pooled-buffer contract.
 func (c churnSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error {
 	buf := dispatch.GetBatch(batchSize)
 	defer dispatch.PutBatch(buf)

@@ -43,18 +43,6 @@ func (m *MergeSource) SetDecodeWorkers(n int) {
 	}
 }
 
-// Emit implements Source on top of the batch path.
-func (m *MergeSource) Emit(emit func(r firewall.Record) error) error {
-	return m.EmitBatch(DefaultBatchSize, func(recs []firewall.Record) error {
-		for _, r := range recs {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // errMergeStopped aborts a feeding source's emit when the merge halts
 // early (downstream error or another source failing). It never escapes
 // EmitBatch.
@@ -69,20 +57,18 @@ type mergeFeed struct {
 	err error
 }
 
-// EmitBatch implements BatchSource. Merged records are copied off the
+// EmitBatch implements Source. Merged records are copied off the
 // input batch heads into the merger's own pooled output batches, so
 // downstream compaction never aliases an input source's buffer.
 func (m *MergeSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
+	batchSize = batchLimit(batchSize)
 	k := len(m.srcs)
 	switch k {
 	case 0:
 		return nil
 	case 1:
 		// Nothing to merge; delegate without the goroutine handshake.
-		return emitViaBatches(m.srcs[0], batchSize, emit)
+		return m.srcs[0].EmitBatch(batchSize, emit)
 	}
 
 	stop := make(chan struct{})
@@ -206,38 +192,11 @@ func feedSource(src Source, batchSize int, f *mergeFeed, stop <-chan struct{}) e
 			return errMergeStopped
 		}
 	}
-	err := emitViaBatches(src, batchSize, deliver)
+	err := src.EmitBatch(batchSize, deliver)
 	if err == errMergeStopped {
 		return nil // the merger told us to stop; not a source failure
 	}
 	return err
-}
-
-// emitViaBatches runs src as a batch producer, adapting record-only
-// sources through a pooled buffer.
-func emitViaBatches(src Source, batchSize int, emit func(recs []firewall.Record) error) error {
-	if bs, ok := src.(BatchSource); ok {
-		return bs.EmitBatch(batchSize, emit)
-	}
-	buf := dispatch.GetBatch(batchSize)
-	defer dispatch.PutBatch(buf)
-	err := src.Emit(func(r firewall.Record) error {
-		*buf = append(*buf, r)
-		if len(*buf) == batchSize {
-			if err := emit(*buf); err != nil {
-				return err
-			}
-			*buf = (*buf)[:0]
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if len(*buf) > 0 {
-		return emit(*buf)
-	}
-	return nil
 }
 
 // loserTree is a tournament tree over k sources: node[0] holds the

@@ -123,14 +123,6 @@ func registerDispatchMetrics(reg *metrics.Registry) {
 		})
 }
 
-// record counts one record on the single-record path.
-func (m *Metrics) record() {
-	if m == nil {
-		return
-	}
-	m.SourceRecords.Inc()
-}
-
 // recordBatch counts one batch delivery of n records.
 func (m *Metrics) recordBatch(n int) {
 	if m == nil {
@@ -167,24 +159,18 @@ func (m *Metrics) checkpointDone(dur time.Duration, err error) {
 	m.lastCkptWall.Store(time.Now().UnixNano())
 }
 
-// meterStage counts source output without breaking batch continuity.
-// Builder.Instrument mounts it ahead of every other stage so its
-// numbers describe the raw source, not a filtered residue.
+// meterStage counts source output. Builder.Instrument mounts it ahead
+// of every other stage so its numbers describe the raw source, not a
+// filtered residue.
 type meterStage struct {
 	m    *Metrics
 	next RecordSink
 }
 
-// Consume implements RecordSink.
-func (s *meterStage) Consume(r firewall.Record) error {
-	s.m.record()
-	return s.next.Consume(r)
-}
-
-// ConsumeBatch implements BatchSink.
+// ConsumeBatch implements RecordSink.
 func (s *meterStage) ConsumeBatch(recs []firewall.Record) error {
 	s.m.recordBatch(len(recs))
-	return consumeBatch(s.next, recs)
+	return s.next.ConsumeBatch(recs)
 }
 
 // Flush implements RecordSink.

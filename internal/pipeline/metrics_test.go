@@ -123,28 +123,3 @@ func TestInstrumentSinkVariants(t *testing.T) {
 		})
 	}
 }
-
-// TestInstrumentRecordPath: forcing the record path (a SourceFunc hides
-// batching) counts identically — fires and records are path-invariant.
-func TestInstrumentRecordPath(t *testing.T) {
-	recs := meterRecords(3600)
-	reg := metrics.NewRegistry()
-	m := RegisterMetrics(reg)
-	sink := NewIDSSink(ids.New(ids.Config{}))
-	err := From(SourceFunc(SliceSource(recs).Emit)).
-		Instrument(m).
-		AdvanceEvery(10*time.Minute).
-		RunInto(context.Background(), sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.SourceRecords.Value(); got != 3600 {
-		t.Errorf("SourceRecords = %d, want 3600", got)
-	}
-	if got := m.Advances.Value(); got != 5 {
-		t.Errorf("Advances = %d, want 5", got)
-	}
-	if got := m.SourceBatches.Value(); got != 0 {
-		t.Errorf("SourceBatches = %d on the record path, want 0", got)
-	}
-}

@@ -40,18 +40,6 @@ func NewParallelLogSource(r io.ReaderAt, size int64, workers int) *ParallelLogSo
 // builder's DecodeWorkers option resolves against.
 func (s *ParallelLogSource) SetDecodeWorkers(n int) { s.workers = n }
 
-// Emit implements Source on top of the batch path.
-func (s *ParallelLogSource) Emit(emit func(r firewall.Record) error) error {
-	return s.EmitBatch(DefaultBatchSize, func(recs []firewall.Record) error {
-		for _, r := range recs {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // decodedChunk is one worker's result: a pooled batch holding the
 // chunk's records, plus the decode or read error, if any.
 type decodedChunk struct {
@@ -59,14 +47,12 @@ type decodedChunk struct {
 	err error
 }
 
-// EmitBatch implements BatchSource. Each planned chunk holds at most
+// EmitBatch implements Source. Each planned chunk holds at most
 // batchSize records and becomes exactly one emitted batch; a bounded
 // window of decoded-but-unemitted chunks (2× the worker count) keeps
 // workers busy ahead of the emitter without unbounded buffering.
 func (s *ParallelLogSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
+	batchSize = batchLimit(batchSize)
 	workers := s.workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)

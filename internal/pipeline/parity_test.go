@@ -1,40 +1,36 @@
 package pipeline
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
+	"time"
 
+	"v6scan/internal/core"
 	"v6scan/internal/firewall"
+	"v6scan/internal/ids"
+	"v6scan/internal/netaddr6"
 )
 
-// Batch/stream parity: every built-in stage must produce an identical
-// downstream record sequence (and identical observable side state)
-// whether fed record by record or in batches of any size. The batch
-// driver hands each stage a copy of the chunk, since the batch
+// Batch-size invariance: every built-in stage must produce the
+// downstream record sequence (and observable side state) of a
+// test-local, obviously-right reference — a slice filter, a stable
+// sort, the artifact filter driven directly — at every batch size.
+// The driver hands each stage a copy of the chunk, since the batch
 // contract allows consumers to compact the slice in place.
 
 var parityBatchSizes = []int{1, 7, 64, 1 << 20}
 
-// feedRecords drives the per-record path: Consume every record, then
-// Flush.
-func feedRecords(t *testing.T, sink RecordSink, recs []firewall.Record) {
+// feedBatches drives sink in chunks of size n, emulating a batching
+// source: each chunk is copied into a reused buffer the sink may
+// mutate. Then Flush.
+func feedBatches(t *testing.T, sink RecordSink, recs []firewall.Record, n int) {
 	t.Helper()
-	for _, r := range recs {
-		if err := sink.Consume(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// feedBatches drives the batch path in chunks of size n, emulating a
-// batching source: each chunk is copied into a reused buffer the stage
-// may mutate.
-func feedBatches(t *testing.T, sink BatchSink, recs []firewall.Record, n int) {
-	t.Helper()
-	buf := make([]firewall.Record, 0, n)
+	buf := make([]firewall.Record, 0, min(n, len(recs)))
 	for start := 0; start < len(recs); start += n {
 		end := min(start+n, len(recs))
 		buf = append(buf[:0], recs[start:end]...)
@@ -47,29 +43,21 @@ func feedBatches(t *testing.T, sink BatchSink, recs []firewall.Record, n int) {
 	}
 }
 
-// stageParity runs mk-built stages over both paths and requires the
-// identical downstream sequence; it returns nothing — stage-specific
-// side state is compared by the callers via the check hook, invoked
-// once per run with the run's output.
-func stageParity(t *testing.T, recs []firewall.Record,
-	mk func(next RecordSink) RecordSink, check func(t *testing.T, out []firewall.Record)) {
+// consumeOne hands sink a single-record batch.
+func consumeOne(sink RecordSink, r firewall.Record) error {
+	return sink.ConsumeBatch([]firewall.Record{r})
+}
+
+// stageParity runs mk-built stages at every parity batch size and
+// requires each run's downstream sequence to equal want.
+func stageParity(t *testing.T, recs, want []firewall.Record, mk func(next RecordSink) RecordSink) {
 	t.Helper()
-
-	var want []firewall.Record
-	ref := mk(Collector(func(r firewall.Record) { want = append(want, r) }))
-	feedRecords(t, ref, recs)
-	if check != nil {
-		check(t, want)
+	if len(want) == 0 {
+		t.Fatal("empty reference; parity test is vacuous")
 	}
-
 	for _, n := range parityBatchSizes {
 		var got []firewall.Record
-		stage := mk(Collector(func(r firewall.Record) { got = append(got, r) }))
-		bs, ok := stage.(BatchSink)
-		if !ok {
-			t.Fatalf("stage %T is not batch-native", stage)
-		}
-		feedBatches(t, bs, recs, n)
+		feedBatches(t, mk(Collector(func(r firewall.Record) { got = append(got, r) })), recs, n)
 		if len(got) != len(want) {
 			t.Fatalf("batch=%d: %d records, want %d", n, len(got), len(want))
 		}
@@ -78,72 +66,99 @@ func stageParity(t *testing.T, recs []firewall.Record,
 				t.Fatalf("batch=%d: record %d differs:\n%+v\n%+v", n, i, got[i], want[i])
 			}
 		}
-		if check != nil {
-			check(t, got)
-		}
 	}
 }
 
-func TestPolicyStageParity(t *testing.T) {
-	stageParity(t, mixedStream(2, 1200), func(next RecordSink) RecordSink {
-		return Policy(firewall.DefaultCollectPolicy(), next)
-	}, func(t *testing.T, out []firewall.Record) {
-		pol := firewall.DefaultCollectPolicy()
-		for _, r := range out {
-			if !pol.Admit(r) {
-				t.Fatalf("policy let through %+v", r)
-			}
+// keep is the reference filter: the records pred admits, in order.
+func keep(recs []firewall.Record, pred func(firewall.Record) bool) []firewall.Record {
+	var out []firewall.Record
+	for _, r := range recs {
+		if pred(r) {
+			out = append(out, r)
 		}
-	})
+	}
+	return out
+}
+
+// daySorted is the reference DaySort: each UTC day's records stably
+// sorted by time, days in arrival order (the input's days must arrive
+// in order).
+func daySorted(recs []firewall.Record) []firewall.Record {
+	out := append([]firewall.Record(nil), recs...)
+	dayOf := func(r firewall.Record) time.Time { return r.Time.UTC().Truncate(24 * time.Hour) }
+	for lo := 0; lo < len(out); {
+		hi := lo + 1
+		for hi < len(out) && dayOf(out[hi]).Equal(dayOf(out[lo])) {
+			hi++
+		}
+		day := out[lo:hi]
+		sort.SliceStable(day, func(i, j int) bool { return day[i].Time.Before(day[j].Time) })
+		lo = hi
+	}
+	return out
+}
+
+// artifactRef is the reference ArtifactStage: the filter driven
+// directly through Push and Close.
+func artifactRef(recs []firewall.Record) ([]firewall.Record, firewall.FilterStats) {
+	f := firewall.NewArtifactFilter()
+	var out []firewall.Record
+	for _, r := range recs {
+		out = append(out, f.Push(r)...)
+	}
+	out = append(out, f.Close()...)
+	return out, f.Stats()
+}
+
+func TestPolicyStageParity(t *testing.T) {
+	recs := mixedStream(2, 1200)
+	pol := firewall.DefaultCollectPolicy()
+	want := keep(recs, pol.Admit)
+	if len(want) == len(recs) {
+		t.Fatal("stream has nothing for the policy to drop")
+	}
+	stageParity(t, recs, want, func(next RecordSink) RecordSink { return Policy(pol, next) })
 }
 
 func TestFilterStageParity(t *testing.T) {
+	recs := mixedStream(2, 1200)
 	pred := func(r firewall.Record) bool { return r.DstPort == 22 }
-	stageParity(t, mixedStream(2, 1200), func(next RecordSink) RecordSink {
-		return Filter(pred, next)
-	}, nil)
+	stageParity(t, recs, keep(recs, pred), func(next RecordSink) RecordSink { return Filter(pred, next) })
 }
 
 func TestTapStageParity(t *testing.T) {
 	recs := mixedStream(2, 800)
-	taps := 0
-	stageParity(t, recs, func(next RecordSink) RecordSink {
-		return Tap(func(firewall.Record) { taps++ }, next)
-	}, nil)
-	// One record-path run plus len(parityBatchSizes) batch runs.
-	if want := len(recs) * (1 + len(parityBatchSizes)); taps != want {
-		t.Fatalf("tap fired %d times, want %d", taps, want)
+	for _, n := range parityBatchSizes {
+		var tapped, passed []firewall.Record
+		stage := Tap(func(r firewall.Record) { tapped = append(tapped, r) },
+			Collector(func(r firewall.Record) { passed = append(passed, r) }))
+		feedBatches(t, stage, recs, n)
+		if !reflect.DeepEqual(tapped, recs) || !reflect.DeepEqual(passed, recs) {
+			t.Fatalf("batch=%d: tap saw %d and passed %d records, want the %d input records in order",
+				n, len(tapped), len(passed), len(recs))
+		}
 	}
 }
 
 func TestCounterStageParity(t *testing.T) {
 	recs := mixedStream(2, 800)
-	stageParity(t, recs, func(next RecordSink) RecordSink { return NewCounter(next) }, nil)
+	stageParity(t, recs, recs, func(next RecordSink) RecordSink { return NewCounter(next) })
 }
 
 func TestCounterStageCounts(t *testing.T) {
 	recs := mixedStream(1, 500)
-	ref := NewCounter(Discard)
-	feedRecords(t, ref, recs)
 	for _, n := range parityBatchSizes {
 		c := NewCounter(Discard)
 		feedBatches(t, c, recs, n)
-		if c.Count() != ref.Count() {
-			t.Fatalf("batch=%d: count %d, want %d", n, c.Count(), ref.Count())
+		if c.Count() != uint64(len(recs)) {
+			t.Fatalf("batch=%d: count %d, want %d", n, c.Count(), len(recs))
 		}
 	}
 }
 
 func TestDaySortStageParity(t *testing.T) {
-	stageParity(t, mixedStream(3, 900), func(next RecordSink) RecordSink {
-		return NewDaySort(next)
-	}, func(t *testing.T, out []firewall.Record) {
-		for i := 1; i < len(out); i++ {
-			if out[i].Time.Before(out[i-1].Time) {
-				t.Fatalf("output not time-ordered at %d", i)
-			}
-		}
-	})
+	recs := mixedStream(3, 900)
+	stageParity(t, recs, daySorted(recs), func(next RecordSink) RecordSink { return NewDaySort(next) })
 }
 
 func TestArtifactStageParity(t *testing.T) {
@@ -151,67 +166,121 @@ func TestArtifactStageParity(t *testing.T) {
 	// arrive in order and the filter buffers per day internally, so the
 	// jittered intra-day order is fine.
 	recs := mixedStream(3, 1200)
-	var refStats firewall.FilterStats
-	{
-		f := firewall.NewArtifactFilter()
-		var want []firewall.Record
-		feedRecords(t, NewArtifactStage(f, Collector(func(r firewall.Record) { want = append(want, r) })), recs)
-		refStats = f.Stats()
-		if refStats.PacketsDropped == 0 {
-			t.Fatal("stream contains no artifacts; parity test is vacuous")
-		}
+	want, wantStats := artifactRef(recs)
+	if wantStats.PacketsDropped == 0 {
+		t.Fatal("stream contains no artifacts; parity test is vacuous")
 	}
-	stageParity(t, recs, func(next RecordSink) RecordSink {
+	stageParity(t, recs, want, func(next RecordSink) RecordSink {
 		return NewArtifactStage(firewall.NewArtifactFilter(), next)
-	}, nil)
-	// Stats parity at every batch size.
+	})
 	for _, n := range parityBatchSizes {
 		f := firewall.NewArtifactFilter()
 		feedBatches(t, NewArtifactStage(f, Discard), recs, n)
-		if !reflect.DeepEqual(f.Stats(), refStats) {
-			t.Fatalf("batch=%d: stats differ:\n%+v\n%+v", n, f.Stats(), refStats)
+		if !reflect.DeepEqual(f.Stats(), wantStats) {
+			t.Fatalf("batch=%d: stats differ:\n%+v\n%+v", n, f.Stats(), wantStats)
 		}
 	}
 }
 
 func TestTeeStageParity(t *testing.T) {
 	recs := mixedStream(2, 700)
-	mkTee := func(a, b RecordSink) BatchSink {
-		return Tee(a, b).(BatchSink)
-	}
-
-	var wantA, wantB []firewall.Record
-	ref := mkTee(
-		Collector(func(r firewall.Record) { wantA = append(wantA, r) }),
-		// The second branch filters, exercising compaction isolation.
-		Chain().Filter(func(r firewall.Record) bool { return r.DstPort == 22 }).
-			Into(Collector(func(r firewall.Record) { wantB = append(wantB, r) })),
-	)
-	feedRecords(t, ref, recs)
-
+	pred := func(r firewall.Record) bool { return r.DstPort == 22 }
+	wantB := keep(recs, pred)
 	for _, n := range parityBatchSizes {
 		var gotA, gotB []firewall.Record
-		tee := mkTee(
+		tee := Tee(
 			Collector(func(r firewall.Record) { gotA = append(gotA, r) }),
-			Chain().Filter(func(r firewall.Record) bool { return r.DstPort == 22 }).
-				Into(Collector(func(r firewall.Record) { gotB = append(gotB, r) })),
+			// The second branch filters, exercising compaction isolation.
+			Chain().Filter(pred).Into(Collector(func(r firewall.Record) { gotB = append(gotB, r) })),
 		)
 		feedBatches(t, tee, recs, n)
-		if !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotB, wantB) {
+		if !reflect.DeepEqual(gotA, recs) || !reflect.DeepEqual(gotB, wantB) {
 			t.Fatalf("batch=%d: tee branches diverge (%d/%d vs %d/%d records)",
-				n, len(gotA), len(gotB), len(wantA), len(wantB))
+				n, len(gotA), len(gotB), len(recs), len(wantB))
 		}
 	}
 }
 
 // TestFilteredChainParity runs the composed standard chain (policy →
-// day sort → artifact → counter) over both paths — the whole-pipeline
-// version of the per-stage checks above.
+// day sort → artifact → counter) against the composition of the
+// references above — the whole-chain version of the per-stage checks.
 func TestFilteredChainParity(t *testing.T) {
 	recs := mixedStream(3, 1500)
-	build := func(next RecordSink) RecordSink {
+	want, _ := artifactRef(daySorted(keep(recs, firewall.DefaultCollectPolicy().Admit)))
+	stageParity(t, recs, want, func(next RecordSink) RecordSink {
 		return Policy(firewall.DefaultCollectPolicy(),
 			NewDaySort(NewArtifactStage(firewall.NewArtifactFilter(), NewCounter(next))))
+	})
+}
+
+// TestCadenceSinkParity: the cadence sinks fire advances/ticks and cut
+// checkpoints at record positions, not batch positions, so every
+// batch size must yield the scans or alerts and the checkpoint files —
+// every mark, byte for byte — of the one-record-per-batch run.
+func TestCadenceSinkParity(t *testing.T) {
+	recs := streamParityRecords(16_000, 0)
+	idsCfg := ids.Config{
+		MinDsts: 20,
+		Timeout: time.Hour,
+		Levels:  []netaddr6.AggLevel{netaddr6.Agg128, netaddr6.Agg64, netaddr6.Agg48},
 	}
-	stageParity(t, recs, build, nil)
+	type terminal interface {
+		Sink
+		setCadence(time.Duration)
+		setCheckpoint(time.Duration, string)
+	}
+	render := func(s terminal) string {
+		switch s := s.(type) {
+		case interface{ Result() *core.Detector }:
+			return fmt.Sprint(renderDetector(s.Result(), streamParityConfig().Levels))
+		case interface{ Result() []ids.Alert }:
+			return canonicalIDSAlerts(s.Result())
+		}
+		panic(fmt.Sprintf("no result accessor on %T", s))
+	}
+	sinks := map[string]func() terminal{
+		"detector":    func() terminal { return NewDetectorSink(core.NewDetector(streamParityConfig())) },
+		"sharded":     func() terminal { return NewShardedSink(core.NewShardedDetector(streamParityConfig(), 3)) },
+		"ids":         func() terminal { return NewIDSSink(ids.New(idsCfg)) },
+		"sharded-ids": func() terminal { return NewShardedIDSSink(ids.NewSharded(idsCfg, 3)) },
+	}
+	for name, mk := range sinks {
+		t.Run(name, func(t *testing.T) {
+			// run returns the rendered result and a "name sha256" line
+			// per checkpoint file, in mark order.
+			run := func(n int) (string, []string) {
+				dir := t.TempDir()
+				s := mk()
+				s.setCadence(time.Minute)
+				s.setCheckpoint(2*time.Minute, dir)
+				feedBatches(t, s, recs, n)
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				paths, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")) // the pattern is well-formed
+				var ckpts []string
+				for _, p := range paths {
+					b, err := os.ReadFile(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ckpts = append(ckpts, fmt.Sprintf("%s %x", filepath.Base(p), sha256.Sum256(b)))
+				}
+				return render(s), ckpts
+			}
+			want, wantCkpts := run(1)
+			if len(want) == 0 || len(wantCkpts) < 3 {
+				t.Fatalf("reference run is vacuous: %d result bytes, %d checkpoints", len(want), len(wantCkpts))
+			}
+			for _, n := range parityBatchSizes[1:] {
+				got, gotCkpts := run(n)
+				if got != want {
+					t.Fatalf("batch=%d: results differ from batch=1", n)
+				}
+				if !reflect.DeepEqual(gotCkpts, wantCkpts) {
+					t.Fatalf("batch=%d: checkpoints differ from batch=1:\n%v\nwant:\n%v", n, gotCkpts, wantCkpts)
+				}
+			}
+		})
+	}
 }

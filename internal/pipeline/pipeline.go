@@ -18,16 +18,22 @@
 //		Artifact().
 //		Detect(ctx, core.DefaultConfig(), 8)
 //
-// Every built-in stage is batch-native: when the source can emit
-// chunked runs (BatchSource) and the terminal sink consumes them
-// (BatchSink), records flow batch-to-batch through the whole chain —
-// filter stages compact each run in place — and Pipeline.Batched
-// reports that the fast path engaged. Stages pass records downstream
-// synchronously; parallelism lives in the sharded sinks, which
-// partition batches across worker shards. Flush propagates
-// end-of-stream down the chain so buffered stages drain and detectors
-// finalize exactly once; Close (on terminal sinks) releases resources
-// and is owned by the builder's RunInto.
+// There is one contract: sources emit batches (Source.EmitBatch) and
+// every stage and sink consumes them (RecordSink.ConsumeBatch), so
+// records flow batch-to-batch from the source to the terminal sink —
+// filter stages compact each run in place. A record-at-a-time
+// producer (the simulators' EmitDay callbacks) enters through one
+// edge adapter, SourceFunc, which stages its records into pooled
+// batches; a record-at-a-time consumer is a SinkFunc. Batch
+// boundaries are not part of the stream: every stage emits the same
+// records in the same order, and every cadence cuts at the same
+// record, at any batch size (the one exception — which late records a
+// spill-enabled WindowSort can still place — is documented there).
+// Stages pass batches downstream synchronously; parallelism lives in
+// the sharded sinks, which partition batches across worker shards.
+// Flush propagates end-of-stream down the chain so buffered stages
+// drain and detectors finalize exactly once; Close (on terminal
+// sinks) releases resources and is owned by the builder's RunInto.
 //
 // # Batch ownership
 //
@@ -43,7 +49,7 @@
 //     PutBatch) the moment the worker returns.
 //   - Within the call, the consumer may mutate the slice in place —
 //     filter stages compact survivors to the front; Tee therefore
-//     hands copies to every batch branch but its last.
+//     hands copies to every branch but its last.
 //   - Anything that retains records beyond the call must copy them
 //     (the analysis collectors copy record values; the sharded
 //     consumers partition into their own pooled buffers).
@@ -59,7 +65,8 @@
 // multi-day log flows through the chain holding only O(batch) decode
 // state. Record values themselves are safe to copy out of a batch at
 // any time (they contain no producer-owned pointers); only the slice
-// is loaned.
+// is loaned. Every source caps its batches at the batchSize EmitBatch
+// is given, and a non-positive batchSize means DefaultBatchSize.
 //
 // The concurrent sources keep the rule intact across goroutines:
 //
@@ -92,7 +99,7 @@
 // high-water mark by at most the configured window. Records trailing
 // further may already be unplaceable (their slot can have been
 // released), so the stage fails fast with a diagnostic — identically
-// on the record and batch paths — instead of silently corrupting
+// at any batch size — instead of silently corrupting
 // downstream time order. Callers size the window to their source's
 // worst-case disorder and get full-sort-equivalent output (see the
 // WindowSort doc) in exchange for window-bounded memory. When the
@@ -107,11 +114,10 @@
 // Resume) extends the ownership and ordering rules to snapshots:
 //
 //   - Periodic snapshots are cut only at cadence fire points. The
-//     cadence machinery (the same due check on the record and batch
-//     paths) fires at the FIRST record at or past the boundary, before
-//     that record is consumed, so a snapshot with mark t captures
-//     exactly the records with Time < t — the same cut on both paths,
-//     at any batch size.
+//     cadence machinery splits every batch at the FIRST record at or
+//     past the boundary and fires before that record is consumed, so a
+//     snapshot with mark t captures exactly the records with Time < t
+//     — the same cut at any batch size.
 //   - When an eviction cadence (Advance/Tick) is configured, the
 //     checkpoint cadence rides it: snapshots are cut only at eviction
 //     fire points, immediately after the advance/tick runs. A
@@ -185,7 +191,7 @@
 //
 //   - A TailSource is single-use and single-goroutine like every
 //     other source; only the pipeline's run goroutine may call
-//     Emit/EmitBatch, and Stats is safe only from code inside that
+//     EmitBatch, and Stats is safe only from code inside that
 //     pipeline or after the run ends. Emitted batches follow the
 //     standard pooled-batch loan.
 //   - The tailed file must grow by appends in non-decreasing record
@@ -266,28 +272,21 @@ package pipeline
 import (
 	"context"
 
+	"v6scan/internal/dispatch"
 	"v6scan/internal/firewall"
 )
 
-// RecordSink consumes a time-ordered record stream. Every stage and
-// terminal consumer implements it.
+// RecordSink consumes a time-ordered record stream in batches. Every
+// stage and terminal consumer implements it.
 type RecordSink interface {
-	// Consume ingests one record.
-	Consume(r firewall.Record) error
+	// ConsumeBatch ingests a run of records under the package doc's
+	// batch-ownership rule: valid only during the call, compactable in
+	// place, copy on retain.
+	ConsumeBatch(recs []firewall.Record) error
 	// Flush signals end-of-stream: buffered stages drain downstream,
 	// detectors close open sessions. A sink is not reusable after
 	// Flush.
 	Flush() error
-}
-
-// BatchSink is implemented by sinks with a fast batch path. All
-// built-in stages and terminal sinks implement it, so a fully filtered
-// pipeline stays batch-to-batch. ConsumeBatch receives a slice under
-// the package doc's batch-ownership rule: valid only during the call,
-// compactable in place, copy on retain.
-type BatchSink interface {
-	RecordSink
-	ConsumeBatch(recs []firewall.Record) error
 }
 
 // Sink is the unified terminal-sink lifecycle. Flush finalizes
@@ -302,72 +301,80 @@ type Sink interface {
 	Close() error
 }
 
-// Source produces records in non-decreasing time order, pushing each
-// into emit. Emit's error aborts production and is returned unwrapped.
+// Source produces records in non-decreasing time order.
 type Source interface {
-	Emit(emit func(r firewall.Record) error) error
-}
-
-// BatchSource is implemented by sources that can emit chunked runs of
-// records (the slice, log and pcap sources). Pipelines coupling one to
-// a BatchSink chain stream batch-to-batch, skipping the per-record
-// indirection entirely.
-type BatchSource interface {
-	Source
-	// EmitBatch pushes runs of up to batchSize records into emit,
-	// under the package doc's batch-ownership rule: the source owns
-	// (and refills) the backing array, consumers may compact in
-	// place, and sinks that retain records must copy (the sharded
-	// consumers already partition into their own pooled buffers).
+	// EmitBatch pushes runs of 1 to batchSize records into emit (a
+	// non-positive batchSize means DefaultBatchSize), under the
+	// package doc's batch-ownership rule: the source owns (and
+	// refills) the backing array, consumers may compact in place, and
+	// sinks that retain records must copy. Emit's error aborts
+	// production and is returned unwrapped.
 	EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error
 }
 
-// DefaultBatchSize is the chunk size Run uses on the batch path —
-// large enough to amortize dispatch overhead, small enough to keep
-// per-chunk buffers cache-friendly.
+// DefaultBatchSize is the chunk size Run uses — large enough to
+// amortize dispatch overhead, small enough to keep per-chunk buffers
+// cache-friendly.
 const DefaultBatchSize = 4096
 
-// SourceFunc adapts a function to the Source interface.
+// batchLimit resolves an EmitBatch batchSize: non-positive means
+// DefaultBatchSize.
+func batchLimit(batchSize int) int {
+	if batchSize <= 0 {
+		return DefaultBatchSize
+	}
+	return batchSize
+}
+
+// SourceFunc adapts a record-at-a-time producer — the simulators'
+// EmitDay callbacks — to Source: the function pushes records one by
+// one into emit, and EmitBatch stages them into a pooled batch that
+// flows downstream every batchSize records and once more at the end.
+// It is the one record-shaped edge of the pipeline.
 type SourceFunc func(emit func(r firewall.Record) error) error
 
-// Emit implements Source.
-func (f SourceFunc) Emit(emit func(r firewall.Record) error) error { return f(emit) }
+// EmitBatch implements Source.
+func (f SourceFunc) EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error {
+	batchSize = batchLimit(batchSize)
+	buf := dispatch.GetBatch(batchSize)
+	defer dispatch.PutBatch(buf)
+	err := f(func(r firewall.Record) error {
+		*buf = append(*buf, r)
+		if len(*buf) < batchSize {
+			return nil
+		}
+		err := emit(*buf)
+		*buf = (*buf)[:0]
+		return err
+	})
+	if err != nil || len(*buf) == 0 {
+		return err
+	}
+	return emit(*buf)
+}
 
 // Pipeline couples a source to a sink chain.
 type Pipeline struct {
-	src     Source
-	sink    RecordSink
-	batched bool
+	src  Source
+	sink RecordSink
 }
 
 // New returns a pipeline streaming src into sink. Prefer assembling
-// chains with From(...).Build / RunInto — the builder also verifies
-// batch continuity through every intermediate stage.
+// chains with From(...).Build / RunInto.
 func New(src Source, sink RecordSink) *Pipeline {
-	_, bok := src.(BatchSource)
-	_, sok := sink.(BatchSink)
-	return &Pipeline{src: src, sink: sink, batched: bok && sok}
+	return &Pipeline{src: src, sink: sink}
 }
-
-// Batched reports whether Run streams in batches rather than record by
-// record. For a pipeline from New it covers the first hop (BatchSource
-// into a BatchSink chain head); for a builder-built pipeline it
-// additionally asserts that every intermediate stage is batch-native,
-// so true means batch-to-batch from EmitBatch to the terminal sink.
-func (p *Pipeline) Batched() bool { return p.batched }
 
 // Run is RunContext with a background context.
 func (p *Pipeline) Run() error { return p.RunContext(context.Background()) }
 
 // RunContext streams every record from the source through the sink
-// chain, then flushes it. When the source can emit chunks and the
-// first sink consumes them (BatchSource into BatchSink), records flow
-// in batches of DefaultBatchSize; otherwise record by record. The
-// first error — from the source, a stage, the terminal sink, or ctx
-// being cancelled (checked per record or per batch) — aborts the run.
-// The chain is flushed even on a mid-stream error so sinks holding
-// resources (the sharded consumers' worker goroutines, buffered
-// writers) release them; the original error wins over any flush error.
+// chain in batches of DefaultBatchSize, then flushes it. The first
+// error — from the source, a stage, the terminal sink, or ctx being
+// cancelled (checked per batch) — aborts the run. The chain is
+// flushed even on a mid-stream error so sinks holding resources (the
+// sharded consumers' worker goroutines, buffered writers) release
+// them; the original error wins over any flush error.
 func (p *Pipeline) RunContext(ctx context.Context) error {
 	err := p.stream(ctx)
 	ferr := p.sink.Flush()
@@ -378,43 +385,14 @@ func (p *Pipeline) RunContext(ctx context.Context) error {
 }
 
 func (p *Pipeline) stream(ctx context.Context) error {
-	cancellable := ctx.Done() != nil
-	if bsrc, ok := p.src.(BatchSource); ok {
-		if bsink, ok := p.sink.(BatchSink); ok {
-			emit := bsink.ConsumeBatch
-			if cancellable {
-				emit = func(recs []firewall.Record) error {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					return bsink.ConsumeBatch(recs)
-				}
-			}
-			return bsrc.EmitBatch(DefaultBatchSize, emit)
-		}
-	}
-	emit := p.sink.Consume
-	if cancellable {
-		emit = func(r firewall.Record) error {
+	emit := p.sink.ConsumeBatch
+	if ctx.Done() != nil {
+		emit = func(recs []firewall.Record) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			return p.sink.Consume(r)
+			return p.sink.ConsumeBatch(recs)
 		}
 	}
-	return p.src.Emit(emit)
-}
-
-// consumeBatch forwards a run of records to next, using the batch path
-// when available.
-func consumeBatch(next RecordSink, recs []firewall.Record) error {
-	if bs, ok := next.(BatchSink); ok {
-		return bs.ConsumeBatch(recs)
-	}
-	for _, r := range recs {
-		if err := next.Consume(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.src.EmitBatch(DefaultBatchSize, emit)
 }

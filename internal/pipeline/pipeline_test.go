@@ -144,9 +144,8 @@ func TestLogRoundTripThroughPipeline(t *testing.T) {
 	}
 }
 
-// TestRunUsesBatchPath verifies that a BatchSource feeding a BatchSink
-// streams in chunks (and that the per-record path still sees every
-// record when a non-batch stage intervenes).
+// TestRunUsesBatchPath verifies that Run streams in DefaultBatchSize
+// chunks, straight through an intermediate stage.
 func TestRunUsesBatchPath(t *testing.T) {
 	recs := scanStream(10_000)
 	var batches, records int
@@ -160,33 +159,13 @@ func TestRunUsesBatchPath(t *testing.T) {
 	if want := (len(recs) + DefaultBatchSize - 1) / DefaultBatchSize; batches != want {
 		t.Fatalf("batch path saw %d batches, want %d", batches, want)
 	}
-	// Filter stages are batch-native now, so an intermediate filter no
-	// longer breaks the batch path.
 	batches, records = 0, 0
 	sink2 := &countingBatchSink{onBatch: func(n int) { batches++; records += n }}
-	p := New(SliceSource(recs), Filter(func(firewall.Record) bool { return true }, sink2))
-	if !p.Batched() {
-		t.Fatal("filtered chain should stay batched")
-	}
-	if err := p.Run(); err != nil {
+	if err := New(SliceSource(recs), Filter(func(firewall.Record) bool { return true }, sink2)).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if records != len(recs) || batches >= len(recs) {
-		t.Fatalf("filtered batch path consumed %d records in %d batches", records, batches)
-	}
-	// A sink chain whose head hides batch capability forces the record
-	// path, and every record still arrives.
-	records = 0
-	sink3 := &countingBatchSink{onBatch: func(n int) { records += n }}
-	p = New(SliceSource(recs), &wrapRecordOnly{sink3})
-	if p.Batched() {
-		t.Fatal("record-only head cannot be batched")
-	}
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if records != len(recs) {
-		t.Fatalf("record path consumed %d records, want %d", records, len(recs))
+		t.Fatalf("filtered chain consumed %d records in %d batches", records, batches)
 	}
 }
 
@@ -194,7 +173,6 @@ type countingBatchSink struct {
 	onBatch func(n int)
 }
 
-func (s *countingBatchSink) Consume(firewall.Record) error { s.onBatch(1); return nil }
 func (s *countingBatchSink) ConsumeBatch(recs []firewall.Record) error {
 	s.onBatch(len(recs))
 	return nil
@@ -202,8 +180,8 @@ func (s *countingBatchSink) ConsumeBatch(recs []firewall.Record) error {
 func (s *countingBatchSink) Flush() error { return nil }
 
 // TestLogSourceEmitBatch round-trips a log through the chunked reader
-// into the batch-path IDS sink and checks the alert matches the
-// record-path engine's.
+// into the IDS sink and checks the alert matches the engine fed record
+// by record.
 func TestLogSourceEmitBatch(t *testing.T) {
 	recs := scanStream(150)
 	var buf bytes.Buffer
@@ -248,22 +226,15 @@ func TestIDSSinkAdvanceEvery(t *testing.T) {
 	if len(merged.Alerts) != 1 {
 		t.Fatalf("without AdvanceEvery: %d alerts, want 1 merged", len(merged.Alerts))
 	}
-	// Both paths must split at the same stream point: the batch path
-	// (default Run over a SliceSource) splits batches at cadence
-	// points, and the record path (forced by the Tap stage) ticks per
-	// record.
-	for name, stage := range map[string]func(RecordSink) RecordSink{
-		"batch":  func(s RecordSink) RecordSink { return s },
-		"record": func(s RecordSink) RecordSink { return Tap(func(firewall.Record) {}, s) },
-	} {
+	// Every batch size must split at the same stream point: the sink
+	// splits batches at cadence points.
+	for _, n := range []int{1, DefaultBatchSize} {
 		split := NewIDSSink(ids.New(ids.DefaultConfig()))
 		split.AdvanceEvery = time.Minute
-		if err := New(SliceSource(recs), stage(split)).Run(); err != nil {
-			t.Fatal(err)
-		}
+		feedBatches(t, split, recs, n)
 		if len(split.Alerts) != 2 {
-			t.Fatalf("%s path with AdvanceEvery: %d alerts, want 2 split sessions: %v",
-				name, len(split.Alerts), split.Alerts)
+			t.Fatalf("batch=%d with AdvanceEvery: %d alerts, want 2 split sessions: %v",
+				n, len(split.Alerts), split.Alerts)
 		}
 	}
 }

@@ -74,8 +74,8 @@ func TestSortByTimeNoWorkWhenSorted(t *testing.T) {
 }
 
 // TestDaySortRunAware verifies the rewritten DaySort still matches the
-// sort.SliceStable contract per day, on both dispatch paths, for
-// in-order and disordered days.
+// sort.SliceStable contract per day, one record per batch and in
+// 64-record batches, for in-order and disordered days.
 func TestDaySortRunAware(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	t0 := time.Date(2021, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -94,45 +94,11 @@ func TestDaySortRunAware(t *testing.T) {
 			})
 		}
 	}
-	want := func() []firewall.Record {
-		out := append([]firewall.Record(nil), recs...)
-		for day := 0; day < 3; day++ {
-			seg := out[day*500 : (day+1)*500]
-			sort.SliceStable(seg, func(i, j int) bool { return seg[i].Time.Before(seg[j].Time) })
-		}
-		return out
-	}()
-
-	for name, feed := range map[string]func(d *DaySort) error{
-		"record": func(d *DaySort) error {
-			for _, r := range recs {
-				if err := d.Consume(r); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"batch": func(d *DaySort) error {
-			scratch := make([]firewall.Record, 0, 64)
-			for i := 0; i < len(recs); i += 64 {
-				end := min(i+64, len(recs))
-				scratch = append(scratch[:0], recs[i:end]...)
-				if err := d.ConsumeBatch(scratch); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	} {
+	want := daySorted(recs)
+	for name, n := range map[string]int{"record": 1, "batch": 64} {
 		t.Run(name, func(t *testing.T) {
 			var got []firewall.Record
-			d := NewDaySort(Collector(func(r firewall.Record) { got = append(got, r) }))
-			if err := feed(d); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			feedBatches(t, NewDaySort(Collector(func(r firewall.Record) { got = append(got, r) })), recs, n)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatal("DaySort output differs from per-day sort.SliceStable")
 			}

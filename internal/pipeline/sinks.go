@@ -17,14 +17,11 @@ import (
 // after a mid-stream error. Results are read through each sink's typed
 // Result accessor, valid after Flush.
 
-// SinkFunc adapts a record function to RecordSink; Flush is a no-op.
+// SinkFunc adapts a record function to RecordSink: ConsumeBatch calls
+// it on every record of the batch in order; Flush is a no-op.
 type SinkFunc func(r firewall.Record) error
 
-// Consume implements RecordSink.
-func (f SinkFunc) Consume(r firewall.Record) error { return f(r) }
-
-// ConsumeBatch implements BatchSink so function sinks (collectors,
-// Discard) terminate a batch chain without breaking continuity.
+// ConsumeBatch implements RecordSink.
 func (f SinkFunc) ConsumeBatch(recs []firewall.Record) error {
 	for i := range recs {
 		if err := f(recs[i]); err != nil {
@@ -57,8 +54,8 @@ var Discard RecordSink = SinkFunc(func(firewall.Record) error { return nil })
 // accessors are valid.
 //
 // AdvanceEvery, when positive, forwards Detector.Advance on a
-// stream-time cadence (checked at record/batch granularity) so
-// sessions idle past the timeout are closed mid-stream and the
+// stream-time cadence (checked per record) so sessions idle past the
+// timeout are closed mid-stream and the
 // working set stays proportional to one timeout of stream instead of
 // growing until Flush. Advancing never changes the detected scans —
 // a session closed early by Advance is exactly the session Finish
@@ -77,20 +74,10 @@ type DetectorSink struct {
 // NewDetectorSink wraps a detector.
 func NewDetectorSink(d *core.Detector) *DetectorSink { return &DetectorSink{D: d} }
 
-// Consume implements RecordSink. The cadence check runs before the
-// record is ingested, as on IDSSink: a record that jumped past the
-// cadence first advances the eviction horizon, then contributes its
-// own activity.
-func (s *DetectorSink) Consume(r firewall.Record) error {
-	if err := s.at(s, r.Time); err != nil {
-		return err
-	}
-	return s.D.Process(r)
-}
-
-// ConsumeBatch implements BatchSink, splitting the batch at every
-// cadence point so advances and checkpoints fire at the same stream
-// positions as on the per-record path.
+// ConsumeBatch implements RecordSink, splitting the batch at every
+// cadence point. The cadence fires before the record at that point is
+// ingested, as on IDSSink: a record that jumped past the cadence first
+// advances the eviction horizon, then contributes its own activity.
 func (s *DetectorSink) ConsumeBatch(recs []firewall.Record) error { return s.split(s, recs) }
 
 func (s *DetectorSink) advance(t time.Time) error            { s.D.Advance(t); return nil }
@@ -130,17 +117,8 @@ type ShardedSink struct {
 // NewShardedSink wraps a sharded detector.
 func NewShardedSink(d *core.ShardedDetector) *ShardedSink { return &ShardedSink{D: d} }
 
-// Consume implements RecordSink via the detector's staged batching;
-// the cadence check runs before ingestion, as on DetectorSink.
-func (s *ShardedSink) Consume(r firewall.Record) error {
-	if err := s.at(s, r.Time); err != nil {
-		return err
-	}
-	return s.D.Process(r)
-}
-
-// ConsumeBatch implements BatchSink, splitting at cadence points as on
-// DetectorSink.
+// ConsumeBatch implements RecordSink, splitting at cadence points as
+// on DetectorSink.
 func (s *ShardedSink) ConsumeBatch(recs []firewall.Record) error { return s.split(s, recs) }
 
 func (s *ShardedSink) advance(t time.Time) error            { return s.D.Advance(t) }
@@ -170,13 +148,7 @@ type MAWISink struct {
 // NewMAWISink wraps a MAWI detector.
 func NewMAWISink(d *core.MAWIDetector) *MAWISink { return &MAWISink{D: d} }
 
-// Consume implements RecordSink.
-func (s *MAWISink) Consume(r firewall.Record) error {
-	s.D.Process(r)
-	return nil
-}
-
-// ConsumeBatch implements BatchSink.
+// ConsumeBatch implements RecordSink.
 func (s *MAWISink) ConsumeBatch(recs []firewall.Record) error {
 	for i := range recs {
 		s.D.Process(recs[i])
@@ -202,7 +174,6 @@ func (s *MAWISink) Result() []core.MAWIScan { return s.Scans }
 // IDSEngine is the engine an IDS sink drives — *ids.Engine, or
 // *ids.ShardedEngine across worker shards — and what its hook reads.
 type IDSEngine interface {
-	Process(r firewall.Record)
 	ProcessBatch(recs []firewall.Record)
 	Tick(now time.Time)
 	Drain() []ids.Alert
@@ -239,7 +210,7 @@ type IDSHook interface {
 // Flush stores the accumulated alerts in Alerts.
 //
 // AdvanceEvery, when positive, forwards Engine.Tick on a stream-time
-// cadence (checked at record/batch granularity) so idle candidates
+// cadence (checked per record) so idle candidates
 // are evicted mid-stream as in an inline deployment; zero leaves all
 // eviction to Flush. Checkpoints ride the cadence as on DetectorSink:
 // the tick fires before the snapshot at a shared cut. A hook (Attach)
@@ -280,27 +251,13 @@ func (s *idsSink[E]) Attach(h IDSHook) IDSEngine {
 	return s.E
 }
 
-// Consume implements RecordSink. The cadence check runs before the
-// record is ingested: a record whose timestamp jumped past the
-// cadence first advances the engine clock (evicting candidates that
-// went idle during the gap, as an inline deployment's timer would)
-// and only then contributes its own activity.
-func (s *idsSink[E]) Consume(r firewall.Record) error {
-	if err := s.at(s, r.Time); err != nil {
-		return err
-	}
-	s.E.Process(r)
-	s.lastSeen = r.Time
-	if s.hook != nil {
-		s.hook.Consumed(s.lastSeen)
-	}
-	return nil
-}
-
-// ConsumeBatch implements BatchSink. The batch is split at every
-// cadence point so ticks and checkpoints fire at the same stream
-// positions as on the per-record path — batch size (and stages that
-// force the record path) never change which sessions merge.
+// ConsumeBatch implements RecordSink. The batch is split at every
+// cadence point, and the cadence fires before the record at that
+// point is ingested: a record whose timestamp jumped past the cadence
+// first advances the engine clock (evicting candidates that went idle
+// during the gap, as an inline deployment's timer would) and only
+// then contributes its own activity. Batch size therefore never
+// changes which sessions merge.
 func (s *idsSink[E]) ConsumeBatch(recs []firewall.Record) error {
 	if err := s.split(s, recs); err != nil {
 		return err
@@ -367,10 +324,7 @@ type LogSink struct {
 // NewLogSink wraps a log writer.
 func NewLogSink(w *firewall.Writer) *LogSink { return &LogSink{W: w} }
 
-// Consume implements RecordSink.
-func (s *LogSink) Consume(r firewall.Record) error { return s.W.Write(r) }
-
-// ConsumeBatch implements BatchSink.
+// ConsumeBatch implements RecordSink.
 func (s *LogSink) ConsumeBatch(recs []firewall.Record) error {
 	for i := range recs {
 		if err := s.W.Write(recs[i]); err != nil {

@@ -15,22 +15,13 @@ import (
 // sinks' dispatcher recycles its per-shard buffers through — refilled
 // in place for every chunk including the final short one, and returned
 // to the pool when the source is drained. Consumers therefore must not
-// retain an emitted slice beyond ConsumeBatch.
+// retain an emitted slice beyond ConsumeBatch. A non-positive
+// batchSize means DefaultBatchSize.
 
 // SliceSource emits an in-memory record slice.
 type SliceSource []firewall.Record
 
-// Emit implements Source.
-func (s SliceSource) Emit(emit func(r firewall.Record) error) error {
-	for _, r := range s {
-		if err := emit(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EmitBatch implements BatchSource. Each chunk is copied into a pooled
+// EmitBatch implements Source. Each chunk is copied into a pooled
 // scratch buffer before emission: the batch contract lets consumers
 // (filter stages) compact the slice in place, and the caller's backing
 // slice must not be mutated.
@@ -38,6 +29,7 @@ func (s SliceSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) 
 	if len(s) == 0 {
 		return nil
 	}
+	batchSize = batchLimit(batchSize)
 	buf := dispatch.GetBatch(min(batchSize, len(s)))
 	defer dispatch.PutBatch(buf)
 	for start := 0; start < len(s); start += batchSize {
@@ -62,27 +54,12 @@ func NewLogSource(r io.Reader) *LogSource {
 	return &LogSource{r: firewall.NewReader(r)}
 }
 
-// Emit implements Source.
-func (s *LogSource) Emit(emit func(r firewall.Record) error) error {
-	for {
-		rec, err := s.r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := emit(rec); err != nil {
-			return err
-		}
-	}
-}
-
-// EmitBatch implements BatchSource via Reader.NextBatch: each chunk is
-// one bulk read plus a tight decode loop straight into the pooled
-// chunk buffer, so steady-state ingest performs no per-record calls
-// and no per-chunk allocations.
+// EmitBatch implements Source via Reader.NextBatch: each chunk is one
+// bulk read plus a tight decode loop straight into the pooled chunk
+// buffer, so steady-state ingest performs no per-record calls and no
+// per-chunk allocations.
 func (s *LogSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error {
+	batchSize = batchLimit(batchSize)
 	buf := dispatch.GetBatch(batchSize)
 	defer dispatch.PutBatch(buf)
 	for {
@@ -116,40 +93,14 @@ type PcapSource struct {
 // NewPcapSource returns a source decoding the pcap stream r.
 func NewPcapSource(r io.Reader) *PcapSource { return &PcapSource{r: r} }
 
-// Skipped reports how many packets failed to decode. It is valid
-// after Emit and after EmitBatch alike — both paths count every
-// undecodable packet as they pass it — and, the run having finished,
-// on whichever of the two drove the pipeline.
+// Skipped reports how many packets failed to decode; valid once
+// EmitBatch has returned.
 func (s *PcapSource) Skipped() int { return s.skipped }
 
-// Emit implements Source.
-func (s *PcapSource) Emit(emit func(r firewall.Record) error) error {
-	pr, err := pcap.NewReader(s.r)
-	if err != nil {
-		return err
-	}
-	var d layers.Decoded
-	for {
-		p, err := pr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if perr := layers.ParseFrame(p.Data, pr.Header().LinkType, &d); perr != nil {
-			s.skipped++
-			continue
-		}
-		if err := emit(firewall.FromDecoded(p.Timestamp, &d)); err != nil {
-			return err
-		}
-	}
-}
-
-// EmitBatch implements BatchSource: frames are decoded into a pooled
-// chunk buffer and handed downstream batchSize at a time.
+// EmitBatch implements Source: frames are decoded into a pooled chunk
+// buffer and handed downstream batchSize at a time.
 func (s *PcapSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error {
+	batchSize = batchLimit(batchSize)
 	pr, err := pcap.NewReader(s.r)
 	if err != nil {
 		return err

@@ -2,23 +2,27 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"v6scan/internal/bus"
 	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
+	"v6scan/internal/netaddr6"
 	"v6scan/internal/pcap"
 )
 
-// TestPcapSkippedAfterEmitBatch pins the documented contract that
-// Skipped is valid after the batch path, not just Emit: undecodable
-// packets interleaved with good frames are counted while the decoded
-// records still flow.
-func TestPcapSkippedAfterEmitBatch(t *testing.T) {
-	recs := streamParityRecords(10, 0)
+// writeSYNCapture encodes recs as a capture of Ethernet TCP SYN frames,
+// preceding the record at each junkAt index with an undecodable
+// packet.
+func writeSYNCapture(t *testing.T, recs []firewall.Record, junkAt map[int]bool) []byte {
+	t.Helper()
 	var capture bytes.Buffer
 	pw := pcap.NewWriter(&capture, pcap.WriterOptions{Nanosecond: true})
-	junkAt := map[int]bool{0: true, 4: true, 9: true}
 	for i, r := range recs {
 		if junkAt[i] {
 			// Too short to hold an Ethernet + IPv6 header: undecodable.
@@ -38,9 +42,19 @@ func TestPcapSkippedAfterEmitBatch(t *testing.T) {
 	if err := pw.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	return capture.Bytes()
+}
 
+// TestPcapSkippedAfterEmitBatch pins the documented contract that
+// Skipped is valid once EmitBatch returns: undecodable packets
+// interleaved with good frames are counted while the decoded records
+// still flow.
+func TestPcapSkippedAfterEmitBatch(t *testing.T) {
+	recs := streamParityRecords(10, 0)
+	junkAt := map[int]bool{0: true, 4: true, 9: true}
+	capture := writeSYNCapture(t, recs, junkAt)
 	for _, batchSize := range []int{1, 3, DefaultBatchSize} {
-		src := NewPcapSource(bytes.NewReader(capture.Bytes()))
+		src := NewPcapSource(bytes.NewReader(capture))
 		decoded := 0
 		if err := src.EmitBatch(batchSize, func(part []firewall.Record) error {
 			decoded += len(part)
@@ -53,6 +67,87 @@ func TestPcapSkippedAfterEmitBatch(t *testing.T) {
 		}
 		if got := src.Skipped(); got != len(junkAt) {
 			t.Fatalf("batch=%d: Skipped() = %d after EmitBatch, want %d", batchSize, got, len(junkAt))
+		}
+	}
+}
+
+// TestSourcesNonPositiveBatchSize: every source — and the SourceFunc
+// edge adapter — reads a non-positive batch size as DefaultBatchSize:
+// it terminates and emits what it emits at DefaultBatchSize, in
+// batches of 1 to DefaultBatchSize records.
+func TestSourcesNonPositiveBatchSize(t *testing.T) {
+	recs := streamParityRecords(2*DefaultBatchSize+100, 0)
+	log := encodeLog(t, recs)
+	logPath := filepath.Join(t.TempDir(), "fw.log")
+	if err := os.WriteFile(logPath, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	capture := writeSYNCapture(t, recs, nil)
+	sources := map[string]func() Source{
+		"slice":    func() Source { return SliceSource(recs) },
+		"log":      func() Source { return NewLogSource(bytes.NewReader(log)) },
+		"pcap":     func() Source { return NewPcapSource(bytes.NewReader(capture)) },
+		"parallel": func() Source { return NewParallelLogSource(bytes.NewReader(log), int64(len(log)), 2) },
+		"files":    func() Source { return NewFilesSource(logPath) },
+		"merge":    func() Source { return NewMergeSource(SliceSource(recs[:100]), SliceSource(recs[100:])) },
+		"subscribe": func() Source {
+			b := bus.New()
+			src := NewSubscribeSource(context.Background(), b, "t")
+			feedBatches(t, NewPublishSink(context.Background(), b, netaddr6.Agg48, "t"), recs, len(recs))
+			return src
+		},
+		"tail": func() Source {
+			// Cancelled up front: the tail drains the file once and ends.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return NewTailSource(logPath, TailConfig{Context: ctx})
+		},
+		"func": func() Source {
+			return SourceFunc(func(emit func(firewall.Record) error) error {
+				for _, r := range recs {
+					if err := emit(r); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		},
+	}
+	// emitAll runs src under a deadline, collecting records and batch
+	// sizes.
+	emitAll := func(t *testing.T, src Source, batchSize int) (got []firewall.Record, sizes []int) {
+		done := make(chan error, 1)
+		go func() {
+			done <- src.EmitBatch(batchSize, func(b []firewall.Record) error {
+				got, sizes = append(got, b...), append(sizes, len(b))
+				return nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("EmitBatch(%d) did not return", batchSize)
+		}
+		return got, sizes
+	}
+	for name, mk := range sources {
+		want, _ := emitAll(t, mk(), DefaultBatchSize)
+		if len(want) != len(recs) {
+			t.Fatalf("%s: emitted %d records at DefaultBatchSize, want %d", name, len(want), len(recs))
+		}
+		for _, batchSize := range []int{0, -1} {
+			got, sizes := emitAll(t, mk(), batchSize)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%d: emitted %d records, want the %d of DefaultBatchSize in order", name, batchSize, len(got), len(want))
+			}
+			for i, n := range sizes {
+				if n < 1 || n > DefaultBatchSize {
+					t.Fatalf("%s/%d: batch %d holds %d records, want 1..%d", name, batchSize, i, n, DefaultBatchSize)
+				}
+			}
 		}
 	}
 }

@@ -6,9 +6,8 @@ import (
 	"v6scan/internal/firewall"
 )
 
-// tapStage invokes a hook on every record before passing it downstream
-// — the hook analysis collectors attach with. The batch path forwards
-// each run untouched, preserving batch continuity.
+// tapStage invokes a hook on every record before passing the batch
+// downstream untouched — the hook analysis collectors attach with.
 type tapStage struct {
 	fn   func(r firewall.Record)
 	next RecordSink
@@ -19,26 +18,20 @@ func Tap(fn func(r firewall.Record), next RecordSink) RecordSink {
 	return &tapStage{fn: fn, next: next}
 }
 
-// Consume implements RecordSink.
-func (s *tapStage) Consume(r firewall.Record) error {
-	s.fn(r)
-	return s.next.Consume(r)
-}
-
-// ConsumeBatch implements BatchSink.
+// ConsumeBatch implements RecordSink.
 func (s *tapStage) ConsumeBatch(recs []firewall.Record) error {
 	for i := range recs {
 		s.fn(recs[i])
 	}
-	return consumeBatch(s.next, recs)
+	return s.next.ConsumeBatch(recs)
 }
 
 // Flush implements RecordSink.
 func (s *tapStage) Flush() error { return s.next.Flush() }
 
-// filterStage passes only records satisfying pred downstream. The
-// batch path compacts each run in place — survivors slide to the front
-// of the slice and flow on as one contiguous batch (the batch contract
+// filterStage passes only records satisfying pred downstream. It
+// compacts each batch in place — survivors slide to the front of the
+// slice and flow on as one contiguous batch (the batch contract
 // permits consumers to mutate the slice within the call).
 type filterStage struct {
 	pred func(r firewall.Record) bool
@@ -50,15 +43,7 @@ func Filter(pred func(r firewall.Record) bool, next RecordSink) RecordSink {
 	return &filterStage{pred: pred, next: next}
 }
 
-// Consume implements RecordSink.
-func (s *filterStage) Consume(r firewall.Record) error {
-	if !s.pred(r) {
-		return nil
-	}
-	return s.next.Consume(r)
-}
-
-// ConsumeBatch implements BatchSink with in-place compaction.
+// ConsumeBatch implements RecordSink with in-place compaction.
 func (s *filterStage) ConsumeBatch(recs []firewall.Record) error {
 	kept := recs[:0]
 	for _, r := range recs {
@@ -69,7 +54,7 @@ func (s *filterStage) ConsumeBatch(recs []firewall.Record) error {
 	if len(kept) == 0 {
 		return nil
 	}
-	return consumeBatch(s.next, kept)
+	return s.next.ConsumeBatch(kept)
 }
 
 // Flush implements RecordSink.
@@ -87,7 +72,7 @@ type teeStage struct {
 	scratch []firewall.Record
 }
 
-// Tee duplicates the stream into every sink. Consume fans out in
+// Tee duplicates the stream into every sink. ConsumeBatch fans out in
 // argument order and stops at the first error; Flush always reaches
 // every sink — so each releases its resources — and returns the first
 // error encountered. (The builder's Tee is the pass-through variant:
@@ -96,39 +81,18 @@ func Tee(sinks ...RecordSink) RecordSink {
 	return &teeStage{sinks: sinks}
 }
 
-// Consume implements RecordSink.
-func (s *teeStage) Consume(r firewall.Record) error {
-	for _, sk := range s.sinks {
-		if err := sk.Consume(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ConsumeBatch implements BatchSink, fanning each run out in argument
-// order. Downstream batch consumers may compact the slice in place, so
-// every batch-capable branch but the last receives a fresh copy from a
-// reused scratch buffer; the last branch gets the original, and
-// record-only branches are fed per record (they only ever see value
-// copies, so no slice copy is needed).
+// ConsumeBatch implements RecordSink, fanning each run out in argument
+// order. Downstream consumers may compact the slice in place, so every
+// branch but the last receives a fresh copy from a reused scratch
+// buffer; the last branch gets the original.
 func (s *teeStage) ConsumeBatch(recs []firewall.Record) error {
 	for i, sk := range s.sinks {
-		bs, batch := sk.(BatchSink)
-		if !batch {
-			for _, r := range recs {
-				if err := sk.Consume(r); err != nil {
-					return err
-				}
-			}
-			continue
-		}
 		run := recs
 		if i < len(s.sinks)-1 {
 			s.scratch = append(s.scratch[:0], recs...)
 			run = s.scratch
 		}
-		if err := bs.ConsumeBatch(run); err != nil {
+		if err := sk.ConsumeBatch(run); err != nil {
 			return err
 		}
 	}
@@ -156,17 +120,10 @@ type Counter struct {
 // NewCounter returns a counting pass-through stage.
 func NewCounter(next RecordSink) *Counter { return &Counter{next: next} }
 
-// Consume implements RecordSink.
-func (c *Counter) Consume(r firewall.Record) error {
-	c.n++
-	return c.next.Consume(r)
-}
-
-// ConsumeBatch implements BatchSink so counters do not break a
-// downstream batch path.
+// ConsumeBatch implements RecordSink.
 func (c *Counter) ConsumeBatch(recs []firewall.Record) error {
 	c.n += uint64(len(recs))
-	return consumeBatch(c.next, recs)
+	return c.next.ConsumeBatch(recs)
 }
 
 // Flush implements RecordSink.
@@ -201,22 +158,9 @@ type DaySort struct {
 // NewDaySort returns a day-sorting stage.
 func NewDaySort(next RecordSink) *DaySort { return &DaySort{next: next} }
 
-// Consume implements RecordSink.
-func (d *DaySort) Consume(r firewall.Record) error {
-	day := r.Time.UTC().Truncate(24 * time.Hour)
-	if !d.day.IsZero() && day.After(d.day) {
-		if err := d.emit(); err != nil {
-			return err
-		}
-	}
-	d.day = day
-	d.buffer(r)
-	return nil
-}
-
-// ConsumeBatch implements BatchSink: runs between day boundaries are
-// buffered, and each completed day drains downstream exactly where the
-// record path would drain it.
+// ConsumeBatch implements RecordSink: records are buffered, and each
+// completed day drains downstream at the first record of the next
+// day, whatever batch that record arrives in.
 func (d *DaySort) ConsumeBatch(recs []firewall.Record) error {
 	for i := range recs {
 		day := recs[i].Time.UTC().Truncate(24 * time.Hour)
@@ -258,7 +202,7 @@ func (d *DaySort) emit() error {
 		mergeBounds(d.buf, d.bounds, &d.scratch)
 		d.runs = d.runs[:0]
 	}
-	err := consumeBatch(d.next, d.buf)
+	err := d.next.ConsumeBatch(d.buf)
 	d.buf = d.buf[:0]
 	return err
 }
@@ -275,24 +219,14 @@ func NewArtifactStage(f *firewall.ArtifactFilter, next RecordSink) *ArtifactStag
 	return &ArtifactStage{f: f, next: next}
 }
 
-// Consume implements RecordSink; completed days' survivors flow
-// downstream as batches.
-func (a *ArtifactStage) Consume(r firewall.Record) error {
-	if out := a.f.Push(r); len(out) > 0 {
-		return consumeBatch(a.next, out)
-	}
-	return nil
-}
-
-// ConsumeBatch implements BatchSink. The filter buffers per day
-// internally, so the batch path's contribution is on the output side:
-// each completed day's survivors flow downstream as one batch, keeping
-// the chain batch-to-batch. That batch is the filter's day buffer,
-// handed over for good, so downstream may keep it past the call.
+// ConsumeBatch implements RecordSink. The filter buffers per day
+// internally; each completed day's survivors flow downstream as one
+// batch. That batch is the filter's day buffer, handed over for good,
+// so downstream may keep it past the call.
 func (a *ArtifactStage) ConsumeBatch(recs []firewall.Record) error {
 	for i := range recs {
 		if out := a.f.Push(recs[i]); len(out) > 0 {
-			if err := consumeBatch(a.next, out); err != nil {
+			if err := a.next.ConsumeBatch(out); err != nil {
 				return err
 			}
 		}
@@ -303,7 +237,7 @@ func (a *ArtifactStage) ConsumeBatch(recs []firewall.Record) error {
 // Flush finalizes the buffered day and drains downstream.
 func (a *ArtifactStage) Flush() error {
 	if out := a.f.Close(); len(out) > 0 {
-		if err := consumeBatch(a.next, out); err != nil {
+		if err := a.next.ConsumeBatch(out); err != nil {
 			return err
 		}
 	}

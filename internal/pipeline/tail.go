@@ -51,7 +51,7 @@ type TailStats struct {
 // shutdown never abandons records already durable.
 //
 // A TailSource is single-use and single-goroutine, like every other
-// source: the pipeline's run goroutine calls Emit/EmitBatch, and
+// source: the pipeline's run goroutine calls EmitBatch, and
 // Stats must only be called from code running inside that pipeline
 // (a stage or sink) or after the run ends.
 type TailSource struct {
@@ -83,26 +83,12 @@ func NewTailSource(path string, cfg TailConfig) *TailSource {
 // it is safe.
 func (t *TailSource) Stats() TailStats { return t.stats }
 
-// Emit implements Source by riding EmitBatch.
-func (t *TailSource) Emit(emit func(r firewall.Record) error) error {
-	return t.EmitBatch(DefaultBatchSize, func(recs []firewall.Record) error {
-		for _, r := range recs {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// EmitBatch implements BatchSource: an open-drain-sleep loop that ends
+// EmitBatch implements Source: an open-drain-sleep loop that ends
 // only on context cancellation (clean, after a final drain) or an
 // emit/read error. Chunk buffers follow the pooled-batch contract of
 // the other sources.
 func (t *TailSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
+	batchSize = batchLimit(batchSize)
 	batch := dispatch.GetBatch(batchSize)
 	defer dispatch.PutBatch(batch)
 	defer func() {

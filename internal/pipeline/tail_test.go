@@ -145,8 +145,8 @@ func TestTailGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := NewLogSource(f).Emit(func(r firewall.Record) error {
-		want = append(want, r)
+	if err := NewLogSource(f).EmitBatch(0, func(recs []firewall.Record) error {
+		want = append(want, recs...)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -296,11 +296,9 @@ func TestTailIntoPipeline(t *testing.T) {
 	}
 }
 
-// atomicCountSink counts records with cross-goroutine-safe reads
-// (batch-native so the tail's batch path is exercised end to end).
+// atomicCountSink counts records with cross-goroutine-safe reads.
 type atomicCountSink struct{ n atomic.Int64 }
 
-func (s *atomicCountSink) Consume(firewall.Record) error { s.n.Add(1); return nil }
 func (s *atomicCountSink) ConsumeBatch(recs []firewall.Record) error {
 	s.n.Add(int64(len(recs)))
 	return nil

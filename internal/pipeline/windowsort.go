@@ -62,8 +62,8 @@ func (e *ErrLateRecord) Error() string {
 // released), so it is rejected with *ErrLateRecord naming the skew.
 // The check is against the high-water mark, not against what happens
 // to have been released so far, so acceptance is a pure function of
-// the record sequence: record-by-record and batched feeding fail (or
-// succeed) identically. Callers pick the window from their source's
+// the record sequence: feeding fails (or succeeds) identically at any
+// batch size. Callers pick the window from their source's
 // worst-case disorder (cmd/v6scan's -window flag) — or arm
 // EnableSpill, which diverts beyond-window disorder through sorted
 // on-disk run files merged at Flush instead of failing fast.
@@ -139,26 +139,16 @@ func NewWindowSort(window time.Duration, next RecordSink) *WindowSort {
 	return &WindowSort{next: next, window: window}
 }
 
-// Consume implements RecordSink.
-func (w *WindowSort) Consume(r firewall.Record) error {
-	if err := w.admit(r); err != nil {
-		return err
-	}
-	if w.spilling {
-		return w.maybeSpill()
-	}
-	return w.release()
-}
-
-// ConsumeBatch implements BatchSink. The whole batch is admitted
+// ConsumeBatch implements RecordSink. The whole batch is admitted
 // before one release pass, so a batch pays one merge regardless of
 // size; the emitted record sequence — and, in the fail-fast regime,
-// which records are rejected as too late — is identical to the
-// per-record path (both are pure functions of the high-water mark).
-// In the spill regime rejection instead compares against output
-// already released downstream, which does depend on release
-// granularity: a record the eagerly-releasing record path has passed
-// may still be placeable when it arrives mid-batch.
+// which records are rejected as too late — is identical at any batch
+// size (both are pure functions of the high-water mark). In the spill
+// regime rejection instead compares against output already released
+// downstream, and releases happen once per batch: a record that
+// another batch size would already have released past may still be
+// placeable when it arrives mid-batch, so which late records are
+// accepted depends on where batches end.
 func (w *WindowSort) ConsumeBatch(recs []firewall.Record) error {
 	for i := range recs {
 		if err := w.admit(recs[i]); err != nil {
@@ -223,13 +213,13 @@ func (w *WindowSort) release() error {
 	// Record the release high-water before emitting: downstream
 	// compaction may overwrite the emitted prefix during the call.
 	w.lastOut = w.buf[idx-1].Time
-	err := consumeBatch(w.next, w.buf[:idx])
+	err := w.next.ConsumeBatch(w.buf[:idx])
 	// The retained tail is untouched by downstream compaction (which
 	// only writes within the emitted prefix). Reslice past the
 	// released prefix rather than sliding the tail down: the next
 	// growing append reallocates from the live tail alone, so memory
 	// stays O(window) while a release costs O(released) — a memmove
-	// here would make the steady-state per-record Consume path
+	// here would make small batches (one record, at the limit) cost
 	// O(window) per record. runs is empty after sortBuf, so no stored
 	// index refers to the dropped prefix.
 	w.buf = w.buf[idx:]
@@ -263,7 +253,7 @@ func (w *WindowSort) Flush() error {
 	}
 	if len(w.buf) > 0 {
 		w.sortBuf()
-		if err := consumeBatch(w.next, w.buf); err != nil {
+		if err := w.next.ConsumeBatch(w.buf); err != nil {
 			return err
 		}
 		w.buf = w.buf[:0]
@@ -398,7 +388,7 @@ func (w *WindowSort) mergeSpill() error {
 			return err
 		}
 		if len(out) == cap(out) {
-			if err := consumeBatch(w.next, out); err != nil {
+			if err := w.next.ConsumeBatch(out); err != nil {
 				return err
 			}
 			out = out[:0]
@@ -406,7 +396,7 @@ func (w *WindowSort) mergeSpill() error {
 	}
 	w.buf = w.buf[:0]
 	if len(out) > 0 {
-		return consumeBatch(w.next, out)
+		return w.next.ConsumeBatch(out)
 	}
 	return nil
 }

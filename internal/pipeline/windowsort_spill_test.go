@@ -26,11 +26,11 @@ func TestErrLateRecordFields(t *testing.T) {
 	const window = time.Second
 	ws := NewWindowSort(window, Discard)
 	for _, off := range []time.Duration{0, 10 * time.Second} {
-		if err := ws.Consume(mk(off)); err != nil {
+		if err := consumeOne(ws, mk(off)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := ws.Consume(mk(2 * time.Second))
+	err := consumeOne(ws, mk(2*time.Second))
 	if err == nil {
 		t.Fatal("over-window-late record accepted")
 	}
@@ -86,9 +86,9 @@ func spillStream(n int, seed int64) []firewall.Record {
 
 // TestWindowSortSpillMatchesFullSort: with spill armed, disorder far
 // beyond the window must no longer abort the run — the emitted
-// sequence must still equal sort.SliceStable over the whole input, on
-// the record path and the batch path, with a run size small enough to
-// force many on-disk run files. The spill directory must be empty
+// sequence must still equal sort.SliceStable over the whole input, one
+// record per batch and in 512-record batches, with a run size small
+// enough to force many on-disk run files. The spill directory must be empty
 // again after Flush.
 func TestWindowSortSpillMatchesFullSort(t *testing.T) {
 	recs := spillStream(20_000, 41)
@@ -100,49 +100,19 @@ func TestWindowSortSpillMatchesFullSort(t *testing.T) {
 
 	// Without spill the same stream must fail — the spill path below is
 	// then doing real work, not riding the buffered regime.
-	plain := NewWindowSort(window, Discard)
-	var plainErr error
-	for _, r := range recs {
-		if plainErr = plain.Consume(r); plainErr != nil {
-			break
-		}
-	}
+	plainErr := NewWindowSort(window, Discard).ConsumeBatch(append([]firewall.Record(nil), recs...))
 	var late *ErrLateRecord
 	if !errors.As(plainErr, &late) {
 		t.Fatalf("spill-less run: err = %v, want *ErrLateRecord", plainErr)
 	}
 
-	feed := map[string]func(ws *WindowSort) error{
-		"record": func(ws *WindowSort) error {
-			for _, r := range recs {
-				if err := ws.Consume(r); err != nil {
-					return err
-				}
-			}
-			return ws.Flush()
-		},
-		"batch": func(ws *WindowSort) error {
-			for i := 0; i < len(recs); i += 512 {
-				end := i + 512
-				if end > len(recs) {
-					end = len(recs)
-				}
-				if err := ws.ConsumeBatch(append([]firewall.Record(nil), recs[i:end]...)); err != nil {
-					return err
-				}
-			}
-			return ws.Flush()
-		},
-	}
-	for name, run := range feed {
+	for name, n := range map[string]int{"record": 1, "batch": 512} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			var got []firewall.Record
 			ws := NewWindowSort(window, Collector(func(r firewall.Record) { got = append(got, r) }))
 			ws.EnableSpill(dir, 1024) // tiny runs: ~20 spill files
-			if err := run(ws); err != nil {
-				t.Fatal(err)
-			}
+			feedBatches(t, ws, recs, n)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("spill output differs from sort.SliceStable (%d vs %d records)", len(got), len(want))
 			}
@@ -189,14 +159,14 @@ func TestWindowSortSpillRejectsBehindEmitted(t *testing.T) {
 	ws.EnableSpill(t.TempDir(), 0)
 	// Drive the high-water mark far ahead so early records are released.
 	for _, off := range []time.Duration{0, time.Second, time.Minute} {
-		if err := ws.Consume(mk(off)); err != nil {
+		if err := consumeOne(ws, mk(off)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if lastOut.IsZero() {
 		t.Fatal("no records released; cannot exercise behind-emitted rejection")
 	}
-	err := ws.Consume(mk(lastOut.Sub(t0) - time.Millisecond))
+	err := consumeOne(ws, mk(lastOut.Sub(t0)-time.Millisecond))
 	var late *ErrLateRecord
 	if !errors.As(err, &late) {
 		t.Fatalf("record behind released output: err = %v, want *ErrLateRecord", err)

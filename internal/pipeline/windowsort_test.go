@@ -85,8 +85,8 @@ func TestSortByTimeProperty(t *testing.T) {
 
 // TestWindowSortMatchesFullSort is the WindowSort correctness
 // property: whenever the stream's disorder is bounded by the window,
-// the released sequence equals a full stable sort of the input — on
-// both the record and the batch dispatch path, at several batch sizes.
+// the released sequence equals a full stable sort of the input at
+// every batch size.
 func TestWindowSortMatchesFullSort(t *testing.T) {
 	skews := []time.Duration{0, time.Second, 7 * time.Second, time.Minute}
 	for _, skew := range skews {
@@ -95,19 +95,12 @@ func TestWindowSortMatchesFullSort(t *testing.T) {
 			window := maxDisorder(recs) // tightest window that must still be exact
 			want := stableByTime(recs)
 
-			var got []firewall.Record
-			ws := NewWindowSort(window, Collector(func(r firewall.Record) { got = append(got, r) }))
-			feedRecords(t, ws, recs)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("skew=%v seed=%d window=%v: record path differs from full stable sort", skew, seed, window)
-			}
-
-			for _, n := range []int{1, 7, 64, len(recs)} {
-				var batched []firewall.Record
-				ws := NewWindowSort(window, Collector(func(r firewall.Record) { batched = append(batched, r) }))
+			for _, n := range parityBatchSizes {
+				var got []firewall.Record
+				ws := NewWindowSort(window, Collector(func(r firewall.Record) { got = append(got, r) }))
 				feedBatches(t, ws, recs, n)
-				if !reflect.DeepEqual(batched, want) {
-					t.Fatalf("skew=%v seed=%d window=%v batch=%d: batch path differs from full stable sort", skew, seed, window, n)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("skew=%v seed=%d window=%v batch=%d: output differs from full stable sort", skew, seed, window, n)
 				}
 			}
 		}
@@ -123,7 +116,7 @@ func TestWindowSortWiderWindowSameOutput(t *testing.T) {
 	for _, window := range []time.Duration{maxDisorder(recs), time.Minute, 24 * time.Hour} {
 		var got []firewall.Record
 		ws := NewWindowSort(window, Collector(func(r firewall.Record) { got = append(got, r) }))
-		feedRecords(t, ws, recs)
+		feedBatches(t, ws, recs, 1)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("window=%v: output differs from full stable sort", window)
 		}
@@ -147,7 +140,7 @@ func TestWindowSortBoundedBuffer(t *testing.T) {
 			Src:  netaddr6.MustAddr("2001:db8::1"), Dst: netaddr6.MustAddr("2001:db8:f::1"),
 			Proto: layers.ProtoTCP, SrcPort: uint16(i), DstPort: 22, Length: 60,
 		}
-		if err := ws.Consume(r); err != nil {
+		if err := consumeOne(ws, r); err != nil {
 			t.Fatal(err)
 		}
 		if len(ws.buf) > peak {
@@ -167,8 +160,9 @@ func TestWindowSortBoundedBuffer(t *testing.T) {
 // TestWindowSortLateRecordError: a record trailing the stream
 // high-water mark by more than the window must abort with a
 // diagnostic instead of risking an out-of-order emission — and the
-// decision must be identical on the record and batch paths (it is a
-// pure function of the record sequence, not of release timing).
+// decision must be identical one record at a time and in one batch
+// (it is a pure function of the record sequence, not of release
+// timing).
 func TestWindowSortLateRecordError(t *testing.T) {
 	t0 := time.Date(2021, 7, 1, 0, 0, 0, 0, time.UTC)
 	mk := func(off time.Duration) firewall.Record {
@@ -182,13 +176,13 @@ func TestWindowSortLateRecordError(t *testing.T) {
 
 	ws := NewWindowSort(time.Second, Discard)
 	for _, r := range stream {
-		if err := ws.Consume(r); err != nil {
+		if err := consumeOne(ws, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := ws.Consume(late)
+	err := consumeOne(ws, late)
 	if err == nil {
-		t.Fatal("over-window-late record accepted on the record path")
+		t.Fatal("over-window-late record accepted one record at a time")
 	}
 	if !strings.Contains(err.Error(), "reorder window") {
 		t.Fatalf("unexpected error text: %v", err)
@@ -197,23 +191,16 @@ func TestWindowSortLateRecordError(t *testing.T) {
 	// The identical sequence in one batch must fail identically.
 	wsb := NewWindowSort(time.Second, Discard)
 	if err := wsb.ConsumeBatch(append(append([]firewall.Record(nil), stream...), late)); err == nil {
-		t.Fatal("over-window-late record accepted on the batch path")
+		t.Fatal("over-window-late record accepted in one batch")
 	}
 }
 
-// TestWindowSortStageParity runs the standard stage parity harness so
-// WindowSort composes with the batch-native chain like every other
-// stage.
+// TestWindowSortStageParity runs the standard stage parity harness
+// against a full stable sort, the reference for in-window disorder.
 func TestWindowSortStageParity(t *testing.T) {
 	recs := disorderedRecs(1200, 5*time.Second, 99)
 	window := maxDisorder(recs)
-	stageParity(t, recs, func(next RecordSink) RecordSink {
+	stageParity(t, recs, stableByTime(recs), func(next RecordSink) RecordSink {
 		return NewWindowSort(window, next)
-	}, func(t *testing.T, out []firewall.Record) {
-		for i := 1; i < len(out); i++ {
-			if out[i].Time.Before(out[i-1].Time) {
-				t.Fatalf("output not time-ordered at %d", i)
-			}
-		}
 	})
 }

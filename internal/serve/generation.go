@@ -54,7 +54,7 @@ type generation struct {
 
 // statePublishInterval throttles the stream-progress State refresh:
 // often enough that /api/state tracks a live tail, rare enough that
-// the degraded per-record path stays allocation-light.
+// a tail delivering many small batches stays allocation-light.
 const statePublishInterval = 100 * time.Millisecond
 
 // Fired implements pipeline.IDSHook: publish what the tick alerted on.

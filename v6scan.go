@@ -50,10 +50,11 @@
 //	    Artifact().
 //	    Detect(ctx, v6scan.DefaultDetectorConfig(), 8)
 //
-// Every built-in stage is batch-native, so a fully filtered pipeline
-// from a batching source (log, pcap, slice) into a batch-consuming
-// terminal streams batch-to-batch end to end; Pipeline.Batched reports
-// whether the fast path engaged. Ingestion is memory-bounded for
+// Records flow batch-to-batch end to end: every source emits batches
+// (RecordSource.EmitBatch) and every stage and terminal consumes them
+// (RecordSink.ConsumeBatch); a record-at-a-time producer joins through
+// SourceFunc, a record-at-a-time consumer through SinkFunc. Ingestion
+// is memory-bounded for
 // larger-than-RAM inputs: the log and pcap sources decode
 // incrementally through pooled chunk buffers, WindowSort repairs
 // bounded timestamp disorder in flight (full-sort-equivalent output
@@ -102,30 +103,8 @@
 // format version and per-section checksums; corrupted or truncated
 // files are rejected on restore.
 //
-// # Migrating from the nested constructors
-//
-// The pre-builder API composed chains inside-out. Its deprecated
-// wrapper constructors have been removed (they had no remaining
-// callers); each maps to one left-to-right builder call:
-//
-//	NewPipeline(src, sink).Run()            → From(src).RunInto(ctx, sink)
-//	PolicyStage(p, next)                    → .Policy(p)
-//	FilterStage(pred, next)                 → .Filter(pred)
-//	TapStage(fn, next)                      → .Tap(fn)
-//	NewPipelineCounter(next)                → .Counter(&c)
-//	NewDaySortStage(next)                   → .DaySort()
-//	NewArtifactStage(f, next)               → .Artifact(f)   (or .Artifact())
-//	TeeStage(a, b)                          → .Tee(a) continuing into b,
-//	                                          or Chain().…​.Into(sink) for
-//	                                          a source-less stage chain
-//	NewShardedSink(NewShardedDetector(c,n)) → .Detect(ctx, c, n)
-//	NewIDSSink(NewIDS(c)) / sharded         → .IDS(ctx, c, n)
-//	NewMAWISink(NewMAWIDetector(c))         → .MAWI(ctx, c)
-//
-// Likewise the two eviction-cadence names are now one: the builder's
-// AdvanceEvery drives whichever terminal follows. A plain Detector
-// fed record by record (Process / Finish / Scans) remains fully
-// supported for single-goroutine use.
+// Outside a pipeline, a plain Detector fed record by record (Process /
+// Finish / Scans) remains fully supported for single-goroutine use.
 package v6scan
 
 import (
@@ -284,19 +263,14 @@ type (
 	// RecordSink is the one interface every stage and terminal
 	// consumer implements.
 	RecordSink = pipeline.RecordSink
-	// BatchSink marks sinks with a fast batch path (the sharded
-	// detector).
-	BatchSink = pipeline.BatchSink
 	// TerminalSink is the unified terminal lifecycle every built-in
 	// sink implements: Flush finalizes exactly once, Close releases
 	// idempotently, typed Result accessors read the outcome.
 	TerminalSink = pipeline.Sink
-	// RecordSource produces a time-ordered record stream.
+	// RecordSource produces a time-ordered record stream in batches.
 	RecordSource = pipeline.Source
-	// RecordBatchSource produces the stream in chunked batches; when a
-	// pipeline couples one to a BatchSink, records flow batch-to-batch.
-	RecordBatchSource = pipeline.BatchSource
-	// SourceFunc adapts a function to RecordSource.
+	// SourceFunc adapts a record-at-a-time producer to RecordSource,
+	// staging its records into pooled batches.
 	SourceFunc = pipeline.SourceFunc
 	// SinkFunc adapts a function to RecordSink.
 	SinkFunc = pipeline.SinkFunc

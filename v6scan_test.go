@@ -60,9 +60,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 // TestFacadeBuilderBatchEndToEnd is the acceptance check for the
 // fluent public API: a policy+artifact-filtered pipeline from a binary
-// LogSource into the sharded detector stays batch-to-batch
-// (Pipeline.Batched reports true) and detects the same scan the
-// record-fed facade detector does.
+// LogSource into the sharded detector counts every record and detects
+// the one scan in the log.
 func TestFacadeBuilderBatchEndToEnd(t *testing.T) {
 	ts := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
 	src := netaddr6.MustAddr("2001:db8:bad::1")
@@ -91,9 +90,6 @@ func TestFacadeBuilderBatchEndToEnd(t *testing.T) {
 		Artifact().
 		Counter(&counted).
 		Build(sink)
-	if !p.Batched() {
-		t.Fatal("filtered log→sharded pipeline must be batch-to-batch")
-	}
 	if err := p.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
