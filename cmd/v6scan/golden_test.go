@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -355,5 +356,80 @@ func TestDuplicateInputRejected(t *testing.T) {
 	err := run([]string{log, log}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "duplicate input") {
 		t.Errorf("run with a repeated input: err = %v, want duplicate-input diagnostic", err)
+	}
+}
+
+// processedLine matches the record count that opens both reports; a
+// resumed run counts only the records past its checkpoint.
+var processedLine = regexp.MustCompile(`^processed \d+ records`)
+
+// TestGoldenResume pins -resume end to end: a run over a prefix of the
+// fixture (the crash) leaves checkpoints taken at 2 shards, and a run
+// over the whole fixture with -resume, at 1 and at 3 shards, must print
+// the uninterrupted run's committed scan and alert tables. A checkpoint
+// of one kind must refuse to resume the other.
+func TestGoldenResume(t *testing.T) {
+	log := fixturePath(t)
+	data, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := filepath.Join(t.TempDir(), "prefix.log")
+	cut := len(data) / firewall.RecordWireSize * 6 / 10 * firewall.RecordWireSize
+	if err := os.WriteFile(prefix, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkpointed := func(mode []string) string {
+		t.Helper()
+		dir := t.TempDir()
+		runGolden(t, append(mode, "-i", prefix, "-shards", "2", "-checkpoint-dir", dir, "-checkpoint-every", "10m")...)
+		return dir
+	}
+
+	for _, tc := range []struct {
+		name, golden string
+		mode         []string
+	}{
+		{"detect", "golden_nofilter.txt", nil},
+		{"ids", "golden_ids.txt", []string{"-ids"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []string{"1", "3"} {
+			args := append(tc.mode, "-i", log, "-shards", shards, "-resume",
+				"-checkpoint-dir", checkpointed(tc.mode), "-checkpoint-every", "10m")
+			var stdout, stderr bytes.Buffer
+			if err := run(args, &stdout, &stderr); err != nil {
+				t.Fatalf("%s -shards %s: %v\nstderr: %s", tc.name, shards, err, stderr.String())
+			}
+			if stderr.Len() > 0 {
+				t.Errorf("%s -shards %s: resume wrote to stderr: %s", tc.name, shards, stderr.String())
+			}
+			got := stdout.String()
+			if got == string(want) {
+				t.Errorf("%s -shards %s: resumed run processed every record; it did not skip the checkpointed prefix", tc.name, shards)
+			}
+			if processedLine.ReplaceAllString(got, "") != processedLine.ReplaceAllString(string(want), "") {
+				t.Errorf("%s -shards %s: resumed tables differ from %s\n--- got ---\n%s\n--- want ---\n%s",
+					tc.name, shards, tc.golden, got, want)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		saved, resume []string
+		want          string
+	}{
+		{nil, []string{"-ids"}, "rerun without -ids"},
+		{[]string{"-ids"}, nil, "rerun with -ids"},
+	} {
+		args := append(tc.resume, "-i", log, "-shards", "3", "-resume",
+			"-checkpoint-dir", checkpointed(tc.saved), "-checkpoint-every", "10m")
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v): err = %v, want mention of %q", args, err, tc.want)
+		}
 	}
 }

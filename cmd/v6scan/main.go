@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		levels   = fs.String("agg", "128,64,48", "comma-separated aggregation prefix lengths")
 		topN     = fs.Int("top", 20, "print at most N scans per level (0 = all)")
 		filter   = fs.Bool("filter", false, "apply the 5-duplicate artifact pre-filter first")
-		shards   = fs.Int("shards", 1, "detector/IDS worker shards (1 = serial; output is identical)")
+		shards   = fs.Int("shards", 1, "detector/IDS worker shards (1 = one worker; output is identical)")
 		useIDS   = fs.Bool("ids", false, "run the inline dynamic-aggregation IDS instead of the offline detector")
 		window   = fs.Duration("window", 0, "repair at most this much timestamp disorder in flight through a reorder buffer bounded to one window of records; for pcap, 0 materializes the capture and sorts it instead (tolerating any disorder), for logs 0 streams as-is (logs are written in order)")
 		advEvery = fs.Duration("advance-every", 0, "stream-time eviction cadence: periodically close idle detector sessions / tick the IDS, bounding memory (0 = only at end of input)")
@@ -308,34 +308,25 @@ func openPublishSplit(inputs []string, n int, window time.Duration, level v6scan
 	return b, wait, f, nil
 }
 
-// runDetect terminates the prepared builder in the offline detector —
-// plain when serial, sharded otherwise, restored from the checkpoint
-// when resuming (which also carries the detection parameters) — and
-// prints the per-level scan tables.
+// runDetect terminates the prepared builder in the offline detector
+// across -shards workers — restored from the checkpoint when resuming,
+// which also carries the detection parameters — and prints the
+// per-level scan tables.
 func runDetect(b *v6scan.Builder, stdout io.Writer, cfg v6scan.DetectorConfig, shards, topN int, counted **v6scan.PipelineCounter, resumed *v6scan.ResumedSink) error {
-	var sink v6scan.RecordSink
-	var result func() *v6scan.Detector
-	switch {
-	case resumed != nil:
-		switch s := resumed.Sink.(type) {
-		case *v6scan.DetectorSink:
-			sink, result = s, s.Result
-		case *v6scan.ShardedSink:
-			sink, result = s, s.Result
-		default:
-			return fmt.Errorf("checkpoint holds IDS state; rerun with -ids")
+	var sink *v6scan.ShardedSink
+	if resumed != nil {
+		s, ok := resumed.Sink.(*v6scan.ShardedSink)
+		if !ok {
+			return closeMismatched(resumed, "checkpoint holds IDS state; rerun with -ids")
 		}
-	case shards > 1:
-		s := v6scan.NewShardedSink(v6scan.NewShardedDetector(cfg, shards))
-		sink, result = s, s.Result
-	default:
-		s := v6scan.NewDetectorSink(v6scan.NewDetector(cfg))
-		sink, result = s, s.Result
+		sink = s
+	} else {
+		sink = v6scan.NewShardedSink(v6scan.NewShardedDetector(cfg, shards))
 	}
 	if err := b.RunInto(context.Background(), sink); err != nil {
 		return err
 	}
-	det := result()
+	det := sink.Result()
 	levels := cfg.Levels
 	if resumed != nil {
 		levels = det.Config().Levels
@@ -372,44 +363,43 @@ func runIDS(b *v6scan.Builder, stdout io.Writer, det v6scan.DetectorConfig, shar
 	// Tick once per minute of stream time by default — the
 	// inline-deployment cadence, overridable with -advance-every: idle
 	// candidates are evicted (and their alerts emitted) mid-stream
-	// instead of all pooling until Flush. The cadence and drop
-	// introspection need the sink in hand, so the builder terminates
-	// through RunInto rather than the IDS helper. The cadence is
-	// configuration, not checkpointed state, so a resumed sink gets it
-	// re-applied here.
+	// instead of all pooling until Flush. RunInto applies the builder's
+	// cadence to the sink; it is configuration, not checkpointed state,
+	// so a resumed sink gets it too. The drop introspection needs the
+	// sink in hand, so the builder terminates through RunInto rather
+	// than the IDS helper.
 	tickEvery := time.Minute
 	if advEvery > 0 {
 		tickEvery = advEvery
 	}
-	var idsSink v6scan.TerminalSink
-	var drained func() []v6scan.IDSAlert
+	b.AdvanceEvery(tickEvery)
+	var sink interface {
+		v6scan.TerminalSink
+		Result() []v6scan.IDSAlert
+	}
 	var dropped func() uint64
 	switch {
 	case resumed != nil:
 		switch s := resumed.Sink.(type) {
 		case *v6scan.IDSSink:
-			s.AdvanceEvery = tickEvery
-			idsSink, drained, dropped = s, s.Result, s.E.DroppedCandidates
+			sink, dropped = s, s.E.DroppedCandidates
 		case *v6scan.ShardedIDSSink:
-			s.AdvanceEvery = tickEvery
-			idsSink, drained, dropped = s, s.Result, s.E.DroppedCandidates
+			sink, dropped = s, s.E.DroppedCandidates
 		default:
-			return fmt.Errorf("checkpoint holds offline-detector state; rerun without -ids")
+			return closeMismatched(resumed, "checkpoint holds offline-detector state; rerun without -ids")
 		}
 	case shards > 1:
 		s := v6scan.NewShardedIDSSink(v6scan.NewShardedIDS(cfg, shards))
-		s.AdvanceEvery = tickEvery
-		idsSink, drained, dropped = s, s.Result, s.E.DroppedCandidates
+		sink, dropped = s, s.E.DroppedCandidates
 	default:
 		s := v6scan.NewIDSSink(v6scan.NewIDS(cfg))
-		s.AdvanceEvery = tickEvery
-		idsSink, drained, dropped = s, s.Result, s.E.DroppedCandidates
+		sink, dropped = s, s.E.DroppedCandidates
 	}
-	if err := b.RunInto(context.Background(), idsSink); err != nil {
+	if err := b.RunInto(context.Background(), sink); err != nil {
 		return err
 	}
 
-	alerts := drained()
+	alerts := sink.Result()
 	fmt.Fprintf(stdout, "processed %d records: %d IDS alerts\n", (*counted).Count(), len(alerts))
 	if n := dropped(); n > 0 {
 		fmt.Fprintf(stdout, "  warning: %d candidates dropped by the MaxCandidates bound — alerts are incomplete\n", n)
@@ -422,6 +412,13 @@ func runIDS(b *v6scan.Builder, stdout io.Writer, det v6scan.DetectorConfig, shar
 		fmt.Fprintf(stdout, "  %s\n", a)
 	}
 	return nil
+}
+
+// closeMismatched stops a resumed sink of the wrong kind for the run —
+// a detector restore has live workers — and reports msg.
+func closeMismatched(resumed *v6scan.ResumedSink, msg string) error {
+	resumed.Sink.(v6scan.TerminalSink).Close()
+	return errors.New(msg)
 }
 
 // openSource starts a pipeline builder for the input paths. Regular

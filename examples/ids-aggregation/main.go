@@ -72,7 +72,7 @@ func main() {
 	// Tee branch while the online dynamic-aggregation engine (sharded
 	// across -shards workers) terminates the main chain — both see the
 	// identical stream.
-	det := v6scan.NewDetector(cfg)
+	detSink := v6scan.NewShardedSink(v6scan.NewShardedDetector(cfg, 1))
 	idsSink := v6scan.NewShardedIDSSink(v6scan.NewShardedIDS(v6scan.DefaultIDSConfig(), *shards))
 	// Tick once per minute of stream time — the inline deployment's
 	// timer: idle candidates are evicted (and their alerts emitted)
@@ -80,11 +80,12 @@ func main() {
 	// through the dispatcher, so alerts stay identical at any -shards.
 	idsSink.AdvanceEvery = time.Minute
 	if err := v6scan.From(v6scan.NewSliceSource(recs)).
-		Tee(v6scan.NewDetectorSink(det)).
+		Tee(detSink).
 		RunInto(context.Background(), idsSink); err != nil {
 		log.Fatal(err)
 	}
 
+	det := detSink.Result()
 	fmt.Println("per-level detections:")
 	byLevel := map[v6scan.AggLevel][]v6scan.Scan{}
 	for _, lvl := range cfg.Levels {

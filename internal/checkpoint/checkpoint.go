@@ -25,11 +25,17 @@
 // resuming replays the same input and drops every record at or before
 // horizon, which reconstructs the uninterrupted run byte-exactly.
 //
-// Section payload layout is owned by the writing subsystem (the
-// detector and IDS snapshot code in internal/core and internal/ids);
-// this package owns only the container framing, checksums, and the
-// canonical little-endian primitive encoders (Enc/Dec) both use, so
-// the two snapshot kinds cannot drift apart on framing.
+// Both snapshot kinds share one body of sections (WriteBody, ReadBody):
+//
+//	body     := config level* results         (section kinds 1, 2, 3)
+//	level    := level:varint count:uvarint entry*   (sorted by key)
+//	entry    := key:u64 u64 state
+//
+// This package owns that layout, the container framing and checksums,
+// and the canonical primitive encoders (Enc/Dec). The detector and IDS
+// snapshot code in internal/core and internal/ids supplies only the
+// config, entry state and results payloads, so the two kinds cannot
+// drift apart.
 //
 // # Canonical encoding
 //
@@ -61,15 +67,15 @@ const Version uint16 = 1
 
 // Snapshot kinds: which subsystem's state the file holds.
 const (
-	KindDetector uint8 = 1 // core.Detector / core.ShardedDetector
+	KindDetector uint8 = 1 // core.ShardedDetector, at any shard count
 	KindIDS      uint8 = 2 // ids.Engine / ids.ShardedEngine
 )
 
-// Section kinds shared by both snapshot kinds.
+// Section kinds of the shared body (WriteBody).
 const (
-	SecConfig  uint8 = 1 // the subsystem configuration
-	SecLevel   uint8 = 2 // one aggregation level's live state
-	SecResults uint8 = 3 // accumulated results (scans/alerts, drop counters)
+	secConfig  uint8 = 1 // the subsystem configuration
+	secLevel   uint8 = 2 // one aggregation level's live state
+	secResults uint8 = 3 // accumulated results (scans/alerts, drop counters)
 	secEnd     uint8 = 0xFF
 )
 

@@ -14,7 +14,7 @@ import (
 var testMark = time.Date(2021, 6, 1, 12, 0, 0, 0, time.UTC)
 
 // writeSnapshot writes a snapshot holding the given section payloads,
-// all of kind SecLevel.
+// all of kind secLevel.
 func writeSnapshot(t *testing.T, payloads ...[]byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -23,7 +23,7 @@ func writeSnapshot(t *testing.T, payloads ...[]byte) []byte {
 		t.Fatal(err)
 	}
 	for _, p := range payloads {
-		if err := w.Section(SecLevel, p); err != nil {
+		if err := w.Section(secLevel, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,10 +101,10 @@ func TestSectionBytesMatchCopyingFraming(t *testing.T) {
 	for _, n := range []int{0, 1, 4096, 1 << 20} {
 		p := payload(n)
 		var got, want bytes.Buffer
-		if err := (&Writer{w: &got}).Section(SecConfig, p); err != nil {
+		if err := (&Writer{w: &got}).Section(secConfig, p); err != nil {
 			t.Fatal(err)
 		}
-		if err := copyingSection(&want, SecConfig, p); err != nil {
+		if err := copyingSection(&want, secConfig, p); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {

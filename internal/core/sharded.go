@@ -31,9 +31,9 @@ type ShardedDetector struct {
 }
 
 // NewShardedDetector returns a detector running the configuration's
-// aggregation levels across n parallel shards. n < 1 is treated as 1;
-// a single shard still processes on one worker goroutine but is
-// byte-identical (and close in cost) to a plain Detector.
+// aggregation levels across n parallel shards. n < 1 is treated as 1:
+// one shard processes on one worker goroutine, byte-identical to a
+// plain Detector.
 func NewShardedDetector(cfg Config, n int) *ShardedDetector {
 	if n < 1 {
 		n = 1
@@ -55,7 +55,7 @@ func NewShardedDetector(cfg Config, n int) *ShardedDetector {
 	// every finer aggregate of the same source.
 	sd.disp = dispatch.New(dispatch.Config{
 		Shards: n,
-		Level:  CoarsestLevel(cfg.Levels),
+		Level:  dispatch.CoarsestLevel(cfg.Levels),
 	}, func(shard int, recs []firewall.Record, mark time.Time) error {
 		det := sd.shards[shard]
 		if !mark.IsZero() {
@@ -71,11 +71,6 @@ func (sd *ShardedDetector) Config() Config { return sd.cfg }
 
 // NumShards returns the worker count.
 func (sd *ShardedDetector) NumShards() int { return len(sd.shards) }
-
-// QueueDepth reports the dispatcher's buffered work-unit backlog,
-// summed over shards. Safe from any goroutine (see
-// dispatch.Dispatcher.QueueDepth).
-func (sd *ShardedDetector) QueueDepth() int { return sd.disp.QueueDepth() }
 
 // ProcessBatch partitions a time-ordered run of records across the
 // shards and dispatches it. Records must be in non-decreasing time

@@ -7,17 +7,14 @@ package core
 // scans, and drop counters. Restoring and replaying the records at or
 // after the mark reconstructs the uninterrupted run byte-exactly.
 //
-// All state is written in canonical order (sessions sorted by key,
-// scans sorted by start time then source, map entries sorted), and the
-// per-level session sections are global — sessions from every shard of
-// a ShardedDetector are merged into one sorted sequence per level. Two
-// consequences:
-//
-//   - Snapshot∘Restore∘Snapshot is byte-identity (FuzzSnapshotRoundtrip);
-//   - snapshots are shard-count independent: restore re-partitions each
-//     session deterministically (dispatch.Partition over the coarsest
-//     level, the same routing the dispatcher applies to records), so a
-//     snapshot taken at N shards restores at any M ≥ 1.
+// The sections are checkpoint.WriteBody's: per level, the sessions of
+// every shard merged into one key-sorted sequence. Scans and map
+// entries are written in canonical order too. So
+// Snapshot∘Restore∘Snapshot is byte-identity (FuzzSnapshotRoundtrip),
+// and a snapshot taken at N shards restores at any M ≥ 1: restore
+// re-partitions each session deterministically (dispatch.Partition
+// over the coarsest level, the routing the dispatcher applies to
+// records).
 
 import (
 	"fmt"
@@ -41,26 +38,14 @@ import (
 // still only grow as real data arrives).
 const preallocCap = 1 << 16
 
-func preallocHint(n uint64) int {
-	if n > preallocCap {
-		return preallocCap
-	}
-	return int(n)
-}
+func preallocHint(n uint64) int { return int(min(n, preallocCap)) }
 
 // Snapshot writes a consistent checkpoint of the detector at the given
 // stream-time mark. The caller guarantees every record with timestamp
 // before mark has been processed and none at or after it has (the
-// pipeline checkpoint cadence arranges exactly this).
-func (d *Detector) Snapshot(w io.Writer, mark time.Time) error {
-	return snapshotDetectors(w, d.cfg, []*Detector{d}, mark)
-}
-
-// Snapshot writes a consistent checkpoint of the sharded detector: a
-// dispatcher barrier drains in-flight batches (establishing the
-// happens-before edge that makes shard state readable), then all
-// shards serialize as one canonical global snapshot — byte-identical
-// to the snapshot an unsharded detector would write at the same cut.
+// pipeline checkpoint cadence arranges exactly this). A dispatcher
+// barrier drains in-flight batches first, which makes shard state
+// readable; the bytes are the same at any shard count.
 func (sd *ShardedDetector) Snapshot(w io.Writer, mark time.Time) error {
 	if sd.finished {
 		return fmt.Errorf("core: ShardedDetector.Snapshot after Finish")
@@ -68,203 +53,37 @@ func (sd *ShardedDetector) Snapshot(w io.Writer, mark time.Time) error {
 	if err := sd.disp.Barrier(); err != nil {
 		return err
 	}
-	return snapshotDetectors(w, sd.cfg, sd.shards, mark)
+	return checkpoint.WriteBody(w, checkpoint.KindDetector, mark, &detectorBody{sd: sd})
 }
 
-// RestoreDetector rebuilds a detector from a snapshot opened with
-// checkpoint.NewReader. The reader must be positioned at the first
-// section (NewReader leaves it there).
-func RestoreDetector(cr *checkpoint.Reader) (*Detector, error) {
-	dets, err := restoreDetectors(cr, 1, func(cfg Config) []*Detector {
-		return []*Detector{NewDetector(cfg)}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dets[0], nil
-}
-
-// RestoreShardedDetector rebuilds a sharded detector from a snapshot,
-// re-partitioning every session deterministically across n shards —
-// n need not match the shard count the snapshot was taken at.
+// RestoreShardedDetector rebuilds a sharded detector from a snapshot
+// opened with checkpoint.NewReader, re-partitioning every session
+// deterministically across n shards — n need not match the shard count
+// the snapshot was taken at.
 func RestoreShardedDetector(cr *checkpoint.Reader, n int) (*ShardedDetector, error) {
-	if n < 1 {
-		n = 1
-	}
-	var sd *ShardedDetector
-	_, err := restoreDetectors(cr, n, func(cfg Config) []*Detector {
-		sd = NewShardedDetector(cfg, n)
-		return sd.shards
-	})
-	if err != nil {
-		if sd != nil {
-			sd.disp.Close()
+	r := &detectorRestore{n: n, horizon: cr.Header().Horizon}
+	if err := checkpoint.ReadBody(cr, checkpoint.KindDetector, r); err != nil {
+		if r.sd != nil {
+			r.sd.disp.Close()
 		}
 		return nil, err
 	}
-	return sd, nil
+	return r.sd, nil
 }
 
-func snapshotDetectors(w io.Writer, cfg Config, dets []*Detector, mark time.Time) error {
-	cw, err := checkpoint.NewWriter(w, checkpoint.KindDetector, mark)
-	if err != nil {
-		return err
-	}
-	var e checkpoint.Enc
-	encodeDetectorConfig(&e, cfg)
-	if err := cw.Section(checkpoint.SecConfig, e.B); err != nil {
-		return err
-	}
-	// One global section per level: sessions from every shard, sorted
-	// by key, so the bytes are independent of shard count and map
-	// iteration order.
-	type keyed struct {
-		key netaddr6.U128
-		s   *session
-	}
-	var sessions []keyed
-	// setScratch is the reused sort buffer for every encoded address
-	// set in the snapshot; it grows to the largest set once and keeps
-	// the encode loop allocation-free (pinned by an allocs test).
-	var setScratch []netaddr6.U128
-	for li := range cfg.Levels {
-		sessions = sessions[:0]
-		for _, det := range dets {
-			ls := det.levels[li]
-			ls.idx.Range(func(key netaddr6.U128, h uint32) bool {
-				sessions = append(sessions, keyed{key, ls.session(h)})
-				return true
-			})
-		}
-		sort.Slice(sessions, func(i, j int) bool { return sessions[i].key.Cmp(sessions[j].key) < 0 })
-		e.B = e.B[:0]
-		e.Varint(int64(cfg.Levels[li]))
-		e.Uvarint(uint64(len(sessions)))
-		for _, ks := range sessions {
-			encodeSession(&e, &setScratch, ks.key, ks.s)
-		}
-		if err := cw.Section(checkpoint.SecLevel, e.B); err != nil {
-			return err
-		}
-	}
-	// Accumulated results, merged across shards: scans in their
-	// deterministic (start, source) order, drop counters summed.
-	e.B = e.B[:0]
-	var scans []Scan
-	for li := range cfg.Levels {
-		var dropped uint64
-		scans = scans[:0]
-		for _, det := range dets {
-			scans = append(scans, det.levels[li].scans...)
-			dropped += det.levels[li].dropped
-		}
-		sort.Slice(scans, func(i, j int) bool {
-			if !scans[i].Start.Equal(scans[j].Start) {
-				return scans[i].Start.Before(scans[j].Start)
-			}
-			return scans[i].Source.Addr().Compare(scans[j].Source.Addr()) < 0
-		})
-		e.Varint(int64(cfg.Levels[li]))
-		e.Uvarint(dropped)
-		e.Uvarint(uint64(len(scans)))
-		for i := range scans {
-			encodeScan(&e, &scans[i])
-		}
-	}
-	if err := cw.Section(checkpoint.SecResults, e.B); err != nil {
-		return err
-	}
-	return cw.Close()
+// detectorBody is the detector's side of checkpoint.WriteBody.
+type detectorBody struct {
+	sd *ShardedDetector
+	// scratch is the reused sort buffer for every encoded address set
+	// in the snapshot; it grows to the largest set once and keeps the
+	// encode loop allocation-free (pinned by an allocs test).
+	scratch []netaddr6.U128
 }
 
-func restoreDetectors(cr *checkpoint.Reader, n int, mk func(cfg Config) []*Detector) ([]*Detector, error) {
-	hdr := cr.Header()
-	if hdr.Kind != checkpoint.KindDetector {
-		return nil, fmt.Errorf("%w: snapshot kind %d, want detector (%d)",
-			checkpoint.ErrFormat, hdr.Kind, checkpoint.KindDetector)
-	}
-	var (
-		dets       []*Detector
-		cfg        Config
-		coarsest   netaddr6.AggLevel
-		sawResults bool
-	)
-	for {
-		kind, payload, err := cr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		dec := checkpoint.NewDec(payload)
-		switch kind {
-		case checkpoint.SecConfig:
-			if dets != nil {
-				return nil, fmt.Errorf("%w: duplicate config section", checkpoint.ErrFormat)
-			}
-			cfg = decodeDetectorConfig(dec)
-			if err := dec.Err(); err != nil {
-				return nil, err
-			}
-			dets = mk(cfg)
-			coarsest = dispatch.CoarsestLevel(cfg.Levels)
-			for _, det := range dets {
-				det.lastTime = hdr.Horizon
-			}
-		case checkpoint.SecLevel:
-			if dets == nil {
-				return nil, fmt.Errorf("%w: level section before config", checkpoint.ErrFormat)
-			}
-			li, err := levelIndex(cfg.Levels, netaddr6.AggLevel(dec.Varint()))
-			if err != nil {
-				return nil, err
-			}
-			count := dec.Uvarint()
-			for i := uint64(0); i < count && dec.Err() == nil; i++ {
-				if err := decodeSession(dec, dets, li, coarsest, n); err != nil {
-					return nil, err
-				}
-			}
-			if err := dec.Err(); err != nil {
-				return nil, err
-			}
-		case checkpoint.SecResults:
-			if dets == nil {
-				return nil, fmt.Errorf("%w: results section before config", checkpoint.ErrFormat)
-			}
-			if sawResults {
-				return nil, fmt.Errorf("%w: duplicate results section", checkpoint.ErrFormat)
-			}
-			sawResults = true
-			// Results restore into shard 0: the deterministic merge at
-			// Finish makes their placement invisible.
-			for dec.Len() > 0 {
-				li, err := levelIndex(cfg.Levels, netaddr6.AggLevel(dec.Varint()))
-				if err != nil {
-					return nil, err
-				}
-				ls := dets[0].levels[li]
-				ls.dropped = dec.Uvarint()
-				scanN := dec.Uvarint()
-				for i := uint64(0); i < scanN && dec.Err() == nil; i++ {
-					ls.scans = append(ls.scans, decodeScan(dec))
-				}
-				if err := dec.Err(); err != nil {
-					return nil, err
-				}
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown section kind %d", checkpoint.ErrFormat, kind)
-		}
-	}
-	if dets == nil {
-		return nil, fmt.Errorf("%w: missing config section", checkpoint.ErrFormat)
-	}
-	return dets, nil
-}
+func (b *detectorBody) Levels() []netaddr6.AggLevel { return b.sd.cfg.Levels }
 
-func encodeDetectorConfig(e *checkpoint.Enc, cfg Config) {
+func (b *detectorBody) Config(e *checkpoint.Enc) {
+	cfg := b.sd.cfg
 	e.Uvarint(uint64(cfg.MinDsts))
 	e.Varint(int64(cfg.Timeout))
 	if cfg.TrackDsts {
@@ -279,7 +98,71 @@ func encodeDetectorConfig(e *checkpoint.Enc, cfg Config) {
 	}
 }
 
-func decodeDetectorConfig(d *checkpoint.Dec) Config {
+func (b *detectorBody) Gather(dst []checkpoint.Keyed[*session], li int) []checkpoint.Keyed[*session] {
+	for _, det := range b.sd.shards {
+		ls := det.levels[li]
+		ls.idx.Range(func(key netaddr6.U128, h uint32) bool {
+			dst = append(dst, checkpoint.Keyed[*session]{Key: key, Val: ls.session(h)})
+			return true
+		})
+	}
+	return dst
+}
+
+// Entry writes one session's logical state: each inline-or-set pair is
+// encoded as its sorted logical contents, so the in-memory
+// representation (inline fast path vs materialized set) never reaches
+// the wire.
+func (b *detectorBody) Entry(e *checkpoint.Enc, s *session) {
+	e.Time(s.start)
+	e.Time(s.last)
+	e.Uvarint(s.packets)
+	encodeU128Set(e, &b.scratch, &s.dsts, s.firstDst)
+	encodeU128Set(e, &b.scratch, &s.srcs, s.firstSrc)
+	encodePorts(e, s.ports, s.firstSvc, s.svcN)
+	encodeWeeks(e, s.weeks, int(s.firstWeek), s.weekN)
+	encodeCounter(e, &s.lenCounter)
+}
+
+// Results writes the accumulated results, merged across shards: per
+// level the drop counter sum and the scans in their deterministic
+// (start, source) order.
+func (b *detectorBody) Results(e *checkpoint.Enc) {
+	var scans []Scan
+	for li, l := range b.sd.cfg.Levels {
+		var dropped uint64
+		scans = scans[:0]
+		for _, det := range b.sd.shards {
+			scans = append(scans, det.levels[li].scans...)
+			dropped += det.levels[li].dropped
+		}
+		sort.Slice(scans, func(i, j int) bool {
+			if !scans[i].Start.Equal(scans[j].Start) {
+				return scans[i].Start.Before(scans[j].Start)
+			}
+			return scans[i].Source.Addr().Compare(scans[j].Source.Addr()) < 0
+		})
+		e.Varint(int64(l))
+		e.Uvarint(dropped)
+		e.Uvarint(uint64(len(scans)))
+		for i := range scans {
+			encodeScan(e, &scans[i])
+		}
+	}
+}
+
+// detectorRestore is the detector's side of checkpoint.ReadBody.
+type detectorRestore struct {
+	sd *ShardedDetector
+	n  int
+	// coarsest is the level sessions are routed to shards by.
+	coarsest netaddr6.AggLevel
+	// horizon is the replay horizon every shard's time-order guard
+	// starts from.
+	horizon time.Time
+}
+
+func (r *detectorRestore) Config(d *checkpoint.Dec) ([]netaddr6.AggLevel, error) {
 	cfg := Config{
 		MinDsts:   int(d.Uvarint()),
 		Timeout:   time.Duration(d.Varint()),
@@ -290,45 +173,22 @@ func decodeDetectorConfig(d *checkpoint.Dec) Config {
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		cfg.Levels = append(cfg.Levels, netaddr6.AggLevel(d.Varint()))
 	}
-	return cfg
-}
-
-func levelIndex(levels []netaddr6.AggLevel, l netaddr6.AggLevel) (int, error) {
-	for i, have := range levels {
-		if have == l {
-			return i, nil
-		}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	return 0, fmt.Errorf("%w: level %v not in configuration", checkpoint.ErrFormat, l)
+	r.sd = NewShardedDetector(cfg, r.n)
+	r.coarsest = dispatch.CoarsestLevel(r.sd.cfg.Levels)
+	for _, det := range r.sd.shards {
+		det.lastTime = r.horizon
+	}
+	return r.sd.cfg.Levels, nil
 }
 
-// encodeSession writes one session's logical state: each inline-or-set
-// pair is encoded as its sorted logical contents, so the in-memory
-// representation (inline fast path vs materialized set) never reaches
-// the wire. scratch is the caller's reused sort buffer.
-func encodeSession(e *checkpoint.Enc, scratch *[]netaddr6.U128, key netaddr6.U128, s *session) {
-	e.U64(key.Hi)
-	e.U64(key.Lo)
-	e.Time(s.start)
-	e.Time(s.last)
-	e.Uvarint(s.packets)
-	encodeU128Set(e, scratch, &s.dsts, s.firstDst)
-	encodeU128Set(e, scratch, &s.srcs, s.firstSrc)
-	encodePorts(e, s.ports, s.firstSvc, s.svcN)
-	encodeWeeks(e, s.weeks, int(s.firstWeek), s.weekN)
-	encodeCounter(e, &s.lenCounter)
-}
-
-// decodeSession rebuilds one session into its deterministic shard
+// Entry rebuilds one session into its deterministic shard
 // (dispatch.Partition over the coarsest level — the same routing the
 // dispatcher applies to the session's records).
-func decodeSession(d *checkpoint.Dec, dets []*Detector, li int, coarsest netaddr6.AggLevel, n int) error {
-	key := netaddr6.U128{Hi: d.U64(), Lo: d.U64()}
-	shard := 0
-	if n > 1 {
-		shard = dispatch.Partition(key.ToAddr(), coarsest, n)
-	}
-	ls := dets[shard].levels[li]
+func (r *detectorRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
+	ls := r.sd.shards[dispatch.Partition(key.ToAddr(), r.coarsest, len(r.sd.shards))].levels[li]
 	h, s := ls.alloc()
 	s.start = d.Time()
 	s.last = d.Time()
@@ -349,6 +209,24 @@ func decodeSession(d *checkpoint.Dec, dets []*Detector, li int, coarsest netaddr
 		return err
 	}
 	ls.idx.Put(key, h)
+	return nil
+}
+
+// Results restores the accumulated results into shard 0: the
+// deterministic merge at Finish makes their placement invisible.
+func (r *detectorRestore) Results(d *checkpoint.Dec) error {
+	for d.Len() > 0 {
+		li, err := d.Level(r.sd.cfg.Levels)
+		if err != nil {
+			return err
+		}
+		ls := r.sd.shards[0].levels[li]
+		ls.dropped = d.Uvarint()
+		n := d.Uvarint()
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			ls.scans = append(ls.scans, decodeScan(d))
+		}
+	}
 	return nil
 }
 
@@ -392,8 +270,20 @@ func decodeU128Set(d *checkpoint.Dec, set *u128idx.Set) (netaddr6.U128, error) {
 	return first, d.Err()
 }
 
-// servicesSorted returns a map's services ordered by (proto, port).
-func servicesSorted(m map[firewall.Service]uint64) []firewall.Service {
+// encodePorts writes an inline-or-map service count pair as its
+// logical contents: the map's entries in (proto, port) order when
+// materialized, the single inline pair otherwise.
+func encodePorts(e *checkpoint.Enc, m map[firewall.Service]uint64, first firewall.Service, firstN uint64) {
+	if len(m) == 0 {
+		e.Uvarint(1)
+		encodeService(e, first, firstN)
+		return
+	}
+	encodePortMap(e, m)
+}
+
+// encodePortMap writes a service count map in (proto, port) order.
+func encodePortMap(e *checkpoint.Enc, m map[firewall.Service]uint64) {
 	svcs := make([]firewall.Service, 0, len(m))
 	for s := range m {
 		svcs = append(svcs, s)
@@ -404,49 +294,45 @@ func servicesSorted(m map[firewall.Service]uint64) []firewall.Service {
 		}
 		return svcs[i].Port < svcs[j].Port
 	})
-	return svcs
-}
-
-func encodePorts(e *checkpoint.Enc, m map[firewall.Service]uint64, first firewall.Service, firstN uint64) {
-	if len(m) == 0 {
-		e.Uvarint(1)
-		e.U8(uint8(first.Proto))
-		e.Uvarint(uint64(first.Port))
-		e.Uvarint(firstN)
-		return
-	}
-	svcs := servicesSorted(m)
 	e.Uvarint(uint64(len(svcs)))
 	for _, s := range svcs {
-		e.U8(uint8(s.Proto))
-		e.Uvarint(uint64(s.Port))
-		e.Uvarint(m[s])
+		encodeService(e, s, m[s])
 	}
 }
 
+func encodeService(e *checkpoint.Enc, s firewall.Service, n uint64) {
+	e.U8(uint8(s.Proto))
+	e.Uvarint(uint64(s.Port))
+	e.Uvarint(n)
+}
+
+// decodePorts reads what encodePorts wrote; a single entry stays on
+// the inline pair, exactly as live ingestion would leave it.
 func decodePorts(d *checkpoint.Dec) (map[firewall.Service]uint64, firewall.Service, uint64) {
-	n := d.Uvarint()
-	readSvc := func() (firewall.Service, uint64) {
-		var s firewall.Service
-		s.Proto = layers.IPProtocol(d.U8())
-		s.Port = uint16(d.Uvarint())
-		return s, d.Uvarint()
-	}
-	if n == 0 {
+	switch n := d.Uvarint(); n {
+	case 0:
 		return nil, firewall.Service{}, 0
+	case 1:
+		return nil, decodeService(d), d.Uvarint()
+	default:
+		// The inline pair is never consulted once the map is
+		// materialized; leave it zero.
+		return decodePortMap(d, n, inlineMapHint), firewall.Service{}, 0
 	}
-	if n == 1 {
-		first, firstN := readSvc()
-		return nil, first, firstN
-	}
-	m := make(map[firewall.Service]uint64, inlineMapHint)
+}
+
+func decodeService(d *checkpoint.Dec) firewall.Service {
+	return firewall.Service{Proto: layers.IPProtocol(d.U8()), Port: uint16(d.Uvarint())}
+}
+
+// decodePortMap reads n encodeService entries into a map sized by hint.
+func decodePortMap(d *checkpoint.Dec, n uint64, hint int) map[firewall.Service]uint64 {
+	m := make(map[firewall.Service]uint64, hint)
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		s, cnt := readSvc()
-		m[s] = cnt
+		s := decodeService(d)
+		m[s] = d.Uvarint()
 	}
-	// The inline pair is never consulted once the map is materialized;
-	// leave it zero.
-	return m, firewall.Service{}, 0
+	return m
 }
 
 func encodeWeeks(e *checkpoint.Enc, m map[int]uint64, first int, firstN uint64) {
@@ -472,21 +358,27 @@ func encodeWeeks(e *checkpoint.Enc, m map[int]uint64, first int, firstN uint64) 
 	}
 }
 
+// decodeWeeks reads what encodeWeeks wrote; a single entry stays on
+// the inline pair, exactly as live ingestion would leave it.
 func decodeWeeks(d *checkpoint.Dec) (map[int]uint64, int, uint64) {
-	n := d.Uvarint()
-	if n == 0 {
+	switch n := d.Uvarint(); n {
+	case 0:
 		return nil, 0, 0
+	case 1:
+		return nil, int(d.Varint()), d.Uvarint()
+	default:
+		return decodeWeekMap(d, n, inlineMapHint), 0, 0
 	}
-	if n == 1 {
-		w := int(d.Varint())
-		return nil, w, d.Uvarint()
-	}
-	m := make(map[int]uint64, inlineMapHint)
+}
+
+// decodeWeekMap reads n (week, count) entries into a map sized by hint.
+func decodeWeekMap(d *checkpoint.Dec, n uint64, hint int) map[int]uint64 {
+	m := make(map[int]uint64, hint)
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		w := int(d.Varint())
 		m[w] = d.Uvarint()
 	}
-	return m, 0, 0
+	return m
 }
 
 // encodeCounter writes an entropy counter's (value, count) pairs in
@@ -533,20 +425,8 @@ func encodeScan(e *checkpoint.Enc, s *Scan) {
 		e.U64(u.Hi)
 		e.U64(u.Lo)
 	}
-	encodePortsAlways(e, s.Ports)
+	encodePortMap(e, s.Ports)
 	encodeWeeks(e, s.WeekPackets, 0, 0)
-}
-
-// encodePortsAlways is encodePorts for maps that are always
-// materialized (scan results), with no inline fallback.
-func encodePortsAlways(e *checkpoint.Enc, m map[firewall.Service]uint64) {
-	svcs := servicesSorted(m)
-	e.Uvarint(uint64(len(svcs)))
-	for _, s := range svcs {
-		e.U8(uint8(s.Proto))
-		e.Uvarint(uint64(s.Port))
-		e.Uvarint(m[s])
-	}
 }
 
 func decodeScan(d *checkpoint.Dec) Scan {
@@ -568,30 +448,11 @@ func decodeScan(d *checkpoint.Dec) Scan {
 			s.DstAddrs = append(s.DstAddrs, netaddr6.U128{Hi: d.U64(), Lo: d.U64()}.ToAddr())
 		}
 	}
+	// Scan results hold real maps, never the inline pairs.
 	pn := d.Uvarint()
-	s.Ports = make(map[firewall.Service]uint64, preallocHint(pn))
-	for i := uint64(0); i < pn && d.Err() == nil; i++ {
-		var svc firewall.Service
-		svc.Proto = layers.IPProtocol(d.U8())
-		svc.Port = uint16(d.Uvarint())
-		s.Ports[svc] = d.Uvarint()
+	s.Ports = decodePortMap(d, pn, preallocHint(pn))
+	if wn := d.Uvarint(); wn > 0 {
+		s.WeekPackets = decodeWeekMap(d, wn, preallocHint(wn))
 	}
-	s.WeekPackets = decodeWeeksMapOnly(d)
 	return s
-}
-
-// decodeWeeksMapOnly mirrors decodeWeeks but always materializes a map
-// when any entry is present (scan results hold real maps, never the
-// inline pair).
-func decodeWeeksMapOnly(d *checkpoint.Dec) map[int]uint64 {
-	n := d.Uvarint()
-	if n == 0 {
-		return nil
-	}
-	m := make(map[int]uint64, preallocHint(n))
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		w := int(d.Varint())
-		m[w] = d.Uvarint()
-	}
-	return m
 }

@@ -1,29 +1,10 @@
 package dispatch
 
 import (
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
-	"time"
+
+	"v6scan/internal/leakcheck"
 )
 
-// TestMain fails the package's run when goroutines outlive its tests:
-// after m.Run the count must fall back to its pre-run value within a
-// bounded wait, or every goroutine's stack is printed and the run
-// exits non-zero.
-func TestMain(m *testing.M) {
-	before := runtime.NumGoroutine()
-	code := m.Run()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		fmt.Fprintf(os.Stderr, "goroutine leak: %d goroutines after the tests, %d before\n%s\n", n, before, buf)
-		code = 1
-	}
-	os.Exit(code)
-}
+// TestMain fails the package's run when goroutines outlive its tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }

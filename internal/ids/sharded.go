@@ -3,7 +3,6 @@ package ids
 import (
 	"time"
 
-	"v6scan/internal/core"
 	"v6scan/internal/dispatch"
 	"v6scan/internal/firewall"
 	"v6scan/internal/netaddr6"
@@ -66,7 +65,7 @@ func NewSharded(cfg Config, n int) *ShardedEngine {
 	}
 	se.disp = dispatch.New(dispatch.Config{
 		Shards: n,
-		Level:  core.CoarsestLevel(cfg.Levels),
+		Level:  dispatch.CoarsestLevel(cfg.Levels),
 	}, func(shard int, recs []firewall.Record, mark time.Time) error {
 		e := se.shards[shard]
 		if !mark.IsZero() {

@@ -45,7 +45,7 @@ type Builder struct {
 	advanceEvery time.Duration
 	// ckptEvery/ckptDir is the checkpoint cadence RunInto applies to
 	// terminals that can snapshot their state (the detector and IDS
-	// sinks, plain and sharded).
+	// sinks).
 	ckptEvery time.Duration
 	ckptDir   string
 	// met is the metrics bundle Instrument attached: Build mounts a
@@ -153,7 +153,7 @@ func (b *Builder) WindowSortSpill(window time.Duration, dir string) *Builder {
 
 // AdvanceEvery sets the stream-time eviction cadence RunInto — and so
 // every terminal helper — applies to a cadence-capable terminal sink:
-// the detector sinks forward Detector.Advance (scan output is
+// the detector sink forwards ShardedDetector.Advance (scan output is
 // unchanged — only peak memory is bounded), the IDS sinks forward
 // Engine.Tick (the inline deployment's timer, which does determine
 // when idle candidates close). On the sharded terminals the horizon
@@ -320,19 +320,11 @@ func (b *Builder) RunInto(ctx context.Context, sink RecordSink) error {
 }
 
 // Detect terminates the pipeline in the multi-aggregation scan
-// detector — sharded across shards worker goroutines when shards > 1,
-// plain otherwise — runs it, and returns the finished detector (for
-// the sharded path, the deterministically merged view; output is
-// identical at any shard count).
+// detector, run on a ShardedSink across shards worker goroutines (one
+// worker when shards ≤ 1), and returns the deterministically merged
+// detector. Output is identical at any shard count.
 func (b *Builder) Detect(ctx context.Context, cfg core.Config, shards int) (*core.Detector, error) {
-	if shards > 1 {
-		sink := NewShardedSink(core.NewShardedDetector(cfg, shards))
-		if err := b.RunInto(ctx, sink); err != nil {
-			return nil, err
-		}
-		return sink.Result(), nil
-	}
-	sink := NewDetectorSink(core.NewDetector(cfg))
+	sink := NewShardedSink(core.NewShardedDetector(cfg, shards))
 	if err := b.RunInto(ctx, sink); err != nil {
 		return nil, err
 	}

@@ -76,17 +76,18 @@ func (s *collectSink) Flush() error { s.flushes++; return nil }
 
 // TestBuilderMatchesNestedChain runs the full paper chain (policy →
 // day sort → artifact filter → detector) both ways — nested
-// constructors fed one record per batch, and the builder pipeline at
-// the default batch size, sharded — and requires identical scans and
-// filter statistics.
+// constructors fed one record per batch into a serial reference
+// detector, and the builder pipeline at the default batch size,
+// sharded — and requires identical scans and filter statistics.
 func TestBuilderMatchesNestedChain(t *testing.T) {
 	recs := mixedStream(3, 2000)
 	pol := firewall.DefaultCollectPolicy()
 
 	refFilter := firewall.NewArtifactFilter()
 	refDet := core.NewDetector(core.DefaultConfig())
-	refHead := Policy(pol, NewDaySort(NewArtifactStage(refFilter, NewDetectorSink(refDet))))
+	refHead := Policy(pol, NewDaySort(NewArtifactStage(refFilter, SinkFunc(refDet.Process))))
 	feedBatches(t, refHead, recs, 1)
+	refDet.Finish()
 
 	filter := firewall.NewArtifactFilter()
 	var counted *Counter

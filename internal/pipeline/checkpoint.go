@@ -64,15 +64,15 @@ import (
 // Checkpointer is implemented by terminal sinks that can write a
 // versioned snapshot of their state at a consistent stream-time cut.
 // The caller guarantees mark is a valid cut: every record with Time <
-// mark consumed, none with Time ≥ mark. All built-in detector and IDS
-// sinks (plain and sharded) implement it.
+// mark consumed, none with Time ≥ mark. The built-in detector and IDS
+// sinks implement it.
 type Checkpointer interface {
 	Checkpoint(w io.Writer, mark time.Time) error
 }
 
 // cadence is the stream-time schedule every detector and IDS sink
 // embeds: the eviction cadence (AdvanceEvery — its fire runs the
-// sink's advance, Detector.Advance or Engine.Tick), the checkpoint
+// sink's advance, ShardedDetector.Advance or Engine.Tick), the checkpoint
 // cadence riding it (CheckpointEvery, into CheckpointDir), both
 // cadences' marks — the phase a checkpoint carries — and the metrics
 // bundle the fires report into. Builder.AdvanceEvery,
@@ -411,9 +411,10 @@ func LatestCheckpoint(dir string) (string, error) {
 // caller needs to resume: skip the replayed input through Horizon
 // (Builder.ResumeFrom) and run into Sink.
 type Resumed struct {
-	// Sink is the restored terminal: *DetectorSink or *ShardedSink for
-	// a detector checkpoint, *IDSSink or *ShardedIDSSink for an IDS
-	// one, matching the requested shard count.
+	// Sink is the restored terminal: *ShardedSink for a detector
+	// checkpoint at any shard count; for an IDS one, *IDSSink at one
+	// shard and *ShardedIDSSink above. A detector restore runs worker
+	// goroutines, so a caller that does not run the sink must Close it.
 	Sink RecordSink
 	// Kind is the snapshot kind (checkpoint.KindDetector or
 	// checkpoint.KindIDS).
@@ -423,9 +424,9 @@ type Resumed struct {
 	Mark, Horizon time.Time
 }
 
-// Resume rebuilds a terminal sink from a snapshot stream. shards > 1
-// restores the sharded variant — the shard count need not match the
-// one the snapshot was taken at. The restored sink's cadence marks are
+// Resume rebuilds a terminal sink from a snapshot stream across shards
+// workers (see Resumed.Sink) — the shard count need not match the one
+// the snapshot was taken at. The restored sink's cadence marks are
 // set to the snapshot's cut, so eviction and checkpoint cadences
 // resume in phase with an interrupted run cut at a fire point.
 func Resume(r io.Reader, shards int) (*Resumed, error) { return resume(r, shards, nil) }
@@ -475,18 +476,12 @@ func resume(r io.Reader, shards int, phase *marks) (*Resumed, error) {
 		setPhase(marks)
 	}
 	switch {
-	case hdr.Kind == checkpoint.KindDetector && shards > 1:
+	case hdr.Kind == checkpoint.KindDetector:
 		d, err := core.RestoreShardedDetector(cr, shards)
 		if err != nil {
 			return nil, err
 		}
 		sink = NewShardedSink(d)
-	case hdr.Kind == checkpoint.KindDetector:
-		d, err := core.RestoreDetector(cr)
-		if err != nil {
-			return nil, err
-		}
-		sink = NewDetectorSink(d)
 	case hdr.Kind == checkpoint.KindIDS && shards > 1:
 		e, err := ids.RestoreShardedEngine(cr, shards)
 		if err != nil {
@@ -511,12 +506,6 @@ func resume(r io.Reader, shards int, phase *marks) (*Resumed, error) {
 	}
 	sink.setPhase(*phase)
 	return &Resumed{Sink: sink, Kind: hdr.Kind, Mark: hdr.Mark, Horizon: hdr.Horizon}, nil
-}
-
-// Checkpoint implements Checkpointer: a consistent snapshot of the
-// wrapped detector.
-func (s *DetectorSink) Checkpoint(w io.Writer, mark time.Time) error {
-	return s.D.Snapshot(w, mark)
 }
 
 // Checkpoint implements Checkpointer: a dispatcher barrier drains

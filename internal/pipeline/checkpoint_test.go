@@ -161,16 +161,11 @@ func TestCheckpointKillRestoreParityDetector(t *testing.T) {
 				RunInto(context.Background(), res.Sink); err != nil {
 				t.Fatal(err)
 			}
-			var det *core.Detector
-			switch s := res.Sink.(type) {
-			case *DetectorSink:
-				det = s.Result()
-			case *ShardedSink:
-				det = s.Result()
-			default:
+			s, ok := res.Sink.(*ShardedSink)
+			if !ok {
 				t.Fatalf("unexpected resumed sink type %T", res.Sink)
 			}
-			got := renderDetector(det, cfg.Levels)
+			got := renderDetector(s.Result(), cfg.Levels)
 			for _, lvl := range cfg.Levels {
 				if got[lvl] != want[lvl] {
 					t.Errorf("level %v: resumed output differs from uninterrupted run (%d vs %d bytes)",
@@ -262,11 +257,10 @@ func TestCheckpointKillRestoreParityIDS(t *testing.T) {
 // stream prefix and snapshots it at the next record's time.
 func snapshotDetectorBytes(t *testing.T, recs []firewall.Record, upto int) []byte {
 	t.Helper()
-	d := core.NewDetector(streamParityConfig())
-	for _, r := range recs[:upto] {
-		if err := d.Process(r); err != nil {
-			t.Fatal(err)
-		}
+	d := core.NewShardedDetector(streamParityConfig(), 1)
+	defer d.Finish()
+	if err := d.ProcessBatch(recs[:upto]); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := d.Snapshot(&buf, recs[upto].Time); err != nil {
@@ -368,14 +362,42 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 
 	// The pristine bytes must still restore — the corruptions above,
 	// not the baseline, are what is being rejected.
-	if _, err := Resume(bytes.NewReader(valid), 1); err != nil {
+	res, err := Resume(bytes.NewReader(valid), 1)
+	if err != nil {
 		t.Fatalf("pristine snapshot failed to restore: %v", err)
+	}
+	closeResumed(t, res)
+}
+
+// closeResumed stops a resumed sink the test does not run; a detector
+// restore has live workers.
+func closeResumed(t testing.TB, res *Resumed) {
+	t.Helper()
+	if err := res.Sink.(Sink).Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// resnapshot restores data across shards workers and snapshots the
+// restored sink again at the same mark; ok is false when the restore
+// rejects data.
+func resnapshot(t testing.TB, data []byte, shards int) (snap []byte, ok bool) {
+	t.Helper()
+	res, err := Resume(bytes.NewReader(data), shards)
+	if err != nil {
+		return nil, false
+	}
+	defer closeResumed(t, res)
+	var buf bytes.Buffer
+	if err := res.Sink.(Checkpointer).Checkpoint(&buf, res.Mark); err != nil {
+		t.Fatalf("shards=%d: restored snapshot failed to re-snapshot: %v", shards, err)
+	}
+	return buf.Bytes(), true
+}
+
 // TestCheckpointV1Fixture pins the on-disk v1 format with committed
-// fixture files: each must carry version 1, restore cleanly, and
-// re-snapshot to the identical bytes. A failure here means the
+// fixture files: each must carry version 1, restore cleanly at one and
+// at three shards, and re-snapshot to the identical bytes. A failure here means the
 // snapshot encoding changed shape without a format-version bump —
 // bump Version and add a migration path instead of regenerating the
 // fixture in place. Regenerate (after an intentional, versioned
@@ -406,16 +428,19 @@ func TestCheckpointV1Fixture(t *testing.T) {
 			if err != nil {
 				t.Fatalf("committed v1 fixture no longer restores: %v", err)
 			}
+			closeResumed(t, res)
 			if res.Kind != fx.kind {
 				t.Fatalf("fixture kind = %d, want %d", res.Kind, fx.kind)
 			}
-			var buf bytes.Buffer
-			if err := res.Sink.(Checkpointer).Checkpoint(&buf, res.Mark); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), data) {
-				t.Errorf("restored fixture re-snapshots to different bytes (%d vs %d): format drifted without a version bump",
-					buf.Len(), len(data))
+			for _, shards := range []int{1, 3} {
+				snap, ok := resnapshot(t, data, shards)
+				if !ok {
+					t.Fatalf("shards=%d: committed v1 fixture no longer restores", shards)
+				}
+				if !bytes.Equal(snap, data) {
+					t.Errorf("shards=%d: restored fixture re-snapshots to different bytes (%d vs %d): format drifted without a version bump",
+						shards, len(snap), len(data))
+				}
 			}
 			// And the current encoder still produces exactly the committed
 			// bytes for the same state.
@@ -427,15 +452,16 @@ func TestCheckpointV1Fixture(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotRoundtrip feeds arbitrary bytes to Resume. Inputs the
-// container or a decoder rejects are fine; any accepted input must
-// re-snapshot deterministically — Snapshot∘Restore∘Snapshot is
-// byte-identity — and must never panic, hang, or over-allocate on the
-// way in. Seeds are valid detector and IDS snapshots, so mutation
+// FuzzSnapshotRoundtrip feeds arbitrary bytes to Resume at one and at
+// three shards. Inputs the container or a decoder rejects are fine,
+// at both shard counts alike; any accepted input must re-snapshot to
+// the same bytes at both, deterministically — Snapshot∘Restore∘Snapshot
+// is byte-identity — and must never panic, hang, or over-allocate on
+// the way in. Seeds are valid detector and IDS snapshots, so mutation
 // explores the decode paths from the inside.
 func FuzzSnapshotRoundtrip(f *testing.F) {
 	// Seeds stay small (a few hundred records of state) so each fuzz
-	// exec — two restores plus two snapshots — runs in well under a
+	// exec — four restores plus four snapshots — runs in well under a
 	// millisecond and a 30-second smoke budget buys real mutation
 	// coverage.
 	recs := ckptRecords(300)
@@ -446,24 +472,23 @@ func FuzzSnapshotRoundtrip(f *testing.F) {
 		f.Fatal("building seed snapshots failed")
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := Resume(bytes.NewReader(data), 1)
-		if err != nil {
+		first, ok := resnapshot(t, data, 1)
+		if sharded, ok3 := resnapshot(t, data, 3); ok3 != ok {
+			t.Fatalf("restore accepted at 1 shard: %v, at 3 shards: %v", ok, ok3)
+		} else if ok && !bytes.Equal(sharded, first) {
+			t.Fatal("re-snapshot differs between 1 and 3 shards")
+		}
+		if !ok {
 			return // rejected: the only acceptable failure mode
 		}
-		var first bytes.Buffer
-		if err := res.Sink.(Checkpointer).Checkpoint(&first, res.Mark); err != nil {
-			t.Fatalf("accepted snapshot failed to re-snapshot: %v", err)
-		}
-		res2, err := Resume(bytes.NewReader(first.Bytes()), 1)
-		if err != nil {
-			t.Fatalf("re-snapshot of accepted input does not restore: %v", err)
-		}
-		var second bytes.Buffer
-		if err := res2.Sink.(Checkpointer).Checkpoint(&second, res2.Mark); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatal("Snapshot∘Restore is not idempotent")
+		for _, shards := range []int{1, 3} {
+			again, ok := resnapshot(t, first, shards)
+			if !ok {
+				t.Fatalf("shards=%d: re-snapshot of accepted input does not restore", shards)
+			}
+			if !bytes.Equal(again, first) {
+				t.Fatalf("shards=%d: Snapshot∘Restore is not idempotent", shards)
+			}
 		}
 	})
 }
@@ -482,7 +507,8 @@ func TestCheckpointFilePublishing(t *testing.T) {
 	}
 
 	recs := ckptRecords(2_000)
-	sink := NewDetectorSink(core.NewDetector(streamParityConfig()))
+	sink := NewShardedSink(core.NewShardedDetector(streamParityConfig(), 1))
+	defer sink.Close()
 	if err := sink.ConsumeBatch(recs[:1_000]); err != nil {
 		t.Fatal(err)
 	}
@@ -529,14 +555,15 @@ func TestCheckpointFilePublishing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closeResumed(t, res)
 	if !res.Mark.Equal(m2) {
 		t.Fatalf("restored mark = %v, want %v", res.Mark, m2)
 	}
 }
 
-// TestResumeKindDispatch: a detector snapshot restores detector
-// sinks, an IDS snapshot IDS sinks, plain at one shard and sharded
-// above.
+// TestResumeKindDispatch: a detector snapshot restores the sharded
+// detector sink at every shard count, an IDS snapshot IDS sinks, plain
+// at one shard and sharded above.
 func TestResumeKindDispatch(t *testing.T) {
 	recs := ckptRecords(2_000)
 	det := snapshotDetectorBytes(t, recs, 1_000)
@@ -547,7 +574,7 @@ func TestResumeKindDispatch(t *testing.T) {
 		shards int
 		want   string
 	}{
-		{"detector-1", det, 1, "*pipeline.DetectorSink"},
+		{"detector-1", det, 1, "*pipeline.ShardedSink"},
 		{"detector-4", det, 4, "*pipeline.ShardedSink"},
 		{"ids-1", eng, 1, "*pipeline.IDSSink"},
 		{"ids-4", eng, 4, "*pipeline.ShardedIDSSink"},
@@ -564,12 +591,7 @@ func TestResumeKindDispatch(t *testing.T) {
 			if !res.Horizon.Add(time.Nanosecond).Equal(res.Mark) {
 				t.Errorf("horizon %v is not mark−1ns (%v)", res.Horizon, res.Mark)
 			}
-			// Sharded restores spin up worker goroutines; close them.
-			if s, ok := res.Sink.(Sink); ok {
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			closeResumed(t, res)
 		})
 	}
 }
@@ -639,7 +661,8 @@ func TestSweepCheckpointTemps(t *testing.T) {
 	dir := t.TempDir()
 
 	// A real checkpoint, published atomically.
-	sink := NewDetectorSink(core.NewDetector(streamParityConfig()))
+	sink := NewShardedSink(core.NewShardedDetector(streamParityConfig(), 1))
+	defer sink.Close()
 	recs := ckptRecords(500)
 	if err := sink.ConsumeBatch(recs); err != nil {
 		t.Fatal(err)

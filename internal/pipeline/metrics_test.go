@@ -98,7 +98,7 @@ func TestInstrumentedPipelineCounts(t *testing.T) {
 func TestInstrumentSinkVariants(t *testing.T) {
 	recs := meterRecords(3600)
 	sinks := map[string]RecordSink{
-		"detector":    NewDetectorSink(core.NewDetector(core.Config{})),
+		"detector":    NewShardedSink(core.NewShardedDetector(core.Config{}, 1)),
 		"sharded":     NewShardedSink(core.NewShardedDetector(core.Config{}, 4)),
 		"ids":         NewIDSSink(ids.New(ids.Config{})),
 		"sharded-ids": NewShardedIDSSink(ids.NewSharded(ids.Config{}, 4)),

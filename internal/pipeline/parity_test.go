@@ -239,7 +239,7 @@ func TestCadenceSinkParity(t *testing.T) {
 		panic(fmt.Sprintf("no result accessor on %T", s))
 	}
 	sinks := map[string]func() terminal{
-		"detector":    func() terminal { return NewDetectorSink(core.NewDetector(streamParityConfig())) },
+		"detector":    func() terminal { return NewShardedSink(core.NewShardedDetector(streamParityConfig(), 1)) },
 		"sharded":     func() terminal { return NewShardedSink(core.NewShardedDetector(streamParityConfig(), 3)) },
 		"ids":         func() terminal { return NewIDSSink(ids.New(idsCfg)) },
 		"sharded-ids": func() terminal { return NewShardedIDSSink(ids.NewSharded(idsCfg, 3)) },

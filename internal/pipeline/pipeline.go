@@ -3,7 +3,7 @@
 // time-ordered stream of firewall records, zero or more stages
 // (collect-policy filter, day sorter, 5-duplicate artifact filter,
 // taps, tees) transform or observe it, and a terminal sink — the
-// multi-aggregation Detector (plain or sharded), the MAWI detector,
+// multi-aggregation detector (sharded, at any shard count), the MAWI detector,
 // the dynamic-aggregation IDS engine, or an analysis collector —
 // consumes it. Everything downstream of a Source implements the one
 // RecordSink interface, so ingestion (binary firewall logs, pcap
@@ -291,7 +291,7 @@ type RecordSink interface {
 
 // Sink is the unified terminal-sink lifecycle. Flush finalizes
 // results exactly once (further calls are no-ops), after which the
-// sink's typed result accessor — DetectorSink.Result, MAWISink.Result,
+// sink's typed result accessor — ShardedSink.Result, MAWISink.Result,
 // IDSSink.Result, … — is valid. Close releases held resources (worker
 // goroutines, buffered writers); it is idempotent, implies Flush, and
 // is safe after a mid-stream error. The builder's RunInto owns calling

@@ -30,12 +30,11 @@ func scanStream(n int) []firewall.Record {
 }
 
 func TestPipelineDetectsScan(t *testing.T) {
-	det := core.NewDetector(core.DefaultConfig())
-	p := New(SliceSource(scanStream(150)), NewDetectorSink(det))
-	if err := p.Run(); err != nil {
+	sink := NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 1))
+	if err := New(SliceSource(scanStream(150)), sink).Run(); err != nil {
 		t.Fatal(err)
 	}
-	scans := det.Scans(netaddr6.Agg64)
+	scans := sink.Result().Scans(netaddr6.Agg64)
 	if len(scans) != 1 || scans[0].Dsts != 150 {
 		t.Fatalf("scans: %+v", scans)
 	}
@@ -135,11 +134,11 @@ func TestLogRoundTripThroughPipeline(t *testing.T) {
 	if err := New(SliceSource(recs), NewLogSink(w)).Run(); err != nil {
 		t.Fatal(err)
 	}
-	det := core.NewDetector(core.DefaultConfig())
-	if err := New(NewLogSource(&buf), NewDetectorSink(det)).Run(); err != nil {
+	sink := NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 1))
+	if err := New(NewLogSource(&buf), sink).Run(); err != nil {
 		t.Fatal(err)
 	}
-	if scans := det.Scans(netaddr6.Agg64); len(scans) != 1 || scans[0].Dsts != 120 {
+	if scans := sink.Result().Scans(netaddr6.Agg64); len(scans) != 1 || scans[0].Dsts != 120 {
 		t.Fatalf("scans after round trip: %+v", scans)
 	}
 }
@@ -261,12 +260,16 @@ func TestShardedIDSSinkMatchesIDSSink(t *testing.T) {
 	}
 }
 
-func TestShardedSinkMatchesDetectorSink(t *testing.T) {
+// TestShardedSinkMatchesDetector runs the same stream through the
+// sharded sink and, as the serial reference, a plain detector fed
+// directly, and requires identical scans.
+func TestShardedSinkMatchesDetector(t *testing.T) {
 	recs := scanStream(500)
 	plain := core.NewDetector(core.DefaultConfig())
-	if err := New(SliceSource(recs), NewDetectorSink(plain)).Run(); err != nil {
+	if err := plain.ProcessBatch(recs); err != nil {
 		t.Fatal(err)
 	}
+	plain.Finish()
 	sharded := core.NewShardedDetector(core.DefaultConfig(), 4)
 	if err := New(SliceSource(recs), NewDaySort(NewShardedSink(sharded))).Run(); err != nil {
 		t.Fatal(err)

@@ -49,66 +49,23 @@ func Collector(add func(r firewall.Record)) RecordSink {
 // Discard drops every record; useful as a Tee branch terminator.
 var Discard RecordSink = SinkFunc(func(firewall.Record) error { return nil })
 
-// DetectorSink terminates a pipeline in the multi-aggregation scan
-// detector. Flush calls Finish, after which the detector's scan
-// accessors are valid.
+// ShardedSink terminates a pipeline in the multi-aggregation scan
+// detector, run on the sharded detector's worker goroutines (one per
+// shard; the output is the same at any shard count). Flush calls
+// Finish, which merges the shards and surfaces any worker error.
 //
-// AdvanceEvery, when positive, forwards Detector.Advance on a
-// stream-time cadence (checked per record) so sessions idle past the
-// timeout are closed mid-stream and the
-// working set stays proportional to one timeout of stream instead of
-// growing until Flush. Advancing never changes the detected scans —
-// a session closed early by Advance is exactly the session Finish
-// would have closed — so the cadence is purely a memory bound.
+// AdvanceEvery, when positive, forwards a stream-time eviction horizon
+// on a cadence checked per record, so sessions idle past the timeout
+// close mid-stream and the working set stays proportional to one
+// timeout of stream. The horizon reaches every shard through the
+// dispatcher's mark channel, ordered with the record stream. Advancing
+// never changes the detected scans — a session closed early is exactly
+// the session Finish would have closed — so it only bounds memory.
 //
 // The embedded cadence's CheckpointEvery (Builder.CheckpointEvery)
 // adds a second cadence that snapshots the detector to disk at
 // consistent stream-time cuts; at a shared fire point the advance
 // runs first, so the snapshot includes the eviction horizon's effect.
-type DetectorSink struct {
-	D *core.Detector
-	cadence
-	flushed bool
-}
-
-// NewDetectorSink wraps a detector.
-func NewDetectorSink(d *core.Detector) *DetectorSink { return &DetectorSink{D: d} }
-
-// ConsumeBatch implements RecordSink, splitting the batch at every
-// cadence point. The cadence fires before the record at that point is
-// ingested, as on IDSSink: a record that jumped past the cadence first
-// advances the eviction horizon, then contributes its own activity.
-func (s *DetectorSink) ConsumeBatch(recs []firewall.Record) error { return s.split(s, recs) }
-
-func (s *DetectorSink) advance(t time.Time) error            { s.D.Advance(t); return nil }
-func (s *DetectorSink) fired(time.Time) error                { return nil }
-func (s *DetectorSink) process(recs []firewall.Record) error { return s.D.ProcessBatch(recs) }
-
-// Flush implements RecordSink, finalizing the detector exactly once.
-func (s *DetectorSink) Flush() error {
-	if !s.flushed {
-		s.flushed = true
-		s.D.Finish()
-	}
-	return nil
-}
-
-// Close implements Sink.
-func (s *DetectorSink) Close() error { return s.Flush() }
-
-// Result returns the finished detector. Valid after Flush.
-func (s *DetectorSink) Result() *core.Detector { return s.D }
-
-// ShardedSink terminates a pipeline in the sharded detector,
-// forwarding batches to its parallel ProcessBatch path. Flush calls
-// Finish, which merges the shards and surfaces any worker error.
-//
-// AdvanceEvery behaves as on DetectorSink: the cadence forwards a
-// global stream-time horizon to every shard through the dispatcher's
-// mark channel (ordered with the record stream), so per-shard session
-// state is evicted continuously — even on shards whose own records
-// lag the global clock — and the merged output stays byte-identical
-// to the unsharded, un-advanced detector's.
 type ShardedSink struct {
 	D *core.ShardedDetector
 	cadence
@@ -117,8 +74,11 @@ type ShardedSink struct {
 // NewShardedSink wraps a sharded detector.
 func NewShardedSink(d *core.ShardedDetector) *ShardedSink { return &ShardedSink{D: d} }
 
-// ConsumeBatch implements RecordSink, splitting at cadence points as
-// on DetectorSink.
+// ConsumeBatch implements RecordSink, splitting the batch at every
+// cadence point. The cadence fires before the record at that point is
+// ingested, as on the IDS sinks: a record that jumped past the cadence
+// first advances the eviction horizon, then contributes its own
+// activity.
 func (s *ShardedSink) ConsumeBatch(recs []firewall.Record) error { return s.split(s, recs) }
 
 func (s *ShardedSink) advance(t time.Time) error            { return s.D.Advance(t) }
@@ -212,7 +172,7 @@ type IDSHook interface {
 // AdvanceEvery, when positive, forwards Engine.Tick on a stream-time
 // cadence (checked per record) so idle candidates
 // are evicted mid-stream as in an inline deployment; zero leaves all
-// eviction to Flush. Checkpoints ride the cadence as on DetectorSink:
+// eviction to Flush. Checkpoints ride the cadence as on ShardedSink:
 // the tick fires before the snapshot at a shared cut. A hook (Attach)
 // turns the batch terminal into the serving one.
 type IDSSink struct{ idsSink[*ids.Engine] }

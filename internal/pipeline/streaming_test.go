@@ -264,7 +264,7 @@ func TestShardedIDSParityStreamingAdvanceEvery(t *testing.T) {
 func TestRunIntoAppliesAdvanceEvery(t *testing.T) {
 	recs := scanStream(10)
 
-	sink := NewDetectorSink(core.NewDetector(core.DefaultConfig()))
+	sink := NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 1))
 	if err := From(SliceSource(recs)).AdvanceEvery(5*time.Minute).
 		RunInto(context.Background(), sink); err != nil {
 		t.Fatal(err)

@@ -12,9 +12,10 @@
 //     right with the fluent builder: From / Chain and the
 //     New*Source / New*Sink constructors;
 //   - scan detection with multi-level source aggregation (the paper's
-//     central methodological contribution): NewDetector / Detector,
-//     and the parallel sharded variant NewShardedDetector whose output
-//     is byte-identical at any shard count;
+//     central methodological contribution): every pipeline detects on
+//     NewShardedDetector, whose output is byte-identical at any shard
+//     count (one shard is one worker goroutine); NewDetector /
+//     Detector is the single-goroutine engine each shard runs;
 //   - the MAWI-style detector (extended Fukuda–Heidemann definition):
 //     NewMAWIDetector;
 //   - the CDN firewall-log record schema, binary codec, collection
@@ -104,7 +105,9 @@
 // files are rejected on restore.
 //
 // Outside a pipeline, a plain Detector fed record by record (Process /
-// Finish / Scans) remains fully supported for single-goroutine use.
+// Finish / Scans) remains fully supported for single-goroutine use; it
+// does not checkpoint — snapshots are taken through the sharded
+// detector the pipeline terminals run, at any shard count.
 package v6scan
 
 import (
@@ -306,9 +309,8 @@ type (
 	ErrLateRecord = pipeline.ErrLateRecord
 	// ArtifactStage runs the 5-duplicate pre-filter as a stage.
 	ArtifactStage = pipeline.ArtifactStage
-	// DetectorSink terminates a pipeline in the scan detector.
-	DetectorSink = pipeline.DetectorSink
-	// ShardedSink terminates a pipeline in the sharded detector.
+	// ShardedSink terminates a pipeline in the scan detector, run on
+	// the sharded detector's workers (one worker at one shard).
 	ShardedSink = pipeline.ShardedSink
 	// MAWISink terminates a pipeline in a MAWI capture-window detector.
 	MAWISink = pipeline.MAWISink
@@ -392,7 +394,6 @@ func NewWindowSortStage(window time.Duration, next RecordSink) *WindowSortStage 
 }
 
 // Pipeline sink constructors.
-func NewDetectorSink(d *Detector) *DetectorSink      { return pipeline.NewDetectorSink(d) }
 func NewShardedSink(d *ShardedDetector) *ShardedSink { return pipeline.NewShardedSink(d) }
 func NewMAWISink(d *MAWIDetector) *MAWISink          { return pipeline.NewMAWISink(d) }
 func NewIDSSink(e *IDSEngine) *IDSSink               { return pipeline.NewIDSSink(e) }
@@ -410,8 +411,8 @@ var DiscardSink = pipeline.Discard
 // and resume" section).
 type (
 	// Checkpointer is implemented by terminal sinks that can snapshot
-	// their state at a consistent stream-time cut — all built-in
-	// detector and IDS sinks, plain and sharded.
+	// their state at a consistent stream-time cut — the built-in
+	// detector and IDS sinks.
 	Checkpointer = pipeline.Checkpointer
 	// ResumedSink is a terminal rebuilt from a checkpoint: the
 	// restored Sink plus the Horizon to skip the replayed input to.
@@ -428,8 +429,8 @@ const (
 // when there is none.
 func LatestCheckpoint(dir string) (string, error) { return pipeline.LatestCheckpoint(dir) }
 
-// ResumeCheckpoint rebuilds a terminal sink from a checkpoint file,
-// sharded across shards workers when shards > 1 — the count need not
+// ResumeCheckpoint rebuilds a terminal sink from a checkpoint file
+// across shards workers (see ResumedSink.Sink) — the count need not
 // match the one the snapshot was taken at.
 func ResumeCheckpoint(path string, shards int) (*ResumedSink, error) {
 	return pipeline.ResumeFile(path, shards)
