@@ -914,6 +914,44 @@ func BenchmarkIDSMinuteTick(b *testing.B) {
 	b.ReportMetric(float64(len(recs)), "records/op")
 }
 
+// BenchmarkDetectorAdvance is BenchmarkIDSMinuteTick's detector
+// analogue: one Advance per stream minute over the same churn-shaped
+// stream, the cadence v6scan -advance-every 1m runs, so the eviction
+// sweep of every minute counts. ns/advance is the time inside Advance
+// alone; ns/record is the whole pass.
+func BenchmarkDetectorAdvance(b *testing.B) {
+	recs := benchRecordsChurn(6, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var advNs time.Duration
+	advances := 0
+	for i := 0; i < b.N; i++ {
+		d := NewDetector(DefaultDetectorConfig())
+		for j := 0; j < len(recs); {
+			minute := recs[j].Time.Truncate(time.Minute).Add(time.Minute)
+			k := j
+			for k < len(recs) && recs[k].Time.Before(minute) {
+				k++
+			}
+			if err := d.ProcessBatch(recs[j:k]); err != nil {
+				b.Fatal(err)
+			}
+			start := time.Now()
+			d.Advance(minute)
+			advNs += time.Since(start)
+			advances++
+			j = k
+		}
+		d.Finish()
+		if len(d.Scans(Agg128)) == 0 {
+			b.Fatal("no scans")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+	b.ReportMetric(float64(advNs.Nanoseconds())/float64(advances), "ns/advance")
+	b.ReportMetric(float64(len(recs)), "records/op")
+}
+
 // encodeBenchLog writes records to an in-memory binary log for the
 // ingest benchmarks.
 func encodeBenchLog(b *testing.B, recs []Record) []byte {

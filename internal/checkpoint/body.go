@@ -139,11 +139,16 @@ func readLevel(d *Dec, levels []netaddr6.AggLevel, r Restorer) error {
 		return err
 	}
 	n := d.Uvarint()
+	var prev netaddr6.U128
 	for i := uint64(0); i < n; i++ {
 		key := netaddr6.U128{Hi: d.U64(), Lo: d.U64()}
 		if err := d.Err(); err != nil {
 			return err
 		}
+		if i > 0 && key.Cmp(prev) <= 0 {
+			return fmt.Errorf("%w: level keys out of order", ErrFormat)
+		}
+		prev = key
 		if err := r.Entry(d, li, key); err != nil {
 			return err
 		}

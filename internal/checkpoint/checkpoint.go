@@ -111,8 +111,9 @@ type Header struct {
 
 // EncodeTime maps an instant onto the snapshot time axis: UnixNano,
 // with math.MinInt64 for the zero time. The mapping preserves order,
-// so state kept on this axis (the IDS engine's last-activity column)
-// can be compared as integers and encoded without converting back.
+// so state kept on this axis (the last activity of detector sessions
+// and IDS candidates) can be compared as integers and encoded without
+// converting back.
 func EncodeTime(t time.Time) int64 {
 	if t.IsZero() {
 		return timeSentinel

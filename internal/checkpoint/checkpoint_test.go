@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"v6scan/internal/netaddr6"
 )
 
 var testMark = time.Date(2021, 6, 1, 12, 0, 0, 0, time.UTC)
@@ -151,5 +153,66 @@ func TestCorruptLengthBoundedAllocation(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
 		t.Errorf("allocated %d bytes reading a %d-byte snapshot", alloc, len(snap))
+	}
+}
+
+// keyRecorder is a Restorer whose entries carry no state: it records
+// the keys ReadBody hands it.
+type keyRecorder struct{ keys []netaddr6.U128 }
+
+func (r *keyRecorder) Config(*Dec) ([]netaddr6.AggLevel, error) {
+	return []netaddr6.AggLevel{netaddr6.Agg64}, nil
+}
+func (r *keyRecorder) Entry(_ *Dec, _ int, key netaddr6.U128) error {
+	r.keys = append(r.keys, key)
+	return nil
+}
+func (r *keyRecorder) Results(*Dec) error { return nil }
+
+// TestReadBodyKeyOrder: WriteBody emits each level's keys strictly
+// ascending, and ReadBody rejects a level section that is not, so a
+// restore never sees one key twice.
+func TestReadBodyKeyOrder(t *testing.T) {
+	for _, c := range []struct {
+		keys []uint64
+		ok   bool
+	}{
+		{[]uint64{1, 2, 7}, true},
+		{[]uint64{1, 1}, false},
+		{[]uint64{2, 1}, false},
+	} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, KindIDS, testMark)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e Enc
+		if err := w.Section(secConfig, nil); err != nil {
+			t.Fatal(err)
+		}
+		e.Varint(int64(netaddr6.Agg64))
+		e.Uvarint(uint64(len(c.keys)))
+		for _, k := range c.keys {
+			e.U64(0)
+			e.U64(k)
+		}
+		if err := w.Section(secLevel, e.B); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cr, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r keyRecorder
+		err = ReadBody(cr, KindIDS, &r)
+		if c.ok && (err != nil || len(r.keys) != len(c.keys)) {
+			t.Errorf("keys %v: err %v, %d entries restored", c.keys, err, len(r.keys))
+		}
+		if !c.ok && !errors.Is(err, ErrFormat) {
+			t.Errorf("keys %v: err %v, want ErrFormat", c.keys, err)
+		}
 	}
 }

@@ -17,17 +17,18 @@
 // scans. Memory is proportional to concurrently active sources, which
 // is what an inline IDS deployment would consume.
 //
-// # State index and small-set cutoffs
+// # State table and small-set cutoffs
 //
-// Session lookup state lives in a u128idx.Index (open-addressed, no
-// per-entry pointers) mapping masked sources to u32 handles into paged
-// session arrays, and per-session destination/source sets are
-// u128idx.Set values with an inline sorted-array fast path (cutoff
-// u128idx.SmallSetSpill = 16) before spilling to an index. Sessions
-// additionally keep their very first destination/source/service/week
-// inline and materialize set or map state only on the second distinct
-// value, because at fine aggregation levels most sessions close after
-// a handful of packets.
+// Each level's sessions live in a u128idx.Table keyed by masked
+// source, which also keeps every session's last activity in a dense
+// column, so Advance is one Expire sweep over plain integers — the
+// IDS engine's candidates live in the same table. Per-session
+// destination/source sets are u128idx.Set values with an inline
+// sorted-array fast path (cutoff u128idx.SmallSetSpill = 16) before
+// spilling to an index. Sessions additionally keep their very first
+// destination/source/service/week inline and materialize set or map
+// state only on the second distinct value, because at fine aggregation
+// levels most sessions close after a handful of packets.
 //
 // inlineMapHint below sizes the remaining maps (ports by service,
 // packets by week) at materialization. Re-tuned against the u128idx
@@ -45,6 +46,7 @@ import (
 	"sort"
 	"time"
 
+	"v6scan/internal/checkpoint"
 	"v6scan/internal/entropy"
 	"v6scan/internal/firewall"
 	"v6scan/internal/netaddr6"
@@ -128,16 +130,16 @@ func (s *Scan) NumPorts() int { return len(s.Ports) }
 // of sessions are short-lived background sources that close below the
 // threshold, and the fast path spares the set/map work entirely.
 //
-// Sessions themselves live in paged per-level arrays addressed by u32
-// handles and are recycled through a free list when they close
-// (levelState.alloc/recycle below): the detector's steady-state ingest
-// otherwise allocates one session per source per level, which
-// dominates the allocation rate on million-record days. A recycled
-// session keeps its emptied sets and maps, so the "materialized" state
-// is Len() > 0, not non-nil.
+// Sessions themselves are the values of a per-level u128idx.Table,
+// whose handles are reused when sessions close: the detector's
+// steady-state ingest otherwise allocates one session per source per
+// level, which dominates the allocation rate on million-record days.
+// The table also holds each session's source key and last activity. A
+// closed session keeps its emptied sets and maps (reset), so the
+// "materialized" state is Len() > 0, not non-nil.
 type session struct {
-	start, last time.Time
-	packets     uint64
+	start   time.Time
+	packets uint64
 
 	firstDst, firstSrc netaddr6.U128
 	firstSvc           firewall.Service
@@ -223,68 +225,29 @@ func (s *session) numSrcs() int {
 	return 1
 }
 
-// levelState tracks all sessions at one aggregation level. The index
-// maps the masked 128-bit source (the prefix length is the level
-// itself) to a u32 handle into the paged session store; pages never
-// move once allocated, so *session pointers stay valid across alloc.
-type levelState struct {
-	level netaddr6.AggLevel
-	idx   u128idx.Index
-	scans []Scan
-	// dropped counts sessions that closed below the destination
-	// threshold (useful for diagnostics and the Figure 1 discussion).
-	dropped uint64
-	// pages, free and next implement the handle-addressed session
-	// arena: handles are page<<sessionPageShift | offset, new sessions
-	// are carved in handle order and closed sessions return through
-	// free with their sets/maps emptied for reuse, keeping steady-state
-	// ingest free of per-session allocations.
-	pages [][]session
-	free  []uint32
-	next  uint32
-}
-
-// sessionPageShift sets the page granularity (512 sessions/page) —
-// large enough to amortize page allocation to noise, small enough that
-// a mostly-idle level does not strand much memory.
-const (
-	sessionPageShift = 9
-	sessionPageSize  = 1 << sessionPageShift
-)
-
-// session returns the session addressed by handle h.
-func (ls *levelState) session(h uint32) *session {
-	return &ls.pages[h>>sessionPageShift][h&(sessionPageSize-1)]
-}
-
-// alloc returns a zeroed session and its handle, from the free list or
-// by carving the next page slot.
-func (ls *levelState) alloc() (uint32, *session) {
-	if n := len(ls.free) - 1; n >= 0 {
-		h := ls.free[n]
-		ls.free = ls.free[:n]
-		return h, ls.session(h)
-	}
-	if int(ls.next) == len(ls.pages)<<sessionPageShift {
-		ls.pages = append(ls.pages, make([]session, sessionPageSize))
-	}
-	h := ls.next
-	ls.next++
-	return h, ls.session(h)
-}
-
-// recycle resets a closed session and returns its handle to the free
-// list. Its sets and maps are emptied and retained (transferred maps
-// must be nil'd by the caller first), so reopened sessions skip
-// re-materialization.
-func (ls *levelState) recycle(h uint32, s *session) {
+// reset empties a closed session for its handle's next use, keeping
+// its sets and maps (transferred maps must be nil'd by the caller
+// first), so reopened sessions skip re-materialization.
+func (s *session) reset() {
 	s.dsts.Reset()
 	s.srcs.Reset()
 	clear(s.ports)
 	clear(s.weeks)
 	s.lenCounter.Reset()
 	*s = session{dsts: s.dsts, srcs: s.srcs, ports: s.ports, weeks: s.weeks, lenCounter: s.lenCounter}
-	ls.free = append(ls.free, h)
+}
+
+// levelState tracks all sessions at one aggregation level, keyed by
+// the masked 128-bit source (the prefix length is the level itself),
+// with last activity on the checkpoint time axis
+// (checkpoint.EncodeTime).
+type levelState struct {
+	level netaddr6.AggLevel
+	tab   u128idx.Table[session]
+	scans []Scan
+	// dropped counts sessions that closed below the destination
+	// threshold (useful for diagnostics and the Figure 1 discussion).
+	dropped uint64
 }
 
 // Detector runs the scan definition at several aggregation levels in a
@@ -297,8 +260,9 @@ type Detector struct {
 	strict   bool
 
 	// Per-batch scratch: ProcessBatch converts each record's
-	// destination/service/week once up front, then replays them across
-	// all levels, so the per-level loop touches only flat arrays.
+	// time/destination/service/week once up front, then replays them
+	// across all levels, so the per-level loop touches only flat arrays.
+	scrAt   []int64
 	scrDst  []netaddr6.U128
 	scrSvc  []firewall.Service
 	scrWeek []int32
@@ -370,19 +334,19 @@ func (d *Detector) ProcessBatch(recs []firewall.Record) error {
 }
 
 // ingestRun applies one same-source run of in-order records: a single
-// index probe per level resolves (or creates) the session, and each
-// record then updates it through the cached pointer. Mid-run timeout
-// gaps close the session and splice a fresh one into the same index
-// slot — no index mutation happens inside a run, so the value pointer
-// from the initial probe stays valid throughout.
+// table probe per level resolves (or creates) the session, and each
+// record then updates it through the cached pointer. A mid-run timeout
+// gap closes the session and reopens it under the same handle.
 func (d *Detector) ingestRun(rs []firewall.Record) {
 	weekly := !d.cfg.WeekEpoch.IsZero()
+	d.scrAt = d.scrAt[:0]
 	d.scrDst = d.scrDst[:0]
 	d.scrSvc = d.scrSvc[:0]
 	if weekly {
 		d.scrWeek = d.scrWeek[:0]
 	}
 	for _, r := range rs {
+		d.scrAt = append(d.scrAt, checkpoint.EncodeTime(r.Time))
 		d.scrDst = append(d.scrDst, netaddr6.ToU128(r.Dst))
 		d.scrSvc = append(d.scrSvc, r.Service())
 		if weekly {
@@ -390,23 +354,20 @@ func (d *Detector) ingestRun(rs []firewall.Record) {
 		}
 	}
 	src := netaddr6.ToU128(rs[0].Src)
+	timeout := int64(d.cfg.Timeout)
 	for _, ls := range d.levels {
-		key := src.Mask(int(ls.level))
-		vp, existed := ls.idx.RefH(u128idx.Hash(key), key)
-		var s *session
-		if existed {
-			s = ls.session(*vp)
-		}
+		h, open := ls.tab.Ref(src.Mask(int(ls.level)), d.scrAt[0])
+		s := ls.tab.At(h)
 		for k, r := range rs {
-			if s != nil && r.Time.Sub(s.last) > d.cfg.Timeout {
-				d.emitOrDrop(ls, key, *vp, s)
-				s = nil
+			at := d.scrAt[k]
+			if open && ls.tab.Last(h) < u128idx.Cutoff(at, timeout) {
+				d.emitOrDrop(ls, h)
+				open = false
 			}
-			if s == nil {
-				h, ns := ls.alloc()
-				*vp = h
-				s = ns
-				s.start, s.last, s.packets = r.Time, r.Time, 1
+			ls.tab.Touch(h, at)
+			if !open {
+				open = true
+				s.start, s.packets = r.Time, 1
 				s.firstDst, s.firstSrc = d.scrDst[k], src
 				s.firstSvc, s.svcN = d.scrSvc[k], 1
 				if weekly {
@@ -415,7 +376,6 @@ func (d *Detector) ingestRun(rs []firewall.Record) {
 				s.lenCounter.Observe(uint64(r.Length))
 				continue
 			}
-			s.last = r.Time
 			s.packets++
 			s.addDst(d.scrDst[k])
 			s.addSrc(src)
@@ -432,42 +392,37 @@ func (d *Detector) ingestRun(rs []firewall.Record) {
 // Callers streaming bounded-memory deployments call this periodically;
 // batch analyses can skip it and rely on Finish.
 func (d *Detector) Advance(now time.Time) {
-	for _, ls := range d.levels {
-		ls.idx.Range(func(key netaddr6.U128, h uint32) bool {
-			s := ls.session(h)
-			if now.Sub(s.last) > d.cfg.Timeout {
-				d.emitOrDrop(ls, key, h, s)
-				ls.idx.Delete(key)
-			}
-			return true
-		})
-	}
+	d.expire(u128idx.Cutoff(checkpoint.EncodeTime(now), int64(d.cfg.Timeout)))
 }
 
 // Finish closes all open sessions and returns the detector to a clean
 // state. Call once after the final record.
-func (d *Detector) Finish() {
+func (d *Detector) Finish() { d.expire(u128idx.ExpireAll) }
+
+// expire closes every session at every level that the table's Expire
+// finds due at cutoff.
+func (d *Detector) expire(cutoff int64) {
 	for _, ls := range d.levels {
-		ls.idx.Range(func(key netaddr6.U128, h uint32) bool {
-			d.emitOrDrop(ls, key, h, ls.session(h))
-			ls.idx.Delete(key)
-			return true
+		ls.tab.Expire(cutoff, func(h uint32) {
+			d.emitOrDrop(ls, h)
+			ls.tab.Release(h)
 		})
 	}
 }
 
-// emitOrDrop evaluates a closing session against the scan definition,
-// emits it as a Scan when it qualifies, and recycles it. The caller
-// owns the index entry: Process/ingestRun overwrite the slot in place
-// when a timed-out session is replaced, Advance/Finish delete it.
-func (d *Detector) emitOrDrop(ls *levelState, key netaddr6.U128, h uint32, s *session) {
+// emitOrDrop evaluates the closing session at handle h against the
+// scan definition, emits it as a Scan when it qualifies, and resets it.
+// The caller owns the table entry: ingestRun reopens it when a
+// timed-out session is replaced, expire releases it.
+func (d *Detector) emitOrDrop(ls *levelState, h uint32) {
+	s := ls.tab.At(h)
+	defer s.reset()
 	if s.numDsts() < d.cfg.MinDsts {
 		ls.dropped++
-		ls.recycle(h, s)
 		return
 	}
 	// Qualifying sessions are the rare case. The Scan takes ownership
-	// of the materialized ports/weeks maps (nil'd here so recycle does
+	// of the materialized ports/weeks maps (nil'd here so reset does
 	// not hand them to the next session); inline fast-path state gets
 	// fresh maps.
 	ports := s.ports
@@ -486,10 +441,10 @@ func (d *Detector) emitOrDrop(ls *levelState, key netaddr6.U128, h uint32, s *se
 		s.weeks = nil
 	}
 	scan := Scan{
-		Source:      netip.PrefixFrom(key.ToAddr(), int(ls.level)),
+		Source:      netip.PrefixFrom(ls.tab.Key(h).ToAddr(), int(ls.level)),
 		Level:       ls.level,
 		Start:       s.start,
-		End:         s.last,
+		End:         checkpoint.DecodeTime(ls.tab.Last(h)),
 		Packets:     s.packets,
 		Dsts:        s.numDsts(),
 		SrcAddrs:    s.numSrcs(),
@@ -513,7 +468,6 @@ func (d *Detector) emitOrDrop(ls *levelState, key netaddr6.U128, h uint32, s *se
 		}
 	}
 	ls.scans = append(ls.scans, scan)
-	ls.recycle(h, s)
 }
 
 // Scans returns the detected scans at one aggregation level, ordered by
@@ -553,7 +507,7 @@ func (d *Detector) Dropped(level netaddr6.AggLevel) uint64 {
 func (d *Detector) OpenSessions(level netaddr6.AggLevel) int {
 	for _, ls := range d.levels {
 		if ls.level == level {
-			return ls.idx.Len()
+			return ls.tab.Len()
 		}
 	}
 	return 0
@@ -586,7 +540,3 @@ func (d *Detector) TotalsFor(level netaddr6.AggLevel) Totals {
 func weekIndex(epoch, t time.Time) int {
 	return int(t.Sub(epoch) / (7 * 24 * time.Hour))
 }
-
-// WeekIndex exposes weekly bucketing for the analysis package so all
-// figures share the same week boundaries.
-func WeekIndex(epoch, t time.Time) int { return weekIndex(epoch, t) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -350,5 +351,23 @@ func TestManySourcesStress(t *testing.T) {
 	// All share one /64 → single merged source there.
 	if n := d.TotalsFor(netaddr6.Agg64).Sources; n != 1 {
 		t.Errorf("/64 sources = %d, want 1", n)
+	}
+}
+
+// TestFinishClosesFinalInstant: a session last active at the final
+// instant of the checkpoint time axis still closes, and qualifies, at
+// Finish — the drain closes every live session whatever its last
+// activity.
+func TestFinishClosesFinalInstant(t *testing.T) {
+	d := NewDetector(Config{MinDsts: 2, Levels: []netaddr6.AggLevel{netaddr6.Agg128}})
+	end := time.Unix(0, math.MaxInt64).UTC()
+	feedScan(t, d, end.Add(-time.Second), "2001:db8:1::1", 2, 22)
+	d.Finish()
+	scans := d.Scans(netaddr6.Agg128)
+	if len(scans) != 1 || !scans[0].End.Equal(end) || scans[0].Packets != 2 {
+		t.Fatalf("Finish = %v, want one scan ending at %v", scans, end)
+	}
+	if n := d.OpenSessions(netaddr6.Agg128); n != 0 {
+		t.Fatalf("%d sessions left after Finish", n)
 	}
 }

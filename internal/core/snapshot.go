@@ -80,6 +80,12 @@ type detectorBody struct {
 	scratch []netaddr6.U128
 }
 
+// liveSession is a gathered session and its last activity.
+type liveSession struct {
+	s    *session
+	last int64
+}
+
 func (b *detectorBody) Levels() []netaddr6.AggLevel { return b.sd.cfg.Levels }
 
 func (b *detectorBody) Config(e *checkpoint.Enc) {
@@ -98,11 +104,11 @@ func (b *detectorBody) Config(e *checkpoint.Enc) {
 	}
 }
 
-func (b *detectorBody) Gather(dst []checkpoint.Keyed[*session], li int) []checkpoint.Keyed[*session] {
+func (b *detectorBody) Gather(dst []checkpoint.Keyed[liveSession], li int) []checkpoint.Keyed[liveSession] {
 	for _, det := range b.sd.shards {
-		ls := det.levels[li]
-		ls.idx.Range(func(key netaddr6.U128, h uint32) bool {
-			dst = append(dst, checkpoint.Keyed[*session]{Key: key, Val: ls.session(h)})
+		tab := &det.levels[li].tab
+		tab.Range(func(key netaddr6.U128, h uint32) bool {
+			dst = append(dst, checkpoint.Keyed[liveSession]{Key: key, Val: liveSession{tab.At(h), tab.Last(h)}})
 			return true
 		})
 	}
@@ -112,10 +118,11 @@ func (b *detectorBody) Gather(dst []checkpoint.Keyed[*session], li int) []checkp
 // Entry writes one session's logical state: each inline-or-set pair is
 // encoded as its sorted logical contents, so the in-memory
 // representation (inline fast path vs materialized set) never reaches
-// the wire.
-func (b *detectorBody) Entry(e *checkpoint.Enc, s *session) {
+// the wire. Last activity is already on Enc.Time's axis.
+func (b *detectorBody) Entry(e *checkpoint.Enc, ls liveSession) {
+	s := ls.s
 	e.Time(s.start)
-	e.Time(s.last)
+	e.U64(uint64(ls.last))
 	e.Uvarint(s.packets)
 	encodeU128Set(e, &b.scratch, &s.dsts, s.firstDst)
 	encodeU128Set(e, &b.scratch, &s.srcs, s.firstSrc)
@@ -189,9 +196,9 @@ func (r *detectorRestore) Config(d *checkpoint.Dec) ([]netaddr6.AggLevel, error)
 // dispatcher applies to the session's records).
 func (r *detectorRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
 	ls := r.sd.shards[dispatch.Partition(key.ToAddr(), r.coarsest, len(r.sd.shards))].levels[li]
-	h, s := ls.alloc()
+	var s session
 	s.start = d.Time()
-	s.last = d.Time()
+	last := int64(d.U64()) // Dec.Time's axis, kept as the table stores it
 	s.packets = d.Uvarint()
 	var err error
 	if s.firstDst, err = decodeU128Set(d, &s.dsts); err != nil {
@@ -208,7 +215,8 @@ func (r *detectorRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) er
 	if err := d.Err(); err != nil {
 		return err
 	}
-	ls.idx.Put(key, h)
+	h, _ := ls.tab.Ref(key, last) // keys arrive strictly ascending
+	*ls.tab.At(h) = s
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net/netip"
 	"reflect"
 	"slices"
 	"testing"
@@ -39,21 +40,28 @@ func fuzzSeedLog() [][]byte {
 		Proto: layers.IPProtocol(255), SrcPort: 65535, DstPort: 65535, Length: 65535,
 	}
 	full := mk(r1, r2, r1, r2, extreme, Record{})
+	mappedSrc, mappedDst := r2, r2
+	mappedSrc.Src = netip.MustParseAddr("::ffff:192.0.2.1")
+	mappedDst.Dst = netip.MustParseAddr("::ffff:192.0.2.2")
 	return [][]byte{
 		nil,
 		mk(r1),
 		full,
+
 		full[:len(full)-13],     // truncated trailing record
 		full[:recordWireSize-1], // shorter than one record
 		bytes.Repeat([]byte{0xff}, 3*recordWireSize),
+		mk(r1, mappedSrc, r2), // rejected: IPv4-mapped source
+		mk(r1, r2, mappedDst), // rejected: IPv4-mapped destination
 	}
 }
 
 // FuzzFirewallReader is the binary-log decoder fuzz target: for any
 // byte stream, Next and NextBatch must never panic or overread, and —
 // the differential property — must decode the identical record
-// sequence and agree on how the stream ends (clean EOF vs truncated
-// record, including the reported trailing-byte count).
+// sequence and agree on how the stream ends (clean EOF, truncated
+// record with the reported trailing-byte count, or a record rejected
+// as not IPv6).
 func FuzzFirewallReader(f *testing.F) {
 	for _, seed := range fuzzSeedLog() {
 		f.Add(seed)
@@ -105,11 +113,16 @@ func FuzzFirewallReader(f *testing.F) {
 				t.Fatalf("max=%d: NextBatch err %v, Next err %v", max, batchErr, nextErr)
 			}
 			if batchErr != nil {
-				if !errors.Is(batchErr, ErrShortRecord) || !errors.Is(nextErr, ErrShortRecord) {
-					t.Fatalf("max=%d: unexpected error classes: batch %v, next %v", max, batchErr, nextErr)
+				for _, class := range []error{ErrShortRecord, ErrNotIPv6} {
+					if errors.Is(batchErr, class) != errors.Is(nextErr, class) {
+						t.Fatalf("max=%d: error classes differ: batch %v, next %v", max, batchErr, nextErr)
+					}
+				}
+				if !errors.Is(batchErr, ErrShortRecord) && !errors.Is(batchErr, ErrNotIPv6) {
+					t.Fatalf("max=%d: unexpected error class: %v", max, batchErr)
 				}
 				if batchErr.Error() != nextErr.Error() {
-					t.Fatalf("max=%d: truncation diagnostics disagree: batch %q, next %q", max, batchErr, nextErr)
+					t.Fatalf("max=%d: diagnostics disagree: batch %q, next %q", max, batchErr, nextErr)
 				}
 			}
 		}

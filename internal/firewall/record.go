@@ -111,6 +111,10 @@ const RecordWireSize = recordWireSize
 // Errors returned by the codec.
 var (
 	ErrShortRecord = errors.New("firewall: short record")
+	// ErrNotIPv6 rejects a record whose source or destination is not a
+	// plain IPv6 address (an IPv4-mapped one): the detectors aggregate
+	// sources as IPv6 prefixes and take none other.
+	ErrNotIPv6 = errors.New("firewall: not an IPv6 address")
 )
 
 // AppendBinary encodes r in the fixed 47-byte wire form.
@@ -127,7 +131,8 @@ func (r Record) AppendBinary(b []byte) []byte {
 	return append(b, tmp[:]...)
 }
 
-// DecodeBinary decodes a record from the fixed wire form.
+// DecodeBinary decodes a record from the fixed wire form. A source or
+// destination that is not plain IPv6 fails with ErrNotIPv6.
 func (r *Record) DecodeBinary(b []byte) error {
 	if len(b) < recordWireSize {
 		return ErrShortRecord
@@ -142,6 +147,9 @@ func (r *Record) DecodeBinary(b []byte) error {
 	r.SrcPort = binary.BigEndian.Uint16(b[41:43])
 	r.DstPort = binary.BigEndian.Uint16(b[43:45])
 	r.Length = binary.BigEndian.Uint16(b[45:47])
+	if !netaddr6.IsIPv6(r.Src) || !netaddr6.IsIPv6(r.Dst) {
+		return fmt.Errorf("%w: %v → %v", ErrNotIPv6, r.Src, r.Dst)
+	}
 	return nil
 }
 
@@ -222,8 +230,8 @@ func (rd *Reader) Next() (Record, error) {
 //   - io.EOF — the stream ended cleanly; any final records are in the
 //     returned slice (len > len(dst) is possible alongside io.EOF);
 //   - another error — decoding stopped there (ErrShortRecord for a
-//     truncated trailing record; records decoded before the error are
-//     returned).
+//     truncated trailing record, ErrNotIPv6 for a rejected one;
+//     records decoded before the error are returned).
 func (rd *Reader) NextBatch(dst []Record, max int) ([]Record, error) {
 	if max <= 0 {
 		return dst, nil
@@ -239,7 +247,10 @@ func (rd *Reader) NextBatch(dst []Record, max int) ([]Record, error) {
 	}
 	buf := rd.bulk[:need]
 	n, err := io.ReadFull(rd.r, buf)
-	dst = appendDecoded(dst, buf[:n-n%recordWireSize])
+	dst, derr := appendDecoded(dst, buf[:n-n%recordWireSize])
+	if derr != nil {
+		return dst, derr
+	}
 	switch err {
 	case nil:
 		return dst, nil
@@ -265,17 +276,19 @@ const (
 	bulkRetainBytes  = 64 * recordWireSize
 )
 
-// appendDecoded bulk-decodes the record-aligned buf into dst. It is
-// the shared decode loop of NextBatch and DecodeChunk; buf's length
-// must be a multiple of recordWireSize.
-func appendDecoded(dst []Record, buf []byte) []Record {
+// appendDecoded bulk-decodes the record-aligned buf into dst, stopping
+// at the first record DecodeBinary rejects. It is the shared decode
+// loop of NextBatch and DecodeChunk; buf's length must be a multiple
+// of recordWireSize.
+func appendDecoded(dst []Record, buf []byte) ([]Record, error) {
 	for i := 0; i+recordWireSize <= len(buf); i += recordWireSize {
 		var r Record
-		// Length is fixed and pre-checked, so DecodeBinary cannot fail.
-		r.DecodeBinary(buf[i : i+recordWireSize])
+		if err := r.DecodeBinary(buf[i : i+recordWireSize]); err != nil {
+			return dst, err
+		}
 		dst = append(dst, r)
 	}
-	return dst
+	return dst, nil
 }
 
 // Chunk is a contiguous byte range of a binary log, planned by
@@ -327,9 +340,13 @@ func PlanChunks(size int64, n int) []Chunk {
 // the same "trailing N bytes" ErrShortRecord the serial reader
 // reports, with the decoded records still returned — so a chunked
 // decode of a truncated log fails with a byte-identical error to
-// Reader.NextBatch.
+// Reader.NextBatch. A rejected record (ErrNotIPv6) stops the decode
+// there, as it stops the serial reader.
 func DecodeChunk(buf []byte, dst []Record) ([]Record, error) {
-	dst = appendDecoded(dst, buf)
+	dst, err := appendDecoded(dst, buf)
+	if err != nil {
+		return dst, err
+	}
 	if rem := len(buf) % recordWireSize; rem != 0 {
 		return dst, fmt.Errorf("%w: trailing %d bytes", ErrShortRecord, rem)
 	}

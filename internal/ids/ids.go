@@ -21,30 +21,28 @@
 //     destinations — and escalating to the coarser prefix when it does
 //     not (the spread-source case).
 //
-// Engine is single-goroutine and allocation-light: candidate tables are
-// u128idx.Index instances (open-addressed, pointer-free U128 keys, u32
-// handles into paged candidate arrays), and candidates hold their first
-// destination inline, materializing the sketch only on the second
-// distinct destination — at fine aggregation levels the overwhelming
-// majority of candidates are short-lived background sources that never
-// need one. The inline-first-destination cutoff is 1 (a single address)
-// because the sketch, unlike a set, has no cheap intermediate size: the
-// first distinct second address pays the full 2^precision registers, so
-// there is nothing to re-tune between 1 and materialization — the only
-// knob is SketchPrecision. Each level also keeps its candidates' last
-// activity in a dense column indexed by handle, so a minute Tick is one
-// linear pass over plain integers that touches a candidate only when it
-// is due, and a due candidate below the threshold is recycled after an
-// O(1) sketch estimate (see core.DstSketch). ProcessBatch additionally
-// groups adjacent same-source records so a burst of N records to one
-// candidate costs one index probe per level. ShardedEngine (sharded.go) runs N engines
-// in parallel, partitioned by coarsest-level source prefix, with
-// byte-identical merged output.
+// Engine is single-goroutine and allocation-light: each level's
+// candidates live in a u128idx.Table (the detector's session table),
+// and candidates hold their first destination inline, materializing the
+// sketch only on the second distinct destination — at fine aggregation
+// levels the overwhelming majority of candidates are short-lived
+// background sources that never need one. The inline-first-destination
+// cutoff is 1 (a single address) because the sketch, unlike a set, has
+// no cheap intermediate size: the first distinct second address pays
+// the full 2^precision registers, so there is nothing to re-tune
+// between 1 and materialization — the only knob is SketchPrecision. A
+// minute Tick is the table's Expire sweep over its dense last-activity
+// column, which touches a candidate only when it is due, and a due
+// candidate below the threshold is recycled after an O(1) sketch
+// estimate (see core.DstSketch). ProcessBatch additionally groups
+// adjacent same-source records so a burst of N records to one
+// candidate costs one table probe per level. ShardedEngine (sharded.go)
+// runs N engines in parallel, partitioned by coarsest-level source
+// prefix, with byte-identical merged output.
 package ids
 
 import (
 	"fmt"
-	"math"
 	"net/netip"
 	"slices"
 	"sort"
@@ -168,16 +166,14 @@ func alertLess(a, b *Alert) bool {
 // candidate costs no sketch memory. HyperLogLog insertion is
 // idempotent per address, so the late-materialized sketch is
 // byte-identical to one fed every record.
-// Candidates live in paged per-level arrays addressed by u32 handles
-// and are recycled through a free list on eviction (alloc/recycle
-// below), with their sketches reset and pooled alongside: steady-state
-// ingest otherwise allocates one candidate per source per level, which
-// dominates the engine's allocation rate on million-record days.
-// A candidate's last activity is not here: it lives in the level's
-// dense last column, and key lets sweep delete a due candidate from
-// the index without ranging over it.
+//
+// Candidates are the values of a per-level u128idx.Table, whose
+// handles are reused on eviction, with the sketches reset and pooled
+// alongside (recycle below): steady-state ingest otherwise allocates
+// one candidate per source per level, which dominates the engine's
+// allocation rate on million-record days. A candidate's key and last
+// activity are the table's.
 type candidate struct {
-	key      netaddr6.U128
 	firstDst netaddr6.U128
 	sketch   *core.DstSketch
 	packets  uint64
@@ -193,88 +189,27 @@ func (c *candidate) estimate() uint64 {
 	return c.sketch.Estimate()
 }
 
-// level is one aggregation level's candidate table: an open-addressed
-// index keyed by the masked 128-bit source (the prefix length is the
-// level itself) mapping to u32 handles into paged candidate arrays —
-// pointer-free keys keep the garbage collector from tracing millions
-// of interned netip.Addr zone pointers on every cycle, and pages never
-// move once allocated, so *candidate pointers stay valid across alloc.
+// level is one aggregation level's candidate table, keyed by the
+// masked 128-bit source (the prefix length is the level itself), with
+// last activity on the checkpoint time axis (checkpoint.EncodeTime),
+// plus the pool of reset sketches for the next candidates that need
+// one.
 type level struct {
-	agg netaddr6.AggLevel
-	idx u128idx.Index
-	// last is the dense last-activity column, indexed by handle: each
-	// live candidate's latest record time on the checkpoint time axis
-	// (checkpoint.EncodeTime); free handles hold freeLast. It is the only
-	// copy of a candidate's last activity, and sweep's idle test reads
-	// nothing else.
-	last []int64
-	// oldest is a conservative lower bound on every live candidate's
-	// last activity (freeLast when the level is empty). Activity only
-	// moves a candidate's last forward, so the bound lets sweep skip
-	// the whole level — exactly, not heuristically — when even the
-	// stalest possible candidate would not be idle yet: the common case
-	// for minute-cadence Ticks over an hour-scale timeout.
-	oldest int64
-	// pages, free, next and freeSketch implement the handle-addressed
-	// candidate arena: handles are page<<candidatePageShift | offset,
-	// evicted candidates return through free, and their sketches are
-	// reset and pooled for the next candidate that needs one.
-	pages      [][]candidate
-	free       []uint32
-	next       uint32
+	agg        netaddr6.AggLevel
+	tab        u128idx.Table[candidate]
 	freeSketch []*core.DstSketch
 }
 
-// candidatePageShift sets the page granularity, 512 candidates/page
-// (see the detector's sessionPageShift for the trade-off).
-const (
-	candidatePageShift = 9
-	candidatePageSize  = 1 << candidatePageShift
-)
-
-// candidate returns the candidate addressed by handle h.
-func (lv *level) candidate(h uint32) *candidate {
-	return &lv.pages[h>>candidatePageShift][h&(candidatePageSize-1)]
-}
-
-// freeLast is the last-column value of a free handle and the oldest
-// bound of an empty level: no cutoff is above it, so it is never due.
-// It is the final instant of the checkpoint time axis (2262-04-11);
-// activity at or past it is outside what the engine, like the
-// checkpoint format, represents.
-const freeLast = math.MaxInt64
-
-// alloc returns a zeroed candidate keyed key and its handle, from the
-// free list or by carving the next page slot. The caller sets the
-// handle's last-column entry.
-func (lv *level) alloc(key netaddr6.U128) (uint32, *candidate) {
-	var h uint32
-	if n := len(lv.free) - 1; n >= 0 {
-		h = lv.free[n]
-		lv.free = lv.free[:n]
-	} else {
-		if int(lv.next) == len(lv.pages)<<candidatePageShift {
-			lv.pages = append(lv.pages, make([]candidate, candidatePageSize))
-		}
-		h = lv.next
-		lv.next++
-		lv.last = append(lv.last, freeLast)
-	}
-	c := lv.candidate(h)
-	c.key = key
-	return h, c
-}
-
-// recycle resets an evicted candidate and returns its handle (and its
-// sketch, reset) to the level's pools. Callers must be done reading it.
-func (lv *level) recycle(h uint32, c *candidate) {
+// recycle resets an evicted candidate, pools its sketch and releases
+// its handle. Callers must be done reading it.
+func (lv *level) recycle(h uint32) {
+	c := lv.tab.At(h)
 	if c.sketch != nil {
 		c.sketch.Reset()
 		lv.freeSketch = append(lv.freeSketch, c.sketch)
 	}
 	*c = candidate{}
-	lv.last[h] = freeLast
-	lv.free = append(lv.free, h)
+	lv.tab.Release(h)
 }
 
 // observeDst records one destination for a candidate, materializing
@@ -346,7 +281,7 @@ func New(cfg Config) *Engine {
 	cfg.Levels = levels
 	e := &Engine{cfg: cfg}
 	for _, l := range levels {
-		e.levels = append(e.levels, &level{agg: l, oldest: freeLast})
+		e.levels = append(e.levels, &level{agg: l})
 	}
 	return e
 }
@@ -366,7 +301,7 @@ func (e *Engine) Process(r firewall.Record) {
 //
 // Adjacent records with the same source (the shape dispatch staging
 // and real scan bursts produce) are grouped into runs, so N records to
-// one candidate cost one index probe per aggregation level instead of
+// one candidate cost one table probe per aggregation level instead of
 // N map lookups.
 func (e *Engine) ProcessBatch(recs []firewall.Record) {
 	for i := 0; i < len(recs); {
@@ -379,12 +314,10 @@ func (e *Engine) ProcessBatch(recs []firewall.Record) {
 	}
 }
 
-// ingestRun applies one same-source run: a single index probe per
+// ingestRun applies one same-source run: a single table probe per
 // level resolves (or, below the MaxCandidates bound, creates in the
 // same probe) the candidate, each record's destination then updates it
-// through the cached pointer, and the run's activity bounds apply once.
-// No index mutation happens inside a run, so the value pointer from
-// the initial probe stays valid throughout.
+// through the value pointer, and the run's activity bounds apply once.
 //
 // A candidate's activity bounds are the earliest and latest record
 // times seen, not the first and last to arrive: without a sorting
@@ -410,34 +343,24 @@ func (e *Engine) ingestRun(rs []firewall.Record) {
 	for _, lv := range e.levels {
 		key := src.Mask(int(lv.agg))
 		var (
-			h uint32
-			c *candidate
+			h       uint32
+			existed bool
 		)
-		dsts := e.scrDst
-		if lv.idx.Len() < e.cfg.MaxCandidates {
+		if lv.tab.Len() < e.cfg.MaxCandidates {
 			// Below the bound, lookup and admission are one probe.
-			vp, existed := lv.idx.RefH(u128idx.Hash(key), key)
-			if !existed {
-				h, c = lv.alloc(key)
-				*vp = h
-				c.firstDst, c.first = dsts[0], first
-				lv.last[h] = last
-				lv.oldest = min(lv.oldest, last)
-				dsts = dsts[1:]
-			} else {
-				h = *vp
-				c = lv.candidate(h)
-			}
-		} else {
+			h, existed = lv.tab.Ref(key, last)
+		} else if h, existed = lv.tab.Get(key); !existed {
 			// At the bound only existing candidates admit records; a
 			// missing key drops every record of the run, as the
 			// per-record path did.
-			var ok bool
-			if h, ok = lv.idx.GetH(u128idx.Hash(key), key); !ok {
-				e.dropped.Add(uint64(len(rs)))
-				continue
-			}
-			c = lv.candidate(h)
+			e.dropped.Add(uint64(len(rs)))
+			continue
+		}
+		c := lv.tab.At(h)
+		dsts := e.scrDst
+		if !existed {
+			c.firstDst, c.first = dsts[0], first
+			dsts = dsts[1:]
 		}
 		for _, d := range dsts {
 			lv.observeDst(c, d, e.cfg.SketchPrecision)
@@ -446,8 +369,7 @@ func (e *Engine) ingestRun(rs []firewall.Record) {
 		if first.Before(c.first) {
 			c.first = first
 		}
-		// Only moves forward, so the level's oldest bound stays valid.
-		lv.last[h] = max(lv.last[h], last)
+		lv.tab.Touch(h, last)
 	}
 }
 
@@ -458,13 +380,13 @@ func (e *Engine) Tick(now time.Time) {
 	if now.After(e.now) {
 		e.now = now
 	}
-	e.sweep(false)
+	e.sweep(u128idx.Cutoff(checkpoint.EncodeTime(e.now), int64(e.cfg.Timeout)))
 }
 
 // Flush evicts every candidate regardless of idleness and returns all
 // pending alerts.
 func (e *Engine) Flush() []Alert {
-	e.sweep(true)
+	e.sweep(u128idx.ExpireAll)
 	return e.Drain()
 }
 
@@ -481,7 +403,7 @@ func (e *Engine) Drain() []Alert {
 func (e *Engine) Candidates(l netaddr6.AggLevel) int {
 	for _, lv := range e.levels {
 		if lv.agg == l {
-			return lv.idx.Len()
+			return lv.tab.Len()
 		}
 	}
 	return 0
@@ -493,8 +415,8 @@ func (e *Engine) Candidates(l netaddr6.AggLevel) int {
 func (e *Engine) MemoryBytes() int {
 	total := 0
 	for _, lv := range e.levels {
-		lv.idx.Range(func(_ netaddr6.U128, h uint32) bool {
-			if c := lv.candidate(h); c.sketch != nil {
+		lv.tab.Range(func(_ netaddr6.U128, h uint32) bool {
+			if c := lv.tab.At(h); c.sketch != nil {
 				total += c.sketch.MemoryBytes()
 			}
 			return true
@@ -503,65 +425,37 @@ func (e *Engine) MemoryBytes() int {
 	return total
 }
 
-// sweep evicts (idle or all) candidates level by level, most specific
+// sweep evicts the candidates the level tables' Expire finds due at
+// cutoff (u128idx.ExpireAll at Flush), level by level, most specific
 // first, applying the suppression/escalation logic. The level order
 // was fixed at New; within a level, closed candidates are visited in
 // address order for determinism.
-//
-// A candidate is idle when now − last > Timeout, i.e. last < cutoff
-// with cutoff = now − Timeout (saturating, on the checkpoint time
-// axis). The scan reads only the dense last column and touches a
-// candidate's page only when it is due; Flush uses a cutoff above
-// every live entry.
-func (e *Engine) sweep(all bool) {
-	cutoff := int64(freeLast)
-	if !all {
-		now, timeout := checkpoint.EncodeTime(e.now), int64(e.cfg.Timeout)
-		cutoff = math.MinInt64
-		if now >= math.MinInt64+timeout {
-			cutoff = now - timeout
-		}
-	}
+func (e *Engine) sweep(cutoff int64) {
 	var (
 		closed  []uint32 // due handles at or above the threshold, reused per level
 		emitted []Alert
 	)
 	for _, lv := range e.levels {
-		if lv.idx.Len() == 0 || lv.oldest >= cutoff {
-			// Even the stalest candidate is within the timeout: no
-			// eviction possible at this level, skip the column scan.
-			continue
-		}
 		closed = closed[:0]
-		oldest := int64(freeLast)
-		for h, last := range lv.last {
-			if last >= cutoff {
-				oldest = min(oldest, last)
-				continue
-			}
-			c := lv.candidate(uint32(h))
-			lv.idx.Delete(c.key)
-			if c.estimate() >= uint64(e.cfg.MinDsts) {
-				closed = append(closed, uint32(h))
+		lv.tab.Expire(cutoff, func(h uint32) {
+			if lv.tab.At(h).estimate() >= uint64(e.cfg.MinDsts) {
+				closed = append(closed, h)
 			} else {
-				lv.recycle(uint32(h), c)
+				lv.recycle(h)
 			}
-		}
-		// Tighten the bound to the surviving minimum (freeLast when the
-		// level emptied).
-		lv.oldest = oldest
+		})
 		if len(closed) == 0 {
 			continue
 		}
-		slices.SortFunc(closed, func(a, b uint32) int { return lv.candidate(a).key.Cmp(lv.candidate(b).key) })
+		slices.SortFunc(closed, func(a, b uint32) int { return lv.tab.Key(a).Cmp(lv.tab.Key(b)) })
 		// Suppression: a coarser candidate is redundant if
 		// already-emitted more specific alerts cover CoverageShare of
 		// its destinations (approximated by cardinality sums — sketches
 		// cannot intersect, and scan destination sets at different
 		// levels of one entity nest).
 		for _, h := range closed {
-			c := lv.candidate(h)
-			prefix := netip.PrefixFrom(c.key.ToAddr(), int(lv.agg))
+			c := lv.tab.At(h)
+			prefix := netip.PrefixFrom(lv.tab.Key(h).ToAddr(), int(lv.agg))
 			var coveredDsts uint64
 			for _, a := range emitted {
 				if netaddr6.PrefixContains(prefix, a.Prefix) {
@@ -578,14 +472,14 @@ func (e *Engine) sweep(all bool) {
 				EstimatedDsts: est,
 				Packets:       c.packets,
 				First:         c.first,
-				Last:          checkpoint.DecodeTime(lv.last[h]),
+				Last:          checkpoint.DecodeTime(lv.tab.Last(h)),
 				Escalated:     coveredDsts > 0 || lv.agg != e.levels[0].agg,
 			})
 		}
 		// Alerts hold copies of everything they need; the closed
-		// candidates (and their sketches) can re-enter the arena.
+		// candidates (and their sketches) can re-enter the table.
 		for _, h := range closed {
-			lv.recycle(h, lv.candidate(h))
+			lv.recycle(h)
 		}
 	}
 	e.alerts = append(e.alerts, emitted...)

@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"math"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -317,5 +318,24 @@ func TestLateRecordKeepsActivityBounds(t *testing.T) {
 	}
 	if a := alerts[0]; !a.First.Equal(late) || !a.Last.Equal(latest) {
 		t.Errorf("activity bounds %v–%v, want %v–%v", a.First, a.Last, late, latest)
+	}
+}
+
+// TestFlushClosesFinalInstant: a candidate last active at the final
+// instant of the checkpoint time axis still closes, and alerts, at
+// Flush — the drain closes every live candidate whatever its last
+// activity.
+func TestFlushClosesFinalInstant(t *testing.T) {
+	e := New(Config{MinDsts: 2, Levels: []netaddr6.AggLevel{netaddr6.Agg128}})
+	end := time.Unix(0, math.MaxInt64).UTC()
+	src := netaddr6.MustAddr("2001:db8:bad0::1")
+	e.Process(rec(end.Add(-time.Second), src, netaddr6.MustAddr("2001:db8:f::1")))
+	e.Process(rec(end, src, netaddr6.MustAddr("2001:db8:f::2")))
+	alerts := e.Flush()
+	if len(alerts) != 1 || !alerts[0].Last.Equal(end) || alerts[0].Packets != 2 {
+		t.Fatalf("Flush = %v, want one alert ending at %v", alerts, end)
+	}
+	if n := e.Candidates(netaddr6.Agg128); n != 0 {
+		t.Fatalf("%d candidates left after Flush", n)
 	}
 }

@@ -7,21 +7,11 @@ package ids
 // key-sorted sequence across shards; restore re-partitions
 // deterministically, so shard count may change between save and load.
 //
-// Two pieces of engine state need care:
-//
-//   - the engine clock (now) serializes once, globally, as the maximum
-//     over shards, and restores into every shard. Ticks forward a
-//     global horizon (max of now and the latest record time) and the
-//     final sweep ignores now entirely, so a shard whose private clock
-//     lagged the global one behaves identically after restore;
-//   - each level's oldest-activity bound is recomputed tight (the
-//     minimum restored last activity) rather than serialized: the
-//     bound only gates a skip-the-column-scan fast path, and a tighter
-//     bound provably never changes which candidates close or what
-//     alerts emit. Last activity encodes straight from the level's
-//     last column, which is on the checkpoint time axis
-//     (checkpoint.EncodeTime), so those bytes equal Enc.Time of the
-//     decoded instant.
+// The engine clock (now) serializes once, globally, as the maximum
+// over shards, and restores into every shard. Ticks forward a global
+// horizon (max of now and the latest record time) and the final sweep
+// ignores now entirely, so a shard whose private clock lagged the
+// global one behaves identically after restore.
 
 import (
 	"fmt"
@@ -91,7 +81,7 @@ type idsBody struct {
 	engines []*Engine
 }
 
-// liveCandidate is a gathered candidate and its last-column entry.
+// liveCandidate is a gathered candidate and its last activity.
 type liveCandidate struct {
 	c    *candidate
 	last int64
@@ -114,9 +104,9 @@ func (b *idsBody) Config(e *checkpoint.Enc) {
 
 func (b *idsBody) Gather(dst []checkpoint.Keyed[liveCandidate], li int) []checkpoint.Keyed[liveCandidate] {
 	for _, eng := range b.engines {
-		lv := eng.levels[li]
-		lv.idx.Range(func(key netaddr6.U128, h uint32) bool {
-			dst = append(dst, checkpoint.Keyed[liveCandidate]{Key: key, Val: liveCandidate{lv.candidate(h), lv.last[h]}})
+		tab := &eng.levels[li].tab
+		tab.Range(func(key netaddr6.U128, h uint32) bool {
+			dst = append(dst, checkpoint.Keyed[liveCandidate]{Key: key, Val: liveCandidate{tab.At(h), tab.Last(h)}})
 			return true
 		})
 	}
@@ -128,7 +118,7 @@ func (b *idsBody) Gather(dst []checkpoint.Keyed[liveCandidate], li int) []checkp
 // distinct shapes (the sketch's registers are its complete state; the
 // inline destination is the whole state before materialization), so
 // restore reproduces the exact representation and a re-snapshot the
-// exact bytes. The last-column entry is already on Enc.Time's axis.
+// exact bytes. Last activity is already on Enc.Time's axis.
 func (b *idsBody) Entry(e *checkpoint.Enc, lc liveCandidate) {
 	c := lc.c
 	e.Uvarint(c.packets)
@@ -203,10 +193,10 @@ func (r *idsRestore) Config(d *checkpoint.Dec) ([]netaddr6.AggLevel, error) {
 // Entry rebuilds one candidate into its deterministic shard.
 func (r *idsRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
 	lv := r.engines[dispatch.Partition(key.ToAddr(), r.coarsest, len(r.engines))].levels[li]
-	h, c := lv.alloc(key)
+	var c candidate
 	c.packets = d.Uvarint()
 	c.first = d.Time()
-	last := int64(d.U64()) // Dec.Time's axis, kept as the column stores it
+	last := int64(d.U64()) // Dec.Time's axis, kept as the table stores it
 	var err error
 	switch flag := d.U8(); flag {
 	case 0:
@@ -229,16 +219,10 @@ func (r *idsRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
 		err = d.Err()
 	}
 	if err != nil {
-		lv.recycle(h, c)
 		return err
 	}
-	lv.idx.Put(key, h)
-	lv.last[h] = last
-	// Recompute the oldest-activity bound tight: the minimum restored
-	// last activity (see the comment at the top of this file for why
-	// tight vs the live engine's conservative bound cannot change
-	// output).
-	lv.oldest = min(lv.oldest, last)
+	h, _ := lv.tab.Ref(key, last) // keys arrive strictly ascending
+	*lv.tab.At(h) = c
 	return nil
 }
 

@@ -160,6 +160,17 @@ func TestParseNotIPv6(t *testing.T) {
 	if err := ParseFrame(frame, LinkTypeEthernet, &d); !errors.Is(err, ErrNotIPv6) {
 		t.Errorf("v4 eth: %v", err)
 	}
+	// An IPv6 header with an IPv4-mapped source or destination.
+	mapped := netip.MustParseAddr("::ffff:192.0.2.1")
+	for _, addrs := range [][2]netip.Addr{{mapped, testDst}, {testSrc, mapped}} {
+		frame, err := BuildTCPSYN(addrs[0], addrs[1], 40000, 22, BuildOptions{Link: LinkTypeEthernet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ParseFrame(frame, LinkTypeEthernet, &d); !errors.Is(err, ErrNotIPv6) {
+			t.Errorf("IPv4-mapped %v → %v: %v", addrs[0], addrs[1], err)
+		}
+	}
 }
 
 func TestParseUnknownTransportNotError(t *testing.T) {

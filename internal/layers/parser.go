@@ -2,6 +2,8 @@ package layers
 
 import (
 	"fmt"
+
+	"v6scan/internal/netaddr6"
 )
 
 // LinkType identifies the outermost framing of captured packets,
@@ -63,9 +65,11 @@ func (d *Decoded) DstPort() uint16 {
 }
 
 // ParseFrame decodes a frame of the given link type into d. It returns
-// an error for truncated or non-IPv6 packets; telescope ingest counts
-// and skips these. Unknown transport protocols are not an error: the
-// IPv6 layer is valid and Transport records the protocol number.
+// an error for truncated or non-IPv6 packets, including an IPv6 header
+// with an IPv4-mapped source or destination (ErrNotIPv6); telescope
+// ingest counts and skips these. Unknown transport protocols are not
+// an error: the IPv6 layer is valid and Transport records the protocol
+// number.
 func ParseFrame(data []byte, link LinkType, d *Decoded) error {
 	d.HasEthernet = false
 	d.NumExtensions = 0
@@ -90,6 +94,9 @@ func ParseFrame(data []byte, link LinkType, d *Decoded) error {
 
 	if err := d.IPv6.DecodeFromBytes(ip); err != nil {
 		return err
+	}
+	if !netaddr6.IsIPv6(d.IPv6.Src) || !netaddr6.IsIPv6(d.IPv6.Dst) {
+		return fmt.Errorf("ipv4-mapped address %v → %v: %w", d.IPv6.Src, d.IPv6.Dst, ErrNotIPv6)
 	}
 	next := d.IPv6.NextHeader
 	rest := d.IPv6.Payload()

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"errors"
+	"net/netip"
 	"testing"
 
 	"v6scan/internal/firewall"
@@ -18,6 +19,9 @@ func fuzzSeedLogs() [][]byte {
 	}
 	w.Flush()
 	clean := buf.Bytes()
+	// An IPv4-mapped source in the third record: decoding stops there.
+	mapped := bytes.Clone(clean)
+	copy(mapped[2*firewall.RecordWireSize+8:], netip.MustParseAddr("::ffff:192.0.2.1").AsSlice())
 	return [][]byte{
 		nil,
 		clean,
@@ -25,6 +29,7 @@ func fuzzSeedLogs() [][]byte {
 		clean[:firewall.RecordWireSize-1],
 		clean[:firewall.RecordWireSize*3+17],
 		bytes.Repeat([]byte{0xab}, 200),
+		mapped,
 	}
 }
 
@@ -32,7 +37,7 @@ func fuzzSeedLogs() [][]byte {
 // for arbitrary log bytes and an arbitrary worker count, the
 // ParallelLogSource must produce exactly the serial LogSource's record
 // sequence and error class — including the trailing-bytes
-// ErrShortRecord text on torn logs. It also checks the chunk planner's
+// ErrShortRecord text on torn logs and ErrNotIPv6 on a rejected record. It also checks the chunk planner's
 // coverage invariants on every input.
 func FuzzParallelDecode(f *testing.F) {
 	for _, seed := range fuzzSeedLogs() {
@@ -71,8 +76,10 @@ func FuzzParallelDecode(f *testing.F) {
 			if gotErr.Error() != wantErr.Error() {
 				t.Fatalf("workers=%d: parallel err %q, serial err %q", workers, gotErr, wantErr)
 			}
-			if errors.Is(wantErr, firewall.ErrShortRecord) != errors.Is(gotErr, firewall.ErrShortRecord) {
-				t.Fatalf("workers=%d: error class diverges: %v vs %v", workers, gotErr, wantErr)
+			for _, class := range []error{firewall.ErrShortRecord, firewall.ErrNotIPv6} {
+				if errors.Is(wantErr, class) != errors.Is(gotErr, class) {
+					t.Fatalf("workers=%d: error class diverges: %v vs %v", workers, gotErr, wantErr)
+				}
 			}
 		}
 		if len(got) != len(want) {

@@ -148,11 +148,11 @@
 // tables, the IDS engine's per-level candidate tables, and each
 // session's destination/source address sets — live in internal/u128idx
 // rather than built-in maps: an open-addressed index specialized for
-// pointer-free U128 keys whose u32 values are handles into paged
-// per-level arenas that the detector and IDS own. Three rules keep
-// that invisible at the pipeline layer:
+// pointer-free U128 keys, and the keyed Table on it whose handles
+// address paged sessions and candidates. Three rules keep that
+// invisible at the pipeline layer:
 //
-//   - Ownership follows the sink. An index and its arena belong to
+//   - Ownership follows the sink. A table or index belongs to
 //     exactly one shard's detector/engine, mutated only by that
 //     shard's worker goroutine; the dispatcher barrier that makes
 //     shard state readable for snapshots covers them like any other

@@ -1,25 +1,20 @@
 // Package u128idx provides a cache-friendly open-addressed hash index
-// specialized for netaddr6.U128 keys — the state-table primitive under
-// the detector's session maps and the IDS engine's candidate tables.
+// specialized for netaddr6.U128 keys, and Table, the keyed state table
+// built on it that holds the detector's sessions and the IDS engine's
+// candidates at every aggregation level.
 //
 // # Design
 //
 // The index is a swiss-table-style flat layout: one control-byte array
 // (7-bit hash fragments plus empty/deleted markers, probed a group of
 // eight at a time with branch-free word operations), one contiguous
-// key array, and one uint32 value array. Values are indices into a
-// consumer-owned slab (the detector's and IDS's per-level session and
-// candidate arenas), so the index itself holds no per-entry pointers:
-// the garbage collector never traces it bucket by bucket, lookups
-// touch two contiguous cache lines per probe group instead of chasing
-// bucket chains, and a Reset re-arms the whole table for reuse without
-// freeing anything.
-//
-// Compared with map[netaddr6.U128]*T on the same workloads, the index
-// wins on exactly the operations the hot paths are made of: a combined
-// lookup-or-insert is a single probe (Ref), eviction sweeps scan flat
-// arrays instead of walking map buckets, and value slots are 4 bytes,
-// so a probe group's keys and values stay resident in cache.
+// key array, and one uint32 value array. In a Table the values are
+// handles into pages of entries, so the index itself holds no
+// per-entry pointers: the garbage collector never traces it bucket by
+// bucket, lookups touch two contiguous cache lines per probe group
+// instead of chasing bucket chains, and a combined lookup-or-insert is
+// a single probe (Ref). The Table's dense last-activity column makes
+// its idle sweep (Expire) a linear pass over plain integers.
 //
 // # Determinism
 //
