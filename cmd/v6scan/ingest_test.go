@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -10,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"v6scan"
 	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
+	"v6scan/internal/mawi"
 	"v6scan/internal/netaddr6"
 	"v6scan/internal/pcap"
 )
@@ -80,5 +83,63 @@ func TestIPv4MappedSourceRejected(t *testing.T) {
 		if !strings.Contains(stdout.String(), "processed 1 records") {
 			t.Errorf("run(%v): stdout %q, want one processed record", args, stdout.String())
 		}
+	}
+}
+
+// TestPcapAnyDisorderAtWindowZero: at -window 0 a pcap is sorted
+// whole in the reorder stage, so a capture whose disorder is hours —
+// blocks of the golden workload written in shuffled order, past any
+// practical window — prints the same report as the same records
+// written in time order.
+func TestPcapAnyDisorderAtWindowZero(t *testing.T) {
+	recs := goldenRecords()
+	// Cut blocks of at least 50 records, only where the timestamp
+	// changes: records tying on a timestamp stay in one block, so a
+	// stable sort of the shuffled capture restores the sorted one
+	// exactly.
+	var blocks [][]firewall.Record
+	for start := 0; start < len(recs); {
+		end := min(start+50, len(recs))
+		for end < len(recs) && recs[end].Time.Equal(recs[end-1].Time) {
+			end++
+		}
+		blocks = append(blocks, recs[start:end])
+		start = end
+	}
+	rand.New(rand.NewSource(7)).Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
+	var shuffled []firewall.Record
+	for _, b := range blocks {
+		shuffled = append(shuffled, b...)
+	}
+
+	dir := t.TempDir()
+	write := func(name string, recs []firewall.Record) string {
+		var buf bytes.Buffer
+		if err := mawi.WritePcapDay(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	sorted, disordered := write("sorted.pcap", recs), write("shuffled.pcap", shuffled)
+
+	for _, extra := range [][]string{{"-filter"}, {"-shards", "3"}, {"-ids"}} {
+		want := runGolden(t, append([]string{"-i", sorted, "-top", "0"}, extra...)...)
+		if !strings.Contains(want, "processed") {
+			t.Fatalf("%v: degenerate report %q", extra, want)
+		}
+		if got := runGolden(t, append([]string{"-i", disordered, "-top", "0"}, extra...)...); got != want {
+			t.Errorf("%v: shuffled capture differs from sorted\n--- got ---\n%s\n--- want ---\n%s", extra, got, want)
+		}
+	}
+
+	// The disorder is real: a one-hour window rejects the capture.
+	var stdout, stderr bytes.Buffer
+	var late *v6scan.ErrLateRecord
+	if err := run([]string{"-i", disordered, "-window", "1h"}, &stdout, &stderr); !errors.As(err, &late) {
+		t.Fatalf("-window 1h on the shuffled capture: %v, want *ErrLateRecord", err)
 	}
 }

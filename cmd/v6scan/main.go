@@ -5,18 +5,16 @@
 // optional 5-duplicate artifact pre-filter into the scan detector,
 // sharded across worker goroutines with -shards.
 //
-// Ingestion can be streaming and memory-bounded end to end: with
-// -window, pcap captures decode incrementally through a
-// bounded-lateness reorder buffer holding one window of records
-// instead of the whole capture (the default, -window 0, keeps the
-// materialize-and-sort behavior, which tolerates any disorder), and
-// -advance-every forwards a stream-time eviction horizon to every
-// detector shard so session state for idle sources is released
-// continuously instead of accumulating until the end of input. Output
-// is byte-identical whichever path is used, at any shard count, as
-// long as capture disorder stays within the window (a record trailing
-// the stream by more than the window aborts the run — rerun with a
-// larger window or -window 0).
+// Pcap captures decode incrementally into one reorder stage. With
+// -window it holds one window of records instead of the whole capture;
+// the default, -window 0, buffers the whole capture there and sorts it
+// at end of input, which tolerates any disorder. -advance-every
+// forwards a stream-time eviction horizon to every detector shard so
+// session state for idle sources is released continuously instead of
+// accumulating until the end of input. Output is byte-identical at any
+// window and shard count, as long as capture disorder stays within the
+// window (a record trailing the stream by more than the window aborts
+// the run — rerun with a larger window or -window 0).
 //
 // With -ids the offline detector is replaced by the inline
 // dynamic-aggregation IDS engine (sketched destination sets, bounded
@@ -64,6 +62,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -109,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		filter   = fs.Bool("filter", false, "apply the 5-duplicate artifact pre-filter first")
 		shards   = fs.Int("shards", 1, "detector/IDS worker shards (1 = one worker; output is identical)")
 		useIDS   = fs.Bool("ids", false, "run the inline dynamic-aggregation IDS instead of the offline detector")
-		window   = fs.Duration("window", 0, "repair at most this much timestamp disorder in flight through a reorder buffer bounded to one window of records; for pcap, 0 materializes the capture and sorts it instead (tolerating any disorder), for logs 0 streams as-is (logs are written in order)")
+		window   = fs.Duration("window", 0, "repair at most this much timestamp disorder in flight through a reorder buffer bounded to one window of records; for pcap, 0 buffers the whole capture in the reorder stage and sorts it at end of input (tolerating any disorder), for logs 0 streams as-is (logs are written in order)")
 		advEvery = fs.Duration("advance-every", 0, "stream-time eviction cadence: periodically close idle detector sessions / tick the IDS, bounding memory (0 = only at end of input)")
 		ckptDir  = fs.String("checkpoint-dir", "", "write versioned snapshots of detector/IDS state into this directory on the -checkpoint-every cadence; with -resume, also where the snapshot to restore is found")
 		ckptEv   = fs.Duration("checkpoint-every", time.Hour, "stream-time cadence between checkpoints (needs -checkpoint-dir)")
@@ -421,6 +420,11 @@ func closeMismatched(resumed *v6scan.ResumedSink, msg string) error {
 	return errors.New(msg)
 }
 
+// unbounded is the reorder window -window 0 gives a pcap: longer than
+// any capture, so no record is ever late and the reorder stage
+// releases the whole capture, sorted, at end of input.
+const unbounded = time.Duration(math.MaxInt64)
+
 // openSource starts a pipeline builder for the input paths. Regular
 // binary log files — one or several — ingest through the parallel
 // multi-file path (FromFiles): each file decodes in record-aligned
@@ -428,18 +432,17 @@ func closeMismatched(resumed *v6scan.ResumedSink, msg string) error {
 // and the files are opened and closed by the source itself; window > 0
 // adds the bounded-lateness reorder buffer for logs with interleave
 // (e.g. multi-writer merges). A stdin log (-) decodes serially — the
-// chunked decoder needs random access. Pcap captures stream through
-// the bounded-lateness reorder buffer when window > 0 — peak memory is
-// one window of records, and output is identical to a full sort as
-// long as capture disorder stays within the window (records later than
-// that abort the run; rerun with a larger -window). window = 0 falls
-// back to decoding the whole capture into memory and repairing order
-// with the run-aware sort. The returned report func, when non-nil,
-// reports undecodable-packet counts to stderr after the run (streaming
-// decode only knows them at the end); the returned closer, when
-// non-nil, is the opened input file the caller must close after the
-// run (run() is a reusable seam — the golden tests call it repeatedly
-// in one process).
+// chunked decoder needs random access. Pcap captures always stream
+// through the reorder buffer: window > 0 holds one window of records,
+// and output is identical to a full sort as long as capture disorder
+// stays within the window (records later than that abort the run;
+// rerun with a larger -window); window ≤ 0 holds the whole capture
+// (unbounded), tolerating any disorder. The returned report func, when
+// non-nil, reports undecodable-packet counts to stderr after the run
+// (streaming decode only knows them at the end); the returned closer,
+// when non-nil, is the opened input file the caller must close after
+// the run (run() is a reusable seam — the golden tests call it
+// repeatedly in one process).
 func openSource(inputs []string, window time.Duration, workers int, stderr io.Writer) (b *v6scan.Builder, report func(), closer io.Closer, err error) {
 	if len(inputs) > 1 {
 		for _, p := range inputs {
@@ -479,25 +482,14 @@ func openSource(inputs []string, window time.Duration, workers int, stderr io.Wr
 		}
 		return b, nil, closer, nil
 	}
-	if window > 0 {
-		src := v6scan.NewPcapSource(r)
-		report = func() {
-			if n := src.Skipped(); n > 0 {
-				fmt.Fprintf(stderr, "skipped %d undecodable packets\n", n)
-			}
+	if window <= 0 {
+		window = unbounded
+	}
+	src := v6scan.NewPcapSource(r)
+	report = func() {
+		if n := src.Skipped(); n > 0 {
+			fmt.Fprintf(stderr, "skipped %d undecodable packets\n", n)
 		}
-		return v6scan.From(src).WindowSort(window), report, closer, nil
 	}
-	recs, skipped, err := v6scan.RecordsFromPcap(r)
-	if err != nil {
-		if closer != nil {
-			closer.Close()
-		}
-		return nil, nil, nil, err
-	}
-	if skipped > 0 {
-		fmt.Fprintf(stderr, "skipped %d undecodable packets\n", skipped)
-	}
-	v6scan.SortRecordsByTime(recs)
-	return v6scan.From(v6scan.NewSliceSource(recs)), nil, closer, nil
+	return v6scan.From(src).WindowSort(window), report, closer, nil
 }

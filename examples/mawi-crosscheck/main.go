@@ -45,28 +45,27 @@ func main() {
 		total++
 		recs := sim.EmitDay(day)
 
-		// Round-trip the first day through pcap to exercise the full
-		// decode path.
+		// Each day is one capture window: a record source terminated
+		// by the builder's MAWI helper, which owns the detector
+		// lifecycle and returns the window's scans. The first day is
+		// round-tripped through pcap and decoded back by the pcap
+		// source, to exercise the full decode path.
+		var src v6scan.RecordSource = v6scan.NewSliceSource(recs)
 		if total == 1 {
 			var buf bytes.Buffer
 			if err := mawi.WritePcapDay(&buf, recs); err != nil {
 				log.Fatal(err)
 			}
-			rt, err := mawi.ReadPcapDay(&buf)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("pcap round trip: %d records in, %d out\n\n", len(recs), len(rt))
-			recs = rt
+			src = v6scan.NewPcapSource(&buf)
 		}
-
-		// Each day is one capture window: a slice source terminated by
-		// the builder's MAWI helper, which owns the detector lifecycle
-		// and returns the window's scans.
-		scans, err := v6scan.From(v6scan.NewSliceSource(recs)).
+		var decoded *v6scan.PipelineCounter
+		scans, err := v6scan.From(src).Counter(&decoded).
 			MAWI(context.Background(), mc)
 		if err != nil {
 			log.Fatal(err)
+		}
+		if total == 1 {
+			fmt.Printf("pcap round trip: %d records in, %d out\n\n", len(recs), decoded.Count())
 		}
 		var pkts, top1, top3 uint64
 		icmp := 0

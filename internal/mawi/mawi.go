@@ -361,32 +361,6 @@ func buildFrame(r firewall.Record) ([]byte, error) {
 	}
 }
 
-// ReadPcapDay parses a LINKTYPE_RAW pcap stream back into records,
-// exercising the full decode path.
-func ReadPcapDay(r io.Reader) ([]firewall.Record, error) {
-	pr, err := pcap.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		out []firewall.Record
-		d   layers.Decoded
-	)
-	for {
-		p, err := pr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		if err := layers.ParseFrame(p.Data, pr.Header().LinkType, &d); err != nil {
-			continue // count-and-skip semantics for malformed packets
-		}
-		out = append(out, firewall.FromDecoded(p.Timestamp, &d))
-	}
-}
-
 // Days iterates the configured window.
 func (s *Simulator) Days(fn func(day time.Time)) {
 	for d := s.cfg.Start; d.Before(s.cfg.End); d = d.Add(24 * time.Hour) {

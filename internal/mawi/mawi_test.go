@@ -7,8 +7,10 @@ import (
 
 	"v6scan/internal/core"
 	"v6scan/internal/entropy"
+	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
 	"v6scan/internal/netaddr6"
+	"v6scan/internal/pipeline"
 )
 
 func testConfig(start time.Time, days int) Config {
@@ -211,9 +213,16 @@ func TestPcapRoundTrip(t *testing.T) {
 	if err := WritePcapDay(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPcapDay(&buf)
-	if err != nil {
+	var got []firewall.Record
+	src := pipeline.NewPcapSource(&buf)
+	if err := src.EmitBatch(0, func(recs []firewall.Record) error {
+		got = append(got, recs...)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
+	}
+	if src.Skipped() != 0 {
+		t.Fatalf("round trip skipped %d packets", src.Skipped())
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("round trip: %d records, want %d", len(got), len(recs))

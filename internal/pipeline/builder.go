@@ -137,20 +137,6 @@ func (b *Builder) WindowSort(window time.Duration) *Builder {
 	return b.stage(func(next RecordSink) RecordSink { return NewWindowSort(window, next) })
 }
 
-// WindowSortSpill appends a WindowSort stage with the spill-to-disk
-// path enabled: disorder beyond the window switches the stage to
-// buffering sorted runs in dir (the OS temp dir when empty) instead of
-// aborting, and Flush merges them back into one stable
-// timestamp-ordered stream. Output is identical to a full stable sort
-// of the input regardless of how far the disorder exceeds the window.
-func (b *Builder) WindowSortSpill(window time.Duration, dir string) *Builder {
-	return b.stage(func(next RecordSink) RecordSink {
-		w := NewWindowSort(window, next)
-		w.EnableSpill(dir, 0)
-		return w
-	})
-}
-
 // AdvanceEvery sets the stream-time eviction cadence RunInto — and so
 // every terminal helper — applies to a cadence-capable terminal sink:
 // the detector sink forwards ShardedDetector.Advance (scan output is

@@ -262,45 +262,43 @@ func writeCheckpoint(dir string, ck Checkpointer, mark time.Time, phase *marks) 
 		if err != nil {
 			return err
 		}
-		if err := publishFile(final+sidecarSuffix, func(w io.Writer) error {
+		if err := PublishFile(final+sidecarSuffix, checkpointTempPattern, func(w io.Writer) error {
 			_, err := w.Write(b)
 			return err
 		}); err != nil {
-			return err
+			return fmt.Errorf("pipeline: writing checkpoint: %w", err)
 		}
 	}
-	return publishFile(final, func(w io.Writer) error { return ck.Checkpoint(w, mark) })
-}
-
-// publishFile writes path atomically: write fills a temp file beside
-// it, which is synced and renamed into place, so a reader sees the
-// whole file or none. A crash strands only the temp file, which
-// SweepCheckpointTemps collects.
-func publishFile(path string, write func(io.Writer) error) error {
-	f, err := os.CreateTemp(filepath.Dir(path), checkpointTempPattern)
-	if err != nil {
-		return fmt.Errorf("pipeline: creating checkpoint: %w", err)
-	}
-	tmp := f.Name()
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := PublishFile(final, checkpointTempPattern, func(w io.Writer) error { return ck.Checkpoint(w, mark) }); err != nil {
 		return fmt.Errorf("pipeline: writing checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("pipeline: publishing checkpoint: %w", err)
-	}
 	return nil
+}
+
+// PublishFile writes path atomically: write fills a temp file beside
+// it, named by the os.CreateTemp pattern, which is synced and renamed
+// into place, so a reader sees the whole file or none. Every failure
+// removes the temp file; only a crash strands it (for checkpoints,
+// SweepCheckpointTemps collects it). Errors come back unwrapped, for
+// the caller to name.
+func PublishFile(path, pattern string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), pattern)
+	if err != nil {
+		return err
+	}
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // sidecarSuffix names a checkpoint's phase sidecar. The extra suffix

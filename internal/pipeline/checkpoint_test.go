@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"net/netip"
 	"os"
@@ -726,5 +727,43 @@ func TestSweepCheckpointTemps(t *testing.T) {
 	}
 	if n, err := SweepCheckpointTemps(filepath.Join(dir, "missing")); err != nil || n != 0 {
 		t.Fatalf("missing dir: (%d, %v), want (0, nil)", n, err)
+	}
+}
+
+// TestPublishFileFailureLeavesNoTemp: the one atomic file writer
+// (checkpoints, sidecars, the daemon's blocklist) removes its temp
+// file on every failure — a failing write and a failing rename — and
+// leaves the target as it was.
+func TestPublishFileFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "out")
+	if err := os.WriteFile(target, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := PublishFile(target, ".tmp-*", func(w io.Writer) error {
+		w.Write([]byte("partial"))
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failing write: %v, want the write's error", err)
+	}
+	// A file cannot be renamed over a directory.
+	sub := filepath.Join(dir, "sub")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := PublishFile(sub, ".tmp-*", func(io.Writer) error { return nil }); err == nil {
+		t.Fatal("rename over a directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("dir holds %d entries, want only out and sub (a temp file was stranded)", len(entries))
+	}
+	if got, _ := os.ReadFile(target); string(got) != "old" {
+		t.Fatalf("target = %q after a failed publish, want it untouched", got)
 	}
 }

@@ -2,8 +2,12 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"v6scan/internal/firewall"
@@ -33,11 +37,14 @@ func fuzzSeedLogs() [][]byte {
 	}
 }
 
-// FuzzParallelDecode differentially fuzzes the chunked decode path:
+// FuzzParallelDecode differentially fuzzes the chunked decode paths:
 // for arbitrary log bytes and an arbitrary worker count, the
 // ParallelLogSource must produce exactly the serial LogSource's record
 // sequence and error class — including the trailing-bytes
-// ErrShortRecord text on torn logs and ErrNotIPv6 on a rejected record. It also checks the chunk planner's
+// ErrShortRecord text on torn logs and ErrNotIPv6 on a rejected
+// record. So must a TailSource that drains the bytes as a file once,
+// except that it holds a torn trailing record for its next poll
+// instead of failing on it. It also checks the chunk planner's
 // coverage invariants on every input.
 func FuzzParallelDecode(f *testing.F) {
 	for _, seed := range fuzzSeedLogs() {
@@ -82,13 +89,36 @@ func FuzzParallelDecode(f *testing.F) {
 				}
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d records, serial %d", workers, len(got), len(want))
+		sameRecords(t, fmt.Sprint("parallel workers=", workers), got, want)
+
+		// The tail, cancelled up front: it drains the file once and ends.
+		path := filepath.Join(t.TempDir(), "fw.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: record %d differs from serial decode", workers, i)
-			}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var tailed []firewall.Record
+		tailErr := NewTailSource(path, TailConfig{Context: ctx}).EmitBatch(batchSize, collectBatches(&tailed))
+		if errors.Is(wantErr, firewall.ErrShortRecord) {
+			wantErr = nil // the torn trailing record waits for the next poll
 		}
+		if (tailErr == nil) != (wantErr == nil) || tailErr != nil && tailErr.Error() != wantErr.Error() {
+			t.Fatalf("tail err %v, serial err %v", tailErr, wantErr)
+		}
+		sameRecords(t, "tail", tailed, want)
 	})
+}
+
+// sameRecords fails the test unless got is want, record for record.
+func sameRecords(t *testing.T, name string, got, want []firewall.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, serial %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %d differs from serial decode", name, i)
+		}
+	}
 }

@@ -27,8 +27,7 @@
 // batches; a record-at-a-time consumer is a SinkFunc. Batch
 // boundaries are not part of the stream: every stage emits the same
 // records in the same order, and every cadence cuts at the same
-// record, at any batch size (the one exception — which late records a
-// spill-enabled WindowSort can still place — is documented there).
+// record, at any batch size.
 // Stages pass batches downstream synchronously; parallelism lives in
 // the sharded sinks, which partition batches across worker shards.
 // Flush propagates end-of-stream down the chain so buffered stages
@@ -103,10 +102,12 @@
 // downstream time order. Callers size the window to their source's
 // worst-case disorder and get full-sort-equivalent output (see the
 // WindowSort doc) in exchange for window-bounded memory. When the
-// window cannot be sized in advance, EnableSpill (or the builder's
-// WindowSortSpill) absorbs beyond-window disorder into sorted on-disk
-// runs merged back at Flush — full-sort-equivalent for any disorder,
-// at the price of temp-file I/O.
+// disorder cannot be bounded in advance, a window longer than the
+// stream turns the stage into a whole-input sort that releases
+// everything at Flush (cmd/v6scan's -window 0 on a pcap) — memory is
+// then the input, not the window. WindowSort is the only reorder stage
+// in the tree; DaySort is the per-day sort the simulators' per-actor
+// streams need.
 //
 // # Checkpoint consistency
 //

@@ -4,36 +4,53 @@ import (
 	"v6scan/internal/firewall"
 )
 
-// Run-aware stable time sorting.
+// Run-aware stable time merging, shared by DaySort and WindowSort.
 //
 // The pipeline's record sources are time-ordered in the common case —
 // firewall logs are written in order, pcap captures nearly always are
-// — so a full sort.SliceStable over a buffered day does O(n log n)
-// comparisons to discover what one linear scan already knows. The
-// sorter here tracks maximal non-decreasing runs as records arrive:
-// already-sorted input is a single run and costs nothing to "sort",
-// and disordered input is repaired by stable bottom-up merges of
-// adjacent runs whose scratch window is bounded by the longest left
-// run of a pass — not the whole buffer — cutting both sort cost and
-// peak auxiliary memory on mostly-sorted streams.
+// — so a full sort.SliceStable over a buffer does O(n log n)
+// comparisons to discover what one linear scan already knows. Both
+// buffering stages track maximal non-decreasing runs as records
+// arrive: an already-sorted buffer is a single run and costs nothing
+// to "sort", and disordered input is repaired by stable bottom-up
+// merges of adjacent runs whose scratch window is bounded by the
+// longest left run of a pass — not the whole buffer — cutting both
+// sort cost and peak auxiliary memory on mostly-sorted streams.
 
-// SortByTime stably sorts records by timestamp in place. One scan
-// detects the sorted runs; fully ordered input returns immediately,
-// anything else pays one merge pass per doubling of run count.
-func SortByTime(recs []firewall.Record) {
-	var bounds []int
-	bounds = append(bounds, 0)
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Time.Before(recs[i-1].Time) {
-			bounds = append(bounds, i)
+// runBuf is the record buffer of both sorting stages: records append
+// in arrival order, each break in non-decreasing time opens a new run,
+// and sort merges the runs in place.
+type runBuf struct {
+	recs []firewall.Record
+	// runs holds the start index of every non-first sorted run in recs
+	// (empty while recs is in arrival=timestamp order); bounds and
+	// scratch are reused merge workspace.
+	runs    []int
+	bounds  []int
+	scratch []firewall.Record
+}
+
+// push appends recs, opening a new run at each break in time order.
+func (b *runBuf) push(recs []firewall.Record) {
+	n := len(b.recs)
+	b.recs = append(b.recs, recs...)
+	for i := max(n, 1); i < len(b.recs); i++ {
+		if b.recs[i].Time.Before(b.recs[i-1].Time) {
+			b.runs = append(b.runs, i)
 		}
 	}
-	if len(bounds) == 1 {
+}
+
+// sort merges the runs so recs is in stable timestamp order; an
+// in-order buffer costs nothing.
+func (b *runBuf) sort() {
+	if len(b.runs) == 0 {
 		return
 	}
-	bounds = append(bounds, len(recs))
-	var scratch []firewall.Record
-	mergeBounds(recs, bounds, &scratch)
+	b.bounds = append(append(b.bounds[:0], 0), b.runs...)
+	b.bounds = append(b.bounds, len(b.recs))
+	mergeBounds(b.recs, b.bounds, &b.scratch)
+	b.runs = b.runs[:0]
 }
 
 // mergeBounds stably merges the sorted runs delimited by bounds

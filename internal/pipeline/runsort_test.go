@@ -2,9 +2,9 @@ package pipeline
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -32,6 +32,14 @@ func sortRecs(n int, disorder func(i int) time.Duration) []firewall.Record {
 	return recs
 }
 
+// unboundedWindow is a reorder window longer than any stream: nothing
+// is late and WindowSort releases everything, sorted, at Flush — the
+// whole-input sort cmd/v6scan runs for a pcap at -window 0.
+const unboundedWindow = time.Duration(math.MaxInt64)
+
+// TestSortByTime: WindowSort with an unbounded window is a stable
+// sort by time for any disorder, one record per batch and in 64-record
+// batches.
 func TestSortByTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cases := map[string]func(i int) time.Duration{
@@ -53,23 +61,43 @@ func TestSortByTime(t *testing.T) {
 	for name, disorder := range cases {
 		t.Run(name, func(t *testing.T) {
 			recs := sortRecs(1000, disorder)
-			want := append([]firewall.Record(nil), recs...)
-			sort.SliceStable(want, func(i, j int) bool { return want[i].Time.Before(want[j].Time) })
-			SortByTime(recs)
-			if !reflect.DeepEqual(recs, want) {
-				t.Fatal("SortByTime differs from sort.SliceStable (order or stability broken)")
+			want := stableByTime(recs)
+			for _, n := range []int{1, 64} {
+				var got []firewall.Record
+				feedBatches(t, NewWindowSort(unboundedWindow, Collector(func(r firewall.Record) { got = append(got, r) })), recs, n)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("batch=%d: unbounded WindowSort differs from sort.SliceStable (order or stability broken)", n)
+				}
 			}
 		})
 	}
 }
 
-// TestSortByTimeNoWorkWhenSorted pins the fast path: sorted input must
-// not allocate (the scan finds a single run and returns).
-func TestSortByTimeNoWorkWhenSorted(t *testing.T) {
-	recs := sortRecs(10_000, func(i int) time.Duration { return time.Duration(i) * time.Millisecond })
-	allocs := testing.AllocsPerRun(10, func() { SortByTime(recs) })
-	if allocs > 1 { // the bounds slice's first append may allocate once
-		t.Fatalf("SortByTime on sorted input allocated %.0f times per run", allocs)
+// TestWindowSortNoWorkWhenSorted pins the run-aware fast path: an
+// in-order stream stays one run, so WindowSort never merges — its merge
+// workspace is never even allocated — at a bounded or an unbounded
+// window. A disordered stream does allocate it, which shows the probe
+// can fail.
+func TestWindowSortNoWorkWhenSorted(t *testing.T) {
+	sorted := sortRecs(10_000, func(i int) time.Duration { return time.Duration(i) * time.Millisecond })
+	merged := func(window time.Duration, recs []firewall.Record) bool {
+		ws := NewWindowSort(window, Discard)
+		for start := 0; start < len(recs); start += 64 {
+			if err := ws.ConsumeBatch(recs[start:min(start+64, len(recs))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Runs still pending merge at Flush, or workspace a release's
+		// merge allocated.
+		return len(ws.buf.runs) > 0 || cap(ws.buf.bounds) > 0 || cap(ws.buf.scratch) > 0
+	}
+	for _, window := range []time.Duration{time.Second, unboundedWindow} {
+		if merged(window, sorted) {
+			t.Errorf("window=%v: in-order stream did merge work", window)
+		}
+	}
+	if !merged(unboundedWindow, sortRecs(1000, func(i int) time.Duration { return time.Duration(-i) * time.Second })) {
+		t.Error("reversed stream did no merge work; the probe cannot see merges")
 	}
 }
 

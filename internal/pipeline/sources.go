@@ -81,10 +81,11 @@ func (s *LogSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) e
 
 // PcapSource streams decoded IPv6 frames from a classic pcap capture
 // (Ethernet or raw IPv6 link types), skipping undecodable packets.
-// Captures are normally time-ordered; callers with bounded disorder
-// (interface-timestamp jitter) chain a WindowSort stage to repair it
-// in flight, as cmd/v6scan's -window does — only unbounded disorder
-// still needs collecting into a slice and SortByTime.
+// It is the one pcap decoder in the tree. Captures are normally
+// time-ordered; callers chain a WindowSort stage to repair disorder —
+// in flight for bounded disorder (interface-timestamp jitter), or with
+// a window longer than the capture for disorder of any size, as
+// cmd/v6scan's -window does.
 type PcapSource struct {
 	r       io.Reader
 	skipped int

@@ -138,21 +138,15 @@ func (c *Counter) Count() uint64 { return c.n }
 // Input days must arrive in order (records of day N all precede day
 // N+1); within a day any order is accepted.
 //
-// Sorting is run-aware (see SortByTime): maximal sorted runs are
-// detected while buffering, so an already-ordered day — the common
-// case for LogSource and PcapSource input — drains with zero sort
-// work, and a mostly-ordered day pays only bounded-window merges of
-// its few disordered runs instead of a whole-day sort.
+// Sorting is run-aware (runBuf): maximal sorted runs are detected
+// while buffering, so an already-ordered day — the common case for
+// LogSource and PcapSource input — drains with zero sort work, and a
+// mostly-ordered day pays only bounded-window merges of its few
+// disordered runs instead of a whole-day sort.
 type DaySort struct {
 	next RecordSink
 	day  time.Time
-	buf  []firewall.Record
-	// runs holds the start index of every non-first sorted run in buf
-	// (empty while the day is in order); bounds and scratch are reused
-	// merge workspace.
-	runs    []int
-	bounds  []int
-	scratch []firewall.Record
+	buf  runBuf
 }
 
 // NewDaySort returns a day-sorting stage.
@@ -162,26 +156,20 @@ func NewDaySort(next RecordSink) *DaySort { return &DaySort{next: next} }
 // completed day drains downstream at the first record of the next
 // day, whatever batch that record arrives in.
 func (d *DaySort) ConsumeBatch(recs []firewall.Record) error {
+	start := 0
 	for i := range recs {
 		day := recs[i].Time.UTC().Truncate(24 * time.Hour)
 		if !d.day.IsZero() && day.After(d.day) {
+			d.buf.push(recs[start:i])
+			start = i
 			if err := d.emit(); err != nil {
 				return err
 			}
 		}
 		d.day = day
-		d.buffer(recs[i])
 	}
+	d.buf.push(recs[start:])
 	return nil
-}
-
-// buffer appends one record to the day buffer, recording a new run
-// start when it breaks the current non-decreasing run.
-func (d *DaySort) buffer(r firewall.Record) {
-	if n := len(d.buf); n > 0 && r.Time.Before(d.buf[n-1].Time) {
-		d.runs = append(d.runs, n)
-	}
-	d.buf = append(d.buf, r)
 }
 
 // Flush drains the buffered day downstream.
@@ -193,17 +181,12 @@ func (d *DaySort) Flush() error {
 }
 
 func (d *DaySort) emit() error {
-	if len(d.buf) == 0 {
+	if len(d.buf.recs) == 0 {
 		return nil
 	}
-	if len(d.runs) > 0 {
-		d.bounds = append(append(d.bounds[:0], 0), d.runs...)
-		d.bounds = append(d.bounds, len(d.buf))
-		mergeBounds(d.buf, d.bounds, &d.scratch)
-		d.runs = d.runs[:0]
-	}
-	err := d.next.ConsumeBatch(d.buf)
-	d.buf = d.buf[:0]
+	d.buf.sort()
+	err := d.next.ConsumeBatch(d.buf.recs)
+	d.buf.recs = d.buf.recs[:0]
 	return err
 }
 

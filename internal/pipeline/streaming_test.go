@@ -175,15 +175,13 @@ func TestShardedParityStreamingAdvanceEvery(t *testing.T) {
 
 // TestShardedParityWindowSortStreaming adds bounded disorder: the
 // jittered stream flows through WindowSort + AdvanceEvery and must
-// equal the materialize-then-SortByTime reference at every shard
-// count.
+// equal the sort.SliceStable reference at every shard count.
 func TestShardedParityWindowSortStreaming(t *testing.T) {
 	const jitter = 2 * time.Second
 	recs := streamParityRecords(40_000, jitter)
 	cfg := streamParityConfig()
 
-	sorted := append([]firewall.Record(nil), recs...)
-	SortByTime(sorted)
+	sorted := stableByTime(recs)
 	ref, err := From(SliceSource(sorted)).Detect(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -285,8 +283,8 @@ func TestRunIntoAppliesAdvanceEvery(t *testing.T) {
 
 // TestPcapStreamingMatchesMaterializing: the cmd/v6scan streaming pcap
 // path (PcapSource → WindowSort) must produce the identical record
-// sequence as decode-everything-then-SortByTime, for a capture with
-// bounded timestamp jitter.
+// sequence as decoding everything and sorting it with sort.SliceStable,
+// for a capture with bounded timestamp jitter.
 func TestPcapStreamingMatchesMaterializing(t *testing.T) {
 	const jitter = time.Second
 	recs := streamParityRecords(2_000, jitter)
@@ -307,7 +305,7 @@ func TestPcapStreamingMatchesMaterializing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Materializing reference: decode everything, then run-aware sort.
+	// Materializing reference: decode everything, then a stable sort.
 	var want []firewall.Record
 	ref := NewPcapSource(bytes.NewReader(capture.Bytes()))
 	if err := ref.EmitBatch(DefaultBatchSize, func(part []firewall.Record) error {
@@ -319,7 +317,7 @@ func TestPcapStreamingMatchesMaterializing(t *testing.T) {
 	if ref.Skipped() != 0 {
 		t.Fatalf("reference skipped %d packets", ref.Skipped())
 	}
-	SortByTime(want)
+	want = stableByTime(want)
 
 	// Streaming path: bounded reorder buffer, no materialization.
 	var got []firewall.Record

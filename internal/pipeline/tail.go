@@ -185,15 +185,20 @@ func (t *TailSource) drainHandle(batchSize int, batch *[]firewall.Record,
 		// the next drain observe the truncation.
 		n -= n % firewall.RecordWireSize
 		if n > 0 {
+			// A rejected record stops the decode; the records ahead of
+			// it are consumed and emitted first, as the serial reader
+			// emits them, and the error follows.
 			recs, derr := firewall.DecodeChunk(buf[:n], (*batch)[:0])
 			*batch = recs
+			t.offset += int64(len(recs)) * firewall.RecordWireSize
+			t.stats.Offset = t.offset
+			if len(recs) > 0 {
+				if eerr := emit(recs); eerr != nil {
+					return false, eerr
+				}
+			}
 			if derr != nil {
 				return false, derr
-			}
-			t.offset += int64(n)
-			t.stats.Offset = t.offset
-			if eerr := emit(recs); eerr != nil {
-				return false, eerr
 			}
 		}
 		if err != nil && !errors.Is(err, io.EOF) {

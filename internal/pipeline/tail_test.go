@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 	"os"
@@ -265,6 +266,30 @@ func TestTailCancelDrains(t *testing.T) {
 	}
 	if got != 150 {
 		t.Fatalf("delivered %d records, want 150 (cancel must drain)", got)
+	}
+}
+
+// TestTailRejectedRecordEmitsPrefix: a record the decoder rejects (an
+// IPv4-mapped source) ends the tail with firewall.ErrNotIPv6 — after
+// the records ahead of it are emitted and counted in the offset, as
+// LogSource emits them.
+func TestTailRejectedRecordEmitsPrefix(t *testing.T) {
+	recs := tailRecords(0, 5)
+	recs[3].Src = netip.MustParseAddr("::ffff:10.0.0.1")
+	path := filepath.Join(t.TempDir(), "fw.log")
+	appendRecords(t, path, recs)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tail := NewTailSource(path, TailConfig{Context: ctx})
+	var got []firewall.Record
+	if err := tail.EmitBatch(0, collectBatches(&got)); !errors.Is(err, firewall.ErrNotIPv6) {
+		t.Fatalf("tail err = %v, want firewall.ErrNotIPv6", err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("tail emitted %d records before the rejected one, want 3", len(got))
+	}
+	if off := tail.Stats().Offset; off != 3*firewall.RecordWireSize {
+		t.Fatalf("offset %d after the rejection, want %d (past the emitted records)", off, 3*firewall.RecordWireSize)
 	}
 }
 

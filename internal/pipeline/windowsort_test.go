@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -64,20 +65,20 @@ func stableByTime(recs []firewall.Record) []firewall.Record {
 	return out
 }
 
-// TestSortByTimeProperty is the property test of the run-merge sorter:
-// random record streams at varying disorder bounds (including sorted,
-// fully random, and duplicate-heavy inputs) must match sort.SliceStable
-// exactly — order and stability.
+// TestSortByTimeProperty is the property test of the unbounded
+// reorder: random record streams at varying disorder bounds (including
+// sorted, fully random, and duplicate-heavy inputs) must match
+// sort.SliceStable exactly — order and stability.
 func TestSortByTimeProperty(t *testing.T) {
 	skews := []time.Duration{0, time.Second, 5 * time.Second, 30 * time.Second,
 		5 * time.Minute, time.Hour}
 	for _, skew := range skews {
 		for seed := int64(0); seed < 6; seed++ {
 			recs := disorderedRecs(700, skew, 100+seed)
-			want := stableByTime(recs)
-			SortByTime(recs)
-			if !reflect.DeepEqual(recs, want) {
-				t.Fatalf("skew=%v seed=%d: SortByTime differs from sort.SliceStable", skew, seed)
+			var got []firewall.Record
+			feedBatches(t, NewWindowSort(unboundedWindow, Collector(func(r firewall.Record) { got = append(got, r) })), recs, 64)
+			if !reflect.DeepEqual(got, stableByTime(recs)) {
+				t.Fatalf("skew=%v seed=%d: unbounded WindowSort differs from sort.SliceStable", skew, seed)
 			}
 		}
 	}
@@ -143,8 +144,8 @@ func TestWindowSortBoundedBuffer(t *testing.T) {
 		if err := consumeOne(ws, r); err != nil {
 			t.Fatal(err)
 		}
-		if len(ws.buf) > peak {
-			peak = len(ws.buf)
+		if len(ws.buf.recs) > peak {
+			peak = len(ws.buf.recs)
 		}
 	}
 	if err := ws.Flush(); err != nil {
@@ -192,6 +193,45 @@ func TestWindowSortLateRecordError(t *testing.T) {
 	wsb := NewWindowSort(time.Second, Discard)
 	if err := wsb.ConsumeBatch(append(append([]firewall.Record(nil), stream...), late)); err == nil {
 		t.Fatal("over-window-late record accepted in one batch")
+	}
+}
+
+// TestErrLateRecordFields pins the typed lateness diagnostic: callers
+// must be able to pull the rejected record's time and the admissible
+// horizon out of the error with errors.As instead of parsing text.
+func TestErrLateRecordFields(t *testing.T) {
+	t0 := time.Date(2021, 7, 1, 0, 0, 0, 0, time.UTC)
+	mk := func(off time.Duration) firewall.Record {
+		return firewall.Record{Time: t0.Add(off), Src: netaddr6.MustAddr("2001:db8::1"),
+			Dst: netaddr6.MustAddr("2001:db8:f::1"), Proto: layers.ProtoTCP, DstPort: 22, Length: 60}
+	}
+	const window = time.Second
+	ws := NewWindowSort(window, Discard)
+	for _, off := range []time.Duration{0, 10 * time.Second} {
+		if err := consumeOne(ws, mk(off)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := consumeOne(ws, mk(2*time.Second))
+	if err == nil {
+		t.Fatal("over-window-late record accepted")
+	}
+	var late *ErrLateRecord
+	if !errors.As(err, &late) {
+		t.Fatalf("error is %T, want *ErrLateRecord (err: %v)", err, err)
+	}
+	if !late.RecordTime.Equal(t0.Add(2 * time.Second)) {
+		t.Errorf("RecordTime = %v, want %v", late.RecordTime, t0.Add(2*time.Second))
+	}
+	if !late.HighWater.Equal(t0.Add(10 * time.Second)) {
+		t.Errorf("HighWater = %v, want %v", late.HighWater, t0.Add(10*time.Second))
+	}
+	if late.Window != window {
+		t.Errorf("Window = %v, want %v", late.Window, window)
+	}
+	if !late.Horizon.Equal(late.HighWater.Add(-window)) {
+		t.Errorf("Horizon = %v, want high-water − window = %v",
+			late.Horizon, late.HighWater.Add(-window))
 	}
 }
 

@@ -10,14 +10,15 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net/netip"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"v6scan/internal/ids"
+	"v6scan/internal/pipeline"
 )
 
 // blocklist accumulates alert prefixes and mirrors them to a rule
@@ -88,29 +89,15 @@ func (b *blocklist) write() error {
 		}
 		return prefixes[i].Bits() < prefixes[j].Bits()
 	})
-	f, err := os.CreateTemp(filepath.Dir(b.path), ".blocklist-*")
-	if err != nil {
-		return fmt.Errorf("serve: blocklist export: %w", err)
-	}
-	tmp := f.Name()
-	for _, p := range prefixes {
-		if _, err := fmt.Fprintln(f, p); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("serve: blocklist export: %w", err)
+	err := pipeline.PublishFile(b.path, ".blocklist-*", func(w io.Writer) error {
+		for _, p := range prefixes {
+			if _, err := fmt.Fprintln(w, p); err != nil {
+				return err
+			}
 		}
-	}
-	if err := f.Sync(); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
+		return nil
+	})
 	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: blocklist export: %w", err)
-	}
-	if err := os.Rename(tmp, b.path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("serve: blocklist export: %w", err)
 	}
 	return nil

@@ -166,7 +166,7 @@ func TestDaemonMatchesBatch(t *testing.T) {
 	recs = append(recs, scanBurst("2001:db8:bad3:1::1", 20*time.Minute+10*time.Second, 20)...)
 	recs = append(recs, fillers(21, 40)...)
 	recs = append(recs, fillers(120, 121)...) // the jump: idles everything past the timeout
-	pipeline.SortByTime(recs)
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
 
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprint("shards=", shards), func(t *testing.T) {

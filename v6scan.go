@@ -22,7 +22,7 @@
 //     policy and 5-duplicate artifact filter: Record, ReadLog,
 //     WriteLog, NewArtifactFilter;
 //   - packet decoding and classic pcap I/O for feeding captures into
-//     detection: RecordsFromPcap / NewPcapSource;
+//     detection: NewPcapSource (order it with the builder's WindowSort);
 //   - simulation of the paper's two vantage points and its scan-actor
 //     census, for experimentation and regression of the published
 //     results: RunCDNExperiment, NewMAWISimulator;
@@ -113,7 +113,6 @@ package v6scan
 import (
 	"context"
 	"io"
-	"time"
 
 	"v6scan/internal/analysis"
 	"v6scan/internal/artifacts"
@@ -230,31 +229,6 @@ func ReadLog(r io.Reader) *LogReader { return firewall.NewReader(r) }
 // WriteLog returns a record writer producing the binary log format.
 func WriteLog(w io.Writer) *LogWriter { return firewall.NewWriter(w) }
 
-// RecordsFromPcap decodes a classic pcap stream (Ethernet or raw IPv6
-// link types) into records, skipping undecodable packets. The second
-// return value reports how many packets were skipped. Decoding rides
-// the chunked EmitBatch path (one append per chunk instead of one
-// callback per record); streaming consumers can use NewPcapSource
-// directly instead of materializing the slice.
-func RecordsFromPcap(r io.Reader) ([]Record, int, error) {
-	src := pipeline.NewPcapSource(r)
-	var out []Record
-	err := src.EmitBatch(pipeline.DefaultBatchSize, func(recs []Record) error {
-		out = append(out, recs...)
-		return nil
-	})
-	return out, src.Skipped(), err
-}
-
-// SortRecordsByTime stably sorts records by timestamp in place,
-// run-aware: already-ordered input (the normal case for captures and
-// logs) is detected in one linear scan and costs no sort work, and
-// mostly-ordered input pays only bounded merges of its disordered
-// runs. Use it over sort.SliceStable wherever defensive re-sorting of
-// probably-sorted record slices is needed (cmd/v6scan's pcap path
-// does).
-func SortRecordsByTime(recs []Record) { pipeline.SortByTime(recs) }
-
 // Pipeline types: the composable streaming architecture every record
 // consumer plugs into (see internal/pipeline).
 type (
@@ -288,32 +262,20 @@ type (
 	// MergeSource k-way merges time-ordered sources (one per day-file)
 	// into one time-ordered stream.
 	MergeSource = pipeline.MergeSource
-	// FilesSource ingests one or more binary log files with parallel
-	// decode, merged in timestamp order; see FromFiles.
-	FilesSource = pipeline.FilesSource
 	// PcapSource streams decoded IPv6 frames from a classic pcap
 	// capture.
 	PcapSource = pipeline.PcapSource
 	// PipelineCounter counts records passing through a chain.
 	PipelineCounter = pipeline.Counter
-	// DaySortStage buffers and sorts each UTC day of a per-actor
-	// ordered stream.
-	DaySortStage = pipeline.DaySort
-	// WindowSortStage is the bounded-lateness streaming reorder
-	// buffer: stable time order restored within a configurable skew
-	// window, memory bounded by the window instead of the day.
-	WindowSortStage = pipeline.WindowSort
 	// ErrLateRecord reports a record trailing the stream beyond the
-	// WindowSort window (and, with spill enabled, behind the emitted
-	// prefix), carrying the record time and the violated horizon.
+	// WindowSort window, carrying the record time and the violated
+	// horizon.
 	ErrLateRecord = pipeline.ErrLateRecord
 	// ArtifactStage runs the 5-duplicate pre-filter as a stage.
 	ArtifactStage = pipeline.ArtifactStage
 	// ShardedSink terminates a pipeline in the scan detector, run on
 	// the sharded detector's workers (one worker at one shard).
 	ShardedSink = pipeline.ShardedSink
-	// MAWISink terminates a pipeline in a MAWI capture-window detector.
-	MAWISink = pipeline.MAWISink
 	// IDSSink terminates a pipeline in the dynamic-aggregation engine.
 	IDSSink = pipeline.IDSSink
 	// ShardedIDSSink terminates a pipeline in the sharded IDS engine.
@@ -379,32 +341,14 @@ func NewParallelLogSource(r io.ReaderAt, size int64, workers int) *ParallelLogSo
 // concatenation.
 func NewMergeSource(srcs ...RecordSource) *MergeSource { return pipeline.NewMergeSource(srcs...) }
 
-// NewFilesSource returns the lazy multi-file log source FromFiles
-// builds on.
-func NewFilesSource(paths ...string) *FilesSource { return pipeline.NewFilesSource(paths...) }
-
-// NewWindowSortStage returns the bounded-lateness streaming reorder
-// stage outside a builder chain; prefer From(...).WindowSort(window)
-// or Chain().WindowSort(window).Into(next). Call EnableSpill on the
-// stage (or use the builder's WindowSortSpill) to absorb
-// beyond-window disorder through sorted on-disk runs instead of
-// aborting with *ErrLateRecord.
-func NewWindowSortStage(window time.Duration, next RecordSink) *WindowSortStage {
-	return pipeline.NewWindowSort(window, next)
-}
-
 // Pipeline sink constructors.
 func NewShardedSink(d *ShardedDetector) *ShardedSink { return pipeline.NewShardedSink(d) }
-func NewMAWISink(d *MAWIDetector) *MAWISink          { return pipeline.NewMAWISink(d) }
 func NewIDSSink(e *IDSEngine) *IDSSink               { return pipeline.NewIDSSink(e) }
 func NewShardedIDSSink(e *ShardedIDSEngine) *ShardedIDSSink {
 	return pipeline.NewShardedIDSSink(e)
 }
 func NewLogSink(w *LogWriter) *LogSink          { return pipeline.NewLogSink(w) }
 func CollectorSink(add func(Record)) RecordSink { return pipeline.Collector(add) }
-
-// DiscardSink drops every record; useful as a tee-branch terminator.
-var DiscardSink = pipeline.Discard
 
 // Durable-state facade: versioned checkpoint snapshots of terminal
 // sink state and resume from them (see the package-doc "Checkpoint
@@ -436,14 +380,6 @@ func ResumeCheckpoint(path string, shards int) (*ResumedSink, error) {
 	return pipeline.ResumeFile(path, shards)
 }
 
-// WriteCheckpoint snapshots a checkpoint-capable sink into dir at the
-// stream-time cut mark, atomically. Builder.CheckpointEvery does this
-// on a cadence; WriteCheckpoint is the manual escape hatch for
-// callers driving a sink directly.
-func WriteCheckpoint(dir string, ck Checkpointer, mark time.Time) error {
-	return pipeline.WriteCheckpoint(dir, ck, mark)
-}
-
 // SweepCheckpointTemps removes temp files stranded in a checkpoint
 // directory by a crashed writer. Call it before resuming from dir.
 func SweepCheckpointTemps(dir string) (int, error) {
@@ -467,12 +403,6 @@ type (
 	// EventEnvelope is the versioned wire envelope framing a run of
 	// records (or alerts) for one topic.
 	EventEnvelope = events.Envelope
-	// PublishSinkT is the terminal sink publishing a pipeline's record
-	// stream onto a Bus, partitioned across topics by coarsest-level
-	// source prefix.
-	PublishSinkT = pipeline.PublishSink
-	// SubscribeSourceT replays one topic's envelopes into a pipeline.
-	SubscribeSourceT = pipeline.SubscribeSource
 )
 
 // Envelope kinds carried in EventEnvelope.Kind.
@@ -485,19 +415,6 @@ const (
 // NewBus returns an empty in-memory broker.
 func NewBus() *Bus { return bus.New() }
 
-// NewPublishSink returns a terminal sink publishing onto b across
-// topics, partitioned by the source prefix at level (normally
-// CoarsestLevel of the detector/IDS aggregation levels).
-func NewPublishSink(ctx context.Context, b *Bus, level AggLevel, topics ...string) *PublishSinkT {
-	return pipeline.NewPublishSink(ctx, b, level, topics...)
-}
-
-// NewSubscribeSource subscribes to topic on b and returns a source
-// replaying its envelopes.
-func NewSubscribeSource(ctx context.Context, b *Bus, topic string) *SubscribeSourceT {
-	return pipeline.NewSubscribeSource(ctx, b, topic)
-}
-
 // FromBus starts a builder consuming the given topics from b, k-way
 // merged in timestamp order. List lower-indexed publishers' topics
 // first: topic order is the merge tie-break order.
@@ -509,24 +426,13 @@ func FromBusContext(ctx context.Context, b *Bus, topics ...string) *Builder {
 	return pipeline.FromBusContext(ctx, b, topics...)
 }
 
-// RecordTopic names one record-stream partition of a publisher's
-// stream; RecordTopics names all parts of them, in partition order.
-func RecordTopic(stream string, part int) string { return events.RecordTopic(stream, part) }
-
 // RecordTopics names all parts partitions of a publisher's stream.
 func RecordTopics(stream string, parts int) []string { return events.RecordTopics(stream, parts) }
-
-// AlertTopic names the finished-alert topic of a stream.
-func AlertTopic(stream string) string { return events.AlertTopic(stream) }
 
 // CoarsestLevel returns the coarsest (smallest prefix length) of the
 // given aggregation levels — the partition level distributed
 // publishers and sharded consumers route by.
 func CoarsestLevel(levels []AggLevel) AggLevel { return dispatch.CoarsestLevel(levels) }
-
-// RecordWireSize is the fixed on-disk size of one binary log record —
-// the alignment unit for splitting a log at record boundaries.
-const RecordWireSize = firewall.RecordWireSize
 
 // LogChunk is one contiguous record-aligned byte span of a binary log.
 type LogChunk = firewall.Chunk
@@ -640,21 +546,11 @@ var (
 	NewDNSCollector     = analysis.NewDNSCollector
 )
 
-// Serving facade: follow-mode ingestion, pipeline observability, and
-// the long-running daemon runtime behind cmd/v6scand. See the
+// Serving facade: pipeline observability and the long-running daemon
+// runtime behind cmd/v6scand, which follows a growing log. See the
 // pipeline package doc's "Serving" section for the tailing and
 // backpressure contracts.
 type (
-	// TailSource is a follow-mode Source that reads a growing binary
-	// firewall log, surviving partial trailing records, rotation, and
-	// truncation. Single-use; drains pending bytes on cancellation.
-	TailSource = pipeline.TailSource
-	// TailConfig tunes a TailSource (poll interval, chunking,
-	// parallel decode).
-	TailConfig = pipeline.TailConfig
-	// TailStats is a TailSource progress snapshot (offset, rotations,
-	// truncations observed).
-	TailStats = pipeline.TailStats
 	// MetricsRegistry is the dependency-free counter/gauge/histogram
 	// registry with Prometheus text exposition.
 	MetricsRegistry = metrics.Registry
@@ -670,16 +566,6 @@ type (
 	// ServeState is the read-side serving snapshot (/api/state).
 	ServeState = serve.State
 )
-
-// DefaultTailPoll is the TailSource growth-poll interval when
-// TailConfig.Poll is zero.
-const DefaultTailPoll = pipeline.DefaultTailPoll
-
-// NewTailSource returns a follow-mode source for path; the file need
-// not exist yet.
-func NewTailSource(path string, cfg TailConfig) *TailSource {
-	return pipeline.NewTailSource(path, cfg)
-}
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }

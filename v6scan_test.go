@@ -115,9 +115,11 @@ func TestFacadePcap(t *testing.T) {
 	if err := mawi.WritePcapDay(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, skipped, err := RecordsFromPcap(&buf)
-	if err != nil || skipped != 0 || len(got) != 1 {
-		t.Fatalf("pcap: %v %d %d", err, skipped, len(got))
+	src := NewPcapSource(&buf)
+	var got []Record
+	err := From(src).RunInto(context.Background(), CollectorSink(func(r Record) { got = append(got, r) }))
+	if err != nil || src.Skipped() != 0 || len(got) != 1 {
+		t.Fatalf("pcap: %v %d %d", err, src.Skipped(), len(got))
 	}
 	if got[0].Dst != recs[0].Dst || got[0].DstPort != 22 {
 		t.Errorf("record: %+v", got[0])
