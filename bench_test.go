@@ -808,12 +808,12 @@ func BenchmarkIDSProcess(b *testing.B) {
 	b.ReportMetric(float64(len(recs)), "records/op")
 }
 
-// benchmarkIDSSharded measures the sharded IDS engine on the
+// benchmarkIDSSharded measures the IDS engine across shards on the
 // BenchmarkIDSProcess workload, fed in batches with the identical Tick
 // cadence (one Tick per 10k records — sweep cost dominates eviction
 // cadence, so cadence must match for the comparison to be fair);
-// shards=1 is the parallelism baseline (one worker, same batching
-// overhead).
+// shards=1 is the parallelism baseline (one shard inline, same
+// batching).
 func benchmarkIDSSharded(b *testing.B, shards int) {
 	allowParallelism(b, shards+1)
 	recs := benchRecordsIDS(100_000)

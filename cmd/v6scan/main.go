@@ -350,9 +350,9 @@ func runDetect(b *v6scan.Builder, stdout io.Writer, cfg v6scan.DetectorConfig, s
 }
 
 // runIDS terminates the prepared builder in the inline
-// dynamic-aggregation engine (sharded when -shards > 1) and prints the
-// merged alert list — the blocklist recommendations the Discussion
-// section calls for.
+// dynamic-aggregation engine (across -shards workers above one) and
+// prints the merged alert list — the blocklist recommendations the
+// Discussion section calls for.
 func runIDS(b *v6scan.Builder, stdout io.Writer, det v6scan.DetectorConfig, shards int, advEvery time.Duration, topN int, counted **v6scan.PipelineCounter, resumed *v6scan.ResumedSink) error {
 	cfg := v6scan.DefaultIDSConfig()
 	cfg.MinDsts = det.MinDsts
@@ -372,27 +372,15 @@ func runIDS(b *v6scan.Builder, stdout io.Writer, det v6scan.DetectorConfig, shar
 		tickEvery = advEvery
 	}
 	b.AdvanceEvery(tickEvery)
-	var sink interface {
-		v6scan.TerminalSink
-		Result() []v6scan.IDSAlert
-	}
-	var dropped func() uint64
-	switch {
-	case resumed != nil:
-		switch s := resumed.Sink.(type) {
-		case *v6scan.IDSSink:
-			sink, dropped = s, s.E.DroppedCandidates
-		case *v6scan.ShardedIDSSink:
-			sink, dropped = s, s.E.DroppedCandidates
-		default:
+	var sink *v6scan.IDSSink
+	if resumed == nil {
+		sink = v6scan.NewIDSSink(v6scan.NewShardedIDS(cfg, shards))
+	} else {
+		s, ok := resumed.Sink.(*v6scan.IDSSink)
+		if !ok {
 			return closeMismatched(resumed, "checkpoint holds offline-detector state; rerun without -ids")
 		}
-	case shards > 1:
-		s := v6scan.NewShardedIDSSink(v6scan.NewShardedIDS(cfg, shards))
-		sink, dropped = s, s.E.DroppedCandidates
-	default:
-		s := v6scan.NewIDSSink(v6scan.NewIDS(cfg))
-		sink, dropped = s, s.E.DroppedCandidates
+		sink = s
 	}
 	if err := b.RunInto(context.Background(), sink); err != nil {
 		return err
@@ -400,7 +388,7 @@ func runIDS(b *v6scan.Builder, stdout io.Writer, det v6scan.DetectorConfig, shar
 
 	alerts := sink.Result()
 	fmt.Fprintf(stdout, "processed %d records: %d IDS alerts\n", (*counted).Count(), len(alerts))
-	if n := dropped(); n > 0 {
+	if n := sink.E.DroppedCandidates(); n > 0 {
 		fmt.Fprintf(stdout, "  warning: %d candidates dropped by the MaxCandidates bound — alerts are incomplete\n", n)
 	}
 	for i, a := range alerts {

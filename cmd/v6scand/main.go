@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		input     = fs.String("i", "", "binary firewall log to tail (required; may not exist yet)")
 		listen    = fs.String("listen", "127.0.0.1:8080", "HTTP listen address")
-		shards    = fs.Int("shards", 1, "IDS worker shards (>1 enables the sharded engine)")
+		shards    = fs.Int("shards", 1, "IDS engine shards (1 runs inline; more run on worker goroutines)")
 		minDsts   = fs.Int("min-dsts", 0, "destination threshold for alerting (0 = engine default)")
 		timeout   = fs.Duration("timeout", 0, "idle eviction timeout (0 = engine default)")
 		advance   = fs.Duration("advance-every", time.Minute, "stream-time tick cadence (alerting latency)")

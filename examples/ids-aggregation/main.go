@@ -73,7 +73,7 @@ func main() {
 	// across -shards workers) terminates the main chain — both see the
 	// identical stream.
 	detSink := v6scan.NewShardedSink(v6scan.NewShardedDetector(cfg, 1))
-	idsSink := v6scan.NewShardedIDSSink(v6scan.NewShardedIDS(v6scan.DefaultIDSConfig(), *shards))
+	idsSink := v6scan.NewIDSSink(v6scan.NewShardedIDS(v6scan.DefaultIDSConfig(), *shards))
 	// Tick once per minute of stream time — the inline deployment's
 	// timer: idle candidates are evicted (and their alerts emitted)
 	// mid-stream, bounding memory; the horizon reaches every shard

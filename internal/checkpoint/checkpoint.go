@@ -68,7 +68,7 @@ const Version uint16 = 1
 // Snapshot kinds: which subsystem's state the file holds.
 const (
 	KindDetector uint8 = 1 // core.ShardedDetector, at any shard count
-	KindIDS      uint8 = 2 // ids.Engine / ids.ShardedEngine
+	KindIDS      uint8 = 2 // ids.Engine, at any shard count
 )
 
 // Section kinds of the shared body (WriteBody).

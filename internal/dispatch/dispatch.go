@@ -1,6 +1,6 @@
 // Package dispatch provides the shared worker/dispatch scaffolding
-// for sharded record consumers — the scaffolding that was previously
-// duplicated between core.ShardedDetector and ids.ShardedEngine.
+// for sharded record consumers: core.ShardedDetector and, above one
+// shard, ids.Engine.
 //
 // # Sharding invariant
 //

@@ -21,24 +21,26 @@
 //     destinations — and escalating to the coarser prefix when it does
 //     not (the spread-source case).
 //
-// Engine is single-goroutine and allocation-light: each level's
-// candidates live in a u128idx.Table (the detector's session table),
-// and candidates hold their first destination inline, materializing the
-// sketch only on the second distinct destination — at fine aggregation
-// levels the overwhelming majority of candidates are short-lived
-// background sources that never need one. The inline-first-destination
-// cutoff is 1 (a single address) because the sketch, unlike a set, has
-// no cheap intermediate size: the first distinct second address pays
-// the full 2^precision registers, so there is nothing to re-tune
-// between 1 and materialization — the only knob is SketchPrecision. A
-// minute Tick is the table's Expire sweep over its dense last-activity
-// column, which touches a candidate only when it is due, and a due
-// candidate below the threshold is recycled after an O(1) sketch
-// estimate (see core.DstSketch). ProcessBatch additionally groups
-// adjacent same-source records so a burst of N records to one
-// candidate costs one table probe per level. ShardedEngine (sharded.go)
-// runs N engines in parallel, partitioned by coarsest-level source
-// prefix, with byte-identical merged output.
+// Engine is allocation-light: each level's candidates live in a
+// u128idx.Table (the detector's session table), and candidates hold
+// their first destination inline, materializing the sketch only on the
+// second distinct destination — at fine aggregation levels the
+// overwhelming majority of candidates are short-lived background
+// sources that never need one. The inline-first-destination cutoff is
+// 1 (a single address) because the sketch, unlike a set, has no cheap
+// intermediate size: the first distinct second address pays the full
+// 2^precision registers, so there is nothing to re-tune between 1 and
+// materialization — the only knob is SketchPrecision. A minute Tick is
+// the table's Expire sweep over its dense last-activity column, which
+// touches a candidate only when it is due, and a due candidate below
+// the threshold is recycled after an O(1) sketch estimate (see
+// core.DstSketch). ProcessBatch additionally groups adjacent
+// same-source records so a burst of N records to one candidate costs
+// one table probe per level. The state is split into shards (this
+// file), partitioned by coarsest-level source prefix: New runs one
+// shard inline on the caller's goroutine, NewSharded runs n in
+// parallel behind the shared dispatcher (sharded.go), with
+// byte-identical merged output.
 package ids
 
 import (
@@ -127,7 +129,7 @@ func (a Alert) String() string {
 // sortAlerts orders alerts by first activity, then address, then
 // prefix length, then the remaining fields (alertLess). The comparator
 // is a total order, so the result is deterministic regardless of
-// accumulation order — the property ShardedEngine's merge and a
+// accumulation order — the property the merge across shards and a
 // restored engine (whose pending alerts come back in this order) rely
 // on for byte-identical output. The tie-breaking fields matter only
 // when one prefix alerts twice with the same first activity between
@@ -232,28 +234,32 @@ func (lv *level) observeDst(c *candidate, d netaddr6.U128, precision uint8) {
 	c.sketch.AddU128(d)
 }
 
-// Engine is the dynamic-aggregation IDS.
-type Engine struct {
+// shard is one partition of an Engine's candidate state: every level's
+// table for the sources that partition to it, the shard's clock and
+// its pending alerts. Single-goroutine: an Engine runs its one shard
+// inline, or each of its shards on its own dispatch worker.
+type shard struct {
 	cfg    Config
-	levels []*level // most specific first, ordered once at New
+	levels []*level // most specific first, as ordered by normalize
 	now    time.Time
 
 	// alerts accumulated since the last Drain.
 	alerts []Alert
 	// dropped counts candidates rejected by MaxCandidates. Atomic so
 	// observability surfaces (the metrics registry, a serving daemon's
-	// state endpoint) can read it from any goroutine while the engine
-	// processes on its own — the only engine field with that property.
+	// state endpoint) can read it from any goroutine while the shard
+	// processes on its own — the only shard field with that property.
 	dropped atomic.Uint64
 
-	// scrDst is the per-run destination scratch for ProcessBatch; one
-	// backs the Process single-record wrapper.
+	// scrDst is the per-run destination scratch for process.
 	scrDst []netaddr6.U128
-	one    [1]firewall.Record
 }
 
-// New returns an engine.
-func New(cfg Config) *Engine {
+// normalize applies the defaults to cfg's zero fields and orders a
+// copy of its levels most specific first, once: alerting prefers
+// specificity and sweep relies on this ordering every call. Callers'
+// Levels slices are not modified.
+func normalize(cfg Config) Config {
 	def := DefaultConfig()
 	if cfg.MinDsts <= 0 {
 		cfg.MinDsts = def.MinDsts
@@ -273,43 +279,34 @@ func New(cfg Config) *Engine {
 	if cfg.MaxCandidates <= 0 {
 		cfg.MaxCandidates = def.MaxCandidates
 	}
-	// Order levels most specific first, once: alerting prefers
-	// specificity and sweep relies on this ordering every call. Sort a
-	// copy — callers' Levels slices are not modified.
 	levels := append([]netaddr6.AggLevel(nil), cfg.Levels...)
 	sort.Slice(levels, func(i, j int) bool { return levels[i] > levels[j] })
 	cfg.Levels = levels
-	e := &Engine{cfg: cfg}
-	for _, l := range levels {
-		e.levels = append(e.levels, &level{agg: l})
+	return cfg
+}
+
+// newShard returns an empty shard over a normalized configuration.
+func newShard(cfg Config) *shard {
+	s := &shard{cfg: cfg}
+	for _, l := range cfg.Levels {
+		s.levels = append(s.levels, &level{agg: l})
 	}
-	return e
+	return s
 }
 
-// Config returns the engine's normalized configuration (defaults
-// applied, levels ordered most specific first).
-func (e *Engine) Config() Config { return e.cfg }
-
-// Process ingests one record, updating every level's candidate.
-func (e *Engine) Process(r firewall.Record) {
-	e.one[0] = r
-	e.ProcessBatch(e.one[:])
-}
-
-// ProcessBatch ingests a run of records. The slice is not retained, so
-// callers may reuse the backing array between calls.
+// process ingests a run of records.
 //
 // Adjacent records with the same source (the shape dispatch staging
 // and real scan bursts produce) are grouped into runs, so N records to
 // one candidate cost one table probe per aggregation level instead of
 // N map lookups.
-func (e *Engine) ProcessBatch(recs []firewall.Record) {
+func (s *shard) process(recs []firewall.Record) {
 	for i := 0; i < len(recs); {
 		j := i + 1
 		for j < len(recs) && recs[j].Src == recs[i].Src {
 			j++
 		}
-		e.ingestRun(recs[i:j])
+		s.ingestRun(recs[i:j])
 		i = j
 	}
 }
@@ -323,12 +320,12 @@ func (e *Engine) ProcessBatch(recs []firewall.Record) {
 // times seen, not the first and last to arrive: without a sorting
 // window a late record must neither pull Last backwards nor make the
 // candidate look idle early.
-func (e *Engine) ingestRun(rs []firewall.Record) {
-	e.scrDst = e.scrDst[:0]
+func (s *shard) ingestRun(rs []firewall.Record) {
+	s.scrDst = s.scrDst[:0]
 	lo, hi := 0, 0 // the run's earliest and latest records
 	for k, r := range rs {
-		if r.Time.After(e.now) {
-			e.now = r.Time
+		if r.Time.After(s.now) {
+			s.now = r.Time
 		}
 		if r.Time.Before(rs[lo].Time) {
 			lo = k
@@ -336,34 +333,34 @@ func (e *Engine) ingestRun(rs []firewall.Record) {
 		if r.Time.After(rs[hi].Time) {
 			hi = k
 		}
-		e.scrDst = append(e.scrDst, netaddr6.ToU128(r.Dst))
+		s.scrDst = append(s.scrDst, netaddr6.ToU128(r.Dst))
 	}
 	first, last := rs[lo].Time, checkpoint.EncodeTime(rs[hi].Time)
 	src := netaddr6.ToU128(rs[0].Src)
-	for _, lv := range e.levels {
+	for _, lv := range s.levels {
 		key := src.Mask(int(lv.agg))
 		var (
 			h       uint32
 			existed bool
 		)
-		if lv.tab.Len() < e.cfg.MaxCandidates {
+		if lv.tab.Len() < s.cfg.MaxCandidates {
 			// Below the bound, lookup and admission are one probe.
 			h, existed = lv.tab.Ref(key, last)
 		} else if h, existed = lv.tab.Get(key); !existed {
 			// At the bound only existing candidates admit records; a
 			// missing key drops every record of the run, as the
 			// per-record path did.
-			e.dropped.Add(uint64(len(rs)))
+			s.dropped.Add(uint64(len(rs)))
 			continue
 		}
 		c := lv.tab.At(h)
-		dsts := e.scrDst
+		dsts := s.scrDst
 		if !existed {
 			c.firstDst, c.first = dsts[0], first
 			dsts = dsts[1:]
 		}
 		for _, d := range dsts {
-			lv.observeDst(c, d, e.cfg.SketchPrecision)
+			lv.observeDst(c, d, s.cfg.SketchPrecision)
 		}
 		c.packets += uint64(len(rs))
 		if first.Before(c.first) {
@@ -373,35 +370,18 @@ func (e *Engine) ingestRun(rs []firewall.Record) {
 	}
 }
 
-// Tick advances time, evicting idle candidates and emitting alerts for
-// entities whose activity ended. Call periodically (e.g. once per
-// minute of stream time); Flush emits everything at shutdown.
-func (e *Engine) Tick(now time.Time) {
-	if now.After(e.now) {
-		e.now = now
+// tick advances the shard's clock to now if later and evicts the
+// candidates idle past Timeout at it.
+func (s *shard) tick(now time.Time) {
+	if now.After(s.now) {
+		s.now = now
 	}
-	e.sweep(u128idx.Cutoff(checkpoint.EncodeTime(e.now), int64(e.cfg.Timeout)))
+	s.sweep(u128idx.Cutoff(checkpoint.EncodeTime(s.now), int64(s.cfg.Timeout)))
 }
 
-// Flush evicts every candidate regardless of idleness and returns all
-// pending alerts.
-func (e *Engine) Flush() []Alert {
-	e.sweep(u128idx.ExpireAll)
-	return e.Drain()
-}
-
-// Drain returns and clears pending alerts, ordered deterministically
-// (first activity, then address, then prefix length).
-func (e *Engine) Drain() []Alert {
-	out := e.alerts
-	e.alerts = nil
-	sortAlerts(out)
-	return out
-}
-
-// Candidates returns the current working-set size at a level.
-func (e *Engine) Candidates(l netaddr6.AggLevel) int {
-	for _, lv := range e.levels {
+// candidates returns the shard's working-set size at a level.
+func (s *shard) candidates(l netaddr6.AggLevel) int {
+	for _, lv := range s.levels {
 		if lv.agg == l {
 			return lv.tab.Len()
 		}
@@ -409,12 +389,11 @@ func (e *Engine) Candidates(l netaddr6.AggLevel) int {
 	return 0
 }
 
-// MemoryBytes estimates sketch memory across all levels — the quantity
-// an IDS deployment budgets. Candidates on the inline single-dst fast
-// path cost no sketch memory.
-func (e *Engine) MemoryBytes() int {
+// memoryBytes estimates the shard's sketch memory across all levels.
+// Candidates on the inline single-dst fast path cost none.
+func (s *shard) memoryBytes() int {
 	total := 0
-	for _, lv := range e.levels {
+	for _, lv := range s.levels {
 		lv.tab.Range(func(_ netaddr6.U128, h uint32) bool {
 			if c := lv.tab.At(h); c.sketch != nil {
 				total += c.sketch.MemoryBytes()
@@ -428,17 +407,17 @@ func (e *Engine) MemoryBytes() int {
 // sweep evicts the candidates the level tables' Expire finds due at
 // cutoff (u128idx.ExpireAll at Flush), level by level, most specific
 // first, applying the suppression/escalation logic. The level order
-// was fixed at New; within a level, closed candidates are visited in
-// address order for determinism.
-func (e *Engine) sweep(cutoff int64) {
+// was fixed by normalize; within a level, closed candidates are
+// visited in address order for determinism.
+func (s *shard) sweep(cutoff int64) {
 	var (
 		closed  []uint32 // due handles at or above the threshold, reused per level
 		emitted []Alert
 	)
-	for _, lv := range e.levels {
+	for _, lv := range s.levels {
 		closed = closed[:0]
 		lv.tab.Expire(cutoff, func(h uint32) {
-			if lv.tab.At(h).estimate() >= uint64(e.cfg.MinDsts) {
+			if lv.tab.At(h).estimate() >= uint64(s.cfg.MinDsts) {
 				closed = append(closed, h)
 			} else {
 				lv.recycle(h)
@@ -463,7 +442,7 @@ func (e *Engine) sweep(cutoff int64) {
 				}
 			}
 			est := c.estimate()
-			if float64(coveredDsts) >= e.cfg.CoverageShare*float64(est) {
+			if float64(coveredDsts) >= s.cfg.CoverageShare*float64(est) {
 				continue // explained by finer alerts
 			}
 			emitted = append(emitted, Alert{
@@ -473,7 +452,7 @@ func (e *Engine) sweep(cutoff int64) {
 				Packets:       c.packets,
 				First:         c.first,
 				Last:          checkpoint.DecodeTime(lv.tab.Last(h)),
-				Escalated:     coveredDsts > 0 || lv.agg != e.levels[0].agg,
+				Escalated:     coveredDsts > 0 || lv.agg != s.levels[0].agg,
 			})
 		}
 		// Alerts hold copies of everything they need; the closed
@@ -482,11 +461,5 @@ func (e *Engine) sweep(cutoff int64) {
 			lv.recycle(h)
 		}
 	}
-	e.alerts = append(e.alerts, emitted...)
+	s.alerts = append(s.alerts, emitted...)
 }
-
-// DroppedCandidates reports how many candidates were rejected by the
-// MaxCandidates bound. Unlike every other accessor it is safe from
-// any goroutine: the counter is atomic, so metrics scrapes read it
-// without synchronizing with the processing goroutine.
-func (e *Engine) DroppedCandidates() uint64 { return e.dropped.Load() }

@@ -171,17 +171,20 @@ func (r *refIDS) drain() []Alert {
 
 // tapeSrc maps a byte onto a source: 2 /32s × 2 /48s × 2 /64s × 4
 // interface IDs, so candidates collide at every coarser level and the
-// suppression/escalation paths run.
+// suppression/escalation paths run. The two /32s (2001:db8::/32 and
+// 2001:1db8::/32) partition to different shards of three.
 func tapeSrc(b byte) netip.Addr {
 	return netaddr6.U128{
-		Hi: 0x20010db8_00000000 | uint64(b&1)<<32 | uint64(b>>1&1)<<16 | uint64(b>>2&1),
+		Hi: 0x20010db8_00000000 | uint64(b&1)<<44 | uint64(b>>1&1)<<16 | uint64(b>>2&1),
 		Lo: uint64(b>>3&3) + 1,
 	}.ToAddr()
 }
 
-// runIDSTape interprets tape against the engine and the reference. The
-// first two bytes pick MaxCandidates (1–8), MinDsts (1–4) and the
-// sketch precision (4–6); the rest is a sequence of ops:
+// runIDSTape interprets tape against the reference, a one-shard
+// engine and a three-shard one, and returns how many ops compared the
+// three-shard engine with the one-shard one. The first two bytes pick
+// MaxCandidates (1–8), MinDsts (1–4) and the sketch precision (4–6);
+// the rest is a sequence of ops:
 //
 //	0–3 src, b: record from tapeSrc(src) to one of 32 destinations,
 //	            stepping time by int8(b)>>3 seconds (late, equal or
@@ -190,13 +193,17 @@ func tapeSrc(b byte) netip.Addr {
 //	5 b         tick at the last record's time + Timeout (+1ns when b
 //	            is odd), or b seconds past the clock when b ≥ 128
 //	6           drain and compare alerts
-//	7           snapshot and restore the engine mid-stream
+//	7           snapshot and restore both engines mid-stream
 //
 // Any op but a record processes the pending batch first, then checks
-// per-level candidate counts and the drop counter.
-func runIDSTape(t *testing.T, tape []byte) {
+// per-level candidate counts and the drop counter. The reference
+// judges the one-shard engine on every tape. The three-shard engine
+// applies MaxCandidates per shard, so it must match the one-shard
+// engine — drains, candidate counts, snapshot bytes, the final Flush —
+// only while that has dropped nothing.
+func runIDSTape(t *testing.T, tape []byte) (sharded int) {
 	if len(tape) < 2 {
-		return
+		return 0
 	}
 	cfg := Config{
 		Timeout:         time.Minute,
@@ -204,15 +211,27 @@ func runIDSTape(t *testing.T, tape []byte) {
 		MinDsts:         1 + int(tape[1]%4),
 		SketchPrecision: 4 + tape[1]>>4%3,
 	}
-	e, ref := New(cfg), newRefIDS(cfg)
+	e, e3, ref := New(cfg), NewSharded(cfg, 3), newRefIDS(cfg)
+	// Flush stops the workers of whichever three-shard engine is live.
+	defer func() { e3.Flush() }()
 	clock := int64(1_622_505_600e9) // 2021-06-01T00:00:00Z
 	var pending []firewall.Record
 	process := func() {
 		e.ProcessBatch(pending)
+		e3.ProcessBatch(pending)
 		for _, r := range pending {
 			ref.process(r)
 		}
 		pending = pending[:0]
+	}
+	// exact reports whether the three-shard engine must match the
+	// one-shard engine, counting the comparison.
+	exact := func() bool {
+		if e.DroppedCandidates() != 0 {
+			return false
+		}
+		sharded++
+		return true
 	}
 	check := func(at int) {
 		t.Helper()
@@ -224,12 +243,52 @@ func runIDSTape(t *testing.T, tape []byte) {
 		if got, want := e.DroppedCandidates(), ref.dropped; got != want {
 			t.Fatalf("op %d: DroppedCandidates = %d, reference %d", at, got, want)
 		}
+		if !exact() {
+			return
+		}
+		for _, agg := range ref.cfg.Levels {
+			if got, want := e3.Candidates(agg), e.Candidates(agg); got != want {
+				t.Fatalf("op %d: 3 shards: Candidates(%v) = %d, one shard %d", at, agg, got, want)
+			}
+		}
+		if got := e3.DroppedCandidates(); got != 0 {
+			t.Fatalf("op %d: 3 shards: DroppedCandidates = %d, one shard 0", at, got)
+		}
 	}
-	compare := func(at int, got, want []Alert) {
+	compare := func(at int, got, got3, want []Alert) {
 		t.Helper()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("op %d: alerts differ\nengine:    %v\nreference: %v", at, got, want)
 		}
+		if exact() && !reflect.DeepEqual(got3, got) {
+			t.Fatalf("op %d: 3 shards: alerts differ\n3 shards:  %v\none shard: %v", at, got3, got)
+		}
+	}
+	// roundtrip snapshots eng at mark, restores it across its shard
+	// count and requires the restored engine to snapshot identically.
+	roundtrip := func(at int, eng *Engine, mark time.Time) (*Engine, []byte) {
+		t.Helper()
+		var snap bytes.Buffer
+		if err := eng.Snapshot(&snap, mark); err != nil {
+			t.Fatal(err)
+		}
+		cr, err := checkpoint.NewReader(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreEngine(cr, eng.NumShards())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Flush()
+		var again bytes.Buffer
+		if err := restored.Snapshot(&again, mark); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap.Bytes(), again.Bytes()) {
+			t.Fatalf("op %d: %d shards: snapshot of the restored engine differs", at, eng.NumShards())
+		}
+		return restored, snap.Bytes()
 	}
 	for i := 2; i < len(tape); i++ {
 		op := tape[i] % 8
@@ -257,43 +316,66 @@ func runIDSTape(t *testing.T, tape []byte) {
 				now = ref.now.Add(time.Duration(b-128) * time.Second)
 			}
 			e.Tick(now)
+			e3.Tick(now)
 			ref.tick(now)
 		case 6:
-			compare(i, e.Drain(), ref.drain())
+			compare(i, e.Drain(), e3.Drain(), ref.drain())
 		case 7:
 			mark := ref.now.Add(time.Nanosecond)
 			if ref.now.IsZero() {
 				mark = time.Unix(0, clock).UTC()
 			}
-			var snap bytes.Buffer
-			if err := e.Snapshot(&snap, mark); err != nil {
-				t.Fatal(err)
-			}
-			cr, err := checkpoint.NewReader(bytes.NewReader(snap.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e, err = RestoreEngine(cr); err != nil {
-				t.Fatal(err)
-			}
-			var again bytes.Buffer
-			if err := e.Snapshot(&again, mark); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(snap.Bytes(), again.Bytes()) {
-				t.Fatalf("op %d: snapshot of the restored engine differs", i)
+			var snap, snap3 []byte
+			e, snap = roundtrip(i, e, mark)
+			e3, snap3 = roundtrip(i, e3, mark)
+			if exact() && !bytes.Equal(snap3, snap) {
+				t.Fatalf("op %d: 3 shards: snapshot differs from the one-shard engine's", i)
 			}
 		}
 		check(i)
 	}
 	process()
-	compare(len(tape), e.Flush(), func() []Alert { ref.sweep(true); return ref.drain() }())
+	compare(len(tape), e.Flush(), e3.Flush(), func() []Alert { ref.sweep(true); return ref.drain() }())
 	check(len(tape))
+	return sharded
+}
+
+// shardedSeed is a tape that never fills a candidate table: sources in
+// both /32s, several /48s and /64s, drains after ticks that alert, and
+// mid-stream snapshots — so every op compares the three-shard engine
+// with the one-shard one.
+var shardedSeed = []byte{7, 1,
+	0, 0, 0x08, 0, 0, 0x09, 0, 0, 0x0a, 0, 1, 0x0b, 0, 1, 0x0c,
+	0, 3, 0x0d, 0, 5, 0x0e, 0, 2, 0x0f, 0, 6, 0x0f, 4, 6, 7,
+	0, 8, 0x10, 0, 8, 0x11, 0, 9, 0x11, 5, 0, 6,
+	0, 1, 0x12, 0, 3, 0x13, 7, 5, 1, 6}
+
+// TestIDSTapeShardedSeed: shardedSeed reaches the three-shard
+// comparison at every op — each op's check, each drain and snapshot,
+// and the final Flush and check.
+func TestIDSTapeShardedSeed(t *testing.T) {
+	want := 2
+	for i := 2; i < len(shardedSeed); i++ {
+		switch shardedSeed[i] % 8 {
+		case 0, 1, 2, 3:
+			i += 2
+			continue
+		case 5:
+			i++
+		case 6, 7:
+			want++
+		}
+		want++
+	}
+	if got := runIDSTape(t, shardedSeed); got != want {
+		t.Fatalf("three-shard comparisons = %d, want %d", got, want)
+	}
 }
 
 // FuzzIDSEngine is the differential check of the optimized engine
 // (dense last column, saturating cutoff, O(1) sketch estimate, run
-// grouping, snapshot/restore) against the naive reference.
+// grouping, snapshot/restore) against the naive reference, at one
+// shard and, while no candidate was dropped, at three.
 func FuzzIDSEngine(f *testing.F) {
 	// Late and equal timestamps, then ticks exactly at and 1ns past
 	// last + Timeout, a snapshot, and a drain.
@@ -304,5 +386,6 @@ func FuzzIDSEngine(f *testing.F) {
 		rng.Read(tape)
 		f.Add(tape)
 	}
-	f.Fuzz(runIDSTape)
+	f.Add(shardedSeed)
+	f.Fuzz(func(t *testing.T, tape []byte) { runIDSTape(t, tape) })
 }

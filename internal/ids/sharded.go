@@ -6,149 +6,170 @@ import (
 	"v6scan/internal/dispatch"
 	"v6scan/internal/firewall"
 	"v6scan/internal/netaddr6"
+	"v6scan/internal/u128idx"
 )
 
-// ShardedEngine runs the dynamic-aggregation IDS across N worker
-// shards in parallel, mirroring core.ShardedDetector. Records are
-// partitioned by their source aggregated to the *coarsest* configured
-// level, so every candidate at every level — finer prefixes nest
-// inside the coarsest — lives in exactly one shard, and the
-// suppression/escalation logic (which only ever compares nested
-// prefixes) sees the same candidates it would in a single Engine.
-// Combined with the engines' deterministic alert ordering, the merged
-// output is byte-identical to a single Engine's at any shard count
-// (see TestShardedIDSParity) — with one caveat: each shard applies
+// Engine is the dynamic-aggregation IDS over one or more shards of
+// candidate state. New runs one shard inline on the caller's
+// goroutine; NewSharded with n > 1 runs n shards in parallel,
+// mirroring core.ShardedDetector. Records are partitioned by their
+// source aggregated to the *coarsest* configured level, so every
+// candidate at every level — finer prefixes nest inside the coarsest —
+// lives in exactly one shard, and the suppression/escalation logic
+// (which only ever compares nested prefixes) sees the same candidates
+// at any shard count. Combined with the deterministic alert ordering,
+// the merged output is byte-identical at any shard count (see
+// TestShardedIDSParity) — with one caveat: each shard applies
 // Config.MaxCandidates to its own tables, so under cap pressure a
 // sharded engine admits candidates (and so may emit alerts) a single
-// engine would have dropped.
+// shard would have dropped.
 //
-// Each shard owns a private Engine; partitioning, the worker
-// goroutines and their pooled batch buffers are the shared
-// dispatch.Dispatcher's (IDS workers cannot fail, so the dispatcher's
-// error path stays unused). Tick forwards the eviction horizon to
-// every shard, carrying the globally latest record time so per-shard
-// eviction decisions match the single-engine ones exactly. Flush
-// drains the workers and merges alerts deterministically; the engine
-// is not reusable afterwards.
-type ShardedEngine struct {
+// Above one shard, partitioning, the worker goroutines and their
+// pooled batch buffers are the shared dispatch.Dispatcher's (IDS
+// workers cannot fail, so the dispatcher's error path stays unused).
+// Tick forwards the eviction horizon to every shard, carrying the
+// globally latest record time so per-shard eviction decisions match
+// the single-shard ones exactly; the reads synchronize with the
+// workers. Flush stops the workers and merges alerts
+// deterministically; a sharded engine is not reusable afterwards.
+type Engine struct {
 	cfg    Config
-	shards []*Engine
-	disp   *dispatch.Dispatcher
+	shards []*shard
+	// disp runs the shards on worker goroutines; nil when the one
+	// shard runs inline.
+	disp *dispatch.Dispatcher
 
-	// lastSeen is the latest record timestamp handed in; Tick forwards
-	// max(now, lastSeen) so a shard that saw only early records still
-	// evicts against the global clock.
+	// lastSeen is the latest record timestamp dispatched; Tick
+	// forwards max(now, lastSeen) so a shard that saw only early
+	// records still evicts against the global clock.
 	lastSeen time.Time
 	flushed  bool
+
+	// one backs the Process single-record wrapper.
+	one [1]firewall.Record
 }
 
-// NewSharded returns an IDS engine running the configuration's
-// aggregation levels across n parallel shards. n < 1 is treated as 1;
-// a single shard still processes on one worker goroutine but is
-// byte-identical (and close in cost) to a plain Engine.
-func NewSharded(cfg Config, n int) *ShardedEngine {
-	if n < 1 {
-		n = 1
-	}
-	// Normalize the config once so every shard agrees (New applies the
-	// same defaults).
-	probe := New(cfg)
-	cfg = probe.Config()
+// New returns an engine running one shard inline on the caller's
+// goroutine.
+func New(cfg Config) *Engine { return NewSharded(cfg, 1) }
 
-	se := &ShardedEngine{cfg: cfg, shards: make([]*Engine, n)}
-	for i := range se.shards {
-		if i == 0 {
-			se.shards[i] = probe
-		} else {
-			se.shards[i] = New(cfg)
-		}
+// NewSharded returns an engine running the configuration's
+// aggregation levels across n parallel shards; n ≤ 1 is New.
+func NewSharded(cfg Config, n int) *Engine {
+	n = max(n, 1)
+	cfg = normalize(cfg)
+	e := &Engine{cfg: cfg, shards: make([]*shard, n)}
+	for i := range e.shards {
+		e.shards[i] = newShard(cfg)
 	}
-	se.disp = dispatch.New(dispatch.Config{
-		Shards: n,
-		Level:  dispatch.CoarsestLevel(cfg.Levels),
-	}, func(shard int, recs []firewall.Record, mark time.Time) error {
-		e := se.shards[shard]
-		if !mark.IsZero() {
-			e.Tick(mark)
-		}
-		e.ProcessBatch(recs)
-		return nil
-	})
-	return se
+	if n > 1 {
+		e.disp = dispatch.New(dispatch.Config{
+			Shards: n,
+			Level:  dispatch.CoarsestLevel(cfg.Levels),
+		}, func(i int, recs []firewall.Record, mark time.Time) error {
+			s := e.shards[i]
+			if !mark.IsZero() {
+				s.tick(mark)
+			}
+			s.process(recs)
+			return nil
+		})
+	}
+	return e
 }
 
-// Config returns the (normalized) engine configuration.
-func (se *ShardedEngine) Config() Config { return se.cfg }
+// Config returns the engine's normalized configuration (defaults
+// applied, levels ordered most specific first).
+func (e *Engine) Config() Config { return e.cfg }
 
-// NumShards returns the worker count.
-func (se *ShardedEngine) NumShards() int { return len(se.shards) }
+// NumShards returns the shard count.
+func (e *Engine) NumShards() int { return len(e.shards) }
 
 // QueueDepth reports the dispatcher's buffered work-unit backlog,
-// summed over shards. Safe from any goroutine (see
-// dispatch.Dispatcher.QueueDepth); the metrics registry exports it as
-// a gauge.
-func (se *ShardedEngine) QueueDepth() int { return se.disp.QueueDepth() }
-
-// ProcessBatch partitions a run of records across the shards and
-// dispatches it. The slice is not retained, so callers may reuse the
-// backing array between calls.
-func (se *ShardedEngine) ProcessBatch(recs []firewall.Record) {
-	if se.flushed {
-		panic("ids: ShardedEngine used after Flush")
+// summed over shards; 0 inline. Safe from any goroutine (see
+// dispatch.Dispatcher.QueueDepth).
+func (e *Engine) QueueDepth() int {
+	if e.disp == nil {
+		return 0
 	}
+	return e.disp.QueueDepth()
+}
+
+// Process ingests one record, updating every level's candidate.
+func (e *Engine) Process(r firewall.Record) {
+	e.one[0] = r
+	e.ProcessBatch(e.one[:])
+}
+
+// ProcessBatch ingests a run of records: inline, or partitioned across
+// the shards and dispatched. The slice is not retained, so callers may
+// reuse the backing array between calls.
+func (e *Engine) ProcessBatch(recs []firewall.Record) {
+	if e.disp == nil {
+		e.shards[0].process(recs)
+		return
+	}
+	e.mustRun()
 	for i := range recs {
-		if recs[i].Time.After(se.lastSeen) {
-			se.lastSeen = recs[i].Time
+		if recs[i].Time.After(e.lastSeen) {
+			e.lastSeen = recs[i].Time
 		}
 	}
-	se.disp.ProcessBatch(recs)
+	e.disp.ProcessBatch(recs)
 }
 
-// Tick advances time on every shard, evicting idle candidates exactly
-// as a single Engine would: the forwarded horizon is the later of now
-// and the latest dispatched record time, so shards whose own records
-// lag the global clock still close the same candidates. The horizon
-// travels ordered with the records dispatched before it, so eviction
-// sees them.
-func (se *ShardedEngine) Tick(now time.Time) {
-	if se.flushed {
-		panic("ids: ShardedEngine used after Flush")
+// Tick advances time, evicting idle candidates and emitting alerts for
+// entities whose activity ended. Call periodically (e.g. once per
+// minute of stream time); Flush emits everything at shutdown.
+//
+// Above one shard the forwarded horizon is the later of now and the
+// latest dispatched record time, so shards whose own records lag the
+// global clock still close the same candidates; it travels ordered
+// with the records dispatched before it, so eviction sees them.
+func (e *Engine) Tick(now time.Time) {
+	if e.disp == nil {
+		e.shards[0].tick(now)
+		return
 	}
-	if se.lastSeen.After(now) {
-		now = se.lastSeen
+	e.mustRun()
+	if e.lastSeen.After(now) {
+		now = e.lastSeen
 	}
-	se.disp.Mark(now)
+	e.disp.Mark(now)
 }
 
-// Drain returns and clears the alerts accumulated by past Ticks across
-// all shards, merged into the same deterministic order a single
-// Engine's Drain produces. It synchronizes with the workers, so it is
-// safe (though not free) to call from the dispatching goroutine at any
-// point between batches.
-func (se *ShardedEngine) Drain() []Alert {
-	se.sync()
-	var out []Alert
-	for _, e := range se.shards {
-		out = append(out, e.Drain()...)
-	}
-	sortAlerts(out)
-	return out
+// Drain returns and clears the alerts accumulated by past Ticks,
+// ordered deterministically (first activity, then address, then prefix
+// length) across all shards. Above one shard it synchronizes with the
+// workers, so it is safe (though not free) to call between batches.
+func (e *Engine) Drain() []Alert {
+	e.sync()
+	return e.collect()
 }
 
-// Flush stops the workers, evicts every candidate, and returns all
-// pending alerts merged deterministically.
-// The engine is not reusable afterwards (Drain and the accessors
-// remain valid).
-func (se *ShardedEngine) Flush() []Alert {
-	if !se.flushed {
-		se.disp.Close()
-		se.flushed = true
+// Flush evicts every candidate regardless of idleness and returns all
+// pending alerts. Above one shard it first stops the workers, and the
+// engine is not reusable afterwards (Drain and the accessors remain
+// valid).
+func (e *Engine) Flush() []Alert {
+	if e.disp != nil && !e.flushed {
+		e.disp.Close()
+		e.flushed = true
 	}
-	var out []Alert
-	for _, e := range se.shards {
-		// Per-shard Flush sweeps everything; ordering is restored by
-		// the merged sort below.
-		out = append(out, e.Flush()...)
+	for _, s := range e.shards {
+		s.sweep(u128idx.ExpireAll)
+	}
+	return e.collect()
+}
+
+// collect moves every shard's pending alerts into one sorted slice.
+func (e *Engine) collect() []Alert {
+	out := e.shards[0].alerts
+	for _, s := range e.shards[1:] {
+		out = append(out, s.alerts...)
+	}
+	for _, s := range e.shards {
+		s.alerts = nil
 	}
 	sortAlerts(out)
 	return out
@@ -156,38 +177,35 @@ func (se *ShardedEngine) Flush() []Alert {
 
 // Candidates returns the current working-set size at a level across
 // all shards.
-func (se *ShardedEngine) Candidates(l netaddr6.AggLevel) int {
-	se.sync()
+func (e *Engine) Candidates(l netaddr6.AggLevel) int {
+	e.sync()
 	total := 0
-	for _, e := range se.shards {
-		total += e.Candidates(l)
+	for _, s := range e.shards {
+		total += s.candidates(l)
 	}
 	return total
 }
 
-// MemoryBytes estimates sketch memory across all shards and levels.
-func (se *ShardedEngine) MemoryBytes() int {
-	se.sync()
+// MemoryBytes estimates sketch memory across all shards and levels —
+// the quantity an IDS deployment budgets.
+func (e *Engine) MemoryBytes() int {
+	e.sync()
 	total := 0
-	for _, e := range se.shards {
-		total += e.MemoryBytes()
+	for _, s := range e.shards {
+		total += s.memoryBytes()
 	}
 	return total
 }
 
 // DroppedCandidates reports how many candidates were rejected by the
-// per-level MaxCandidates bound, summed over shards. Note each shard
-// applies the bound to its own tables, so a sharded engine may admit
-// up to n times more candidates than a single engine with the same
-// configuration.
-//
-// The per-shard counters are atomic, so — unlike Candidates or
-// MemoryBytes — this is safe from any goroutine without a dispatcher
+// per-level MaxCandidates bound, summed over shards. Unlike every
+// other accessor it is safe from any goroutine: the per-shard counters
+// are atomic, so metrics scrapes read them without a dispatcher
 // barrier; a concurrent read may lag batches still in flight.
-func (se *ShardedEngine) DroppedCandidates() uint64 {
+func (e *Engine) DroppedCandidates() uint64 {
 	var total uint64
-	for _, e := range se.shards {
-		total += e.DroppedCandidates()
+	for _, s := range e.shards {
+		total += s.dropped.Load()
 	}
 	return total
 }
@@ -195,19 +213,28 @@ func (se *ShardedEngine) DroppedCandidates() uint64 {
 // DroppedPerShard returns each shard's MaxCandidates drop count,
 // indexed by shard. Safe from any goroutine (see DroppedCandidates);
 // the metrics registry exports one labeled series per entry.
-func (se *ShardedEngine) DroppedPerShard() []uint64 {
-	out := make([]uint64, len(se.shards))
-	for i, e := range se.shards {
-		out[i] = e.DroppedCandidates()
+func (e *Engine) DroppedPerShard() []uint64 {
+	out := make([]uint64, len(e.shards))
+	for i, s := range e.shards {
+		out[i] = s.dropped.Load()
 	}
 	return out
 }
 
-// sync makes shard state safe to read from the dispatching goroutine:
-// a dispatcher barrier while the workers run, a no-op once Flush has
-// joined them.
-func (se *ShardedEngine) sync() {
-	if !se.flushed {
-		se.disp.Barrier()
+// mustRun rejects dispatching into a sharded engine whose workers
+// Flush has stopped.
+func (e *Engine) mustRun() {
+	if e.flushed {
+		panic("ids: Engine used after Flush")
 	}
+}
+
+// sync makes shard state safe to read from the dispatching goroutine:
+// a dispatcher barrier while the workers run, a no-op inline or once
+// Flush has joined them.
+func (e *Engine) sync() error {
+	if e.disp == nil || e.flushed {
+		return nil
+	}
+	return e.disp.Barrier()
 }

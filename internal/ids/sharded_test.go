@@ -79,11 +79,11 @@ func canonicalAlerts(alerts []Alert) string {
 	return b.String()
 }
 
-// TestShardedIDSParity feeds the identical record stream to an
-// unsharded Engine and to ShardedEngines at several shard counts, with
-// identical Tick cadence and a mid-stream Drain, and requires
-// byte-identical alert output — including the coarser-escalation
-// (spread-source) alerts.
+// TestShardedIDSParity feeds the identical record stream to a
+// one-shard Engine record by record and to Engines at several shard
+// counts in batches, with identical Tick cadence and a mid-stream
+// Drain, and requires byte-identical alert output — including the
+// coarser-escalation (spread-source) alerts.
 func TestShardedIDSParity(t *testing.T) {
 	recs := idsParityRecords(50_000)
 	cfg := idsParityConfig()
@@ -148,7 +148,7 @@ func TestShardedIDSParity(t *testing.T) {
 
 // checkpoints applies the reference run's Tick/Drain schedule to the
 // sharded engine as record index j is passed.
-func checkpoints(j int, se *ShardedEngine, mid *string) error {
+func checkpoints(j int, se *Engine, mid *string) error {
 	if j%10_000 == 9_999 {
 		se.Tick(time.Time{}) // horizon comes from lastSeen, as in the reference
 	}

@@ -27,58 +27,43 @@ import (
 
 // Snapshot writes a consistent checkpoint of the engine at the given
 // stream-time mark. The caller guarantees every record with timestamp
-// before mark has been processed and none at or after it has.
+// before mark has been processed and none at or after it has. Above
+// one shard a dispatcher barrier first drains in-flight batches; the
+// shards serialize as one canonical global snapshot, byte-identical at
+// any shard count.
 func (e *Engine) Snapshot(w io.Writer, mark time.Time) error {
-	return checkpoint.WriteBody(w, checkpoint.KindIDS, mark, &idsBody{e.cfg, []*Engine{e}})
-}
-
-// Snapshot writes a consistent checkpoint of the sharded engine: a
-// dispatcher barrier drains in-flight batches, then all shards
-// serialize as one canonical global snapshot — byte-identical to the
-// snapshot an unsharded engine would write at the same cut.
-func (se *ShardedEngine) Snapshot(w io.Writer, mark time.Time) error {
-	if se.flushed {
-		return fmt.Errorf("ids: ShardedEngine.Snapshot after Flush")
+	if e.flushed {
+		return fmt.Errorf("ids: Engine.Snapshot after Flush")
 	}
-	if err := se.disp.Barrier(); err != nil {
+	if err := e.sync(); err != nil {
 		return err
 	}
-	return checkpoint.WriteBody(w, checkpoint.KindIDS, mark, &idsBody{se.cfg, se.shards})
+	return checkpoint.WriteBody(w, checkpoint.KindIDS, mark, &idsBody{e.cfg, e.shards})
 }
 
 // RestoreEngine rebuilds an engine from a snapshot opened with
-// checkpoint.NewReader.
-func RestoreEngine(cr *checkpoint.Reader) (*Engine, error) {
-	r := &idsRestore{mk: func(cfg Config) []*Engine { return []*Engine{New(cfg)} }}
-	if err := checkpoint.ReadBody(cr, checkpoint.KindIDS, r); err != nil {
-		return nil, err
-	}
-	return r.engines[0], nil
-}
-
-// RestoreShardedEngine rebuilds a sharded engine from a snapshot,
-// re-partitioning every candidate deterministically across n shards —
-// n need not match the shard count the snapshot was taken at.
-func RestoreShardedEngine(cr *checkpoint.Reader, n int) (*ShardedEngine, error) {
-	var se *ShardedEngine
-	r := &idsRestore{mk: func(cfg Config) []*Engine {
-		se = NewSharded(cfg, n)
-		return se.shards
+// checkpoint.NewReader across n shards (n ≤ 1 inline, as New),
+// re-partitioning every candidate deterministically — n need not match
+// the shard count the snapshot was taken at.
+func RestoreEngine(cr *checkpoint.Reader, n int) (*Engine, error) {
+	var e *Engine
+	r := &idsRestore{mk: func(cfg Config) []*shard {
+		e = NewSharded(cfg, n)
+		return e.shards
 	}}
 	if err := checkpoint.ReadBody(cr, checkpoint.KindIDS, r); err != nil {
-		if se != nil {
-			se.disp.Close()
+		if e != nil && e.disp != nil {
+			e.disp.Close()
 		}
 		return nil, err
 	}
-	se.lastSeen = cr.Header().Horizon
-	return se, nil
+	return e, nil
 }
 
 // idsBody is the engine's side of checkpoint.WriteBody over its shards.
 type idsBody struct {
-	cfg     Config
-	engines []*Engine
+	cfg    Config
+	shards []*shard
 }
 
 // liveCandidate is a gathered candidate and its last activity.
@@ -103,8 +88,8 @@ func (b *idsBody) Config(e *checkpoint.Enc) {
 }
 
 func (b *idsBody) Gather(dst []checkpoint.Keyed[liveCandidate], li int) []checkpoint.Keyed[liveCandidate] {
-	for _, eng := range b.engines {
-		tab := &eng.levels[li].tab
+	for _, s := range b.shards {
+		tab := &s.levels[li].tab
 		tab.Range(func(key netaddr6.U128, h uint32) bool {
 			dst = append(dst, checkpoint.Keyed[liveCandidate]{Key: key, Val: liveCandidate{tab.At(h), tab.Last(h)}})
 			return true
@@ -143,12 +128,12 @@ func (b *idsBody) Results(e *checkpoint.Enc) {
 	var now time.Time
 	var dropped uint64
 	var alerts []Alert
-	for _, eng := range b.engines {
-		if eng.now.After(now) {
-			now = eng.now
+	for _, s := range b.shards {
+		if s.now.After(now) {
+			now = s.now
 		}
-		dropped += eng.dropped.Load()
-		alerts = append(alerts, eng.alerts...)
+		dropped += s.dropped.Load()
+		alerts = append(alerts, s.alerts...)
 	}
 	sortAlerts(alerts)
 	e.Time(now)
@@ -162,8 +147,8 @@ func (b *idsBody) Results(e *checkpoint.Enc) {
 // idsRestore is the engine's side of checkpoint.ReadBody: mk builds the
 // restored shards from the decoded config.
 type idsRestore struct {
-	mk       func(Config) []*Engine
-	engines  []*Engine
+	mk       func(Config) []*shard
+	shards   []*shard
 	coarsest netaddr6.AggLevel
 }
 
@@ -182,17 +167,17 @@ func (r *idsRestore) Config(d *checkpoint.Dec) ([]netaddr6.AggLevel, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	r.engines = r.mk(cfg)
-	// mk normalizes through New, which re-sorts levels; use the
+	r.shards = r.mk(cfg)
+	// mk normalizes the config, which re-sorts levels; use the
 	// normalized levels so level sections resolve identically.
-	levels := r.engines[0].cfg.Levels
+	levels := r.shards[0].cfg.Levels
 	r.coarsest = dispatch.CoarsestLevel(levels)
 	return levels, nil
 }
 
 // Entry rebuilds one candidate into its deterministic shard.
 func (r *idsRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
-	lv := r.engines[dispatch.Partition(key.ToAddr(), r.coarsest, len(r.engines))].levels[li]
+	lv := r.shards[dispatch.Partition(key.ToAddr(), r.coarsest, len(r.shards))].levels[li]
 	var c candidate
 	c.packets = d.Uvarint()
 	c.first = d.Time()
@@ -228,13 +213,13 @@ func (r *idsRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
 
 func (r *idsRestore) Results(d *checkpoint.Dec) error {
 	now := d.Time()
-	for _, eng := range r.engines {
-		eng.now = now
+	for _, s := range r.shards {
+		s.now = now
 	}
-	r.engines[0].dropped.Store(d.Uvarint())
+	r.shards[0].dropped.Store(d.Uvarint())
 	n := d.Uvarint()
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		r.engines[0].alerts = append(r.engines[0].alerts, decodeAlert(d))
+		r.shards[0].alerts = append(r.shards[0].alerts, decodeAlert(d))
 	}
 	return nil
 }

@@ -140,9 +140,9 @@ func (b *Builder) WindowSort(window time.Duration) *Builder {
 // AdvanceEvery sets the stream-time eviction cadence RunInto — and so
 // every terminal helper — applies to a cadence-capable terminal sink:
 // the detector sink forwards ShardedDetector.Advance (scan output is
-// unchanged — only peak memory is bounded), the IDS sinks forward
+// unchanged — only peak memory is bounded), the IDS sink forwards
 // Engine.Tick (the inline deployment's timer, which does determine
-// when idle candidates close). On the sharded terminals the horizon
+// when idle candidates close). Across worker shards the horizon
 // travels to every shard through the dispatcher's marks, ordered with
 // the record stream, so output stays byte-identical at any shard
 // count. Zero (the default) leaves all eviction to Flush and never
@@ -317,21 +317,14 @@ func (b *Builder) Detect(ctx context.Context, cfg core.Config, shards int) (*cor
 	return sink.Result(), nil
 }
 
-// IDS terminates the pipeline in the dynamic-aggregation IDS engine —
-// sharded when shards > 1 — runs it, and returns the accumulated
-// alerts (byte-identical at any shard count). AdvanceEvery sets the
-// inline Tick cadence; for engine introspection (dropped-candidate
-// counts, memory estimates), construct an IDSSink / ShardedIDSSink
+// IDS terminates the pipeline in the dynamic-aggregation IDS engine
+// across shards (inline when shards ≤ 1), runs it, and returns the
+// accumulated alerts (byte-identical at any shard count). AdvanceEvery
+// sets the inline Tick cadence; for engine introspection
+// (dropped-candidate counts, memory estimates), construct an IDSSink
 // directly and use RunInto.
 func (b *Builder) IDS(ctx context.Context, cfg ids.Config, shards int) ([]ids.Alert, error) {
-	if shards > 1 {
-		sink := NewShardedIDSSink(ids.NewSharded(cfg, shards))
-		if err := b.RunInto(ctx, sink); err != nil {
-			return nil, err
-		}
-		return sink.Result(), nil
-	}
-	sink := NewIDSSink(ids.New(cfg))
+	sink := NewIDSSink(ids.NewSharded(cfg, shards))
 	if err := b.RunInto(ctx, sink); err != nil {
 		return nil, err
 	}

@@ -409,9 +409,9 @@ func LatestCheckpoint(dir string) (string, error) {
 // caller needs to resume: skip the replayed input through Horizon
 // (Builder.ResumeFrom) and run into Sink.
 type Resumed struct {
-	// Sink is the restored terminal: *ShardedSink for a detector
-	// checkpoint at any shard count; for an IDS one, *IDSSink at one
-	// shard and *ShardedIDSSink above. A detector restore runs worker
+	// Sink is the restored terminal at any shard count: *ShardedSink
+	// for a detector checkpoint, *IDSSink for an IDS one. A detector
+	// restore, and an IDS restore above one shard, runs worker
 	// goroutines, so a caller that does not run the sink must Close it.
 	Sink RecordSink
 	// Kind is the snapshot kind (checkpoint.KindDetector or
@@ -473,23 +473,15 @@ func resume(r io.Reader, shards int, phase *marks) (*Resumed, error) {
 		RecordSink
 		setPhase(marks)
 	}
-	switch {
-	case hdr.Kind == checkpoint.KindDetector:
+	switch hdr.Kind {
+	case checkpoint.KindDetector:
 		d, err := core.RestoreShardedDetector(cr, shards)
 		if err != nil {
 			return nil, err
 		}
 		sink = NewShardedSink(d)
-	case hdr.Kind == checkpoint.KindIDS && shards > 1:
-		e, err := ids.RestoreShardedEngine(cr, shards)
-		if err != nil {
-			return nil, err
-		}
-		s := NewShardedIDSSink(e)
-		s.lastSeen = hdr.Horizon
-		sink = s
-	case hdr.Kind == checkpoint.KindIDS:
-		e, err := ids.RestoreEngine(cr)
+	case checkpoint.KindIDS:
+		e, err := ids.RestoreEngine(cr, shards)
 		if err != nil {
 			return nil, err
 		}
@@ -513,8 +505,8 @@ func (s *ShardedSink) Checkpoint(w io.Writer, mark time.Time) error {
 }
 
 // Checkpoint implements Checkpointer: a consistent snapshot of the
-// engine — on the sharded one, after a dispatcher barrier drains
+// engine — above one shard, after a dispatcher barrier drains
 // in-flight batches, all shards as one global cut.
-func (s *idsSink[E]) Checkpoint(w io.Writer, mark time.Time) error {
+func (s *IDSSink) Checkpoint(w io.Writer, mark time.Time) error {
 	return s.E.Snapshot(w, mark)
 }

@@ -238,16 +238,11 @@ func TestCheckpointKillRestoreParityIDS(t *testing.T) {
 				RunInto(context.Background(), res.Sink); err != nil {
 				t.Fatal(err)
 			}
-			var alerts []ids.Alert
-			switch s := res.Sink.(type) {
-			case *IDSSink:
-				alerts = s.Result()
-			case *ShardedIDSSink:
-				alerts = s.Result()
-			default:
+			s, ok := res.Sink.(*IDSSink)
+			if !ok {
 				t.Fatalf("unexpected resumed sink type %T", res.Sink)
 			}
-			if got := canonicalIDSAlerts(alerts); got != want {
+			if got := canonicalIDSAlerts(s.Result()); got != want {
 				t.Errorf("resumed alerts differ from uninterrupted run\n got:\n%s\nwant:\n%s", got, want)
 			}
 		})
@@ -563,8 +558,7 @@ func TestCheckpointFilePublishing(t *testing.T) {
 }
 
 // TestResumeKindDispatch: a detector snapshot restores the sharded
-// detector sink at every shard count, an IDS snapshot IDS sinks, plain
-// at one shard and sharded above.
+// detector sink and an IDS snapshot the IDS sink, at every shard count.
 func TestResumeKindDispatch(t *testing.T) {
 	recs := ckptRecords(2_000)
 	det := snapshotDetectorBytes(t, recs, 1_000)
@@ -578,7 +572,7 @@ func TestResumeKindDispatch(t *testing.T) {
 		{"detector-1", det, 1, "*pipeline.ShardedSink"},
 		{"detector-4", det, 4, "*pipeline.ShardedSink"},
 		{"ids-1", eng, 1, "*pipeline.IDSSink"},
-		{"ids-4", eng, 4, "*pipeline.ShardedIDSSink"},
+		{"ids-4", eng, 4, "*pipeline.IDSSink"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

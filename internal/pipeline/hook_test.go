@@ -19,7 +19,7 @@ import (
 // drainHook is the serving pattern in miniature: drain the engine at
 // every fire, keep the final cut.
 type drainHook struct {
-	eng    IDSEngine
+	eng    *ids.Engine
 	alerts []ids.Alert
 	byFire map[time.Time][]ids.Alert
 	final  *Handoff
@@ -39,39 +39,28 @@ func (h *drainHook) Stopped(final *Handoff, _ time.Time) error {
 	return nil
 }
 
-// hookable is either IDS sink.
-type hookable interface {
-	RecordSink
-	Attach(IDSHook) IDSEngine
-}
-
-func newIDSTerminal(shards int) hookable {
-	if shards > 1 {
-		return NewShardedIDSSink(ids.NewSharded(ckptIDSConfig(), shards))
-	}
-	return NewIDSSink(ids.New(ckptIDSConfig()))
+func newIDSTerminal(shards int) *IDSSink {
+	return NewIDSSink(ids.NewSharded(ckptIDSConfig(), shards))
 }
 
 // phaseOf reads an IDS sink's cadence marks.
 func phaseOf(t *testing.T, s RecordSink) marks {
 	t.Helper()
-	switch s := s.(type) {
-	case *IDSSink:
-		return marks{s.lastAdvance, s.lastCkpt}
-	case *ShardedIDSSink:
-		return marks{s.lastAdvance, s.lastCkpt}
+	ids, ok := s.(*IDSSink)
+	if !ok {
+		t.Fatalf("not an IDS sink: %T", s)
 	}
-	t.Fatalf("not an IDS sink: %T", s)
-	return marks{}
+	return marks{ids.lastAdvance, ids.lastCkpt}
 }
 
 // runHooked streams recs after horizon into s with a drainHook
 // attached, at a 10-minute tick and a daily checkpoint cadence into
 // dir (none when empty).
-func runHooked(t *testing.T, s hookable, recs []firewall.Record, horizon time.Time, dir string) *drainHook {
+func runHooked(t *testing.T, s *IDSSink, recs []firewall.Record, horizon time.Time, dir string) *drainHook {
 	t.Helper()
 	h := &drainHook{byFire: map[time.Time][]ids.Alert{}}
-	h.eng = s.Attach(h)
+	s.Attach(h)
+	h.eng = s.E
 	b := From(SliceSource(recs)).AdvanceEvery(10*time.Minute).CheckpointEvery(24*time.Hour, dir)
 	if !horizon.IsZero() {
 		b = b.ResumeFrom(horizon)
@@ -132,7 +121,7 @@ func TestHookedFinalCutResumesInPhase(t *testing.T) {
 				if got := phaseOf(t, res.Sink); !got.Advance.Equal(stopped.Advance) {
 					t.Errorf("%s: resumed advance mark %v, want %v", name, got.Advance, stopped.Advance)
 				}
-				b := runHooked(t, res.Sink.(hookable), recs, res.Horizon, "")
+				b := runHooked(t, res.Sink.(*IDSSink), recs, res.Horizon, "")
 				if got := canonicalIDSAlerts(append(append([]ids.Alert{}, a.alerts...), b.alerts...)); got != want {
 					t.Errorf("%s: interrupted+resumed alerts differ from uninterrupted run\n got:\n%s\nwant:\n%s", name, got, want)
 				}
@@ -149,7 +138,8 @@ func TestFireCutPrecedesDrain(t *testing.T) {
 	dir := t.TempDir()
 	s := newIDSTerminal(1)
 	h := &drainHook{byFire: map[time.Time][]ids.Alert{}}
-	h.eng = s.Attach(h)
+	s.Attach(h)
+	h.eng = s.E
 	if err := From(SliceSource(ckptRecords(20_000))).
 		AdvanceEvery(10*time.Minute).
 		CheckpointEvery(2*time.Hour, dir).
@@ -170,7 +160,7 @@ func TestFireCutPrecedesDrain(t *testing.T) {
 		if !fired {
 			continue // the final cut, off the cadence
 		}
-		pending := res.Sink.(hookable).Attach(nil).Drain()
+		pending := res.Sink.(*IDSSink).E.Drain()
 		if got, want := canonicalIDSAlerts(pending), canonicalIDSAlerts(drained); got != want {
 			t.Errorf("cut at %v restores pending alerts\n%s\nwant the fire's\n%s", res.Mark, got, want)
 		}

@@ -101,7 +101,7 @@ func TestInstrumentSinkVariants(t *testing.T) {
 		"detector":    NewShardedSink(core.NewShardedDetector(core.Config{}, 1)),
 		"sharded":     NewShardedSink(core.NewShardedDetector(core.Config{}, 4)),
 		"ids":         NewIDSSink(ids.New(ids.Config{})),
-		"sharded-ids": NewShardedIDSSink(ids.NewSharded(ids.Config{}, 4)),
+		"sharded-ids": NewIDSSink(ids.NewSharded(ids.Config{}, 4)),
 	}
 	for name, sink := range sinks {
 		t.Run(name, func(t *testing.T) {

@@ -242,7 +242,7 @@ func TestCadenceSinkParity(t *testing.T) {
 		"detector":    func() terminal { return NewShardedSink(core.NewShardedDetector(streamParityConfig(), 1)) },
 		"sharded":     func() terminal { return NewShardedSink(core.NewShardedDetector(streamParityConfig(), 3)) },
 		"ids":         func() terminal { return NewIDSSink(ids.New(idsCfg)) },
-		"sharded-ids": func() terminal { return NewShardedIDSSink(ids.NewSharded(idsCfg, 3)) },
+		"sharded-ids": func() terminal { return NewIDSSink(ids.NewSharded(idsCfg, 3)) },
 	}
 	for name, mk := range sinks {
 		t.Run(name, func(t *testing.T) {

@@ -3,9 +3,9 @@
 // time-ordered stream of firewall records, zero or more stages
 // (collect-policy filter, day sorter, 5-duplicate artifact filter,
 // taps, tees) transform or observe it, and a terminal sink — the
-// multi-aggregation detector (sharded, at any shard count), the MAWI detector,
-// the dynamic-aggregation IDS engine, or an analysis collector —
-// consumes it. Everything downstream of a Source implements the one
+// multi-aggregation detector or the dynamic-aggregation IDS engine
+// (one sink each, at any shard count), the MAWI detector, or an
+// analysis collector — consumes it. Everything downstream of a Source implements the one
 // RecordSink interface, so ingestion (binary firewall logs, pcap
 // captures, the CDN and MAWI simulators) composes freely with
 // processing and terminal consumers.
@@ -29,7 +29,8 @@
 // records in the same order, and every cadence cuts at the same
 // record, at any batch size.
 // Stages pass batches downstream synchronously; parallelism lives in
-// the sharded sinks, which partition batches across worker shards.
+// the detector and IDS sinks, which partition batches across worker
+// shards.
 // Flush propagates end-of-stream down the chain so buffered stages
 // drain and detectors finalize exactly once; Close (on terminal
 // sinks) releases resources and is owned by the builder's RunInto.

@@ -238,15 +238,16 @@ func TestIDSSinkAdvanceEvery(t *testing.T) {
 	}
 }
 
-// TestShardedIDSSinkMatchesIDSSink runs the same stream through the
-// plain and sharded IDS sinks and requires identical alerts.
+// TestShardedIDSSinkMatchesIDSSink runs the same stream through IDS
+// sinks over a one-shard and a four-shard engine and requires
+// identical alerts.
 func TestShardedIDSSinkMatchesIDSSink(t *testing.T) {
 	recs := scanStream(300)
 	plain := NewIDSSink(ids.New(ids.DefaultConfig()))
 	if err := New(SliceSource(recs), plain).Run(); err != nil {
 		t.Fatal(err)
 	}
-	sharded := NewShardedIDSSink(ids.NewSharded(ids.DefaultConfig(), 4))
+	sharded := NewIDSSink(ids.NewSharded(ids.DefaultConfig(), 4))
 	if err := New(SliceSource(recs), sharded).Run(); err != nil {
 		t.Fatal(err)
 	}

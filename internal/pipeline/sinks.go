@@ -1,13 +1,11 @@
 package pipeline
 
 import (
-	"io"
 	"time"
 
 	"v6scan/internal/core"
 	"v6scan/internal/firewall"
 	"v6scan/internal/ids"
-	"v6scan/internal/netaddr6"
 )
 
 // Every built-in terminal sink implements the unified Sink lifecycle:
@@ -131,19 +129,6 @@ func (s *MAWISink) Close() error { return s.Flush() }
 // Result returns the window's detected scans. Valid after Flush.
 func (s *MAWISink) Result() []core.MAWIScan { return s.Scans }
 
-// IDSEngine is the engine an IDS sink drives — *ids.Engine, or
-// *ids.ShardedEngine across worker shards — and what its hook reads.
-type IDSEngine interface {
-	ProcessBatch(recs []firewall.Record)
-	Tick(now time.Time)
-	Drain() []ids.Alert
-	Flush() []ids.Alert
-	Snapshot(w io.Writer, mark time.Time) error
-	Candidates(l netaddr6.AggLevel) int
-	MemoryBytes() int
-	DroppedCandidates() uint64
-}
-
 // IDSHook lets a long-running consumer — the v6scand daemon — act
 // inside an IDS sink at the points a batch run has no use for. Every
 // call runs on the pipeline's dispatching goroutine.
@@ -166,8 +151,9 @@ type IDSHook interface {
 	Stopped(final *Handoff, lastCkpt time.Time) error
 }
 
-// IDSSink terminates a pipeline in the dynamic-aggregation IDS engine;
-// Flush stores the accumulated alerts in Alerts.
+// IDSSink terminates a pipeline in the dynamic-aggregation IDS engine,
+// at any shard count; Flush stores the accumulated alerts — merged
+// deterministically across shards — in Alerts.
 //
 // AdvanceEvery, when positive, forwards Engine.Tick on a stream-time
 // cadence (checked per record) so idle candidates
@@ -175,24 +161,8 @@ type IDSHook interface {
 // eviction to Flush. Checkpoints ride the cadence as on ShardedSink:
 // the tick fires before the snapshot at a shared cut. A hook (Attach)
 // turns the batch terminal into the serving one.
-type IDSSink struct{ idsSink[*ids.Engine] }
-
-// ShardedIDSSink is IDSSink over the sharded IDS engine, which
-// forwards batches to its parallel ProcessBatch path; Flush stops the
-// workers and stores the deterministically merged alerts in Alerts.
-type ShardedIDSSink struct{ idsSink[*ids.ShardedEngine] }
-
-// NewIDSSink wraps an IDS engine.
-func NewIDSSink(e *ids.Engine) *IDSSink { return &IDSSink{idsSink[*ids.Engine]{E: e}} }
-
-// NewShardedIDSSink wraps a sharded IDS engine.
-func NewShardedIDSSink(e *ids.ShardedEngine) *ShardedIDSSink {
-	return &ShardedIDSSink{idsSink[*ids.ShardedEngine]{E: e}}
-}
-
-// idsSink is the one IDS terminal behind IDSSink and ShardedIDSSink.
-type idsSink[E IDSEngine] struct {
-	E E
+type IDSSink struct {
+	E *ids.Engine
 	cadence
 	Alerts []ids.Alert
 	// hook is the serving seam Attach installs; nil in a batch run.
@@ -203,13 +173,11 @@ type idsSink[E IDSEngine] struct {
 	flushed  bool
 }
 
-// Attach installs h as the sink's hook and returns its engine: the
-// shard-independent handle for a caller that holds either IDS sink
-// only as a RecordSink, such as a Resumed one.
-func (s *idsSink[E]) Attach(h IDSHook) IDSEngine {
-	s.hook = h
-	return s.E
-}
+// NewIDSSink wraps an IDS engine.
+func NewIDSSink(e *ids.Engine) *IDSSink { return &IDSSink{E: e} }
+
+// Attach installs h as the sink's hook.
+func (s *IDSSink) Attach(h IDSHook) { s.hook = h }
 
 // ConsumeBatch implements RecordSink. The batch is split at every
 // cadence point, and the cadence fires before the record at that
@@ -218,7 +186,7 @@ func (s *idsSink[E]) Attach(h IDSHook) IDSEngine {
 // during the gap, as an inline deployment's timer would) and only
 // then contributes its own activity. Batch size therefore never
 // changes which sessions merge.
-func (s *idsSink[E]) ConsumeBatch(recs []firewall.Record) error {
+func (s *IDSSink) ConsumeBatch(recs []firewall.Record) error {
 	if err := s.split(s, recs); err != nil {
 		return err
 	}
@@ -228,16 +196,16 @@ func (s *idsSink[E]) ConsumeBatch(recs []firewall.Record) error {
 	return nil
 }
 
-func (s *idsSink[E]) advance(t time.Time) error { s.E.Tick(t); return nil }
+func (s *IDSSink) advance(t time.Time) error { s.E.Tick(t); return nil }
 
-func (s *idsSink[E]) fired(t time.Time) error {
+func (s *IDSSink) fired(t time.Time) error {
 	if s.hook == nil {
 		return nil
 	}
 	return s.hook.Fired(t, s.lastCkpt)
 }
 
-func (s *idsSink[E]) process(recs []firewall.Record) error {
+func (s *IDSSink) process(recs []firewall.Record) error {
 	if len(recs) > 0 {
 		s.E.ProcessBatch(recs)
 		s.lastSeen = recs[len(recs)-1].Time
@@ -249,7 +217,7 @@ func (s *idsSink[E]) process(recs []firewall.Record) error {
 // second Flush would return an empty alert set, so repeats are
 // no-ops). A hooked sink first cuts its final state and hands it to
 // the hook's Stopped.
-func (s *idsSink[E]) Flush() error {
+func (s *IDSSink) Flush() error {
 	if s.flushed {
 		return nil
 	}
@@ -269,11 +237,10 @@ func (s *idsSink[E]) Flush() error {
 }
 
 // Close implements Sink.
-func (s *idsSink[E]) Close() error { return s.Flush() }
+func (s *IDSSink) Close() error { return s.Flush() }
 
-// Result returns the accumulated alerts — merged deterministically on
-// the sharded engine. Valid after Flush.
-func (s *idsSink[E]) Result() []ids.Alert { return s.Alerts }
+// Result returns the accumulated alerts. Valid after Flush.
+func (s *IDSSink) Result() []ids.Alert { return s.Alerts }
 
 // LogSink writes every record to a binary firewall log; Flush drains
 // the writer's buffer.

@@ -30,8 +30,8 @@ import (
 //     count, with any cadence, equals the materializing no-advance
 //     reference byte for byte.
 //   - IDS: Tick cadence is semantic (it decides when idle candidates
-//     close), so sharded output at every shard count must equal the
-//     unsharded engine's at the identical cadence.
+//     close), so output at every shard count must equal the
+//     one-shard engine's at the identical cadence.
 //   - WindowSort: for in-window disorder, the streaming reorder path
 //     equals materialize-then-sort exactly.
 

@@ -20,25 +20,12 @@ import (
 	"v6scan/internal/pipeline"
 )
 
-// idsTerminal is either pipeline IDS sink, plain or sharded.
-type idsTerminal interface {
-	pipeline.RecordSink
-	Attach(pipeline.IDSHook) pipeline.IDSEngine
-}
-
-// shardedEngine is the extra observability a sharded engine offers.
-type shardedEngine interface {
-	DroppedPerShard() []uint64
-	QueueDepth() int
-}
-
 // generation implements pipeline.IDSHook. Single-goroutine, like
 // every terminal sink: all fields are touched only by the pipeline's
 // dispatching goroutine (and by Daemon.Run once the run has returned).
 type generation struct {
 	d    *Daemon
-	sink idsTerminal
-	eng  pipeline.IDSEngine
+	sink *pipeline.IDSSink
 	tail *pipeline.TailSource
 	// restored is the mark of the state the generation resumed from
 	// (zero when fresh); the replay skips everything before it.
@@ -60,7 +47,7 @@ const statePublishInterval = 100 * time.Millisecond
 // Fired implements pipeline.IDSHook: publish what the tick alerted on.
 func (g *generation) Fired(t, lastCkpt time.Time) error {
 	g.lastCkpt = lastCkpt
-	g.d.publish(g, g.eng.Drain(), t)
+	g.d.publish(g, g.sink.E.Drain(), t)
 	return nil
 }
 

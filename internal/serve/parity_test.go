@@ -141,7 +141,7 @@ func TestKillResumeParity(t *testing.T) {
 	d1.stop(t)
 	appendLog(t, logD, recs[split:])
 	dcfg.Resume = true
-	dcfg.Shards = 1 // restore the 3-shard snapshot into a plain engine
+	dcfg.Shards = 1 // restore the 3-shard snapshot into an inline engine
 	d2 := startDaemon(t, dcfg)
 	d2.waitRecords(t, uint64(len(recs)))
 	d2.waitAlerts(t, 1)
@@ -156,7 +156,7 @@ func TestKillResumeParity(t *testing.T) {
 // finished log whose last record jumps past the timeout — so every
 // alert fires on a tick, none waits for the final sweep the daemon
 // discards — the alerts it publishes equal the batch pipeline's at the
-// same cadence, byte for byte, plain and sharded.
+// same cadence, byte for byte, inline and sharded.
 func TestDaemonMatchesBatch(t *testing.T) {
 	var recs []firewall.Record
 	recs = append(recs, scanBurst("2001:db8:bad1::1", 0, 20)...)

@@ -15,9 +15,8 @@
 // the run context is cancelled (SIGTERM path: drain what is durable,
 // cut a final checkpoint, exit) or a Reload is requested (SIGHUP path:
 // same drain and final cut, then a new generation resumes from the
-// just-cut state in place — the log is reopened, so a renamed or
-// replaced path is picked up, and an OnReload hook may revise the
-// serving configuration).
+// just-cut state in place, with the same configuration — the log is
+// reopened, so a renamed or replaced path is picked up).
 //
 // Crash recovery is the batch CLI's resume story: start the daemon
 // with Config.Resume and it restores the latest checkpoint, replays
@@ -54,7 +53,8 @@ type Config struct {
 	// LogPath is the binary firewall log to tail. The file may not
 	// exist yet.
 	LogPath string
-	// Shards > 1 runs the sharded IDS engine; 0 or 1 the plain one.
+	// Shards is the IDS engine's shard count; ≤ 1 runs one shard
+	// inline on the pipeline's goroutine.
 	Shards int
 	// IDS configures a fresh engine (ignored when state is restored
 	// from a checkpoint: detection parameters travel in the snapshot).
@@ -83,14 +83,6 @@ type Config struct {
 	// SSEBuffer bounds each SSE client's buffer (default 64).
 	AlertBacklog int
 	SSEBuffer    int
-	// Registry receives the daemon's instruments; a fresh registry is
-	// created when nil. Pass a registry that does not already hold
-	// v6scan_* families.
-	Registry *metrics.Registry
-	// OnReload, when set, is applied to the current config at each
-	// Reload; the next generation serves with the result. Engine
-	// parameters still come from the carried-over state.
-	OnReload func(Config) Config
 }
 
 // State is the immutable serving snapshot behind /healthz, /api/state
@@ -114,10 +106,11 @@ type State struct {
 	// the last tick fire.
 	Candidates map[string]int `json:"candidates"`
 	// DroppedCandidates / DroppedPerShard report the MaxCandidates
-	// admission drops (per-shard detail only on a sharded engine).
+	// admission drops, in total and per shard.
 	DroppedCandidates uint64   `json:"dropped_candidates"`
 	DroppedPerShard   []uint64 `json:"dropped_per_shard,omitempty"`
-	// QueueDepth is the sharded dispatcher's buffered batch count.
+	// QueueDepth is the shard dispatcher's buffered batch count (0
+	// inline).
 	QueueDepth int `json:"queue_depth"`
 	// MemoryBytes is the engine's sketch-memory estimate.
 	MemoryBytes int `json:"memory_bytes"`
@@ -176,6 +169,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:      cfg,
 		hub:      newHub(cfg.AlertBacklog, cfg.SSEBuffer),
+		reg:      metrics.NewRegistry(),
 		reloadCh: make(chan struct{}, 1),
 		levels:   ids.New(cfg.IDS).Config().Levels,
 	}
@@ -186,10 +180,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 				return nil, err
 			}
 		}
-	}
-	d.reg = cfg.Registry
-	if d.reg == nil {
-		d.reg = metrics.NewRegistry()
 	}
 	d.pm = pipeline.RegisterMetrics(d.reg)
 	d.registerServeMetrics()
@@ -219,7 +209,7 @@ func (d *Daemon) registerServeMetrics() {
 			"IDS candidate working set per aggregation level (as of the last tick).",
 			map[string]string{"level": l.String()})
 	}
-	for i := 0; i < d.shardCount(); i++ {
+	for i := range max(d.cfg.Shards, 1) {
 		d.sm.droppedPerShard = append(d.sm.droppedPerShard, reg.Gauge(
 			"v6scand_ids_dropped_candidates_shard",
 			"Per-shard MaxCandidates drops (as of the last tick).",
@@ -236,18 +226,6 @@ func (d *Daemon) registerServeMetrics() {
 		"Alerts dropped across all slow SSE clients.", nil,
 		func() float64 { _, n := d.hub.stats(); return float64(n) })
 }
-
-// shardCount normalizes Config.Shards.
-func (d *Daemon) shardCount() int {
-	if d.cfg.Shards > 1 {
-		return d.cfg.Shards
-	}
-	return 1
-}
-
-// Registry returns the daemon's metrics registry (also served at
-// /metrics).
-func (d *Daemon) Registry() *metrics.Registry { return d.reg }
 
 // State returns the latest published serving snapshot. Safe from any
 // goroutine; the value is immutable.
@@ -282,9 +260,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 			return nil
 		}
 		carry = g.final
-		if d.cfg.OnReload != nil {
-			d.cfg = d.cfg.OnReload(d.cfg)
-		}
 	}
 }
 
@@ -356,19 +331,17 @@ func (d *Daemon) newGeneration(carry *pipeline.Handoff) (*generation, error) {
 		}
 	}
 	g := &generation{d: d}
-	switch {
-	case res != nil:
-		s, ok := res.Sink.(idsTerminal)
+	if res == nil {
+		g.sink = pipeline.NewIDSSink(ids.NewSharded(d.cfg.IDS, d.cfg.Shards))
+	} else {
+		s, ok := res.Sink.(*pipeline.IDSSink)
 		if !ok {
+			res.Sink.(pipeline.Sink).Close() // a detector restore has live workers
 			return nil, errors.New("serve: checkpoint holds a detector snapshot, not IDS state")
 		}
 		g.sink, g.restored = s, res.Mark
-	case d.cfg.Shards > 1:
-		g.sink = pipeline.NewShardedIDSSink(ids.NewSharded(d.cfg.IDS, d.cfg.Shards))
-	default:
-		g.sink = pipeline.NewIDSSink(ids.New(d.cfg.IDS))
 	}
-	g.eng = g.sink.Attach(g)
+	g.sink.Attach(g)
 	return g, nil
 }
 
@@ -384,7 +357,7 @@ func (g *generation) start(gen int) {
 	cur.Running = true
 	cur.UpdatedAt = time.Now()
 	d.state.Store(&cur)
-	if pending := g.eng.Drain(); len(pending) > 0 {
+	if pending := g.sink.E.Drain(); len(pending) > 0 {
 		g.lastCkpt = g.restored
 		d.publish(g, pending, g.restored)
 	}
@@ -410,27 +383,23 @@ func (d *Daemon) publish(g *generation, alerts []ids.Alert, tick time.Time) {
 	cur := *d.state.Load()
 	cur.LastTick = tick
 	cur.LastCheckpoint = g.lastCkpt
+	eng := g.sink.E
 	cur.Candidates = make(map[string]int, len(d.levels))
 	for _, l := range d.levels {
-		n := g.eng.Candidates(l)
+		n := eng.Candidates(l)
 		cur.Candidates[l.String()] = n
 		d.sm.candidates[l].Set(float64(n))
 	}
-	cur.DroppedCandidates = g.eng.DroppedCandidates()
+	cur.DroppedCandidates = eng.DroppedCandidates()
 	d.sm.dropped.Set(float64(cur.DroppedCandidates))
-	cur.MemoryBytes = g.eng.MemoryBytes()
+	cur.MemoryBytes = eng.MemoryBytes()
 	d.sm.memoryBytes.Set(float64(cur.MemoryBytes))
-	cur.DroppedPerShard, cur.QueueDepth = nil, 0
-	if se, ok := g.eng.(shardedEngine); ok {
-		cur.DroppedPerShard = se.DroppedPerShard()
-		for i, v := range cur.DroppedPerShard {
-			if i < len(d.sm.droppedPerShard) {
-				d.sm.droppedPerShard[i].Set(float64(v))
-			}
-		}
-		cur.QueueDepth = se.QueueDepth()
-		d.sm.queueDepth.Set(float64(cur.QueueDepth))
+	cur.DroppedPerShard = eng.DroppedPerShard()
+	for i, v := range cur.DroppedPerShard {
+		d.sm.droppedPerShard[i].Set(float64(v))
 	}
+	cur.QueueDepth = eng.QueueDepth()
+	d.sm.queueDepth.Set(float64(cur.QueueDepth))
 	d.finishState(&cur, g)
 }
 

@@ -547,3 +547,43 @@ func TestDaemonIdleReloadCarriesState(t *testing.T) {
 		t.Fatalf("scanner alert published %d times, want once:\n%s", n, got)
 	}
 }
+
+// TestDroppedPerShardGaugeOneShard: at one shard the per-shard drop
+// gauge is filled like any other, so it equals the total.
+func TestDroppedPerShardGaugeOneShard(t *testing.T) {
+	log := filepath.Join(t.TempDir(), "fw.log")
+	cfg := testIDS()
+	cfg.MaxCandidates = 2
+	dr := startDaemon(t, Config{LogPath: log, Shards: 1, IDS: cfg, AdvanceEvery: time.Minute})
+	// Ten distinct sources inside the timeout against a two-candidate
+	// table; every minute fires a tick that publishes the counters.
+	appendLog(t, log, fillers(0, 10))
+	deadline := time.Now().Add(10 * time.Second)
+	for dr.d.State().DroppedCandidates == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no MaxCandidates drop published")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	dr.stop(t)
+	var b strings.Builder
+	if err := dr.d.reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	value := func(series string) string {
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("/metrics has no %s", series)
+		return ""
+	}
+	total, shard0 := value("v6scand_ids_dropped_candidates"), value(`v6scand_ids_dropped_candidates_shard{shard="0"}`)
+	if total == "0" || shard0 != total {
+		t.Fatalf("shard 0 gauge = %s, total = %s; want the total, nonzero", shard0, total)
+	}
+	if got := dr.d.State().DroppedPerShard; len(got) != 1 || got[0] != dr.d.State().DroppedCandidates {
+		t.Fatalf("State.DroppedPerShard = %v, want [%d]", got, dr.d.State().DroppedCandidates)
+	}
+}

@@ -68,7 +68,7 @@
 // through RunInto, which owns the sink lifecycle (Flush to finalize,
 // Close to release, typed Result accessors):
 //
-//	sink := v6scan.NewShardedIDSSink(v6scan.NewShardedIDS(cfg, 8))
+//	sink := v6scan.NewIDSSink(v6scan.NewShardedIDS(cfg, 8))
 //	sink.AdvanceEvery = time.Minute
 //	err := v6scan.From(src).Artifact().RunInto(ctx, sink)
 //	alerts := sink.Result()
@@ -276,10 +276,9 @@ type (
 	// ShardedSink terminates a pipeline in the scan detector, run on
 	// the sharded detector's workers (one worker at one shard).
 	ShardedSink = pipeline.ShardedSink
-	// IDSSink terminates a pipeline in the dynamic-aggregation engine.
+	// IDSSink terminates a pipeline in the dynamic-aggregation engine
+	// at any shard count.
 	IDSSink = pipeline.IDSSink
-	// ShardedIDSSink terminates a pipeline in the sharded IDS engine.
-	ShardedIDSSink = pipeline.ShardedIDSSink
 	// LogSink writes the stream to a binary firewall log.
 	LogSink = pipeline.LogSink
 	// ShardedDetector runs multi-level detection across parallel
@@ -344,11 +343,8 @@ func NewMergeSource(srcs ...RecordSource) *MergeSource { return pipeline.NewMerg
 // Pipeline sink constructors.
 func NewShardedSink(d *ShardedDetector) *ShardedSink { return pipeline.NewShardedSink(d) }
 func NewIDSSink(e *IDSEngine) *IDSSink               { return pipeline.NewIDSSink(e) }
-func NewShardedIDSSink(e *ShardedIDSEngine) *ShardedIDSSink {
-	return pipeline.NewShardedIDSSink(e)
-}
-func NewLogSink(w *LogWriter) *LogSink          { return pipeline.NewLogSink(w) }
-func CollectorSink(add func(Record)) RecordSink { return pipeline.Collector(add) }
+func NewLogSink(w *LogWriter) *LogSink               { return pipeline.NewLogSink(w) }
+func CollectorSink(add func(Record)) RecordSink      { return pipeline.Collector(add) }
 
 // Durable-state facade: versioned checkpoint snapshots of terminal
 // sink state and resume from them (see the package-doc "Checkpoint
@@ -485,22 +481,22 @@ type (
 	// IDSConfig parameterizes the inline engine.
 	IDSConfig = ids.Config
 	// IDSEngine is the memory-bounded multi-aggregation detector with
-	// blocklist recommendations.
+	// blocklist recommendations, inline or across parallel worker
+	// shards with alerts byte-identical at any shard count.
 	IDSEngine = ids.Engine
-	// ShardedIDSEngine runs the IDS across parallel worker shards with
-	// alerts byte-identical to a single engine's at any shard count.
-	ShardedIDSEngine = ids.ShardedEngine
 	// IDSAlert is one detected entity with its recommended blocklist
 	// prefix.
 	IDSAlert = ids.Alert
 )
 
-// NewIDS returns a dynamic-aggregation IDS engine.
+// NewIDS returns a dynamic-aggregation IDS engine running inline on
+// the caller's goroutine.
 func NewIDS(cfg IDSConfig) *IDSEngine { return ids.New(cfg) }
 
 // NewShardedIDS returns an IDS engine partitioning candidate state by
-// coarsest-level source prefix across n parallel worker shards.
-func NewShardedIDS(cfg IDSConfig, n int) *ShardedIDSEngine { return ids.NewSharded(cfg, n) }
+// coarsest-level source prefix across n parallel worker shards (inline
+// when n ≤ 1).
+func NewShardedIDS(cfg IDSConfig, n int) *IDSEngine { return ids.NewSharded(cfg, n) }
 
 // DefaultIDSConfig returns production-oriented IDS defaults.
 func DefaultIDSConfig() IDSConfig { return ids.DefaultConfig() }
