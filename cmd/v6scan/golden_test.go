@@ -345,6 +345,17 @@ func TestPublishFlagValidation(t *testing.T) {
 	fail("exactly one", "-publish", "3", "-i", "-")
 	fail("exactly one", "-publish", "3", "-i", "capture.pcap")
 	fail("exactly one", "-publish", "3", log, log)
+
+	// Against a populated checkpoint dir the refusals must not leave a
+	// restored sink's workers running (TestMain fails on the leak):
+	// -publish is refused before any restore, and an input that cannot
+	// be opened after the restore closes the restored sink.
+	ckpt := t.TempDir()
+	runGolden(t, "-i", log, "-checkpoint-dir", ckpt, "-checkpoint-every", "10m")
+	fail("-resume", "-publish", "3", "-resume",
+		"-checkpoint-dir", ckpt, "-checkpoint-every", "10m", "-i", log)
+	fail("missing.pcap", "-resume", "-checkpoint-dir", ckpt, "-checkpoint-every", "10m",
+		"-i", filepath.Join(t.TempDir(), "missing.pcap"))
 }
 
 // TestDuplicateInputRejected pins the multi-file guard at the CLI: the

@@ -106,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		levels   = fs.String("agg", "128,64,48", "comma-separated aggregation prefix lengths")
 		topN     = fs.Int("top", 20, "print at most N scans per level (0 = all)")
 		filter   = fs.Bool("filter", false, "apply the 5-duplicate artifact pre-filter first")
-		shards   = fs.Int("shards", 1, "detector/IDS worker shards (1 = one worker; output is identical)")
+		shards   = fs.Int("shards", 1, "detector/IDS worker shards (at 1 the detector runs on one worker, the IDS inline; output is identical)")
 		useIDS   = fs.Bool("ids", false, "run the inline dynamic-aggregation IDS instead of the offline detector")
 		window   = fs.Duration("window", 0, "repair at most this much timestamp disorder in flight through a reorder buffer bounded to one window of records; for pcap, 0 buffers the whole capture in the reorder stage and sorts it at end of input (tolerating any disorder), for logs 0 streams as-is (logs are written in order)")
 		advEvery = fs.Duration("advance-every", 0, "stream-time eviction cadence: periodically close idle detector sessions / tick the IDS, bounding memory (0 = only at end of input)")
@@ -155,6 +155,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *ckptDir == "" {
 			return fmt.Errorf("-resume needs -checkpoint-dir")
 		}
+		if *publish > 0 {
+			// The partition level must match the detection levels, which
+			// on resume travel inside the snapshot; keep the combination
+			// out of scope rather than partially honoring the flags.
+			return fmt.Errorf("-publish cannot be combined with -resume")
+		}
 		// A crashed earlier run may have stranded a half-written temp in
 		// the checkpoint dir; clean those out before picking a snapshot.
 		if _, err := v6scan.SweepCheckpointTemps(*ckptDir); err != nil {
@@ -168,6 +174,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintln(stderr, "v6scan: no checkpoint to resume from; starting fresh")
 		} else if resumed, err = v6scan.ResumeCheckpoint(path, *shards); err != nil {
 			return fmt.Errorf("resuming %s: %w", path, err)
+		} else {
+			// A restored sink runs workers. RunInto closes the sink it
+			// runs; this closes it on every return that does not run it
+			// (Close is idempotent).
+			defer resumed.Sink.(v6scan.TerminalSink).Close()
 		}
 	}
 
@@ -179,12 +190,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		err           error
 	)
 	if *publish > 0 {
-		if *resume {
-			// The partition level must match the detection levels, which
-			// on resume travel inside the snapshot; keep the combination
-			// out of scope rather than partially honoring the flags.
-			return fmt.Errorf("-publish cannot be combined with -resume")
-		}
 		b, waitPubs, closer, err = openPublishSplit(inputs, *publish, *window,
 			v6scan.CoarsestLevel(cfg.Levels))
 	} else {
@@ -316,7 +321,7 @@ func runDetect(b *v6scan.Builder, stdout io.Writer, cfg v6scan.DetectorConfig, s
 	if resumed != nil {
 		s, ok := resumed.Sink.(*v6scan.ShardedSink)
 		if !ok {
-			return closeMismatched(resumed, "checkpoint holds IDS state; rerun with -ids")
+			return errors.New("checkpoint holds IDS state; rerun with -ids")
 		}
 		sink = s
 	} else {
@@ -378,7 +383,7 @@ func runIDS(b *v6scan.Builder, stdout io.Writer, det v6scan.DetectorConfig, shar
 	} else {
 		s, ok := resumed.Sink.(*v6scan.IDSSink)
 		if !ok {
-			return closeMismatched(resumed, "checkpoint holds offline-detector state; rerun without -ids")
+			return errors.New("checkpoint holds offline-detector state; rerun without -ids")
 		}
 		sink = s
 	}
@@ -399,13 +404,6 @@ func runIDS(b *v6scan.Builder, stdout io.Writer, det v6scan.DetectorConfig, shar
 		fmt.Fprintf(stdout, "  %s\n", a)
 	}
 	return nil
-}
-
-// closeMismatched stops a resumed sink of the wrong kind for the run —
-// a detector restore has live workers — and reports msg.
-func closeMismatched(resumed *v6scan.ResumedSink, msg string) error {
-	resumed.Sink.(v6scan.TerminalSink).Close()
-	return errors.New(msg)
 }
 
 // unbounded is the reorder window -window 0 gives a pcap: longer than

@@ -207,11 +207,11 @@ func scansDiffer(got, want []Scan) string {
 // dispatched batch has been applied.
 func shardedOpen(t *testing.T, sd *ShardedDetector, level netaddr6.AggLevel) int {
 	t.Helper()
-	if err := sd.disp.Barrier(); err != nil {
+	if err := sd.g.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	for _, det := range sd.shards {
+	for _, det := range sd.g.Shards() {
 		n += det.OpenSessions(level)
 	}
 	return n
@@ -420,10 +420,10 @@ func runDetectorTape(t *testing.T, tape []byte) {
 			t.Fatalf("Finish: OpenSessions(%v) = %d", l, got)
 		}
 		for _, sd := range sharded {
-			if d := scansDiffer(sd.Scans(l), want); d != "" {
+			if d := scansDiffer(sd.Merged().Scans(l), want); d != "" {
 				t.Fatalf("Finish: %d shards: %v: %s", sd.NumShards(), l, d)
 			}
-			if got := sd.Dropped(l); got != ref.dropped[i] {
+			if got := sd.Merged().Dropped(l); got != ref.dropped[i] {
 				t.Fatalf("Finish: %d shards: Dropped(%v) = %d, reference %d", sd.NumShards(), l, got, ref.dropped[i])
 			}
 		}

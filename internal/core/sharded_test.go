@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"v6scan/internal/dispatch"
 	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
 	"v6scan/internal/netaddr6"
@@ -148,15 +151,15 @@ func TestShardedParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, lvl := range cfg.Levels {
-			got := renderLevel(sd.Scans(lvl))
+			got := renderLevel(sd.Merged().Scans(lvl))
 			if got != want[lvl] {
 				t.Errorf("shards=%d level %v: output differs from unsharded\n got %d bytes, want %d bytes",
 					shards, lvl, len(got), len(want[lvl]))
 			}
 		}
 		for _, lvl := range cfg.Levels {
-			if sd.Dropped(lvl) != ref.Dropped(lvl) {
-				t.Errorf("shards=%d dropped at %v: %d != %d", shards, lvl, sd.Dropped(lvl), ref.Dropped(lvl))
+			if sd.Merged().Dropped(lvl) != ref.Dropped(lvl) {
+				t.Errorf("shards=%d dropped at %v: %d != %d", shards, lvl, sd.Merged().Dropped(lvl), ref.Dropped(lvl))
 			}
 		}
 	}
@@ -234,7 +237,34 @@ func TestShardedSingleShardMatchesPlain(t *testing.T) {
 	if err := sd.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sd.Scans(netaddr6.Agg64)) != 0 {
+	if len(sd.Merged().Scans(netaddr6.Agg64)) != 0 {
 		t.Fatal("empty stream produced scans")
+	}
+}
+
+// TestShardedUseAfterFinish pins the used-after-close contract at every
+// shard count: after Finish, dispatching, advancing and snapshotting
+// return dispatch.ErrClosed, and Finish itself stays repeatable.
+func TestShardedUseAfterFinish(t *testing.T) {
+	recs := parityRecords(1000)
+	for _, n := range []int{1, 3} {
+		sd := NewShardedDetector(parityConfig(), n)
+		if err := sd.ProcessBatch(recs[:500]); err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if err := sd.Finish(); err != nil {
+				t.Fatalf("%d shards: Finish = %v", n, err)
+			}
+		}
+		if err := sd.ProcessBatch(recs[500:]); !errors.Is(err, dispatch.ErrClosed) {
+			t.Errorf("%d shards: ProcessBatch after Finish = %v, want ErrClosed", n, err)
+		}
+		if err := sd.Advance(recs[len(recs)-1].Time); !errors.Is(err, dispatch.ErrClosed) {
+			t.Errorf("%d shards: Advance after Finish = %v, want ErrClosed", n, err)
+		}
+		if err := sd.Snapshot(io.Discard, recs[len(recs)-1].Time); !errors.Is(err, dispatch.ErrClosed) {
+			t.Errorf("%d shards: Snapshot after Finish = %v, want ErrClosed", n, err)
+		}
 	}
 }

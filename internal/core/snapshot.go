@@ -12,9 +12,8 @@ package core
 // entries are written in canonical order too. So
 // Snapshot∘Restore∘Snapshot is byte-identity (FuzzSnapshotRoundtrip),
 // and a snapshot taken at N shards restores at any M ≥ 1: restore
-// re-partitions each session deterministically (dispatch.Partition
-// over the coarsest level, the routing the dispatcher applies to
-// records).
+// re-partitions each session deterministically (dispatch.Group's
+// ShardFor, the routing the group applies to records).
 
 import (
 	"fmt"
@@ -24,7 +23,6 @@ import (
 	"time"
 
 	"v6scan/internal/checkpoint"
-	"v6scan/internal/dispatch"
 	"v6scan/internal/entropy"
 	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
@@ -43,14 +41,11 @@ func preallocHint(n uint64) int { return int(min(n, preallocCap)) }
 // Snapshot writes a consistent checkpoint of the detector at the given
 // stream-time mark. The caller guarantees every record with timestamp
 // before mark has been processed and none at or after it has (the
-// pipeline checkpoint cadence arranges exactly this). A dispatcher
+// pipeline checkpoint cadence arranges exactly this). The group's
 // barrier drains in-flight batches first, which makes shard state
 // readable; the bytes are the same at any shard count.
 func (sd *ShardedDetector) Snapshot(w io.Writer, mark time.Time) error {
-	if sd.finished {
-		return fmt.Errorf("core: ShardedDetector.Snapshot after Finish")
-	}
-	if err := sd.disp.Barrier(); err != nil {
+	if err := sd.g.Sync(); err != nil {
 		return err
 	}
 	return checkpoint.WriteBody(w, checkpoint.KindDetector, mark, &detectorBody{sd: sd})
@@ -64,7 +59,7 @@ func RestoreShardedDetector(cr *checkpoint.Reader, n int) (*ShardedDetector, err
 	r := &detectorRestore{n: n, horizon: cr.Header().Horizon}
 	if err := checkpoint.ReadBody(cr, checkpoint.KindDetector, r); err != nil {
 		if r.sd != nil {
-			r.sd.disp.Close()
+			r.sd.g.Close()
 		}
 		return nil, err
 	}
@@ -105,7 +100,7 @@ func (b *detectorBody) Config(e *checkpoint.Enc) {
 }
 
 func (b *detectorBody) Gather(dst []checkpoint.Keyed[liveSession], li int) []checkpoint.Keyed[liveSession] {
-	for _, det := range b.sd.shards {
+	for _, det := range b.sd.g.Shards() {
 		tab := &det.levels[li].tab
 		tab.Range(func(key netaddr6.U128, h uint32) bool {
 			dst = append(dst, checkpoint.Keyed[liveSession]{Key: key, Val: liveSession{tab.At(h), tab.Last(h)}})
@@ -139,7 +134,7 @@ func (b *detectorBody) Results(e *checkpoint.Enc) {
 	for li, l := range b.sd.cfg.Levels {
 		var dropped uint64
 		scans = scans[:0]
-		for _, det := range b.sd.shards {
+		for _, det := range b.sd.g.Shards() {
 			scans = append(scans, det.levels[li].scans...)
 			dropped += det.levels[li].dropped
 		}
@@ -162,8 +157,6 @@ func (b *detectorBody) Results(e *checkpoint.Enc) {
 type detectorRestore struct {
 	sd *ShardedDetector
 	n  int
-	// coarsest is the level sessions are routed to shards by.
-	coarsest netaddr6.AggLevel
 	// horizon is the replay horizon every shard's time-order guard
 	// starts from.
 	horizon time.Time
@@ -184,18 +177,16 @@ func (r *detectorRestore) Config(d *checkpoint.Dec) ([]netaddr6.AggLevel, error)
 		return nil, err
 	}
 	r.sd = NewShardedDetector(cfg, r.n)
-	r.coarsest = dispatch.CoarsestLevel(r.sd.cfg.Levels)
-	for _, det := range r.sd.shards {
+	for _, det := range r.sd.g.Shards() {
 		det.lastTime = r.horizon
 	}
 	return r.sd.cfg.Levels, nil
 }
 
-// Entry rebuilds one session into its deterministic shard
-// (dispatch.Partition over the coarsest level — the same routing the
-// dispatcher applies to the session's records).
+// Entry rebuilds one session into the shard the group routes its
+// records to.
 func (r *detectorRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
-	ls := r.sd.shards[dispatch.Partition(key.ToAddr(), r.coarsest, len(r.sd.shards))].levels[li]
+	ls := r.sd.g.Shards()[r.sd.g.ShardFor(key)].levels[li]
 	var s session
 	s.start = d.Time()
 	last := int64(d.U64()) // Dec.Time's axis, kept as the table stores it
@@ -228,7 +219,7 @@ func (r *detectorRestore) Results(d *checkpoint.Dec) error {
 		if err != nil {
 			return err
 		}
-		ls := r.sd.shards[0].levels[li]
+		ls := r.sd.g.Shards()[0].levels[li]
 		ls.dropped = d.Uvarint()
 		n := d.Uvarint()
 		for i := uint64(0); i < n && d.Err() == nil; i++ {

@@ -1,6 +1,7 @@
-// Package dispatch provides the shared worker/dispatch scaffolding
-// for sharded record consumers: core.ShardedDetector and, above one
-// shard, ids.Engine.
+// Package dispatch provides the shard group both engines run on:
+// Group holds core.ShardedDetector's and ids.Engine's shards,
+// partitions records onto them, forwards the horizon, synchronises
+// reads and stops the workers; Dispatcher is its worker fan-out.
 //
 // # Sharding invariant
 //
@@ -10,9 +11,9 @@
 // inside its coarsest prefix, so per-source state at every aggregation
 // level lives in exactly one shard, and a deterministic merge of the
 // per-shard results is byte-identical to a single serial consumer's
-// output at any shard count. Consumers own their per-shard state and
-// the merge; the dispatcher owns partitioning, the worker goroutines,
-// and their shutdown.
+// output at any shard count. Engines own their per-shard state, the
+// merge and the snapshot codecs; the group owns partitioning, the
+// worker goroutines, the horizon, barrier-synced reads and shutdown.
 //
 // # Pooled ownership model
 //
@@ -30,13 +31,12 @@
 //
 // # Error path
 //
-// The error path is parameterized by the Worker: detector workers can
-// fail (time-order violations), IDS workers cannot. The first Worker
+// The error path is parameterized by the Worker: detector shards can
+// fail (time-order violations), IDS shards cannot. The first Worker
 // error is recorded and surfaces at the next ProcessBatch/Mark/Barrier
 // call and again at Close; after a failure, workers keep draining (and
 // recycling) queued batches without processing them so Close never
-// leaks a goroutine. Consumers whose workers never fail simply ignore
-// the returned errors.
+// leaks a goroutine.
 package dispatch
 
 import (
@@ -70,10 +70,15 @@ func CoarsestLevel(levels []netaddr6.AggLevel) netaddr6.AggLevel {
 // Dispatcher or directly), so a record always lands on the same shard
 // index regardless of which consumer processes it.
 func Partition(src netip.Addr, level netaddr6.AggLevel, n int) int {
+	return partitionKey(netaddr6.ToU128(src), level, n)
+}
+
+// partitionKey is Partition over a 128-bit source or aggregated key.
+func partitionKey(key netaddr6.U128, level netaddr6.AggLevel, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	key := netaddr6.ToU128(src).Mask(int(level))
+	key = key.Mask(int(level))
 	// splitmix-style finalizer over the masked 128-bit key.
 	x := key.Hi ^ bits.RotateLeft64(key.Lo, 31)
 	x ^= x >> 33
@@ -139,11 +144,9 @@ type Config struct {
 	// Level is the partition aggregation level (normally
 	// CoarsestLevel of the consumer's configured levels).
 	Level netaddr6.AggLevel
-	// Depth is the per-shard queue depth in batches (default 4).
-	Depth int
 }
 
-// defaultDepth is the default per-shard channel depth.
+// defaultDepth is the per-shard channel depth in batches.
 const defaultDepth = 4
 
 // msg is one unit of work for a shard: a run of records and/or a
@@ -156,8 +159,8 @@ type msg struct {
 	done chan<- struct{}
 }
 
-// ErrClosed is returned by dispatcher operations after Close.
-var ErrClosed = errors.New("dispatch: Dispatcher used after Close")
+// ErrClosed is returned by Dispatcher and Group operations after Close.
+var ErrClosed = errors.New("dispatch: used after Close")
 
 // Dispatcher fans a time-ordered record stream out across N worker
 // shards. All methods must be called from a single dispatching
@@ -187,10 +190,6 @@ func New(cfg Config, w Worker) *Dispatcher {
 	if n < 1 {
 		n = 1
 	}
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = defaultDepth
-	}
 	d := &Dispatcher{
 		work:    w,
 		level:   cfg.Level,
@@ -200,15 +199,12 @@ func New(cfg Config, w Worker) *Dispatcher {
 		barrier: make(chan struct{}, n),
 	}
 	for i := range d.chans {
-		d.chans[i] = make(chan msg, depth)
+		d.chans[i] = make(chan msg, defaultDepth)
 		d.wg.Add(1)
 		go d.worker(i)
 	}
 	return d
 }
-
-// NumShards returns the worker count.
-func (d *Dispatcher) NumShards() int { return d.n }
 
 // QueueDepth reports the number of work units currently buffered in
 // the shard channels, summed over shards — the backlog the workers

@@ -104,7 +104,7 @@ func TestDispatcherDeliveryParity(t *testing.T) {
 func TestDispatcherPoolAliasingSafety(t *testing.T) {
 	const shards = 4
 	var torn atomic.Int32
-	d := New(Config{Shards: shards, Level: testLevel, Depth: 2},
+	d := New(Config{Shards: shards, Level: testLevel},
 		func(shard int, recs []firewall.Record, mark time.Time) error {
 			if len(recs) == 0 {
 				return nil

@@ -37,10 +37,7 @@
 // core.DstSketch). ProcessBatch additionally groups adjacent
 // same-source records so a burst of N records to one candidate costs
 // one table probe per level. The state is split into shards (this
-// file), partitioned by coarsest-level source prefix: New runs one
-// shard inline on the caller's goroutine, NewSharded runs n in
-// parallel behind the shared dispatcher (sharded.go), with
-// byte-identical merged output.
+// file) that an Engine runs in a dispatch.Group (sharded.go).
 package ids
 
 import (
@@ -236,8 +233,8 @@ func (lv *level) observeDst(c *candidate, d netaddr6.U128, precision uint8) {
 
 // shard is one partition of an Engine's candidate state: every level's
 // table for the sources that partition to it, the shard's clock and
-// its pending alerts. Single-goroutine: an Engine runs its one shard
-// inline, or each of its shards on its own dispatch worker.
+// its pending alerts; a dispatch.Shard. Single-goroutine: an Engine
+// runs its one shard inline, or each of its shards on its own worker.
 type shard struct {
 	cfg    Config
 	levels []*level // most specific first, as ordered by normalize
@@ -294,13 +291,13 @@ func newShard(cfg Config) *shard {
 	return s
 }
 
-// process ingests a run of records.
+// ProcessBatch ingests a run of records; it never fails.
 //
 // Adjacent records with the same source (the shape dispatch staging
 // and real scan bursts produce) are grouped into runs, so N records to
 // one candidate cost one table probe per aggregation level instead of
 // N map lookups.
-func (s *shard) process(recs []firewall.Record) {
+func (s *shard) ProcessBatch(recs []firewall.Record) error {
 	for i := 0; i < len(recs); {
 		j := i + 1
 		for j < len(recs) && recs[j].Src == recs[i].Src {
@@ -309,6 +306,7 @@ func (s *shard) process(recs []firewall.Record) {
 		s.ingestRun(recs[i:j])
 		i = j
 	}
+	return nil
 }
 
 // ingestRun applies one same-source run: a single table probe per
@@ -370,9 +368,9 @@ func (s *shard) ingestRun(rs []firewall.Record) {
 	}
 }
 
-// tick advances the shard's clock to now if later and evicts the
+// Advance moves the shard's clock to now if later and evicts the
 // candidates idle past Timeout at it.
-func (s *shard) tick(now time.Time) {
+func (s *shard) Advance(now time.Time) {
 	if now.After(s.now) {
 		s.now = now
 	}

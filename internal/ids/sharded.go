@@ -9,41 +9,25 @@ import (
 	"v6scan/internal/u128idx"
 )
 
-// Engine is the dynamic-aggregation IDS over one or more shards of
-// candidate state. New runs one shard inline on the caller's
-// goroutine; NewSharded with n > 1 runs n shards in parallel,
-// mirroring core.ShardedDetector. Records are partitioned by their
-// source aggregated to the *coarsest* configured level, so every
-// candidate at every level — finer prefixes nest inside the coarsest —
-// lives in exactly one shard, and the suppression/escalation logic
-// (which only ever compares nested prefixes) sees the same candidates
-// at any shard count. Combined with the deterministic alert ordering,
-// the merged output is byte-identical at any shard count (see
-// TestShardedIDSParity) — with one caveat: each shard applies
-// Config.MaxCandidates to its own tables, so under cap pressure a
-// sharded engine admits candidates (and so may emit alerts) a single
-// shard would have dropped.
+// Engine is the dynamic-aggregation IDS over a dispatch.Group of
+// candidate-state shards, partitioned by the source aggregated to the
+// *coarsest* configured level: every candidate at every level lives in
+// exactly one shard, and the suppression/escalation logic (which only
+// ever compares nested prefixes) sees the same candidates at any shard
+// count. With the deterministic alert ordering, the merged output is
+// byte-identical at any shard count (TestShardedIDSParity) — except
+// that each shard applies Config.MaxCandidates to its own tables, so
+// under cap pressure a sharded engine may admit (and alert on)
+// candidates a single shard would have dropped.
 //
-// Above one shard, partitioning, the worker goroutines and their
-// pooled batch buffers are the shared dispatch.Dispatcher's (IDS
-// workers cannot fail, so the dispatcher's error path stays unused).
-// Tick forwards the eviction horizon to every shard, carrying the
-// globally latest record time so per-shard eviction decisions match
-// the single-shard ones exactly; the reads synchronize with the
-// workers. Flush stops the workers and merges alerts
-// deterministically; a sharded engine is not reusable afterwards.
+// The group owns the workers (none at one shard, which runs inline:
+// dispatch.IDSInline), the horizon, barrier-synced reads and shutdown;
+// the engine keeps the alert merge and its snapshot codec. After
+// Flush, ProcessBatch, Tick and Snapshot return dispatch.ErrClosed;
+// Drain and the accessors stay valid.
 type Engine struct {
-	cfg    Config
-	shards []*shard
-	// disp runs the shards on worker goroutines; nil when the one
-	// shard runs inline.
-	disp *dispatch.Dispatcher
-
-	// lastSeen is the latest record timestamp dispatched; Tick
-	// forwards max(now, lastSeen) so a shard that saw only early
-	// records still evicts against the global clock.
-	lastSeen time.Time
-	flushed  bool
+	cfg Config
+	g   *dispatch.Group[*shard]
 
 	// one backs the Process single-record wrapper.
 	one [1]firewall.Record
@@ -56,26 +40,9 @@ func New(cfg Config) *Engine { return NewSharded(cfg, 1) }
 // NewSharded returns an engine running the configuration's
 // aggregation levels across n parallel shards; n ≤ 1 is New.
 func NewSharded(cfg Config, n int) *Engine {
-	n = max(n, 1)
 	cfg = normalize(cfg)
-	e := &Engine{cfg: cfg, shards: make([]*shard, n)}
-	for i := range e.shards {
-		e.shards[i] = newShard(cfg)
-	}
-	if n > 1 {
-		e.disp = dispatch.New(dispatch.Config{
-			Shards: n,
-			Level:  dispatch.CoarsestLevel(cfg.Levels),
-		}, func(i int, recs []firewall.Record, mark time.Time) error {
-			s := e.shards[i]
-			if !mark.IsZero() {
-				s.tick(mark)
-			}
-			s.process(recs)
-			return nil
-		})
-	}
-	return e
+	return &Engine{cfg: cfg, g: dispatch.NewGroup(n, cfg.Levels, dispatch.IDSInline,
+		func() *shard { return newShard(cfg) })}
 }
 
 // Config returns the engine's normalized configuration (defaults
@@ -83,60 +50,30 @@ func NewSharded(cfg Config, n int) *Engine {
 func (e *Engine) Config() Config { return e.cfg }
 
 // NumShards returns the shard count.
-func (e *Engine) NumShards() int { return len(e.shards) }
+func (e *Engine) NumShards() int { return len(e.g.Shards()) }
 
-// QueueDepth reports the dispatcher's buffered work-unit backlog,
-// summed over shards; 0 inline. Safe from any goroutine (see
-// dispatch.Dispatcher.QueueDepth).
-func (e *Engine) QueueDepth() int {
-	if e.disp == nil {
-		return 0
-	}
-	return e.disp.QueueDepth()
-}
+// QueueDepth reports the workers' backlog (dispatch.Group.QueueDepth).
+// Safe from any goroutine.
+func (e *Engine) QueueDepth() int { return e.g.QueueDepth() }
 
 // Process ingests one record, updating every level's candidate.
-func (e *Engine) Process(r firewall.Record) {
+func (e *Engine) Process(r firewall.Record) error {
 	e.one[0] = r
-	e.ProcessBatch(e.one[:])
+	return e.ProcessBatch(e.one[:])
 }
 
 // ProcessBatch ingests a run of records: inline, or partitioned across
 // the shards and dispatched. The slice is not retained, so callers may
 // reuse the backing array between calls.
-func (e *Engine) ProcessBatch(recs []firewall.Record) {
-	if e.disp == nil {
-		e.shards[0].process(recs)
-		return
-	}
-	e.mustRun()
-	for i := range recs {
-		if recs[i].Time.After(e.lastSeen) {
-			e.lastSeen = recs[i].Time
-		}
-	}
-	e.disp.ProcessBatch(recs)
-}
+func (e *Engine) ProcessBatch(recs []firewall.Record) error { return e.g.ProcessBatch(recs) }
 
 // Tick advances time, evicting idle candidates and emitting alerts for
 // entities whose activity ended. Call periodically (e.g. once per
-// minute of stream time); Flush emits everything at shutdown.
-//
-// Above one shard the forwarded horizon is the later of now and the
-// latest dispatched record time, so shards whose own records lag the
-// global clock still close the same candidates; it travels ordered
-// with the records dispatched before it, so eviction sees them.
-func (e *Engine) Tick(now time.Time) {
-	if e.disp == nil {
-		e.shards[0].tick(now)
-		return
-	}
-	e.mustRun()
-	if e.lastSeen.After(now) {
-		now = e.lastSeen
-	}
-	e.disp.Mark(now)
-}
+// minute of stream time); Flush emits everything at shutdown. The
+// horizon every shard evicts at is the later of now and the latest
+// record time, so shards whose own records lag the global clock still
+// close the same candidates.
+func (e *Engine) Tick(now time.Time) error { return e.g.Advance(now) }
 
 // Drain returns and clears the alerts accumulated by past Ticks,
 // ordered deterministically (first activity, then address, then prefix
@@ -147,16 +84,11 @@ func (e *Engine) Drain() []Alert {
 	return e.collect()
 }
 
-// Flush evicts every candidate regardless of idleness and returns all
-// pending alerts. Above one shard it first stops the workers, and the
-// engine is not reusable afterwards (Drain and the accessors remain
-// valid).
+// Flush stops the workers, evicts every candidate regardless of
+// idleness and returns all pending alerts.
 func (e *Engine) Flush() []Alert {
-	if e.disp != nil && !e.flushed {
-		e.disp.Close()
-		e.flushed = true
-	}
-	for _, s := range e.shards {
+	e.g.Close()
+	for _, s := range e.g.Shards() {
 		s.sweep(u128idx.ExpireAll)
 	}
 	return e.collect()
@@ -164,11 +96,12 @@ func (e *Engine) Flush() []Alert {
 
 // collect moves every shard's pending alerts into one sorted slice.
 func (e *Engine) collect() []Alert {
-	out := e.shards[0].alerts
-	for _, s := range e.shards[1:] {
+	shards := e.g.Shards()
+	out := shards[0].alerts
+	for _, s := range shards[1:] {
 		out = append(out, s.alerts...)
 	}
-	for _, s := range e.shards {
+	for _, s := range shards {
 		s.alerts = nil
 	}
 	sortAlerts(out)
@@ -178,21 +111,19 @@ func (e *Engine) collect() []Alert {
 // Candidates returns the current working-set size at a level across
 // all shards.
 func (e *Engine) Candidates(l netaddr6.AggLevel) int {
-	e.sync()
-	total := 0
-	for _, s := range e.shards {
-		total += s.candidates(l)
-	}
-	return total
+	return e.sum(func(s *shard) int { return s.candidates(l) })
 }
 
 // MemoryBytes estimates sketch memory across all shards and levels —
 // the quantity an IDS deployment budgets.
-func (e *Engine) MemoryBytes() int {
+func (e *Engine) MemoryBytes() int { return e.sum((*shard).memoryBytes) }
+
+// sum adds f over the shards, read after the workers caught up.
+func (e *Engine) sum(f func(*shard) int) int {
 	e.sync()
 	total := 0
-	for _, s := range e.shards {
-		total += s.memoryBytes()
+	for _, s := range e.g.Shards() {
+		total += f(s)
 	}
 	return total
 }
@@ -200,11 +131,11 @@ func (e *Engine) MemoryBytes() int {
 // DroppedCandidates reports how many candidates were rejected by the
 // per-level MaxCandidates bound, summed over shards. Unlike every
 // other accessor it is safe from any goroutine: the per-shard counters
-// are atomic, so metrics scrapes read them without a dispatcher
-// barrier; a concurrent read may lag batches still in flight.
+// are atomic, so metrics scrapes read them without a barrier; a
+// concurrent read may lag batches still in flight.
 func (e *Engine) DroppedCandidates() uint64 {
 	var total uint64
-	for _, s := range e.shards {
+	for _, s := range e.g.Shards() {
 		total += s.dropped.Load()
 	}
 	return total
@@ -214,27 +145,13 @@ func (e *Engine) DroppedCandidates() uint64 {
 // indexed by shard. Safe from any goroutine (see DroppedCandidates);
 // the metrics registry exports one labeled series per entry.
 func (e *Engine) DroppedPerShard() []uint64 {
-	out := make([]uint64, len(e.shards))
-	for i, s := range e.shards {
+	out := make([]uint64, e.NumShards())
+	for i, s := range e.g.Shards() {
 		out[i] = s.dropped.Load()
 	}
 	return out
 }
 
-// mustRun rejects dispatching into a sharded engine whose workers
-// Flush has stopped.
-func (e *Engine) mustRun() {
-	if e.flushed {
-		panic("ids: Engine used after Flush")
-	}
-}
-
-// sync makes shard state safe to read from the dispatching goroutine:
-// a dispatcher barrier while the workers run, a no-op inline or once
-// Flush has joined them.
-func (e *Engine) sync() error {
-	if e.disp == nil || e.flushed {
-		return nil
-	}
-	return e.disp.Barrier()
-}
+// sync makes shard state readable. Its error is dropped: IDS shards
+// never fail, and after Flush (dispatch.ErrClosed) the state is final.
+func (e *Engine) sync() { _ = e.g.Sync() }

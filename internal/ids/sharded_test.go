@@ -1,12 +1,15 @@
 package ids
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"v6scan/internal/dispatch"
 	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
 	"v6scan/internal/netaddr6"
@@ -187,5 +190,36 @@ func TestShardedIDSAccessors(t *testing.T) {
 	}
 	if len(se.Flush()) == 0 {
 		t.Error("no alerts from workload")
+	}
+}
+
+// TestEngineUseAfterFlush pins the used-after-close contract at every
+// shard count: after Flush, ingesting, ticking and snapshotting return
+// dispatch.ErrClosed, while Flush, Drain and the accessors stay valid.
+func TestEngineUseAfterFlush(t *testing.T) {
+	recs := idsParityRecords(2000)
+	for _, n := range []int{1, 3} {
+		e := NewSharded(idsParityConfig(), n)
+		if err := e.ProcessBatch(recs[:1000]); err != nil {
+			t.Fatal(err)
+		}
+		if len(e.Flush()) == 0 {
+			t.Fatalf("%d shards: no alerts from the workload", n)
+		}
+		if again := e.Flush(); len(again) != 0 {
+			t.Errorf("%d shards: repeat Flush returned %d alerts", n, len(again))
+		}
+		if err := e.ProcessBatch(recs[1000:]); !errors.Is(err, dispatch.ErrClosed) {
+			t.Errorf("%d shards: ProcessBatch after Flush = %v, want ErrClosed", n, err)
+		}
+		if err := e.Tick(recs[len(recs)-1].Time); !errors.Is(err, dispatch.ErrClosed) {
+			t.Errorf("%d shards: Tick after Flush = %v, want ErrClosed", n, err)
+		}
+		if err := e.Snapshot(io.Discard, recs[len(recs)-1].Time); !errors.Is(err, dispatch.ErrClosed) {
+			t.Errorf("%d shards: Snapshot after Flush = %v, want ErrClosed", n, err)
+		}
+		if len(e.Drain()) != 0 || e.Candidates(netaddr6.Agg128) != 0 {
+			t.Errorf("%d shards: state left after Flush", n)
+		}
 	}
 }

@@ -21,24 +21,20 @@ import (
 
 	"v6scan/internal/checkpoint"
 	"v6scan/internal/core"
-	"v6scan/internal/dispatch"
 	"v6scan/internal/netaddr6"
 )
 
 // Snapshot writes a consistent checkpoint of the engine at the given
 // stream-time mark. The caller guarantees every record with timestamp
 // before mark has been processed and none at or after it has. Above
-// one shard a dispatcher barrier first drains in-flight batches; the
+// one shard the group's barrier first drains in-flight batches; the
 // shards serialize as one canonical global snapshot, byte-identical at
 // any shard count.
 func (e *Engine) Snapshot(w io.Writer, mark time.Time) error {
-	if e.flushed {
-		return fmt.Errorf("ids: Engine.Snapshot after Flush")
-	}
-	if err := e.sync(); err != nil {
+	if err := e.g.Sync(); err != nil {
 		return err
 	}
-	return checkpoint.WriteBody(w, checkpoint.KindIDS, mark, &idsBody{e.cfg, e.shards})
+	return checkpoint.WriteBody(w, checkpoint.KindIDS, mark, &idsBody{e.cfg, e.g.Shards()})
 }
 
 // RestoreEngine rebuilds an engine from a snapshot opened with
@@ -46,18 +42,14 @@ func (e *Engine) Snapshot(w io.Writer, mark time.Time) error {
 // re-partitioning every candidate deterministically — n need not match
 // the shard count the snapshot was taken at.
 func RestoreEngine(cr *checkpoint.Reader, n int) (*Engine, error) {
-	var e *Engine
-	r := &idsRestore{mk: func(cfg Config) []*shard {
-		e = NewSharded(cfg, n)
-		return e.shards
-	}}
+	r := &idsRestore{n: n}
 	if err := checkpoint.ReadBody(cr, checkpoint.KindIDS, r); err != nil {
-		if e != nil && e.disp != nil {
-			e.disp.Close()
+		if r.e != nil {
+			r.e.g.Close()
 		}
 		return nil, err
 	}
-	return e, nil
+	return r.e, nil
 }
 
 // idsBody is the engine's side of checkpoint.WriteBody over its shards.
@@ -144,12 +136,11 @@ func (b *idsBody) Results(e *checkpoint.Enc) {
 	}
 }
 
-// idsRestore is the engine's side of checkpoint.ReadBody: mk builds the
-// restored shards from the decoded config.
+// idsRestore is the engine's side of checkpoint.ReadBody: it builds
+// the restored engine across n shards from the decoded config.
 type idsRestore struct {
-	mk       func(Config) []*shard
-	shards   []*shard
-	coarsest netaddr6.AggLevel
+	n int
+	e *Engine
 }
 
 func (r *idsRestore) Config(d *checkpoint.Dec) ([]netaddr6.AggLevel, error) {
@@ -167,17 +158,16 @@ func (r *idsRestore) Config(d *checkpoint.Dec) ([]netaddr6.AggLevel, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	r.shards = r.mk(cfg)
-	// mk normalizes the config, which re-sorts levels; use the
+	r.e = NewSharded(cfg, r.n)
+	// NewSharded normalizes the config, which re-sorts levels; use the
 	// normalized levels so level sections resolve identically.
-	levels := r.shards[0].cfg.Levels
-	r.coarsest = dispatch.CoarsestLevel(levels)
-	return levels, nil
+	return r.e.cfg.Levels, nil
 }
 
-// Entry rebuilds one candidate into its deterministic shard.
+// Entry rebuilds one candidate into the shard the group routes its
+// records to.
 func (r *idsRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
-	lv := r.shards[dispatch.Partition(key.ToAddr(), r.coarsest, len(r.shards))].levels[li]
+	lv := r.e.g.Shards()[r.e.g.ShardFor(key)].levels[li]
 	var c candidate
 	c.packets = d.Uvarint()
 	c.first = d.Time()
@@ -213,13 +203,14 @@ func (r *idsRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
 
 func (r *idsRestore) Results(d *checkpoint.Dec) error {
 	now := d.Time()
-	for _, s := range r.shards {
+	shards := r.e.g.Shards()
+	for _, s := range shards {
 		s.now = now
 	}
-	r.shards[0].dropped.Store(d.Uvarint())
+	shards[0].dropped.Store(d.Uvarint())
 	n := d.Uvarint()
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		r.shards[0].alerts = append(r.shards[0].alerts, decodeAlert(d))
+		shards[0].alerts = append(shards[0].alerts, decodeAlert(d))
 	}
 	return nil
 }

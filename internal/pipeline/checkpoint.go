@@ -410,9 +410,12 @@ func LatestCheckpoint(dir string) (string, error) {
 // (Builder.ResumeFrom) and run into Sink.
 type Resumed struct {
 	// Sink is the restored terminal at any shard count: *ShardedSink
-	// for a detector checkpoint, *IDSSink for an IDS one. A detector
-	// restore, and an IDS restore above one shard, runs worker
-	// goroutines, so a caller that does not run the sink must Close it.
+	// for a detector checkpoint, *IDSSink for an IDS one. The restore
+	// starts the workers a new engine at that shard count starts (see
+	// dispatch.DetectorInline and IDSInline): always for a detector, above
+	// one shard for the IDS. A caller that does not run the sink must
+	// Close it; Close is idempotent, so closing a sink RunInto ran is
+	// harmless.
 	Sink RecordSink
 	// Kind is the snapshot kind (checkpoint.KindDetector or
 	// checkpoint.KindIDS).

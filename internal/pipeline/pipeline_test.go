@@ -275,7 +275,7 @@ func TestShardedSinkMatchesDetector(t *testing.T) {
 	if err := New(SliceSource(recs), NewDaySort(NewShardedSink(sharded))).Run(); err != nil {
 		t.Fatal(err)
 	}
-	ps, ss := plain.Scans(netaddr6.Agg64), sharded.Scans(netaddr6.Agg64)
+	ps, ss := plain.Scans(netaddr6.Agg64), sharded.Merged().Scans(netaddr6.Agg64)
 	if len(ps) != len(ss) || len(ps) == 0 {
 		t.Fatalf("scan counts differ: %d vs %d", len(ps), len(ss))
 	}

@@ -196,7 +196,7 @@ func (s *IDSSink) ConsumeBatch(recs []firewall.Record) error {
 	return nil
 }
 
-func (s *IDSSink) advance(t time.Time) error { s.E.Tick(t); return nil }
+func (s *IDSSink) advance(t time.Time) error { return s.E.Tick(t) }
 
 func (s *IDSSink) fired(t time.Time) error {
 	if s.hook == nil {
@@ -206,11 +206,11 @@ func (s *IDSSink) fired(t time.Time) error {
 }
 
 func (s *IDSSink) process(recs []firewall.Record) error {
-	if len(recs) > 0 {
-		s.E.ProcessBatch(recs)
-		s.lastSeen = recs[len(recs)-1].Time
+	if len(recs) == 0 {
+		return nil
 	}
-	return nil
+	s.lastSeen = recs[len(recs)-1].Time
+	return s.E.ProcessBatch(recs)
 }
 
 // Flush implements RecordSink, draining the engine exactly once (a
