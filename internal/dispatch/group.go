@@ -37,15 +37,19 @@ const (
 // invariant (see the package doc): it builds the shards, partitions
 // records onto them, forwards the horizon, synchronises reads with the
 // workers and stops them. The shards run on a Dispatcher's workers,
-// except a single shard the engine runs inline. Like the Dispatcher,
-// every method but QueueDepth must be called from one goroutine.
+// except a single shard the engine runs inline. An inline shard must
+// keep its own clock, expiring at max(horizon, its latest record): the
+// Group tracks the latest record time only for workers, and Advance
+// promises no such clock (the detector's keeps none). Like the
+// Dispatcher, every method but QueueDepth must be called from one
+// goroutine.
 type Group[S Shard] struct {
 	shards []S
 	level  netaddr6.AggLevel
 	disp   *Dispatcher // nil when the one shard runs inline
-	// lastSeen is the latest record time dispatched; Advance forwards
-	// max(now, lastSeen) so a shard that saw only early records still
-	// expires against the global clock.
+	// lastSeen is the latest record time dispatched to the workers
+	// (zero inline); Advance forwards max(now, lastSeen) so a shard that
+	// saw only early records still expires against the global clock.
 	lastSeen time.Time
 	closed   bool
 }
@@ -100,13 +104,13 @@ func (g *Group[S]) ProcessBatch(recs []firewall.Record) error {
 	if g.closed {
 		return ErrClosed
 	}
+	if g.disp == nil {
+		return g.shards[0].ProcessBatch(recs)
+	}
 	for i := range recs {
 		if recs[i].Time.After(g.lastSeen) {
 			g.lastSeen = recs[i].Time
 		}
-	}
-	if g.disp == nil {
-		return g.shards[0].ProcessBatch(recs)
 	}
 	return g.disp.ProcessBatch(recs)
 }
@@ -114,6 +118,8 @@ func (g *Group[S]) ProcessBatch(recs []firewall.Record) error {
 // Advance forwards the horizon max(now, latest record time) to every
 // shard, ordered after the records dispatched before it, so every
 // shard expires against the same clock and sees its records first.
+// Inline, the horizon is now and the shard's own clock covers its
+// records.
 func (g *Group[S]) Advance(now time.Time) error {
 	if g.closed {
 		return ErrClosed

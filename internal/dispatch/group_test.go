@@ -12,18 +12,32 @@ import (
 )
 
 // logShard records what a Group delivers to it: every record and every
-// horizon, in delivery order. fail, when set, is returned by every
-// ProcessBatch.
+// horizon, in delivery order. Like the IDS shard it keeps its own
+// clock, the latest of its records and horizons, and logs it at every
+// Advance. fail, when set, is returned by every ProcessBatch.
 type logShard struct {
 	recs     []firewall.Record
 	horizons []time.Time
+	clock    time.Time
+	clocks   []time.Time
 	fail     error
 }
 
-func (s *logShard) Advance(h time.Time) { s.horizons = append(s.horizons, h) }
+func (s *logShard) Advance(h time.Time) {
+	s.horizons = append(s.horizons, h)
+	if h.After(s.clock) {
+		s.clock = h
+	}
+	s.clocks = append(s.clocks, s.clock)
+}
 
 func (s *logShard) ProcessBatch(recs []firewall.Record) error {
 	s.recs = append(s.recs, recs...)
+	for _, r := range recs {
+		if r.Time.After(s.clock) {
+			s.clock = r.Time
+		}
+	}
 	return s.fail
 }
 
@@ -41,9 +55,11 @@ func newLogGroup(n int, inline bool) *Group[*logShard] {
 	return NewGroup(n, groupLevels, inline, func() *logShard { return new(logShard) })
 }
 
-// TestGroupHorizonNotBeforeLatestRecord checks that the horizon every
-// shard receives is max(now, latest dispatched record), even when that
-// record went to another shard or now lags it.
+// TestGroupHorizonNotBeforeLatestRecord checks that every shard
+// expires against max(now, latest dispatched record), even when that
+// record went to another shard or now lags it: workers receive that
+// horizon, and the one inline shard receives now and covers its
+// records with its own clock.
 func TestGroupHorizonNotBeforeLatestRecord(t *testing.T) {
 	for _, m := range groupModes {
 		t.Run(fmt.Sprintf("n=%d,inline=%v", m.n, m.inline), func(t *testing.T) {
@@ -52,7 +68,7 @@ func TestGroupHorizonNotBeforeLatestRecord(t *testing.T) {
 			recs := testRecords(3000, 1)
 			// Swap a late record to the front of each batch, so the
 			// latest record is not the last one dispatched.
-			var want []time.Time
+			var want, forwarded []time.Time
 			var latest time.Time
 			for i := 0; i < len(recs); i += 500 {
 				batch := recs[i : i+500]
@@ -68,6 +84,7 @@ func TestGroupHorizonNotBeforeLatestRecord(t *testing.T) {
 				if err := g.Advance(now); err != nil {
 					t.Fatal(err)
 				}
+				forwarded = append(forwarded, now)
 				if latest.After(now) {
 					now = latest
 				}
@@ -76,13 +93,29 @@ func TestGroupHorizonNotBeforeLatestRecord(t *testing.T) {
 			if err := g.Sync(); err != nil {
 				t.Fatal(err)
 			}
+			inline := m.n == 1 && m.inline
+			// A shard's clock never runs back: it reads the latest
+			// horizon so far.
+			clocks := append([]time.Time(nil), want...)
+			for k := 1; k < len(clocks); k++ {
+				if clocks[k-1].After(clocks[k]) {
+					clocks[k] = clocks[k-1]
+				}
+			}
 			for i, s := range g.Shards() {
 				if len(s.horizons) != len(want) {
 					t.Fatalf("shard %d got %d horizons, want %d", i, len(s.horizons), len(want))
 				}
 				for k, h := range s.horizons {
-					if !h.Equal(want[k]) {
-						t.Fatalf("shard %d horizon %d = %v, want %v", i, k, h, want[k])
+					wantH := want[k]
+					if inline {
+						wantH = forwarded[k]
+					}
+					if !h.Equal(wantH) {
+						t.Fatalf("shard %d horizon %d = %v, want %v", i, k, h, wantH)
+					}
+					if !s.clocks[k].Equal(clocks[k]) {
+						t.Fatalf("shard %d clock at horizon %d = %v, want %v", i, k, s.clocks[k], clocks[k])
 					}
 				}
 			}

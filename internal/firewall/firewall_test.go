@@ -145,25 +145,6 @@ func TestCollectPolicy(t *testing.T) {
 	}
 }
 
-func TestFromDecoded(t *testing.T) {
-	src, dst := netaddr6.MustAddr("2001:db8::1"), netaddr6.MustAddr("2001:db8::2")
-	frame, err := layers.BuildTCPSYN(src, dst, 1234, 22, layers.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d layers.Decoded
-	if err := layers.ParseFrame(frame, layers.LinkTypeRaw, &d); err != nil {
-		t.Fatal(err)
-	}
-	r := FromDecoded(t0, &d)
-	if r.Src != src || r.Dst != dst || r.Proto != layers.ProtoTCP || r.DstPort != 22 {
-		t.Errorf("record %+v", r)
-	}
-	if int(r.Length) != len(frame) {
-		t.Errorf("length %d, frame %d", r.Length, len(frame))
-	}
-}
-
 // --- artifact filter ---
 
 func TestArtifactFilterDropsSMTPRetries(t *testing.T) {

@@ -20,8 +20,8 @@ import (
 
 // Record is one unsolicited packet logged by a machine's firewall.
 // This is the schema every detector in this repository consumes; the
-// CDN pipeline produces it from decoded frames, the MAWI pipeline from
-// pcap records.
+// CDN pipeline reads it from binary logs, the MAWI pipeline from the
+// frames of pcap captures.
 type Record struct {
 	Time    time.Time
 	Src     netip.Addr
@@ -31,7 +31,10 @@ type Record struct {
 	DstPort uint16
 	// Length is the IPv6 payload length plus the 40-byte fixed header:
 	// the on-wire L3 packet size. The MAWI detector's packet-length
-	// entropy criterion consumes it.
+	// entropy criterion consumes it. A packet larger than 65535 bytes
+	// (a payload-length field of 65496 or more, as GRO/TSO host captures
+	// and truncated 64 KiB packets carry) reads 65535: the size
+	// saturates rather than wrapping.
 	Length uint16
 }
 
@@ -53,19 +56,6 @@ func (s Service) String() string {
 // Service returns the record's targeted service.
 func (r Record) Service() Service {
 	return Service{Proto: r.Proto, Port: r.DstPort}
-}
-
-// FromDecoded converts a parsed frame into a log record.
-func FromDecoded(ts time.Time, d *layers.Decoded) Record {
-	return Record{
-		Time:    ts,
-		Src:     d.IPv6.Src,
-		Dst:     d.IPv6.Dst,
-		Proto:   d.Transport,
-		SrcPort: d.SrcPort(),
-		DstPort: d.DstPort(),
-		Length:  d.IPv6.Length + 40,
-	}
 }
 
 // CollectPolicy is the CDN logging policy of Section 2.1.

@@ -1,57 +1,18 @@
-// Package layers implements zero-copy decoding and serialization for
-// the protocol stack the telescope and the MAWI vantage observe:
-// Ethernet, IPv6 (including hop-by-hop, destination-options, routing
-// and fragment extension headers), TCP, UDP, and ICMPv6.
+// Package layers is the frame codec of the pcap path: ParseFrame reads
+// the fields the detectors consume (addresses, transport protocol,
+// ports, payload length) out of an Ethernet or raw IPv6 frame, walking
+// the IPv6 extension-header chain, and the Build* functions write the
+// TCP SYN, UDP and ICMPv6 echo probes the MAWI simulator captures.
 //
-// The design follows the gopacket DecodingLayer idiom: each layer type
-// has a DecodeFromBytes method that parses into a preallocated struct
-// without copying payload bytes, and a SerializeTo method that prepends
-// its wire form onto a SerializeBuffer. Parsing a full frame with a
-// reused Decoded struct performs no per-packet allocations, which is
-// what lets the simulators push tens of millions of packets through the
-// detection pipeline in benchmarks.
+// ParseFrame copies what it reads into a flat Frame value and keeps no
+// reference to the input, so decoding a capture allocates nothing per
+// packet.
 package layers
 
 import (
 	"errors"
 	"fmt"
 )
-
-// LayerType identifies a protocol layer handled by this package.
-type LayerType int
-
-// Layer types.
-const (
-	LayerTypeEthernet LayerType = iota + 1
-	LayerTypeIPv6
-	LayerTypeIPv6Extension
-	LayerTypeTCP
-	LayerTypeUDP
-	LayerTypeICMPv6
-	LayerTypePayload
-)
-
-// String names the layer type.
-func (t LayerType) String() string {
-	switch t {
-	case LayerTypeEthernet:
-		return "Ethernet"
-	case LayerTypeIPv6:
-		return "IPv6"
-	case LayerTypeIPv6Extension:
-		return "IPv6Extension"
-	case LayerTypeTCP:
-		return "TCP"
-	case LayerTypeUDP:
-		return "UDP"
-	case LayerTypeICMPv6:
-		return "ICMPv6"
-	case LayerTypePayload:
-		return "Payload"
-	default:
-		return fmt.Sprintf("LayerType(%d)", int(t))
-	}
-}
 
 // IPProtocol is an IPv6 next-header / protocol number.
 type IPProtocol uint8
@@ -104,8 +65,19 @@ func (p IPProtocol) IsExtension() bool {
 	}
 }
 
-// Decoding errors. Callers (the firewall ingest path, the MAWI reader)
-// branch on these to count malformed packets without stopping.
+// LinkType identifies the outermost framing of captured packets,
+// matching the pcap link types the package reads and writes.
+type LinkType uint32
+
+// Link types supported by the capture pipeline.
+const (
+	LinkTypeEthernet LinkType = 1   // DLT_EN10MB
+	LinkTypeRaw      LinkType = 101 // DLT_RAW: bare IP packets (MAWI-style)
+	LinkTypeIPv6     LinkType = 229 // DLT_IPV6
+)
+
+// Decoding errors, one class per kind of malformed frame. PcapSource
+// counts and skips every frame ParseFrame rejects.
 var (
 	ErrTruncated     = errors.New("layers: packet truncated")
 	ErrNotIPv6       = errors.New("layers: not an IPv6 packet")
@@ -114,101 +86,14 @@ var (
 	ErrBadHeaderSize = errors.New("layers: invalid header size field")
 )
 
-// SerializeOptions controls serialization behaviour, mirroring
-// gopacket.SerializeOptions.
-type SerializeOptions struct {
-	// FixLengths recomputes length fields (IPv6 payload length, UDP
-	// length) from actual payload sizes.
-	FixLengths bool
-	// ComputeChecksums recomputes TCP/UDP/ICMPv6 checksums over the
-	// IPv6 pseudo-header.
-	ComputeChecksums bool
-}
-
-// SerializeBuffer accumulates a packet back to front: each layer
-// prepends its header in front of what is already present, so layers
-// serialize innermost-first (payload, TCP, IPv6, Ethernet), exactly as
-// in gopacket.
-type SerializeBuffer struct {
-	buf   []byte
-	start int
-}
-
-// NewSerializeBuffer returns a buffer with room to prepend
-// expectedPrepend bytes without copying.
-func NewSerializeBuffer(expectedPrepend int) *SerializeBuffer {
-	if expectedPrepend < 0 {
-		expectedPrepend = 0
-	}
-	return &SerializeBuffer{buf: make([]byte, expectedPrepend), start: expectedPrepend}
-}
-
-// Bytes returns the serialized packet so far. The slice is valid until
-// the next Prepend or Clear call.
-func (b *SerializeBuffer) Bytes() []byte { return b.buf[b.start:] }
-
-// Len returns the current packet length.
-func (b *SerializeBuffer) Len() int { return len(b.buf) - b.start }
-
-// Prepend makes room for n bytes in front of the current content and
-// returns that region for the caller to fill.
-func (b *SerializeBuffer) Prepend(n int) []byte {
-	if n <= b.start {
-		b.start -= n
-		return b.buf[b.start : b.start+n]
-	}
-	grow := n - b.start
-	if grow < 64 {
-		grow = 64
-	}
-	nb := make([]byte, grow+len(b.buf))
-	copy(nb[grow:], b.buf)
-	b.start += grow
-	b.buf = nb
-	b.start -= n
-	return b.buf[b.start : b.start+n]
-}
-
-// Append adds n bytes after the current content and returns the region.
-// Used for payloads.
-func (b *SerializeBuffer) Append(n int) []byte {
-	old := len(b.buf)
-	b.buf = append(b.buf, make([]byte, n)...)
-	return b.buf[old:]
-}
-
-// Clear empties the buffer, retaining capacity for reuse.
-func (b *SerializeBuffer) Clear() {
-	b.start = len(b.buf)
-}
-
-// SerializableLayer is implemented by layers that can write themselves
-// onto a SerializeBuffer.
-type SerializableLayer interface {
-	SerializeTo(b *SerializeBuffer, opts SerializeOptions) error
-	LayerType() LayerType
-}
-
-// SerializeLayers clears b and serializes the given layers so they wrap
-// each other: the first argument becomes the outermost header.
-func SerializeLayers(b *SerializeBuffer, opts SerializeOptions, ls ...SerializableLayer) error {
-	b.Clear()
-	for i := len(ls) - 1; i >= 0; i-- {
-		if err := ls[i].SerializeTo(b, opts); err != nil {
-			return fmt.Errorf("serializing %v: %w", ls[i].LayerType(), err)
-		}
-	}
-	return nil
-}
-
-// Payload is a raw application payload used as the innermost layer.
-type Payload []byte
-
-// LayerType implements SerializableLayer.
-func (Payload) LayerType() LayerType { return LayerTypePayload }
-
-// SerializeTo implements SerializableLayer.
-func (p Payload) SerializeTo(b *SerializeBuffer, _ SerializeOptions) error {
-	copy(b.Prepend(len(p)), p)
-	return nil
-}
+// Header sizes on the wire.
+const (
+	ethernetHeaderLen = 14
+	ipv6HeaderLen     = 40
+	tcpHeaderLen      = 20 // without options
+	udpHeaderLen      = 8
+	icmpv6HeaderLen   = 4
+	etherTypeIPv6     = 0x86DD
+	icmpv6EchoRequest = 128
+	icmpv6EchoReply   = 129
+)

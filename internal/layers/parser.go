@@ -1,20 +1,11 @@
 package layers
 
 import (
+	"encoding/binary"
 	"fmt"
+	"net/netip"
 
 	"v6scan/internal/netaddr6"
-)
-
-// LinkType identifies the outermost framing of captured packets,
-// matching the pcap link types the package reads and writes.
-type LinkType uint32
-
-// Link types supported by the capture pipeline.
-const (
-	LinkTypeEthernet LinkType = 1   // DLT_EN10MB
-	LinkTypeRaw      LinkType = 101 // DLT_RAW: bare IP packets (MAWI-style)
-	LinkTypeIPv6     LinkType = 229 // DLT_IPV6
 )
 
 // maxExtensionHeaders bounds the extension chain walk; RFC-conforming
@@ -22,121 +13,100 @@ const (
 // vector.
 const maxExtensionHeaders = 8
 
-// Decoded holds the result of parsing one frame. A single Decoded can
-// be reused across packets (the DecodingLayerParser idiom): all slices
-// alias the input buffer and no memory is retained between calls.
-type Decoded struct {
-	HasEthernet bool
-	Ethernet    Ethernet
-	IPv6        IPv6
-	// Extensions holds the decoded extension chain, length NumExtensions.
-	Extensions    [maxExtensionHeaders]Extension
-	NumExtensions int
-	// Transport identifies which transport layer (if any) was decoded:
-	// ProtoTCP, ProtoUDP, ProtoICMPv6, or anything else for "none".
-	Transport IPProtocol
-	TCP       TCP
-	UDP       UDP
-	ICMPv6    ICMPv6
+// Frame is what ParseFrame reads out of one frame. It holds no pointers
+// and shares no bytes with the input.
+type Frame struct {
+	Src, Dst [16]byte
+	// Proto is the protocol after the extension chain: TCP, UDP,
+	// ICMPv6, or any other number, which is not an error.
+	Proto            IPProtocol
+	SrcPort, DstPort uint16 // 0 unless Proto is TCP or UDP
+	// PayloadLen is the IPv6 payload-length field: the packet's size
+	// after the 40-byte fixed header, whatever the capture kept of it.
+	PayloadLen uint16
 }
 
-// SrcPort returns the transport source port, or 0 for ICMPv6/none.
-func (d *Decoded) SrcPort() uint16 {
-	switch d.Transport {
-	case ProtoTCP:
-		return d.TCP.SrcPort
-	case ProtoUDP:
-		return d.UDP.SrcPort
-	default:
-		return 0
-	}
-}
-
-// DstPort returns the transport destination port, or 0 for ICMPv6/none.
-func (d *Decoded) DstPort() uint16 {
-	switch d.Transport {
-	case ProtoTCP:
-		return d.TCP.DstPort
-	case ProtoUDP:
-		return d.UDP.DstPort
-	default:
-		return 0
-	}
-}
-
-// ParseFrame decodes a frame of the given link type into d. It returns
-// an error for truncated or non-IPv6 packets, including an IPv6 header
-// with an IPv4-mapped source or destination (ErrNotIPv6); telescope
-// ingest counts and skips these. Unknown transport protocols are not
-// an error: the IPv6 layer is valid and Transport records the protocol
-// number.
-func ParseFrame(data []byte, link LinkType, d *Decoded) error {
-	d.HasEthernet = false
-	d.NumExtensions = 0
-	d.Transport = ProtoNoNext
-
-	ip := data
+// ParseFrame decodes a frame of the given link type. It rejects
+// truncated and non-IPv6 frames, including an IPv6 header with an
+// IPv4-mapped source or destination (ErrNotIPv6), an extension chain
+// longer than eight headers (ErrChainTooLong), and a TCP data offset or
+// UDP length field that does not fit the packet (ErrBadHeaderSize).
+// Bytes past the payload-length field (Ethernet padding) are ignored.
+func ParseFrame(data []byte, link LinkType) (Frame, error) {
 	switch link {
 	case LinkTypeEthernet:
-		if err := d.Ethernet.DecodeFromBytes(data); err != nil {
-			return err
+		if len(data) < ethernetHeaderLen {
+			return Frame{}, fmt.Errorf("ethernet header: %w", ErrTruncated)
 		}
-		d.HasEthernet = true
-		if d.Ethernet.EtherType != EtherTypeIPv6 {
-			return fmt.Errorf("ethertype %#04x: %w", uint16(d.Ethernet.EtherType), ErrNotIPv6)
+		if et := binary.BigEndian.Uint16(data[12:14]); et != etherTypeIPv6 {
+			return Frame{}, fmt.Errorf("ethertype %#04x: %w", et, ErrNotIPv6)
 		}
-		ip = d.Ethernet.Payload()
+		data = data[ethernetHeaderLen:]
 	case LinkTypeRaw, LinkTypeIPv6:
 		// bare IP
 	default:
-		return fmt.Errorf("link type %d: %w", link, ErrUnknownNext)
+		return Frame{}, fmt.Errorf("link type %d: %w", link, ErrUnknownNext)
 	}
 
-	if err := d.IPv6.DecodeFromBytes(ip); err != nil {
-		return err
+	if len(data) < ipv6HeaderLen {
+		return Frame{}, fmt.Errorf("ipv6 header: %w", ErrTruncated)
 	}
-	if !netaddr6.IsIPv6(d.IPv6.Src) || !netaddr6.IsIPv6(d.IPv6.Dst) {
-		return fmt.Errorf("ipv4-mapped address %v → %v: %w", d.IPv6.Src, d.IPv6.Dst, ErrNotIPv6)
+	if v := data[0] >> 4; v != 6 {
+		return Frame{}, fmt.Errorf("version %d: %w", v, ErrNotIPv6)
 	}
-	next := d.IPv6.NextHeader
-	rest := d.IPv6.Payload()
-	// Respect the payload length field when the capture includes
-	// trailing bytes (Ethernet padding).
-	if int(d.IPv6.Length) < len(rest) {
-		rest = rest[:d.IPv6.Length]
+	f := Frame{Src: [16]byte(data[8:24]), Dst: [16]byte(data[24:40]), PayloadLen: binary.BigEndian.Uint16(data[4:6])}
+	if src, dst := netip.AddrFrom16(f.Src), netip.AddrFrom16(f.Dst); !netaddr6.IsIPv6(src) || !netaddr6.IsIPv6(dst) {
+		return Frame{}, fmt.Errorf("ipv4-mapped address %v → %v: %w", src, dst, ErrNotIPv6)
 	}
+	next := IPProtocol(data[6])
+	rest := data[ipv6HeaderLen:]
+	rest = rest[:min(len(rest), int(f.PayloadLen))]
 
-	for next.IsExtension() {
-		if d.NumExtensions >= maxExtensionHeaders {
-			return ErrChainTooLong
+	for n := 0; next.IsExtension(); n++ {
+		if n == maxExtensionHeaders {
+			return Frame{}, ErrChainTooLong
 		}
-		ext := &d.Extensions[d.NumExtensions]
-		if err := ext.DecodeFromBytes(next, rest); err != nil {
-			return err
+		if len(rest) < 8 {
+			return Frame{}, fmt.Errorf("extension header %v: %w", next, ErrTruncated)
 		}
-		d.NumExtensions++
-		next = ext.NextHeader
-		rest = ext.Payload()
+		size := 8 // a fragment header has no length field
+		if next != ProtoFragment {
+			size = int(rest[1])*8 + 8
+		}
+		if size > len(rest) {
+			return Frame{}, fmt.Errorf("extension header %v size %d: %w", next, size, ErrTruncated)
+		}
+		next, rest = IPProtocol(rest[0]), rest[size:]
 	}
 
+	f.Proto = next
 	switch next {
 	case ProtoTCP:
-		if err := d.TCP.DecodeFromBytes(rest); err != nil {
-			return err
+		if len(rest) < tcpHeaderLen {
+			return Frame{}, fmt.Errorf("tcp header: %w", ErrTruncated)
 		}
-		d.Transport = ProtoTCP
+		if off := rest[12] >> 4; int(off)*4 < tcpHeaderLen || int(off)*4 > len(rest) {
+			return Frame{}, fmt.Errorf("tcp data offset %d: %w", off, ErrBadHeaderSize)
+		}
 	case ProtoUDP:
-		if err := d.UDP.DecodeFromBytes(rest); err != nil {
-			return err
+		if len(rest) < udpHeaderLen {
+			return Frame{}, fmt.Errorf("udp header: %w", ErrTruncated)
 		}
-		d.Transport = ProtoUDP
+		if n := binary.BigEndian.Uint16(rest[4:6]); n < udpHeaderLen || int(n) > len(rest) {
+			return Frame{}, fmt.Errorf("udp length %d: %w", n, ErrBadHeaderSize)
+		}
 	case ProtoICMPv6:
-		if err := d.ICMPv6.DecodeFromBytes(rest); err != nil {
-			return err
+		if len(rest) < icmpv6HeaderLen {
+			return Frame{}, fmt.Errorf("icmpv6 header: %w", ErrTruncated)
 		}
-		d.Transport = ProtoICMPv6
+		if t := rest[0]; (t == icmpv6EchoRequest || t == icmpv6EchoReply) && len(rest) < icmpv6HeaderLen+4 {
+			return Frame{}, fmt.Errorf("icmpv6 echo body: %w", ErrTruncated)
+		}
+		return f, nil
 	default:
-		d.Transport = next
+		return f, nil
 	}
-	return nil
+	f.SrcPort = binary.BigEndian.Uint16(rest[0:2])
+	f.DstPort = binary.BigEndian.Uint16(rest[2:4])
+	return f, nil
 }

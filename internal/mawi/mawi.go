@@ -17,9 +17,10 @@
 //   - regular bidirectional traffic (talkative, variable length) that
 //     the detector must reject.
 //
-// Days are emitted as record slices and can round-trip through
-// internal/pcap as LINKTYPE_RAW captures, exercising the same decode
-// path a real MAWI consumer would use.
+// Days are emitted as record slices. WritePcapDay writes a day as a
+// LINKTYPE_RAW capture of real probe frames (TCP SYN, UDP, ICMPv6
+// echo, built by the layers package), which pipeline.PcapSource reads
+// back through the same decode path a real MAWI capture takes.
 package mawi
 
 import (

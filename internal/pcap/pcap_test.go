@@ -240,7 +240,6 @@ func TestPcapToParserPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d layers.Decoded
 	n := 0
 	for {
 		p, err := r.Next()
@@ -250,11 +249,12 @@ func TestPcapToParserPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := layers.ParseFrame(p.Data, r.Header().LinkType, &d); err != nil {
+		f, err := layers.ParseFrame(p.Data, r.Header().LinkType)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Transport != layers.ProtoTCP || d.TCP.DstPort != uint16(22+n) {
-			t.Errorf("packet %d: %v/%d", n, d.Transport, d.TCP.DstPort)
+		if f.Proto != layers.ProtoTCP || f.DstPort != uint16(22+n) {
+			t.Errorf("packet %d: %v/%d", n, f.Proto, f.DstPort)
 		}
 		n++
 	}

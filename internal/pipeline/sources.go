@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"io"
+	"math"
+	"net/netip"
 
 	"v6scan/internal/dispatch"
 	"v6scan/internal/firewall"
@@ -79,13 +81,14 @@ func (s *LogSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) e
 	}
 }
 
-// PcapSource streams decoded IPv6 frames from a classic pcap capture
-// (Ethernet or raw IPv6 link types), skipping undecodable packets.
-// It is the one pcap decoder in the tree. Captures are normally
-// time-ordered; callers chain a WindowSort stage to repair disorder —
-// in flight for bounded disorder (interface-timestamp jitter), or with
-// a window longer than the capture for disorder of any size, as
-// cmd/v6scan's -window does.
+// PcapSource streams the records of a classic pcap capture (Ethernet
+// or raw IPv6 link types): layers.ParseFrame reads each frame's
+// addresses, transport protocol, ports and payload length, and frames
+// it rejects are counted and skipped. It is the one pcap decoder in
+// the tree. Captures are normally time-ordered; callers chain a
+// WindowSort stage to repair disorder — in flight for bounded disorder
+// (interface-timestamp jitter), or with a window longer than the
+// capture for disorder of any size, as cmd/v6scan's -window does.
 type PcapSource struct {
 	r       io.Reader
 	skipped int
@@ -106,7 +109,6 @@ func (s *PcapSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) 
 	if err != nil {
 		return err
 	}
-	var d layers.Decoded
 	buf := dispatch.GetBatch(batchSize)
 	defer dispatch.PutBatch(buf)
 	for {
@@ -120,11 +122,21 @@ func (s *PcapSource) EmitBatch(batchSize int, emit func(recs []firewall.Record) 
 		if err != nil {
 			return err
 		}
-		if perr := layers.ParseFrame(p.Data, pr.Header().LinkType, &d); perr != nil {
+		f, perr := layers.ParseFrame(p.Data, pr.Header().LinkType)
+		if perr != nil {
 			s.skipped++
 			continue
 		}
-		*buf = append(*buf, firewall.FromDecoded(p.Timestamp, &d))
+		*buf = append(*buf, firewall.Record{
+			Time:    p.Timestamp,
+			Src:     netip.AddrFrom16(f.Src),
+			Dst:     netip.AddrFrom16(f.Dst),
+			Proto:   f.Proto,
+			SrcPort: f.SrcPort,
+			DstPort: f.DstPort,
+			// The L3 size saturates (see firewall.Record.Length).
+			Length: uint16(min(int(f.PayloadLen)+40, math.MaxUint16)),
+		})
 		if len(*buf) == batchSize {
 			if err := emit(*buf); err != nil {
 				return err

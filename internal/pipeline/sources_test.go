@@ -71,6 +71,72 @@ func TestPcapSkippedAfterEmitBatch(t *testing.T) {
 	}
 }
 
+// TestPcapRecordFields pins how PcapSource turns a frame into a
+// record: addresses, protocol and ports from the frame, and Length the
+// L3 size — the payload-length field plus 40 — saturating at 65535 for
+// a field of 65496 or more instead of wrapping (a 65535 field once read
+// as 39).
+func TestPcapRecordFields(t *testing.T) {
+	src, dst := netaddr6.MustAddr("2001:db8::1"), netaddr6.MustAddr("2001:db8::2")
+	t0 := time.Date(2021, 12, 24, 5, 0, 0, 0, time.UTC)
+	tcp := func(payloadLenField int) []byte {
+		frame, err := layers.BuildTCPSYN(src, dst, 1234, 22, layers.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payloadLenField >= 0 { // what a snaplen-truncated capture of a larger packet holds
+			frame[4], frame[5] = byte(payloadLenField>>8), byte(payloadLenField)
+		}
+		return frame
+	}
+	udp, err := layers.BuildUDPProbe(src, dst, 5353, 500, layers.BuildOptions{PayloadLen: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo, err := layers.BuildICMPv6Echo(src, dst, 7, 3, layers.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		frame []byte
+		want  firewall.Record
+	}{
+		{tcp(-1), firewall.Record{Proto: layers.ProtoTCP, SrcPort: 1234, DstPort: 22, Length: 60}},
+		{udp, firewall.Record{Proto: layers.ProtoUDP, SrcPort: 5353, DstPort: 500, Length: 64}},
+		{echo, firewall.Record{Proto: layers.ProtoICMPv6, Length: 48}},
+		{tcp(65495), firewall.Record{Proto: layers.ProtoTCP, SrcPort: 1234, DstPort: 22, Length: 65535}},
+		{tcp(65496), firewall.Record{Proto: layers.ProtoTCP, SrcPort: 1234, DstPort: 22, Length: 65535}},
+		{tcp(65535), firewall.Record{Proto: layers.ProtoTCP, SrcPort: 1234, DstPort: 22, Length: 65535}},
+	}
+	var capture bytes.Buffer
+	pw := pcap.NewWriter(&capture, pcap.WriterOptions{LinkType: layers.LinkTypeRaw, Nanosecond: true})
+	for i, c := range cases {
+		if err := pw.WritePacket(t0.Add(time.Duration(i)*time.Second), c.frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var got []firewall.Record
+	if err := NewPcapSource(&capture).EmitBatch(0, func(recs []firewall.Record) error {
+		got = append(got, recs...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(cases) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(cases))
+	}
+	for i, c := range cases {
+		want := c.want
+		want.Time, want.Src, want.Dst = t0.Add(time.Duration(i)*time.Second), src, dst
+		if got[i] != want {
+			t.Errorf("frame %d: record %+v, want %+v", i, got[i], want)
+		}
+	}
+}
+
 // TestSourcesNonPositiveBatchSize: every source — and the SourceFunc
 // edge adapter — reads a non-positive batch size as DefaultBatchSize:
 // it terminates and emits what it emits at DefaultBatchSize, in

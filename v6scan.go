@@ -21,8 +21,10 @@
 //   - the CDN firewall-log record schema, binary codec, collection
 //     policy and 5-duplicate artifact filter: Record, ReadLog,
 //     WriteLog, NewArtifactFilter;
-//   - packet decoding and classic pcap I/O for feeding captures into
-//     detection: NewPcapSource (order it with the builder's WindowSort);
+//   - classic pcap captures as a record source: NewPcapSource reads
+//     each Ethernet or raw IPv6 frame's addresses, protocol, ports and
+//     length, skipping frames it cannot decode (order it with the
+//     builder's WindowSort);
 //   - simulation of the paper's two vantage points and its scan-actor
 //     census, for experimentation and regression of the published
 //     results: RunCDNExperiment, NewMAWISimulator;
@@ -262,8 +264,8 @@ type (
 	// MergeSource k-way merges time-ordered sources (one per day-file)
 	// into one time-ordered stream.
 	MergeSource = pipeline.MergeSource
-	// PcapSource streams decoded IPv6 frames from a classic pcap
-	// capture.
+	// PcapSource streams the records of a classic pcap capture, one
+	// per decodable IPv6 frame.
 	PcapSource = pipeline.PcapSource
 	// PipelineCounter counts records passing through a chain.
 	PipelineCounter = pipeline.Counter
