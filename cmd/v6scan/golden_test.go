@@ -168,6 +168,18 @@ func TestGoldenDetect(t *testing.T) {
 	}
 }
 
+// TestGoldenCPUProfile: -cpuprofile writes a non-empty profile and
+// leaves stdout byte-identical to the golden.
+func TestGoldenCPUProfile(t *testing.T) {
+	log := fixturePath(t)
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	got := runGolden(t, "-i", log, "-filter", "-shards", "1", "-cpuprofile", prof)
+	goldenCompare(t, filepath.Join("testdata", "golden_detect.txt"), got)
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile %s: %v, %v", prof, fi, err)
+	}
+}
+
 // TestGoldenIDS pins `v6scan -ids` output (minute-cadence ticks) and
 // its shard invariance at 1 and 4 shards.
 func TestGoldenIDS(t *testing.T) {

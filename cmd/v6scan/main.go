@@ -53,6 +53,7 @@
 //	v6scan -decode-workers 4 telescope.log   # bounded decode parallelism
 //	v6scan -checkpoint-dir ck day*.log       # snapshot hourly
 //	v6scan -checkpoint-dir ck -resume day*.log  # pick up after a crash
+//	v6scan -cpuprofile cpu.prof telescope.log   # profile the run
 package main
 
 import (
@@ -64,6 +65,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -95,7 +97,7 @@ func main() {
 // run is the whole command behind a testable seam: flags in, report on
 // stdout, diagnostics on stderr (the golden end-to-end tests drive it
 // directly and pin stdout byte for byte).
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (runErr error) {
 	fs := flag.NewFlagSet("v6scan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -114,6 +116,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ckptEv   = fs.Duration("checkpoint-every", time.Hour, "stream-time cadence between checkpoints (needs -checkpoint-dir)")
 		resume   = fs.Bool("resume", false, "restore the latest checkpoint in -checkpoint-dir and skip the already-processed input prefix")
 		publish  = fs.Int("publish", 0, "distributed demonstration: split the input log across N publisher pipelines feeding one aggregator over an in-process event bus (output is identical to the direct run; needs a single binary log input)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -129,6 +132,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stderr, "v6scan: missing input (-i file, or log files as arguments)")
 		fs.Usage()
 		return errUsage
+	}
+	if *cpuProf != "" {
+		stop, err := startCPUProfile(*cpuProf)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if perr := stop(); runErr == nil {
+				runErr = perr
+			}
+		}()
 	}
 
 	cfg := v6scan.DefaultDetectorConfig()
@@ -239,6 +253,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 		reportSkipped()
 	}
 	return err
+}
+
+// startCPUProfile starts profiling the process's CPU into path; stop
+// ends the profile and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // publishTopics is the per-publisher topic fan-out of -publish: each

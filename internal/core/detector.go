@@ -26,18 +26,18 @@
 // destination/source sets are u128idx.Set values with an inline
 // sorted-array fast path (cutoff u128idx.SmallSetSpill = 16) before
 // spilling to an index. Sessions additionally keep their very first
-// destination/source/service/week inline and materialize set or map
-// state only on the second distinct value, because at fine aggregation
-// levels most sessions close after a handful of packets.
+// destination and source inline and materialize a set only on the
+// second distinct value, because at fine aggregation levels most
+// sessions close after a handful of packets.
 //
-// inlineMapHint below sizes the remaining maps (ports by service,
-// packets by week) at materialization. Re-tuned against the u128idx
-// port: these maps are keyed by small scalar types where the builtin
-// map is already cheap, and a session that outgrows the single-value
-// fast path usually keeps accumulating, so a 16-entry hint (enough
-// buckets for ~26 entries growth-free) remains the measured sweet spot
-// — 8 costs an extra growth step on scan-heavy sessions, 32 doubles
-// the footprint of the (common) two-service sessions for no time win.
+// Packets per service and per week are counted by keyCounts, one
+// counter over packed uint32 keys whose arrays hold no pointers: up to
+// countsInline = 16 keys in a sorted array inside the session, an
+// open-addressed table past that. Sessions touching more than 16
+// services or weeks are the port-sweeping few, so the common session
+// counts with a short scan of one array and no hashing, and no session
+// holds a Go map. Scan results get their Ports and WeekPackets maps at
+// emit only.
 package core
 
 import (
@@ -122,46 +122,35 @@ func (s *Scan) NumPorts() int { return len(s.Ports) }
 // inline sorted-array fast path — rather than netip.Addr maps: the
 // detector's working set is dominated by these sets, and flat value
 // storage keeps the garbage collector from tracing millions of
-// interned-zone pointers on every cycle.
+// interned-zone pointers on every cycle. Ports and weeks are keyCounts
+// over svcKey and weekKey keys, for the same reason and to spare the
+// per-packet map hashing.
 //
-// Sessions additionally hold their first destination, source, service
-// and week inline and materialize the sets/maps only on the second
-// distinct value: at fine aggregation levels the overwhelming majority
-// of sessions are short-lived background sources that close below the
-// threshold, and the fast path spares the set/map work entirely.
+// Sessions additionally hold their first destination and source inline
+// and materialize the sets only on the second distinct value: at fine
+// aggregation levels the overwhelming majority of sessions are
+// short-lived background sources that close below the threshold, and
+// the fast path spares the set work entirely.
 //
 // Sessions themselves are the values of a per-level u128idx.Table,
 // whose handles are reused when sessions close: the detector's
 // steady-state ingest otherwise allocates one session per source per
 // level, which dominates the allocation rate on million-record days.
 // The table also holds each session's source key and last activity. A
-// closed session keeps its emptied sets and maps (reset), so the
+// closed session keeps its emptied sets and counters (reset), so the
 // "materialized" state is Len() > 0, not non-nil.
 type session struct {
 	start   time.Time
 	packets uint64
 
 	firstDst, firstSrc netaddr6.U128
-	firstSvc           firewall.Service
-	svcN               uint64
-	firstWeek          int32
-	weekN              uint64
 
 	dsts       u128idx.Set
 	srcs       u128idx.Set
-	ports      map[firewall.Service]uint64
-	weeks      map[int]uint64
+	ports      keyCounts // by svcKey
+	weeks      keyCounts // by weekKey; empty when weekly tracking is off
 	lenCounter entropy.Counter
 }
-
-// inlineMapHint pre-sizes the session ports/weeks maps at
-// materialization (the U128 address sets use u128idx.Set with its own
-// SmallSetSpill cutoff; see the package doc). A session that outgrows
-// the inline single-value fast path usually keeps accumulating, and Go
-// map growth allocates on every doubling: a 16-entry hint starts at
-// enough buckets to absorb ~26 entries growth-free for a few hundred
-// extra bytes on the (rare) two-entry sessions.
-const inlineMapHint = 16
 
 func (s *session) addDst(d netaddr6.U128) {
 	if s.dsts.Len() == 0 {
@@ -183,34 +172,6 @@ func (s *session) addSrc(a netaddr6.U128) {
 	s.srcs.Add(a)
 }
 
-func (s *session) addSvc(svc firewall.Service) {
-	if len(s.ports) == 0 {
-		if svc == s.firstSvc {
-			s.svcN++
-			return
-		}
-		if s.ports == nil {
-			s.ports = make(map[firewall.Service]uint64, inlineMapHint)
-		}
-		s.ports[s.firstSvc] = s.svcN
-	}
-	s.ports[svc]++
-}
-
-func (s *session) addWeek(w int) {
-	if len(s.weeks) == 0 {
-		if int32(w) == s.firstWeek {
-			s.weekN++
-			return
-		}
-		if s.weeks == nil {
-			s.weeks = make(map[int]uint64, inlineMapHint)
-		}
-		s.weeks[int(s.firstWeek)] = s.weekN
-	}
-	s.weeks[w]++
-}
-
 func (s *session) numDsts() int {
 	if n := s.dsts.Len(); n > 0 {
 		return n
@@ -226,15 +187,16 @@ func (s *session) numSrcs() int {
 }
 
 // reset empties a closed session for its handle's next use, keeping
-// its sets and maps (transferred maps must be nil'd by the caller
-// first), so reopened sessions skip re-materialization.
+// its sets' and counters' storage, so reopened sessions skip
+// re-materialization.
 func (s *session) reset() {
+	s.start, s.packets = time.Time{}, 0
+	s.firstDst, s.firstSrc = netaddr6.U128{}, netaddr6.U128{}
 	s.dsts.Reset()
 	s.srcs.Reset()
-	clear(s.ports)
-	clear(s.weeks)
+	s.ports.reset()
+	s.weeks.reset()
 	s.lenCounter.Reset()
-	*s = session{dsts: s.dsts, srcs: s.srcs, ports: s.ports, weeks: s.weeks, lenCounter: s.lenCounter}
 }
 
 // levelState tracks all sessions at one aggregation level, keyed by
@@ -260,12 +222,13 @@ type Detector struct {
 	strict   bool
 
 	// Per-batch scratch: ProcessBatch converts each record's
-	// time/destination/service/week once up front, then replays them
-	// across all levels, so the per-level loop touches only flat arrays.
+	// time/destination/service/week once up front (the last two as
+	// keyCounts keys), then replays them across all levels, so the
+	// per-level loop touches only flat arrays.
 	scrAt   []int64
 	scrDst  []netaddr6.U128
-	scrSvc  []firewall.Service
-	scrWeek []int32
+	scrSvc  []uint32
+	scrWeek []uint32
 	// dstOut is the canonical-order scratch for TrackDsts emission.
 	dstOut []netaddr6.U128
 	// one backs the Process single-record wrapper.
@@ -348,9 +311,9 @@ func (d *Detector) ingestRun(rs []firewall.Record) {
 	for _, r := range rs {
 		d.scrAt = append(d.scrAt, checkpoint.EncodeTime(r.Time))
 		d.scrDst = append(d.scrDst, netaddr6.ToU128(r.Dst))
-		d.scrSvc = append(d.scrSvc, r.Service())
+		d.scrSvc = append(d.scrSvc, svcKey(r.Service()))
 		if weekly {
-			d.scrWeek = append(d.scrWeek, int32(weekIndex(d.cfg.WeekEpoch, r.Time)))
+			d.scrWeek = append(d.scrWeek, weekKey(int32(weekIndex(d.cfg.WeekEpoch, r.Time))))
 		}
 	}
 	src := netaddr6.ToU128(rs[0].Src)
@@ -365,25 +328,20 @@ func (d *Detector) ingestRun(rs []firewall.Record) {
 				open = false
 			}
 			ls.tab.Touch(h, at)
-			if !open {
+			if open {
+				s.addDst(d.scrDst[k])
+				s.addSrc(src)
+			} else {
 				open = true
-				s.start, s.packets = r.Time, 1
+				s.start = r.Time
 				s.firstDst, s.firstSrc = d.scrDst[k], src
-				s.firstSvc, s.svcN = d.scrSvc[k], 1
-				if weekly {
-					s.firstWeek, s.weekN = d.scrWeek[k], 1
-				}
-				s.lenCounter.Observe(uint64(r.Length))
-				continue
 			}
 			s.packets++
-			s.addDst(d.scrDst[k])
-			s.addSrc(src)
-			s.addSvc(d.scrSvc[k])
-			s.lenCounter.Observe(uint64(r.Length))
+			s.ports.add(d.scrSvc[k], 1)
 			if weekly {
-				s.addWeek(int(d.scrWeek[k]))
+				s.weeks.add(d.scrWeek[k], 1)
 			}
+			s.lenCounter.Observe(uint64(r.Length))
 		}
 	}
 }
@@ -421,24 +379,14 @@ func (d *Detector) emitOrDrop(ls *levelState, h uint32) {
 		ls.dropped++
 		return
 	}
-	// Qualifying sessions are the rare case. The Scan takes ownership
-	// of the materialized ports/weeks maps (nil'd here so reset does
-	// not hand them to the next session); inline fast-path state gets
-	// fresh maps.
-	ports := s.ports
-	if len(ports) == 0 {
-		ports = map[firewall.Service]uint64{s.firstSvc: s.svcN}
-	} else {
-		s.ports = nil
-	}
-	weeks := s.weeks
-	if len(weeks) == 0 {
-		weeks = nil
-		if s.weekN > 0 {
-			weeks = map[int]uint64{int(s.firstWeek): s.weekN}
-		}
-	} else {
-		s.weeks = nil
+	// Qualifying sessions are the rare case, and the only place the
+	// counters become maps.
+	ports := make(map[firewall.Service]uint64, s.ports.len())
+	s.ports.each(func(k uint32, n uint64) { ports[keyService(k)] = n })
+	var weeks map[int]uint64
+	if s.weeks.len() > 0 {
+		weeks = make(map[int]uint64, s.weeks.len())
+		s.weeks.each(func(k uint32, n uint64) { weeks[keyWeek(k)] = n })
 	}
 	scan := Scan{
 		Source:      netip.PrefixFrom(ls.tab.Key(h).ToAddr(), int(ls.level)),

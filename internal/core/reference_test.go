@@ -233,8 +233,11 @@ func detTapeSrc(b byte) netip.Addr {
 // (bit 3, a week boundary 30 s into the tape); the rest is a sequence of
 // ops:
 //
-//	0–3 src, b: a record from detTapeSrc(src) whose service and length
-//	            come from src's top three bits, to one of 32
+//	0–3 src, b: a record from detTapeSrc(src) whose protocol and
+//	            length come from src's top bits and whose port from
+//	            src's top two bits plus four times the op byte's top
+//	            five (up to 256 services per source, past the
+//	            counters' 16-key spill), to one of 32
 //	            destinations (b's low five bits), stepping time by
 //	            detTapeSteps[b>>5] — equal, forward, exactly Timeout,
 //	            Timeout+1ns, three days (a new week), or 1ns back (an
@@ -330,6 +333,7 @@ func runDetectorTape(t *testing.T, tape []byte) {
 			if i+2 >= len(tape) {
 				break
 			}
+			port := 22 + 4*uint16(tape[i]>>3)
 			src, b := tape[i+1], tape[i+2]
 			i += 2
 			clock = clock.Add(steps[b>>5])
@@ -338,7 +342,7 @@ func runDetectorTape(t *testing.T, tape []byte) {
 				Src:     detTapeSrc(src),
 				Dst:     netaddr6.WithIID(netaddr6.MustAddr("2001:db8:f::"), uint64(b&31)),
 				Proto:   []layers.IPProtocol{layers.ProtoTCP, layers.ProtoUDP}[src>>5&1],
-				DstPort: 22 + uint16(src>>6),
+				DstPort: port + uint16(src>>6),
 				Length:  60 + uint16(src>>7),
 			})
 			continue
@@ -434,8 +438,11 @@ func runDetectorTape(t *testing.T, tape []byte) {
 }
 
 // FuzzDetector is the differential check of the optimized detector
-// (run grouping, handle arena, inline first values, sets that spill,
-// sharding, snapshot/restore) against the naive reference.
+// (run grouping, handle arena, inline first values, sets and counters
+// that spill, sharding, snapshot/restore) against the naive reference.
+// The committed corpus adds testdata/fuzz/FuzzDetector: one source
+// touching 44 services across a week boundary, snapshotted while its
+// port counter is spilled.
 func FuzzDetector(f *testing.F) {
 	// Equal timestamps, a gap of exactly Timeout (one session) and
 	// Timeout+1ns (a split), Advances exactly at and 1ns past

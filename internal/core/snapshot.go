@@ -69,10 +69,12 @@ func RestoreShardedDetector(cr *checkpoint.Reader, n int) (*ShardedDetector, err
 // detectorBody is the detector's side of checkpoint.WriteBody.
 type detectorBody struct {
 	sd *ShardedDetector
-	// scratch is the reused sort buffer for every encoded address set
-	// in the snapshot; it grows to the largest set once and keeps the
-	// encode loop allocation-free (pinned by an allocs test).
+	// scratch and counts are the reused sort buffers for every encoded
+	// address set and spilled counter in the snapshot; each grows to
+	// the largest once and keeps the encode loop allocation-free
+	// (pinned by allocs tests).
 	scratch []netaddr6.U128
+	counts  []countSlot
 }
 
 // liveSession is a gathered session and its last activity.
@@ -112,8 +114,10 @@ func (b *detectorBody) Gather(dst []checkpoint.Keyed[liveSession], li int) []che
 
 // Entry writes one session's logical state: each inline-or-set pair is
 // encoded as its sorted logical contents, so the in-memory
-// representation (inline fast path vs materialized set) never reaches
-// the wire. Last activity is already on Enc.Time's axis.
+// representation (inline fast path vs materialized set, inline vs
+// spilled counter) never reaches the wire. The counters' key order is
+// (proto, port) order and signed week order, the order Scan's maps are
+// written in. Last activity is already on Enc.Time's axis.
 func (b *detectorBody) Entry(e *checkpoint.Enc, ls liveSession) {
 	s := ls.s
 	e.Time(s.start)
@@ -121,8 +125,10 @@ func (b *detectorBody) Entry(e *checkpoint.Enc, ls liveSession) {
 	e.Uvarint(s.packets)
 	encodeU128Set(e, &b.scratch, &s.dsts, s.firstDst)
 	encodeU128Set(e, &b.scratch, &s.srcs, s.firstSrc)
-	encodePorts(e, s.ports, s.firstSvc, s.svcN)
-	encodeWeeks(e, s.weeks, int(s.firstWeek), s.weekN)
+	e.Uvarint(uint64(s.ports.len()))
+	s.ports.eachSorted(&b.counts, func(k uint32, n uint64) { encodeService(e, keyService(k), n) })
+	e.Uvarint(uint64(s.weeks.len()))
+	s.weeks.eachSorted(&b.counts, func(k uint32, n uint64) { encodeWeek(e, keyWeek(k), n) })
 	encodeCounter(e, &s.lenCounter)
 }
 
@@ -198,10 +204,14 @@ func (r *detectorRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) er
 	if s.firstSrc, err = decodeU128Set(d, &s.srcs); err != nil {
 		return err
 	}
-	s.ports, s.firstSvc, s.svcN = decodePorts(d)
-	var week int
-	s.weeks, week, s.weekN = decodeWeeks(d)
-	s.firstWeek = int32(week)
+	for i, n := uint64(0), d.Uvarint(); i < n && d.Err() == nil; i++ {
+		svc := decodeService(d)
+		s.ports.add(svcKey(svc), d.Uvarint())
+	}
+	for i, n := uint64(0), d.Uvarint(); i < n && d.Err() == nil; i++ {
+		w := int32(d.Varint())
+		s.weeks.add(weekKey(w), d.Uvarint())
+	}
 	decodeCounter(d, &s.lenCounter)
 	if err := d.Err(); err != nil {
 		return err
@@ -269,18 +279,6 @@ func decodeU128Set(d *checkpoint.Dec, set *u128idx.Set) (netaddr6.U128, error) {
 	return first, d.Err()
 }
 
-// encodePorts writes an inline-or-map service count pair as its
-// logical contents: the map's entries in (proto, port) order when
-// materialized, the single inline pair otherwise.
-func encodePorts(e *checkpoint.Enc, m map[firewall.Service]uint64, first firewall.Service, firstN uint64) {
-	if len(m) == 0 {
-		e.Uvarint(1)
-		encodeService(e, first, firstN)
-		return
-	}
-	encodePortMap(e, m)
-}
-
 // encodePortMap writes a service count map in (proto, port) order.
 func encodePortMap(e *checkpoint.Enc, m map[firewall.Service]uint64) {
 	svcs := make([]firewall.Service, 0, len(m))
@@ -305,28 +303,13 @@ func encodeService(e *checkpoint.Enc, s firewall.Service, n uint64) {
 	e.Uvarint(n)
 }
 
-// decodePorts reads what encodePorts wrote; a single entry stays on
-// the inline pair, exactly as live ingestion would leave it.
-func decodePorts(d *checkpoint.Dec) (map[firewall.Service]uint64, firewall.Service, uint64) {
-	switch n := d.Uvarint(); n {
-	case 0:
-		return nil, firewall.Service{}, 0
-	case 1:
-		return nil, decodeService(d), d.Uvarint()
-	default:
-		// The inline pair is never consulted once the map is
-		// materialized; leave it zero.
-		return decodePortMap(d, n, inlineMapHint), firewall.Service{}, 0
-	}
-}
-
 func decodeService(d *checkpoint.Dec) firewall.Service {
 	return firewall.Service{Proto: layers.IPProtocol(d.U8()), Port: uint16(d.Uvarint())}
 }
 
-// decodePortMap reads n encodeService entries into a map sized by hint.
-func decodePortMap(d *checkpoint.Dec, n uint64, hint int) map[firewall.Service]uint64 {
-	m := make(map[firewall.Service]uint64, hint)
+// decodePortMap reads n encodeService entries into a map.
+func decodePortMap(d *checkpoint.Dec, n uint64) map[firewall.Service]uint64 {
+	m := make(map[firewall.Service]uint64, preallocHint(n))
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		s := decodeService(d)
 		m[s] = d.Uvarint()
@@ -334,17 +317,8 @@ func decodePortMap(d *checkpoint.Dec, n uint64, hint int) map[firewall.Service]u
 	return m
 }
 
-func encodeWeeks(e *checkpoint.Enc, m map[int]uint64, first int, firstN uint64) {
-	if len(m) == 0 {
-		if firstN == 0 {
-			e.Uvarint(0)
-			return
-		}
-		e.Uvarint(1)
-		e.Varint(int64(first))
-		e.Uvarint(firstN)
-		return
-	}
+// encodeWeekMap writes a week count map in week order.
+func encodeWeekMap(e *checkpoint.Enc, m map[int]uint64) {
 	weeks := make([]int, 0, len(m))
 	for w := range m {
 		weeks = append(weeks, w)
@@ -352,27 +326,18 @@ func encodeWeeks(e *checkpoint.Enc, m map[int]uint64, first int, firstN uint64) 
 	sort.Ints(weeks)
 	e.Uvarint(uint64(len(weeks)))
 	for _, w := range weeks {
-		e.Varint(int64(w))
-		e.Uvarint(m[w])
+		encodeWeek(e, w, m[w])
 	}
 }
 
-// decodeWeeks reads what encodeWeeks wrote; a single entry stays on
-// the inline pair, exactly as live ingestion would leave it.
-func decodeWeeks(d *checkpoint.Dec) (map[int]uint64, int, uint64) {
-	switch n := d.Uvarint(); n {
-	case 0:
-		return nil, 0, 0
-	case 1:
-		return nil, int(d.Varint()), d.Uvarint()
-	default:
-		return decodeWeekMap(d, n, inlineMapHint), 0, 0
-	}
+func encodeWeek(e *checkpoint.Enc, w int, n uint64) {
+	e.Varint(int64(w))
+	e.Uvarint(n)
 }
 
-// decodeWeekMap reads n (week, count) entries into a map sized by hint.
-func decodeWeekMap(d *checkpoint.Dec, n uint64, hint int) map[int]uint64 {
-	m := make(map[int]uint64, hint)
+// decodeWeekMap reads n (week, count) entries into a map.
+func decodeWeekMap(d *checkpoint.Dec, n uint64) map[int]uint64 {
+	m := make(map[int]uint64, preallocHint(n))
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		w := int(d.Varint())
 		m[w] = d.Uvarint()
@@ -425,7 +390,7 @@ func encodeScan(e *checkpoint.Enc, s *Scan) {
 		e.U64(u.Lo)
 	}
 	encodePortMap(e, s.Ports)
-	encodeWeeks(e, s.WeekPackets, 0, 0)
+	encodeWeekMap(e, s.WeekPackets)
 }
 
 func decodeScan(d *checkpoint.Dec) Scan {
@@ -447,11 +412,9 @@ func decodeScan(d *checkpoint.Dec) Scan {
 			s.DstAddrs = append(s.DstAddrs, netaddr6.U128{Hi: d.U64(), Lo: d.U64()}.ToAddr())
 		}
 	}
-	// Scan results hold real maps, never the inline pairs.
-	pn := d.Uvarint()
-	s.Ports = decodePortMap(d, pn, preallocHint(pn))
+	s.Ports = decodePortMap(d, d.Uvarint())
 	if wn := d.Uvarint(); wn > 0 {
-		s.WeekPackets = decodeWeekMap(d, wn, preallocHint(wn))
+		s.WeekPackets = decodeWeekMap(d, wn)
 	}
 	return s
 }

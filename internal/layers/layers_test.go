@@ -314,6 +314,40 @@ func TestUDPBadLengthField(t *testing.T) {
 	}
 }
 
+// TestSnaplenCutHeaders: a capture cut after the transport header
+// keeps the frame when the header's size fields fit the on-wire
+// length (the IPv6 payload-length field, less extension headers), for
+// UDP as for TCP, and rejects a size field beyond it.
+func TestSnaplenCutHeaders(t *testing.T) {
+	cut := func(next IPProtocol, hdr []byte, wire int, exts ...[]byte) []byte {
+		p := rawPacket(next, append(exts, hdr)...)
+		binary.BigEndian.PutUint16(p[4:6], uint16(wire))
+		return p
+	}
+	udp := func(n uint16) []byte { return []byte{0, 1, 0, 2, byte(n >> 8), byte(n), 0, 0} }
+	tcpOpts := tcpHeader(1, 2)
+	tcpOpts[12] = 15 << 4 // 60-byte header, 40 bytes of options past the capture
+	ext := padExtension(ProtoUDP)
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		err   error
+	}{
+		{"udp", cut(ProtoUDP, udp(1200), 1200), nil},
+		{"udp max", cut(ProtoUDP, udp(65535), 65535), nil},
+		{"udp behind an extension", cut(ProtoHopByHop, udp(1192), 1200, ext), nil},
+		{"udp length past the wire", cut(ProtoUDP, udp(1201), 1200), ErrBadHeaderSize},
+		{"udp length past the wire behind an extension", cut(ProtoHopByHop, udp(1193), 1200, ext), ErrBadHeaderSize},
+		{"tcp options", cut(ProtoTCP, tcpOpts, 1200), nil},
+		{"tcp options past the wire", cut(ProtoTCP, tcpOpts, 59), ErrBadHeaderSize},
+	} {
+		f, err := ParseFrame(c.frame, LinkTypeRaw)
+		if !errors.Is(err, c.err) || (err == nil && (f.SrcPort != 1 || f.DstPort != 2)) {
+			t.Errorf("%s: %+v, %v; want ports 1→2, error %v", c.name, f, err, c.err)
+		}
+	}
+}
+
 func TestUnknownLinkType(t *testing.T) {
 	if _, err := ParseFrame(make([]byte, 64), LinkType(999)); !errors.Is(err, ErrUnknownNext) {
 		t.Errorf("got %v", err)

@@ -31,7 +31,11 @@ type Frame struct {
 // IPv4-mapped source or destination (ErrNotIPv6), an extension chain
 // longer than eight headers (ErrChainTooLong), and a TCP data offset or
 // UDP length field that does not fit the packet (ErrBadHeaderSize).
-// Bytes past the payload-length field (Ethernet padding) are ignored.
+// Those sizes are checked against the packet's on-wire length, not the
+// captured bytes: a frame cut by the capture's snaplen is accepted as
+// long as the fields read (addresses, extension chain, ports) were
+// captured, whether it is TCP or UDP. Bytes past the payload-length
+// field (Ethernet padding) are ignored.
 func ParseFrame(data []byte, link LinkType) (Frame, error) {
 	switch link {
 	case LinkTypeEthernet:
@@ -61,6 +65,10 @@ func ParseFrame(data []byte, link LinkType) (Frame, error) {
 	next := IPProtocol(data[6])
 	rest := data[ipv6HeaderLen:]
 	rest = rest[:min(len(rest), int(f.PayloadLen))]
+	// wire is the on-wire length from rest's start, of which a capture's
+	// snaplen may have kept less: transport header sizes are checked
+	// against it, so a cut frame keeps its ports whatever its protocol.
+	wire := int(f.PayloadLen)
 
 	for n := 0; next.IsExtension(); n++ {
 		if n == maxExtensionHeaders {
@@ -76,7 +84,7 @@ func ParseFrame(data []byte, link LinkType) (Frame, error) {
 		if size > len(rest) {
 			return Frame{}, fmt.Errorf("extension header %v size %d: %w", next, size, ErrTruncated)
 		}
-		next, rest = IPProtocol(rest[0]), rest[size:]
+		next, rest, wire = IPProtocol(rest[0]), rest[size:], wire-size
 	}
 
 	f.Proto = next
@@ -85,14 +93,14 @@ func ParseFrame(data []byte, link LinkType) (Frame, error) {
 		if len(rest) < tcpHeaderLen {
 			return Frame{}, fmt.Errorf("tcp header: %w", ErrTruncated)
 		}
-		if off := rest[12] >> 4; int(off)*4 < tcpHeaderLen || int(off)*4 > len(rest) {
+		if off := rest[12] >> 4; int(off)*4 < tcpHeaderLen || int(off)*4 > wire {
 			return Frame{}, fmt.Errorf("tcp data offset %d: %w", off, ErrBadHeaderSize)
 		}
 	case ProtoUDP:
 		if len(rest) < udpHeaderLen {
 			return Frame{}, fmt.Errorf("udp header: %w", ErrTruncated)
 		}
-		if n := binary.BigEndian.Uint16(rest[4:6]); n < udpHeaderLen || int(n) > len(rest) {
+		if n := binary.BigEndian.Uint16(rest[4:6]); n < udpHeaderLen || int(n) > wire {
 			return Frame{}, fmt.Errorf("udp length %d: %w", n, ErrBadHeaderSize)
 		}
 	case ProtoICMPv6:

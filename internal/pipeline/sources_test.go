@@ -93,6 +93,17 @@ func TestPcapRecordFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// udpCut is the header-only capture of a datagram of wireLen bytes
+	// after the IPv6 header: both length fields say wireLen.
+	udpCut := func(wireLen int) []byte {
+		frame, err := layers.BuildUDPProbe(src, dst, 5353, 500, layers.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[4], frame[5] = byte(wireLen>>8), byte(wireLen)
+		frame[44], frame[45] = byte(wireLen>>8), byte(wireLen)
+		return frame
+	}
 	echo, err := layers.BuildICMPv6Echo(src, dst, 7, 3, layers.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +118,9 @@ func TestPcapRecordFields(t *testing.T) {
 		{tcp(65495), firewall.Record{Proto: layers.ProtoTCP, SrcPort: 1234, DstPort: 22, Length: 65535}},
 		{tcp(65496), firewall.Record{Proto: layers.ProtoTCP, SrcPort: 1234, DstPort: 22, Length: 65535}},
 		{tcp(65535), firewall.Record{Proto: layers.ProtoTCP, SrcPort: 1234, DstPort: 22, Length: 65535}},
+		// A snaplen cut keeps a large UDP datagram as it keeps TCP ones.
+		{udpCut(1200), firewall.Record{Proto: layers.ProtoUDP, SrcPort: 5353, DstPort: 500, Length: 1240}},
+		{udpCut(65535), firewall.Record{Proto: layers.ProtoUDP, SrcPort: 5353, DstPort: 500, Length: 65535}},
 	}
 	var capture bytes.Buffer
 	pw := pcap.NewWriter(&capture, pcap.WriterOptions{LinkType: layers.LinkTypeRaw, Nanosecond: true})
