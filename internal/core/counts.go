@@ -11,10 +11,16 @@ import (
 
 // countsInline is keyCounts' inline cutoff: up to this many keys live
 // in the sorted inline array, past it the counter spills into its
-// table. Sixteen keys cover every session that targets a handful of
-// services or spans a handful of weeks — nearly all of them — and keep
-// a counter's arrays at two cache lines.
-const countsInline = 16
+// table. Four keys keep a counter at one 64-byte cache line. Measured
+// on the simulated CDN telescope (800 machines, 12 weeks, seed 1 —
+// the offline benchmark's input — 18199 closed sessions), keys per
+// session are bimodal: 82.5% of sessions count one service and 11.8%
+// sweep more than 64, while only 0.5% count two to four and 4.7% five
+// to sixteen. So 17.0% of port counters spill at this cutoff against
+// 12.3% at sixteen, and those are mostly sweepers that would spill at
+// any small cutoff. Week counters hold one key in all but 3 of the
+// 18199 sessions, so they practically never spill.
+const countsInline = 4
 
 // countsTableMin is the spill table's first size: room for twice the
 // keys that caused the spill before the first doubling.
@@ -43,8 +49,11 @@ type countSlot struct {
 	k uint32
 }
 
-// len returns the number of distinct keys.
+// len returns the number of distinct keys; a nil counter holds none.
 func (c *keyCounts) len() int {
+	if c == nil {
+		return 0
+	}
 	if c.used > 0 {
 		return int(c.used)
 	}
@@ -130,8 +139,12 @@ func (c *keyCounts) grow() {
 	}
 }
 
-// reset empties the counter, keeping its table for the next use.
+// reset empties the counter, keeping its table for the next use. A
+// nil counter is already empty.
 func (c *keyCounts) reset() {
+	if c == nil {
+		return
+	}
 	c.n = 0
 	if c.used > 0 {
 		clear(c.tab)
@@ -140,8 +153,11 @@ func (c *keyCounts) reset() {
 }
 
 // each calls f for every key and its count, in no particular order
-// once spilled.
+// once spilled. A nil counter holds no key.
 func (c *keyCounts) each(f func(k uint32, n uint64)) {
+	if c == nil {
+		return
+	}
 	if c.used == 0 {
 		for i := range c.n {
 			f(c.keys[i], uint64(c.counts[i]))
@@ -159,7 +175,7 @@ func (c *keyCounts) each(f func(k uint32, n uint64)) {
 // order: the inline array's order, or a spilled table's entries sorted
 // in *scratch, a buffer the caller reuses across calls.
 func (c *keyCounts) eachSorted(scratch *[]countSlot, f func(k uint32, n uint64)) {
-	if c.used == 0 {
+	if c == nil || c.used == 0 {
 		c.each(f)
 		return
 	}

@@ -5,10 +5,12 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"v6scan/internal/checkpoint"
 	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
+	"v6scan/internal/netaddr6"
 )
 
 // TestKeyCountsAgainstMap drives keyCounts and a map[uint32]uint64
@@ -189,5 +191,44 @@ func TestKeyCountsRecycledNoAllocs(t *testing.T) {
 	life() // the first life allocates the table and the sort buffer
 	if allocs := testing.AllocsPerRun(20, life); allocs != 0 {
 		t.Fatalf("a recycled counter allocated %.0f times per life, want 0", allocs)
+	}
+}
+
+// TestWeekCounterOnlyWhenWeekly pins the week counter's lazy
+// allocation: without Config.WeekEpoch every session's week counter
+// stays nil; with it, a handle gets one counter on its first record and
+// keeps it, emptied, when its session times out and reopens.
+func TestWeekCounterOnlyWhenWeekly(t *testing.T) {
+	t0 := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
+	src := netaddr6.MustAddr("2001:db8::1")
+	for _, weekly := range []bool{false, true} {
+		cfg := Config{MinDsts: 2, Timeout: time.Minute, Levels: []netaddr6.AggLevel{netaddr6.Agg128}}
+		if weekly {
+			cfg.WeekEpoch = t0
+		}
+		d := NewDetector(cfg)
+		var first *keyCounts
+		for life := range 3 {
+			// A 10-day step closes the session and reopens it under the
+			// same handle, each life in a new week.
+			r := firewall.Record{Time: t0.Add(time.Duration(life) * 10 * 24 * time.Hour), Src: src,
+				Dst: netaddr6.MustAddr("2001:db8:f::1"), Proto: layers.ProtoTCP, DstPort: 22, Length: 60}
+			if err := d.Process(r); err != nil {
+				t.Fatal(err)
+			}
+			tab := &d.levels[0].tab
+			var s *session
+			tab.Range(func(_ netaddr6.U128, h uint32) bool { s = tab.At(h); return false })
+			switch {
+			case !weekly && s.weeks != nil:
+				t.Fatalf("life %d: a detector without WeekEpoch allocated a week counter", life)
+			case weekly && (s.weeks == nil || s.weeks.len() != 1):
+				t.Fatalf("life %d: weekly session holds week counter %+v, want one week", life, s.weeks)
+			case weekly && life == 0:
+				first = s.weeks
+			case weekly && s.weeks != first:
+				t.Fatalf("life %d: the reopened session allocated a new week counter", life)
+			}
+		}
 	}
 }

@@ -32,12 +32,16 @@
 //
 // Packets per service and per week are counted by keyCounts, one
 // counter over packed uint32 keys whose arrays hold no pointers: up to
-// countsInline = 16 keys in a sorted array inside the session, an
-// open-addressed table past that. Sessions touching more than 16
-// services or weeks are the port-sweeping few, so the common session
-// counts with a short scan of one array and no hashing, and no session
-// holds a Go map. Scan results get their Ports and WeekPackets maps at
-// emit only.
+// countsInline = 4 keys in a sorted array inside the session, an
+// open-addressed table past that. Keys per session are bimodal — most
+// sessions count one service and one week, the port sweepers count
+// dozens to hundreds of services — so the common session counts with a
+// short scan of one cache line and no hashing, the sweepers hash into
+// a table their handle keeps for its next session, and no session
+// holds a Go map. The week counter is allocated on a session's first
+// weekly add, so a detector without weekly tracking carries a nil
+// pointer. Scan results get their Ports and WeekPackets maps at emit
+// only.
 package core
 
 import (
@@ -147,8 +151,8 @@ type session struct {
 
 	dsts       u128idx.Set
 	srcs       u128idx.Set
-	ports      keyCounts // by svcKey
-	weeks      keyCounts // by weekKey; empty when weekly tracking is off
+	ports      keyCounts  // by svcKey
+	weeks      *keyCounts // by weekKey; nil until the first weekly add
 	lenCounter entropy.Counter
 }
 
@@ -170,6 +174,17 @@ func (s *session) addSrc(a netaddr6.U128) {
 		s.srcs.Add(s.firstSrc)
 	}
 	s.srcs.Add(a)
+}
+
+// weekCounts returns the session's week counter, allocating it on the
+// first weekly add: a detector without Config.WeekEpoch never counts
+// weeks, so its sessions carry a nil pointer instead of a counter.
+// reset keeps the counter for the handle's next session.
+func (s *session) weekCounts() *keyCounts {
+	if s.weeks == nil {
+		s.weeks = new(keyCounts)
+	}
+	return s.weeks
 }
 
 func (s *session) numDsts() int {
@@ -339,7 +354,7 @@ func (d *Detector) ingestRun(rs []firewall.Record) {
 			s.packets++
 			s.ports.add(d.scrSvc[k], 1)
 			if weekly {
-				s.weeks.add(d.scrWeek[k], 1)
+				s.weekCounts().add(d.scrWeek[k], 1)
 			}
 			s.lenCounter.Observe(uint64(r.Length))
 		}

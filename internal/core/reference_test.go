@@ -236,8 +236,8 @@ func detTapeSrc(b byte) netip.Addr {
 //	0–3 src, b: a record from detTapeSrc(src) whose protocol and
 //	            length come from src's top bits and whose port from
 //	            src's top two bits plus four times the op byte's top
-//	            five (up to 256 services per source, past the
-//	            counters' 16-key spill), to one of 32
+//	            five (up to 256 services per source, far past the
+//	            counters' inline cutoff), to one of 32
 //	            destinations (b's low five bits), stepping time by
 //	            detTapeSteps[b>>5] — equal, forward, exactly Timeout,
 //	            Timeout+1ns, three days (a new week), or 1ns back (an

@@ -210,7 +210,7 @@ func (r *detectorRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) er
 	}
 	for i, n := uint64(0), d.Uvarint(); i < n && d.Err() == nil; i++ {
 		w := int32(d.Varint())
-		s.weeks.add(weekKey(w), d.Uvarint())
+		s.weekCounts().add(weekKey(w), d.Uvarint())
 	}
 	decodeCounter(d, &s.lenCounter)
 	if err := d.Err(); err != nil {

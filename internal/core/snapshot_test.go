@@ -13,8 +13,9 @@ import (
 
 // TestSnapshotSpilledCounters pins Snapshot∘Restore∘Snapshot as byte
 // identity for a live session whose counters have spilled: one source
-// targets 40 services (past the 16-key inline cutoff and through a
-// table grow) over weeks -2 to 1, next to a session that stays inline.
+// targets 40 services (past the inline cutoff and through table
+// grows) over weeks -2 to 3 (past the cutoff too), next to a session
+// that stays inline.
 // The restored detector, at one and at three shards, must re-snapshot
 // to the same bytes and finish with the scans of the uninterrupted run.
 func TestSnapshotSpilledCounters(t *testing.T) {
@@ -29,7 +30,7 @@ func TestSnapshotSpilledCounters(t *testing.T) {
 	dsts := netaddr6.MustPrefix("2001:db8:f::/64")
 	var recs []firewall.Record
 	for i := range 40 {
-		at := t0.Add(time.Duration(i) * 13 * time.Hour)
+		at := t0.Add(time.Duration(i) * 25 * time.Hour)
 		proto := layers.ProtoTCP
 		if i%3 == 0 {
 			proto = layers.ProtoUDP
@@ -58,7 +59,7 @@ func TestSnapshotSpilledCounters(t *testing.T) {
 		want[l] = renderLevel(live.Merged().Scans(l))
 	}
 	s := live.Merged().Scans(netaddr6.Agg128)
-	if len(s) != 2 || s[0].NumPorts() != 40 || len(s[0].WeekPackets) != 4 || s[0].WeekPackets[-2] == 0 {
+	if len(s) != 2 || s[0].NumPorts() != 40 || len(s[0].WeekPackets) != 6 || s[0].WeekPackets[-2] == 0 {
 		t.Fatalf("workload does not reach the spill with negative weeks:\n%s", want[netaddr6.Agg128])
 	}
 
@@ -75,14 +76,14 @@ func TestSnapshotSpilledCounters(t *testing.T) {
 		for _, det := range sd.g.Shards() {
 			tab := &det.levels[0].tab
 			tab.Range(func(_ netaddr6.U128, h uint32) bool {
-				if s := tab.At(h); s.ports.used > 0 {
+				if s := tab.At(h); s.ports.used > 0 && s.weeks.used > 0 {
 					spilled++
 				}
 				return true
 			})
 		}
 		if spilled != 1 {
-			t.Errorf("%d shards: %d restored /128 sessions hold a spilled port counter, want 1", n, spilled)
+			t.Errorf("%d shards: %d restored /128 sessions hold spilled port and week counters, want 1", n, spilled)
 		}
 		var again bytes.Buffer
 		if err := sd.Snapshot(&again, mark); err != nil {
