@@ -10,6 +10,7 @@ package v6scan
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -25,6 +26,7 @@ import (
 	"v6scan/internal/layers"
 	"v6scan/internal/mawi"
 	"v6scan/internal/netaddr6"
+	"v6scan/internal/pipeline"
 	"v6scan/internal/scanner"
 	"v6scan/internal/sim"
 )
@@ -673,7 +675,7 @@ func BenchmarkEndToEndFilteredPipeline(b *testing.B) {
 				Policy(DefaultCollectPolicy()).
 				Artifact().
 				Build(sink)
-			if err := p.Run(); err != nil {
+			if err := p.RunContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 			if err := sink.Close(); err != nil {
@@ -722,7 +724,7 @@ func BenchmarkMetricsHotPath(b *testing.B) {
 			if m != nil {
 				bl = bl.Instrument(m)
 			}
-			if err := bl.Build(sink).Run(); err != nil {
+			if err := bl.Build(sink).RunContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 			if err := sink.Close(); err != nil {
@@ -774,7 +776,7 @@ func BenchmarkIDSProcess(b *testing.B) {
 	recs := benchRecordsIDS(100_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := NewIDS(DefaultIDSConfig())
+		e := NewShardedIDS(DefaultIDSConfig(), 1)
 		for j, r := range recs {
 			e.Process(r)
 			if j%10_000 == 9_999 {
@@ -871,7 +873,7 @@ func BenchmarkIDSMinuteTick(b *testing.B) {
 	var tickNs time.Duration
 	ticks := 0
 	for i := 0; i < b.N; i++ {
-		e := NewIDS(DefaultIDSConfig())
+		e := NewShardedIDS(DefaultIDSConfig(), 1)
 		for j := 0; j < len(recs); {
 			minute := recs[j].Time.Truncate(time.Minute).Add(time.Minute)
 			k := j
@@ -964,7 +966,7 @@ func BenchmarkParallelDecode(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				src := NewParallelLogSource(bytes.NewReader(data), int64(len(data)), workers)
+				src := pipeline.NewParallelLogSource(bytes.NewReader(data), int64(len(data)), workers)
 				n := 0
 				err := src.EmitBatch(4096, func(rs []Record) error {
 					n += len(rs)
@@ -1002,7 +1004,7 @@ func BenchmarkMergeSource(b *testing.B) {
 			srcs[j] = NewLogSource(bytes.NewReader(parts[j]))
 		}
 		n := 0
-		err := NewMergeSource(srcs...).EmitBatch(4096, func(rs []Record) error {
+		err := pipeline.NewMergeSource(srcs...).EmitBatch(4096, func(rs []Record) error {
 			n += len(rs)
 			return nil
 		})

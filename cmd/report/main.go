@@ -281,11 +281,12 @@ func (r *runner) ids() {
 	header("ids", "inline dynamic-aggregation IDS (Discussion)")
 	cfg := v6scan.DefaultIDSConfig()
 	t0 := time.Now()
-	alerts, err := v6scan.From(v6scan.NewSliceSource(r.filtered)).
-		IDS(context.Background(), cfg, r.shards)
-	if err != nil {
+	sink := v6scan.NewIDSSink(v6scan.NewShardedIDS(cfg, r.shards))
+	if err := v6scan.From(v6scan.NewSliceSource(r.filtered)).
+		RunInto(context.Background(), sink); err != nil {
 		log.Fatal(err)
 	}
+	alerts := sink.Result()
 	processed := len(r.filtered)
 	r.filtered = nil // only this experiment reads the stream; release it
 	escalated := 0

@@ -74,13 +74,14 @@ func main() {
 	// identical stream.
 	detSink := v6scan.NewShardedSink(v6scan.NewShardedDetector(cfg, 1))
 	idsSink := v6scan.NewIDSSink(v6scan.NewShardedIDS(v6scan.DefaultIDSConfig(), *shards))
-	// Tick once per minute of stream time — the inline deployment's
-	// timer: idle candidates are evicted (and their alerts emitted)
-	// mid-stream, bounding memory; the horizon reaches every shard
-	// through the dispatcher, so alerts stay identical at any -shards.
-	idsSink.AdvanceEvery = time.Minute
+	// Tick the terminal once per minute of stream time — the inline
+	// deployment's timer: idle candidates are evicted (and their
+	// alerts emitted) mid-stream, bounding memory; the horizon reaches
+	// every shard through the dispatcher, so alerts stay identical at
+	// any -shards.
 	if err := v6scan.From(v6scan.NewSliceSource(recs)).
 		Tee(detSink).
+		AdvanceEvery(time.Minute).
 		RunInto(context.Background(), idsSink); err != nil {
 		log.Fatal(err)
 	}

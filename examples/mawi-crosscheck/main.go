@@ -46,8 +46,8 @@ func main() {
 		recs := sim.EmitDay(day)
 
 		// Each day is one capture window: a record source terminated
-		// by the builder's MAWI helper, which owns the detector
-		// lifecycle and returns the window's scans. The first day is
+		// in a MAWI detector, which returns the window's scans once
+		// the run has fed it every record. The first day is
 		// round-tripped through pcap and decoded back by the pcap
 		// source, to exercise the full decode path.
 		var src v6scan.RecordSource = v6scan.NewSliceSource(recs)
@@ -59,11 +59,12 @@ func main() {
 			src = v6scan.NewPcapSource(&buf)
 		}
 		var decoded *v6scan.PipelineCounter
-		scans, err := v6scan.From(src).Counter(&decoded).
-			MAWI(context.Background(), mc)
-		if err != nil {
+		det := v6scan.NewMAWIDetector(mc)
+		if err := v6scan.From(src).Counter(&decoded).
+			RunInto(context.Background(), v6scan.CollectorSink(det.Process)); err != nil {
 			log.Fatal(err)
 		}
+		scans := det.Finish()
 		if total == 1 {
 			fmt.Printf("pcap round trip: %d records in, %d out\n\n", len(recs), decoded.Count())
 		}

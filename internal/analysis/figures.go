@@ -313,11 +313,3 @@ func (p PortBreakdown) Render() string {
 	}
 	return b.String()
 }
-
-// ASLabel resolves an AS number's Table-2 style label.
-func ASLabel(db *asdb.DB, asn int) string {
-	if as, ok := db.AS(asn); ok {
-		return as.Label()
-	}
-	return fmt.Sprintf("AS%d", asn)
-}

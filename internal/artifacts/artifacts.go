@@ -196,9 +196,6 @@ func eyeballCountry(i int) string {
 	return countries[i%len(countries)]
 }
 
-// NumClients returns the total client population.
-func (g *Generator) NumClients() int { return len(g.clients) }
-
 // EmitDay generates every client's records for one UTC day. Like
 // scanner.Census.EmitDay, output is per-client chronological but not
 // globally sorted; callers sort the day before feeding detectors.

@@ -12,7 +12,6 @@ package asdb
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"v6scan/internal/netaddr6"
 	"v6scan/internal/rtrie"
@@ -156,39 +155,3 @@ func (db *DB) Attribute(addr netip.Addr) (AS, Allocation, bool) {
 	}
 	return a, alloc, true
 }
-
-// AllocationOf returns the most specific registered allocation covering
-// addr, e.g. to answer "which /32 does this scanning /48 belong to?".
-func (db *DB) AllocationOf(addr netip.Addr) (Allocation, bool) {
-	alloc, _, ok := db.table.Lookup(addr)
-	return alloc, ok
-}
-
-// Allocations returns every registered allocation, sorted by prefix.
-func (db *DB) Allocations() []Allocation {
-	var out []Allocation
-	db.table.Walk(func(_ netip.Prefix, a Allocation) bool {
-		out = append(out, a)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Prefix.Addr().Compare(out[j].Prefix.Addr()); c != 0 {
-			return c < 0
-		}
-		return out[i].Prefix.Bits() < out[j].Prefix.Bits()
-	})
-	return out
-}
-
-// ASNumbers returns all registered AS numbers in ascending order.
-func (db *DB) ASNumbers() []int {
-	out := make([]int, 0, len(db.ases))
-	for n := range db.ases {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Len returns the number of registered allocations.
-func (db *DB) Len() int { return db.table.Len() }

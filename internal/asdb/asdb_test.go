@@ -69,30 +69,6 @@ func TestAllocateRejectsIPv4(t *testing.T) {
 	}
 }
 
-func TestAllocationsSortedAndLen(t *testing.T) {
-	db := New()
-	db.Allocate(netaddr6.MustPrefix("2001:db9::/32"), 2, KindRIRAllocation)
-	db.Allocate(netaddr6.MustPrefix("2001:db8::/32"), 1, KindRIRAllocation)
-	db.Allocate(netaddr6.MustPrefix("2001:db8:1::/48"), 3, KindCustomer)
-	all := db.Allocations()
-	if db.Len() != 3 || len(all) != 3 {
-		t.Fatalf("len = %d/%d", db.Len(), len(all))
-	}
-	if all[0].ASN != 1 || all[1].ASN != 3 || all[2].ASN != 2 {
-		t.Errorf("order: %+v", all)
-	}
-}
-
-func TestASNumbers(t *testing.T) {
-	db := New()
-	db.AddAS(AS{Number: 20})
-	db.AddAS(AS{Number: 10})
-	got := db.ASNumbers()
-	if len(got) != 2 || got[0] != 10 || got[1] != 20 {
-		t.Errorf("got %v", got)
-	}
-}
-
 func TestAllocationKindString(t *testing.T) {
 	if KindRIRAllocation.String() != "rir" || KindBGPAnnounced.String() != "bgp" || KindCustomer.String() != "customer" {
 		t.Error("kind names wrong")

@@ -159,11 +159,10 @@ func (r *refDetector) sortedScans(i int) []Scan {
 }
 
 // scansDiffer checks that got is in Scans order (start, then source)
-// and holds the same scans as want, compared field by field: canonical
-// rendering, with the entropy compared to a float tolerance. Scans that
-// tie on start and source — a session reopened at the instant an
-// Advance ahead of the records closed it — may come in either order.
-// It describes the first difference.
+// and holds the same scans as want (see contentDiffer). Scans that tie
+// on start and source — a session reopened at the instant an Advance
+// ahead of the records closed it — may come in either order. It
+// describes the first difference.
 func scansDiffer(got, want []Scan) string {
 	for i := 1; i < len(got); i++ {
 		a, b := got[i-1], got[i]
@@ -171,6 +170,14 @@ func scansDiffer(got, want []Scan) string {
 			return fmt.Sprintf("scan %d out of order:\n%s", i, renderLevel(got))
 		}
 	}
+	return contentDiffer(got, want)
+}
+
+// contentDiffer checks that got and want hold the same scans in any
+// order, compared field by field: canonical rendering, with the
+// entropy compared to a float tolerance. It describes the first
+// difference.
+func contentDiffer(got, want []Scan) string {
 	if len(got) != len(want) {
 		return fmt.Sprintf("%d scans, reference %d\ngot:\n%swant:\n%s", len(got), len(want), renderLevel(got), renderLevel(want))
 	}
@@ -306,6 +313,13 @@ func runDetectorTape(t *testing.T, tape []byte) {
 		pending = pending[:0]
 		return rejected
 	}
+	// check compares the open-session and drop counts, and the scans
+	// each side emitted since the previous check: the reference's and
+	// the Detector's per-level scan slices only grow between checks
+	// (nothing calls Scans, which sorts in place, until Finish), so the
+	// per-op cost stays flat in the tape's length. Finish compares every
+	// scan, in Scans order.
+	refSeen, detSeen := make([]int, len(cfg.Levels)), make([]int, len(cfg.Levels))
 	check := func(at int) {
 		t.Helper()
 		for i, l := range ref.cfg.Levels {
@@ -321,9 +335,10 @@ func runDetectorTape(t *testing.T, tape []byte) {
 			if got, want := det.Dropped(l), ref.dropped[i]; got != want {
 				t.Fatalf("op %d: Dropped(%v) = %d, reference %d", at, l, got, want)
 			}
-			if d := scansDiffer(det.Scans(l), ref.sortedScans(i)); d != "" {
+			if d := contentDiffer(det.levels[i].scans[detSeen[i]:], ref.scans[i][refSeen[i]:]); d != "" {
 				t.Fatalf("op %d: %v: %s", at, l, d)
 			}
+			detSeen[i], refSeen[i] = len(det.levels[i].scans), len(ref.scans[i])
 		}
 	}
 	ended := false

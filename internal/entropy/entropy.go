@@ -2,8 +2,8 @@
 // detectors: normalized Shannon entropy of discrete observations
 // (the MAWI detector requires packet-length entropy < 0.1 for a flow to
 // qualify as a scan, following Fukuda & Heidemann's definition), and
-// per-bit entropy of interface identifiers used in target-randomness
-// analysis.
+// Hamming-weight histograms of interface identifiers used in
+// target-randomness analysis.
 package entropy
 
 import (
@@ -45,20 +45,6 @@ func (c *Counter) ObserveN(v uint64, n uint64) {
 		c.firstN = 0
 	}
 	c.counts[v] += n
-}
-
-// Total returns the number of recorded observations.
-func (c *Counter) Total() uint64 { return c.total }
-
-// Distinct returns the number of distinct observed values.
-func (c *Counter) Distinct() int {
-	if c.counts == nil {
-		if c.firstN > 0 {
-			return 1
-		}
-		return 0
-	}
-	return len(c.counts)
 }
 
 // Shannon returns the Shannon entropy H = -Σ p·log2(p) in bits.
@@ -114,58 +100,11 @@ func (c *Counter) Each(f func(v, n uint64)) {
 	}
 }
 
-// Merge adds all observations of other into c.
-func (c *Counter) Merge(other *Counter) {
-	if other.counts == nil {
-		c.ObserveN(other.first, other.firstN)
-		return
-	}
-	for v, n := range other.counts {
-		c.ObserveN(v, n)
-	}
-}
-
 // Reset discards all observations, retaining allocated capacity.
 func (c *Counter) Reset() {
 	clear(c.counts)
 	c.firstN = 0
 	c.total = 0
-}
-
-// BitEntropy64 returns the per-bit Shannon entropy of a set of 64-bit
-// values: for each bit position the entropy of its 0/1 distribution,
-// averaged over all 64 positions. Structured IIDs (low Hamming weight,
-// shared patterns) score near 0; uniformly random IIDs score near 1.
-// The paper's Appendix A.2 uses Hamming weights directly; bit entropy
-// is the complementary aggregate view exposed for analyses and the
-// ids-aggregation example.
-func BitEntropy64(values []uint64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	var ones [64]int
-	for _, v := range values {
-		for v != 0 {
-			i := bits.TrailingZeros64(v)
-			ones[i]++
-			v &= v - 1
-		}
-	}
-	n := float64(len(values))
-	var sum float64
-	for _, c := range ones {
-		p := float64(c) / n
-		sum += binaryEntropy(p)
-	}
-	return sum / 64
-}
-
-// binaryEntropy returns H(p) for a Bernoulli(p) variable, in bits.
-func binaryEntropy(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }
 
 // HammingHistogram64 returns a 65-bucket histogram of Hamming weights

@@ -7,9 +7,16 @@ import (
 	"testing/quick"
 )
 
+// distinct counts the values Each reports.
+func distinct(c *Counter) int {
+	n := 0
+	c.Each(func(uint64, uint64) { n++ })
+	return n
+}
+
 func TestCounterEmpty(t *testing.T) {
 	var c Counter
-	if c.Shannon() != 0 || c.Normalized() != 0 || c.Total() != 0 || c.Distinct() != 0 {
+	if c.Shannon() != 0 || c.Normalized() != 0 || c.total != 0 || distinct(&c) != 0 {
 		t.Error("zero counter should report zeros")
 	}
 }
@@ -70,6 +77,9 @@ func TestScanLikeLengthDistribution(t *testing.T) {
 	}
 }
 
+// TestCounterMergeEquivalence: merging counters the way snapshot
+// restore rebuilds one — Each into ObserveN — equals observing the
+// union directly.
 func TestCounterMergeEquivalence(t *testing.T) {
 	f := func(a, b []uint8) bool {
 		var c1, c2, m Counter
@@ -82,10 +92,10 @@ func TestCounterMergeEquivalence(t *testing.T) {
 			m.Observe(uint64(v))
 		}
 		var merged Counter
-		merged.Merge(&c1)
-		merged.Merge(&c2)
+		c1.Each(merged.ObserveN)
+		c2.Each(merged.ObserveN)
 		return math.Abs(merged.Shannon()-m.Shannon()) < 1e-12 &&
-			merged.Total() == m.Total()
+			merged.total == m.total && distinct(&merged) == distinct(&m)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -96,11 +106,11 @@ func TestCounterReset(t *testing.T) {
 	var c Counter
 	c.ObserveN(5, 10)
 	c.Reset()
-	if c.Total() != 0 || c.Distinct() != 0 {
+	if c.total != 0 || distinct(&c) != 0 {
 		t.Error("reset did not clear")
 	}
 	c.Observe(1)
-	if c.Total() != 1 {
+	if c.total != 1 {
 		t.Error("counter unusable after reset")
 	}
 }
@@ -116,32 +126,6 @@ func TestNormalizedBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBitEntropy64(t *testing.T) {
-	if got := BitEntropy64(nil); got != 0 {
-		t.Errorf("empty = %v", got)
-	}
-	// Constant values: zero entropy.
-	if got := BitEntropy64([]uint64{7, 7, 7, 7}); got != 0 {
-		t.Errorf("constant = %v", got)
-	}
-	// Random values: near 1.
-	rng := rand.New(rand.NewSource(2))
-	vals := make([]uint64, 4000)
-	for i := range vals {
-		vals[i] = rng.Uint64()
-	}
-	if got := BitEntropy64(vals); got < 0.95 {
-		t.Errorf("random = %v, want ≈1", got)
-	}
-	// Structured: only low 4 bits vary.
-	for i := range vals {
-		vals[i] = uint64(rng.Intn(16))
-	}
-	if got := BitEntropy64(vals); got > 0.1 {
-		t.Errorf("structured = %v, want ≈4/64", got)
 	}
 }
 

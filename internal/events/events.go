@@ -1,9 +1,9 @@
 // Package events defines the wire envelope carried between distributed
 // pipeline endpoints: the unit a vantage-point collector publishes and
 // an aggregator consumes. An envelope frames a run of firewall records
-// (or finished alerts) for one topic, with a per-topic sequence number
-// so a consumer can detect gaps, and an end-of-stream marker so a
-// publisher can hand off a finite stream cleanly.
+// for one topic, with a per-topic sequence number so a consumer can
+// detect gaps, and an end-of-stream marker so a publisher can hand off
+// a finite stream cleanly.
 //
 // # Format (version 1)
 //
@@ -18,9 +18,9 @@
 // trailing CRC-32C (Castagnoli) covers every preceding byte — the same
 // corruption discipline as internal/checkpoint. The payload is count
 // back-to-back fixed-width bodies: firewall records in their 47-byte
-// log wire form (KindRecords), alert bodies (KindAlerts), or nothing
-// (KindEOS, count must be zero). The encoding is canonical: decoding a
-// valid envelope and re-encoding it reproduces the input bytes exactly
+// log wire form (KindRecords), or nothing (KindEOS, count must be
+// zero). The encoding is canonical: decoding a valid envelope and
+// re-encoding it reproduces the input bytes exactly
 // (FuzzEnvelopeRoundtrip).
 //
 // # Topics
@@ -31,7 +31,7 @@
 // aggregation level — is reachable through exactly one topic. Within a
 // topic, envelope order is stream order (Seq increments by one);
 // across topics there is no ordering, which is precisely the freedom
-// the sharding invariant licenses. RecordTopics/AlertTopic name the
+// the sharding invariant licenses. RecordTopics names the
 // per-partition topics of one publisher's stream.
 package events
 
@@ -40,12 +40,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"net/netip"
 
 	"v6scan/internal/checkpoint"
 	"v6scan/internal/firewall"
-	"v6scan/internal/ids"
-	"v6scan/internal/netaddr6"
 )
 
 // magic identifies a v6scan event envelope. The CR/LF tail catches
@@ -55,13 +52,11 @@ var magic = [8]byte{'v', '6', 'e', 'v', 'n', 't', '\r', '\n'}
 // Version is the current (and only) envelope format version.
 const Version uint16 = 1
 
-// Envelope kinds.
+// Envelope kinds. Value 2, which once framed IDS alerts, stays unused
+// so that KindEOS keeps its wire value; it decodes as an unknown kind.
 const (
 	// KindRecords carries a run of firewall records in log wire form.
 	KindRecords uint8 = 1
-	// KindAlerts carries finished IDS alerts (an aggregator's output
-	// published onward).
-	KindAlerts uint8 = 2
 	// KindEOS marks the end of a topic's stream: the publisher is done
 	// and will not publish to this topic again. Count is always zero.
 	KindEOS uint8 = 3
@@ -86,13 +81,8 @@ const (
 	minSize    = headerSize + 8 + 4 + 4
 )
 
-// alertWireSize is the fixed encoded size of one alert body:
-// addr[16] bits:u8 level:u8 estDsts:u64 packets:u64
-// first:i64 last:i64 escalated:u8.
-const alertWireSize = 16 + 1 + 1 + 8 + 8 + 8 + 8 + 1
-
-// Envelope is one decoded wire message. Exactly one of Records and
-// Alerts is populated, matching Kind; both are nil for KindEOS.
+// Envelope is one decoded wire message. Records is populated only for
+// KindRecords.
 type Envelope struct {
 	Kind  uint8
 	Topic string
@@ -101,36 +91,16 @@ type Envelope struct {
 	// envelope takes the next number in line).
 	Seq     uint64
 	Records []firewall.Record
-	Alerts  []ids.Alert
-}
-
-// count returns the body count for e's kind.
-func (e *Envelope) count() int {
-	switch e.Kind {
-	case KindRecords:
-		return len(e.Records)
-	case KindAlerts:
-		return len(e.Alerts)
-	default:
-		return 0
-	}
 }
 
 // Append encodes e onto b and returns the extended slice. The topic
 // must fit a u16 length and the kind must be one of the defined kinds
-// (with Records/Alerts populated only as the kind allows).
+// (with Records populated only on a records envelope).
 func (e *Envelope) Append(b []byte) ([]byte, error) {
 	switch e.Kind {
 	case KindRecords:
-		if len(e.Alerts) != 0 {
-			return nil, fmt.Errorf("%w: alerts on a records envelope", ErrFormat)
-		}
-	case KindAlerts:
-		if len(e.Records) != 0 {
-			return nil, fmt.Errorf("%w: records on an alerts envelope", ErrFormat)
-		}
 	case KindEOS:
-		if len(e.Records) != 0 || len(e.Alerts) != 0 {
+		if len(e.Records) != 0 {
 			return nil, fmt.Errorf("%w: payload on an EOS envelope", ErrFormat)
 		}
 	default:
@@ -148,43 +118,19 @@ func (e *Envelope) Append(b []byte) ([]byte, error) {
 	enc.U16(uint16(len(e.Topic)))
 	enc.Raw([]byte(e.Topic))
 	enc.U64(e.Seq)
-	enc.U32(uint32(e.count()))
-	switch e.Kind {
-	case KindRecords:
-		for _, r := range e.Records {
-			enc.B = r.AppendBinary(enc.B)
-		}
-	case KindAlerts:
-		for _, a := range e.Alerts {
-			appendAlert(&enc, a)
-		}
+	enc.U32(uint32(len(e.Records)))
+	for _, r := range e.Records {
+		enc.B = r.AppendBinary(enc.B)
 	}
 	enc.U32(crc32.Checksum(enc.B[start:], castagnoli))
 	return enc.B, nil
 }
 
-// appendAlert encodes one alert body.
-func appendAlert(enc *checkpoint.Enc, a ids.Alert) {
-	addr := a.Prefix.Addr().As16()
-	enc.Raw(addr[:])
-	enc.U8(uint8(a.Prefix.Bits()))
-	enc.U8(uint8(a.Level))
-	enc.U64(a.EstimatedDsts)
-	enc.U64(a.Packets)
-	enc.Time(a.First)
-	enc.Time(a.Last)
-	if a.Escalated {
-		enc.U8(1)
-	} else {
-		enc.U8(0)
-	}
-}
-
 // Decode parses one complete envelope from b into e, reusing e's
-// Records/Alerts backing arrays. The slice must hold exactly one
+// Records backing array. The slice must hold exactly one
 // envelope: trailing bytes are ErrFormat (the transport is
 // message-framed, so extra bytes mean a framing bug, not a second
-// envelope). Decoded Records/Alerts do not alias b.
+// envelope). Decoded Records do not alias b.
 func (e *Envelope) Decode(b []byte) error {
 	if len(b) < 8 {
 		return fmt.Errorf("%w: %d bytes", ErrTruncated, len(b))
@@ -217,13 +163,9 @@ func (e *Envelope) Decode(b []byte) error {
 		return fmt.Errorf("%w: header fields overrun envelope", ErrFormat)
 	}
 	e.Records = e.Records[:0]
-	e.Alerts = e.Alerts[:0]
-	var bodySize int
+	const bodySize = firewall.RecordWireSize
 	switch e.Kind {
 	case KindRecords:
-		bodySize = firewall.RecordWireSize
-	case KindAlerts:
-		bodySize = alertWireSize
 	case KindEOS:
 		if count != 0 || d.Len() != 0 {
 			return fmt.Errorf("%w: payload on an EOS envelope", ErrFormat)
@@ -241,51 +183,14 @@ func (e *Envelope) Decode(b []byte) error {
 		return fmt.Errorf("%w: %d trailing payload bytes", ErrFormat,
 			d.Len()-count*bodySize)
 	}
-	switch e.Kind {
-	case KindRecords:
-		for i := 0; i < count; i++ {
-			var r firewall.Record
-			if err := r.DecodeBinary(d.Raw(firewall.RecordWireSize)); err != nil {
-				return fmt.Errorf("%w: record %d: %v", ErrFormat, i, err)
-			}
-			e.Records = append(e.Records, r)
+	for i := 0; i < count; i++ {
+		var r firewall.Record
+		if err := r.DecodeBinary(d.Raw(bodySize)); err != nil {
+			return fmt.Errorf("%w: record %d: %v", ErrFormat, i, err)
 		}
-	case KindAlerts:
-		for i := 0; i < count; i++ {
-			a, err := decodeAlert(d)
-			if err != nil {
-				return fmt.Errorf("alert %d: %w", i, err)
-			}
-			e.Alerts = append(e.Alerts, a)
-		}
+		e.Records = append(e.Records, r)
 	}
 	return nil
-}
-
-// decodeAlert decodes one alert body.
-func decodeAlert(d *checkpoint.Dec) (ids.Alert, error) {
-	var a ids.Alert
-	var addr [16]byte
-	copy(addr[:], d.Raw(16))
-	bits := d.U8()
-	a.Level = netaddr6.AggLevel(d.U8())
-	a.EstimatedDsts = d.U64()
-	a.Packets = d.U64()
-	a.First = d.Time()
-	a.Last = d.Time()
-	esc := d.U8()
-	if err := d.Err(); err != nil {
-		return a, err
-	}
-	if bits > 128 {
-		return a, fmt.Errorf("%w: prefix length %d", ErrFormat, bits)
-	}
-	if esc > 1 {
-		return a, fmt.Errorf("%w: escalated flag %d", ErrFormat, esc)
-	}
-	a.Prefix = netip.PrefixFrom(netip.AddrFrom16(addr), int(bits))
-	a.Escalated = esc == 1
-	return a, nil
 }
 
 // RecordTopic names one record-stream partition of a publisher: the
@@ -308,10 +213,4 @@ func RecordTopics(stream string, parts int) []string {
 		topics[i] = RecordTopic(stream, i)
 	}
 	return topics
-}
-
-// AlertTopic names the finished-alert topic of stream — the channel an
-// aggregator publishes its output on.
-func AlertTopic(stream string) string {
-	return "alert." + stream
 }

@@ -1,16 +1,16 @@
 package events
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
-	"net/netip"
 	"reflect"
 	"testing"
 	"time"
 
 	"v6scan/internal/firewall"
-	"v6scan/internal/ids"
 	"v6scan/internal/layers"
 	"v6scan/internal/netaddr6"
 )
@@ -31,30 +31,6 @@ func testRecords(n int) []firewall.Record {
 		})
 	}
 	return recs
-}
-
-func testAlerts() []ids.Alert {
-	ts := time.Date(2021, 4, 2, 8, 30, 0, 0, time.UTC)
-	return []ids.Alert{
-		{
-			Prefix:        netaddr6.MustPrefix("2001:db8:1::/48"),
-			Level:         netaddr6.Agg48,
-			EstimatedDsts: 1234,
-			Packets:       99,
-			First:         ts,
-			Last:          ts.Add(time.Hour),
-			Escalated:     true,
-		},
-		{
-			Prefix:        netip.PrefixFrom(netaddr6.MustAddr("2001:db8:2:3:4:5:6:7"), 128),
-			Level:         netaddr6.Agg128,
-			EstimatedDsts: 1,
-			Packets:       10,
-			// Zero times exercise the sentinel path of the time codec.
-			First: time.Time{},
-			Last:  time.Time{},
-		},
-	}
 }
 
 // reCRC recomputes and patches the trailing checksum so tests can
@@ -89,9 +65,6 @@ func TestRecordsRoundtrip(t *testing.T) {
 	if out.Kind != in.Kind || out.Topic != in.Topic || out.Seq != in.Seq {
 		t.Fatalf("header mismatch: got %+v", out)
 	}
-	if len(out.Alerts) != 0 {
-		t.Fatalf("alerts on a records envelope: %v", out.Alerts)
-	}
 	if !reflect.DeepEqual(normTimes(out.Records), normTimes(in.Records)) {
 		t.Fatalf("records mismatch:\n got %v\nwant %v", out.Records, in.Records)
 	}
@@ -113,45 +86,18 @@ func normTimes(recs []firewall.Record) []firewall.Record {
 	return out
 }
 
-func TestAlertsRoundtrip(t *testing.T) {
-	in := Envelope{Kind: KindAlerts, Topic: "alert.agg", Seq: 7, Alerts: testAlerts()}
-	b := encode(t, in)
-	var out Envelope
-	if err := out.Decode(b); err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if out.Kind != KindAlerts || out.Topic != in.Topic || out.Seq != in.Seq {
-		t.Fatalf("header mismatch: got %+v", out)
-	}
-	if len(out.Alerts) != len(in.Alerts) {
-		t.Fatalf("got %d alerts, want %d", len(out.Alerts), len(in.Alerts))
-	}
-	for i := range in.Alerts {
-		want, got := in.Alerts[i], out.Alerts[i]
-		if got.Prefix != want.Prefix || got.Level != want.Level ||
-			got.EstimatedDsts != want.EstimatedDsts || got.Packets != want.Packets ||
-			got.Escalated != want.Escalated ||
-			!got.First.Equal(want.First) || !got.Last.Equal(want.Last) {
-			t.Errorf("alert %d: got %+v, want %+v", i, got, want)
-		}
-	}
-	if b2 := encode(t, out); string(b2) != string(b) {
-		t.Fatal("re-encoded envelope differs from input bytes")
-	}
-}
-
 func TestEOSRoundtrip(t *testing.T) {
 	in := Envelope{Kind: KindEOS, Topic: "rec.pub1.0", Seq: 9}
 	b := encode(t, in)
-	// Reused envelope: stale Records/Alerts must be cleared by Decode.
-	out := Envelope{Records: testRecords(2), Alerts: testAlerts()}
+	// Reused envelope: stale Records must be cleared by Decode.
+	out := Envelope{Records: testRecords(2)}
 	if err := out.Decode(b); err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
 	if out.Kind != KindEOS || out.Topic != in.Topic || out.Seq != in.Seq {
 		t.Fatalf("header mismatch: got %+v", out)
 	}
-	if len(out.Records) != 0 || len(out.Alerts) != 0 {
+	if len(out.Records) != 0 {
 		t.Fatal("EOS decode left stale payload slices populated")
 	}
 }
@@ -169,8 +115,6 @@ func TestEmptyRecordsEnvelope(t *testing.T) {
 
 func TestAppendRejectsMismatchedPayload(t *testing.T) {
 	cases := []Envelope{
-		{Kind: KindRecords, Alerts: testAlerts()},
-		{Kind: KindAlerts, Records: testRecords(1)},
 		{Kind: KindEOS, Records: testRecords(1)},
 		{Kind: 0},
 		{Kind: 99},
@@ -233,21 +177,23 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsBadAlertFields: the alert kind (2) is retired, so an
+// envelope framing an alert body the way its encoder did — 51 bytes of
+// prefix, level, estimate, packets, first, last and escalation — fails
+// as ErrFormat, and Append refuses the kind.
 func TestDecodeRejectsBadAlertFields(t *testing.T) {
-	base := encode(t, Envelope{Kind: KindAlerts, Topic: "a", Seq: 0, Alerts: testAlerts()[:1]})
-	payload := headerSize + 1 + 8 + 4 // after topic "a", seq, count
-
-	bits := append([]byte(nil), base...)
-	bits[payload+16] = 129
+	const alertWireSize = 16 + 1 + 1 + 8 + 8 + 8 + 8 + 1
+	b := encode(t, Envelope{Kind: KindRecords, Topic: "a"})
+	b = b[:len(b)-4] // drop the CRC
+	b[10] = 2
+	binary.LittleEndian.PutUint32(b[headerSize+1+8:], 1) // count, after topic "a" and seq
+	b = append(b, make([]byte, alertWireSize+4)...)
 	var e Envelope
-	if err := e.Decode(reCRC(bits)); !errors.Is(err, ErrFormat) {
-		t.Errorf("prefix bits 129: got %v, want ErrFormat", err)
+	if err := e.Decode(reCRC(b)); !errors.Is(err, ErrFormat) {
+		t.Errorf("alert envelope: got %v, want ErrFormat", err)
 	}
-
-	esc := append([]byte(nil), base...)
-	esc[payload+alertWireSize-1] = 2
-	if err := e.Decode(reCRC(esc)); !errors.Is(err, ErrFormat) {
-		t.Errorf("escalated flag 2: got %v, want ErrFormat", err)
+	if _, err := (&Envelope{Kind: 2}).Append(nil); !errors.Is(err, ErrFormat) {
+		t.Errorf("Append of the alert kind: got %v, want ErrFormat", err)
 	}
 }
 
@@ -263,7 +209,26 @@ func TestTopicHelpers(t *testing.T) {
 	if got := RecordTopics("edge1", 0); len(got) != 1 {
 		t.Errorf("RecordTopics(0): got %v, want one topic", got)
 	}
-	if got := AlertTopic("agg"); got != "alert.agg" {
-		t.Errorf("AlertTopic: got %q", got)
+}
+
+// TestEnvelopeBytesPinned pins the wire bytes of a records and an EOS
+// envelope, so a change to either encoding (a kind renumbered, a
+// header field moved) fails here rather than between deployed
+// publishers and subscribers.
+func TestEnvelopeBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		env  Envelope
+		size int
+		sum  string
+	}{
+		{Envelope{Kind: KindRecords, Topic: "rec.edge1.2", Seq: 41, Records: testRecords(3)},
+			182, "5cdccaaf81b0c66c146c9063136d3315aa45ba22bd80cb7374f885b59c937348"},
+		{Envelope{Kind: KindEOS, Topic: "rec.edge1.2", Seq: 42},
+			41, "dfe862771f4eb57fa86c271b023712d0228af89417efcec946862e84b9d6c851"},
+	} {
+		b := encode(t, tc.env)
+		if sum := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != tc.size || sum != tc.sum {
+			t.Errorf("kind %d: %d bytes, sha256 %s; want %d bytes, %s", tc.env.Kind, len(b), sum, tc.size, tc.sum)
+		}
 	}
 }

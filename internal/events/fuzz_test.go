@@ -16,8 +16,8 @@ func FuzzEnvelopeRoundtrip(f *testing.F) {
 	seed := []Envelope{
 		{Kind: KindEOS, Topic: "rec.p0.0", Seq: 3},
 		{Kind: KindRecords, Topic: "rec.p0.1", Seq: 0, Records: testRecords(2)},
-		{Kind: KindAlerts, Topic: "alert.agg", Seq: 1, Alerts: testAlerts()},
 		{Kind: KindRecords, Topic: "", Seq: 0},
+		{Kind: KindRecords, Topic: "rec.p1.0", Seq: 1 << 40, Records: testRecords(7)},
 	}
 	for _, e := range seed {
 		b, err := e.Append(nil)

@@ -45,10 +45,6 @@ var (
 	Dec24Peak  = time.Date(2021, 12, 24, 0, 0, 0, 0, time.UTC)
 )
 
-// DecPeakASN is the US cloud provider behind the December 24 peak
-// (not among the Table-2 top 20).
-const DecPeakASN = 64900
-
 // Config sizes the MAWI simulation.
 type Config struct {
 	Start, End time.Time

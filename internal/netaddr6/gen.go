@@ -55,23 +55,6 @@ func LowHammingAddrIn(p netip.Prefix, maxOnes int, rng *rand.Rand) netip.Addr {
 	return u.ToAddr()
 }
 
-// LowBitsVariedAddr returns base with its bottom `vary` bits replaced by
-// random bits. This is the AS #9 pattern: a scanner sourcing from a
-// single /64 but varying the lowest 7–9 bits of the source address per
-// packet.
-func LowBitsVariedAddr(base netip.Addr, vary int, rng *rand.Rand) netip.Addr {
-	if vary <= 0 {
-		return base
-	}
-	if vary > 64 {
-		vary = 64
-	}
-	u := ToU128(base)
-	mask := ^uint64(0) >> (64 - vary)
-	u.Lo = (u.Lo &^ mask) | (rng.Uint64() & mask)
-	return u.ToAddr()
-}
-
 // SequentialAddrs returns n addresses starting at base, each step apart.
 // Scan actors enumerating nearby addresses around a known (in-DNS)
 // target use step 1.

@@ -46,11 +46,6 @@ func (u U128) ToAddr() netip.Addr {
 	return netip.AddrFrom16(b)
 }
 
-// Xor returns the bitwise exclusive-or of two 128-bit values.
-func (u U128) Xor(v U128) U128 {
-	return U128{Hi: u.Hi ^ v.Hi, Lo: u.Lo ^ v.Lo}
-}
-
 // And returns the bitwise and of two 128-bit values.
 func (u U128) And(v U128) U128 {
 	return U128{Hi: u.Hi & v.Hi, Lo: u.Lo & v.Lo}
@@ -97,19 +92,6 @@ func (u U128) SetBit(i, v int) U128 {
 		u.Lo |= mask
 	}
 	return u
-}
-
-// OnesCount returns the number of set bits in the 128-bit value.
-func (u U128) OnesCount() int {
-	return bits.OnesCount64(u.Hi) + bits.OnesCount64(u.Lo)
-}
-
-// LeadingZeros returns the number of leading zero bits (MSB-first).
-func (u U128) LeadingZeros() int {
-	if u.Hi != 0 {
-		return bits.LeadingZeros64(u.Hi)
-	}
-	return 64 + bits.LeadingZeros64(u.Lo)
 }
 
 // Mask returns u with all bits beyond plen cleared (network mask).
@@ -211,12 +193,6 @@ func HammingWeightIID(a netip.Addr) int {
 	return bits.OnesCount64(IID(a))
 }
 
-// HammingDistance returns the number of differing bits between two
-// addresses across all 128 bits.
-func HammingDistance(a, b netip.Addr) int {
-	return ToU128(a).Xor(ToU128(b)).OnesCount()
-}
-
 // SameSlash reports whether a and b share their first plen bits, i.e.
 // fall into the same /plen. It is the "nearby" predicate of Section 3.3
 // (used there with plen of 124, 120, 116, 112).
@@ -229,16 +205,6 @@ func SameSlash(a, b netip.Addr, plen int) bool {
 	}
 	ua, ub := ToU128(a), ToU128(b)
 	return ua.Mask(plen) == ub.Mask(plen)
-}
-
-// CommonPrefixLen returns the length of the longest common prefix of a
-// and b in bits (0..128).
-func CommonPrefixLen(a, b netip.Addr) int {
-	x := ToU128(a).Xor(ToU128(b))
-	if x == (U128{}) {
-		return 128
-	}
-	return x.LeadingZeros()
 }
 
 // MustAddr parses an IPv6 address or panics; intended for tests, tables
@@ -264,18 +230,6 @@ func MustPrefix(s string) netip.Prefix {
 // PrefixContains reports whether outer contains the entire inner prefix.
 func PrefixContains(outer, inner netip.Prefix) bool {
 	return outer.Bits() <= inner.Bits() && outer.Contains(inner.Addr())
-}
-
-// First returns the first (numerically lowest) address in p.
-func First(p netip.Prefix) netip.Addr {
-	return p.Masked().Addr()
-}
-
-// Last returns the last (numerically highest) address in p.
-func Last(p netip.Prefix) netip.Addr {
-	u := ToU128(p.Masked().Addr())
-	host := hostMask(p.Bits())
-	return u.Or(host).ToAddr()
 }
 
 func hostMask(plen int) U128 {

@@ -1,6 +1,7 @@
 package netaddr6
 
 import (
+	"math/bits"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -159,20 +160,6 @@ func TestHammingWeightIID(t *testing.T) {
 	}
 }
 
-func TestHammingDistanceSymmetricQuick(t *testing.T) {
-	f := func(h1, l1, h2, l2 uint64) bool {
-		a := U128{h1, l1}.ToAddr()
-		b := U128{h2, l2}.ToAddr()
-		d := HammingDistance(a, b)
-		return d == HammingDistance(b, a) &&
-			d >= 0 && d <= 128 &&
-			(d == 0) == (a == b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSameSlash(t *testing.T) {
 	a := MustAddr("2001:db8::1:0")
 	b := MustAddr("2001:db8::1:7")
@@ -191,6 +178,18 @@ func TestSameSlash(t *testing.T) {
 	}
 }
 
+// commonPrefixLen is the length of the longest common prefix of a and
+// b in bits, the oracle SameSlash is checked against.
+func commonPrefixLen(a, b netip.Addr) int {
+	ua, ub := ToU128(a), ToU128(b)
+	if hi := ua.Hi ^ ub.Hi; hi != 0 {
+		return bits.LeadingZeros64(hi)
+	}
+	return 64 + bits.LeadingZeros64(ua.Lo^ub.Lo)
+}
+
+// TestCommonPrefixLen pins the oracle the SameSlash property below is
+// checked against.
 func TestCommonPrefixLen(t *testing.T) {
 	tests := []struct {
 		a, b string
@@ -200,10 +199,11 @@ func TestCommonPrefixLen(t *testing.T) {
 		{"2001:db8::", "2001:db8::1", 127},
 		{"8000::", "::", 0},
 		{"2001:db8::", "2001:db9::", 31},
+		{"2001:db8::", "2001:db8:0:0:8000::", 64},
 	}
 	for _, tt := range tests {
-		if got := CommonPrefixLen(MustAddr(tt.a), MustAddr(tt.b)); got != tt.want {
-			t.Errorf("CommonPrefixLen(%s,%s) = %d, want %d", tt.a, tt.b, got, tt.want)
+		if got := commonPrefixLen(MustAddr(tt.a), MustAddr(tt.b)); got != tt.want {
+			t.Errorf("commonPrefixLen(%s,%s) = %d, want %d", tt.a, tt.b, got, tt.want)
 		}
 	}
 }
@@ -213,28 +213,10 @@ func TestCommonPrefixConsistentWithSameSlashQuick(t *testing.T) {
 		a := U128{h1, l1}.ToAddr()
 		b := U128{h2, l2}.ToAddr()
 		plen := int(plenRaw) % 129
-		return SameSlash(a, b, plen) == (CommonPrefixLen(a, b) >= plen)
+		return SameSlash(a, b, plen) == (commonPrefixLen(a, b) >= plen)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFirstLast(t *testing.T) {
-	p := MustPrefix("2001:db8::/64")
-	if First(p) != MustAddr("2001:db8::") {
-		t.Errorf("First = %s", First(p))
-	}
-	if Last(p) != MustAddr("2001:db8::ffff:ffff:ffff:ffff") {
-		t.Errorf("Last = %s", Last(p))
-	}
-	p32 := MustPrefix("2001:db8::/32")
-	if Last(p32) != MustAddr("2001:db8:ffff:ffff:ffff:ffff:ffff:ffff") {
-		t.Errorf("Last /32 = %s", Last(p32))
-	}
-	host := MustPrefix("2001:db8::5/128")
-	if First(host) != Last(host) {
-		t.Error("host prefix first != last")
 	}
 }
 
@@ -289,27 +271,6 @@ func TestLowHammingAddrIn(t *testing.T) {
 		if hw := HammingWeightIID(a); hw > 6 {
 			t.Fatalf("HW %d > 6 for %s", hw, a)
 		}
-	}
-}
-
-func TestLowBitsVariedAddr(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	base := MustAddr("2001:db8::100")
-	seen := map[netip.Addr]bool{}
-	for i := 0; i < 300; i++ {
-		a := LowBitsVariedAddr(base, 8, rng)
-		if CommonPrefixLen(base, a) < 120 {
-			t.Fatalf("varied more than 8 bits: %s", a)
-		}
-		seen[a] = true
-	}
-	// 8 bits of variation => at most 256 distinct addresses, and with 300
-	// samples we should see a decent spread.
-	if len(seen) < 100 || len(seen) > 256 {
-		t.Errorf("unexpected distinct count %d", len(seen))
-	}
-	if got := LowBitsVariedAddr(base, 0, rng); got != base {
-		t.Error("vary=0 should be identity")
 	}
 }
 

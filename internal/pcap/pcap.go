@@ -142,24 +142,6 @@ func (r *Reader) Next() (Packet, error) {
 	}, nil
 }
 
-// ReadAll drains the stream, returning owned copies of every packet.
-func (r *Reader) ReadAll() ([]Packet, error) {
-	var out []Packet
-	for {
-		p, err := r.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		d := make([]byte, len(p.Data))
-		copy(d, p.Data)
-		p.Data = d
-		out = append(out, p)
-	}
-}
-
 // Writer writes packets to a classic pcap stream.
 type Writer struct {
 	w       *bufio.Writer

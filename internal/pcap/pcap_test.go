@@ -95,16 +95,23 @@ func TestReadAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
+	// Next yields every packet, then io.EOF.
+	n := 0
+	for {
+		p, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p.Data, frames[n]) {
+			t.Fatalf("packet %d differs from the frame written", n)
+		}
+		n++
 	}
-	if len(pkts) != 5 {
-		t.Fatalf("got %d", len(pkts))
-	}
-	// ReadAll must return owned copies, not a shared buffer.
-	if &pkts[0].Data[0] == &pkts[1].Data[0] {
-		t.Error("packets share backing buffer")
+	if n != 5 {
+		t.Fatalf("got %d", n)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"v6scan/internal/core"
 	"v6scan/internal/firewall"
-	"v6scan/internal/ids"
 )
 
 // Builder assembles a pipeline fluently, left to right — the order
@@ -23,25 +22,22 @@ import (
 // Builder methods mutate and return the same builder, so conditional
 // stages compose naturally (b := From(src); if filter { b.Artifact() }).
 // A builder is single-use: exactly one of the terminal calls (Build,
-// RunInto, Detect, IDS, MAWI — or Into for a source-less Chain) may be
-// made, after which the builder is spent; a second terminal call
-// panics.
+// RunInto, Detect — or Into for a source-less Chain) may be made,
+// after which the builder is spent; a second terminal call panics.
 //
 // Records flow batch-to-batch from the source's EmitBatch through
-// every stage to the terminal's ConsumeBatch. The terminal helpers own
+// every stage to the terminal's ConsumeBatch. RunInto and Detect own
 // the sink lifecycle: they run the pipeline, Flush (finalize) and
-// Close (release) the sink even on mid-stream errors, and return the
-// sink's typed result.
+// Close (release) the sink even on mid-stream errors.
 type Builder struct {
 	src    Source
 	stages []func(next RecordSink) RecordSink
 	// branches collects Tee side sinks so RunInto can extend the
 	// terminal lifecycle (Close) to them.
 	branches []RecordSink
-	// advanceEvery is the stream-time eviction cadence the terminal
-	// helpers apply by setting the sink's AdvanceEvery (the unified
-	// name on every cadence-capable sink — detector Advance, IDS
-	// Tick). Zero leaves eviction to Flush.
+	// advanceEvery is the stream-time eviction cadence RunInto gives
+	// a cadence-capable sink (detector Advance, IDS Tick). Zero leaves
+	// eviction to Flush.
 	advanceEvery time.Duration
 	// ckptEvery/ckptDir is the checkpoint cadence RunInto applies to
 	// terminals that can snapshot their state (the detector and IDS
@@ -104,11 +100,6 @@ func (b *Builder) Filter(pred func(r firewall.Record) bool) *Builder {
 	return b.stage(func(next RecordSink) RecordSink { return Filter(pred, next) })
 }
 
-// Tap appends an observer stage invoking fn on every record.
-func (b *Builder) Tap(fn func(r firewall.Record)) *Builder {
-	return b.stage(func(next RecordSink) RecordSink { return Tap(fn, next) })
-}
-
 // Counter appends a counting stage and stores it in *out at build
 // time, so the caller can read Count after the run:
 //
@@ -138,20 +129,16 @@ func (b *Builder) WindowSort(window time.Duration) *Builder {
 }
 
 // AdvanceEvery sets the stream-time eviction cadence RunInto — and so
-// every terminal helper — applies to a cadence-capable terminal sink:
+// Detect — applies to a cadence-capable terminal sink:
 // the detector sink forwards ShardedDetector.Advance (scan output is
 // unchanged — only peak memory is bounded), the IDS sink forwards
 // Engine.Tick (the inline deployment's timer, which does determine
 // when idle candidates close). Across worker shards the horizon
 // travels to every shard through the dispatcher's marks, ordered with
 // the record stream, so output stays byte-identical at any shard
-// count. Zero (the default) leaves all eviction to Flush and never
-// touches the sink, so a cadence configured on the sink directly is
-// preserved; a non-zero builder cadence wins over one set on the
-// sink. Terminals without an eviction cadence ignore it — MAWI
-// detectors are bounded by construction (one capture window), and
-// arbitrary RunInto sinks opt in by implementing
-// setCadence(time.Duration) (all built-in detector/IDS sinks do).
+// count. Zero (the default) leaves all eviction to Flush. The builder
+// is the one place a sink's cadence is set: RunInto applies it to the
+// built-in detector and IDS sinks; other terminals ignore it.
 func (b *Builder) AdvanceEvery(every time.Duration) *Builder {
 	b.advanceEvery = every
 	return b
@@ -160,19 +147,18 @@ func (b *Builder) AdvanceEvery(every time.Duration) *Builder {
 // CheckpointEvery sets a stream-time checkpoint cadence on the
 // terminal: RunInto's sink snapshots its state into dir (one file per
 // cut, atomically renamed into place; see LatestCheckpoint and
-// Resume). Every snapshot is a consistent prefix of the stream — all
+// ResumeFile). Every snapshot is a consistent prefix of the stream — all
 // records strictly before the cut applied, none at or after it. When
 // an AdvanceEvery cadence is configured, checkpoints ride it: the
 // snapshot is cut at the first eviction fire at least every past the
 // previous snapshot, right after the advance/tick runs, which keeps
 // the eviction schedule untouched by checkpointing and lets a
 // resumed run pick the schedule up exactly in phase. Without
-// AdvanceEvery the checkpoint cadence fires on its own. Terminals
-// that cannot snapshot (MAWI, arbitrary sinks) ignore the cadence;
-// the built-in detector and IDS sinks opt in by implementing
-// setCheckpoint(time.Duration, string). A zero every with a dir cuts
-// no periodic checkpoints but gives a hooked IDS sink (see IDSHook)
-// the directory for its final cut.
+// AdvanceEvery the checkpoint cadence fires on its own. Only the
+// built-in detector and IDS sinks can snapshot; other terminals
+// ignore the cadence. A zero every with a dir cuts no periodic
+// checkpoints but gives a hooked IDS sink (see IDSHook) the directory
+// for its final cut.
 func (b *Builder) CheckpointEvery(every time.Duration, dir string) *Builder {
 	b.ckptEvery = every
 	b.ckptDir = dir
@@ -182,7 +168,7 @@ func (b *Builder) CheckpointEvery(every time.Duration, dir string) *Builder {
 // Instrument attaches a metrics bundle (RegisterMetrics) to the
 // pipeline: a batch-native meter stage mounted ahead of every other
 // stage counts raw source output (records, batches, occupancy), and
-// the terminal sink — any of the four built-ins — reports eviction
+// the terminal sink — the detector or IDS sink — reports eviction
 // fires and checkpoint outcomes into the same bundle. Instrumentation
 // is allocation-free per record, so an instrumented pipeline's
 // allocs/op match the uninstrumented one (BenchmarkMetricsHotPath).
@@ -193,7 +179,7 @@ func (b *Builder) Instrument(m *Metrics) *Builder {
 
 // ResumeFrom appends a filter dropping every record at or before
 // horizon — the replay-skip half of checkpoint resume. Feed the same
-// input the interrupted run saw, restore its sink (Resume), and the
+// input the interrupted run saw, restore its sink (ResumeFile), and the
 // combination reconstructs the uninterrupted run byte-exactly:
 //
 //	res, _ := pipeline.ResumeFile(path, shards)
@@ -276,22 +262,14 @@ func (b *Builder) Build(sink RecordSink) *Pipeline {
 // the sink lifecycle: the chain is flushed even on a mid-stream error,
 // and afterwards the terminal — and every Tee branch sink — that
 // implements Sink is closed. The run error wins over any teardown
-// error; otherwise the first teardown error is returned.
+// error; otherwise the first teardown error is returned. A detector or
+// IDS terminal first takes the builder's AdvanceEvery, CheckpointEvery
+// and Instrument settings, zero values included.
 func (b *Builder) RunInto(ctx context.Context, sink RecordSink) error {
-	if b.advanceEvery > 0 {
-		if cs, ok := sink.(interface{ setCadence(time.Duration) }); ok {
-			cs.setCadence(b.advanceEvery)
-		}
-	}
-	if b.ckptDir != "" {
-		if cs, ok := sink.(interface{ setCheckpoint(time.Duration, string) }); ok {
-			cs.setCheckpoint(b.ckptEvery, b.ckptDir)
-		}
-	}
-	if b.met != nil {
-		if ms, ok := sink.(interface{ setMetrics(*Metrics) }); ok {
-			ms.setMetrics(b.met)
-		}
+	if c, ok := sink.(interface {
+		setCadence(time.Duration, time.Duration, string, *Metrics)
+	}); ok {
+		c.setCadence(b.advanceEvery, b.ckptEvery, b.ckptDir, b.met)
 	}
 	branches := b.branches
 	err := b.Build(sink).RunContext(ctx)
@@ -311,31 +289,6 @@ func (b *Builder) RunInto(ctx context.Context, sink RecordSink) error {
 // detector. Output is identical at any shard count.
 func (b *Builder) Detect(ctx context.Context, cfg core.Config, shards int) (*core.Detector, error) {
 	sink := NewShardedSink(core.NewShardedDetector(cfg, shards))
-	if err := b.RunInto(ctx, sink); err != nil {
-		return nil, err
-	}
-	return sink.Result(), nil
-}
-
-// IDS terminates the pipeline in the dynamic-aggregation IDS engine
-// across shards (inline when shards ≤ 1), runs it, and returns the
-// accumulated alerts (byte-identical at any shard count). AdvanceEvery
-// sets the inline Tick cadence; for engine introspection
-// (dropped-candidate counts, memory estimates), construct an IDSSink
-// directly and use RunInto.
-func (b *Builder) IDS(ctx context.Context, cfg ids.Config, shards int) ([]ids.Alert, error) {
-	sink := NewIDSSink(ids.NewSharded(cfg, shards))
-	if err := b.RunInto(ctx, sink); err != nil {
-		return nil, err
-	}
-	return sink.Result(), nil
-}
-
-// MAWI terminates the pipeline in a capture-window MAWI detector
-// (extended Fukuda–Heidemann definition), runs it, and returns the
-// window's scans.
-func (b *Builder) MAWI(ctx context.Context, cfg core.MAWIConfig) ([]core.MAWIScan, error) {
-	sink := NewMAWISink(core.NewMAWIDetector(cfg))
 	if err := b.RunInto(ctx, sink); err != nil {
 		return nil, err
 	}

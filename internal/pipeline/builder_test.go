@@ -128,10 +128,10 @@ func TestBuilderTeeBranchesSeePreCompactionStream(t *testing.T) {
 	}
 	var branch, main *Counter
 	b := From(SliceSource(recs)).
-		Tee(Chain().Counter(&branch).Into(Discard)).
+		Tee(Chain().Counter(&branch).Into(discard)).
 		Policy(firewall.DefaultCollectPolicy()).
 		Counter(&main)
-	if err := b.Build(Discard).Run(); err != nil {
+	if err := b.Build(discard).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if branch.Count() != uint64(len(recs)) {
@@ -186,7 +186,7 @@ func TestRunIntoClosesTeeBranches(t *testing.T) {
 // out-pointers) between runs.
 func TestBuilderSingleUse(t *testing.T) {
 	b := From(SliceSource(scanStream(10))).Artifact()
-	if err := b.RunInto(context.Background(), Discard); err != nil {
+	if err := b.RunInto(context.Background(), discard); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -194,11 +194,12 @@ func TestBuilderSingleUse(t *testing.T) {
 			t.Fatal("reusing a spent builder should panic")
 		}
 	}()
-	b.Build(Discard)
+	b.Build(discard)
 }
 
-// TestBuilderTerminalHelpers checks that Detect/IDS/MAWI produce the
-// same results as hand-run engines, serial and sharded.
+// TestBuilderTerminalHelpers checks that Detect and an IDS sink run
+// through RunInto produce the same results as hand-run engines, serial
+// and sharded.
 func TestBuilderTerminalHelpers(t *testing.T) {
 	recs := scanStream(400)
 
@@ -221,7 +222,7 @@ func TestBuilderTerminalHelpers(t *testing.T) {
 	}
 	want := ref.Flush()
 	for _, shards := range []int{1, 3} {
-		alerts, err := From(SliceSource(recs)).IDS(context.Background(), ids.DefaultConfig(), shards)
+		alerts, err := runIDS(context.Background(), From(SliceSource(recs)), ids.DefaultConfig(), shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,19 +232,6 @@ func TestBuilderTerminalHelpers(t *testing.T) {
 		if alerts[0] != want[0] {
 			t.Fatalf("IDS(%d) alert differs: %+v vs %+v", shards, alerts[0], want[0])
 		}
-	}
-
-	mref := core.NewMAWIDetector(core.DefaultMAWIConfig())
-	for _, r := range recs {
-		mref.Process(r)
-	}
-	wantScans := mref.Finish()
-	scans, err := From(SliceSource(recs)).MAWI(context.Background(), core.DefaultMAWIConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scans) != len(wantScans) || len(scans) == 0 || scans[0].Dsts != wantScans[0].Dsts {
-		t.Fatalf("MAWI helper: %+v, want %+v", scans, wantScans)
 	}
 }
 
@@ -283,7 +271,7 @@ func TestRunContextCancel(t *testing.T) {
 		sink := &collectSink{}
 		// Cancel fires mid-first-batch, so the second batch must never
 		// arrive.
-		head := Tap(func(firewall.Record) {
+		head := tap(func(firewall.Record) {
 			if n++; n == 100 {
 				cancel()
 			}
@@ -316,7 +304,7 @@ func TestRunContextCancel(t *testing.T) {
 			}
 			return nil
 		})
-		p := New(src, Tap(func(firewall.Record) {
+		p := New(src, tap(func(firewall.Record) {
 			if n++; n == 100 {
 				cancel()
 			}
@@ -338,10 +326,11 @@ func TestRunContextCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
 		sink := NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 4))
-		b := From(SliceSource(recs)).Tap(func(firewall.Record) {
+		b := From(SliceSource(recs)).Filter(func(firewall.Record) bool {
 			if n++; n == 5000 {
 				cancel()
 			}
+			return true
 		})
 		// RunInto flushes and closes the sharded sink even though the
 		// run aborted, so Finish has run and Result is safe to read.

@@ -51,9 +51,8 @@ type PublishSink struct {
 	enc   []byte
 	env   events.Envelope
 
-	envelopes uint64
-	flushed   bool
-	closed    bool
+	flushed bool
+	closed  bool
 }
 
 // NewPublishSink returns a sink publishing onto b, routing each record
@@ -86,10 +85,6 @@ func NewPublishSink(ctx context.Context, b *bus.Bus, level netaddr6.AggLevel, to
 	}
 	return s
 }
-
-// Envelopes returns the number of envelopes published so far
-// (including EOS markers). Safe after the run ends.
-func (s *PublishSink) Envelopes() uint64 { return s.envelopes }
 
 // ConsumeBatch implements RecordSink: the batch is partitioned into the
 // staging buffers (a stage reaching DefaultBatchSize is published at
@@ -145,7 +140,6 @@ func (s *PublishSink) publishTopic(i int) error {
 		return fmt.Errorf("pipeline: publishing to %s: %w", s.topics[i], err)
 	}
 	s.seqs[i]++
-	s.envelopes++
 	*st = (*st)[:0]
 	return nil
 }
@@ -175,7 +169,6 @@ func (s *PublishSink) Flush() error {
 			return fmt.Errorf("pipeline: publishing to %s: %w", s.topics[i], err)
 		}
 		s.seqs[i]++
-		s.envelopes++
 		s.eos[i] = true
 	}
 	s.flushed = true
@@ -257,21 +250,15 @@ func (s *SubscribeSource) EmitBatch(batchSize int, emit func(recs []firewall.Rec
 				ErrEnvelopeGap, s.topic, env.Seq, nextSeq)
 		}
 		nextSeq++
-		switch env.Kind {
-		case events.KindEOS:
+		// Decode admits only record and EOS envelopes.
+		if env.Kind == events.KindEOS {
 			return nil
-		case events.KindRecords:
-			for start := 0; start < len(env.Records); start += batchSize {
-				end := start + batchSize
-				if end > len(env.Records) {
-					end = len(env.Records)
-				}
-				if err := emit(env.Records[start:end]); err != nil {
-					return err
-				}
+		}
+		for start := 0; start < len(env.Records); start += batchSize {
+			end := min(start+batchSize, len(env.Records))
+			if err := emit(env.Records[start:end]); err != nil {
+				return err
 			}
-		default:
-			return fmt.Errorf("pipeline: topic %s: unexpected envelope kind %d", s.topic, env.Kind)
 		}
 	}
 }

@@ -76,7 +76,7 @@ func TestBusIDSParity(t *testing.T) {
 	level := dispatch.CoarsestLevel(cfg.Levels)
 	ctx := context.Background()
 
-	refAlerts, err := From(SliceSource(recs)).IDS(ctx, cfg, 1)
+	refAlerts, err := runIDS(ctx, From(SliceSource(recs)), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBusIDSParity(t *testing.T) {
 		topics, startPubs := publishSplitSetup(t, recs)
 		agg := FromBusContext(ctx, b, topics...)
 		wait := startPubs(ctx, b, level)
-		alerts, err := agg.IDS(ctx, cfg, shards)
+		alerts, err := runIDS(ctx, agg, cfg, shards)
 		wait()
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -210,7 +210,7 @@ func TestPublishSinkFlushIdempotent(t *testing.T) {
 	// Every topic sees its records (if any) and then exactly one EOS.
 	eos := map[string]int{}
 	total := 0
-	for i := uint64(0); i < sink.Envelopes(); i++ {
+	for i := uint64(0); i < b.Stats().Published; i++ {
 		msg, err := sub.Pull(ctx)
 		if err != nil {
 			t.Fatal(err)

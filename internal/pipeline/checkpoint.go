@@ -13,7 +13,7 @@ package pipeline
 // processed record has Time < t — the snapshot is exactly the state
 // of the prefix {Time < t}, and the snapshot's mark is t.
 //
-// Resume replays the same input and drops every record with
+// A resumed run replays the same input and drops every record with
 // Time ≤ horizon (= mark − 1ns, i.e. Time < mark) ahead of the
 // terminal, which reconstructs the uninterrupted run byte-exactly.
 //
@@ -23,7 +23,7 @@ package pipeline
 // snapshot), immediately after the advance/tick runs. Two things
 // follow. First, a snapshot always includes the eviction horizon's
 // effect, in the order the live run applied it. Second, at every cut
-// the eviction cadence's own mark equals the snapshot mark, so Resume
+// the eviction cadence's own mark equals the snapshot mark, so resume
 // — which restores both marks to the snapshot's — puts the resumed
 // run's eviction schedule exactly in phase with the uninterrupted
 // one. That matters for the IDS, whose tick timing is semantic:
@@ -71,16 +71,17 @@ type Checkpointer interface {
 }
 
 // cadence is the stream-time schedule every detector and IDS sink
-// embeds: the eviction cadence (AdvanceEvery — its fire runs the
+// embeds: the eviction cadence (advanceEvery — its fire runs the
 // sink's advance, ShardedDetector.Advance or Engine.Tick), the checkpoint
-// cadence riding it (CheckpointEvery, into CheckpointDir), both
+// cadence riding it (checkpointEvery, into checkpointDir), both
 // cadences' marks — the phase a checkpoint carries — and the metrics
 // bundle the fires report into. Builder.AdvanceEvery,
-// CheckpointEvery and Instrument reach it through RunInto.
+// CheckpointEvery and Instrument are its only setters, through
+// RunInto.
 type cadence struct {
-	AdvanceEvery    time.Duration
-	CheckpointEvery time.Duration
-	CheckpointDir   string
+	advanceEvery    time.Duration
+	checkpointEvery time.Duration
+	checkpointDir   string
 	lastAdvance     time.Time
 	lastCkpt        time.Time
 	met             *Metrics
@@ -96,28 +97,25 @@ type cadenced interface {
 	process(recs []firewall.Record) error
 }
 
-func (c *cadence) setCadence(every time.Duration) { c.AdvanceEvery = every }
-
-func (c *cadence) setCheckpoint(every time.Duration, dir string) {
-	c.CheckpointEvery, c.CheckpointDir = every, dir
+// setCadence applies a builder's settings (RunInto); the marks stay.
+func (c *cadence) setCadence(advance, ckpt time.Duration, dir string, m *Metrics) {
+	c.advanceEvery, c.checkpointEvery, c.checkpointDir, c.met = advance, ckpt, dir, m
 }
 
-func (c *cadence) setMetrics(m *Metrics) { c.met = m }
-
-// setPhase restores both cadence marks (Resume).
+// setPhase restores both cadence marks (resume).
 func (c *cadence) setPhase(m marks) { c.lastAdvance, c.lastCkpt = m.Advance, m.Checkpoint }
 
 // checkpoints reports whether periodic checkpoints are on.
-func (c *cadence) checkpoints() bool { return c.CheckpointEvery > 0 && c.CheckpointDir != "" }
+func (c *cadence) checkpoints() bool { return c.checkpointEvery > 0 && c.checkpointDir != "" }
 
 // due reports whether t is a fire point, advancing the mark of the
 // driving cadence: the eviction cadence when there is one, else the
 // checkpoint cadence alone.
 func (c *cadence) due(t time.Time) bool {
-	if c.AdvanceEvery > 0 {
-		return due(&c.lastAdvance, c.AdvanceEvery, t)
+	if c.advanceEvery > 0 {
+		return due(&c.lastAdvance, c.advanceEvery, t)
 	}
-	return c.checkpoints() && due(&c.lastCkpt, c.CheckpointEvery, t)
+	return c.checkpoints() && due(&c.lastCkpt, c.checkpointEvery, t)
 }
 
 // fire runs the fire point at t: the advance, then — at the first
@@ -127,15 +125,15 @@ func (c *cadence) due(t time.Time) bool {
 // eviction's effect and the eviction mark equal to the snapshot mark
 // (see the package comment above on resume phase).
 func (c *cadence) fire(s cadenced, t time.Time) error {
-	if c.AdvanceEvery > 0 {
+	if c.advanceEvery > 0 {
 		if err := s.advance(t); err != nil {
 			return err
 		}
 		c.met.advanceFired(t)
 	}
-	if c.AdvanceEvery <= 0 || (c.checkpoints() && due(&c.lastCkpt, c.CheckpointEvery, t)) {
+	if c.advanceEvery <= 0 || (c.checkpoints() && due(&c.lastCkpt, c.checkpointEvery, t)) {
 		start := time.Now()
-		err := WriteCheckpoint(c.CheckpointDir, s, t)
+		err := WriteCheckpoint(c.checkpointDir, s, t)
 		c.met.checkpointDone(time.Since(start), err)
 		if err != nil {
 			return err
@@ -149,7 +147,7 @@ func (c *cadence) fire(s cadenced, t time.Time) error {
 // sequence alone, so batch size never changes which sessions merge,
 // when eviction horizons advance, or where checkpoints cut.
 func (c *cadence) split(s cadenced, recs []firewall.Record) error {
-	if c.AdvanceEvery <= 0 && !c.checkpoints() {
+	if c.advanceEvery <= 0 && !c.checkpoints() {
 		return s.process(recs)
 	}
 	start := 0
@@ -185,7 +183,7 @@ func due(last *time.Time, every time.Duration, t time.Time) bool {
 
 // marks is a cadence's phase at a cut: both marks at the instant the
 // snapshot was taken. A cut at a fire point t has both equal to t,
-// which Resume assumes; a cut off the cadence — a stopping sink's
+// which resume assumes; a cut off the cadence — a stopping sink's
 // final state at its newest record + 1ns — would shift the resumed
 // tick schedule that way, so its phase travels in a sidecar file
 // "<checkpoint>.marks" holding this JSON (or in the Handoff).
@@ -196,16 +194,16 @@ type marks struct {
 
 // cutFinal snapshots ck at mark — a valid cut off the cadence: every
 // consumed record is before it — and publishes it with its phase
-// sidecar when CheckpointDir is set.
+// sidecar when the sink has a checkpoint dir.
 func (c *cadence) cutFinal(ck Checkpointer, mark time.Time) (*Handoff, error) {
 	var buf bytes.Buffer
 	if err := ck.Checkpoint(&buf, mark); err != nil {
 		return nil, err
 	}
 	h := &Handoff{snapshot: buf.Bytes(), phase: marks{c.lastAdvance, c.lastCkpt}}
-	if c.CheckpointDir != "" {
+	if c.checkpointDir != "" {
 		start := time.Now()
-		err := writeCheckpoint(c.CheckpointDir, h, mark, &h.phase)
+		err := writeCheckpoint(c.checkpointDir, h, mark, &h.phase)
 		c.met.checkpointDone(time.Since(start), err)
 		if err != nil {
 			return nil, err
@@ -249,15 +247,27 @@ func WriteCheckpoint(dir string, ck Checkpointer, mark time.Time) error {
 	return writeCheckpoint(dir, ck, mark, nil)
 }
 
-// writeCheckpoint is WriteCheckpoint with an optional phase sidecar,
-// published first: a crash between the two leaves an orphan sidecar,
-// which nothing reads, never a checkpoint missing its phase.
+// writeCheckpoint is WriteCheckpoint with an optional phase sidecar.
+// The sidecar is settled first: published when there is a phase, and
+// otherwise removed — a sidecar already at the name belongs to an
+// earlier cut off the cadence at the same mark, and left in place it
+// would make ResumeFile restore that cut's phase instead of the
+// fire-point one (both marks at mark). A crash after the sidecar step
+// leaves, for a new name, an orphan sidecar that nothing reads, never
+// a checkpoint missing its phase. When the name already held a
+// checkpoint, a crash there pairs the old checkpoint with the new
+// sidecar state; that window closes only once the phase travels inside
+// the checkpoint file itself.
 func writeCheckpoint(dir string, ck Checkpointer, mark time.Time, phase *marks) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("pipeline: creating checkpoint dir: %w", err)
 	}
 	final := filepath.Join(dir, checkpointFileName(mark))
-	if phase != nil {
+	if phase == nil {
+		if err := os.Remove(final + sidecarSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("pipeline: removing stale checkpoint sidecar: %w", err)
+		}
+	} else {
 		b, err := json.Marshal(phase)
 		if err != nil {
 			return err
@@ -425,16 +435,13 @@ type Resumed struct {
 	Mark, Horizon time.Time
 }
 
-// Resume rebuilds a terminal sink from a snapshot stream across shards
-// workers (see Resumed.Sink) — the shard count need not match the one
-// the snapshot was taken at. The restored sink's cadence marks are
-// set to the snapshot's cut, so eviction and checkpoint cadences
-// resume in phase with an interrupted run cut at a fire point.
-func Resume(r io.Reader, shards int) (*Resumed, error) { return resume(r, shards, nil) }
-
-// ResumeFile is Resume over a checkpoint file path, in the phase its
-// sidecar records when it has one (a cut off the cadence). A sidecar
-// that exists but cannot be read or parsed fails the resume.
+// ResumeFile rebuilds a terminal sink from a checkpoint file across
+// shards workers (see Resumed.Sink) — the shard count need not match
+// the one the snapshot was taken at. The restored sink's cadence
+// marks are the phase the file's sidecar records when it has one (a
+// cut off the cadence), else the snapshot's cut, so eviction and
+// checkpoint cadences resume in phase with the interrupted run. A
+// sidecar that exists but cannot be read or parsed fails the resume.
 func ResumeFile(path string, shards int) (*Resumed, error) {
 	phase, err := readPhase(path + sidecarSuffix)
 	if err != nil {

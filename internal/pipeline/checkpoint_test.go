@@ -196,9 +196,9 @@ func TestCheckpointKillRestoreParityIDS(t *testing.T) {
 	const cadence = 10 * time.Minute
 	kill := killIndex(recs, 5*24*time.Hour+12*time.Hour)
 
-	refAlerts, err := From(SliceSource(recs)).
-		AdvanceEvery(cadence).
-		IDS(context.Background(), cfg, 1)
+	refAlerts, err := runIDS(context.Background(), From(SliceSource(recs)).
+		AdvanceEvery(cadence),
+		cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +212,10 @@ func TestCheckpointKillRestoreParityIDS(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("snap%d-resume%d", tc.snapShards, tc.resumeShards), func(t *testing.T) {
 			dir := t.TempDir()
-			if _, err := From(SliceSource(recs[:kill])).
+			if _, err := runIDS(context.Background(), From(SliceSource(recs[:kill])).
 				AdvanceEvery(cadence).
-				CheckpointEvery(24*time.Hour, dir).
-				IDS(context.Background(), cfg, tc.snapShards); err != nil {
+				CheckpointEvery(24*time.Hour, dir),
+				cfg, tc.snapShards); err != nil {
 				t.Fatal(err)
 			}
 			path, err := LatestCheckpoint(dir)
@@ -345,7 +345,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.corrupt(append([]byte(nil), valid...))
 			for _, shards := range []int{1, 4} {
-				_, err := Resume(bytes.NewReader(b), shards)
+				_, err := resume(bytes.NewReader(b), shards, nil)
 				if err == nil {
 					t.Fatalf("shards=%d: corrupted snapshot restored without error", shards)
 				}
@@ -358,7 +358,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 
 	// The pristine bytes must still restore — the corruptions above,
 	// not the baseline, are what is being rejected.
-	res, err := Resume(bytes.NewReader(valid), 1)
+	res, err := resume(bytes.NewReader(valid), 1, nil)
 	if err != nil {
 		t.Fatalf("pristine snapshot failed to restore: %v", err)
 	}
@@ -379,7 +379,7 @@ func closeResumed(t testing.TB, res *Resumed) {
 // rejects data.
 func resnapshot(t testing.TB, data []byte, shards int) (snap []byte, ok bool) {
 	t.Helper()
-	res, err := Resume(bytes.NewReader(data), shards)
+	res, err := resume(bytes.NewReader(data), shards, nil)
 	if err != nil {
 		return nil, false
 	}
@@ -420,7 +420,7 @@ func TestCheckpointV1Fixture(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Resume(bytes.NewReader(data), 1)
+			res, err := resume(bytes.NewReader(data), 1, nil)
 			if err != nil {
 				t.Fatalf("committed v1 fixture no longer restores: %v", err)
 			}
@@ -576,7 +576,7 @@ func TestResumeKindDispatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Resume(bytes.NewReader(tc.data), tc.shards)
+			res, err := resume(bytes.NewReader(tc.data), tc.shards, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

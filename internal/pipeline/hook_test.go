@@ -212,7 +212,7 @@ func (failingCheckpointer) Checkpoint(io.Writer, time.Time) error { return error
 func TestOrphanSidecarIgnored(t *testing.T) {
 	dir := t.TempDir()
 	data := snapshotIDSBytes(t, ckptRecords(2_000), 1_000)
-	res, err := Resume(bytes.NewReader(data), 1)
+	res, err := resume(bytes.NewReader(data), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,5 +248,43 @@ func TestOrphanSidecarIgnored(t *testing.T) {
 	}
 	if ph := phaseOf(t, got.Sink); !ph.Advance.Equal(res.Mark) || !ph.Checkpoint.Equal(res.Mark) {
 		t.Fatalf("phase %+v, want both marks at the checkpoint's cut %v", ph, res.Mark)
+	}
+}
+
+// TestFireCutDropsStaleSidecar: a checkpoint published without a phase
+// at the exact mark of an earlier final cut removes that cut's sidecar,
+// so ResumeFile restores the fire-point phase (both marks at the cut),
+// not the final cut's.
+func TestFireCutDropsStaleSidecar(t *testing.T) {
+	dir := t.TempDir()
+	data := snapshotIDSBytes(t, ckptRecords(2_000), 1_000)
+	res, err := resume(bytes.NewReader(data), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Mark
+	stale := marks{m.Add(-30 * time.Second), m.Add(-2 * time.Hour)}
+	if err := writeCheckpoint(dir, &Handoff{snapshot: data}, m, &stale); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, checkpointFileName(m))
+	if got, err := ResumeFile(path, 1); err != nil {
+		t.Fatal(err)
+	} else if ph := phaseOf(t, got.Sink); !ph.Advance.Equal(stale.Advance) || !ph.Checkpoint.Equal(stale.Checkpoint) {
+		t.Fatalf("final cut resumes in phase %+v, want %+v", ph, stale)
+	}
+
+	if err := WriteCheckpoint(dir, &Handoff{snapshot: data}, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + sidecarSuffix); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("fire-point cut left the stale sidecar: %v", err)
+	}
+	got, err := ResumeFile(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ph := phaseOf(t, got.Sink); !ph.Advance.Equal(m) || !ph.Checkpoint.Equal(m) {
+		t.Fatalf("phase %+v, want both marks at the checkpoint's cut %v", ph, m)
 	}
 }

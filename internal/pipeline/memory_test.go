@@ -80,13 +80,14 @@ func runChurn(t *testing.T, src churnSource, advanceEvery time.Duration, sampleE
 	before := liveHeap()
 	var peak uint64
 	seen := 0
-	b := From(src).Tap(func(firewall.Record) {
+	b := From(src).Filter(func(firewall.Record) bool {
 		seen++
 		if seen%sampleEvery == 0 {
 			if h := liveHeap(); h > peak {
 				peak = h
 			}
 		}
+		return true
 	})
 	if advanceEvery > 0 {
 		b.AdvanceEvery(advanceEvery)

@@ -126,20 +126,6 @@ func TestFilterStageParity(t *testing.T) {
 	stageParity(t, recs, keep(recs, pred), func(next RecordSink) RecordSink { return Filter(pred, next) })
 }
 
-func TestTapStageParity(t *testing.T) {
-	recs := mixedStream(2, 800)
-	for _, n := range parityBatchSizes {
-		var tapped, passed []firewall.Record
-		stage := Tap(func(r firewall.Record) { tapped = append(tapped, r) },
-			Collector(func(r firewall.Record) { passed = append(passed, r) }))
-		feedBatches(t, stage, recs, n)
-		if !reflect.DeepEqual(tapped, recs) || !reflect.DeepEqual(passed, recs) {
-			t.Fatalf("batch=%d: tap saw %d and passed %d records, want the %d input records in order",
-				n, len(tapped), len(passed), len(recs))
-		}
-	}
-}
-
 func TestCounterStageParity(t *testing.T) {
 	recs := mixedStream(2, 800)
 	stageParity(t, recs, recs, func(next RecordSink) RecordSink { return NewCounter(next) })
@@ -148,7 +134,7 @@ func TestCounterStageParity(t *testing.T) {
 func TestCounterStageCounts(t *testing.T) {
 	recs := mixedStream(1, 500)
 	for _, n := range parityBatchSizes {
-		c := NewCounter(Discard)
+		c := NewCounter(discard)
 		feedBatches(t, c, recs, n)
 		if c.Count() != uint64(len(recs)) {
 			t.Fatalf("batch=%d: count %d, want %d", n, c.Count(), len(recs))
@@ -175,7 +161,7 @@ func TestArtifactStageParity(t *testing.T) {
 	})
 	for _, n := range parityBatchSizes {
 		f := firewall.NewArtifactFilter()
-		feedBatches(t, NewArtifactStage(f, Discard), recs, n)
+		feedBatches(t, NewArtifactStage(f, discard), recs, n)
 		if !reflect.DeepEqual(f.Stats(), wantStats) {
 			t.Fatalf("batch=%d: stats differ:\n%+v\n%+v", n, f.Stats(), wantStats)
 		}
@@ -188,11 +174,11 @@ func TestTeeStageParity(t *testing.T) {
 	wantB := keep(recs, pred)
 	for _, n := range parityBatchSizes {
 		var gotA, gotB []firewall.Record
-		tee := Tee(
-			Collector(func(r firewall.Record) { gotA = append(gotA, r) }),
-			// The second branch filters, exercising compaction isolation.
-			Chain().Filter(pred).Into(Collector(func(r firewall.Record) { gotB = append(gotB, r) })),
-		)
+		tee := Chain().
+			Tee(Collector(func(r firewall.Record) { gotA = append(gotA, r) })).
+			// The main chain filters, exercising compaction isolation.
+			Filter(pred).
+			Into(Collector(func(r firewall.Record) { gotB = append(gotB, r) }))
 		feedBatches(t, tee, recs, n)
 		if !reflect.DeepEqual(gotA, recs) || !reflect.DeepEqual(gotB, wantB) {
 			t.Fatalf("batch=%d: tee branches diverge (%d/%d vs %d/%d records)",
@@ -226,8 +212,7 @@ func TestCadenceSinkParity(t *testing.T) {
 	}
 	type terminal interface {
 		Sink
-		setCadence(time.Duration)
-		setCheckpoint(time.Duration, string)
+		setCadence(advance, ckpt time.Duration, dir string, m *Metrics)
 	}
 	render := func(s terminal) string {
 		switch s := s.(type) {
@@ -251,8 +236,7 @@ func TestCadenceSinkParity(t *testing.T) {
 			run := func(n int) (string, []string) {
 				dir := t.TempDir()
 				s := mk()
-				s.setCadence(time.Minute)
-				s.setCheckpoint(2*time.Minute, dir)
+				s.setCadence(time.Minute, 2*time.Minute, dir, nil)
 				feedBatches(t, s, recs, n)
 				if err := s.Close(); err != nil {
 					t.Fatal(err)

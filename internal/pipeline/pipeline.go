@@ -2,10 +2,11 @@
 // record consumer in this repository plugs into: a Source produces a
 // time-ordered stream of firewall records, zero or more stages
 // (collect-policy filter, day sorter, 5-duplicate artifact filter,
-// taps, tees) transform or observe it, and a terminal sink — the
+// tees) transform or observe it, and a terminal sink — the
 // multi-aggregation detector or the dynamic-aggregation IDS engine
-// (one sink each, at any shard count), the MAWI detector, or an
-// analysis collector — consumes it. Everything downstream of a Source implements the one
+// (one sink each, at any shard count), or any function over records
+// (SinkFunc, Collector: a MAWI capture window, an analysis collector)
+// — consumes it. Everything downstream of a Source implements the one
 // RecordSink interface, so ingestion (binary firewall logs, pcap
 // captures, the CDN and MAWI simulators) composes freely with
 // processing and terminal consumers.
@@ -113,7 +114,7 @@
 // # Checkpoint consistency
 //
 // The durable-state layer (Checkpointer, Builder.CheckpointEvery,
-// Resume) extends the ownership and ordering rules to snapshots:
+// ResumeFile) extends the ownership and ordering rules to snapshots:
 //
 //   - Periodic snapshots are cut only at cadence fire points. The
 //     cadence machinery splits every batch at the FIRST record at or
@@ -293,8 +294,8 @@ type RecordSink interface {
 
 // Sink is the unified terminal-sink lifecycle. Flush finalizes
 // results exactly once (further calls are no-ops), after which the
-// sink's typed result accessor — ShardedSink.Result, MAWISink.Result,
-// IDSSink.Result, … — is valid. Close releases held resources (worker
+// sink's typed result accessor — ShardedSink.Result, IDSSink.Result —
+// is valid. Close releases held resources (worker
 // goroutines, buffered writers); it is idempotent, implies Flush, and
 // is safe after a mid-stream error. The builder's RunInto owns calling
 // both.
@@ -366,9 +367,6 @@ type Pipeline struct {
 func New(src Source, sink RecordSink) *Pipeline {
 	return &Pipeline{src: src, sink: sink}
 }
-
-// Run is RunContext with a background context.
-func (p *Pipeline) Run() error { return p.RunContext(context.Background()) }
 
 // RunContext streams every record from the source through the sink
 // chain in batches of DefaultBatchSize, then flushes it. The first

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -29,9 +30,28 @@ func scanStream(n int) []firewall.Record {
 	return recs
 }
 
+// discard drops every record: a terminal for tests that only count or
+// observe.
+var discard RecordSink = SinkFunc(func(firewall.Record) error { return nil })
+
+// tap calls fn on every record, then passes the batch on unchanged.
+func tap(fn func(firewall.Record), next RecordSink) RecordSink {
+	return Filter(func(r firewall.Record) bool { fn(r); return true }, next)
+}
+
+// runIDS terminates b in an IDS sink across shards and returns the
+// alerts.
+func runIDS(ctx context.Context, b *Builder, cfg ids.Config, shards int) ([]ids.Alert, error) {
+	sink := NewIDSSink(ids.NewSharded(cfg, shards))
+	if err := b.RunInto(ctx, sink); err != nil {
+		return nil, err
+	}
+	return sink.Result(), nil
+}
+
 func TestPipelineDetectsScan(t *testing.T) {
 	sink := NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 1))
-	if err := New(SliceSource(scanStream(150)), sink).Run(); err != nil {
+	if err := New(SliceSource(scanStream(150)), sink).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	scans := sink.Result().Scans(netaddr6.Agg64)
@@ -44,9 +64,9 @@ func TestPolicyStageFilters(t *testing.T) {
 	recs := scanStream(10)
 	recs[3].DstPort = 443 // excluded by the CDN policy
 	recs[7].Proto = layers.ProtoICMPv6
-	cnt := NewCounter(Discard)
+	cnt := NewCounter(discard)
 	p := New(SliceSource(recs), Policy(firewall.DefaultCollectPolicy(), cnt))
-	if err := p.Run(); err != nil {
+	if err := p.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if cnt.Count() != 8 {
@@ -68,7 +88,7 @@ func TestDaySortOrders(t *testing.T) {
 	}
 	var got []firewall.Record
 	p := New(SliceSource(in), NewDaySort(Collector(func(r firewall.Record) { got = append(got, r) })))
-	if err := p.Run(); err != nil {
+	if err := p.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(in) {
@@ -103,9 +123,9 @@ func TestArtifactStageDrops(t *testing.T) {
 		})
 	}
 	f := firewall.NewArtifactFilter()
-	cnt := NewCounter(Discard)
+	cnt := NewCounter(discard)
 	p := New(SliceSource(in), NewDaySort(NewArtifactStage(f, cnt)))
-	if err := p.Run(); err != nil {
+	if err := p.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if cnt.Count() != 40 {
@@ -117,9 +137,9 @@ func TestArtifactStageDrops(t *testing.T) {
 }
 
 func TestTeeFansOut(t *testing.T) {
-	a, b := NewCounter(Discard), NewCounter(Discard)
-	p := New(SliceSource(scanStream(25)), Tee(a, b))
-	if err := p.Run(); err != nil {
+	a, b := NewCounter(discard), NewCounter(discard)
+	p := From(SliceSource(scanStream(25))).Tee(a).Build(b)
+	if err := p.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if a.Count() != 25 || b.Count() != 25 {
@@ -131,11 +151,11 @@ func TestLogRoundTripThroughPipeline(t *testing.T) {
 	recs := scanStream(120)
 	var buf bytes.Buffer
 	w := firewall.NewWriter(&buf)
-	if err := New(SliceSource(recs), NewLogSink(w)).Run(); err != nil {
+	if err := New(SliceSource(recs), NewLogSink(w)).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	sink := NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 1))
-	if err := New(NewLogSource(&buf), sink).Run(); err != nil {
+	if err := New(NewLogSource(&buf), sink).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if scans := sink.Result().Scans(netaddr6.Agg64); len(scans) != 1 || scans[0].Dsts != 120 {
@@ -149,7 +169,7 @@ func TestRunUsesBatchPath(t *testing.T) {
 	recs := scanStream(10_000)
 	var batches, records int
 	sink := &countingBatchSink{onBatch: func(n int) { batches++; records += n }}
-	if err := New(SliceSource(recs), sink).Run(); err != nil {
+	if err := New(SliceSource(recs), sink).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if records != len(recs) {
@@ -160,7 +180,7 @@ func TestRunUsesBatchPath(t *testing.T) {
 	}
 	batches, records = 0, 0
 	sink2 := &countingBatchSink{onBatch: func(n int) { batches++; records += n }}
-	if err := New(SliceSource(recs), Filter(func(firewall.Record) bool { return true }, sink2)).Run(); err != nil {
+	if err := New(SliceSource(recs), Filter(func(firewall.Record) bool { return true }, sink2)).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if records != len(recs) || batches >= len(recs) {
@@ -185,7 +205,7 @@ func TestLogSourceEmitBatch(t *testing.T) {
 	recs := scanStream(150)
 	var buf bytes.Buffer
 	w := firewall.NewWriter(&buf)
-	if err := New(SliceSource(recs), NewLogSink(w)).Run(); err != nil {
+	if err := New(SliceSource(recs), NewLogSink(w)).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ref := ids.New(ids.DefaultConfig())
@@ -195,14 +215,15 @@ func TestLogSourceEmitBatch(t *testing.T) {
 	want := ref.Flush()
 
 	sink := NewIDSSink(ids.New(ids.DefaultConfig()))
-	if err := New(NewLogSource(&buf), sink).Run(); err != nil {
+	if err := New(NewLogSource(&buf), sink).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.Alerts) != len(want) || len(want) == 0 {
-		t.Fatalf("alerts: %v, want %v", sink.Alerts, want)
+	got := sink.Result()
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("alerts: %v, want %v", got, want)
 	}
-	if sink.Alerts[0] != want[0] {
-		t.Fatalf("alert differs: %+v vs %+v", sink.Alerts[0], want[0])
+	if got[0] != want[0] {
+		t.Fatalf("alert differs: %+v vs %+v", got[0], want[0])
 	}
 }
 
@@ -219,21 +240,21 @@ func TestIDSSinkAdvanceEvery(t *testing.T) {
 		recs = append(recs, r)
 	}
 	merged := NewIDSSink(ids.New(ids.DefaultConfig()))
-	if err := New(SliceSource(recs), merged).Run(); err != nil {
+	if err := New(SliceSource(recs), merged).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(merged.Alerts) != 1 {
-		t.Fatalf("without AdvanceEvery: %d alerts, want 1 merged", len(merged.Alerts))
+	if n := len(merged.Result()); n != 1 {
+		t.Fatalf("without AdvanceEvery: %d alerts, want 1 merged", n)
 	}
 	// Every batch size must split at the same stream point: the sink
 	// splits batches at cadence points.
 	for _, n := range []int{1, DefaultBatchSize} {
 		split := NewIDSSink(ids.New(ids.DefaultConfig()))
-		split.AdvanceEvery = time.Minute
+		split.setCadence(time.Minute, 0, "", nil)
 		feedBatches(t, split, recs, n)
-		if len(split.Alerts) != 2 {
+		if got := split.Result(); len(got) != 2 {
 			t.Fatalf("batch=%d with AdvanceEvery: %d alerts, want 2 split sessions: %v",
-				n, len(split.Alerts), split.Alerts)
+				n, len(got), got)
 		}
 	}
 }
@@ -244,19 +265,20 @@ func TestIDSSinkAdvanceEvery(t *testing.T) {
 func TestShardedIDSSinkMatchesIDSSink(t *testing.T) {
 	recs := scanStream(300)
 	plain := NewIDSSink(ids.New(ids.DefaultConfig()))
-	if err := New(SliceSource(recs), plain).Run(); err != nil {
+	if err := New(SliceSource(recs), plain).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	sharded := NewIDSSink(ids.NewSharded(ids.DefaultConfig(), 4))
-	if err := New(SliceSource(recs), sharded).Run(); err != nil {
+	if err := New(SliceSource(recs), sharded).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.Alerts) != len(sharded.Alerts) || len(plain.Alerts) == 0 {
-		t.Fatalf("alert counts differ: %d vs %d", len(plain.Alerts), len(sharded.Alerts))
+	pa, sa := plain.Result(), sharded.Result()
+	if len(pa) != len(sa) || len(pa) == 0 {
+		t.Fatalf("alert counts differ: %d vs %d", len(pa), len(sa))
 	}
-	for i := range plain.Alerts {
-		if plain.Alerts[i] != sharded.Alerts[i] {
-			t.Fatalf("alert %d differs: %+v vs %+v", i, plain.Alerts[i], sharded.Alerts[i])
+	for i := range pa {
+		if pa[i] != sa[i] {
+			t.Fatalf("alert %d differs: %+v vs %+v", i, pa[i], sa[i])
 		}
 	}
 }
@@ -272,7 +294,7 @@ func TestShardedSinkMatchesDetector(t *testing.T) {
 	}
 	plain.Finish()
 	sharded := core.NewShardedDetector(core.DefaultConfig(), 4)
-	if err := New(SliceSource(recs), NewDaySort(NewShardedSink(sharded))).Run(); err != nil {
+	if err := New(SliceSource(recs), NewDaySort(NewShardedSink(sharded))).RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ps, ss := plain.Scans(netaddr6.Agg64), sharded.Merged().Scans(netaddr6.Agg64)

@@ -81,7 +81,7 @@ func TestSortByTime(t *testing.T) {
 func TestWindowSortNoWorkWhenSorted(t *testing.T) {
 	sorted := sortRecs(10_000, func(i int) time.Duration { return time.Duration(i) * time.Millisecond })
 	merged := func(window time.Duration, recs []firewall.Record) bool {
-		ws := NewWindowSort(window, Discard)
+		ws := NewWindowSort(window, discard)
 		for start := 0; start < len(recs); start += 64 {
 			if err := ws.ConsumeBatch(recs[start:min(start+64, len(recs))]); err != nil {
 				t.Fatal(err)

@@ -44,26 +44,23 @@ func Collector(add func(r firewall.Record)) RecordSink {
 	})
 }
 
-// Discard drops every record; useful as a Tee branch terminator.
-var Discard RecordSink = SinkFunc(func(firewall.Record) error { return nil })
-
 // ShardedSink terminates a pipeline in the multi-aggregation scan
 // detector, run on the sharded detector's worker goroutines (one per
 // shard; the output is the same at any shard count). Flush calls
 // Finish, which merges the shards and surfaces any worker error.
 //
-// AdvanceEvery, when positive, forwards a stream-time eviction horizon
-// on a cadence checked per record, so sessions idle past the timeout
-// close mid-stream and the working set stays proportional to one
-// timeout of stream. The horizon reaches every shard through the
+// Builder.AdvanceEvery, when positive, forwards a stream-time
+// eviction horizon on a cadence checked per record, so sessions idle
+// past the timeout close mid-stream and the working set stays
+// proportional to one timeout of stream. The horizon reaches every shard through the
 // dispatcher's mark channel, ordered with the record stream. Advancing
 // never changes the detected scans — a session closed early is exactly
 // the session Finish would have closed — so it only bounds memory.
 //
-// The embedded cadence's CheckpointEvery (Builder.CheckpointEvery)
-// adds a second cadence that snapshots the detector to disk at
-// consistent stream-time cuts; at a shared fire point the advance
-// runs first, so the snapshot includes the eviction horizon's effect.
+// Builder.CheckpointEvery adds a second cadence that snapshots the
+// detector to disk at consistent stream-time cuts; at a shared fire
+// point the advance runs first, so the snapshot includes the eviction
+// horizon's effect.
 type ShardedSink struct {
 	D *core.ShardedDetector
 	cadence
@@ -95,40 +92,6 @@ func (s *ShardedSink) Close() error { return s.D.Finish() }
 // same object the analysis builders consume. Valid after Flush.
 func (s *ShardedSink) Result() *core.Detector { return s.D.Merged() }
 
-// MAWISink terminates a pipeline in a capture-window MAWI detector;
-// Flush stores the window's scans in Scans.
-type MAWISink struct {
-	D       *core.MAWIDetector
-	Scans   []core.MAWIScan
-	flushed bool
-}
-
-// NewMAWISink wraps a MAWI detector.
-func NewMAWISink(d *core.MAWIDetector) *MAWISink { return &MAWISink{D: d} }
-
-// ConsumeBatch implements RecordSink.
-func (s *MAWISink) ConsumeBatch(recs []firewall.Record) error {
-	for i := range recs {
-		s.D.Process(recs[i])
-	}
-	return nil
-}
-
-// Flush implements RecordSink, finalizing the window exactly once.
-func (s *MAWISink) Flush() error {
-	if !s.flushed {
-		s.flushed = true
-		s.Scans = s.D.Finish()
-	}
-	return nil
-}
-
-// Close implements Sink.
-func (s *MAWISink) Close() error { return s.Flush() }
-
-// Result returns the window's detected scans. Valid after Flush.
-func (s *MAWISink) Result() []core.MAWIScan { return s.Scans }
-
 // IDSHook lets a long-running consumer — the v6scand daemon — act
 // inside an IDS sink at the points a batch run has no use for. Every
 // call runs on the pipeline's dispatching goroutine.
@@ -146,17 +109,18 @@ type IDSHook interface {
 	// Stopped runs once when Flush begins, before the engine's final
 	// sweep. final is the sink's state cut off the cadence at the
 	// newest consumed record's time + 1ns — already published, with
-	// its phase sidecar, when CheckpointDir is set — or nil when the
-	// sink holds no stream position. lastCkpt is as in Fired.
+	// its phase sidecar, when the builder set a checkpoint dir — or
+	// nil when the sink holds no stream position. lastCkpt is as in
+	// Fired.
 	Stopped(final *Handoff, lastCkpt time.Time) error
 }
 
 // IDSSink terminates a pipeline in the dynamic-aggregation IDS engine,
 // at any shard count; Flush stores the accumulated alerts — merged
-// deterministically across shards — in Alerts.
+// deterministically across shards — for Result.
 //
-// AdvanceEvery, when positive, forwards Engine.Tick on a stream-time
-// cadence (checked per record) so idle candidates
+// Builder.AdvanceEvery, when positive, forwards Engine.Tick on a
+// stream-time cadence (checked per record) so idle candidates
 // are evicted mid-stream as in an inline deployment; zero leaves all
 // eviction to Flush. Checkpoints ride the cadence as on ShardedSink:
 // the tick fires before the snapshot at a shared cut. A hook (Attach)
@@ -164,7 +128,7 @@ type IDSHook interface {
 type IDSSink struct {
 	E *ids.Engine
 	cadence
-	Alerts []ids.Alert
+	alerts []ids.Alert
 	// hook is the serving seam Attach installs; nil in a batch run.
 	hook IDSHook
 	// lastSeen is the newest record time the engine consumed — the
@@ -232,7 +196,7 @@ func (s *IDSSink) Flush() error {
 			err = s.hook.Stopped(final, s.lastCkpt)
 		}
 	}
-	s.Alerts = s.E.Flush()
+	s.alerts = s.E.Flush()
 	return err
 }
 
@@ -240,7 +204,7 @@ func (s *IDSSink) Flush() error {
 func (s *IDSSink) Close() error { return s.Flush() }
 
 // Result returns the accumulated alerts. Valid after Flush.
-func (s *IDSSink) Result() []ids.Alert { return s.Alerts }
+func (s *IDSSink) Result() []ids.Alert { return s.alerts }
 
 // LogSink writes every record to a binary firewall log; Flush drains
 // the writer's buffer.

@@ -6,29 +6,6 @@ import (
 	"v6scan/internal/firewall"
 )
 
-// tapStage invokes a hook on every record before passing the batch
-// downstream untouched — the hook analysis collectors attach with.
-type tapStage struct {
-	fn   func(r firewall.Record)
-	next RecordSink
-}
-
-// Tap invokes fn on every record before passing it downstream.
-func Tap(fn func(r firewall.Record), next RecordSink) RecordSink {
-	return &tapStage{fn: fn, next: next}
-}
-
-// ConsumeBatch implements RecordSink.
-func (s *tapStage) ConsumeBatch(recs []firewall.Record) error {
-	for i := range recs {
-		s.fn(recs[i])
-	}
-	return s.next.ConsumeBatch(recs)
-}
-
-// Flush implements RecordSink.
-func (s *tapStage) Flush() error { return s.next.Flush() }
-
 // filterStage passes only records satisfying pred downstream. It
 // compacts each batch in place — survivors slide to the front of the
 // slice and flow on as one contiguous batch (the batch contract
@@ -66,19 +43,14 @@ func Policy(p firewall.CollectPolicy, next RecordSink) RecordSink {
 	return Filter(p.Admit, next)
 }
 
-// teeStage duplicates the stream into every sink.
+// teeStage duplicates the stream into every sink (Builder.Tee: the
+// side branches, then the continuing main chain). ConsumeBatch fans
+// out in order and stops at the first error; Flush always reaches
+// every sink — so each releases its resources — and returns the first
+// error encountered.
 type teeStage struct {
 	sinks   []RecordSink
 	scratch []firewall.Record
-}
-
-// Tee duplicates the stream into every sink. ConsumeBatch fans out in
-// argument order and stops at the first error; Flush always reaches
-// every sink — so each releases its resources — and returns the first
-// error encountered. (The builder's Tee is the pass-through variant:
-// side branches plus the continuing main chain.)
-func Tee(sinks ...RecordSink) RecordSink {
-	return &teeStage{sinks: sinks}
 }
 
 // ConsumeBatch implements RecordSink, fanning each run out in argument

@@ -15,6 +15,7 @@ import (
 	"v6scan/internal/firewall"
 	"v6scan/internal/ids"
 	"v6scan/internal/layers"
+	"v6scan/internal/metrics"
 	"v6scan/internal/netaddr6"
 	"v6scan/internal/pcap"
 )
@@ -231,9 +232,9 @@ func TestShardedIDSParityStreamingAdvanceEvery(t *testing.T) {
 	const cadence = 10 * time.Minute
 
 	log := encodeLog(t, recs)
-	refAlerts, err := From(NewLogSource(bytes.NewReader(log))).
-		AdvanceEvery(cadence).
-		IDS(context.Background(), cfg, 1)
+	refAlerts, err := runIDS(context.Background(), From(NewLogSource(bytes.NewReader(log))).
+		AdvanceEvery(cadence),
+		cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +244,9 @@ func TestShardedIDSParityStreamingAdvanceEvery(t *testing.T) {
 	}
 
 	for _, shards := range []int{2, 8} {
-		alerts, err := From(NewLogSource(bytes.NewReader(log))).
-			AdvanceEvery(cadence).
-			IDS(context.Background(), cfg, shards)
+		alerts, err := runIDS(context.Background(), From(NewLogSource(bytes.NewReader(log))).
+			AdvanceEvery(cadence),
+			cfg, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,29 +256,36 @@ func TestShardedIDSParityStreamingAdvanceEvery(t *testing.T) {
 	}
 }
 
-// TestRunIntoAppliesAdvanceEvery pins the cadence hand-off: a builder
-// cadence reaches a cadence-capable terminal passed to RunInto
-// directly (not only via the Detect/IDS helpers), and a zero builder
-// cadence leaves a sink-configured cadence alone.
+// TestRunIntoAppliesAdvanceEvery pins the builder as the one setter of
+// a terminal's cadence: RunInto hands a detector or IDS terminal the
+// builder's AdvanceEvery, CheckpointEvery and Instrument settings,
+// zero values included, and leaves the restored marks alone.
 func TestRunIntoAppliesAdvanceEvery(t *testing.T) {
 	recs := scanStream(10)
+	dir := t.TempDir()
+	met := RegisterMetrics(metrics.NewRegistry())
 
 	sink := NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 1))
 	if err := From(SliceSource(recs)).AdvanceEvery(5*time.Minute).
+		CheckpointEvery(time.Hour, dir).Instrument(met).
 		RunInto(context.Background(), sink); err != nil {
 		t.Fatal(err)
 	}
-	if sink.AdvanceEvery != 5*time.Minute {
-		t.Fatalf("RunInto did not apply the builder cadence: AdvanceEvery = %v", sink.AdvanceEvery)
+	want := cadence{advanceEvery: 5 * time.Minute, checkpointEvery: time.Hour, checkpointDir: dir,
+		lastAdvance: recs[0].Time, met: met}
+	if sink.cadence != want {
+		t.Fatalf("RunInto applied %+v, want %+v", sink.cadence, want)
 	}
 
 	ids1 := NewIDSSink(ids.New(ids.DefaultConfig()))
-	ids1.AdvanceEvery = time.Minute
-	if err := From(SliceSource(recs)).RunInto(context.Background(), ids1); err != nil {
+	ids1.setCadence(time.Minute, time.Hour, dir, met)
+	mark := recs[0].Time.Add(-time.Hour)
+	ids1.setPhase(marks{mark, mark})
+	if err := From(SliceSource(recs[:0])).RunInto(context.Background(), ids1); err != nil {
 		t.Fatal(err)
 	}
-	if ids1.AdvanceEvery != time.Minute {
-		t.Fatalf("zero builder cadence clobbered the sink's AdvanceEvery: %v", ids1.AdvanceEvery)
+	if want := (cadence{lastAdvance: mark, lastCkpt: mark}); ids1.cadence != want {
+		t.Fatalf("zero builder settings: sink cadence %+v, want %+v", ids1.cadence, want)
 	}
 }
 
@@ -323,7 +331,7 @@ func TestPcapStreamingMatchesMaterializing(t *testing.T) {
 	var got []firewall.Record
 	src := NewPcapSource(bytes.NewReader(capture.Bytes()))
 	p := From(src).WindowSort(jitter).Build(Collector(func(r firewall.Record) { got = append(got, r) }))
-	if err := p.Run(); err != nil {
+	if err := p.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {

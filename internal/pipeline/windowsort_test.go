@@ -133,7 +133,7 @@ func TestWindowSortBoundedBuffer(t *testing.T) {
 	window := 10 * time.Second // 10 records/sec below → ~100 in-window records
 	t0 := time.Date(2021, 7, 1, 0, 0, 0, 0, time.UTC)
 	peak := 0
-	ws := NewWindowSort(window, Discard)
+	ws := NewWindowSort(window, discard)
 	for i := 0; i < n; i++ {
 		jitter := time.Duration(i%3) * time.Second
 		r := firewall.Record{
@@ -175,7 +175,7 @@ func TestWindowSortLateRecordError(t *testing.T) {
 	stream := []firewall.Record{mk(0), mk(time.Second), mk(10 * time.Second), mk(9 * time.Second)}
 	late := mk(2 * time.Second)
 
-	ws := NewWindowSort(time.Second, Discard)
+	ws := NewWindowSort(time.Second, discard)
 	for _, r := range stream {
 		if err := consumeOne(ws, r); err != nil {
 			t.Fatal(err)
@@ -190,7 +190,7 @@ func TestWindowSortLateRecordError(t *testing.T) {
 	}
 
 	// The identical sequence in one batch must fail identically.
-	wsb := NewWindowSort(time.Second, Discard)
+	wsb := NewWindowSort(time.Second, discard)
 	if err := wsb.ConsumeBatch(append(append([]firewall.Record(nil), stream...), late)); err == nil {
 		t.Fatal("over-window-late record accepted in one batch")
 	}
@@ -206,7 +206,7 @@ func TestErrLateRecordFields(t *testing.T) {
 			Dst: netaddr6.MustAddr("2001:db8:f::1"), Proto: layers.ProtoTCP, DstPort: 22, Length: 60}
 	}
 	const window = time.Second
-	ws := NewWindowSort(window, Discard)
+	ws := NewWindowSort(window, discard)
 	for _, off := range []time.Duration{0, 10 * time.Second} {
 		if err := consumeOne(ws, mk(off)); err != nil {
 			t.Fatal(err)

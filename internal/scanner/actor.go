@@ -126,8 +126,3 @@ func (a *Actor) emitOne(ts time.Time, burstSrc netip.Addr, ports []uint16, i int
 		Length:  a.PktLen,
 	})
 }
-
-// TotalDays returns the number of UTC days in [from, to).
-func TotalDays(from, to time.Time) int {
-	return int(to.Sub(from) / (24 * time.Hour))
-}

@@ -466,13 +466,6 @@ func (c *Census) EmitDay(day time.Time, emit func(r firewall.Record)) {
 	}
 }
 
-// Days iterates all days of the census window in order.
-func (c *Census) Days(fn func(day time.Time, dayIdx int)) {
-	for d, i := c.Start, 0; d.Before(c.End); d, i = d.Add(24*time.Hour), i+1 {
-		fn(d, i)
-	}
-}
-
 // dayIndex returns the whole days between start and t (may be
 // negative).
 func dayIndex(start, t time.Time) int {

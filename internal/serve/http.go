@@ -59,8 +59,8 @@ type sessionLevel struct {
 
 func (d *Daemon) handleSessions(w http.ResponseWriter, r *http.Request) {
 	s := d.State()
-	levels := make([]sessionLevel, 0, len(d.levels))
-	for _, l := range d.levels {
+	levels := make([]sessionLevel, 0, len(s.levels))
+	for _, l := range s.levels {
 		levels = append(levels, sessionLevel{Level: l.String(), Candidates: s.Candidates[l.String()]})
 	}
 	writeJSON(w, map[string]any{

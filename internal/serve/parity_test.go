@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"v6scan/internal/firewall"
+	"v6scan/internal/ids"
 	"v6scan/internal/pipeline"
 )
 
@@ -170,12 +171,13 @@ func TestDaemonMatchesBatch(t *testing.T) {
 
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprint("shards=", shards), func(t *testing.T) {
-			batch, err := pipeline.From(pipeline.SliceSource(recs)).
+			sink := pipeline.NewIDSSink(ids.NewSharded(testIDS(), shards))
+			if err := pipeline.From(pipeline.SliceSource(recs)).
 				AdvanceEvery(time.Minute).
-				IDS(context.Background(), testIDS(), shards)
-			if err != nil {
+				RunInto(context.Background(), sink); err != nil {
 				t.Fatal(err)
 			}
+			batch := sink.Result()
 			if len(batch) < 3 {
 				t.Fatalf("degenerate reference: %d alerts", len(batch))
 			}

@@ -121,6 +121,9 @@ type State struct {
 	LastCheckpoint time.Time `json:"last_checkpoint"`
 	// UpdatedAt is the wall-clock publish instant.
 	UpdatedAt time.Time `json:"updated_at"`
+	// levels are the running engine's aggregation levels, finest
+	// first: the rows of Candidates and /api/sessions.
+	levels []netaddr6.AggLevel
 }
 
 // Daemon is one serving process: a pipeline generation loop plus the
@@ -135,11 +138,11 @@ type Daemon struct {
 	block    *blocklist
 	state    atomic.Pointer[State]
 	reloadCh chan struct{}
-	levels   []netaddr6.AggLevel
 }
 
 // serveMetrics are the daemon-level instruments (the pipeline-level
-// ones live in pipeline.Metrics).
+// ones live in pipeline.Metrics). candidates holds one gauge per level
+// any generation's engine has run, registered as it first appears.
 type serveMetrics struct {
 	alerts           *metrics.Counter
 	candidates       map[netaddr6.AggLevel]*metrics.Gauge
@@ -171,7 +174,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		hub:      newHub(cfg.AlertBacklog, cfg.SSEBuffer),
 		reg:      metrics.NewRegistry(),
 		reloadCh: make(chan struct{}, 1),
-		levels:   ids.New(cfg.IDS).Config().Levels,
 	}
 	if cfg.BlocklistPath != "" {
 		d.block = newBlocklist(cfg.BlocklistPath)
@@ -203,12 +205,7 @@ func (d *Daemon) registerServeMetrics() {
 		"IDS sketch-memory estimate (as of the last tick).", nil)
 	d.sm.generation = reg.Gauge("v6scand_generation",
 		"Pipeline generation (increments on reload).", nil)
-	d.sm.candidates = make(map[netaddr6.AggLevel]*metrics.Gauge, len(d.levels))
-	for _, l := range d.levels {
-		d.sm.candidates[l] = reg.Gauge("v6scand_ids_candidates",
-			"IDS candidate working set per aggregation level (as of the last tick).",
-			map[string]string{"level": l.String()})
-	}
+	d.sm.candidates = make(map[netaddr6.AggLevel]*metrics.Gauge)
 	for i := range max(d.cfg.Shards, 1) {
 		d.sm.droppedPerShard = append(d.sm.droppedPerShard, reg.Gauge(
 			"v6scand_ids_dropped_candidates_shard",
@@ -225,6 +222,21 @@ func (d *Daemon) registerServeMetrics() {
 	reg.GaugeFunc("v6scand_sse_dropped_total",
 		"Alerts dropped across all slow SSE clients.", nil,
 		func() float64 { _, n := d.hub.stats(); return float64(n) })
+}
+
+// candidateGauge returns level l's working-set gauge, registering it
+// on first use. Detection parameters travel in a checkpoint, so a
+// resumed engine's levels need not be the configured ones. Runs on the
+// generation loop's goroutine only.
+func (d *Daemon) candidateGauge(l netaddr6.AggLevel) *metrics.Gauge {
+	g := d.sm.candidates[l]
+	if g == nil {
+		g = d.reg.Gauge("v6scand_ids_candidates",
+			"IDS candidate working set per aggregation level (as of the last tick).",
+			map[string]string{"level": l.String()})
+		d.sm.candidates[l] = g
+	}
+	return g
 }
 
 // State returns the latest published serving snapshot. Safe from any
@@ -355,6 +367,10 @@ func (g *generation) start(gen int) {
 	cur := *d.state.Load()
 	cur.Generation = gen
 	cur.Running = true
+	cur.levels = g.sink.E.Config().Levels
+	for _, l := range cur.levels {
+		d.candidateGauge(l)
+	}
 	cur.UpdatedAt = time.Now()
 	d.state.Store(&cur)
 	if pending := g.sink.E.Drain(); len(pending) > 0 {
@@ -384,11 +400,11 @@ func (d *Daemon) publish(g *generation, alerts []ids.Alert, tick time.Time) {
 	cur.LastTick = tick
 	cur.LastCheckpoint = g.lastCkpt
 	eng := g.sink.E
-	cur.Candidates = make(map[string]int, len(d.levels))
-	for _, l := range d.levels {
+	cur.Candidates = make(map[string]int, len(cur.levels))
+	for _, l := range cur.levels {
 		n := eng.Candidates(l)
 		cur.Candidates[l.String()] = n
-		d.sm.candidates[l].Set(float64(n))
+		d.candidateGauge(l).Set(float64(n))
 	}
 	cur.DroppedCandidates = eng.DroppedCandidates()
 	d.sm.dropped.Set(float64(cur.DroppedCandidates))

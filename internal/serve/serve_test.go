@@ -10,12 +10,14 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"v6scan/internal/firewall"
 	"v6scan/internal/ids"
+	"v6scan/internal/netaddr6"
 	"v6scan/internal/pipeline"
 )
 
@@ -585,5 +587,66 @@ func TestDroppedPerShardGaugeOneShard(t *testing.T) {
 	}
 	if got := dr.d.State().DroppedPerShard; len(got) != 1 || got[0] != dr.d.State().DroppedCandidates {
 		t.Fatalf("State.DroppedPerShard = %v, want [%d]", got, dr.d.State().DroppedCandidates)
+	}
+}
+
+// TestResumeReportsEngineLevels: detection parameters travel in the
+// checkpoint, so a daemon resumed under a different configuration
+// reports the restored engine's levels — in /api/state, /api/sessions
+// and the candidate gauges — not the configured ones.
+func TestResumeReportsEngineLevels(t *testing.T) {
+	dir := t.TempDir()
+	log := filepath.Join(dir, "fw.log")
+	cfg := Config{LogPath: log, AdvanceEvery: time.Minute, CheckpointDir: filepath.Join(dir, "ckpt")}
+	cfg.IDS = testIDS()
+	cfg.IDS.Levels = []netaddr6.AggLevel{netaddr6.Agg128, 56}
+	appendLog(t, log, fillers(0, 10))
+	d1 := startDaemon(t, cfg)
+	d1.waitRecords(t, 10)
+	d1.stop(t)
+
+	cfg.IDS, cfg.Resume = testIDS(), true // the default levels
+	appendLog(t, log, fillers(10, 12))
+	d2 := startDaemon(t, cfg)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(d2.d.State().Candidates) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no tick published after resume")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	d2.stop(t)
+
+	want := []string{"/128", "/56"}
+	var got []string
+	for l := range d2.d.State().Candidates {
+		got = append(got, l)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("/api/state candidates %v, want levels %v", d2.d.State().Candidates, want)
+	}
+	rec := httptest.NewRecorder()
+	d2.d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/sessions", nil))
+	var sessions struct{ Levels []sessionLevel }
+	if err := json.Unmarshal(rec.Body.Bytes(), &sessions); err != nil {
+		t.Fatal(err)
+	}
+	got = got[:0]
+	for _, l := range sessions.Levels {
+		got = append(got, l.Level)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("/api/sessions levels %v, want %v", got, want)
+	}
+	var b strings.Builder
+	if err := d2.d.reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []string{"/128", "/56", "/32"} {
+		series := `v6scand_ids_candidates{level="` + l + `"}`
+		if has := strings.Contains(b.String(), series); has != slices.Contains(want, l) {
+			t.Errorf("/metrics has %s: %v", series, has)
+		}
 	}
 }

@@ -70,7 +70,6 @@ type Telescope struct {
 	machines []Machine
 	exposed  []netip.Addr
 	hidden   []netip.Addr
-	index    map[netip.Addr]int32 // addr → machine index (negative-1 offset scheme not needed)
 	inDNS    map[netip.Addr]bool
 }
 
@@ -96,7 +95,6 @@ func New(cfg Config, db *asdb.DB) (*Telescope, error) {
 		machines: make([]Machine, 0, cfg.Machines),
 		exposed:  make([]netip.Addr, 0, cfg.Machines),
 		hidden:   make([]netip.Addr, 0, cfg.Machines),
-		index:    make(map[netip.Addr]int32, 2*cfg.Machines),
 		inDNS:    make(map[netip.Addr]bool, 2*cfg.Machines),
 	}
 
@@ -176,12 +174,9 @@ func buildMachine(id, asn int, mnet netip.Prefix, within123 float64, rng *rand.R
 }
 
 func (t *Telescope) addMachine(m Machine) {
-	idx := int32(len(t.machines))
 	t.machines = append(t.machines, m)
 	t.exposed = append(t.exposed, m.Exposed)
 	t.hidden = append(t.hidden, m.Hidden)
-	t.index[m.Exposed] = idx
-	t.index[m.Hidden] = idx
 	t.inDNS[m.Exposed] = true
 	t.inDNS[m.Hidden] = false
 }
@@ -206,60 +201,6 @@ func (t *Telescope) ExposedAddrs() []netip.Addr { return t.exposed }
 // HiddenAddrs returns every non-DNS address.
 func (t *Telescope) HiddenAddrs() []netip.Addr { return t.hidden }
 
-// Contains reports whether addr belongs to the telescope.
-func (t *Telescope) Contains(addr netip.Addr) bool {
-	_, ok := t.index[addr]
-	return ok
-}
-
 // InDNS reports whether addr is a telescope address exposed via DNS.
 // Non-telescope addresses return false.
 func (t *Telescope) InDNS(addr netip.Addr) bool { return t.inDNS[addr] }
-
-// PairOf returns the sibling address of a telescope address (hidden ↔
-// exposed) and whether addr belongs to the telescope.
-func (t *Telescope) PairOf(addr netip.Addr) (netip.Addr, bool) {
-	idx, ok := t.index[addr]
-	if !ok {
-		return netip.Addr{}, false
-	}
-	m := t.machines[idx]
-	if addr == m.Exposed {
-		return m.Hidden, true
-	}
-	return m.Exposed, true
-}
-
-// MachineOf returns the machine owning addr.
-func (t *Telescope) MachineOf(addr netip.Addr) (Machine, bool) {
-	idx, ok := t.index[addr]
-	if !ok {
-		return Machine{}, false
-	}
-	return t.machines[idx], true
-}
-
-// SampleExposed returns n exposed addresses drawn without replacement
-// (or all of them if n exceeds the population).
-func (t *Telescope) SampleExposed(n int, rng *rand.Rand) []netip.Addr {
-	return sampleAddrs(t.exposed, n, rng)
-}
-
-// SampleHidden returns n hidden addresses drawn without replacement.
-func (t *Telescope) SampleHidden(n int, rng *rand.Rand) []netip.Addr {
-	return sampleAddrs(t.hidden, n, rng)
-}
-
-func sampleAddrs(pool []netip.Addr, n int, rng *rand.Rand) []netip.Addr {
-	if n >= len(pool) {
-		out := make([]netip.Addr, len(pool))
-		copy(out, pool)
-		return out
-	}
-	idx := rng.Perm(len(pool))[:n]
-	out := make([]netip.Addr, n)
-	for i, j := range idx {
-		out[i] = pool[j]
-	}
-	return out
-}

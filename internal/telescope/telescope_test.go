@@ -1,7 +1,6 @@
 package telescope
 
 import (
-	"math/rand"
 	"net/netip"
 	"testing"
 
@@ -30,11 +29,18 @@ func TestBuildCounts(t *testing.T) {
 	if len(ts.ExposedAddrs()) != 500 || len(ts.HiddenAddrs()) != 500 {
 		t.Error("address list lengths wrong")
 	}
-	if len(db.ASNumbers()) != 20 {
-		t.Errorf("ASes = %d", len(db.ASNumbers()))
+	// Every machine attributes to its deployment AS, and each of the 20
+	// ASes holds one allocation.
+	ases, allocs := map[int]bool{}, map[netip.Prefix]bool{}
+	for _, m := range ts.Machines() {
+		as, alloc, ok := db.Attribute(m.Exposed)
+		if !ok || as.Number != m.ASN {
+			t.Fatalf("machine %d attributes to %+v (%v), want AS %d", m.ID, as, ok, m.ASN)
+		}
+		ases[as.Number], allocs[alloc.Prefix] = true, true
 	}
-	if db.Len() != 20 {
-		t.Errorf("allocations = %d", db.Len())
+	if len(ases) != 20 || len(allocs) != 20 {
+		t.Errorf("ASes = %d, allocations = %d, want 20 each", len(ases), len(allocs))
 	}
 }
 
@@ -74,36 +80,18 @@ func TestPairsShareSlash64AndCloseness(t *testing.T) {
 	}
 }
 
+// TestInDNSAndPairOf: of each machine's address pair, the exposed
+// address is in DNS and its hidden sibling is not.
 func TestInDNSAndPairOf(t *testing.T) {
 	ts, _ := buildSmall(t)
-	m := ts.Machines()[0]
-	if !ts.InDNS(m.Exposed) {
-		t.Error("exposed address not in DNS")
+	for _, m := range ts.Machines() {
+		if !ts.InDNS(m.Exposed) || ts.InDNS(m.Hidden) {
+			t.Fatalf("machine %d: InDNS(exposed %s) = %v, InDNS(hidden %s) = %v",
+				m.ID, m.Exposed, ts.InDNS(m.Exposed), m.Hidden, ts.InDNS(m.Hidden))
+		}
 	}
-	if ts.InDNS(m.Hidden) {
-		t.Error("hidden address in DNS")
-	}
-	if p, ok := ts.PairOf(m.Exposed); !ok || p != m.Hidden {
-		t.Error("PairOf(exposed) wrong")
-	}
-	if p, ok := ts.PairOf(m.Hidden); !ok || p != m.Exposed {
-		t.Error("PairOf(hidden) wrong")
-	}
-	outside := netaddr6.MustAddr("2001:db8::1")
-	if ts.Contains(outside) || ts.InDNS(outside) {
+	if outside := netaddr6.MustAddr("2001:db8::1"); ts.InDNS(outside) {
 		t.Error("outside address claimed")
-	}
-	if _, ok := ts.PairOf(outside); ok {
-		t.Error("PairOf(outside) matched")
-	}
-}
-
-func TestMachineOf(t *testing.T) {
-	ts, _ := buildSmall(t)
-	m := ts.Machines()[42]
-	got, ok := ts.MachineOf(m.Hidden)
-	if !ok || got.ID != m.ID {
-		t.Errorf("MachineOf = %+v, %v", got, ok)
 	}
 }
 
@@ -171,30 +159,6 @@ func TestDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Error("different seed produced identical telescope")
-	}
-}
-
-func TestSampleExposed(t *testing.T) {
-	ts, _ := buildSmall(t)
-	rng := rand.New(rand.NewSource(9))
-	s := ts.SampleExposed(50, rng)
-	if len(s) != 50 {
-		t.Fatalf("sample size %d", len(s))
-	}
-	seen := map[netip.Addr]bool{}
-	for _, a := range s {
-		if !ts.InDNS(a) {
-			t.Fatalf("sampled non-exposed address %s", a)
-		}
-		if seen[a] {
-			t.Fatal("sample with replacement")
-		}
-		seen[a] = true
-	}
-	// Oversized request returns everything.
-	all := ts.SampleHidden(10_000, rng)
-	if len(all) != ts.NumMachines() {
-		t.Errorf("oversample = %d", len(all))
 	}
 }
 

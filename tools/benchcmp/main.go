@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -118,24 +119,29 @@ func delta(old, new float64) (float64, string) {
 	return d, fmt.Sprintf("%+.1f%%", d)
 }
 
-func main() {
-	if len(os.Args) != 3 {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run compares the benchmark files args[0] (baseline) and args[1],
+// writing the table and annotations to stdout, and returns the exit
+// code: 1 on an allocs/op regression, 2 on a usage error, else 0.
+func run(args []string, stdout io.Writer) int {
+	if len(args) != 2 {
 		fmt.Fprintf(os.Stderr, "usage: benchcmp old-bench.json new-bench.json\n")
-		os.Exit(2)
+		return 2
 	}
-	old, err := parse(os.Args[1])
+	old, err := parse(args[0])
 	if err != nil {
-		fmt.Printf("benchcmp: cannot read baseline %s: %v — skipping compare\n", os.Args[1], err)
-		return
+		fmt.Fprintf(stdout, "benchcmp: cannot read baseline %s: %v — skipping compare\n", args[0], err)
+		return 0
 	}
-	cur, err := parse(os.Args[2])
+	cur, err := parse(args[1])
 	if err != nil {
-		fmt.Printf("benchcmp: cannot read %s: %v — skipping compare\n", os.Args[2], err)
-		return
+		fmt.Fprintf(stdout, "benchcmp: cannot read %s: %v — skipping compare\n", args[1], err)
+		return 0
 	}
 	if len(old) == 0 {
-		fmt.Printf("benchcmp: baseline %s holds no benchmark lines — skipping compare\n", os.Args[1])
-		return
+		fmt.Fprintf(stdout, "benchcmp: baseline %s holds no benchmark lines — skipping compare\n", args[0])
+		return 0
 	}
 
 	names := make([]string, 0, len(cur))
@@ -148,7 +154,7 @@ func main() {
 
 	const threshold = 10.0 // percent
 	warned, failed := 0, 0
-	fmt.Printf("%-55s %14s %14s %9s %12s %12s %9s\n",
+	fmt.Fprintf(stdout, "%-55s %14s %14s %9s %12s %12s %9s\n",
 		"benchmark", "old ns/op", "new ns/op", "Δ", "old allocs", "new allocs", "Δ")
 	for _, name := range names {
 		o, n := old[name], cur[name]
@@ -160,29 +166,30 @@ func main() {
 			allocsOld = strconv.FormatFloat(o.allocsPerOp, 'f', 0, 64)
 			allocsNew = strconv.FormatFloat(n.allocsPerOp, 'f', 0, 64)
 		}
-		fmt.Printf("%-55s %14.0f %14.0f %9s %12s %12s %9s\n",
+		fmt.Fprintf(stdout, "%-55s %14.0f %14.0f %9s %12s %12s %9s\n",
 			name, o.nsPerOp, n.nsPerOp, dnsStr, allocsOld, allocsNew, dalStr)
 		if dns > threshold {
-			fmt.Printf("::warning title=benchmark regression::%s ns/op %s vs main (%.0f → %.0f); single-iteration smoke, confirm with a longer local run\n",
+			fmt.Fprintf(stdout, "::warning title=benchmark regression::%s ns/op %s vs main (%.0f → %.0f); single-iteration smoke, confirm with a longer local run\n",
 				name, dnsStr, o.nsPerOp, n.nsPerOp)
 			warned++
 		}
 		if o.hasAllocs && n.hasAllocs && dal > threshold {
-			fmt.Printf("::error title=allocation regression::%s allocs/op %s vs main (%s → %s); allocs/op is deterministic — this gates the check\n",
+			fmt.Fprintf(stdout, "::error title=allocation regression::%s allocs/op %s vs main (%s → %s); allocs/op is deterministic — this gates the check\n",
 				name, dalStr, allocsOld, allocsNew)
 			failed++
 		}
 	}
 	for name := range cur {
 		if _, ok := old[name]; !ok {
-			fmt.Printf("%-55s (new benchmark, no baseline)\n", name)
+			fmt.Fprintf(stdout, "%-55s (new benchmark, no baseline)\n", name)
 		}
 	}
 	if warned == 0 && failed == 0 {
-		fmt.Println("no >10% regressions vs main")
+		fmt.Fprintln(stdout, "no >10% regressions vs main")
 	}
 	if failed > 0 {
-		fmt.Printf("benchcmp: %d allocs/op regression(s) vs main — failing\n", failed)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "benchcmp: %d allocs/op regression(s) vs main — failing\n", failed)
+		return 1
 	}
+	return 0
 }

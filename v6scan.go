@@ -7,8 +7,7 @@
 //
 //   - the streaming pipeline that every consumer plugs into — sources
 //     (record slices, binary logs, pcap captures), stages (collection
-//     policy, day sorter, artifact filter, taps, tees) and terminal
-//     sinks, all behind one RecordSink interface, assembled left to
+//     policy, day sorter, artifact filter, tees) and terminal sinks, all behind one RecordSink interface, assembled left to
 //     right with the fluent builder: From / Chain and the
 //     New*Source / New*Sink constructors;
 //   - scan detection with multi-level source aggregation (the paper's
@@ -19,8 +18,8 @@
 //   - the MAWI-style detector (extended Fukuda–Heidemann definition):
 //     NewMAWIDetector;
 //   - the CDN firewall-log record schema, binary codec, collection
-//     policy and 5-duplicate artifact filter: Record, ReadLog,
-//     WriteLog, NewArtifactFilter;
+//     policy and 5-duplicate artifact filter: Record, WriteLog,
+//     NewArtifactFilter;
 //   - classic pcap captures as a record source: NewPcapSource reads
 //     each Ethernet or raw IPv6 frame's addresses, protocol, ports and
 //     length, skipping frames it cannot decode (order it with the
@@ -65,14 +64,15 @@
 // and the builder's AdvanceEvery forwards a stream-time eviction
 // horizon to the detector/IDS terminals — sharded ones included — so
 // idle per-source state is released continuously instead of
-// accumulating until the end of input. AdvanceEvery is the one
-// cadence name across all terminals. Arbitrary terminals plug in
-// through RunInto, which owns the sink lifecycle (Flush to finalize,
-// Close to release, typed Result accessors):
+// accumulating until the end of input. The builder is the one place a
+// terminal's cadence is set. Arbitrary terminals plug in through
+// RunInto, which owns the sink lifecycle (Flush to finalize, Close to
+// release, typed Result accessors):
 //
 //	sink := v6scan.NewIDSSink(v6scan.NewShardedIDS(cfg, 8))
-//	sink.AdvanceEvery = time.Minute
-//	err := v6scan.From(src).Artifact().RunInto(ctx, sink)
+//	err := v6scan.From(src).Artifact().
+//	    AdvanceEvery(time.Minute).
+//	    RunInto(ctx, sink)
 //	alerts := sink.Result()
 //
 // # Checkpoint and resume
@@ -117,10 +117,7 @@ import (
 	"io"
 
 	"v6scan/internal/analysis"
-	"v6scan/internal/artifacts"
-	"v6scan/internal/asdb"
 	"v6scan/internal/bus"
-	"v6scan/internal/checkpoint"
 	"v6scan/internal/core"
 	"v6scan/internal/dispatch"
 	"v6scan/internal/events"
@@ -212,21 +209,11 @@ func NewArtifactFilter() *ArtifactFilter { return firewall.NewArtifactFilter() }
 // DefaultCollectPolicy returns the CDN logging policy.
 func DefaultCollectPolicy() CollectPolicy { return firewall.DefaultCollectPolicy() }
 
-// ClassifyPorts applies the Appendix A.3 f-rule to a per-service
-// packet histogram.
-func ClassifyPorts(ports map[Service]uint64) PortClass { return core.ClassifyPorts(ports) }
-
 // Aggregate masks an address to an aggregation level.
 var Aggregate = netaddr6.Aggregate
 
-// LogReader streams records from a binary log.
-type LogReader = firewall.Reader
-
 // LogWriter streams records to a binary log.
 type LogWriter = firewall.Writer
-
-// ReadLog returns a record reader over a binary log stream.
-func ReadLog(r io.Reader) *LogReader { return firewall.NewReader(r) }
 
 // WriteLog returns a record writer producing the binary log format.
 func WriteLog(w io.Writer) *LogWriter { return firewall.NewWriter(w) }
@@ -257,13 +244,6 @@ type (
 	SliceSource = pipeline.SliceSource
 	// LogSource streams records from a binary firewall log.
 	LogSource = pipeline.LogSource
-	// ParallelLogSource decodes a binary firewall log in parallel
-	// record-aligned chunks, reassembled in file order — output is
-	// byte-identical to LogSource at any worker count.
-	ParallelLogSource = pipeline.ParallelLogSource
-	// MergeSource k-way merges time-ordered sources (one per day-file)
-	// into one time-ordered stream.
-	MergeSource = pipeline.MergeSource
 	// PcapSource streams the records of a classic pcap capture, one
 	// per decodable IPv6 frame.
 	PcapSource = pipeline.PcapSource
@@ -290,9 +270,9 @@ type (
 
 // From starts a fluent pipeline builder reading from src — the
 // entry point of the public pipeline API. Stages are appended left to
-// right (Policy, DaySort, Artifact, Tap, Filter, Counter, Tee) and the
-// chain is terminated by RunInto or one of the typed terminal helpers
-// (Detect, IDS, MAWI).
+// right (Policy, DaySort, Artifact, Filter, Counter, Tee) and the
+// chain is terminated by RunInto or by Detect, which returns the
+// merged detector.
 func From(src RecordSource) *Builder { return pipeline.From(src) }
 
 // FromFiles starts a builder ingesting one or more binary firewall
@@ -328,20 +308,6 @@ func NewLogSource(r io.Reader) *LogSource      { return pipeline.NewLogSource(r)
 func NewPcapSource(r io.Reader) *PcapSource    { return pipeline.NewPcapSource(r) }
 func NewSliceSource(recs []Record) SliceSource { return SliceSource(recs) }
 
-// NewParallelLogSource returns a source decoding the byte range
-// [0, size) of r across workers decode goroutines (non-positive means
-// one per CPU); records come out in file order, byte-identical to the
-// serial LogSource. FromFiles wires this up from paths directly.
-func NewParallelLogSource(r io.ReaderAt, size int64, workers int) *ParallelLogSource {
-	return pipeline.NewParallelLogSource(r, size, workers)
-}
-
-// NewMergeSource returns a source k-way merging time-ordered sources
-// into one time-ordered stream; ties break toward the earlier source,
-// so chronologically split day-files merge back to their
-// concatenation.
-func NewMergeSource(srcs ...RecordSource) *MergeSource { return pipeline.NewMergeSource(srcs...) }
-
 // Pipeline sink constructors.
 func NewShardedSink(d *ShardedDetector) *ShardedSink { return pipeline.NewShardedSink(d) }
 func NewIDSSink(e *IDSEngine) *IDSSink               { return pipeline.NewIDSSink(e) }
@@ -359,12 +325,6 @@ type (
 	// ResumedSink is a terminal rebuilt from a checkpoint: the
 	// restored Sink plus the Horizon to skip the replayed input to.
 	ResumedSink = pipeline.Resumed
-)
-
-// Snapshot kinds reported in ResumedSink.Kind.
-const (
-	CheckpointKindDetector = checkpoint.KindDetector
-	CheckpointKindIDS      = checkpoint.KindIDS
 )
 
 // LatestCheckpoint returns the newest checkpoint file in dir, or ""
@@ -387,28 +347,10 @@ func SweepCheckpointTemps(dir string) (int, error) {
 // Wire-layer facade: distributed pipeline endpoints — publishers
 // shipping topic-partitioned event envelopes over a broker, and
 // subscribers replaying them into a pipeline with byte-identical
-// output (see the pipeline package doc's "Wire layer" section).
-type (
-	// Bus is the hermetic in-memory broker: bounded pull-based
-	// subscriptions with blocking publisher backpressure.
-	Bus = bus.Bus
-	// BusSubscription is one bounded pull endpoint on a Bus.
-	BusSubscription = bus.Subscription
-	// BusMsg is one delivered broker message.
-	BusMsg = bus.Msg
-	// BusStats is a point-in-time copy of a Bus's counters.
-	BusStats = bus.Stats
-	// EventEnvelope is the versioned wire envelope framing a run of
-	// records (or alerts) for one topic.
-	EventEnvelope = events.Envelope
-)
-
-// Envelope kinds carried in EventEnvelope.Kind.
-const (
-	EventKindRecords = events.KindRecords
-	EventKindAlerts  = events.KindAlerts
-	EventKindEOS     = events.KindEOS
-)
+// output (see the pipeline package doc's "Wire layer" section). Bus
+// is the hermetic in-memory broker: bounded pull-based subscriptions
+// with blocking publisher backpressure.
+type Bus = bus.Bus
 
 // NewBus returns an empty in-memory broker.
 func NewBus() *Bus { return bus.New() }
@@ -453,16 +395,10 @@ type (
 	TelescopeConfig = telescope.Config
 	// CensusConfig configures the Table-2 scan-actor population.
 	CensusConfig = scanner.CensusConfig
-	// ArtifactsConfig sizes the background-artifact population.
-	ArtifactsConfig = artifacts.Config
 	// MAWISimulator produces daily MAWI capture windows.
 	MAWISimulator = mawi.Simulator
 	// MAWISimConfig sizes the MAWI simulation.
 	MAWISimConfig = mawi.Config
-	// ASDB is the AS registry used for source attribution.
-	ASDB = asdb.DB
-	// AS describes an autonomous system.
-	AS = asdb.AS
 )
 
 // DefaultExperimentConfig returns a full-window, laptop-scale CDN
@@ -486,18 +422,11 @@ type (
 	// blocklist recommendations, inline or across parallel worker
 	// shards with alerts byte-identical at any shard count.
 	IDSEngine = ids.Engine
-	// IDSAlert is one detected entity with its recommended blocklist
-	// prefix.
-	IDSAlert = ids.Alert
 )
 
-// NewIDS returns a dynamic-aggregation IDS engine running inline on
-// the caller's goroutine.
-func NewIDS(cfg IDSConfig) *IDSEngine { return ids.New(cfg) }
-
 // NewShardedIDS returns an IDS engine partitioning candidate state by
-// coarsest-level source prefix across n parallel worker shards (inline
-// when n ≤ 1).
+// coarsest-level source prefix across n parallel worker shards; at
+// n ≤ 1 it runs inline on the caller's goroutine.
 func NewShardedIDS(cfg IDSConfig, n int) *IDSEngine { return ids.NewSharded(cfg, n) }
 
 // DefaultIDSConfig returns production-oriented IDS defaults.
@@ -561,8 +490,6 @@ type (
 	// terminates in, and serves state, alerts (paginated + SSE), and
 	// metrics over HTTP.
 	ServeDaemon = serve.Daemon
-	// ServeState is the read-side serving snapshot (/api/state).
-	ServeState = serve.State
 )
 
 // NewMetricsRegistry returns an empty metrics registry.

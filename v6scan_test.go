@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
 	"v6scan/internal/mawi"
 	"v6scan/internal/netaddr6"
@@ -51,8 +52,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	lr := ReadLog(&buf)
-	got, err := lr.Next()
+	got, err := firewall.NewReader(&buf).Next()
 	if err != nil || got != recs[0] {
 		t.Fatalf("log round trip: %+v, %v", got, err)
 	}
@@ -131,9 +131,18 @@ func TestFacadeAggregateAndClassify(t *testing.T) {
 	if Aggregate(a, Agg48) != netaddr6.MustPrefix("2001:db8:1::/48") {
 		t.Error("Aggregate broken")
 	}
-	ports := map[Service]uint64{{Proto: layers.ProtoTCP, Port: 22}: 10}
-	if ClassifyPorts(ports) != SinglePort {
-		t.Error("ClassifyPorts broken")
+	// Scan.Class is the facade's Appendix A.3 port classifier.
+	for _, tc := range []struct {
+		ports int
+		want  PortClass
+	}{{1, SinglePort}, {5, Ports2to10}, {50, Ports10to100}, {500, PortsOver100}} {
+		s := Scan{Ports: map[Service]uint64{}}
+		for p := range tc.ports {
+			s.Ports[Service{Proto: layers.ProtoTCP, Port: uint16(p + 1)}] = 10
+		}
+		if got := s.Class(); got != tc.want {
+			t.Errorf("%d equal ports: class %v, want %v", tc.ports, got, tc.want)
+		}
 	}
 }
 
