@@ -934,6 +934,58 @@ func BenchmarkDetectorAdvance(b *testing.B) {
 	b.ReportMetric(float64(len(recs)), "records/op")
 }
 
+// BenchmarkDetectorSnapshot measures one detector checkpoint cut. The
+// detector holds 3000 scans — 500 sources × two weekly rounds × three
+// aggregation levels, each scan with 25 destinations kept (TrackDsts),
+// five services, two packet lengths and its week — plus the third
+// round's 1500 sessions still open, and is snapshotted once per
+// iteration. A cut re-encodes every scan emitted so far, so this is
+// the encoder's cost per accumulated scan; allocs/op pins the
+// encoder's reuse of its buffers.
+func BenchmarkDetectorSnapshot(b *testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.MinDsts = 20
+	cfg.TrackDsts = true
+	cfg.WeekEpoch = benchStart
+	var recs []Record
+	dstBase := netaddr6.MustAddr("2001:db8:f000::")
+	for round := range 3 {
+		ts := benchStart.Add(time.Duration(round) * 7 * 24 * time.Hour)
+		for j := range 25 {
+			for src := range 500 {
+				recs = append(recs, Record{
+					Time: ts, Src: netaddr6.U128{Hi: 0x20010db8_00000000 | uint64(src)<<16, Lo: 1}.ToAddr(),
+					Dst:   netaddr6.WithIID(dstBase, uint64(j+1)),
+					Proto: layers.ProtoTCP, DstPort: uint16(1000 + j%5), Length: uint16(60 + j%2),
+				})
+				ts = ts.Add(time.Millisecond)
+			}
+		}
+	}
+	det := core.NewShardedDetector(cfg, 1)
+	defer det.Finish()
+	if err := det.ProcessBatch(recs); err != nil {
+		b.Fatal(err)
+	}
+	// A first cut waits for the worker to apply the records and warms
+	// the output buffer.
+	mark := recs[len(recs)-1].Time.Add(time.Nanosecond)
+	var buf bytes.Buffer
+	if err := det.Snapshot(&buf, mark); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := det.Snapshot(&buf, mark); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer() // the deferred Finish is not the cut's cost
+	b.ReportMetric(float64(buf.Len()), "bytes/cut")
+}
+
 // encodeBenchLog writes records to an in-memory binary log for the
 // ingest benchmarks.
 func encodeBenchLog(b *testing.B, recs []Record) []byte {

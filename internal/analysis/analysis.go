@@ -202,14 +202,14 @@ func BuildTable3(det *core.Detector, db *asdb.DB, excludeASN, n int) Table3 {
 		}
 		totalScans++
 		allSrcs[s.Source] = struct{}{}
-		for svc, cnt := range s.Ports {
-			pktBy[svc] += cnt
-			totalPkts += cnt
-			scanBy[svc]++
-			set := srcBy[svc]
+		for _, p := range s.Ports {
+			pktBy[p.Service] += p.Packets
+			totalPkts += p.Packets
+			scanBy[p.Service]++
+			set := srcBy[p.Service]
 			if set == nil {
 				set = make(map[netip.Prefix]struct{})
-				srcBy[svc] = set
+				srcBy[p.Service] = set
 			}
 			set[s.Source] = struct{}{}
 		}

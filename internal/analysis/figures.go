@@ -133,11 +133,11 @@ func BuildWeeklySources(det *core.Detector) WeeklySources {
 	for _, lvl := range det.Config().Levels {
 		active := make(map[int]map[netip.Prefix]struct{})
 		for _, s := range det.Scans(lvl) {
-			for wk := range s.WeekPackets {
-				set := active[wk]
+			for _, wk := range s.WeekPackets {
+				set := active[wk.Week]
 				if set == nil {
 					set = make(map[netip.Prefix]struct{})
-					active[wk] = set
+					active[wk.Week] = set
 				}
 				set[s.Source] = struct{}{}
 			}
@@ -193,13 +193,13 @@ func BuildConcentration(det *core.Detector, level netaddr6.AggLevel) Concentrati
 	weekly := make(map[int]map[netip.Prefix]uint64)
 	totalBySrc := make(map[netip.Prefix]uint64)
 	for _, s := range det.Scans(level) {
-		for wk, pkts := range s.WeekPackets {
-			m := weekly[wk]
+		for _, wk := range s.WeekPackets {
+			m := weekly[wk.Week]
 			if m == nil {
 				m = make(map[netip.Prefix]uint64)
-				weekly[wk] = m
+				weekly[wk.Week] = m
 			}
-			m[s.Source] += pkts
+			m[s.Source] += wk.Packets
 		}
 		totalBySrc[s.Source] += s.Packets
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "v6scan/internal/firewall"
-
 // PortClass buckets scans by how many ports they target, following
 // Figure 4 / Figure 8 of the paper.
 type PortClass int
@@ -41,13 +39,11 @@ func PortClasses() []PortClass {
 // if f > 0.009, and >100 ports otherwise. The rule avoids
 // misclassifying a scan as multi-port when only a tiny packet fraction
 // strays onto other ports.
-func ClassifyPorts(ports map[firewall.Service]uint64) PortClass {
+func ClassifyPorts(ports []PortCount) PortClass {
 	var total, top uint64
-	for _, n := range ports {
-		total += n
-		if n > top {
-			top = n
-		}
+	for _, p := range ports {
+		total += p.Packets
+		top = max(top, p.Packets)
 	}
 	if total == 0 {
 		return SinglePort

@@ -7,28 +7,28 @@ import (
 	"v6scan/internal/layers"
 )
 
-func svc(port uint16) firewall.Service {
-	return firewall.Service{Proto: layers.ProtoTCP, Port: port}
+// tcp is n packets on TCP port.
+func tcp(port uint16, n uint64) PortCount {
+	return PortCount{firewall.Service{Proto: layers.ProtoTCP, Port: port}, n}
 }
 
 func TestClassifySinglePort(t *testing.T) {
-	ports := map[firewall.Service]uint64{svc(22): 1000}
+	ports := []PortCount{tcp(22, 1000)}
 	if c := ClassifyPorts(ports); c != SinglePort {
 		t.Errorf("got %v", c)
 	}
 	// A tiny stray fraction must not flip the class (the f-rule's whole
 	// point): 95% on one port is still "single port".
-	ports[svc(23)] = 30
-	ports[svc(24)] = 20
+	ports = append(ports, tcp(23, 30), tcp(24, 20))
 	if c := ClassifyPorts(ports); c != SinglePort {
 		t.Errorf("with strays: got %v", c)
 	}
 }
 
 func TestClassifyFewPorts(t *testing.T) {
-	ports := map[firewall.Service]uint64{}
+	var ports []PortCount
 	for p := uint16(0); p < 4; p++ {
-		ports[svc(22+p)] = 250 // f = 0.25 → 2–10 ports
+		ports = append(ports, tcp(22+p, 250)) // f = 0.25 → 2–10 ports
 	}
 	if c := ClassifyPorts(ports); c != Ports2to10 {
 		t.Errorf("got %v", c)
@@ -36,9 +36,9 @@ func TestClassifyFewPorts(t *testing.T) {
 }
 
 func TestClassifyTensOfPorts(t *testing.T) {
-	ports := map[firewall.Service]uint64{}
+	var ports []PortCount
 	for p := uint16(0); p < 50; p++ {
-		ports[svc(1000+p)] = 20 // f = 0.02 → 10–100
+		ports = append(ports, tcp(1000+p, 20)) // f = 0.02 → 10–100
 	}
 	if c := ClassifyPorts(ports); c != Ports10to100 {
 		t.Errorf("got %v", c)
@@ -46,9 +46,9 @@ func TestClassifyTensOfPorts(t *testing.T) {
 }
 
 func TestClassifyManyPorts(t *testing.T) {
-	ports := map[firewall.Service]uint64{}
+	var ports []PortCount
 	for p := uint16(0); p < 400; p++ {
-		ports[svc(1000+p)] = 5 // f = 0.0025 → >100
+		ports = append(ports, tcp(1000+p, 5)) // f = 0.0025 → >100
 	}
 	if c := ClassifyPorts(ports); c != PortsOver100 {
 		t.Errorf("got %v", c)
@@ -57,7 +57,7 @@ func TestClassifyManyPorts(t *testing.T) {
 
 func TestClassifyBoundaries(t *testing.T) {
 	// f exactly 0.5 is NOT single-port (> comparison).
-	ports := map[firewall.Service]uint64{svc(1): 50, svc(2): 25, svc(3): 25}
+	ports := []PortCount{tcp(1, 50), tcp(2, 25), tcp(3, 25)}
 	if c := ClassifyPorts(ports); c != Ports2to10 {
 		t.Errorf("f=0.5: got %v", c)
 	}

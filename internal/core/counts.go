@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"v6scan/internal/entropy"
 	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
 )
@@ -27,7 +28,8 @@ const countsInline = 4
 const countsTableMin = 4 * countsInline
 
 // keyCounts counts packets per uint32 key: a session's services
-// (svcKey) or weeks (weekKey). Up to countsInline keys live in a
+// (svcKey), weeks (weekKey) or packet lengths (uint32(Record.Length)),
+// and a MAWI flow's packet lengths. Up to countsInline keys live in a
 // sorted inline array; past that the counter spills into an
 // open-addressed, linear-probed power-of-two table. Inline counts are
 // 32-bit, which halves the array every session carries; a count that
@@ -152,9 +154,11 @@ func (c *keyCounts) reset() {
 	}
 }
 
-// each calls f for every key and its count, in no particular order
-// once spilled. A nil counter holds no key.
-func (c *keyCounts) each(f func(k uint32, n uint64)) {
+// eachSorted calls f for every key and its count in ascending key
+// order: the inline array's order, or a spilled table's entries sorted
+// in *scratch, a buffer the caller reuses across calls. A nil counter
+// holds no key.
+func (c *keyCounts) eachSorted(scratch *[]countSlot, f func(k uint32, n uint64)) {
 	if c == nil {
 		return
 	}
@@ -162,21 +166,6 @@ func (c *keyCounts) each(f func(k uint32, n uint64)) {
 		for i := range c.n {
 			f(c.keys[i], uint64(c.counts[i]))
 		}
-		return
-	}
-	for _, e := range c.tab {
-		if e.n != 0 {
-			f(e.k, e.n)
-		}
-	}
-}
-
-// eachSorted calls f for every key and its count in ascending key
-// order: the inline array's order, or a spilled table's entries sorted
-// in *scratch, a buffer the caller reuses across calls.
-func (c *keyCounts) eachSorted(scratch *[]countSlot, f func(k uint32, n uint64)) {
-	if c == nil || c.used == 0 {
-		c.each(f)
 		return
 	}
 	ord := (*scratch)[:0]
@@ -190,6 +179,32 @@ func (c *keyCounts) eachSorted(scratch *[]countSlot, f func(k uint32, n uint64))
 		f(e.k, e.n)
 	}
 	*scratch = ord
+}
+
+// normalizedEntropy returns entropy.Normalized of the counted keys: the
+// Shannon entropy of their counts over total, the sum of the counts,
+// divided by log2(total). This is the packet-length entropy criterion
+// of the MAWI scan definition. Fewer than two distinct keys yield 0.
+// The counts are summed in ascending key order, so the float result
+// does not depend on how the counter was filled; scratch is
+// eachSorted's.
+func (c *keyCounts) normalizedEntropy(scratch *[]countSlot) float64 {
+	if c.len() < 2 {
+		return 0
+	}
+	var total uint64
+	if c.used == 0 {
+		for _, n := range c.counts[:c.n] {
+			total += uint64(n)
+		}
+	} else {
+		for _, e := range c.tab {
+			total += e.n
+		}
+	}
+	return entropy.Normalized(total, func(count func(uint64)) {
+		c.eachSorted(scratch, func(_ uint32, n uint64) { count(n) })
+	})
 }
 
 // countHash is a multiplicative hash whose low bits index the table.

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
+	"testing/quick"
 	"time"
 
-	"v6scan/internal/checkpoint"
 	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
 	"v6scan/internal/netaddr6"
@@ -70,18 +71,8 @@ func checkCounts(t *testing.T, name string, life int, c *keyCounts, ref map[uint
 		want = append(want, k)
 	}
 	slices.Sort(want)
-	var got, sorted []uint32
+	var sorted []uint32
 	var scratch []countSlot
-	c.each(func(k uint32, n uint64) {
-		if n != ref[k] {
-			t.Fatalf("%s, life %d: key %#x counts %d, want %d", name, life, k, n, ref[k])
-		}
-		got = append(got, k)
-	})
-	slices.Sort(got)
-	if !slices.Equal(got, want) {
-		t.Fatalf("%s, life %d: each visits %v, want %v", name, life, got, want)
-	}
 	c.eachSorted(&scratch, func(k uint32, n uint64) {
 		if n != ref[k] {
 			t.Fatalf("%s, life %d: key %#x counts %d, want %d", name, life, k, n, ref[k])
@@ -118,7 +109,7 @@ func TestKeyCountsWideCounts(t *testing.T) {
 }
 
 // TestKeyCountsKeyOrder checks that eachSorted visits the packed keys
-// in the order the snapshot writes: services in encodePortMap's
+// in the order Scan's slices and the snapshot promise: services in
 // (proto, port) order and weeks, negative ones included, in sort.Ints
 // order.
 func TestKeyCountsKeyOrder(t *testing.T) {
@@ -132,13 +123,20 @@ func TestKeyCountsKeyOrder(t *testing.T) {
 		svcs[s] += uint64(i + 1)
 		ports.add(svcKey(s), uint64(i+1))
 	}
-	var want checkpoint.Enc
-	encodePortMap(&want, svcs)
-	var got checkpoint.Enc
-	got.Uvarint(uint64(ports.len()))
-	ports.eachSorted(new([]countSlot), func(k uint32, n uint64) { encodeService(&got, keyService(k), n) })
-	if string(got.B) != string(want.B) {
-		t.Fatal("ports in key order encode differently from encodePortMap")
+	want := make([]PortCount, 0, len(svcs))
+	for s, n := range svcs {
+		want = append(want, PortCount{s, n})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Service.Proto != want[j].Service.Proto {
+			return want[i].Service.Proto < want[j].Service.Proto
+		}
+		return want[i].Service.Port < want[j].Service.Port
+	})
+	var got []PortCount
+	ports.eachSorted(new([]countSlot), func(k uint32, n uint64) { got = append(got, PortCount{keyService(k), n}) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("ports iterate as %v, want %v", got, want)
 	}
 
 	weekList := []int{-1 << 31, -300, -2, -1, 0, 1, 2, 52, 1<<31 - 1}
@@ -230,5 +228,176 @@ func TestWeekCounterOnlyWhenWeekly(t *testing.T) {
 				t.Fatalf("life %d: the reopened session allocated a new week counter", life)
 			}
 		}
+	}
+}
+
+// lenCounts counts each value once under its own key.
+func lenCounts(vals ...uint32) *keyCounts {
+	c := new(keyCounts)
+	for _, v := range vals {
+		c.add(v, 1)
+	}
+	return c
+}
+
+// TestLenEntropyCases pins normalizedEntropy on the distributions that
+// define it: no or one observation and a single length give 0, all
+// lengths distinct give 1, two equally common lengths give one bit over
+// log2(total), and a scanner's near-constant lengths stay under the
+// MAWI criterion's 0.1 while diverse regular traffic exceeds it.
+func TestLenEntropyCases(t *testing.T) {
+	var constant, twoUniform, scanLike, diverse, allDistinct keyCounts
+	constant.add(40, 100) // e.g. constant TCP SYN length
+	twoUniform.add(1, 50)
+	twoUniform.add(2, 50)
+	scanLike.add(60, 10000)
+	scanLike.add(72, 1)
+	scanLike.add(80, 1)
+	rng := rand.New(rand.NewSource(1))
+	for range 10000 {
+		diverse.add(uint32(40+rng.Intn(1400)), 1)
+	}
+	for k := range uint32(64) {
+		allDistinct.add(k, 1)
+	}
+	cases := []struct {
+		name string
+		c    *keyCounts
+		ok   func(float64) bool
+	}{
+		{"nil", nil, func(e float64) bool { return e == 0 }},
+		{"empty", new(keyCounts), func(e float64) bool { return e == 0 }},
+		{"one observation", lenCounts(60), func(e float64) bool { return e == 0 }},
+		{"constant", &constant, func(e float64) bool { return e == 0 }},
+		{"all distinct", &allDistinct, func(e float64) bool { return math.Abs(e-1) < 1e-9 }},
+		{"two uniform", &twoUniform, func(e float64) bool { return math.Abs(e-1/math.Log2(100)) < 1e-12 }},
+		{"scan-like", &scanLike, func(e float64) bool { return e < 0.1 }},
+		{"diverse", &diverse, func(e float64) bool { return e > 0.1 }},
+	}
+	var scratch []countSlot
+	for _, tc := range cases {
+		if e := tc.c.normalizedEntropy(&scratch); !tc.ok(e) {
+			t.Errorf("%s: entropy %v", tc.name, e)
+		}
+	}
+}
+
+// TestLenEntropyBounds: the normalized entropy of any length multiset
+// lies in [0, 1].
+func TestLenEntropyBounds(t *testing.T) {
+	var scratch []countSlot
+	f := func(vals []uint16) bool {
+		var c keyCounts
+		for _, v := range vals {
+			c.add(uint32(v), 1)
+		}
+		e := c.normalizedEntropy(&scratch)
+		return e >= 0 && e <= 1+1e-9
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLenEntropyDeterministic: the entropy of one multiset is
+// bit-identical however its counter was filled — in any insertion
+// order, inline or spilled, or rebuilt from another counter's
+// eachSorted the way a checkpoint restore rebuilds it — and equals the
+// sum taken in ascending length order against the total of the counts,
+// the float expression LenEntropy and the MAWI criterion have always
+// used.
+func TestLenEntropyDeterministic(t *testing.T) {
+	ascending := func(counts map[uint32]uint64) float64 {
+		keys := make([]uint32, 0, len(counts))
+		var total uint64
+		for k, n := range counts {
+			keys = append(keys, k)
+			total += n
+		}
+		slices.Sort(keys)
+		var h float64
+		n := float64(total)
+		for _, k := range keys {
+			p := float64(counts[k]) / n
+			h -= p * math.Log2(p)
+		}
+		return h / math.Log2(float64(total))
+	}
+	var scratch []countSlot
+	for _, distinct := range []int{2, countsInline, 61} {
+		counts := map[uint32]uint64{}
+		for i := range distinct {
+			counts[uint32(40+3*i)] = uint64(i%5 + 1)
+		}
+		want := math.Float64bits(ascending(counts))
+		for rep := range 20 {
+			// The same lengths and counts, added from a different start.
+			var c keyCounts
+			for i := range distinct {
+				k := uint32(40 + 3*((i+rep*7)%distinct))
+				c.add(k, counts[k])
+			}
+			if got := math.Float64bits(c.normalizedEntropy(&scratch)); got != want {
+				t.Fatalf("%d lengths, rep %d: entropy bits %x, want %x", distinct, rep, got, want)
+			}
+			var rebuilt keyCounts
+			c.eachSorted(&scratch, rebuilt.add)
+			if got := math.Float64bits(rebuilt.normalizedEntropy(&scratch)); got != want {
+				t.Fatalf("%d lengths, rep %d: rebuilt counter's entropy bits %x, want %x", distinct, rep, got, want)
+			}
+		}
+	}
+}
+
+// TestKeyCountsReset: reset empties a counter, inline or spilled, and
+// the emptied counter counts afresh.
+func TestKeyCountsReset(t *testing.T) {
+	var scratch []countSlot
+	for _, keys := range []uint32{1, countsInline, 3 * countsInline} {
+		var c keyCounts
+		for k := range keys {
+			c.add(k, 10)
+		}
+		c.reset()
+		seen := 0
+		c.eachSorted(&scratch, func(uint32, uint64) { seen++ })
+		if c.len() != 0 || seen != 0 || c.normalizedEntropy(&scratch) != 0 {
+			t.Errorf("%d keys: reset left len %d, %d keys visited", keys, c.len(), seen)
+		}
+		c.add(5, 1)
+		var got []countSlot
+		c.eachSorted(&scratch, func(k uint32, n uint64) { got = append(got, countSlot{n, k}) })
+		if !slices.Equal(got, []countSlot{{1, 5}}) {
+			t.Errorf("%d keys: counter after reset holds %v, want key 5 once", keys, got)
+		}
+	}
+}
+
+// TestKeyCountsMergeEquivalence: merging counters the way a checkpoint
+// restore rebuilds one — eachSorted into add — equals counting the
+// union directly: the same keys and counts in the same order, and a
+// bit-identical length entropy.
+func TestKeyCountsMergeEquivalence(t *testing.T) {
+	var scratch []countSlot
+	f := func(a, b []uint8) bool {
+		var c1, c2, m, merged keyCounts
+		for _, v := range a {
+			c1.add(uint32(v), 1)
+			m.add(uint32(v), 1)
+		}
+		for _, v := range b {
+			c2.add(uint32(v), 1)
+			m.add(uint32(v), 1)
+		}
+		c1.eachSorted(&scratch, merged.add)
+		c2.eachSorted(&scratch, merged.add)
+		var want, got []countSlot
+		m.eachSorted(&scratch, func(k uint32, n uint64) { want = append(want, countSlot{n, k}) })
+		merged.eachSorted(&scratch, func(k uint32, n uint64) { got = append(got, countSlot{n, k}) })
+		return slices.Equal(got, want) &&
+			math.Float64bits(merged.normalizedEntropy(&scratch)) == math.Float64bits(m.normalizedEntropy(&scratch))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -30,18 +30,24 @@
 // second distinct value, because at fine aggregation levels most
 // sessions close after a handful of packets.
 //
-// Packets per service and per week are counted by keyCounts, one
-// counter over packed uint32 keys whose arrays hold no pointers: up to
-// countsInline = 4 keys in a sorted array inside the session, an
-// open-addressed table past that. Keys per session are bimodal — most
-// sessions count one service and one week, the port sweepers count
-// dozens to hundreds of services — so the common session counts with a
-// short scan of one cache line and no hashing, the sweepers hash into
-// a table their handle keeps for its next session, and no session
-// holds a Go map. The week counter is allocated on a session's first
-// weekly add, so a detector without weekly tracking carries a nil
-// pointer. Scan results get their Ports and WeekPackets maps at emit
-// only.
+// Packets per service, per week and per packet length are counted by
+// keyCounts, the one per-key counter, over packed uint32 keys whose
+// arrays hold no pointers: up to countsInline = 4 keys in a sorted
+// array inside the session, an open-addressed table past that. Keys
+// per session are bimodal — most sessions count one service and one
+// week, the port sweepers count dozens to hundreds of services — so
+// the common session counts with a short scan of one cache line and no
+// hashing, the sweepers hash into a table their handle keeps for its
+// next session, and no session holds a Go map. The week counter is
+// allocated on a session's first weekly add, so a detector without
+// weekly tracking carries a nil pointer. The MAWI detector counts its
+// flows' packet lengths with the same counter.
+//
+// A counter's ascending key order is the only order a scan's counts
+// have: a qualifying session's counters become the Scan's Ports and
+// WeekPackets slices at emit, in that order, its length counter gives
+// LenEntropy summed in that order, and the checkpoint writes sessions
+// and scans in that order and keeps it as read.
 package core
 
 import (
@@ -51,7 +57,6 @@ import (
 	"time"
 
 	"v6scan/internal/checkpoint"
-	"v6scan/internal/entropy"
 	"v6scan/internal/firewall"
 	"v6scan/internal/netaddr6"
 	"v6scan/internal/u128idx"
@@ -99,20 +104,34 @@ type Scan struct {
 	Packets uint64
 	// Dsts is the number of distinct destination addresses.
 	Dsts int
-	// DstAddrs holds the distinct destinations when Config.TrackDsts
-	// is set (order unspecified).
+	// DstAddrs holds the distinct destinations in ascending order when
+	// Config.TrackDsts is set.
 	DstAddrs []netip.Addr
 	// SrcAddrs is the number of distinct /128 source addresses the
 	// aggregate emitted from during the session.
 	SrcAddrs int
-	// Ports counts packets per targeted service.
-	Ports map[firewall.Service]uint64
+	// Ports counts packets per targeted service, one entry per
+	// service, ascending by (protocol, port).
+	Ports []PortCount
 	// WeekPackets counts packets per week index relative to
-	// Config.WeekEpoch; nil when weekly tracking is disabled.
-	WeekPackets map[int]uint64
+	// Config.WeekEpoch, one entry per week, ascending by week; nil
+	// when weekly tracking is disabled.
+	WeekPackets []WeekCount
 	// LenEntropy is the normalized packet-length entropy of the
 	// session (scan traffic is near 0).
 	LenEntropy float64
+}
+
+// PortCount is a scan's packet count on one service.
+type PortCount struct {
+	Service firewall.Service
+	Packets uint64
+}
+
+// WeekCount is a scan's packet count in one week.
+type WeekCount struct {
+	Week    int
+	Packets uint64
 }
 
 // Duration returns the scan's wall-clock span.
@@ -126,9 +145,10 @@ func (s *Scan) NumPorts() int { return len(s.Ports) }
 // inline sorted-array fast path — rather than netip.Addr maps: the
 // detector's working set is dominated by these sets, and flat value
 // storage keeps the garbage collector from tracing millions of
-// interned-zone pointers on every cycle. Ports and weeks are keyCounts
-// over svcKey and weekKey keys, for the same reason and to spare the
-// per-packet map hashing.
+// interned-zone pointers on every cycle. Ports, weeks and packet
+// lengths are keyCounts over svcKey, weekKey and uint32(Record.Length)
+// keys, for the same reason and to spare the per-packet map hashing.
+// A session is 456 bytes, 64 each for its port and length counters.
 //
 // Sessions additionally hold their first destination and source inline
 // and materialize the sets only on the second distinct value: at fine
@@ -149,11 +169,11 @@ type session struct {
 
 	firstDst, firstSrc netaddr6.U128
 
-	dsts       u128idx.Set
-	srcs       u128idx.Set
-	ports      keyCounts  // by svcKey
-	weeks      *keyCounts // by weekKey; nil until the first weekly add
-	lenCounter entropy.Counter
+	dsts  u128idx.Set
+	srcs  u128idx.Set
+	ports keyCounts  // by svcKey
+	weeks *keyCounts // by weekKey; nil until the first weekly add
+	lens  keyCounts  // by uint32(Record.Length)
 }
 
 func (s *session) addDst(d netaddr6.U128) {
@@ -211,7 +231,7 @@ func (s *session) reset() {
 	s.srcs.Reset()
 	s.ports.reset()
 	s.weeks.reset()
-	s.lenCounter.Reset()
+	s.lens.reset()
 }
 
 // levelState tracks all sessions at one aggregation level, keyed by
@@ -244,8 +264,10 @@ type Detector struct {
 	scrDst  []netaddr6.U128
 	scrSvc  []uint32
 	scrWeek []uint32
-	// dstOut is the canonical-order scratch for TrackDsts emission.
+	// dstOut is the canonical-order scratch for TrackDsts emission,
+	// counts the sort buffer for emitting spilled counters.
 	dstOut []netaddr6.U128
+	counts []countSlot
 	// one backs the Process single-record wrapper.
 	one [1]firewall.Record
 }
@@ -356,7 +378,7 @@ func (d *Detector) ingestRun(rs []firewall.Record) {
 			if weekly {
 				s.weekCounts().add(d.scrWeek[k], 1)
 			}
-			s.lenCounter.Observe(uint64(r.Length))
+			s.lens.add(uint32(r.Length), 1)
 		}
 	}
 }
@@ -395,25 +417,26 @@ func (d *Detector) emitOrDrop(ls *levelState, h uint32) {
 		return
 	}
 	// Qualifying sessions are the rare case, and the only place the
-	// counters become maps.
-	ports := make(map[firewall.Service]uint64, s.ports.len())
-	s.ports.each(func(k uint32, n uint64) { ports[keyService(k)] = n })
-	var weeks map[int]uint64
-	if s.weeks.len() > 0 {
-		weeks = make(map[int]uint64, s.weeks.len())
-		s.weeks.each(func(k uint32, n uint64) { weeks[keyWeek(k)] = n })
-	}
+	// counters become slices, in the counters' ascending key order.
 	scan := Scan{
-		Source:      netip.PrefixFrom(ls.tab.Key(h).ToAddr(), int(ls.level)),
-		Level:       ls.level,
-		Start:       s.start,
-		End:         checkpoint.DecodeTime(ls.tab.Last(h)),
-		Packets:     s.packets,
-		Dsts:        s.numDsts(),
-		SrcAddrs:    s.numSrcs(),
-		Ports:       ports,
-		WeekPackets: weeks,
-		LenEntropy:  s.lenCounter.Normalized(),
+		Source:     netip.PrefixFrom(ls.tab.Key(h).ToAddr(), int(ls.level)),
+		Level:      ls.level,
+		Start:      s.start,
+		End:        checkpoint.DecodeTime(ls.tab.Last(h)),
+		Packets:    s.packets,
+		Dsts:       s.numDsts(),
+		SrcAddrs:   s.numSrcs(),
+		Ports:      make([]PortCount, 0, s.ports.len()),
+		LenEntropy: s.lens.normalizedEntropy(&d.counts),
+	}
+	s.ports.eachSorted(&d.counts, func(k uint32, n uint64) {
+		scan.Ports = append(scan.Ports, PortCount{keyService(k), n})
+	})
+	if s.weeks.len() > 0 {
+		scan.WeekPackets = make([]WeekCount, 0, s.weeks.len())
+		s.weeks.eachSorted(&d.counts, func(k uint32, n uint64) {
+			scan.WeekPackets = append(scan.WeekPackets, WeekCount{keyWeek(k), n})
+		})
 	}
 	if d.cfg.TrackDsts {
 		scan.DstAddrs = make([]netip.Addr, 0, s.numDsts())
@@ -421,9 +444,8 @@ func (d *Detector) emitOrDrop(ls *levelState, h uint32) {
 			scan.DstAddrs = append(scan.DstAddrs, s.firstDst.ToAddr())
 		} else {
 			// Set iteration is canonical (ascending U128), which for
-			// 16-byte addresses is exactly netip.Addr.Compare order, so
-			// the emitted DstAddrs stay byte-identical to the sorted
-			// map-era output without a re-sort.
+			// 16-byte addresses is exactly netip.Addr.Compare order:
+			// the ascending order DstAddrs promises.
 			d.dstOut = s.dsts.AppendSorted(d.dstOut[:0])
 			for _, a := range d.dstOut {
 				scan.DstAddrs = append(scan.DstAddrs, a.ToAddr())
@@ -438,19 +460,23 @@ func (d *Detector) emitOrDrop(ls *levelState, h uint32) {
 func (d *Detector) Scans(level netaddr6.AggLevel) []Scan {
 	for _, ls := range d.levels {
 		if ls.level == level {
-			out := ls.scans
-			// Tie-break on source so ordering is deterministic even when
-			// sessions close in index-iteration order.
-			sort.Slice(out, func(i, j int) bool {
-				if !out[i].Start.Equal(out[j].Start) {
-					return out[i].Start.Before(out[j].Start)
-				}
-				return out[i].Source.Addr().Compare(out[j].Source.Addr()) < 0
-			})
-			return out
+			sortScans(ls.scans)
+			return ls.scans
 		}
 	}
 	return nil
+}
+
+// sortScans puts scans in their deterministic order, the order of
+// Scans and of a checkpoint's results: by start time, then by source,
+// so the order does not depend on the order sessions closed in.
+func sortScans(scans []Scan) {
+	sort.Slice(scans, func(i, j int) bool {
+		if !scans[i].Start.Equal(scans[j].Start) {
+			return scans[i].Start.Before(scans[j].Start)
+		}
+		return scans[i].Source.Addr().Compare(scans[j].Source.Addr()) < 0
+	})
 }
 
 // Dropped returns the number of sessions at the level that closed

@@ -253,7 +253,10 @@ func TestWeeklyAttribution(t *testing.T) {
 	if len(wp) != 2 {
 		t.Fatalf("weeks = %v", wp)
 	}
-	if wp[0]+wp[1] != scans[0].Packets {
+	if wp[0].Week != 0 || wp[1].Week != 1 {
+		t.Errorf("weeks = %v, want weeks 0 and 1 in order", wp)
+	}
+	if wp[0].Packets+wp[1].Packets != scans[0].Packets {
 		t.Error("weekly packets don't sum to total")
 	}
 }
@@ -315,8 +318,8 @@ func TestScanDurationAndPorts(t *testing.T) {
 		t.Errorf("ports %d", s.NumPorts())
 	}
 	var sum uint64
-	for _, n := range s.Ports {
-		sum += n
+	for _, p := range s.Ports {
+		sum += p.Packets
 	}
 	if sum != s.Packets {
 		t.Error("port packets don't sum to total")

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"v6scan/internal/entropy"
 	"v6scan/internal/firewall"
 	"v6scan/internal/netaddr6"
 )
@@ -59,7 +58,7 @@ type mawiFlow struct {
 	start, last time.Time
 	packets     uint64
 	perDst      map[netip.Addr]uint32
-	lenCounter  entropy.Counter
+	lens        keyCounts // by uint32(Record.Length)
 }
 
 // MAWIDetector detects scans in one capture window (MAWI publishes 15
@@ -67,6 +66,9 @@ type mawiFlow struct {
 type MAWIDetector struct {
 	cfg   MAWIConfig
 	flows map[mawiKey]*mawiFlow
+	// counts is the sort buffer for the entropy of spilled length
+	// counters.
+	counts []countSlot
 }
 
 type mawiKey struct {
@@ -103,7 +105,7 @@ func (d *MAWIDetector) Process(r firewall.Record) {
 	f.last = r.Time
 	f.packets++
 	f.perDst[r.Dst]++
-	f.lenCounter.Observe(uint64(r.Length))
+	f.lens.add(uint32(r.Length), 1)
 }
 
 // Finish applies the qualification rules and merges per-port flows by
@@ -163,5 +165,5 @@ func (d *MAWIDetector) qualifies(f *mawiFlow) bool {
 			return false
 		}
 	}
-	return f.lenCounter.Normalized() < d.cfg.MaxLenEntropy
+	return f.lens.normalizedEntropy(&d.counts) < d.cfg.MaxLenEntropy
 }

@@ -81,8 +81,8 @@ func TestPropertyScanWellFormed(t *testing.T) {
 					return false
 				}
 				var portSum uint64
-				for _, n := range s.Ports {
-					portSum += n
+				for _, p := range s.Ports {
+					portSum += p.Packets
 				}
 				if portSum != s.Packets {
 					return false

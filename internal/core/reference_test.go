@@ -118,10 +118,20 @@ func (r *refDetector) close(i int, key netip.Prefix) {
 	scan := Scan{
 		Source: key, Level: r.cfg.Levels[i], Start: s.start, End: s.last,
 		Packets: s.packets, Dsts: len(s.dsts), SrcAddrs: len(s.srcs),
-		Ports: s.ports, LenEntropy: refEntropy(s.lens, s.packets),
+		LenEntropy: refEntropy(s.lens, s.packets),
 	}
+	for svc, n := range s.ports {
+		scan.Ports = append(scan.Ports, PortCount{svc, n})
+	}
+	sort.Slice(scan.Ports, func(a, b int) bool {
+		x, y := scan.Ports[a].Service, scan.Ports[b].Service
+		return x.Proto < y.Proto || x.Proto == y.Proto && x.Port < y.Port
+	})
 	if !r.cfg.WeekEpoch.IsZero() {
-		scan.WeekPackets = s.weeks
+		for w, n := range s.weeks {
+			scan.WeekPackets = append(scan.WeekPackets, WeekCount{w, n})
+		}
+		sort.Slice(scan.WeekPackets, func(a, b int) bool { return scan.WeekPackets[a].Week < scan.WeekPackets[b].Week })
 	}
 	if r.cfg.TrackDsts {
 		for a := range s.dsts {

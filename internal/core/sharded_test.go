@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -61,26 +60,20 @@ func parityConfig() Config {
 	}
 }
 
-// canonical renders a scan including every field, with map keys sorted,
-// so two scan lists compare byte for byte.
+// canonical renders a scan including every field, its lists in the
+// order held, so two scan lists compare byte for byte.
 func canonical(s Scan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%v %v %v %v pk=%d dsts=%d srcs=%d ent=%.9f",
 		s.Source, s.Level, s.Start.UnixNano(), s.End.UnixNano(),
 		s.Packets, s.Dsts, s.SrcAddrs, s.LenEntropy)
 	svcs := make([]string, 0, len(s.Ports))
-	for svc, c := range s.Ports {
-		svcs = append(svcs, fmt.Sprintf("%v=%d", svc, c))
+	for _, p := range s.Ports {
+		svcs = append(svcs, fmt.Sprintf("%v=%d", p.Service, p.Packets))
 	}
-	sort.Strings(svcs)
 	fmt.Fprintf(&b, " ports[%s]", strings.Join(svcs, ","))
-	weeks := make([]int, 0, len(s.WeekPackets))
-	for w := range s.WeekPackets {
-		weeks = append(weeks, w)
-	}
-	sort.Ints(weeks)
-	for _, w := range weeks {
-		fmt.Fprintf(&b, " w%d=%d", w, s.WeekPackets[w])
+	for _, w := range s.WeekPackets {
+		fmt.Fprintf(&b, " w%d=%d", w.Week, w.Packets)
 	}
 	for _, a := range s.DstAddrs {
 		b.WriteString(" ")

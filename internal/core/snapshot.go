@@ -8,8 +8,11 @@ package core
 // after the mark reconstructs the uninterrupted run byte-exactly.
 //
 // The sections are checkpoint.WriteBody's: per level, the sessions of
-// every shard merged into one key-sorted sequence. Scans and map
-// entries are written in canonical order too. So
+// every shard merged into one key-sorted sequence. Scans are written in
+// Scans order, and every count list and address list in ascending key
+// order — the order the counters and a Scan's slices already hold, so
+// the encoder sorts nothing but the merged sessions and scans, and the
+// decoder keeps what it reads, rejecting a list out of that order. So
 // Snapshot∘Restore∘Snapshot is byte-identity (FuzzSnapshotRoundtrip),
 // and a snapshot taken at N shards restores at any M ≥ 1: restore
 // re-partitions each session deterministically (dispatch.Group's
@@ -18,12 +21,11 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
-	"sort"
 	"time"
 
 	"v6scan/internal/checkpoint"
-	"v6scan/internal/entropy"
 	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
 	"v6scan/internal/netaddr6"
@@ -44,6 +46,11 @@ func preallocHint(n uint64) int { return int(min(n, preallocCap)) }
 // pipeline checkpoint cadence arranges exactly this). The group's
 // barrier drains in-flight batches first, which makes shard state
 // readable; the bytes are the same at any shard count.
+//
+// A snapshot holds every scan emitted since the run began, not only
+// the open sessions, so each cut re-encodes all of them: a cut's size
+// and time grow with the run, and a run cut every k records does work
+// quadratic in its length.
 func (sd *ShardedDetector) Snapshot(w io.Writer, mark time.Time) error {
 	if err := sd.g.Sync(); err != nil {
 		return err
@@ -72,7 +79,7 @@ type detectorBody struct {
 	// scratch and counts are the reused sort buffers for every encoded
 	// address set and spilled counter in the snapshot; each grows to
 	// the largest once and keeps the encode loop allocation-free
-	// (pinned by allocs tests).
+	// (TestEncodeSessionNoAllocs).
 	scratch []netaddr6.U128
 	counts  []countSlot
 }
@@ -115,9 +122,10 @@ func (b *detectorBody) Gather(dst []checkpoint.Keyed[liveSession], li int) []che
 // Entry writes one session's logical state: each inline-or-set pair is
 // encoded as its sorted logical contents, so the in-memory
 // representation (inline fast path vs materialized set, inline vs
-// spilled counter) never reaches the wire. The counters' key order is
-// (proto, port) order and signed week order, the order Scan's maps are
-// written in. Last activity is already on Enc.Time's axis.
+// spilled counter) never reaches the wire. The counters are written in
+// ascending key order: (proto, port) order, signed week order and
+// length order, the order a Scan's slices hold. Last activity is
+// already on Enc.Time's axis.
 func (b *detectorBody) Entry(e *checkpoint.Enc, ls liveSession) {
 	s := ls.s
 	e.Time(s.start)
@@ -129,7 +137,11 @@ func (b *detectorBody) Entry(e *checkpoint.Enc, ls liveSession) {
 	s.ports.eachSorted(&b.counts, func(k uint32, n uint64) { encodeService(e, keyService(k), n) })
 	e.Uvarint(uint64(s.weeks.len()))
 	s.weeks.eachSorted(&b.counts, func(k uint32, n uint64) { encodeWeek(e, keyWeek(k), n) })
-	encodeCounter(e, &s.lenCounter)
+	e.Uvarint(uint64(s.lens.len()))
+	s.lens.eachSorted(&b.counts, func(k uint32, n uint64) {
+		e.Uvarint(uint64(k))
+		e.Uvarint(n)
+	})
 }
 
 // Results writes the accumulated results, merged across shards: per
@@ -144,12 +156,7 @@ func (b *detectorBody) Results(e *checkpoint.Enc) {
 			scans = append(scans, det.levels[li].scans...)
 			dropped += det.levels[li].dropped
 		}
-		sort.Slice(scans, func(i, j int) bool {
-			if !scans[i].Start.Equal(scans[j].Start) {
-				return scans[i].Start.Before(scans[j].Start)
-			}
-			return scans[i].Source.Addr().Compare(scans[j].Source.Addr()) < 0
-		})
+		sortScans(scans)
 		e.Varint(int64(l))
 		e.Uvarint(dropped)
 		e.Uvarint(uint64(len(scans)))
@@ -204,16 +211,13 @@ func (r *detectorRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) er
 	if s.firstSrc, err = decodeU128Set(d, &s.srcs); err != nil {
 		return err
 	}
-	for i, n := uint64(0), d.Uvarint(); i < n && d.Err() == nil; i++ {
-		svc := decodeService(d)
-		s.ports.add(svcKey(svc), d.Uvarint())
+	if err := decodeCounts(d, decodeSvcKey, s.ports.add); err != nil {
+		return err
 	}
-	for i, n := uint64(0), d.Uvarint(); i < n && d.Err() == nil; i++ {
-		w := int32(d.Varint())
-		s.weekCounts().add(weekKey(w), d.Uvarint())
+	if err := decodeCounts(d, decodeWeekKey, func(k uint32, n uint64) { s.weekCounts().add(k, n) }); err != nil {
+		return err
 	}
-	decodeCounter(d, &s.lenCounter)
-	if err := d.Err(); err != nil {
+	if err := decodeCounts(d, decodeLenKey, s.lens.add); err != nil {
 		return err
 	}
 	h, _ := ls.tab.Ref(key, last) // keys arrive strictly ascending
@@ -233,7 +237,11 @@ func (r *detectorRestore) Results(d *checkpoint.Dec) error {
 		ls.dropped = d.Uvarint()
 		n := d.Uvarint()
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			ls.scans = append(ls.scans, decodeScan(d))
+			s, err := decodeScan(d)
+			if err != nil {
+				return err
+			}
+			ls.scans = append(ls.scans, s)
 		}
 	}
 	return nil
@@ -279,55 +287,10 @@ func decodeU128Set(d *checkpoint.Dec, set *u128idx.Set) (netaddr6.U128, error) {
 	return first, d.Err()
 }
 
-// encodePortMap writes a service count map in (proto, port) order.
-func encodePortMap(e *checkpoint.Enc, m map[firewall.Service]uint64) {
-	svcs := make([]firewall.Service, 0, len(m))
-	for s := range m {
-		svcs = append(svcs, s)
-	}
-	sort.Slice(svcs, func(i, j int) bool {
-		if svcs[i].Proto != svcs[j].Proto {
-			return svcs[i].Proto < svcs[j].Proto
-		}
-		return svcs[i].Port < svcs[j].Port
-	})
-	e.Uvarint(uint64(len(svcs)))
-	for _, s := range svcs {
-		encodeService(e, s, m[s])
-	}
-}
-
 func encodeService(e *checkpoint.Enc, s firewall.Service, n uint64) {
 	e.U8(uint8(s.Proto))
 	e.Uvarint(uint64(s.Port))
 	e.Uvarint(n)
-}
-
-func decodeService(d *checkpoint.Dec) firewall.Service {
-	return firewall.Service{Proto: layers.IPProtocol(d.U8()), Port: uint16(d.Uvarint())}
-}
-
-// decodePortMap reads n encodeService entries into a map.
-func decodePortMap(d *checkpoint.Dec, n uint64) map[firewall.Service]uint64 {
-	m := make(map[firewall.Service]uint64, preallocHint(n))
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		s := decodeService(d)
-		m[s] = d.Uvarint()
-	}
-	return m
-}
-
-// encodeWeekMap writes a week count map in week order.
-func encodeWeekMap(e *checkpoint.Enc, m map[int]uint64) {
-	weeks := make([]int, 0, len(m))
-	for w := range m {
-		weeks = append(weeks, w)
-	}
-	sort.Ints(weeks)
-	e.Uvarint(uint64(len(weeks)))
-	for _, w := range weeks {
-		encodeWeek(e, w, m[w])
-	}
 }
 
 func encodeWeek(e *checkpoint.Enc, w int, n uint64) {
@@ -335,39 +298,44 @@ func encodeWeek(e *checkpoint.Enc, w int, n uint64) {
 	e.Uvarint(n)
 }
 
-// decodeWeekMap reads n (week, count) entries into a map.
-func decodeWeekMap(d *checkpoint.Dec, n uint64) map[int]uint64 {
-	m := make(map[int]uint64, preallocHint(n))
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		w := int(d.Varint())
-		m[w] = d.Uvarint()
+// decodeCounts reads a count list: its length, then per entry a key,
+// decoded by key, and its count, handed to add. Keys must be in range
+// and strictly ascending, the order every count list is written in;
+// anything else fails with checkpoint.ErrFormat.
+func decodeCounts(d *checkpoint.Dec, key func(*checkpoint.Dec) (uint32, bool), add func(k uint32, n uint64)) error {
+	var prev uint32
+	for i, n := uint64(0), d.Uvarint(); i < n && d.Err() == nil; i++ {
+		k, ok := key(d)
+		switch {
+		case d.Err() != nil:
+			return d.Err()
+		case !ok:
+			return fmt.Errorf("%w: count key out of range", checkpoint.ErrFormat)
+		case i > 0 && k <= prev:
+			return fmt.Errorf("%w: count keys not ascending", checkpoint.ErrFormat)
+		}
+		prev = k
+		add(k, d.Uvarint())
 	}
-	return m
+	return d.Err()
 }
 
-// encodeCounter writes an entropy counter's (value, count) pairs in
-// value order.
-func encodeCounter(e *checkpoint.Enc, c *entropy.Counter) {
-	type vc struct{ v, n uint64 }
-	var pairs []vc
-	c.Each(func(v, n uint64) { pairs = append(pairs, vc{v, n}) })
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
-	e.Uvarint(uint64(len(pairs)))
-	for _, p := range pairs {
-		e.Uvarint(p.v)
-		e.Uvarint(p.n)
-	}
+// decodeSvcKey reads an encodeService service as its svcKey.
+func decodeSvcKey(d *checkpoint.Dec) (uint32, bool) {
+	proto, port := d.U8(), d.Uvarint()
+	return svcKey(firewall.Service{Proto: layers.IPProtocol(proto), Port: uint16(port)}), port <= math.MaxUint16
 }
 
-// decodeCounter rebuilds a counter by replaying its observations in
-// value order; a single distinct value lands on the inline fast path,
-// exactly as live ingestion would leave it.
-func decodeCounter(d *checkpoint.Dec, c *entropy.Counter) {
-	n := d.Uvarint()
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		v := d.Uvarint()
-		c.ObserveN(v, d.Uvarint())
-	}
+// decodeWeekKey reads an encodeWeek week as its weekKey.
+func decodeWeekKey(d *checkpoint.Dec) (uint32, bool) {
+	w := d.Varint()
+	return weekKey(int32(w)), w == int64(int32(w))
+}
+
+// decodeLenKey reads a packet length, a uint16 on the wire's uvarint.
+func decodeLenKey(d *checkpoint.Dec) (uint32, bool) {
+	v := d.Uvarint()
+	return uint32(v), v <= math.MaxUint16
 }
 
 func encodeScan(e *checkpoint.Enc, s *Scan) {
@@ -381,19 +349,25 @@ func encodeScan(e *checkpoint.Enc, s *Scan) {
 	e.Uvarint(uint64(s.Dsts))
 	e.Uvarint(uint64(s.SrcAddrs))
 	e.F64(s.LenEntropy)
-	addrs := append([]netip.Addr(nil), s.DstAddrs...)
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Compare(addrs[j]) < 0 })
-	e.Uvarint(uint64(len(addrs)))
-	for _, a := range addrs {
+	e.Uvarint(uint64(len(s.DstAddrs)))
+	for _, a := range s.DstAddrs {
 		u := netaddr6.ToU128(a)
 		e.U64(u.Hi)
 		e.U64(u.Lo)
 	}
-	encodePortMap(e, s.Ports)
-	encodeWeekMap(e, s.WeekPackets)
+	e.Uvarint(uint64(len(s.Ports)))
+	for _, p := range s.Ports {
+		encodeService(e, p.Service, p.Packets)
+	}
+	e.Uvarint(uint64(len(s.WeekPackets)))
+	for _, w := range s.WeekPackets {
+		encodeWeek(e, w.Week, w.Packets)
+	}
 }
 
-func decodeScan(d *checkpoint.Dec) Scan {
+// decodeScan reads an encodeScan scan, keeping its lists in the order
+// read, which must be ascending as Scan's fields promise.
+func decodeScan(d *checkpoint.Dec) (Scan, error) {
 	src := netaddr6.U128{Hi: d.U64(), Lo: d.U64()}
 	bits := int(d.Varint())
 	s := Scan{
@@ -408,13 +382,26 @@ func decodeScan(d *checkpoint.Dec) Scan {
 	}
 	if n := d.Uvarint(); n > 0 {
 		s.DstAddrs = make([]netip.Addr, 0, preallocHint(n))
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			s.DstAddrs = append(s.DstAddrs, netaddr6.U128{Hi: d.U64(), Lo: d.U64()}.ToAddr())
+		var prev netaddr6.U128
+		for i := uint64(0); i < n; i++ {
+			a := netaddr6.U128{Hi: d.U64(), Lo: d.U64()}
+			if err := d.Err(); err != nil {
+				return s, err
+			}
+			if i > 0 && a.Cmp(prev) <= 0 {
+				return s, fmt.Errorf("%w: scan destinations not ascending", checkpoint.ErrFormat)
+			}
+			prev = a
+			s.DstAddrs = append(s.DstAddrs, a.ToAddr())
 		}
 	}
-	s.Ports = decodePortMap(d, d.Uvarint())
-	if wn := d.Uvarint(); wn > 0 {
-		s.WeekPackets = decodeWeekMap(d, wn)
+	if err := decodeCounts(d, decodeSvcKey, func(k uint32, n uint64) {
+		s.Ports = append(s.Ports, PortCount{keyService(k), n})
+	}); err != nil {
+		return s, err
 	}
-	return s
+	err := decodeCounts(d, decodeWeekKey, func(k uint32, n uint64) {
+		s.WeekPackets = append(s.WeekPackets, WeekCount{keyWeek(k), n})
+	})
+	return s, err
 }

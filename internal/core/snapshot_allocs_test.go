@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"v6scan/internal/checkpoint"
+	"v6scan/internal/firewall"
+	"v6scan/internal/layers"
 	"v6scan/internal/netaddr6"
 	"v6scan/internal/u128idx"
 )
@@ -35,5 +37,41 @@ func TestEncodeU128SetNoAllocs(t *testing.T) {
 	encode() // warm the scratch buffer and encoder capacity
 	if allocs := testing.AllocsPerRun(20, encode); allocs != 0 {
 		t.Fatalf("encodeU128Set allocated %.0f times per warm encode, want 0", allocs)
+	}
+}
+
+// TestEncodeSessionNoAllocs pins the session encoder, detectorBody.Entry,
+// at zero allocations once its sort buffers and the encoder are warm:
+// materialized address sets and port, week and length counters past
+// the inline cutoff, next to a session that stays inline throughout.
+func TestEncodeSessionNoAllocs(t *testing.T) {
+	var spilled session
+	spilled.firstDst, spilled.firstSrc = netaddr6.U128{Lo: 1}, netaddr6.U128{Lo: 2}
+	for i := range uint64(40) {
+		spilled.packets++
+		spilled.addDst(netaddr6.U128{Hi: i * 0x9e3779b97f4a7c15, Lo: i})
+		spilled.addSrc(netaddr6.U128{Lo: i % 7})
+		spilled.ports.add(uint32(i*1637), 1)
+		spilled.weekCounts().add(weekKey(int32(i%9)-4), 1)
+		spilled.lens.add(uint32(40+i), 1)
+	}
+	var inline session
+	inline.packets = 3
+	inline.ports.add(svcKey(firewall.Service{Proto: layers.ProtoTCP, Port: 22}), 3)
+	inline.lens.add(60, 3)
+	if spilled.ports.used == 0 || spilled.weeks.used == 0 || spilled.lens.used == 0 {
+		t.Fatal("the spilled session's counters did not spill")
+	}
+
+	var b detectorBody
+	var e checkpoint.Enc
+	encode := func() {
+		e.B = e.B[:0]
+		b.Entry(&e, liveSession{&spilled, 7})
+		b.Entry(&e, liveSession{&inline, 9})
+	}
+	encode() // warm the sort buffers and encoder capacity
+	if allocs := testing.AllocsPerRun(20, encode); allocs != 0 {
+		t.Fatalf("encoding two sessions allocated %.0f times, want 0", allocs)
 	}
 }

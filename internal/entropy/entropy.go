@@ -1,110 +1,50 @@
-// Package entropy provides the entropy measures used by the scan
-// detectors: normalized Shannon entropy of discrete observations
-// (the MAWI detector requires packet-length entropy < 0.1 for a flow to
-// qualify as a scan, following Fukuda & Heidemann's definition), and
-// Hamming-weight histograms of interface identifiers used in
-// target-randomness analysis.
+// Package entropy provides the entropy measures of the scan analysis:
+// the normalized Shannon entropy of a distribution of discrete
+// observations (the MAWI scan criterion requires packet-length entropy
+// < 0.1, following Fukuda & Heidemann's definition), and the
+// Hamming-weight measures of the target-randomness analysis:
+// histograms of interface-identifier Hamming weights (Figure 7 of the
+// paper), their summary statistics, and the test for the Gaussian
+// signature of uniformly random IIDs. The observations themselves are
+// counted by the detectors' own counters in package core.
 package entropy
 
 import (
 	"math"
 	"math/bits"
-	"slices"
 )
 
-// Counter accumulates observations of discrete values (e.g. packet
-// lengths) and computes normalized Shannon entropy over them. The zero
-// value is ready to use. A single distinct value — the common case for
-// scan flows, whose probes are near-identical — is held inline; the
-// map materializes on the second distinct value, keeping single-valued
-// counters allocation-free.
-type Counter struct {
-	counts map[uint64]uint64
-	first  uint64
-	firstN uint64
-	total  uint64
-}
-
-// Observe records one occurrence of value v.
-func (c *Counter) Observe(v uint64) { c.ObserveN(v, 1) }
-
-// ObserveN records n occurrences of value v.
-func (c *Counter) ObserveN(v uint64, n uint64) {
-	if n == 0 {
-		return
-	}
-	c.total += n
-	if c.counts == nil {
-		if c.firstN == 0 || c.first == v {
-			c.first = v
-			c.firstN += n
-			return
-		}
-		c.counts = make(map[uint64]uint64, 4)
-		c.counts[c.first] = c.firstN
-		c.firstN = 0
-	}
-	c.counts[v] += n
-}
-
-// Shannon returns the Shannon entropy H = -Σ p·log2(p) in bits.
-// Zero observations yield 0.
-func (c *Counter) Shannon() float64 {
-	if c.total == 0 || c.counts == nil {
-		// Zero or one distinct value: entropy 0.
+// Shannon returns the Shannon entropy H = -Σ p·log2(p) in bits of a
+// distribution of total observations, with p = count/total. each calls
+// count once per distinct observed value with its positive count;
+// total is the sum of those counts. The float sum runs in each's
+// order, so a caller whose result must not depend on how its counts
+// were gathered reports them in a fixed order (core's counters report
+// ascending keys). Zero observations yield 0.
+func Shannon(total uint64, each func(count func(uint64))) float64 {
+	if total == 0 {
 		return 0
 	}
-	// Sum in value order, not map order: a float sum's rounding depends
-	// on its order, and map order changes from run to run, so the low
-	// bits — which checkpoints store — would too.
-	vals := make([]uint64, 0, len(c.counts))
-	for v := range c.counts {
-		vals = append(vals, v)
-	}
-	slices.Sort(vals)
 	var h float64
-	n := float64(c.total)
-	for _, v := range vals {
-		p := float64(c.counts[v]) / n
+	n := float64(total)
+	each(func(c uint64) {
+		p := float64(c) / n
 		h -= p * math.Log2(p)
-	}
+	})
 	return h
 }
 
-// Normalized returns the Shannon entropy divided by log2(total
-// observations), mapping to [0,1]: 0 when every observation has the
-// same value, 1 when every observation is distinct. This matches the
-// packet-length entropy criterion of the MAWI scan definition, where a
-// scanner emitting near-identical probe packets scores close to 0.
-// Fewer than two observations yield 0.
-func (c *Counter) Normalized() float64 {
-	if c.total < 2 {
+// Normalized returns the Shannon entropy divided by log2(total),
+// mapping to [0,1]: 0 when every observation has the same value, 1
+// when every observation is distinct. This is the packet-length
+// entropy criterion of the MAWI scan definition, where a scanner
+// emitting near-identical probe packets scores close to 0. Fewer than
+// two observations yield 0.
+func Normalized(total uint64, each func(count func(uint64))) float64 {
+	if total < 2 {
 		return 0
 	}
-	return c.Shannon() / math.Log2(float64(c.total))
-}
-
-// Each calls f once per distinct observed value with its count, in
-// unspecified order. Snapshot code serializes counters through it (and
-// rebuilds them with ObserveN), so the counter's inline/materialized
-// representation never leaks into the encoding.
-func (c *Counter) Each(f func(v, n uint64)) {
-	if c.counts == nil {
-		if c.firstN > 0 {
-			f(c.first, c.firstN)
-		}
-		return
-	}
-	for v, n := range c.counts {
-		f(v, n)
-	}
-}
-
-// Reset discards all observations, retaining allocated capacity.
-func (c *Counter) Reset() {
-	clear(c.counts)
-	c.firstN = 0
-	c.total = 0
+	return Shannon(total, each) / math.Log2(float64(total))
 }
 
 // HammingHistogram64 returns a 65-bucket histogram of Hamming weights

@@ -3,55 +3,65 @@ package entropy
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// distinct counts the values Each reports.
-func distinct(c *Counter) int {
-	n := 0
-	c.Each(func(uint64, uint64) { n++ })
-	return n
+// tally returns the total of the observation counts in obs and an each
+// that reports them in ascending value order, the way core's counters
+// report their keys.
+func tally(obs map[uint64]uint64) (uint64, func(func(uint64))) {
+	vals := make([]uint64, 0, len(obs))
+	var total uint64
+	for v, n := range obs {
+		vals = append(vals, v)
+		total += n
+	}
+	slices.Sort(vals)
+	return total, func(count func(uint64)) {
+		for _, v := range vals {
+			count(obs[v])
+		}
+	}
 }
 
 func TestCounterEmpty(t *testing.T) {
-	var c Counter
-	if c.Shannon() != 0 || c.Normalized() != 0 || c.total != 0 || distinct(&c) != 0 {
-		t.Error("zero counter should report zeros")
+	total, each := tally(nil)
+	if total != 0 || Shannon(total, each) != 0 || Normalized(total, each) != 0 {
+		t.Error("no observations should report zeros")
+	}
+	if got := Normalized(tally(map[uint64]uint64{60: 1})); got != 0 {
+		t.Errorf("Normalized of one observation = %v", got)
 	}
 }
 
 func TestCounterConstant(t *testing.T) {
-	var c Counter
-	for i := 0; i < 100; i++ {
-		c.Observe(40) // e.g. constant TCP SYN length
-	}
-	if got := c.Shannon(); got != 0 {
+	total, each := tally(map[uint64]uint64{40: 100}) // e.g. constant TCP SYN length
+	if got := Shannon(total, each); got != 0 {
 		t.Errorf("Shannon of constant = %v", got)
 	}
-	if got := c.Normalized(); got != 0 {
+	if got := Normalized(total, each); got != 0 {
 		t.Errorf("Normalized of constant = %v", got)
 	}
 }
 
 func TestCounterAllDistinct(t *testing.T) {
-	var c Counter
+	obs := map[uint64]uint64{}
 	for i := uint64(0); i < 64; i++ {
-		c.Observe(i)
+		obs[i] = 1
 	}
-	if got := c.Normalized(); math.Abs(got-1) > 1e-9 {
+	total, each := tally(obs)
+	if got := Normalized(total, each); math.Abs(got-1) > 1e-9 {
 		t.Errorf("Normalized of all-distinct = %v, want 1", got)
 	}
-	if got := c.Shannon(); math.Abs(got-6) > 1e-9 {
+	if got := Shannon(total, each); math.Abs(got-6) > 1e-9 {
 		t.Errorf("Shannon of 64 distinct = %v, want 6", got)
 	}
 }
 
 func TestCounterUniformTwoValues(t *testing.T) {
-	var c Counter
-	c.ObserveN(1, 50)
-	c.ObserveN(2, 50)
-	if got := c.Shannon(); math.Abs(got-1) > 1e-9 {
+	if got := Shannon(tally(map[uint64]uint64{1: 50, 2: 50})); math.Abs(got-1) > 1e-9 {
 		t.Errorf("Shannon = %v, want 1 bit", got)
 	}
 }
@@ -59,73 +69,59 @@ func TestCounterUniformTwoValues(t *testing.T) {
 func TestScanLikeLengthDistribution(t *testing.T) {
 	// A scanner sending 10k packets of one length with a handful of
 	// stragglers must stay under the 0.1 MAWI threshold.
-	var c Counter
-	c.ObserveN(60, 10000)
-	c.Observe(72)
-	c.Observe(80)
-	if got := c.Normalized(); got >= 0.1 {
+	if got := Normalized(tally(map[uint64]uint64{60: 10000, 72: 1, 80: 1})); got >= 0.1 {
 		t.Errorf("scan-like distribution entropy %v, want < 0.1", got)
 	}
 	// Regular traffic with diverse lengths must exceed it.
-	var reg Counter
+	reg := map[uint64]uint64{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000; i++ {
-		reg.Observe(uint64(40 + rng.Intn(1400)))
+		reg[uint64(40+rng.Intn(1400))]++
 	}
-	if got := reg.Normalized(); got <= 0.1 {
+	if got := Normalized(tally(reg)); got <= 0.1 {
 		t.Errorf("diverse distribution entropy %v, want > 0.1", got)
-	}
-}
-
-// TestCounterMergeEquivalence: merging counters the way snapshot
-// restore rebuilds one — Each into ObserveN — equals observing the
-// union directly.
-func TestCounterMergeEquivalence(t *testing.T) {
-	f := func(a, b []uint8) bool {
-		var c1, c2, m Counter
-		for _, v := range a {
-			c1.Observe(uint64(v))
-			m.Observe(uint64(v))
-		}
-		for _, v := range b {
-			c2.Observe(uint64(v))
-			m.Observe(uint64(v))
-		}
-		var merged Counter
-		c1.Each(merged.ObserveN)
-		c2.Each(merged.ObserveN)
-		return math.Abs(merged.Shannon()-m.Shannon()) < 1e-12 &&
-			merged.total == m.total && distinct(&merged) == distinct(&m)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCounterReset(t *testing.T) {
-	var c Counter
-	c.ObserveN(5, 10)
-	c.Reset()
-	if c.total != 0 || distinct(&c) != 0 {
-		t.Error("reset did not clear")
-	}
-	c.Observe(1)
-	if c.total != 1 {
-		t.Error("counter unusable after reset")
 	}
 }
 
 func TestNormalizedBounds(t *testing.T) {
 	f := func(vals []uint16) bool {
-		var c Counter
+		obs := map[uint64]uint64{}
 		for _, v := range vals {
-			c.Observe(uint64(v))
+			obs[uint64(v)]++
 		}
-		n := c.Normalized()
+		n := Normalized(tally(obs))
 		return n >= 0 && n <= 1+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShannonDeterministic: the entropy of one sequence of counts is
+// bit-identical on every call and equals -Σ p·log2(p) summed in the
+// order each reports, over log2(total) when normalized — the float
+// expression behind the packet-length entropy that checkpoints store,
+// so a restored scan compares equal to a live one.
+func TestShannonDeterministic(t *testing.T) {
+	obs := map[uint64]uint64{}
+	for v := uint64(0); v < 61; v++ {
+		obs[v] = v%5 + 1
+	}
+	total, each := tally(obs)
+	var h float64
+	n := float64(total)
+	each(func(c uint64) {
+		p := float64(c) / n
+		h -= p * math.Log2(p)
+	})
+	wantH, wantN := math.Float64bits(h), math.Float64bits(h/math.Log2(n))
+	for rep := 0; rep < 20; rep++ {
+		if got := math.Float64bits(Shannon(total, each)); got != wantH {
+			t.Fatalf("rep %d: Shannon bits %x, want %x", rep, got, wantH)
+		}
+		if got := math.Float64bits(Normalized(total, each)); got != wantN {
+			t.Fatalf("rep %d: Normalized bits %x, want %x", rep, got, wantN)
+		}
 	}
 }
 
@@ -174,26 +170,5 @@ func TestLooksGaussian(t *testing.T) {
 	// Too few samples: never Gaussian.
 	if LooksGaussian(HammingHistogram64(vals[:10])) {
 		t.Error("tiny sample classified Gaussian")
-	}
-}
-
-// TestShannonDeterministic: the entropy of one multiset is bit-identical
-// however its counter was built — map iteration order must not reach
-// the float sum.
-func TestShannonDeterministic(t *testing.T) {
-	var want uint64
-	for rep := 0; rep < 20; rep++ {
-		// The same 61 values and counts, inserted from a different start.
-		var c Counter
-		for i := 0; i < 61; i++ {
-			v := uint64((i + rep*7) % 61)
-			c.ObserveN(v, v%5+1)
-		}
-		got := math.Float64bits(c.Shannon())
-		if rep == 0 {
-			want = got
-		} else if got != want {
-			t.Fatalf("rep %d: Shannon bits %x, want %x", rep, got, want)
-		}
 	}
 }

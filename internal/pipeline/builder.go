@@ -67,14 +67,13 @@ func From(src Source) *Builder { return &Builder{src: src} }
 //		Detect(ctx, core.DefaultConfig(), 8)
 func FromFiles(paths ...string) *Builder { return From(NewFilesSource(paths...)) }
 
-// DecodeWorkers sets the decode worker count on sources that shard
-// their decode — the FromFiles source, a ParallelLogSource, or a
-// MergeSource over them (which forwards the setting to its inputs).
-// Non-positive (and the default) means one worker per CPU; sources
-// without a parallel decode ignore the option.
+// DecodeWorkers sets the total decode worker budget of a FromFiles
+// source (a FilesSource), divided across its files. Non-positive (and
+// the default) means one worker per CPU. Other sources ignore the
+// option: a ParallelLogSource takes its worker count at construction.
 func (b *Builder) DecodeWorkers(n int) *Builder {
-	if s, ok := b.src.(interface{ SetDecodeWorkers(int) }); ok {
-		s.SetDecodeWorkers(n)
+	if s, ok := b.src.(*FilesSource); ok {
+		s.workers = n
 	}
 	return b
 }

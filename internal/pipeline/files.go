@@ -16,7 +16,9 @@ import (
 // which is what lets the fluent FromFiles builder entry stay
 // error-free: an unreadable path surfaces from the run itself.
 type FilesSource struct {
-	paths   []string
+	paths []string
+	// workers is the total decode worker budget, set by
+	// Builder.DecodeWorkers; non-positive means one per CPU.
 	workers int
 }
 
@@ -25,11 +27,6 @@ type FilesSource struct {
 func NewFilesSource(paths ...string) *FilesSource {
 	return &FilesSource{paths: append([]string(nil), paths...)}
 }
-
-// SetDecodeWorkers sets the total decode worker budget; it is the hook
-// the builder's DecodeWorkers option resolves against. Non-positive
-// means one worker per CPU.
-func (s *FilesSource) SetDecodeWorkers(n int) { s.workers = n }
 
 // EmitBatch implements Source. The worker budget is divided
 // across files (rounding up, minimum one each): the merge consumes the

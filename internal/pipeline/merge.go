@@ -33,16 +33,6 @@ func NewMergeSource(srcs ...Source) *MergeSource {
 	return &MergeSource{srcs: append([]Source(nil), srcs...)}
 }
 
-// SetDecodeWorkers forwards the builder's DecodeWorkers option to
-// every input source that supports it.
-func (m *MergeSource) SetDecodeWorkers(n int) {
-	for _, s := range m.srcs {
-		if ds, ok := s.(interface{ SetDecodeWorkers(int) }); ok {
-			ds.SetDecodeWorkers(n)
-		}
-	}
-}
-
 // errMergeStopped aborts a feeding source's emit when the merge halts
 // early (downstream error or another source failing). It never escapes
 // EmitBatch.

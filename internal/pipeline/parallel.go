@@ -36,10 +36,6 @@ func NewParallelLogSource(r io.ReaderAt, size int64, workers int) *ParallelLogSo
 	return &ParallelLogSource{r: r, size: size, workers: workers}
 }
 
-// SetDecodeWorkers adjusts the worker count; it is the hook the
-// builder's DecodeWorkers option resolves against.
-func (s *ParallelLogSource) SetDecodeWorkers(n int) { s.workers = n }
-
 // decodedChunk is one worker's result: a pooled batch holding the
 // chunk's records, plus the decode or read error, if any.
 type decodedChunk struct {

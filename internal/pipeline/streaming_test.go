@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -91,18 +90,12 @@ func canonicalScans(scans []core.Scan) string {
 			s.Source, s.Level, s.Start.UnixNano(), s.End.UnixNano(),
 			s.Packets, s.Dsts, s.SrcAddrs, s.LenEntropy)
 		svcs := make([]string, 0, len(s.Ports))
-		for svc, c := range s.Ports {
-			svcs = append(svcs, fmt.Sprintf("%v=%d", svc, c))
+		for _, p := range s.Ports {
+			svcs = append(svcs, fmt.Sprintf("%v=%d", p.Service, p.Packets))
 		}
-		sort.Strings(svcs)
 		fmt.Fprintf(&b, " ports[%s]", strings.Join(svcs, ","))
-		weeks := make([]int, 0, len(s.WeekPackets))
-		for w := range s.WeekPackets {
-			weeks = append(weeks, w)
-		}
-		sort.Ints(weeks)
-		for _, w := range weeks {
-			fmt.Fprintf(&b, " w%d=%d", w, s.WeekPackets[w])
+		for _, w := range s.WeekPackets {
+			fmt.Fprintf(&b, " w%d=%d", w.Week, w.Packets)
 		}
 		for _, a := range s.DstAddrs {
 			b.WriteString(" ")

@@ -15,7 +15,6 @@ package rtrie
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 
 	"v6scan/internal/netaddr6"
 )
@@ -30,14 +29,7 @@ type node[V any] struct {
 // semantics.
 type Trie[V any] struct {
 	root node[V]
-	size int
 }
-
-// New returns an empty trie. Equivalent to new(Trie[V]).
-func New[V any]() *Trie[V] { return &Trie[V]{} }
-
-// Len returns the number of prefixes stored.
-func (t *Trie[V]) Len() int { return t.size }
 
 // Insert associates v with prefix p, replacing any existing value for
 // exactly p. It returns an error if p is not a valid IPv6 prefix.
@@ -54,9 +46,6 @@ func (t *Trie[V]) Insert(p netip.Prefix, v V) error {
 			n.child[b] = &node[V]{}
 		}
 		n = n.child[b]
-	}
-	if !n.set {
-		t.size++
 	}
 	n.val, n.set = v, true
 	return nil
@@ -93,96 +82,4 @@ func (t *Trie[V]) Lookup(addr netip.Addr) (V, netip.Prefix, bool) {
 	}
 	p, _ := addr.Prefix(bestLen)
 	return bestVal, p, true
-}
-
-// Get returns the value stored for exactly prefix p.
-func (t *Trie[V]) Get(p netip.Prefix) (V, bool) {
-	var zero V
-	if !p.IsValid() || !netaddr6.IsIPv6(p.Addr()) {
-		return zero, false
-	}
-	p = p.Masked()
-	u := netaddr6.ToU128(p.Addr())
-	n := &t.root
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[u.Bit(i)]
-		if n == nil {
-			return zero, false
-		}
-	}
-	if !n.set {
-		return zero, false
-	}
-	return n.val, true
-}
-
-// Delete removes the value stored for exactly prefix p, reporting
-// whether a value was present. Interior nodes are not pruned; the
-// synthetic tables in this system are built once and queried many
-// times, so reclaiming a handful of nodes is not worth the bookkeeping.
-func (t *Trie[V]) Delete(p netip.Prefix) bool {
-	if !p.IsValid() || !netaddr6.IsIPv6(p.Addr()) {
-		return false
-	}
-	p = p.Masked()
-	u := netaddr6.ToU128(p.Addr())
-	n := &t.root
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[u.Bit(i)]
-		if n == nil {
-			return false
-		}
-	}
-	if !n.set {
-		return false
-	}
-	var zero V
-	n.val, n.set = zero, false
-	t.size--
-	return true
-}
-
-// Walk visits every stored (prefix, value) pair in depth-first,
-// address order. Returning false from fn stops the walk.
-func (t *Trie[V]) Walk(fn func(p netip.Prefix, v V) bool) {
-	t.walk(&t.root, netaddr6.U128{}, 0, fn)
-}
-
-func (t *Trie[V]) walk(n *node[V], u netaddr6.U128, depth int, fn func(netip.Prefix, V) bool) bool {
-	if n.set {
-		p, _ := u.ToAddr().Prefix(depth)
-		if !fn(p, n.val) {
-			return false
-		}
-	}
-	if depth == 128 {
-		return true
-	}
-	if c := n.child[0]; c != nil {
-		if !t.walk(c, u, depth+1, fn) {
-			return false
-		}
-	}
-	if c := n.child[1]; c != nil {
-		if !t.walk(c, u.SetBit(depth, 1), depth+1, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// Prefixes returns all stored prefixes sorted by address then length.
-func (t *Trie[V]) Prefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, t.size)
-	t.Walk(func(p netip.Prefix, _ V) bool {
-		out = append(out, p)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Addr().Compare(out[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return out[i].Bits() < out[j].Bits()
-	})
-	return out
 }

@@ -14,19 +14,15 @@ func mustA(s string) netip.Addr   { return netaddr6.MustAddr(s) }
 
 func TestEmptyTrie(t *testing.T) {
 	var tr Trie[int]
-	if tr.Len() != 0 {
-		t.Error("empty trie has nonzero len")
-	}
-	if _, _, ok := tr.Lookup(mustA("2001:db8::1")); ok {
-		t.Error("lookup on empty trie matched")
-	}
-	if _, ok := tr.Get(mustP("2001:db8::/32")); ok {
-		t.Error("get on empty trie matched")
+	for _, a := range []string{"2001:db8::1", "::", "ffff::1"} {
+		if _, _, ok := tr.Lookup(mustA(a)); ok {
+			t.Errorf("lookup of %s on empty trie matched", a)
+		}
 	}
 }
 
 func TestInsertLookupLongestMatch(t *testing.T) {
-	tr := New[string]()
+	var tr Trie[string]
 	for p, v := range map[string]string{
 		"2001:db8::/32":     "allocation",
 		"2001:db8:5::/48":   "site",
@@ -57,27 +53,24 @@ func TestInsertLookupLongestMatch(t *testing.T) {
 }
 
 func TestInsertReplace(t *testing.T) {
-	tr := New[int]()
+	var tr Trie[int]
 	p := mustP("2001:db8::/48")
 	tr.Insert(p, 1)
 	tr.Insert(p, 2)
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tr.Len())
-	}
-	if v, ok := tr.Get(p); !ok || v != 2 {
-		t.Errorf("Get = %d,%v", v, ok)
+	if v, got, ok := tr.Lookup(mustA("2001:db8::7")); !ok || v != 2 || got != p {
+		t.Errorf("Lookup = %d,%v,%v; want the replacing value 2 at %v", v, got, ok, p)
 	}
 }
 
 func TestInsertRejectsIPv4(t *testing.T) {
-	tr := New[int]()
+	var tr Trie[int]
 	if err := tr.Insert(netip.MustParsePrefix("10.0.0.0/8"), 1); err == nil {
 		t.Error("IPv4 prefix accepted")
 	}
 }
 
 func TestDefaultRoute(t *testing.T) {
-	tr := New[string]()
+	var tr Trie[string]
 	tr.Insert(mustP("::/0"), "default")
 	tr.Insert(mustP("2001:db8::/32"), "doc")
 	if v, _, ok := tr.Lookup(mustA("fe80::1")); !ok || v != "default" {
@@ -89,7 +82,7 @@ func TestDefaultRoute(t *testing.T) {
 }
 
 func TestHostRoute(t *testing.T) {
-	tr := New[int]()
+	var tr Trie[int]
 	tr.Insert(mustP("2001:db8::1/128"), 7)
 	if v, p, ok := tr.Lookup(mustA("2001:db8::1")); !ok || v != 7 || p.Bits() != 128 {
 		t.Errorf("host route lookup: %v %v %v", v, p, ok)
@@ -99,58 +92,11 @@ func TestHostRoute(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr := New[int]()
-	p32, p48 := mustP("2001:db8::/32"), mustP("2001:db8:1::/48")
-	tr.Insert(p32, 1)
-	tr.Insert(p48, 2)
-	if !tr.Delete(p48) {
-		t.Fatal("delete failed")
-	}
-	if tr.Delete(p48) {
-		t.Fatal("double delete succeeded")
-	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	// Lookup now falls back to the /32.
-	if v, _, ok := tr.Lookup(mustA("2001:db8:1::5")); !ok || v != 1 {
-		t.Errorf("fallback after delete: %v %v", v, ok)
-	}
-}
-
-func TestWalkAndPrefixes(t *testing.T) {
-	tr := New[int]()
-	ins := []string{"2001:db8::/32", "2001:db8:1::/48", "2001:db7::/32", "::/0"}
-	for i, s := range ins {
-		tr.Insert(mustP(s), i)
-	}
-	got := tr.Prefixes()
-	if len(got) != len(ins) {
-		t.Fatalf("Prefixes len = %d", len(got))
-	}
-	want := []string{"::/0", "2001:db7::/32", "2001:db8::/32", "2001:db8:1::/48"}
-	for i, w := range want {
-		if got[i] != mustP(w) {
-			t.Errorf("Prefixes[%d] = %s, want %s", i, got[i], w)
-		}
-	}
-	// Early stop.
-	count := 0
-	tr.Walk(func(netip.Prefix, int) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Errorf("walk early stop visited %d", count)
-	}
-}
-
 func TestLookupMatchesLinearScanQuick(t *testing.T) {
 	// Property: trie longest-prefix match agrees with a brute-force scan
 	// over the inserted prefixes.
 	rng := rand.New(rand.NewSource(42))
-	tr := New[int]()
+	var tr Trie[int]
 	var prefixes []netip.Prefix
 	base := mustP("2001:db8::/32")
 	for i := 0; i < 300; i++ {
@@ -186,14 +132,16 @@ func TestLookupMatchesLinearScanQuick(t *testing.T) {
 	}
 }
 
+// TestGetVsLookupDistinction: Lookup is a longest match, not an exact
+// prefix match. With only a /32 stored, an address inside a /48 of it
+// matches the /32, and reports the /32 as the matched prefix.
 func TestGetVsLookupDistinction(t *testing.T) {
-	tr := New[int]()
+	var tr Trie[int]
 	tr.Insert(mustP("2001:db8::/32"), 1)
-	// Get requires exact prefix; a more specific prefix is absent.
-	if _, ok := tr.Get(mustP("2001:db8::/48")); ok {
-		t.Error("Get matched non-inserted prefix")
+	if v, p, ok := tr.Lookup(mustA("2001:db8::1")); !ok || v != 1 || p != mustP("2001:db8::/32") {
+		t.Errorf("Lookup inside a /48 of the /32 = %v,%v,%v; want 1 at 2001:db8::/32", v, p, ok)
 	}
-	if v, ok := tr.Get(mustP("2001:db8::/32")); !ok || v != 1 {
-		t.Error("Get missed inserted prefix")
+	if _, _, ok := tr.Lookup(mustA("2001:db9::1")); ok {
+		t.Error("Lookup matched outside the stored /32")
 	}
 }

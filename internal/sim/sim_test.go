@@ -112,7 +112,8 @@ func TestArtifactsFiltered(t *testing.T) {
 func TestNoExcludedPortsReachDetector(t *testing.T) {
 	res := sixWeeksResult(t)
 	for _, s := range res.Scans(netaddr6.Agg64) {
-		for svc := range s.Ports {
+		for _, p := range s.Ports {
+			svc := p.Service
 			if svc.Proto == layers.ProtoTCP && (svc.Port == 80 || svc.Port == 443) {
 				t.Fatalf("excluded port TCP/%d in scan from %v", svc.Port, s.Source)
 			}

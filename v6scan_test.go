@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"v6scan/internal/core"
 	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
 	"v6scan/internal/mawi"
@@ -136,9 +137,9 @@ func TestFacadeAggregateAndClassify(t *testing.T) {
 		ports int
 		want  PortClass
 	}{{1, SinglePort}, {5, Ports2to10}, {50, Ports10to100}, {500, PortsOver100}} {
-		s := Scan{Ports: map[Service]uint64{}}
+		var s Scan
 		for p := range tc.ports {
-			s.Ports[Service{Proto: layers.ProtoTCP, Port: uint16(p + 1)}] = 10
+			s.Ports = append(s.Ports, core.PortCount{Service: Service{Proto: layers.ProtoTCP, Port: uint16(p + 1)}, Packets: 10})
 		}
 		if got := s.Class(); got != tc.want {
 			t.Errorf("%d equal ports: class %v, want %v", tc.ports, got, tc.want)
