@@ -177,19 +177,11 @@ func run(args []string, stdout, stderr io.Writer) (runErr error) {
 			// out of scope rather than partially honoring the flags.
 			return fmt.Errorf("-publish cannot be combined with -resume")
 		}
-		// A crashed earlier run may have stranded a half-written temp in
-		// the checkpoint dir; clean those out before picking a snapshot.
-		if _, err := v6scan.SweepCheckpointTemps(*ckptDir); err != nil {
+		var err error
+		if resumed, err = v6scan.ResumeLatest(*ckptDir, *shards); err != nil {
 			return err
-		}
-		path, err := v6scan.LatestCheckpoint(*ckptDir)
-		if err != nil {
-			return err
-		}
-		if path == "" {
+		} else if resumed == nil {
 			fmt.Fprintln(stderr, "v6scan: no checkpoint to resume from; starting fresh")
-		} else if resumed, err = v6scan.ResumeCheckpoint(path, *shards); err != nil {
-			return fmt.Errorf("resuming %s: %w", path, err)
 		} else {
 			// A restored sink runs workers. RunInto closes the sink it
 			// runs; this closes it on every return that does not run it

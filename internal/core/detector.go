@@ -254,7 +254,6 @@ type Detector struct {
 	levels []*levelState
 	// lastTime guards the time-ordering contract.
 	lastTime time.Time
-	strict   bool
 
 	// Per-batch scratch: ProcessBatch converts each record's
 	// time/destination/service/week once up front (the last two as
@@ -283,7 +282,7 @@ func NewDetector(cfg Config) *Detector {
 	if len(cfg.Levels) == 0 {
 		cfg.Levels = netaddr6.Levels()
 	}
-	d := &Detector{cfg: cfg, strict: true}
+	d := &Detector{cfg: cfg}
 	for _, l := range cfg.Levels {
 		d.levels = append(d.levels, &levelState{level: l})
 	}

@@ -11,12 +11,13 @@ import (
 // dispatch.Group of Detector shards, partitioned by the source
 // aggregated to the *coarsest* configured level: every session key at
 // every level lives in exactly one shard, so the merged output is a
-// single Detector's at any shard count (TestShardedParity). The group
-// owns the workers (one even at one shard: dispatch.DetectorInline),
-// the horizon, barrier-synced reads and shutdown; the detector keeps
-// the merge (Finish) and its snapshot codec. The first shard error (a
-// time-order violation) surfaces at the next call. After Finish,
-// ProcessBatch, Advance and Snapshot return dispatch.ErrClosed.
+// single Detector's at any shard count (the shards=2 and shards=8 rows
+// of pipeline.TestInvariance). The group owns the workers (one even at
+// one shard: dispatch.DetectorInline), the horizon, barrier-synced
+// reads and shutdown; the detector keeps the merge (Finish) and its
+// snapshot codec. The first shard error (a time-order violation)
+// surfaces at the next call. After Finish, ProcessBatch, Advance and
+// Snapshot return dispatch.ErrClosed.
 type ShardedDetector struct {
 	cfg    Config
 	g      *dispatch.Group[*Detector]

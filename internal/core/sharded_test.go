@@ -91,73 +91,6 @@ func renderLevel(scans []Scan) string {
 	return b.String()
 }
 
-// TestShardedParity feeds the identical record stream to an unsharded
-// Detector and to ShardedDetectors at several shard counts, and
-// requires byte-identical Scans() output at every aggregation level.
-func TestShardedParity(t *testing.T) {
-	recs := parityRecords(60_000)
-	cfg := parityConfig()
-
-	ref := NewDetector(cfg)
-	for j, r := range recs {
-		if err := ref.Process(r); err != nil {
-			t.Fatal(err)
-		}
-		if j%10_000 == 9999 {
-			ref.Advance(r.Time)
-		}
-	}
-	ref.Finish()
-
-	want := map[netaddr6.AggLevel]string{}
-	for _, lvl := range cfg.Levels {
-		want[lvl] = renderLevel(ref.Scans(lvl))
-		if want[lvl] == "" {
-			t.Fatalf("reference produced no scans at %v", lvl)
-		}
-	}
-
-	for _, shards := range []int{1, 2, 8} {
-		sd := NewShardedDetector(cfg, shards)
-		// Mixed feeding: odd batch sizes plus single-record batches,
-		// with periodic Advance, mirroring the reference run.
-		for j := 0; j < len(recs); {
-			if j%3 == 0 {
-				end := min(j+257, len(recs))
-				if err := sd.ProcessBatch(recs[j:end]); err != nil {
-					t.Fatal(err)
-				}
-				j = end
-			} else {
-				if err := sd.ProcessBatch(recs[j : j+1]); err != nil {
-					t.Fatal(err)
-				}
-				j++
-			}
-			if j%10_000 == 0 && j > 0 {
-				if err := sd.Advance(recs[j-1].Time); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := sd.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		for _, lvl := range cfg.Levels {
-			got := renderLevel(sd.Merged().Scans(lvl))
-			if got != want[lvl] {
-				t.Errorf("shards=%d level %v: output differs from unsharded\n got %d bytes, want %d bytes",
-					shards, lvl, len(got), len(want[lvl]))
-			}
-		}
-		for _, lvl := range cfg.Levels {
-			if sd.Merged().Dropped(lvl) != ref.Dropped(lvl) {
-				t.Errorf("shards=%d dropped at %v: %d != %d", shards, lvl, sd.Merged().Dropped(lvl), ref.Dropped(lvl))
-			}
-		}
-	}
-}
-
 // TestShardedOutOfOrderError verifies per-shard time-order violations
 // surface from Finish.
 func TestShardedOutOfOrderError(t *testing.T) {

@@ -271,6 +271,8 @@ func encodeU128Set(e *checkpoint.Enc, scratch *[]netaddr6.U128, set *u128idx.Set
 // decodeU128Set fills set (assumed empty) with the encoded members and
 // returns the first value; a single-member set stays on the inline
 // fast path (set left empty), exactly as live ingestion would leave it.
+// Members must be strictly ascending, the order encodeU128Set writes;
+// anything else fails with checkpoint.ErrFormat.
 func decodeU128Set(d *checkpoint.Dec, set *u128idx.Set) (netaddr6.U128, error) {
 	n := d.Uvarint()
 	if n == 0 || d.Err() != nil {
@@ -281,8 +283,13 @@ func decodeU128Set(d *checkpoint.Dec, set *u128idx.Set) (netaddr6.U128, error) {
 		return first, nil
 	}
 	set.Add(first)
-	for i := uint64(1); i < n && d.Err() == nil; i++ {
-		set.Add(netaddr6.U128{Hi: d.U64(), Lo: d.U64()})
+	for i, prev := uint64(1), first; i < n && d.Err() == nil; i++ {
+		a := netaddr6.U128{Hi: d.U64(), Lo: d.U64()}
+		if d.Err() == nil && a.Cmp(prev) <= 0 {
+			return first, fmt.Errorf("%w: address set not ascending", checkpoint.ErrFormat)
+		}
+		set.Add(a)
+		prev = a
 	}
 	return first, d.Err()
 }

@@ -139,11 +139,11 @@ func (b *craftedBody) Results(e *checkpoint.Enc) {
 }
 
 // TestRestoreRejectsUnorderedLists: a restore keeps a scan's lists in
-// the order read, so every count list and a scan's destinations must
-// arrive strictly ascending, and every key must fit its field: a port
-// and a packet length in 16 bits, a week in 32. Each case breaks one
-// list of an otherwise valid snapshot and must fail with
-// checkpoint.ErrFormat; the unbroken snapshot restores.
+// the order read, so every count list, a session's address sets and a
+// scan's destinations must arrive strictly ascending, and every key
+// must fit its field: a port and a packet length in 16 bits, a week in
+// 32. Each case breaks one list of an otherwise valid snapshot and
+// must fail with checkpoint.ErrFormat; the unbroken snapshot restores.
 func TestRestoreRejectsUnorderedLists(t *testing.T) {
 	// The scan runs at t0, the session at t1, so Scans orders them.
 	t0 := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -151,14 +151,16 @@ func TestRestoreRejectsUnorderedLists(t *testing.T) {
 	cfg := Config{MinDsts: 1, Timeout: time.Hour, Levels: []netaddr6.AggLevel{netaddr6.Agg128}, TrackDsts: true, WeekEpoch: t0}
 	tcp := uint64(layers.ProtoTCP)
 	dst := func(lo uint64) netip.Addr { return netaddr6.U128{Hi: 0x20010db8 << 32, Lo: lo}.ToAddr() }
-	// A session's lists, raw: (proto, port, count), (week, count) and
-	// (length, count).
+	// A session's lists, raw: destination address low halves,
+	// (proto, port, count), (week, count) and (length, count).
 	type sessionLists struct {
+		dsts  []uint64
 		ports [][3]uint64
 		weeks [][2]int64
 		lens  [][2]uint64
 	}
 	goodSession := sessionLists{
+		dsts:  []uint64{1},
 		ports: [][3]uint64{{tcp, 22, 2}, {tcp, 80, 1}},
 		weeks: [][2]int64{{-1, 1}, {0, 2}},
 		lens:  [][2]uint64{{60, 2}, {72, 1}},
@@ -170,10 +172,12 @@ func TestRestoreRejectsUnorderedLists(t *testing.T) {
 			e.Time(t1)
 			e.U64(uint64(checkpoint.EncodeTime(t1)))
 			e.Uvarint(3)
-			for range 2 { // destinations, then sources: one inline value each
-				e.Uvarint(1)
-				e.U64(0x20010db8 << 32)
-				e.U64(1)
+			for _, set := range [][]uint64{l.dsts, {1}} { // destinations, then sources
+				e.Uvarint(uint64(len(set)))
+				for _, lo := range set {
+					e.U64(0x20010db8 << 32)
+					e.U64(lo)
+				}
 			}
 			e.Uvarint(uint64(len(l.ports)))
 			for _, p := range l.ports {
@@ -213,6 +217,8 @@ func TestRestoreRejectsUnorderedLists(t *testing.T) {
 		session, scan func(*checkpoint.Enc)
 	}{
 		{"valid", session(keep), scan(keepScan)},
+		{"session destinations descending", session(func(l *sessionLists) { l.dsts = []uint64{2, 1} }), scan(keepScan)},
+		{"session destinations duplicate", session(func(l *sessionLists) { l.dsts = []uint64{1, 1} }), scan(keepScan)},
 		{"session ports descending", session(func(l *sessionLists) { l.ports = [][3]uint64{{tcp, 80, 1}, {tcp, 22, 2}} }), scan(keepScan)},
 		{"session ports duplicate", session(func(l *sessionLists) { l.ports = [][3]uint64{{tcp, 22, 1}, {tcp, 22, 2}} }), scan(keepScan)},
 		{"session port above 65535", session(func(l *sessionLists) { l.ports = [][3]uint64{{tcp, 1 << 16, 3}} }), scan(keepScan)},

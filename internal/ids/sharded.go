@@ -15,10 +15,11 @@ import (
 // exactly one shard, and the suppression/escalation logic (which only
 // ever compares nested prefixes) sees the same candidates at any shard
 // count. With the deterministic alert ordering, the merged output is
-// byte-identical at any shard count (TestShardedIDSParity) — except
-// that each shard applies Config.MaxCandidates to its own tables, so
-// under cap pressure a sharded engine may admit (and alert on)
-// candidates a single shard would have dropped.
+// byte-identical at any shard count (the shards=2 and shards=8 rows of
+// pipeline.TestInvariance) — except that each shard applies
+// Config.MaxCandidates to its own tables, so under cap pressure a
+// sharded engine may admit (and alert on) candidates a single shard
+// would have dropped.
 //
 // The group owns the workers (none at one shard, which runs inline:
 // dispatch.IDSInline), the horizon, barrier-synced reads and shutdown;

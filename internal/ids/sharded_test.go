@@ -2,10 +2,8 @@ package ids
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -68,97 +66,6 @@ func idsParityConfig() Config {
 		Timeout: time.Hour,
 		Levels:  []netaddr6.AggLevel{netaddr6.Agg128, netaddr6.Agg64, netaddr6.Agg48, netaddr6.Agg32},
 	}
-}
-
-// canonicalAlerts renders an alert list including every field so two
-// lists compare byte for byte.
-func canonicalAlerts(alerts []Alert) string {
-	var b strings.Builder
-	for _, a := range alerts {
-		fmt.Fprintf(&b, "%v %v est=%d pk=%d %d %d esc=%v\n",
-			a.Prefix, a.Level, a.EstimatedDsts, a.Packets,
-			a.First.UnixNano(), a.Last.UnixNano(), a.Escalated)
-	}
-	return b.String()
-}
-
-// TestShardedIDSParity feeds the identical record stream to a
-// one-shard Engine record by record and to Engines at several shard
-// counts in batches, with identical Tick cadence and a mid-stream
-// Drain, and requires byte-identical alert output — including the
-// coarser-escalation (spread-source) alerts.
-func TestShardedIDSParity(t *testing.T) {
-	recs := idsParityRecords(50_000)
-	cfg := idsParityConfig()
-
-	ref := New(cfg)
-	var wantMid string
-	for j, r := range recs {
-		ref.Process(r)
-		if j%10_000 == 9_999 {
-			ref.Tick(r.Time)
-		}
-		if j == 30_000 {
-			wantMid = canonicalAlerts(ref.Drain())
-		}
-	}
-	want := canonicalAlerts(ref.Flush())
-	if want == "" || wantMid == "" {
-		t.Fatalf("reference produced no alerts (final %d bytes, mid %d bytes)", len(want), len(wantMid))
-	}
-	if !strings.Contains(wantMid+want, "esc=true") {
-		t.Fatal("workload produced no escalated (spread-source) alert")
-	}
-	if !strings.Contains(want, "/128") {
-		t.Fatal("workload produced no most-specific alert")
-	}
-
-	for _, shards := range []int{1, 2, 8} {
-		se := NewSharded(cfg, shards)
-		var gotMid string
-		// Mixed feeding: odd batch sizes plus single-record batches,
-		// with Ticks and the mid-stream Drain at the reference points.
-		// Batches never cross a tick boundary — Tick's horizon is the
-		// latest dispatched record, so a batch overshooting the
-		// reference's tick point would advance eviction early.
-		for j := 0; j < len(recs); {
-			if j%3 == 0 {
-				end := min(j+257, len(recs), (j/10_000+1)*10_000)
-				se.ProcessBatch(recs[j:end])
-				for k := j; k < end; k++ {
-					if err := checkpoints(k, se, &gotMid); err != nil {
-						t.Fatal(err)
-					}
-				}
-				j = end
-			} else {
-				se.ProcessBatch(recs[j : j+1])
-				if err := checkpoints(j, se, &gotMid); err != nil {
-					t.Fatal(err)
-				}
-				j++
-			}
-		}
-		got := canonicalAlerts(se.Flush())
-		if gotMid != wantMid {
-			t.Errorf("shards=%d: mid-stream Drain differs from unsharded\n got:\n%s\nwant:\n%s", shards, gotMid, wantMid)
-		}
-		if got != want {
-			t.Errorf("shards=%d: final alerts differ from unsharded\n got:\n%s\nwant:\n%s", shards, got, want)
-		}
-	}
-}
-
-// checkpoints applies the reference run's Tick/Drain schedule to the
-// sharded engine as record index j is passed.
-func checkpoints(j int, se *Engine, mid *string) error {
-	if j%10_000 == 9_999 {
-		se.Tick(time.Time{}) // horizon comes from lastSeen, as in the reference
-	}
-	if j == 30_000 {
-		*mid = canonicalAlerts(se.Drain())
-	}
-	return nil
 }
 
 // TestShardedIDSSingleShardClamp sanity-checks the n<1 clamp and that

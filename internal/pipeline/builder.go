@@ -145,7 +145,7 @@ func (b *Builder) AdvanceEvery(every time.Duration) *Builder {
 
 // CheckpointEvery sets a stream-time checkpoint cadence on the
 // terminal: RunInto's sink snapshots its state into dir (one file per
-// cut, atomically renamed into place; see LatestCheckpoint and
+// cut, atomically renamed into place; see ResumeLatest and
 // ResumeFile). Every snapshot is a consistent prefix of the stream — all
 // records strictly before the cut applied, none at or after it. When
 // an AdvanceEvery cadence is configured, checkpoints ride it: the

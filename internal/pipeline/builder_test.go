@@ -11,6 +11,7 @@ import (
 	"v6scan/internal/firewall"
 	"v6scan/internal/ids"
 	"v6scan/internal/layers"
+	"v6scan/internal/metrics"
 	"v6scan/internal/netaddr6"
 )
 
@@ -339,4 +340,37 @@ func TestRunContextCancel(t *testing.T) {
 		}
 		_ = sink.Result() // must not panic: Close implies Finish
 	})
+}
+
+// TestRunIntoAppliesAdvanceEvery pins the builder as the one setter of
+// a terminal's cadence: RunInto hands a detector or IDS terminal the
+// builder's AdvanceEvery, CheckpointEvery and Instrument settings,
+// zero values included, and leaves the restored marks alone.
+func TestRunIntoAppliesAdvanceEvery(t *testing.T) {
+	recs := scanStream(10)
+	dir := t.TempDir()
+	met := RegisterMetrics(metrics.NewRegistry())
+
+	sink := NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 1))
+	if err := From(SliceSource(recs)).AdvanceEvery(5*time.Minute).
+		CheckpointEvery(time.Hour, dir).Instrument(met).
+		RunInto(context.Background(), sink); err != nil {
+		t.Fatal(err)
+	}
+	want := cadence{advanceEvery: 5 * time.Minute, checkpointEvery: time.Hour, checkpointDir: dir,
+		lastAdvance: recs[0].Time, met: met}
+	if sink.cadence != want {
+		t.Fatalf("RunInto applied %+v, want %+v", sink.cadence, want)
+	}
+
+	ids1 := NewIDSSink(ids.New(ids.DefaultConfig()))
+	ids1.setCadence(time.Minute, time.Hour, dir, met)
+	mark := recs[0].Time.Add(-time.Hour)
+	ids1.setPhase(marks{mark, mark})
+	if err := From(SliceSource(recs[:0])).RunInto(context.Background(), ids1); err != nil {
+		t.Fatal(err)
+	}
+	if want := (cadence{lastAdvance: mark, lastCkpt: mark}); ids1.cadence != want {
+		t.Fatalf("zero builder settings: sink cadence %+v, want %+v", ids1.cadence, want)
+	}
 }

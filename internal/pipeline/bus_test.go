@@ -3,135 +3,15 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"v6scan/internal/bus"
 	"v6scan/internal/dispatch"
 	"v6scan/internal/events"
 	"v6scan/internal/firewall"
-	"v6scan/internal/ids"
 	"v6scan/internal/netaddr6"
 )
-
-// The tests here close the tentpole acceptance loop: a record stream
-// split across N publishers — each partitioning its chunk over
-// per-publisher topics by coarsest-level source prefix — merged back
-// by one FromBus subscriber must reduce to output byte-identical to
-// the in-process run, at every shard count. The publishers run
-// concurrently with the subscriber, as the real collectors→aggregator
-// topology would.
-
-const (
-	busParityPublishers = 3
-	busParityTopics     = 4 // partitions per publisher
-)
-
-func TestBusDetectParity(t *testing.T) {
-	recs := streamParityRecords(30_000, 0)
-	cfg := streamParityConfig()
-	level := dispatch.CoarsestLevel(cfg.Levels)
-	ctx := context.Background()
-
-	for _, shards := range []int{1, 2, 8} {
-		ref, err := From(SliceSource(recs)).Detect(ctx, cfg, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := renderDetector(ref, cfg.Levels)
-		if strings.TrimSpace(want[cfg.Levels[0]]) == "" {
-			t.Fatal("reference detected no scans")
-		}
-
-		b := bus.New()
-		// Subscribe (inside FromBusContext) before the publishers start,
-		// so no envelope is dropped.
-		topics, startPubs := publishSplitSetup(t, recs)
-		agg := FromBusContext(ctx, b, topics...)
-		wait := startPubs(ctx, b, level)
-		det, err := agg.Detect(ctx, cfg, shards)
-		wait()
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		got := renderDetector(det, cfg.Levels)
-		for _, lvl := range cfg.Levels {
-			if got[lvl] != want[lvl] {
-				t.Errorf("shards=%d level %v: distributed output differs from in-process", shards, lvl)
-			}
-		}
-	}
-}
-
-func TestBusIDSParity(t *testing.T) {
-	recs := streamParityRecords(30_000, 0)
-	cfg := ids.Config{
-		MinDsts: 20,
-		Timeout: time.Hour,
-		Levels:  []netaddr6.AggLevel{netaddr6.Agg128, netaddr6.Agg64, netaddr6.Agg48, netaddr6.Agg32},
-	}
-	level := dispatch.CoarsestLevel(cfg.Levels)
-	ctx := context.Background()
-
-	refAlerts, err := runIDS(ctx, From(SliceSource(recs)), cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canonicalIDSAlerts(refAlerts)
-	if want == "" {
-		t.Fatal("reference produced no alerts")
-	}
-
-	for _, shards := range []int{1, 2, 8} {
-		b := bus.New()
-		topics, startPubs := publishSplitSetup(t, recs)
-		agg := FromBusContext(ctx, b, topics...)
-		wait := startPubs(ctx, b, level)
-		alerts, err := runIDS(ctx, agg, cfg, shards)
-		wait()
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got := canonicalIDSAlerts(alerts); got != want {
-			t.Errorf("shards=%d: distributed alerts differ from in-process\n got:\n%s\nwant:\n%s",
-				shards, got, want)
-		}
-	}
-}
-
-// publishSplitSetup returns the publisher-major topic list up front —
-// so the subscriber can attach first — and a start function that
-// launches the publisher goroutines and returns their wait func.
-func publishSplitSetup(t *testing.T, recs []firewall.Record) ([]string, func(ctx context.Context, b *bus.Bus, level netaddr6.AggLevel) func()) {
-	t.Helper()
-	perPub := make([][]string, busParityPublishers)
-	var topics []string
-	for i := range perPub {
-		perPub[i] = events.RecordTopics(fmt.Sprintf("pub%d", i), busParityTopics)
-		topics = append(topics, perPub[i]...)
-	}
-	start := func(ctx context.Context, b *bus.Bus, level netaddr6.AggLevel) func() {
-		var wg sync.WaitGroup
-		for i := 0; i < busParityPublishers; i++ {
-			lo := len(recs) * i / busParityPublishers
-			hi := len(recs) * (i + 1) / busParityPublishers
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				err := From(SliceSource(recs[lo:hi])).
-					PublishInto(ctx, b, level, perPub[i]...)
-				if err != nil {
-					t.Errorf("publisher %d: %v", i, err)
-				}
-			}(i, lo, hi)
-		}
-		return wg.Wait
-	}
-	return topics, start
-}
 
 func TestSubscribeSeqGap(t *testing.T) {
 	ctx := context.Background()
@@ -140,7 +20,7 @@ func TestSubscribeSeqGap(t *testing.T) {
 
 	// First envelope skips ahead: publisher claims seq 2, subscriber
 	// expects 0.
-	env := events.Envelope{Kind: events.KindRecords, Topic: "t", Seq: 2, Records: streamParityRecords(3, 0)}
+	env := events.Envelope{Kind: events.KindRecords, Topic: "t", Seq: 2, Records: streamParityRecords(3)}
 	data, err := env.Append(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +71,7 @@ func TestPublishSinkFlushIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := NewPublishSink(ctx, b, netaddr6.Agg48, "a", "b")
-	recs := streamParityRecords(10, 0)
+	recs := streamParityRecords(10)
 	if err := sink.ConsumeBatch(recs); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +126,7 @@ func TestPublishSinkRoutesByCoarsestPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := streamParityRecords(2_000, 0)
+	recs := streamParityRecords(2_000)
 	if err := From(SliceSource(recs)).PublishInto(ctx, b, netaddr6.Agg48, topics...); err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ package pipeline
 // Checkpoints are one file per cut, named by the mark's UnixNano
 // (zero-padded so lexical order is time order), written to a temp file
 // and renamed into place — a crash mid-write never leaves a readable
-// partial checkpoint, and LatestCheckpoint never picks one up. A cut
+// partial checkpoint, and latestCheckpoint never picks one up. A cut
 // off the cadence (a stopping serving sink's final state) also
 // publishes its cadence phase, first, in a "<checkpoint>.marks"
 // sidecar that ResumeFile reads back.
@@ -201,6 +201,12 @@ func (c *cadence) cutFinal(ck Checkpointer, mark time.Time) (*Handoff, error) {
 		return nil, err
 	}
 	h := &Handoff{snapshot: buf.Bytes(), phase: marks{c.lastAdvance, c.lastCkpt}}
+	if c.advanceEvery <= 0 {
+		// No eviction cadence, no eviction phase: a run resumed from a
+		// fire-point cut holds that cut as its eviction mark, which an
+		// uninterrupted run never set.
+		h.phase.Advance = time.Time{}
+	}
 	if c.checkpointDir != "" {
 		start := time.Now()
 		err := writeCheckpoint(c.checkpointDir, h, mark, &h.phase)
@@ -289,7 +295,7 @@ func writeCheckpoint(dir string, ck Checkpointer, mark time.Time, phase *marks) 
 // it, named by the os.CreateTemp pattern, which is synced and renamed
 // into place, so a reader sees the whole file or none. Every failure
 // removes the temp file; only a crash strands it (for checkpoints,
-// SweepCheckpointTemps collects it). Errors come back unwrapped, for
+// sweepCheckpointTemps collects it). Errors come back unwrapped, for
 // the caller to name.
 func PublishFile(path, pattern string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), pattern)
@@ -312,7 +318,7 @@ func PublishFile(path, pattern string, write func(io.Writer) error) error {
 }
 
 // sidecarSuffix names a checkpoint's phase sidecar. The extra suffix
-// is exactly what LatestCheckpoint ignores, so a sidecar is never
+// is exactly what latestCheckpoint ignores, so a sidecar is never
 // mistaken for a checkpoint.
 const sidecarSuffix = ".marks"
 
@@ -321,21 +327,20 @@ const sidecarSuffix = ".marks"
 // produces. The prefix deliberately cannot collide with a published
 // checkpoint name (those have all-digit stems), so checkpointMark
 // never selects a temp file — but a crashed writer leaves its temp
-// behind forever, which is what SweepCheckpointTemps cleans up.
+// behind forever, which is what sweepCheckpointTemps cleans up.
 const (
 	checkpointTempPattern = ".ckpt-*"
 	checkpointTempPrefix  = ".ckpt-"
 )
 
-// SweepCheckpointTemps removes leftover checkpoint temp files from
+// sweepCheckpointTemps removes leftover checkpoint temp files from
 // interrupted WriteCheckpoint calls — a crash between CreateTemp and
 // the rename strands the partially-written temp, and nothing else ever
-// collects it. Call it when resuming from a checkpoint directory
-// (cmd/v6scan and the serve daemon do); it is safe alongside a live
+// collects it. ResumeLatest calls it; it is safe alongside a live
 // writer only in the sense that it may race a write in progress, so
 // sweep before starting the pipeline, not during. Returns the number
 // of temp files removed. A missing directory sweeps zero files.
-func SweepCheckpointTemps(dir string) (int, error) {
+func sweepCheckpointTemps(dir string) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -378,7 +383,7 @@ func checkpointMark(name string) (mark int64, ok bool) {
 	return n, true
 }
 
-// LatestCheckpoint returns the path of the newest checkpoint in dir
+// latestCheckpoint returns the path of the newest checkpoint in dir
 // (the one with the largest parsed mark), or "" when the directory
 // holds none. Entries that are not well-formed checkpoint files —
 // leftover ".ckpt-*" temp files, sidecar files, non-numeric stems,
@@ -386,7 +391,7 @@ func checkpointMark(name string) (mark int64, ok bool) {
 // operator droppings) never confuses resume. When two names parse to
 // the same mark (e.g. differing zero-padding), the lexically greatest
 // name wins, a deterministic tie-break.
-func LatestCheckpoint(dir string) (string, error) {
+func latestCheckpoint(dir string) (string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -413,6 +418,27 @@ func LatestCheckpoint(dir string) (string, error) {
 		return "", nil
 	}
 	return filepath.Join(dir, best), nil
+}
+
+// ResumeLatest resumes from the newest checkpoint in dir across shards
+// workers, as ResumeFile does, after removing the temp files a crashed
+// writer stranded there; call it before any run writes into dir, as
+// the sweep could race a write in progress. It returns nil, nil when
+// dir holds no checkpoint; a failed restore names the checkpoint's
+// path.
+func ResumeLatest(dir string, shards int) (*Resumed, error) {
+	if _, err := sweepCheckpointTemps(dir); err != nil {
+		return nil, err
+	}
+	path, err := latestCheckpoint(dir)
+	if err != nil || path == "" {
+		return nil, err
+	}
+	res, err := ResumeFile(path, shards)
+	if err != nil {
+		return nil, fmt.Errorf("resuming %s: %w", path, err)
+	}
+	return res, nil
 }
 
 // Resumed is a terminal sink rebuilt from a checkpoint, plus what a

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -14,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,150 +102,11 @@ func killIndex(recs []firewall.Record, offset time.Duration) int {
 	})
 }
 
-// TestCheckpointKillRestoreParityDetector: run ten days of stream to
-// completion; separately, run it truncated mid-day-six with daily
-// checkpoints ("the crash"), restore the latest snapshot, and replay
-// the full input with the processed prefix skipped. The two
-// detectors' rendered scans must match byte for byte — including when
-// the snapshot was taken at 4 shards and restored at 4, and when it
-// is re-partitioned 4→2.
-func TestCheckpointKillRestoreParityDetector(t *testing.T) {
-	recs := ckptRecords(50_000)
-	cfg := streamParityConfig()
-	const cadence = 30 * time.Minute
-	kill := killIndex(recs, 5*24*time.Hour+12*time.Hour)
-
-	ref, err := From(SliceSource(recs)).
-		AdvanceEvery(cadence).
-		Detect(context.Background(), cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderDetector(ref, cfg.Levels)
-	for lvl, s := range want {
-		if s == "" {
-			t.Fatalf("reference produced no scans at %v", lvl)
-		}
-	}
-
-	for _, tc := range []struct{ snapShards, resumeShards int }{
-		{1, 1}, {4, 4}, {4, 2},
-	} {
-		t.Run(fmt.Sprintf("snap%d-resume%d", tc.snapShards, tc.resumeShards), func(t *testing.T) {
-			dir := t.TempDir()
-			if _, err := From(SliceSource(recs[:kill])).
-				AdvanceEvery(cadence).
-				CheckpointEvery(24*time.Hour, dir).
-				Detect(context.Background(), cfg, tc.snapShards); err != nil {
-				t.Fatal(err)
-			}
-			path, err := LatestCheckpoint(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if path == "" {
-				t.Fatal("interrupted run left no checkpoint")
-			}
-			res, err := ResumeFile(path, tc.resumeShards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Kind != checkpoint.KindDetector {
-				t.Fatalf("snapshot kind = %d, want detector", res.Kind)
-			}
-			if age := res.Mark.Sub(recs[0].Time); age < 4*24*time.Hour {
-				t.Fatalf("latest checkpoint mark only %v into the stream", age)
-			}
-			if err := From(SliceSource(recs)).
-				AdvanceEvery(cadence).
-				ResumeFrom(res.Horizon).
-				RunInto(context.Background(), res.Sink); err != nil {
-				t.Fatal(err)
-			}
-			s, ok := res.Sink.(*ShardedSink)
-			if !ok {
-				t.Fatalf("unexpected resumed sink type %T", res.Sink)
-			}
-			got := renderDetector(s.Result(), cfg.Levels)
-			for _, lvl := range cfg.Levels {
-				if got[lvl] != want[lvl] {
-					t.Errorf("level %v: resumed output differs from uninterrupted run (%d vs %d bytes)",
-						lvl, len(got[lvl]), len(want[lvl]))
-				}
-			}
-		})
-	}
-}
-
 func ckptIDSConfig() ids.Config {
 	return ids.Config{
 		MinDsts: 20,
 		Timeout: time.Hour,
 		Levels:  []netaddr6.AggLevel{netaddr6.Agg128, netaddr6.Agg64, netaddr6.Agg48, netaddr6.Agg32},
-	}
-}
-
-// TestCheckpointKillRestoreParityIDS is the IDS twin of the detector
-// parity test. The IDS raises the bar: its tick cadence is semantic
-// (it decides when idle candidates close and alerts emit), so parity
-// additionally proves the resumed run's cadence is exactly in phase
-// with the uninterrupted one across the cut.
-func TestCheckpointKillRestoreParityIDS(t *testing.T) {
-	recs := ckptRecords(50_000)
-	cfg := ckptIDSConfig()
-	const cadence = 10 * time.Minute
-	kill := killIndex(recs, 5*24*time.Hour+12*time.Hour)
-
-	refAlerts, err := runIDS(context.Background(), From(SliceSource(recs)).
-		AdvanceEvery(cadence),
-		cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canonicalIDSAlerts(refAlerts)
-	if want == "" {
-		t.Fatal("reference produced no alerts")
-	}
-
-	for _, tc := range []struct{ snapShards, resumeShards int }{
-		{1, 1}, {4, 4}, {4, 2},
-	} {
-		t.Run(fmt.Sprintf("snap%d-resume%d", tc.snapShards, tc.resumeShards), func(t *testing.T) {
-			dir := t.TempDir()
-			if _, err := runIDS(context.Background(), From(SliceSource(recs[:kill])).
-				AdvanceEvery(cadence).
-				CheckpointEvery(24*time.Hour, dir),
-				cfg, tc.snapShards); err != nil {
-				t.Fatal(err)
-			}
-			path, err := LatestCheckpoint(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if path == "" {
-				t.Fatal("interrupted run left no checkpoint")
-			}
-			res, err := ResumeFile(path, tc.resumeShards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Kind != checkpoint.KindIDS {
-				t.Fatalf("snapshot kind = %d, want IDS", res.Kind)
-			}
-			if err := From(SliceSource(recs)).
-				AdvanceEvery(cadence).
-				ResumeFrom(res.Horizon).
-				RunInto(context.Background(), res.Sink); err != nil {
-				t.Fatal(err)
-			}
-			s, ok := res.Sink.(*IDSSink)
-			if !ok {
-				t.Fatalf("unexpected resumed sink type %T", res.Sink)
-			}
-			if got := canonicalIDSAlerts(s.Result()); got != want {
-				t.Errorf("resumed alerts differ from uninterrupted run\n got:\n%s\nwant:\n%s", got, want)
-			}
-		})
 	}
 }
 
@@ -491,15 +352,15 @@ func FuzzSnapshotRoundtrip(f *testing.F) {
 
 // TestCheckpointFilePublishing: checkpoint files appear atomically
 // under their mark-derived names, temp files never linger after a
-// successful write, and LatestCheckpoint picks the newest while
+// successful write, and latestCheckpoint picks the newest while
 // ignoring unrelated directory entries.
 func TestCheckpointFilePublishing(t *testing.T) {
 	dir := t.TempDir()
-	if path, err := LatestCheckpoint(dir); err != nil || path != "" {
-		t.Fatalf("empty dir: LatestCheckpoint = (%q, %v), want (\"\", nil)", path, err)
+	if path, err := latestCheckpoint(dir); err != nil || path != "" {
+		t.Fatalf("empty dir: latestCheckpoint = (%q, %v), want (\"\", nil)", path, err)
 	}
-	if path, err := LatestCheckpoint(filepath.Join(dir, "missing")); err != nil || path != "" {
-		t.Fatalf("missing dir: LatestCheckpoint = (%q, %v), want (\"\", nil)", path, err)
+	if path, err := latestCheckpoint(filepath.Join(dir, "missing")); err != nil || path != "" {
+		t.Fatalf("missing dir: latestCheckpoint = (%q, %v), want (\"\", nil)", path, err)
 	}
 
 	recs := ckptRecords(2_000)
@@ -540,12 +401,12 @@ func TestCheckpointFilePublishing(t *testing.T) {
 	if len(ckpts) != 2 {
 		t.Fatalf("got %d .ckpt files, want 2: %v", len(ckpts), ckpts)
 	}
-	path, err := LatestCheckpoint(dir)
+	path, err := latestCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := filepath.Join(dir, fmt.Sprintf("%020d.ckpt", m2.UnixNano())); path != want {
-		t.Fatalf("LatestCheckpoint = %q, want %q", path, want)
+		t.Fatalf("latestCheckpoint = %q, want %q", path, want)
 	}
 	res, err := ResumeFile(path, 1)
 	if err != nil {
@@ -619,39 +480,42 @@ func TestLatestCheckpointDirtyDir(t *testing.T) {
 	}
 
 	// Only junk: no checkpoint to find.
-	if path, err := LatestCheckpoint(dir); err != nil || path != "" {
-		t.Fatalf("junk-only dir: LatestCheckpoint = (%q, %v), want (\"\", nil)", path, err)
+	if path, err := latestCheckpoint(dir); err != nil || path != "" {
+		t.Fatalf("junk-only dir: latestCheckpoint = (%q, %v), want (\"\", nil)", path, err)
 	}
 
 	// Real checkpoints: the largest mark wins even though shorter
 	// names sort lexically before longer zero-padded ones.
 	write("00000000000000000042.ckpt")
 	write("7.ckpt")
-	path, err := LatestCheckpoint(dir)
+	path, err := latestCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := filepath.Join(dir, "00000000000000000042.ckpt"); path != want {
-		t.Fatalf("LatestCheckpoint = %q, want %q", path, want)
+		t.Fatalf("latestCheckpoint = %q, want %q", path, want)
 	}
 
 	// Equal marks under different paddings: lexically greatest name is
 	// the deterministic winner.
 	write("042.ckpt")
 	write("0000000000000000000042.ckpt") // 22 digits: ignored, too long
-	path, err = LatestCheckpoint(dir)
+	path, err = latestCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := filepath.Join(dir, "042.ckpt"); path != want {
-		t.Fatalf("tie-break: LatestCheckpoint = %q, want %q", path, want)
+		t.Fatalf("tie-break: latestCheckpoint = %q, want %q", path, want)
 	}
 }
 
 // TestSweepCheckpointTemps: a crash between CreateTemp and the rename
-// strands a partial ".ckpt-*" staging file. A resume sweeps those —
+// strands a partial ".ckpt-*" staging file. ResumeLatest sweeps those —
 // and only those — before scanning for the latest checkpoint, so
 // crashed writes neither accumulate nor ever shadow a real snapshot.
+// It resumes nothing, without error, from an empty or missing
+// directory, and a latest checkpoint that fails to restore fails it
+// naming the file.
 func TestSweepCheckpointTemps(t *testing.T) {
 	dir := t.TempDir()
 
@@ -685,14 +549,15 @@ func TestSweepCheckpointTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	removed, err := SweepCheckpointTemps(dir)
+	// The surviving checkpoint resumes.
+	res, err := ResumeLatest(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 4 {
-		t.Fatalf("swept %d temps, want 4", removed)
+	closeResumed(t, res)
+	if !res.Mark.Equal(mark) {
+		t.Fatalf("restored mark = %v, want %v", res.Mark, mark)
 	}
-
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -706,21 +571,22 @@ func TestSweepCheckpointTemps(t *testing.T) {
 		t.Fatalf("after sweep: %v, want %v", names, want)
 	}
 
-	// The surviving checkpoint still resumes.
-	path, err := LatestCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := filepath.Join(dir, fmt.Sprintf("%020d.ckpt", mark.UnixNano())); path != want {
-		t.Fatalf("LatestCheckpoint = %q, want %q", path, want)
-	}
-
 	// Idempotent, and a missing directory is not an error.
-	if n, err := SweepCheckpointTemps(dir); err != nil || n != 0 {
+	if n, err := sweepCheckpointTemps(dir); err != nil || n != 0 {
 		t.Fatalf("second sweep: (%d, %v), want (0, nil)", n, err)
 	}
-	if n, err := SweepCheckpointTemps(filepath.Join(dir, "missing")); err != nil || n != 0 {
-		t.Fatalf("missing dir: (%d, %v), want (0, nil)", n, err)
+	for _, d := range []string{t.TempDir(), filepath.Join(dir, "missing")} {
+		if res, err := ResumeLatest(d, 1); res != nil || err != nil {
+			t.Fatalf("%s: ResumeLatest = (%v, %v), want (nil, nil)", d, res, err)
+		}
+	}
+
+	bad := filepath.Join(dir, fmt.Sprintf("%020d.ckpt", mark.UnixNano()+1))
+	if err := os.WriteFile(bad, bytes.Repeat([]byte("not a checkpoint "), 4), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeLatest(dir, 1); !errors.Is(err, checkpoint.ErrBadMagic) || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("corrupt latest: ResumeLatest error %v, want one naming %s", err, bad)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 func fuzzSeedLogs() [][]byte {
 	var buf bytes.Buffer
 	w := firewall.NewWriter(&buf)
-	for _, r := range streamParityRecords(200, 0) {
+	for _, r := range streamParityRecords(200) {
 		w.Write(r)
 	}
 	w.Flush()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,17 +20,29 @@ import (
 // drainHook is the serving pattern in miniature: drain the engine at
 // every fire, keep the final cut.
 type drainHook struct {
-	eng    *ids.Engine
+	eng   *ids.Engine
+	fires []drained
+	final *Handoff
+}
+
+// drained is what a fire at drained the engine of.
+type drained struct {
+	at     time.Time
 	alerts []ids.Alert
-	byFire map[time.Time][]ids.Alert
-	final  *Handoff
 }
 
 func (h *drainHook) Fired(t, _ time.Time) error {
-	drained := h.eng.Drain()
-	h.alerts = append(h.alerts, drained...)
-	h.byFire[t] = drained
+	h.fires = append(h.fires, drained{t, h.eng.Drain()})
 	return nil
+}
+
+// alerts returns every drained alert in fire order.
+func (h *drainHook) alerts() []ids.Alert {
+	var all []ids.Alert
+	for _, f := range h.fires {
+		all = append(all, f.alerts...)
+	}
+	return all
 }
 
 func (h *drainHook) Consumed(time.Time) {}
@@ -58,9 +71,8 @@ func phaseOf(t *testing.T, s RecordSink) marks {
 // dir (none when empty).
 func runHooked(t *testing.T, s *IDSSink, recs []firewall.Record, horizon time.Time, dir string) *drainHook {
 	t.Helper()
-	h := &drainHook{byFire: map[time.Time][]ids.Alert{}}
+	h := &drainHook{eng: s.E}
 	s.Attach(h)
-	h.eng = s.E
 	b := From(SliceSource(recs)).AdvanceEvery(10*time.Minute).CheckpointEvery(24*time.Hour, dir)
 	if !horizon.IsZero() {
 		b = b.ResumeFrom(horizon)
@@ -82,7 +94,7 @@ func TestHookedFinalCutResumesInPhase(t *testing.T) {
 	kill := killIndex(recs, 3*24*time.Hour+7*time.Hour)
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprint("shards=", shards), func(t *testing.T) {
-			want := canonicalIDSAlerts(runHooked(t, newIDSTerminal(shards), recs, time.Time{}, "").alerts)
+			want := canonicalIDSAlerts(runHooked(t, newIDSTerminal(shards), recs, time.Time{}, "").alerts())
 			if want == "" {
 				t.Fatal("reference drained no alerts")
 			}
@@ -94,7 +106,7 @@ func TestHookedFinalCutResumesInPhase(t *testing.T) {
 				t.Fatal("stopped sink handed over no final cut")
 			}
 			mark := recs[kill-1].Time.Add(time.Nanosecond)
-			path, err := LatestCheckpoint(dir)
+			path, err := latestCheckpoint(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +134,7 @@ func TestHookedFinalCutResumesInPhase(t *testing.T) {
 					t.Errorf("%s: resumed advance mark %v, want %v", name, got.Advance, stopped.Advance)
 				}
 				b := runHooked(t, res.Sink.(*IDSSink), recs, res.Horizon, "")
-				if got := canonicalIDSAlerts(append(append([]ids.Alert{}, a.alerts...), b.alerts...)); got != want {
+				if got := canonicalIDSAlerts(append(a.alerts(), b.alerts()...)); got != want {
 					t.Errorf("%s: interrupted+resumed alerts differ from uninterrupted run\n got:\n%s\nwant:\n%s", name, got, want)
 				}
 			}
@@ -137,9 +149,8 @@ func TestHookedFinalCutResumesInPhase(t *testing.T) {
 func TestFireCutPrecedesDrain(t *testing.T) {
 	dir := t.TempDir()
 	s := newIDSTerminal(1)
-	h := &drainHook{byFire: map[time.Time][]ids.Alert{}}
+	h := &drainHook{eng: s.E}
 	s.Attach(h)
-	h.eng = s.E
 	if err := From(SliceSource(ckptRecords(20_000))).
 		AdvanceEvery(10*time.Minute).
 		CheckpointEvery(2*time.Hour, dir).
@@ -156,15 +167,15 @@ func TestFireCutPrecedesDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drained, fired := h.byFire[res.Mark]
-		if !fired {
+		i := slices.IndexFunc(h.fires, func(f drained) bool { return f.at.Equal(res.Mark) })
+		if i < 0 {
 			continue // the final cut, off the cadence
 		}
 		pending := res.Sink.(*IDSSink).E.Drain()
-		if got, want := canonicalIDSAlerts(pending), canonicalIDSAlerts(drained); got != want {
+		if got, want := canonicalIDSAlerts(pending), canonicalIDSAlerts(h.fires[i].alerts); got != want {
 			t.Errorf("cut at %v restores pending alerts\n%s\nwant the fire's\n%s", res.Mark, got, want)
 		}
-		if len(drained) > 0 {
+		if len(h.fires[i].alerts) > 0 {
 			withAlerts++
 		}
 	}
@@ -231,16 +242,16 @@ func TestOrphanSidecarIgnored(t *testing.T) {
 	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("failed write left a checkpoint behind: %v", err)
 	}
-	if n, err := SweepCheckpointTemps(dir); err != nil || n != 0 {
+	if n, err := sweepCheckpointTemps(dir); err != nil || n != 0 {
 		t.Fatalf("failed write stranded %d temp files (%v)", n, err)
 	}
 
-	path, err := LatestCheckpoint(dir)
+	path, err := latestCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := filepath.Join(dir, checkpointFileName(res.Mark)); path != want {
-		t.Fatalf("LatestCheckpoint = %s, want %s", path, want)
+		t.Fatalf("latestCheckpoint = %s, want %s", path, want)
 	}
 	got, err := ResumeFile(path, 1)
 	if err != nil {

@@ -17,8 +17,9 @@ import (
 // emitter reassembles the batches in file order. The emitted record
 // sequence — including the error class on a truncated log — is
 // byte-identical to the serial LogSource at any worker count
-// (TestParallelLogSourceParity, FuzzParallelDecode); only the batch
-// boundaries may differ, which no stage observes.
+// (TestParallelLogSourceParity, FuzzParallelDecode, and end to end
+// TestInvariance's files/workers=1 and files/workers=3 rows); only the
+// batch boundaries may differ, which no stage observes.
 //
 // The source requires random access (io.ReaderAt) because workers read
 // their chunks concurrently; streaming inputs such as stdin stay on

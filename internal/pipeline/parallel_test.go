@@ -34,7 +34,7 @@ func serialDecode(data []byte, batchSize int) ([]firewall.Record, error) {
 // source's record sequence is identical to the serial LogSource at 1,
 // 2, and 8 workers (run under -race in CI), across batch sizes.
 func TestParallelLogSourceParity(t *testing.T) {
-	recs := streamParityRecords(20_000, 0)
+	recs := streamParityRecords(20_000)
 	data := encodeLog(t, recs)
 	for _, batchSize := range []int{1, 7, 512, DefaultBatchSize} {
 		want, err := serialDecode(data, batchSize)
@@ -63,7 +63,7 @@ func TestParallelLogSourceParity(t *testing.T) {
 // same decoded records, and an error in the same ErrShortRecord class
 // with the same text as the serial reader's.
 func TestParallelLogSourceTruncated(t *testing.T) {
-	data := encodeLog(t, streamParityRecords(1000, 0))
+	data := encodeLog(t, streamParityRecords(1000))
 	data = data[:len(data)-11]
 	want, wantErr := serialDecode(data, 128)
 	if !errors.Is(wantErr, firewall.ErrShortRecord) {
@@ -86,7 +86,7 @@ func TestParallelLogSourceTruncated(t *testing.T) {
 // the fan-out promptly and is returned unwrapped (the Source
 // contract), with all worker goroutines joined before return.
 func TestParallelLogSourceEmitError(t *testing.T) {
-	data := encodeLog(t, streamParityRecords(50_000, 0))
+	data := encodeLog(t, streamParityRecords(50_000))
 	sentinel := errors.New("downstream says stop")
 	src := NewParallelLogSource(bytes.NewReader(data), int64(len(data)), 4)
 	calls := 0
@@ -120,7 +120,7 @@ func TestParallelLogSourceEmpty(t *testing.T) {
 // merging chronologically split day-files reproduces the concatenated
 // single-file sequence exactly, including ties at the split points.
 func TestMergeSourceMatchesConcatenated(t *testing.T) {
-	recs := streamParityRecords(30_000, 0)
+	recs := streamParityRecords(30_000)
 	whole := encodeLog(t, recs)
 	want, err := serialDecode(whole, 512)
 	if err != nil {
@@ -152,7 +152,7 @@ func TestMergeSourceMatchesConcatenated(t *testing.T) {
 // time-ordered interleave (equal to the original sorted sequence,
 // since each part preserves its relative order).
 func TestMergeSourceInterleaved(t *testing.T) {
-	recs := streamParityRecords(10_000, 0)
+	recs := streamParityRecords(10_000)
 	const k = 4
 	parts := make([][]firewall.Record, k)
 	for i, r := range recs {
@@ -181,7 +181,7 @@ func TestMergeSourceInterleaved(t *testing.T) {
 func TestMergeSourceTieBreak(t *testing.T) {
 	ts := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
 	mk := func(port uint16) firewall.Record {
-		r := streamParityRecords(1, 0)[0]
+		r := streamParityRecords(1)[0]
 		r.Time, r.DstPort = ts, port
 		return r
 	}
@@ -206,8 +206,8 @@ func TestMergeSourceTieBreak(t *testing.T) {
 // that source's error, and every feeding goroutine shuts down (the
 // test would deadlock or trip -race otherwise).
 func TestMergeSourceSourceError(t *testing.T) {
-	good := encodeLog(t, streamParityRecords(5000, 0))
-	torn := encodeLog(t, streamParityRecords(5000, 0))
+	good := encodeLog(t, streamParityRecords(5000))
+	torn := encodeLog(t, streamParityRecords(5000))
 	torn = torn[:len(torn)-7]
 	srcs := []Source{
 		NewLogSource(bytes.NewReader(good)),
@@ -225,7 +225,7 @@ func TestMergeSourceSourceError(t *testing.T) {
 func TestMergeSourceEmitError(t *testing.T) {
 	srcs := make([]Source, 3)
 	for i := range srcs {
-		srcs[i] = NewLogSource(bytes.NewReader(encodeLog(t, streamParityRecords(5000, 0))))
+		srcs[i] = NewLogSource(bytes.NewReader(encodeLog(t, streamParityRecords(5000))))
 	}
 	sentinel := errors.New("stop the merge")
 	err := NewMergeSource(srcs...).EmitBatch(64, func([]firewall.Record) error { return sentinel })
@@ -251,47 +251,6 @@ func TestMergeSourceEmpty(t *testing.T) {
 	}
 }
 
-// TestFromFilesDetectParity runs the full fluent pipeline over split
-// day-files with parallel decode and checks the detector output equals
-// the single-source run — the end-to-end version of the parity pins.
-func TestFromFilesDetectParity(t *testing.T) {
-	recs := streamParityRecords(30_000, 0)
-	cfg := streamParityConfig()
-
-	ref, err := From(SliceSource(recs)).Artifact().Detect(context.Background(), cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderDetector(ref, cfg.Levels)
-
-	dir := t.TempDir()
-	paths := make([]string, 3)
-	for i := range paths {
-		lo, hi := i*len(recs)/3, (i+1)*len(recs)/3
-		paths[i] = filepath.Join(dir, string(rune('a'+i))+".log")
-		if err := os.WriteFile(paths[i], encodeLog(t, recs[lo:hi]), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 2, 8} {
-		for _, shards := range []int{1, 4} {
-			det, err := FromFiles(paths...).
-				DecodeWorkers(workers).
-				Artifact().
-				Detect(context.Background(), cfg, shards)
-			if err != nil {
-				t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
-			}
-			got := renderDetector(det, cfg.Levels)
-			for _, lvl := range cfg.Levels {
-				if got[lvl] != want[lvl] {
-					t.Fatalf("workers=%d shards=%d: level %v diverges from single-source run", workers, shards, lvl)
-				}
-			}
-		}
-	}
-}
-
 // TestFromFilesMissing: a bad path surfaces from the run, per the
 // lazy-open contract.
 func TestFromFilesMissing(t *testing.T) {
@@ -309,11 +268,11 @@ func TestFromFilesMissing(t *testing.T) {
 func TestFromFilesDuplicateInput(t *testing.T) {
 	dir := t.TempDir()
 	real := filepath.Join(dir, "day.log")
-	if err := os.WriteFile(real, encodeLog(t, streamParityRecords(100, 0)), 0o644); err != nil {
+	if err := os.WriteFile(real, encodeLog(t, streamParityRecords(100)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	other := filepath.Join(dir, "other.log")
-	if err := os.WriteFile(other, encodeLog(t, streamParityRecords(50, 0)), 0o644); err != nil {
+	if err := os.WriteFile(other, encodeLog(t, streamParityRecords(50)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

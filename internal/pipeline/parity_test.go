@@ -1,19 +1,12 @@
 package pipeline
 
 import (
-	"crypto/sha256"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
 
-	"v6scan/internal/core"
 	"v6scan/internal/firewall"
-	"v6scan/internal/ids"
-	"v6scan/internal/netaddr6"
 )
 
 // Batch-size invariance: every built-in stage must produce the
@@ -197,74 +190,4 @@ func TestFilteredChainParity(t *testing.T) {
 		return Policy(firewall.DefaultCollectPolicy(),
 			NewDaySort(NewArtifactStage(firewall.NewArtifactFilter(), NewCounter(next))))
 	})
-}
-
-// TestCadenceSinkParity: the cadence sinks fire advances/ticks and cut
-// checkpoints at record positions, not batch positions, so every
-// batch size must yield the scans or alerts and the checkpoint files —
-// every mark, byte for byte — of the one-record-per-batch run.
-func TestCadenceSinkParity(t *testing.T) {
-	recs := streamParityRecords(16_000, 0)
-	idsCfg := ids.Config{
-		MinDsts: 20,
-		Timeout: time.Hour,
-		Levels:  []netaddr6.AggLevel{netaddr6.Agg128, netaddr6.Agg64, netaddr6.Agg48},
-	}
-	type terminal interface {
-		Sink
-		setCadence(advance, ckpt time.Duration, dir string, m *Metrics)
-	}
-	render := func(s terminal) string {
-		switch s := s.(type) {
-		case interface{ Result() *core.Detector }:
-			return fmt.Sprint(renderDetector(s.Result(), streamParityConfig().Levels))
-		case interface{ Result() []ids.Alert }:
-			return canonicalIDSAlerts(s.Result())
-		}
-		panic(fmt.Sprintf("no result accessor on %T", s))
-	}
-	sinks := map[string]func() terminal{
-		"detector":    func() terminal { return NewShardedSink(core.NewShardedDetector(streamParityConfig(), 1)) },
-		"sharded":     func() terminal { return NewShardedSink(core.NewShardedDetector(streamParityConfig(), 3)) },
-		"ids":         func() terminal { return NewIDSSink(ids.New(idsCfg)) },
-		"sharded-ids": func() terminal { return NewIDSSink(ids.NewSharded(idsCfg, 3)) },
-	}
-	for name, mk := range sinks {
-		t.Run(name, func(t *testing.T) {
-			// run returns the rendered result and a "name sha256" line
-			// per checkpoint file, in mark order.
-			run := func(n int) (string, []string) {
-				dir := t.TempDir()
-				s := mk()
-				s.setCadence(time.Minute, 2*time.Minute, dir, nil)
-				feedBatches(t, s, recs, n)
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-				paths, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")) // the pattern is well-formed
-				var ckpts []string
-				for _, p := range paths {
-					b, err := os.ReadFile(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ckpts = append(ckpts, fmt.Sprintf("%s %x", filepath.Base(p), sha256.Sum256(b)))
-				}
-				return render(s), ckpts
-			}
-			want, wantCkpts := run(1)
-			if len(want) == 0 || len(wantCkpts) < 3 {
-				t.Fatalf("reference run is vacuous: %d result bytes, %d checkpoints", len(want), len(wantCkpts))
-			}
-			for _, n := range parityBatchSizes[1:] {
-				got, gotCkpts := run(n)
-				if got != want {
-					t.Fatalf("batch=%d: results differ from batch=1", n)
-				}
-				if !reflect.DeepEqual(gotCkpts, wantCkpts) {
-					t.Fatalf("batch=%d: checkpoints differ from batch=1:\n%v\nwant:\n%v", n, gotCkpts, wantCkpts)
-				}
-			}
-		})
-	}
 }

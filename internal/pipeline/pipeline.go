@@ -234,8 +234,8 @@
 // that prefix can ever touch, at every level — flows through exactly
 // one topic. Cross-topic order is then immaterial to detection output,
 // which is what makes the distributed run byte-identical to the
-// in-process one (TestBusDetectParity, TestBusIDSParity, and the
-// -publish goldens pin this at shard counts 1, 2, and 8).
+// in-process one (TestInvariance's bus/shards=1, 2 and 8 rows and the
+// -publish goldens pin this).
 //
 // Ordering and delivery guarantees, endpoint by endpoint:
 //

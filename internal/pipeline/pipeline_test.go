@@ -3,7 +3,9 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -259,49 +261,69 @@ func TestIDSSinkAdvanceEvery(t *testing.T) {
 	}
 }
 
-// TestShardedIDSSinkMatchesIDSSink runs the same stream through IDS
-// sinks over a one-shard and a four-shard engine and requires
-// identical alerts.
-func TestShardedIDSSinkMatchesIDSSink(t *testing.T) {
-	recs := scanStream(300)
-	plain := NewIDSSink(ids.New(ids.DefaultConfig()))
-	if err := New(SliceSource(recs), plain).RunContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	sharded := NewIDSSink(ids.NewSharded(ids.DefaultConfig(), 4))
-	if err := New(SliceSource(recs), sharded).RunContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	pa, sa := plain.Result(), sharded.Result()
-	if len(pa) != len(sa) || len(pa) == 0 {
-		t.Fatalf("alert counts differ: %d vs %d", len(pa), len(sa))
-	}
-	for i := range pa {
-		if pa[i] != sa[i] {
-			t.Fatalf("alert %d differs: %+v vs %+v", i, pa[i], sa[i])
+// streamParityRecords synthesizes the detection workload: sources
+// spread across /48s and /64s and timeout-splitting lulls.
+func streamParityRecords(n int) []firewall.Record {
+	rng := rand.New(rand.NewSource(59))
+	base := netaddr6.MustPrefix("2001:db8:a000::/36")
+	dsts := netaddr6.MustPrefix("2001:db8:f000::/44")
+	ts := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
+	recs := make([]firewall.Record, 0, n)
+	for i := 0; i < n; i++ {
+		p48 := netaddr6.NthSubprefix(base, 48, uint64(i%37))
+		p64 := netaddr6.NthSubprefix(p48, 64, uint64(i%5))
+		src := netaddr6.WithIID(p64.Addr(), uint64(1+i%9))
+		recs = append(recs, firewall.Record{
+			Time:    ts,
+			Src:     src,
+			Dst:     netaddr6.RandomAddrIn(dsts, rng),
+			Proto:   layers.ProtoTCP,
+			SrcPort: uint16(40000 + i%1000),
+			DstPort: uint16(1 + i%512),
+			Length:  uint16(60 + i%4),
+		})
+		step := 40 * time.Millisecond
+		if i%15000 == 14999 {
+			step = 2 * time.Hour // lull above the timeout splits sessions
 		}
+		ts = ts.Add(step)
+	}
+	return recs
+}
+
+func streamParityConfig() core.Config {
+	return core.Config{
+		MinDsts:   10,
+		Timeout:   time.Hour,
+		Levels:    []netaddr6.AggLevel{netaddr6.Agg128, netaddr6.Agg64, netaddr6.Agg48},
+		TrackDsts: true,
+		WeekEpoch: time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC),
 	}
 }
 
-// TestShardedSinkMatchesDetector runs the same stream through the
-// sharded sink and, as the serial reference, a plain detector fed
-// directly, and requires identical scans.
-func TestShardedSinkMatchesDetector(t *testing.T) {
-	recs := scanStream(500)
-	plain := core.NewDetector(core.DefaultConfig())
-	if err := plain.ProcessBatch(recs); err != nil {
+// encodeLog writes records to an in-memory binary log.
+func encodeLog(t *testing.T, recs []firewall.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := firewall.NewWriter(&buf)
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	plain.Finish()
-	sharded := core.NewShardedDetector(core.DefaultConfig(), 4)
-	if err := New(SliceSource(recs), NewDaySort(NewShardedSink(sharded))).RunContext(context.Background()); err != nil {
-		t.Fatal(err)
+	return buf.Bytes()
+}
+
+// canonicalIDSAlerts renders every alert field, one alert a line.
+func canonicalIDSAlerts(alerts []ids.Alert) string {
+	var b strings.Builder
+	for _, a := range alerts {
+		fmt.Fprintf(&b, "%v %v est=%d pk=%d %d %d esc=%v\n",
+			a.Prefix, a.Level, a.EstimatedDsts, a.Packets,
+			a.First.UnixNano(), a.Last.UnixNano(), a.Escalated)
 	}
-	ps, ss := plain.Scans(netaddr6.Agg64), sharded.Merged().Scans(netaddr6.Agg64)
-	if len(ps) != len(ss) || len(ps) == 0 {
-		t.Fatalf("scan counts differ: %d vs %d", len(ps), len(ss))
-	}
-	if ps[0].Packets != ss[0].Packets || ps[0].Dsts != ss[0].Dsts || ps[0].Source != ss[0].Source {
-		t.Fatalf("scan differs: %+v vs %+v", ps[0], ss[0])
-	}
+	return b.String()
 }

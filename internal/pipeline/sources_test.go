@@ -50,7 +50,7 @@ func writeSYNCapture(t *testing.T, recs []firewall.Record, junkAt map[int]bool) 
 // interleaved with good frames are counted while the decoded records
 // still flow.
 func TestPcapSkippedAfterEmitBatch(t *testing.T) {
-	recs := streamParityRecords(10, 0)
+	recs := streamParityRecords(10)
 	junkAt := map[int]bool{0: true, 4: true, 9: true}
 	capture := writeSYNCapture(t, recs, junkAt)
 	for _, batchSize := range []int{1, 3, DefaultBatchSize} {
@@ -156,7 +156,7 @@ func TestPcapRecordFields(t *testing.T) {
 // it terminates and emits what it emits at DefaultBatchSize, in
 // batches of 1 to DefaultBatchSize records.
 func TestSourcesNonPositiveBatchSize(t *testing.T) {
-	recs := streamParityRecords(2*DefaultBatchSize+100, 0)
+	recs := streamParityRecords(2*DefaultBatchSize + 100)
 	log := encodeLog(t, recs)
 	logPath := filepath.Join(t.TempDir(), "fw.log")
 	if err := os.WriteFile(logPath, log, 0o644); err != nil {

@@ -73,7 +73,11 @@ type Config struct {
 	// Poll is the tail's growth-poll interval (default
 	// pipeline.DefaultTailPoll).
 	Poll time.Duration
-	// ArtifactFilter applies the 5-duplicate artifact pre-filter.
+	// ArtifactFilter applies the 5-duplicate artifact pre-filter. The
+	// filter judges a source /64 over a whole UTC day, so it holds each
+	// day's records until the first record of a later day is tailed:
+	// with it on, an alert waits for the day to end, not for the first
+	// tick past the timeout.
 	ArtifactFilter bool
 	// BlocklistPath, when set, mirrors every alerted prefix into an
 	// atomically rewritten one-CIDR-per-line rule file. With Resume,
@@ -327,19 +331,8 @@ func (d *Daemon) newGeneration(carry *pipeline.Handoff) (*generation, error) {
 			return nil, fmt.Errorf("serve: reload handoff: %w", err)
 		}
 	case d.cfg.Resume:
-		// Clear out temp files stranded by a crashed writer before
-		// scanning the directory for the newest snapshot.
-		if _, err := pipeline.SweepCheckpointTemps(d.cfg.CheckpointDir); err != nil {
-			return nil, err
-		}
-		path, err := pipeline.LatestCheckpoint(d.cfg.CheckpointDir)
-		if err != nil {
-			return nil, err
-		}
-		if path != "" {
-			if res, err = pipeline.ResumeFile(path, d.cfg.Shards); err != nil {
-				return nil, fmt.Errorf("serve: resuming %s: %w", path, err)
-			}
+		if res, err = pipeline.ResumeLatest(d.cfg.CheckpointDir, d.cfg.Shards); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
 	g := &generation{d: d}

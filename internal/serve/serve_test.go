@@ -18,7 +18,6 @@ import (
 	"v6scan/internal/firewall"
 	"v6scan/internal/ids"
 	"v6scan/internal/netaddr6"
-	"v6scan/internal/pipeline"
 )
 
 var testBase = time.Date(2021, 5, 20, 0, 0, 0, 0, time.UTC)
@@ -95,6 +94,16 @@ func readMarks(path string) (sidecar, bool) {
 	}
 	var m sidecar
 	return m, json.Unmarshal(b, &m) == nil
+}
+
+// latestCheckpoint returns the newest checkpoint in dir, "" when there
+// is none: checkpoint names sort in mark order.
+func latestCheckpoint(dir string) string {
+	paths, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")) // the pattern is well-formed
+	if len(paths) == 0 {
+		return ""
+	}
+	return paths[len(paths)-1]
 }
 
 // testIDS is a small-threshold config so 20-destination bursts alert.
@@ -455,9 +464,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// SIGTERM path: clean stop cuts a final checkpoint with sidecar.
 	dr.stop(t)
-	latest, err := pipeline.LatestCheckpoint(ckpt)
-	if err != nil || latest == "" {
-		t.Fatalf("no final checkpoint (err %v)", err)
+	latest := latestCheckpoint(ckpt)
+	if latest == "" {
+		t.Fatal("no final checkpoint")
 	}
 	if _, ok := readMarks(latest + ".marks"); !ok {
 		t.Fatalf("final checkpoint %s has no marks sidecar", latest)
@@ -499,6 +508,42 @@ func TestDaemonReload(t *testing.T) {
 		t.Fatalf("post-reload alerts %s do not name the scanner", alertsJSON(t, got))
 	}
 	dr.stop(t)
+}
+
+// TestArtifactFilterDelaysAlerts: the artifact pre-filter holds a UTC
+// day's records until a later day's first record arrives. Without it a
+// burst alerts at the first tick past the timeout; with it the same
+// log publishes nothing, the engine consuming no record, until a
+// record of the next day is appended.
+func TestArtifactFilterDelaysAlerts(t *testing.T) {
+	day := scanBurst("2001:db8:bad::1", 0, 20)
+	for i, r := range fillers(1, 15) {
+		// Distinct destinations: one /64 of fillers repeating one
+		// destination would be an artifact the filter drops.
+		r.Dst = netip.MustParseAddr(fmt.Sprintf("2001:db8:eeee::%x", i+1))
+		day = append(day, r)
+	}
+	for _, filter := range []bool{false, true} {
+		log := filepath.Join(t.TempDir(), "fw.log")
+		appendLog(t, log, day)
+		dr := startDaemon(t, Config{LogPath: log, IDS: testIDS(), AdvanceEvery: time.Minute, ArtifactFilter: filter})
+		if filter {
+			dr.waitRecords(t, uint64(len(day)))
+			for range 20 {
+				time.Sleep(5 * time.Millisecond)
+				if st := dr.d.State(); st.Records != 0 || st.AlertsPublished != 0 {
+					t.Fatalf("filtered: %d records consumed, %d alerts published before the day ended",
+						st.Records, st.AlertsPublished)
+				}
+			}
+			appendLog(t, log, fillers(24*60, 24*60+1))
+		}
+		dr.waitAlerts(t, 1)
+		if got := alertsJSON(t, dr.alerts()); !strings.Contains(got, "2001:db8:bad::") {
+			t.Fatalf("filter=%v: alerts %s do not name the scanner", filter, got)
+		}
+		dr.stop(t)
+	}
 }
 
 // TestNewDaemonRejectsCheckpointWithoutDir: a checkpoint setting with

@@ -91,8 +91,7 @@
 //	    Detect(ctx, cfg, 8)
 //
 //	// After a crash: restore the sink and skip the replayed prefix.
-//	path, _ := v6scan.LatestCheckpoint(ckptDir)
-//	res, err := v6scan.ResumeCheckpoint(path, 8)
+//	res, err := v6scan.ResumeLatest(ckptDir, 8) // nil, nil: no checkpoint yet
 //	err = v6scan.FromFiles(logs...).
 //	    Artifact().
 //	    AdvanceEvery(time.Hour).
@@ -327,21 +326,13 @@ type (
 	ResumedSink = pipeline.Resumed
 )
 
-// LatestCheckpoint returns the newest checkpoint file in dir, or ""
-// when there is none.
-func LatestCheckpoint(dir string) (string, error) { return pipeline.LatestCheckpoint(dir) }
-
-// ResumeCheckpoint rebuilds a terminal sink from a checkpoint file
-// across shards workers (see ResumedSink.Sink) — the count need not
-// match the one the snapshot was taken at.
-func ResumeCheckpoint(path string, shards int) (*ResumedSink, error) {
-	return pipeline.ResumeFile(path, shards)
-}
-
-// SweepCheckpointTemps removes temp files stranded in a checkpoint
-// directory by a crashed writer. Call it before resuming from dir.
-func SweepCheckpointTemps(dir string) (int, error) {
-	return pipeline.SweepCheckpointTemps(dir)
+// ResumeLatest rebuilds a terminal sink from the newest checkpoint in
+// dir across shards workers (see ResumedSink.Sink) — the count need
+// not match the one the snapshot was taken at — after removing temp
+// files a crashed writer stranded there. It returns nil, nil when dir
+// holds no checkpoint.
+func ResumeLatest(dir string, shards int) (*ResumedSink, error) {
+	return pipeline.ResumeLatest(dir, shards)
 }
 
 // Wire-layer facade: distributed pipeline endpoints — publishers
