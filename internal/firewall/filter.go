@@ -32,11 +32,12 @@ import (
 // day is ever judged as two windows.
 //
 // Each completed day comes back as one slice holding its survivors in
-// time order, ties in arrival order. The slice is the filter's day
-// buffer handed over: the caller owns it, and the filter never reads
-// or writes it again. DupThreshold (a non-negative count) is applied
-// as records arrive and MaxDupShare when a day completes; set both
-// before the first Push.
+// time order, ties in arrival order. The slice is one of the filter's
+// two day buffers, which swap at each flush: it stays valid, and the
+// caller may rewrite records within it, until the next day completes;
+// then the filter refills it. DupThreshold (a non-negative count) is
+// applied as records arrive and MaxDupShare when a day completes; set
+// both before the first Push.
 type ArtifactFilter struct {
 	// DupThreshold is the per-(dst,port) daily packet count above which
 	// further packets count as duplicates (paper: 5).
@@ -50,15 +51,15 @@ type ArtifactFilter struct {
 	open   bool
 	lo, hi int64
 	// recs holds the open day's records in arrival order; owner[i] is
-	// recs[i]'s source slot. dayCap sizes the next day's buffer.
-	recs   []Record
-	owner  []int32
-	dayCap int
-	// slotOf maps a source /64 (its high 64 bits) to its slot in slots.
-	slotOf map[uint64]int32
-	slots  []srcSlot
-	dups   dupTable
-	stats  FilterStats
+	// recs[i]'s source slot. done is the buffer of the day last
+	// returned; the two swap at each flush.
+	recs, done []Record
+	owner      []int32
+	// srcs maps a source /64 (its high 64 bits) to its slot in slots.
+	srcs  []srcEntry
+	slots []srcSlot
+	dups  dupTable
+	stats FilterStats
 }
 
 // srcSlot is one source /64's tally for the open day.
@@ -88,7 +89,7 @@ func NewArtifactFilter() *ArtifactFilter {
 	return &ArtifactFilter{
 		DupThreshold: 5,
 		MaxDupShare:  0.30,
-		slotOf:       make(map[uint64]int32),
+		srcs:         make([]srcEntry, dupTableMin),
 		dups:         dupTable{ents: make([]dupEntry, dupTableMin)},
 		stats: FilterStats{
 			DroppedByService:    make(map[Service]uint64),
@@ -99,7 +100,7 @@ func NewArtifactFilter() *ArtifactFilter {
 
 // Push adds one record. If the record starts a later UTC day than the
 // open one, the open day is finalized and its surviving records
-// returned (see the type doc for their order and ownership).
+// returned (see the type doc for their order and lifetime).
 func (f *ArtifactFilter) Push(r Record) []Record {
 	var out []Record
 	if sec := r.Time.Unix(); sec < f.lo || sec >= f.hi {
@@ -112,12 +113,7 @@ func (f *ArtifactFilter) Push(r Record) []Record {
 		// IPv4, IPv4-mapped and zero addresses all land here.
 		panic("firewall: artifact filter on non-IPv6 source " + r.Src.String())
 	}
-	slot, ok := f.slotOf[net]
-	if !ok {
-		slot = int32(len(f.slots))
-		f.slotOf[net] = slot
-		f.slots = append(f.slots, srcSlot{net: net})
-	}
+	slot := f.slotOf(net)
 	s := &f.slots[slot]
 	s.n++
 	svc := uint32(r.Proto)<<16 | uint32(r.DstPort)
@@ -144,9 +140,6 @@ func (f *ArtifactFilter) advance(sec int64) []Record {
 	f.open = true
 	f.lo = sec - (sec%day+day)%day
 	f.hi = f.lo + day
-	if f.recs == nil {
-		f.recs = make([]Record, 0, f.dayCap)
-	}
 	return out
 }
 
@@ -162,7 +155,7 @@ func (f *ArtifactFilter) Close() []Record {
 func (f *ArtifactFilter) Stats() FilterStats { return f.stats }
 
 // flush judges every source of the open day, compacts the survivors in
-// place and hands the buffer over.
+// place and returns them, swapping the day buffers.
 func (f *ArtifactFilter) flush() []Record {
 	dropped := false
 	for i := range f.slots {
@@ -195,18 +188,50 @@ func (f *ArtifactFilter) flush() []Record {
 		slices.SortStableFunc(out, func(a, b Record) int { return a.Time.Compare(b.Time) })
 	}
 
-	f.dayCap = len(recs)
+	f.recs, f.done = f.done[:0], recs
 	f.owner = f.owner[:0]
-	clear(f.slotOf)
+	clear(f.srcs)
 	f.slots = f.slots[:0]
 	f.dups.reset()
-	if w == 0 {
-		// Nothing handed over: keep the buffer for the next day.
-		f.recs = recs[:0]
-		return nil
-	}
-	f.recs = nil
 	return out
+}
+
+// srcEntry is one source-table entry: a source /64 and its slot + 1,
+// so that 0 marks a free entry.
+type srcEntry struct {
+	net  uint64
+	slot int32
+}
+
+// slotOf returns the open day's slot for the source /64 net, opening
+// one if the source is new today. The source table has dupTable's
+// layout, is at most half full, and is cleared, not freed, between
+// days.
+func (f *ArtifactFilter) slotOf(net uint64) int32 {
+	e := f.probe(net)
+	if e.slot == 0 {
+		if 2*(len(f.slots)+1) > len(f.srcs) {
+			f.srcs = make([]srcEntry, 2*len(f.srcs))
+			for i, s := range f.slots {
+				*f.probe(s.net) = srcEntry{net: s.net, slot: int32(i + 1)}
+			}
+			e = f.probe(net)
+		}
+		f.slots = append(f.slots, srcSlot{net: net})
+		*e = srcEntry{net: net, slot: int32(len(f.slots))}
+	}
+	return e.slot - 1
+}
+
+// probe returns net's source-table entry, or the free entry where it
+// belongs.
+func (f *ArtifactFilter) probe(net uint64) *srcEntry {
+	mask := uint64(len(f.srcs) - 1)
+	for i := dupHash(0, net, 0, 0) & mask; ; i = (i + 1) & mask {
+		if e := &f.srcs[i]; e.slot == 0 || e.net == net {
+			return e
+		}
+	}
 }
 
 // countDropped adds the open day's dropped sources to the per-service
@@ -243,8 +268,9 @@ type dupEntry struct {
 	cnt    int32 // packets; 0 marks a free entry
 }
 
-// dupTableMin is the initial table size. It is deliberately tiny: the
-// table is kept across days, so it grows to the busiest day once.
+// dupTableMin is the initial size of the dup and source tables. It is
+// deliberately tiny: the tables are kept across days, so each grows to
+// the busiest day once.
 const dupTableMin = 16
 
 // bump counts one packet under the key and returns the key's count.

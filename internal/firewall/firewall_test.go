@@ -3,6 +3,7 @@ package firewall
 import (
 	"bytes"
 	"io"
+	"net/netip"
 	"testing"
 	"testing/quick"
 	"time"
@@ -305,5 +306,48 @@ func TestFilterStatsPacketsIn(t *testing.T) {
 	f.Close()
 	if f.Stats().PacketsIn != 1 {
 		t.Errorf("PacketsIn = %d", f.Stats().PacketsIn)
+	}
+}
+
+// TestArtifactFilterDaysAllocateNothing checks that the filter makes no
+// per-day garbage: once a day of some sources has been through it,
+// further days of the same sources reuse the day buffers, the source
+// table and the dup table, and allocate nothing. Each day holds a
+// retrying source the filter drops, scanners it keeps, and records out
+// of time order, so every flush path runs.
+func TestArtifactFilterDaysAllocateNothing(t *testing.T) {
+	f := NewArtifactFilter()
+	retrier := netaddr6.MustAddr("2001:db8:bad::1")
+	dst := netaddr6.MustAddr("2001:db8:f::")
+	var scanners [40]netip.Addr
+	for k := range scanners {
+		scanners[k] = netaddr6.NthSubprefix(netaddr6.MustPrefix("2001:db8:5ca::/48"), 64, uint64(k)).Addr().Next()
+	}
+	day, kept := 0, 0
+	pushDay := func() {
+		start := t0.Add(time.Duration(day) * 24 * time.Hour)
+		day++
+		for i := range 600 {
+			r := Record{
+				Time:  start.Add(time.Duration(600-i%7*100+i) * time.Second),
+				Src:   scanners[i%40],
+				Dst:   netaddr6.WithIID(dst, uint64(i)),
+				Proto: layers.ProtoTCP, SrcPort: 54321, DstPort: 22, Length: 60,
+			}
+			if i%3 == 0 {
+				r.Src, r.Dst, r.Proto, r.DstPort = retrier, dst, layers.ProtoUDP, 500
+			}
+			kept += len(f.Push(r))
+		}
+	}
+	pushDay()
+	if allocs := testing.AllocsPerRun(20, pushDay); allocs != 0 {
+		t.Errorf("a further day allocates %.1f times, want 0", allocs)
+	}
+	if want := (day - 1) * 400; kept != want {
+		t.Errorf("%d records survived %d completed days, want %d", kept, day-1, want)
+	}
+	if st := f.Stats(); st.SourcesDropped != uint64(day-1) {
+		t.Errorf("%d sources dropped over %d completed days, want one a day", st.SourcesDropped, day-1)
 	}
 }

@@ -44,7 +44,9 @@ import (
 //
 // The checkpoint files of the batch-1 row are the baseline's. The
 // cap-pressure engine (a small MaxCandidates) varies every axis but the
-// shard count, because the bound applies per shard.
+// shard count, because the bound applies per shard. The filtered
+// detector runs the artifact stage in front of the detector sink, and
+// its baseline is the plain detector fed artifactRef's survivors.
 
 // invJitter bounds the pcap row's timestamp disorder; its WindowSort
 // runs at this window.
@@ -109,7 +111,9 @@ func invRows(capped bool) []invRow {
 // ones scan), one heavy /128 scanner, a /64-spread actor that goes
 // quiet early (so a tick evicts and alerts on it mid-stream), one-shot
 // sources in a fresh /48 each (sessions that never qualify), lulls
-// longer than the timeout, and TCP and UDP probes of four lengths each.
+// longer than the timeout, a /64 that retries one destination all day
+// (so the artifact filter drops it on both days), and TCP and UDP
+// probes of four lengths each.
 // arrival is the tape with each timestamp pulled back by up to
 // invJitter, in generation order; tape is arrival stably sorted.
 func invTape(n int) (tape, arrival []firewall.Record) {
@@ -119,12 +123,15 @@ func invTape(n int) (tape, arrival []firewall.Record) {
 	churn := netaddr6.MustPrefix("2600::/24")
 	heavy := netaddr6.MustAddr("2001:d42:1:1::bad")
 	burst64 := netaddr6.MustPrefix("2001:d77:7:7::/64")
+	repeater, repeatDst := netaddr6.MustAddr("2001:d99:9:9::25"), netaddr6.MustAddr("2001:db8:f000::25")
 	ts := time.Date(2021, 6, 1, 21, 0, 0, 0, time.UTC)
 	for i := range n {
 		src := heavy
 		switch {
 		case i < n/8 && i%37 == 5:
 			src = netaddr6.WithIID(burst64.Addr(), uint64(1+i%23))
+		case i%41 == 20:
+			src = repeater
 		case i%17 == 8:
 			src = netaddr6.WithIID(netaddr6.NthSubprefix(churn, 48, uint64(i)).Addr(), 1)
 		case i%11 != 0:
@@ -137,7 +144,7 @@ func invTape(n int) (tape, arrival []firewall.Record) {
 		if i%7 == 3 {
 			proto, length = layers.ProtoUDP, uint16(48+i%4)
 		}
-		arrival = append(arrival, firewall.Record{
+		r := firewall.Record{
 			Time:    ts.Add(-time.Duration(rng.Int63n(int64(invJitter) + 1))),
 			Src:     src,
 			Dst:     netaddr6.RandomAddrIn(dsts, rng),
@@ -145,7 +152,11 @@ func invTape(n int) (tape, arrival []firewall.Record) {
 			SrcPort: uint16(40000 + i%1000),
 			DstPort: uint16(1 + i%512),
 			Length:  length,
-		})
+		}
+		if src == repeater {
+			r.Dst, r.DstPort = repeatDst, 25
+		}
+		arrival = append(arrival, r)
 		ts = ts.Add(50 * time.Millisecond)
 		if i%(n/4) == n/4-1 {
 			ts = ts.Add(2 * time.Hour) // a lull above the timeout
@@ -236,6 +247,8 @@ type invEngine struct {
 	reference func(t *testing.T) string
 	// vacuous reports why a baseline proves nothing, or "".
 	vacuous func(out string, c invCadence) string
+	// filter puts the artifact stage in front of the terminal.
+	filter bool
 }
 
 // invTerminal is a terminal sink and the renderer of its result.
@@ -254,16 +267,7 @@ func (h *invHarness) engines() []*invEngine {
 		wrap: func(s RecordSink, _ *invTerminal, _ time.Time) *invTerminal {
 			return &invTerminal{sink: s, render: func() string { return renderScans(s.(*ShardedSink).Result()) }}
 		},
-		reference: func(t *testing.T) string {
-			d := core.NewDetector(h.detCfg)
-			for _, r := range h.tape {
-				if err := d.Process(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			d.Finish()
-			return renderScans(d)
-		},
+		reference: func(t *testing.T) string { return h.detect(t, h.tape) },
 		vacuous: func(out string, _ invCadence) string {
 			for _, level := range strings.Split(out, "level ")[1:] {
 				if strings.Count(level, "\n") < 2 || strings.Contains(level, " dropped=0\n") {
@@ -272,6 +276,30 @@ func (h *invHarness) engines() []*invEngine {
 			}
 			return ""
 		},
+	}
+	filtered := *det
+	filtered.name, filtered.filter = "detector+filter", true
+	filtered.rows = []invRow{
+		{name: "batch=1", src: "slice", shards: 1, batch: 1},
+		{name: "batch=7", src: "slice", shards: 1, batch: 7},
+		{name: "batch=4096", src: "slice", shards: 1, batch: 4096},
+		{name: "files/workers=3", src: "files", shards: 1, workers: 3},
+		{name: "shards=2", src: "slice", shards: 2},
+		{name: "shards=8", src: "slice", shards: 8},
+	}
+	filtered.reference = func(t *testing.T) string {
+		survivors, _ := artifactRef(h.tape)
+		return h.detect(t, survivors)
+	}
+	filtered.vacuous = func(out string, c invCadence) string {
+		first, last := h.tape[0].Time.UTC(), h.tape[len(h.tape)-1].Time.UTC()
+		switch _, st := artifactRef(h.tape); {
+		case st.SourcesDropped == 0:
+			return "the artifact filter drops no source /64"
+		case first.YearDay() == last.YearDay():
+			return "no UTC day boundary inside the tape"
+		}
+		return det.vacuous(out, c)
 	}
 	idsEngine := func(name string, cfg ids.Config) *invEngine {
 		return &invEngine{
@@ -301,7 +329,20 @@ func (h *invHarness) engines() []*invEngine {
 			},
 		}
 	}
-	return []*invEngine{det, idsEngine("ids", h.idsCfg), idsEngine("ids-capped", h.cappedIDSCfg)}
+	return []*invEngine{det, &filtered, idsEngine("ids", h.idsCfg), idsEngine("ids-capped", h.cappedIDSCfg)}
+}
+
+// detect is the plain detector fed recs one record at a time.
+func (h *invHarness) detect(t *testing.T, recs []firewall.Record) string {
+	t.Helper()
+	d := core.NewDetector(h.detCfg)
+	for _, r := range recs {
+		if err := d.Process(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Finish()
+	return renderScans(d)
 }
 
 // renderScans renders every Scan field and the dropped-session count
@@ -422,6 +463,9 @@ func (h *invHarness) run(t *testing.T, e *invEngine, c invCadence, row invRow) (
 	term := e.wrap(e.fresh(row.shards), nil, time.Time{})
 	if row.resume == 0 {
 		b, wait := h.source(t, row, e)
+		if e.filter {
+			b.Artifact()
+		}
 		runInto(t, b, c, dir, term)
 		wait()
 		return term.render(), dirFiles(t, dir)

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -157,6 +158,48 @@ func TestArtifactStageParity(t *testing.T) {
 		feedBatches(t, NewArtifactStage(f, discard), recs, n)
 		if !reflect.DeepEqual(f.Stats(), wantStats) {
 			t.Fatalf("batch=%d: stats differ:\n%+v\n%+v", n, f.Stats(), wantStats)
+		}
+	}
+}
+
+// scribbleSink copies every batch it is handed and then overwrites it,
+// as the batch rule allows, and records the largest batch.
+type scribbleSink struct {
+	recs    []firewall.Record
+	largest int
+}
+
+func (s *scribbleSink) ConsumeBatch(recs []firewall.Record) error {
+	s.recs = append(s.recs, recs...)
+	s.largest = max(s.largest, len(recs))
+	clear(recs)
+	return nil
+}
+func (s *scribbleSink) Flush() error { return nil }
+
+// TestArtifactStageLoansBatches checks that the artifact stage hands
+// its days downstream under the ordinary batch rule: a sink that
+// overwrites every batch after copying it still sees artifactRef's
+// survivors and stats, and days of more than DefaultBatchSize
+// survivors arrive in batches of at most DefaultBatchSize.
+func TestArtifactStageLoansBatches(t *testing.T) {
+	recs := mixedStream(3, 3*DefaultBatchSize)
+	want, wantStats := artifactRef(recs)
+	if wantStats.PacketsDropped == 0 {
+		t.Fatal("stream contains no artifacts; test is vacuous")
+	}
+	for _, n := range parityBatchSizes {
+		f := firewall.NewArtifactFilter()
+		sink := &scribbleSink{}
+		feedBatches(t, NewArtifactStage(f, sink), recs, n)
+		if !slices.Equal(sink.recs, want) {
+			t.Fatalf("batch=%d: %d survivors differ from the reference's %d", n, len(sink.recs), len(want))
+		}
+		if !reflect.DeepEqual(f.Stats(), wantStats) {
+			t.Fatalf("batch=%d: stats differ:\n%+v\n%+v", n, f.Stats(), wantStats)
+		}
+		if sink.largest != DefaultBatchSize {
+			t.Fatalf("batch=%d: largest forwarded batch holds %d records, want DefaultBatchSize (%d)", n, sink.largest, DefaultBatchSize)
 		}
 	}
 }

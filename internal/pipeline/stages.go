@@ -164,6 +164,10 @@ func (d *DaySort) emit() error {
 
 // ArtifactStage runs the 5-duplicate artifact pre-filter as a pipeline
 // stage. The caller keeps the filter to read its Stats after the run.
+// Each completed day's survivors flow downstream in batches of at most
+// DefaultBatchSize under the ordinary batch rule; they are slices of
+// the filter's day buffer, which it refills once the next day
+// completes.
 type ArtifactStage struct {
 	f    *firewall.ArtifactFilter
 	next RecordSink
@@ -175,15 +179,11 @@ func NewArtifactStage(f *firewall.ArtifactFilter, next RecordSink) *ArtifactStag
 }
 
 // ConsumeBatch implements RecordSink. The filter buffers per day
-// internally; each completed day's survivors flow downstream as one
-// batch. That batch is the filter's day buffer, handed over for good,
-// so downstream may keep it past the call.
+// internally and forwards each day as it completes.
 func (a *ArtifactStage) ConsumeBatch(recs []firewall.Record) error {
 	for i := range recs {
-		if out := a.f.Push(recs[i]); len(out) > 0 {
-			if err := a.next.ConsumeBatch(out); err != nil {
-				return err
-			}
+		if err := a.forward(a.f.Push(recs[i])); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -191,10 +191,22 @@ func (a *ArtifactStage) ConsumeBatch(recs []firewall.Record) error {
 
 // Flush finalizes the buffered day and drains downstream.
 func (a *ArtifactStage) Flush() error {
-	if out := a.f.Close(); len(out) > 0 {
-		if err := a.next.ConsumeBatch(out); err != nil {
-			return err
-		}
+	if err := a.forward(a.f.Close()); err != nil {
+		return err
 	}
 	return a.next.Flush()
+}
+
+// forward passes a completed day downstream in DefaultBatchSize
+// chunks, each capped at its own length so that no consumer's append
+// can reach into the next.
+func (a *ArtifactStage) forward(day []firewall.Record) error {
+	for len(day) > 0 {
+		n := min(len(day), DefaultBatchSize)
+		if err := a.next.ConsumeBatch(day[:n:n]); err != nil {
+			return err
+		}
+		day = day[n:]
+	}
+	return nil
 }

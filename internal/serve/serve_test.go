@@ -116,9 +116,13 @@ func testIDS() ids.Config {
 type daemonRun struct {
 	d      *Daemon
 	cancel context.CancelFunc
-	done   chan error
+	done   chan struct{} // closed once Run has returned err
+	err    error
 }
 
+// startDaemon runs a daemon until the test stops it; a test that ends
+// first, failed or not, cancels it and waits for Run to return, so the
+// goroutine check reports no leak on top of the test's own failure.
 func startDaemon(t *testing.T, cfg Config) *daemonRun {
 	t.Helper()
 	if cfg.Poll == 0 {
@@ -129,8 +133,19 @@ func startDaemon(t *testing.T, cfg Config) *daemonRun {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	dr := &daemonRun{d: d, cancel: cancel, done: make(chan error, 1)}
-	go func() { dr.done <- d.Run(ctx) }()
+	dr := &daemonRun{d: d, cancel: cancel, done: make(chan struct{})}
+	go func() {
+		dr.err = d.Run(ctx)
+		close(dr.done)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		select {
+		case <-dr.done:
+		case <-time.After(10 * time.Second):
+			t.Error("daemon did not stop")
+		}
+	})
 	return dr
 }
 
@@ -170,9 +185,9 @@ func (dr *daemonRun) stop(t *testing.T) {
 	t.Helper()
 	dr.cancel()
 	select {
-	case err := <-dr.done:
-		if err != nil {
-			t.Fatalf("daemon exited with %v", err)
+	case <-dr.done:
+		if dr.err != nil {
+			t.Fatalf("daemon exited with %v", dr.err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not stop")
