@@ -993,6 +993,38 @@ func BenchmarkDetectorSnapshot(b *testing.B) {
 	b.ReportMetric(float64(buf.Len()), "bytes/cut")
 }
 
+// BenchmarkIDSSnapshot measures one IDS checkpoint cut of churn-shaped
+// state on two shards: an hour of benchRecordsChurn without a tick, so
+// the cut holds every candidate at once — about 18k background sources
+// of 1–3 destinations at /128, /64 and /48 (inline or sparse
+// sketches) and three 150-destination scanners whose /128, /64, /48
+// and /32 candidates are past the densify cutoff. A first cut warms
+// the encoder buffers; the timed cuts are the steady state, where
+// allocs/op pins the writer's reuse of them across cuts.
+func BenchmarkIDSSnapshot(b *testing.B) {
+	recs := benchRecordsChurn(1, 10)
+	e := NewShardedIDS(DefaultIDSConfig(), 2)
+	defer e.Flush()
+	if err := e.ProcessBatch(recs); err != nil {
+		b.Fatal(err)
+	}
+	mark := recs[len(recs)-1].Time.Add(time.Nanosecond)
+	var buf bytes.Buffer
+	if err := e.Snapshot(&buf, mark); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := e.Snapshot(&buf, mark); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer() // the deferred Flush is not the cut's cost
+	b.ReportMetric(float64(buf.Len()), "bytes/cut")
+}
+
 // encodeBenchLog writes records to an in-memory binary log for the
 // ingest benchmarks.
 func encodeBenchLog(b *testing.B, recs []Record) []byte {

@@ -42,20 +42,35 @@ type Restorer interface {
 	Results(d *Dec) error
 }
 
+// Buffers are the buffers WriteBody fills: one payload encoder and one
+// gather slice. A snapshot kind keeps one Buffers across its cuts, so
+// each grows to the largest section once and a steady-state cut neither
+// allocates nor copies on growth; the previous cut sizes the next.
+type Buffers[E any] struct {
+	enc     Enc
+	entries []Keyed[E]
+}
+
 // WriteBody writes a snapshot of kind at mark in the body layout, each
-// level's entries from every shard merged and sorted by key. One
-// gather slice and one Enc serve every section.
-func WriteBody[E any](w io.Writer, kind uint8, mark time.Time, b Body[E]) error {
+// level's entries from every shard merged and sorted by key, encoding
+// every section in buf's one Enc. It clears the gathered entries
+// before returning, so buf pins no state between cuts.
+func WriteBody[E any](w io.Writer, kind uint8, mark time.Time, b Body[E], buf *Buffers[E]) error {
 	cw, err := NewWriter(w, kind, mark)
 	if err != nil {
 		return err
 	}
-	var e Enc
-	b.Config(&e)
+	e := &buf.enc
+	e.B = e.B[:0]
+	b.Config(e)
 	if err := cw.Section(secConfig, e.B); err != nil {
 		return err
 	}
-	var entries []Keyed[E]
+	entries := buf.entries
+	defer func() {
+		clear(entries[:cap(entries)])
+		buf.entries = entries[:0]
+	}()
 	for li, l := range b.Levels() {
 		entries = b.Gather(entries[:0], li)
 		slices.SortFunc(entries, func(x, y Keyed[E]) int { return x.Key.Cmp(y.Key) })
@@ -65,14 +80,14 @@ func WriteBody[E any](w io.Writer, kind uint8, mark time.Time, b Body[E]) error 
 		for i := range entries {
 			e.U64(entries[i].Key.Hi)
 			e.U64(entries[i].Key.Lo)
-			b.Entry(&e, entries[i].Val)
+			b.Entry(e, entries[i].Val)
 		}
 		if err := cw.Section(secLevel, e.B); err != nil {
 			return err
 		}
 	}
 	e.B = e.B[:0]
-	b.Results(&e)
+	b.Results(e)
 	if err := cw.Section(secResults, e.B); err != nil {
 		return err
 	}

@@ -3,7 +3,7 @@
 // durability layer the Discussion section's inline deployment needs so
 // a restart does not forget a week of session and candidate history.
 //
-// # Format (version 1)
+// # Format (version 2)
 //
 // A snapshot is a header followed by a sequence of CRC-guarded
 // sections and a terminating end marker:
@@ -31,6 +31,16 @@
 //	level    := level:varint count:uvarint entry*   (sorted by key)
 //	entry    := key:u64 u64 state
 //
+// Version 2 differs from version 1 only inside IDS entries: a
+// candidate's materialized destination sketch is written in the form
+// it is held in, flag 1 dense (precision, 2^precision register bytes —
+// the only sketch form of version 1) or flag 2 sparse (precision, a
+// uvarint count, then per nonzero register its index delta as a
+// uvarint and its rank as a byte; see core.DstSketch and
+// core.SketchSparse). Readers accept both versions and writers write
+// version 2, so a version 1 cut restores and its next cut is version
+// 2; detector entries are identical in both.
+//
 // This package owns that layout, the container framing and checksums,
 // and the canonical primitive encoders (Enc/Dec). The detector and IDS
 // snapshot code in internal/core and internal/ids supplies only the
@@ -40,7 +50,10 @@
 // # Canonical encoding
 //
 // Snapshot writers emit state in canonical order (sessions and
-// candidates sorted by key, map entries sorted). Restoring a snapshot
+// candidates sorted by key, map entries sorted) and in canonical form
+// (a sketch is sparse exactly while its register contents are below
+// the densify cutoff, and a version 2 reader rejects any other form
+// with ErrFormat). Restoring a snapshot
 // and snapshotting again therefore reproduces the original bytes
 // exactly — the invariant FuzzSnapshotRoundtrip checks — and snapshots
 // of logically identical state are byte-identical regardless of shard
@@ -62,8 +75,12 @@ import (
 // text-mode transfer mangling the way PNG's signature does.
 var magic = [8]byte{'v', '6', 's', 'n', 'a', 'p', '\r', '\n'}
 
-// Version is the current (and only) snapshot format version.
-const Version uint16 = 1
+// Version is the snapshot format version writers write. Readers also
+// accept every version from minVersion up.
+const Version uint16 = 2
+
+// minVersion is the oldest format version NewReader accepts.
+const minVersion uint16 = 1
 
 // Snapshot kinds: which subsystem's state the file holds.
 const (
@@ -209,8 +226,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 		Mark:    DecodeTime(int64(binary.LittleEndian.Uint64(h[12:20]))),
 		Horizon: DecodeTime(int64(binary.LittleEndian.Uint64(h[20:28]))),
 	}
-	if hdr.Version != Version {
-		return nil, fmt.Errorf("%w: version %d (supported: %d)", ErrVersion, hdr.Version, Version)
+	if hdr.Version < minVersion || hdr.Version > Version {
+		return nil, fmt.Errorf("%w: version %d (supported: %d–%d)", ErrVersion, hdr.Version, minVersion, Version)
 	}
 	if hdr.Mark.IsZero() || !hdr.Horizon.Equal(hdr.Mark.Add(-time.Nanosecond)) {
 		return nil, fmt.Errorf("%w: inconsistent mark/horizon", ErrFormat)

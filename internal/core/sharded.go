@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"v6scan/internal/checkpoint"
 	"v6scan/internal/dispatch"
 	"v6scan/internal/firewall"
 )
@@ -22,6 +23,10 @@ type ShardedDetector struct {
 	cfg    Config
 	g      *dispatch.Group[*Detector]
 	merged *Detector
+
+	// body and bodyBuf are Snapshot's encoder state, kept across cuts.
+	body    detectorBody
+	bodyBuf checkpoint.Buffers[liveSession]
 }
 
 // NewShardedDetector returns a detector running the configuration's

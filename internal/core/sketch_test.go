@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
+	"v6scan/internal/checkpoint"
 	"v6scan/internal/netaddr6"
 )
 
@@ -54,27 +58,58 @@ func TestDstSketchThresholdDecision(t *testing.T) {
 	}
 }
 
+// sketchBase is a sketch's struct, which MemoryBytes always counts.
+var sketchBase = int(unsafe.Sizeof(DstSketch{}))
+
+// TestDstSketchResetAndMemory pins MemoryBytes as the bytes a sketch
+// holds: its struct while the sparse list fits inline, plus the list's
+// capacity beyond that (at most m/2 bytes), plus the m dense register
+// bytes once dense — and a Reset that returns it to its struct alone.
 func TestDstSketchResetAndMemory(t *testing.T) {
 	s := NewDstSketch(10)
-	if s.MemoryBytes() != 1024 {
-		t.Errorf("memory = %d", s.MemoryBytes())
+	if got := s.MemoryBytes(); got != sketchBase {
+		t.Errorf("new sketch: memory = %d, want its struct (%d)", got, sketchBase)
 	}
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		s.Add(netaddr6.U128{Hi: rng.Uint64(), Lo: rng.Uint64()}.ToAddr())
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			s.Add(netaddr6.U128{Hi: rng.Uint64(), Lo: rng.Uint64()}.ToAddr())
+		}
+	}
+	add(3)
+	if got := s.MemoryBytes(); got != sketchBase {
+		t.Errorf("3 destinations: memory = %d, want the struct alone (%d)", got, sketchBase)
+	}
+	add(20)
+	if got, want := s.MemoryBytes(), sketchBase+4*cap(s.sparse); s.registers != nil || got != want || got > sketchBase+1024/2 {
+		t.Errorf("23 destinations: memory = %d, want struct + list capacity %d (≤ struct + m/2), sparse", got, want)
+	}
+	add(500)
+	if got := s.MemoryBytes(); s.registers == nil || got != sketchBase+1024 {
+		t.Errorf("523 destinations: memory = %d, want struct + 1024 dense registers", got)
 	}
 	s.Reset()
+	if got := s.MemoryBytes(); got != sketchBase {
+		t.Errorf("after reset: memory = %d, want %d", got, sketchBase)
+	}
 	if e := s.Estimate(); e != 0 {
 		t.Errorf("after reset: %d", e)
 	}
 }
 
+// TestDstSketchPrecisionClamp: out-of-range precisions clamp to 4 and
+// 16, which hold 2^4 and 2^16 register bytes once dense.
 func TestDstSketchPrecisionClamp(t *testing.T) {
-	if NewDstSketch(1).MemoryBytes() != 16 {
-		t.Error("low clamp failed")
-	}
-	if NewDstSketch(20).MemoryBytes() != 1<<16 {
-		t.Error("high clamp failed")
+	for _, tc := range []struct{ in, want uint8 }{{1, 4}, {20, 16}} {
+		s := NewDstSketch(tc.in)
+		rng := rand.New(rand.NewSource(4))
+		for s.registers == nil {
+			s.AddU128(netaddr6.U128{Hi: rng.Uint64(), Lo: rng.Uint64()})
+		}
+		if got := s.MemoryBytes(); s.precision != tc.want || got != sketchBase+1<<tc.want {
+			t.Errorf("precision %d: clamped to %d holding %d bytes dense, want %d holding struct + %d",
+				tc.in, s.precision, got, tc.want, 1<<tc.want)
+		}
 	}
 }
 
@@ -115,9 +150,9 @@ func fullLoopEstimate(regs []uint8) uint64 {
 // TestDstSketchEstimateMatchesFullLoop feeds sketches at every
 // precision through the shortcut regime, across the 3·zeros = m
 // boundary and beyond, and checks Estimate against the full loop — on
-// the live sketch, on one restored from its registers a quarter of the
-// way in (zero count unknown until its first full-loop Estimate), and
-// on the live sketch again after a Reset three quarters of the way in.
+// the live sketch, on one restored from its encoding a quarter of the
+// way in (dense by then, so its zero count is unknown until its first
+// full-loop Estimate), and on the live sketch again after a Reset three quarters of the way in.
 // Precisions up to 10 compare at every step; above that every
 // 4^(p−10)th step plus every step while the zero count is within 16 of
 // m/3, which keeps the O(m) reference affordable under -race while
@@ -141,10 +176,7 @@ func TestDstSketchEstimateMatchesFullLoop(t *testing.T) {
 			}
 			switch i {
 			case n / 4:
-				var err error
-				if restored, err = RestoreDstSketch(p, live.Registers()); err != nil {
-					t.Fatal(err)
-				}
+				restored = roundtripSketch(t, live, false)
 			case 3 * n / 4:
 				live.Reset()
 			}
@@ -152,11 +184,11 @@ func TestDstSketchEstimateMatchesFullLoop(t *testing.T) {
 			if i%stride != 0 && i != n/4 && !nearBoundary {
 				continue
 			}
-			if got, want := live.Estimate(), fullLoopEstimate(live.Registers()); got != want {
+			if got, want := live.Estimate(), fullLoopEstimate(denseRegisters(live)); got != want {
 				t.Fatalf("p=%d step %d: Estimate %d, full loop %d", p, i, got, want)
 			}
 			if restored != nil {
-				if got, want := restored.Estimate(), fullLoopEstimate(restored.Registers()); got != want {
+				if got, want := restored.Estimate(), fullLoopEstimate(denseRegisters(restored)); got != want {
 					t.Fatalf("p=%d step %d (restored): Estimate %d, full loop %d", p, i, got, want)
 				}
 			}
@@ -169,4 +201,226 @@ func abs(x int) int {
 		return -x
 	}
 	return x
+}
+
+// denseRegisters returns s's registers as one dense array, whatever its
+// form.
+func denseRegisters(s *DstSketch) []uint8 {
+	if s.registers != nil {
+		return s.registers
+	}
+	regs := make([]uint8, 1<<s.precision)
+	for _, v := range s.sparse {
+		regs[v>>8] = uint8(v)
+	}
+	return regs
+}
+
+// encodeSketch returns s's Encode bytes, the form byte first.
+func encodeSketch(s *DstSketch) []byte {
+	var e checkpoint.Enc
+	s.Encode(&e)
+	return e.B
+}
+
+// decodeSketch decodes one Encode form, requiring it to use every byte.
+func decodeSketch(b []byte, v1 bool) (*DstSketch, error) {
+	d := checkpoint.NewDec(b)
+	form := d.U8()
+	sd := SketchDecoder{V1: v1}
+	s, err := sd.Decode(d, form)
+	if err == nil && d.Len() != 0 {
+		return nil, errors.New("trailing bytes")
+	}
+	return s, err
+}
+
+// roundtripSketch decodes s's encoding and checks that the restored
+// sketch re-encodes to the same bytes and holds the same registers.
+func roundtripSketch(t *testing.T, s *DstSketch, v1 bool) *DstSketch {
+	t.Helper()
+	b := encodeSketch(s)
+	r, err := decodeSketch(b, v1)
+	if err != nil {
+		t.Fatalf("p=%d: decode: %v", s.precision, err)
+	}
+	if again := encodeSketch(r); !slices.Equal(again, b) {
+		t.Fatalf("p=%d: re-encoding differs", s.precision)
+	}
+	if !slices.Equal(denseRegisters(r), denseRegisters(s)) {
+		t.Fatalf("p=%d: restored registers differ", s.precision)
+	}
+	return r
+}
+
+// plainRegister is the register update as the HyperLogLog paper states
+// it, over a plain dense array: the top p hash bits pick the register,
+// which rises to the position of the first 1 bit of the rest.
+func plainRegister(regs []uint8, p uint8, h uint64) {
+	idx := h >> (64 - uint64(p))
+	rest := h<<p | 1<<(uint64(p)-1)
+	rank := uint8(1)
+	for rest&(1<<63) == 0 {
+		rank++
+		rest <<= 1
+	}
+	regs[idx] = max(regs[idx], rank)
+}
+
+// TestDstSketchSparseMatchesDense feeds a sketch and a plain dense
+// register array the same hashes at every precision, across the
+// densify cutoff and on to m/2 nonzero registers, and checks that the
+// sketch holds the plain array's registers, estimates bit-identically
+// to the full loop over it, and is sparse exactly while at most
+// sparseMax registers are nonzero. The encoding round-trips at each
+// checked step, and a version 1 (dense-only) encoding of the same
+// registers decodes to the same sketch. Above precision 10 the
+// O(m) comparisons run every 4^(p−10)th step and at every step within
+// two inserts of the cutoff.
+func TestDstSketchSparseMatchesDense(t *testing.T) {
+	for p := uint8(4); p <= 16; p++ {
+		m, cut := 1<<p, sparseMax(p)
+		stride := 1
+		if p > 10 {
+			stride = 1 << (2 * (p - 10))
+		}
+		rng := rand.New(rand.NewSource(100 + int64(p)))
+		s, plain := NewDstSketch(p), make([]uint8, m)
+		nonzero, crossed := 0, false
+		for i := 0; nonzero < m/2; i++ {
+			h := rng.Uint64()
+			if i%3 == 0 {
+				h = uint64(rng.Intn(m)) << (64 - p) // a register already seen, often
+			}
+			s.addHash(h)
+			if plain[h>>(64-p)] == 0 {
+				nonzero++
+			}
+			plainRegister(plain, p, h)
+			if sparse := s.registers == nil; sparse != (nonzero <= cut) {
+				t.Fatalf("p=%d step %d: sparse=%v with %d nonzero registers (cutoff %d)", p, i, sparse, nonzero, cut)
+			}
+			crossed = crossed || nonzero > cut
+			if i%stride != 0 && abs(nonzero-cut) > 2 {
+				continue
+			}
+			if !slices.Equal(denseRegisters(s), plain) {
+				t.Fatalf("p=%d step %d: registers differ from the plain array", p, i)
+			}
+			if got, want := s.Estimate(), fullLoopEstimate(plain); got != want {
+				t.Fatalf("p=%d step %d: Estimate %d, full loop %d", p, i, got, want)
+			}
+			roundtripSketch(t, s, false)
+			v1 := append([]byte{SketchDense, p}, plain...)
+			r, err := decodeSketch(v1, true)
+			if err != nil {
+				t.Fatalf("p=%d step %d: version 1 decode: %v", p, i, err)
+			}
+			if !slices.Equal(encodeSketch(r), encodeSketch(s)) {
+				t.Fatalf("p=%d step %d: version 1 registers decode to a different sketch", p, i)
+			}
+		}
+		if !crossed {
+			t.Fatalf("p=%d: never crossed the cutoff", p)
+		}
+	}
+}
+
+// TestSketchDecoderRejects: every non-canonical or out-of-range
+// encoding fails with ErrFormat (or ErrTruncated when cut short), and
+// only a version 1 read turns a dense form the cutoff holds sparse
+// into a sparse sketch.
+func TestSketchDecoderRejects(t *testing.T) {
+	const p = 6 // m = 64, cutoff 8, ranks 1..59
+	sparse := func(n uint8, pairs ...uint8) []byte { return append([]byte{SketchSparse, p, n}, pairs...) }
+	dense := func(nonzero int) []byte {
+		b := append([]byte{SketchDense, p}, make([]byte, 1<<p)...)
+		for i := range nonzero {
+			b[2+i*7%64] = 3
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		v1   bool
+		want error
+	}{
+		{"sparse ok", sparse(2, 3, 1, 60, 59), false, nil},
+		{"sparse empty", sparse(0), false, nil},
+		{"sparse first index 0", sparse(2, 0, 1, 1, 2), false, nil},
+		{"duplicate index", sparse(2, 3, 1, 0, 2), false, checkpoint.ErrFormat},
+		{"index past m", sparse(2, 3, 1, 61, 2), false, checkpoint.ErrFormat},
+		{"huge delta", sparse(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1), false, checkpoint.ErrFormat},
+		{"rank 0", sparse(1, 3, 0), false, checkpoint.ErrFormat},
+		{"rank past 65-p", sparse(1, 3, 60), false, checkpoint.ErrFormat},
+		{"above cutoff", sparse(9, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), false, checkpoint.ErrFormat},
+		{"truncated pairs", sparse(2, 3, 1), false, checkpoint.ErrTruncated},
+		{"precision 3", []byte{SketchSparse, 3, 0}, false, checkpoint.ErrFormat},
+		{"precision 17", []byte{SketchDense, 17}, false, checkpoint.ErrFormat},
+		{"unknown form", []byte{3, p, 0}, false, checkpoint.ErrFormat},
+		{"dense ok", dense(9), false, nil},
+		{"dense at cutoff", dense(8), false, checkpoint.ErrFormat},
+		{"dense at cutoff, v1", dense(8), true, nil},
+		{"dense empty, v1", dense(0), true, nil},
+		{"dense truncated", dense(9)[:40], false, checkpoint.ErrTruncated},
+	} {
+		s, err := decodeSketch(tc.b, tc.v1)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			} else if again, err := decodeSketch(encodeSketch(s), false); err != nil || !slices.Equal(denseRegisters(again), denseRegisters(s)) {
+				t.Errorf("%s: re-encoding does not decode to the same registers: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	// A version 1 register array with a rank no insert could produce
+	// stays out of the sparse form (whose decoder would reject it).
+	bad := dense(2)
+	bad[2] = 60
+	if _, err := decodeSketch(bad, true); !errors.Is(err, checkpoint.ErrFormat) {
+		t.Errorf("v1 rank past 65-p: err = %v, want ErrFormat", err)
+	}
+}
+
+// FuzzSketchDecode feeds arbitrary bytes to SketchDecoder as a
+// version 1 and a version 2 read. An accepted sketch must re-encode
+// canonically: its encoding decodes as version 2 to the same registers
+// and re-encodes to the same bytes, in the form its nonzero register
+// count selects.
+func FuzzSketchDecode(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 2, 7, 9, 40} {
+		s := NewDstSketch(6)
+		for range n {
+			s.AddU128(netaddr6.U128{Hi: rng.Uint64(), Lo: rng.Uint64()})
+		}
+		f.Add(encodeSketch(s))
+		f.Add(append([]byte{SketchDense, 6}, denseRegisters(s)...))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, v1 := range []bool{false, true} {
+			s, err := decodeSketch(b, v1)
+			if err != nil {
+				continue
+			}
+			nonzero := 0
+			for _, r := range denseRegisters(s) {
+				if r != 0 {
+					nonzero++
+				}
+			}
+			if sparse := s.registers == nil; sparse != (nonzero <= sparseMax(s.precision)) {
+				t.Fatalf("v1=%v: sparse=%v with %d nonzero registers", v1, sparse, nonzero)
+			}
+			again := roundtripSketch(t, s, false)
+			if got, want := again.Estimate(), s.Estimate(); got != want {
+				t.Fatalf("v1=%v: restored estimate %d, want %d", v1, got, want)
+			}
+		}
+	})
 }

@@ -45,7 +45,9 @@ func preallocHint(n uint64) int { return int(min(n, preallocCap)) }
 // before mark has been processed and none at or after it has (the
 // pipeline checkpoint cadence arranges exactly this). The group's
 // barrier drains in-flight batches first, which makes shard state
-// readable; the bytes are the same at any shard count.
+// readable; the bytes are the same at any shard count. The detector
+// keeps its encoder buffers across cuts (checkpoint.Buffers), so cuts
+// must not run concurrently.
 //
 // A snapshot holds every scan emitted since the run began, not only
 // the open sessions, so each cut re-encodes all of them: a cut's size
@@ -55,7 +57,8 @@ func (sd *ShardedDetector) Snapshot(w io.Writer, mark time.Time) error {
 	if err := sd.g.Sync(); err != nil {
 		return err
 	}
-	return checkpoint.WriteBody(w, checkpoint.KindDetector, mark, &detectorBody{sd: sd})
+	sd.body.sd = sd
+	return checkpoint.WriteBody(w, checkpoint.KindDetector, mark, &sd.body, &sd.bodyBuf)
 }
 
 // RestoreShardedDetector rebuilds a sharded detector from a snapshot
@@ -73,7 +76,8 @@ func RestoreShardedDetector(cr *checkpoint.Reader, n int) (*ShardedDetector, err
 	return r.sd, nil
 }
 
-// detectorBody is the detector's side of checkpoint.WriteBody.
+// detectorBody is the detector's side of checkpoint.WriteBody. The
+// ShardedDetector keeps one across its cuts.
 type detectorBody struct {
 	sd *ShardedDetector
 	// scratch and counts are the reused sort buffers for every encoded
@@ -82,6 +86,8 @@ type detectorBody struct {
 	// (TestEncodeSessionNoAllocs).
 	scratch []netaddr6.U128
 	counts  []countSlot
+	// scans is Results' merge buffer, grown to the largest level once.
+	scans []Scan
 }
 
 // liveSession is a gathered session and its last activity.
@@ -148,7 +154,7 @@ func (b *detectorBody) Entry(e *checkpoint.Enc, ls liveSession) {
 // level the drop counter sum and the scans in their deterministic
 // (start, source) order.
 func (b *detectorBody) Results(e *checkpoint.Enc) {
-	var scans []Scan
+	scans := b.scans
 	for li, l := range b.sd.cfg.Levels {
 		var dropped uint64
 		scans = scans[:0]
@@ -163,7 +169,9 @@ func (b *detectorBody) Results(e *checkpoint.Enc) {
 		for i := range scans {
 			encodeScan(e, &scans[i])
 		}
+		clear(scans) // the buffer outlives the cut; the scans need not
 	}
+	b.scans = scans[:0]
 }
 
 // detectorRestore is the detector's side of checkpoint.ReadBody.

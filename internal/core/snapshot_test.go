@@ -238,7 +238,7 @@ func TestRestoreRejectsUnorderedLists(t *testing.T) {
 	for _, tc := range cases {
 		var buf bytes.Buffer
 		if err := checkpoint.WriteBody(&buf, checkpoint.KindDetector, t0.Add(time.Minute),
-			&craftedBody{cfg: cfg, session: tc.session, scan: tc.scan}); err != nil {
+			&craftedBody{cfg: cfg, session: tc.session, scan: tc.scan}, &checkpoint.Buffers[func(*checkpoint.Enc)]{}); err != nil {
 			t.Fatal(err)
 		}
 		cr, err := checkpoint.NewReader(&buf)

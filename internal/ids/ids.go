@@ -26,15 +26,15 @@
 // their first destination inline, materializing the sketch only on the
 // second distinct destination — at fine aggregation levels the
 // overwhelming majority of candidates are short-lived background
-// sources that never need one. The inline-first-destination cutoff is
-// 1 (a single address) because the sketch, unlike a set, has no cheap
-// intermediate size: the first distinct second address pays the full
-// 2^precision registers, so there is nothing to re-tune between 1 and
-// materialization — the only knob is SketchPrecision. A minute Tick is
-// the table's Expire sweep over its dense last-activity column, which
-// touches a candidate only when it is due, and a due candidate below
-// the threshold is recycled after an O(1) sketch estimate (see
-// core.DstSketch). ProcessBatch additionally groups adjacent
+// sources that never need one. A materialized sketch starts in its
+// exact sparse form, which holds the few registers a churn candidate
+// sets inside the sketch's own struct, and turns dense (2^precision
+// register bytes) only past m/8 nonzero registers (core.DstSketch);
+// the checkpoint writes each sketch in the form it is held in. A
+// minute Tick is the table's Expire sweep over its dense last-activity
+// column, which touches a candidate only when it is due, and a due
+// candidate below the threshold is recycled after an O(1) sketch
+// estimate (see core.DstSketch). ProcessBatch additionally groups adjacent
 // same-source records so a burst of N records to one candidate costs
 // one table probe per level. The state is split into shards (this
 // file) that an Engine runs in a dispatch.Group (sharded.go).
@@ -68,7 +68,7 @@ type Config struct {
 	// modify the slice.
 	Levels []netaddr6.AggLevel
 	// SketchPrecision sets HyperLogLog register count = 2^precision
-	// per candidate (default 10 → 1 KiB, ≈3% error).
+	// per candidate (default 10 → 1 KiB once dense, ≈3% error).
 	SketchPrecision uint8
 	// CoverageShare is the fraction of a coarser aggregate's
 	// destinations a more specific alert must explain to suppress the
@@ -164,7 +164,11 @@ func alertLess(a, b *Alert) bool {
 // destination arrives, the single destination lives inline and the
 // candidate costs no sketch memory. HyperLogLog insertion is
 // idempotent per address, so the late-materialized sketch is
-// byte-identical to one fed every record.
+// byte-identical to one fed every record. A materialized sketch is
+// sparse — its struct plus, past four registers, a short sorted list
+// — until it passes the densify cutoff (core.DstSketch), so a
+// candidate that saw a handful of destinations holds no register
+// array.
 //
 // Candidates are the values of a per-level u128idx.Table, whose
 // handles are reused on eviction, with the sketches reset and pooled
@@ -192,7 +196,9 @@ func (c *candidate) estimate() uint64 {
 // masked 128-bit source (the prefix length is the level itself), with
 // last activity on the checkpoint time axis (checkpoint.EncodeTime),
 // plus the pool of reset sketches for the next candidates that need
-// one.
+// one. A reset sketch is sparse and empty: it keeps a sparse list's
+// capacity for its next candidate but drops a dense register array,
+// so the pool holds no dense memory.
 type level struct {
 	agg        netaddr6.AggLevel
 	tab        u128idx.Table[candidate]
@@ -387,8 +393,9 @@ func (s *shard) candidates(l netaddr6.AggLevel) int {
 	return 0
 }
 
-// memoryBytes estimates the shard's sketch memory across all levels.
-// Candidates on the inline single-dst fast path cost none.
+// memoryBytes sums the sketch bytes the shard's candidates hold across
+// all levels (core.DstSketch.MemoryBytes). Candidates on the inline
+// single-dst fast path hold none; pooled sketches are not counted.
 func (s *shard) memoryBytes() int {
 	total := 0
 	for _, lv := range s.levels {

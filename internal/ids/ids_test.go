@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"v6scan/internal/core"
 	"v6scan/internal/firewall"
 	"v6scan/internal/layers"
 	"v6scan/internal/netaddr6"
@@ -161,25 +162,40 @@ func TestBelowThresholdSilent(t *testing.T) {
 	}
 }
 
+// TestMemoryBounded pins MemoryBytes as the sketch bytes actually
+// held: a candidate past the densify cutoff holds its sketch struct and
+// 2^precision registers, and one that saw three destinations its
+// struct alone (core.DstSketch) — where exact sets would cost ~32 B per
+// destination.
 func TestMemoryBounded(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SketchPrecision = 8 // 256 B per candidate
+	cfg.SketchPrecision = 8 // 256 register bytes per dense sketch, cutoff 32
+	base := core.NewDstSketch(cfg.SketchPrecision).MemoryBytes()
 	e := New(cfg)
 	rng := rand.New(rand.NewSource(3))
 	ts := t0
-	// 1000 sources, heavy destinations each: exact sets would cost
-	// ~32 B × dsts; sketches stay constant.
-	for i := 0; i < 1000; i++ {
-		src := netaddr6.WithIID(netaddr6.MustAddr("2001:db8:33::"), uint64(i+1))
-		for j := 0; j < 50; j++ {
-			dst := netaddr6.RandomAddrIn(netaddr6.MustPrefix("2001:db8:f::/48"), rng)
-			e.Process(rec(ts, src, dst))
+	feed := func(srcs, dsts int, net string) {
+		for i := 0; i < srcs; i++ {
+			src := netaddr6.WithIID(netaddr6.MustAddr(net), uint64(i+1))
+			for j := 0; j < dsts; j++ {
+				dst := netaddr6.RandomAddrIn(netaddr6.MustPrefix("2001:db8:f::/48"), rng)
+				e.Process(rec(ts, src, dst))
+			}
+			ts = ts.Add(time.Second)
 		}
-		ts = ts.Add(time.Second)
 	}
-	// 1000 /128 candidates + 1 /64 + 1 /48 + 1 /32 ≈ 1003 sketches.
-	if got := e.MemoryBytes(); got > 1100*256 {
-		t.Errorf("memory = %d bytes", got)
+	// 1000 sources of 50 destinations: 1000 /128 candidates + 1 /64 +
+	// 1 /48 + 1 /32, all dense.
+	feed(1000, 50, "2001:db8:33::")
+	heavy := 1003 * (base + 256)
+	if got := e.MemoryBytes(); got != heavy {
+		t.Errorf("heavy sources: memory = %d bytes, want 1003 dense sketches = %d", got, heavy)
+	}
+	// 1000 more of three destinations each in one new /64: 1000 sparse
+	// /128 sketches, struct only, and a dense /64.
+	feed(1000, 3, "2001:db8:33:1::")
+	if got, want := e.MemoryBytes(), heavy+1000*base+base+256; got != want {
+		t.Errorf("plus light sources: memory = %d bytes, want %d", got, want)
 	}
 }
 

@@ -3,8 +3,9 @@ package ids
 // A deliberately naive IDS, transcribed from the Config docs and the
 // package comment: builtin maps, a full scan of every candidate on
 // every sweep with the time.Time idle test now.Sub(last) > Timeout,
-// one core.DstSketch per candidate from its first record (no inline
-// destination), estimated by a full loop over its registers, and
+// one plain dense HyperLogLog register array per candidate from its
+// first record (no inline destination, no sparse form, none of
+// core.DstSketch's code), estimated by a full loop over its registers, and
 // activity bounds that are the earliest and latest record times seen.
 // FuzzIDSEngine drives it and the optimized Engine with the same
 // record/tick tape and requires identical observable behavior.
@@ -20,13 +21,12 @@ import (
 	"time"
 
 	"v6scan/internal/checkpoint"
-	"v6scan/internal/core"
 	"v6scan/internal/firewall"
 	"v6scan/internal/netaddr6"
 )
 
 type refCandidate struct {
-	sketch      *core.DstSketch
+	regs        []uint8
 	packets     uint64
 	first, last time.Time
 }
@@ -47,10 +47,33 @@ func newRefIDS(cfg Config) *refIDS {
 	return r
 }
 
+// refAdd raises the register the destination's hash picks (its top p
+// bits, p = log2 len(regs)) to the position of the first 1 bit of the
+// rest, as the HyperLogLog paper states it. The hash is core's
+// SplitMix64-style mix of the address halves, transcribed.
+func refAdd(regs []uint8, d netaddr6.U128) {
+	x := d.Hi ^ (d.Lo * 0x9E3779B97F4A7C15)
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	p := uint64(0)
+	for 1<<p < len(regs) {
+		p++
+	}
+	idx, rank := x>>(64-p), uint8(1)
+	for rest := x<<p | 1<<(p-1); rest&(1<<63) == 0; rest <<= 1 {
+		rank++
+	}
+	if rank > regs[idx] {
+		regs[idx] = rank
+	}
+}
+
 // refEstimate is the HyperLogLog estimate recomputed from scratch over
 // every register: harmonic mean, linear counting below 2.5m.
-func refEstimate(s *core.DstSketch) uint64 {
-	regs := s.Registers()
+func refEstimate(regs []uint8) uint64 {
 	m := float64(len(regs))
 	var sum float64
 	zeros := 0
@@ -80,10 +103,10 @@ func (r *refIDS) process(rec firewall.Record) {
 				r.dropped++
 				continue
 			}
-			c = &refCandidate{sketch: core.NewDstSketch(r.cfg.SketchPrecision), first: rec.Time, last: rec.Time}
+			c = &refCandidate{regs: make([]uint8, 1<<r.cfg.SketchPrecision), first: rec.Time, last: rec.Time}
 			r.levels[i][key] = c
 		}
-		c.sketch.AddU128(dst)
+		refAdd(c.regs, dst)
 		c.packets++
 		if rec.Time.Before(c.first) {
 			c.first = rec.Time
@@ -113,7 +136,7 @@ func (r *refIDS) sweep(all bool) {
 			if !all && r.now.Sub(c.last) <= r.cfg.Timeout {
 				continue
 			}
-			if refEstimate(c.sketch) >= uint64(r.cfg.MinDsts) {
+			if refEstimate(c.regs) >= uint64(r.cfg.MinDsts) {
 				closed = append(closed, key)
 			} else {
 				delete(r.levels[i], key)
@@ -130,7 +153,7 @@ func (r *refIDS) sweep(all bool) {
 					covered += a.EstimatedDsts
 				}
 			}
-			est := refEstimate(c.sketch)
+			est := refEstimate(c.regs)
 			if float64(covered) >= r.cfg.CoverageShare*float64(est) {
 				continue
 			}
@@ -350,6 +373,20 @@ var shardedSeed = []byte{7, 1,
 	0, 8, 0x10, 0, 8, 0x11, 0, 9, 0x11, 5, 0, 6,
 	0, 1, 0x12, 0, 3, 0x13, 7, 5, 1, 6}
 
+// cutoffSeed snapshots and restores candidates on both sides of the
+// sketch's densify cutoff (precision 4: 16 registers, sparse up to 2
+// nonzero): at the first snapshot 2001:db8::1 holds a two-destination
+// sparse sketch and 2001:db8::2 a six-destination dense one (as does
+// their /64 and every coarser level); the first then crosses the
+// cutoff on the restored engine and both are snapshotted again before
+// a tick alerts on them.
+var cutoffSeed = []byte{7, 0,
+	0, 0, 1, 0, 0, 2,
+	0, 8, 3, 0, 8, 4, 0, 8, 5, 0, 8, 6, 0, 8, 7, 0, 8, 8,
+	7,
+	0, 0, 9, 0, 0, 10, 0, 0, 11, 0, 0, 12,
+	7, 5, 1, 6}
+
 // TestIDSTapeShardedSeed: shardedSeed reaches the three-shard
 // comparison at every op — each op's check, each drain and snapshot,
 // and the final Flush and check.
@@ -387,5 +424,6 @@ func FuzzIDSEngine(f *testing.F) {
 		f.Add(tape)
 	}
 	f.Add(shardedSeed)
+	f.Add(cutoffSeed)
 	f.Fuzz(func(t *testing.T, tape []byte) { runIDSTape(t, tape) })
 }

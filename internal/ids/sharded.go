@@ -3,6 +3,7 @@ package ids
 import (
 	"time"
 
+	"v6scan/internal/checkpoint"
 	"v6scan/internal/dispatch"
 	"v6scan/internal/firewall"
 	"v6scan/internal/netaddr6"
@@ -32,6 +33,10 @@ type Engine struct {
 
 	// one backs the Process single-record wrapper.
 	one [1]firewall.Record
+
+	// body and bodyBuf are Snapshot's encoder state, kept across cuts.
+	body    idsBody
+	bodyBuf checkpoint.Buffers[liveCandidate]
 }
 
 // New returns an engine running one shard inline on the caller's
@@ -115,8 +120,10 @@ func (e *Engine) Candidates(l netaddr6.AggLevel) int {
 	return e.sum(func(s *shard) int { return s.candidates(l) })
 }
 
-// MemoryBytes estimates sketch memory across all shards and levels —
-// the quantity an IDS deployment budgets.
+// MemoryBytes returns the sketch bytes the live candidates hold across
+// all shards and levels — the quantity an IDS deployment budgets: per
+// materialized sketch its struct plus its dense registers or sparse
+// list (core.DstSketch.MemoryBytes).
 func (e *Engine) MemoryBytes() int { return e.sum((*shard).memoryBytes) }
 
 // sum adds f over the shards, read after the workers caught up.

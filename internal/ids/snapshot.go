@@ -7,6 +7,12 @@ package ids
 // key-sorted sequence across shards; restore re-partitions
 // deterministically, so shard count may change between save and load.
 //
+// A candidate's sketch is written in the form the engine holds it in
+// (core.DstSketch.Encode: flag 1 dense, flag 2 sparse). A version 1
+// checkpoint holds only dense sketches; restoring one makes each
+// sketch the densify cutoff holds sparse straight from its register
+// bytes (core.SketchDecoder), so its next cut is canonical version 2.
+//
 // The engine clock (now) serializes once, globally, as the maximum
 // over shards, and restores into every shard. Ticks forward a global
 // horizon (max of now and the latest record time) and the final sweep
@@ -29,12 +35,14 @@ import (
 // before mark has been processed and none at or after it has. Above
 // one shard the group's barrier first drains in-flight batches; the
 // shards serialize as one canonical global snapshot, byte-identical at
-// any shard count.
+// any shard count. The engine keeps its encoder buffers across cuts
+// (checkpoint.Buffers), so cuts must not run concurrently.
 func (e *Engine) Snapshot(w io.Writer, mark time.Time) error {
 	if err := e.g.Sync(); err != nil {
 		return err
 	}
-	return checkpoint.WriteBody(w, checkpoint.KindIDS, mark, &idsBody{e.cfg, e.g.Shards()})
+	e.body.cfg, e.body.shards = e.cfg, e.g.Shards()
+	return checkpoint.WriteBody(w, checkpoint.KindIDS, mark, &e.body, &e.bodyBuf)
 }
 
 // RestoreEngine rebuilds an engine from a snapshot opened with
@@ -42,7 +50,7 @@ func (e *Engine) Snapshot(w io.Writer, mark time.Time) error {
 // re-partitioning every candidate deterministically — n need not match
 // the shard count the snapshot was taken at.
 func RestoreEngine(cr *checkpoint.Reader, n int) (*Engine, error) {
-	r := &idsRestore{n: n}
+	r := &idsRestore{n: n, sketches: core.SketchDecoder{V1: cr.Header().Version == 1}}
 	if err := checkpoint.ReadBody(cr, checkpoint.KindIDS, r); err != nil {
 		if r.e != nil {
 			r.e.g.Close()
@@ -52,10 +60,13 @@ func RestoreEngine(cr *checkpoint.Reader, n int) (*Engine, error) {
 	return r.e, nil
 }
 
-// idsBody is the engine's side of checkpoint.WriteBody over its shards.
+// idsBody is the engine's side of checkpoint.WriteBody over its
+// shards. The Engine keeps one across its cuts.
 type idsBody struct {
 	cfg    Config
 	shards []*shard
+	// alerts is Results' merge buffer, grown to the largest once.
+	alerts []Alert
 }
 
 // liveCandidate is a gathered candidate and its last activity.
@@ -91,11 +102,12 @@ func (b *idsBody) Gather(dst []checkpoint.Keyed[liveCandidate], li int) []checkp
 }
 
 // Entry writes one candidate's logical state. The inline
-// single-destination fast path and the materialized sketch encode as
-// distinct shapes (the sketch's registers are its complete state; the
-// inline destination is the whole state before materialization), so
-// restore reproduces the exact representation and a re-snapshot the
-// exact bytes. Last activity is already on Enc.Time's axis.
+// single-destination fast path (flag 0) and the materialized sketch
+// (its Encode form: flag 1 dense, 2 sparse) encode as distinct shapes
+// (the sketch's registers are its complete state; the inline
+// destination is the whole state before materialization), so restore
+// reproduces the exact representation and a re-snapshot the exact
+// bytes. Last activity is already on Enc.Time's axis.
 func (b *idsBody) Entry(e *checkpoint.Enc, lc liveCandidate) {
 	c := lc.c
 	e.Uvarint(c.packets)
@@ -107,9 +119,7 @@ func (b *idsBody) Entry(e *checkpoint.Enc, lc liveCandidate) {
 		e.U64(c.firstDst.Lo)
 		return
 	}
-	e.U8(1)
-	e.U8(c.sketch.Precision())
-	e.Raw(c.sketch.Registers())
+	c.sketch.Encode(e)
 }
 
 // Results writes the global engine state: the clock (max over shards),
@@ -119,7 +129,7 @@ func (b *idsBody) Entry(e *checkpoint.Enc, lc liveCandidate) {
 func (b *idsBody) Results(e *checkpoint.Enc) {
 	var now time.Time
 	var dropped uint64
-	var alerts []Alert
+	alerts := b.alerts[:0]
 	for _, s := range b.shards {
 		if s.now.After(now) {
 			now = s.now
@@ -134,13 +144,16 @@ func (b *idsBody) Results(e *checkpoint.Enc) {
 	for i := range alerts {
 		encodeAlert(e, &alerts[i])
 	}
+	clear(alerts) // the buffer outlives the cut; the alerts need not
+	b.alerts = alerts[:0]
 }
 
 // idsRestore is the engine's side of checkpoint.ReadBody: it builds
 // the restored engine across n shards from the decoded config.
 type idsRestore struct {
-	n int
-	e *Engine
+	n        int
+	e        *Engine
+	sketches core.SketchDecoder
 }
 
 func (r *idsRestore) Config(d *checkpoint.Dec) ([]netaddr6.AggLevel, error) {
@@ -176,17 +189,8 @@ func (r *idsRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
 	switch flag := d.U8(); flag {
 	case 0:
 		c.firstDst = netaddr6.U128{Hi: d.U64(), Lo: d.U64()}
-	case 1:
-		precision := d.U8()
-		var regs []uint8
-		if precision >= 4 && precision <= 16 {
-			regs = d.Raw(1 << precision)
-		}
-		if d.Err() == nil {
-			if c.sketch, err = core.RestoreDstSketch(precision, regs); err != nil {
-				err = fmt.Errorf("%w: %v", checkpoint.ErrFormat, err)
-			}
-		}
+	case core.SketchDense, core.SketchSparse:
+		c.sketch, err = r.sketches.Decode(d, flag)
 	default:
 		err = fmt.Errorf("%w: candidate sketch flag %d", checkpoint.ErrFormat, flag)
 	}

@@ -31,10 +31,11 @@ import (
 // the detector and the IDS, at matching and at differing shard
 // counts, with the eviction cadence in phase across the cut. The
 // corruption tests pin the container's rejection behavior, and the
-// committed v1 fixtures pin the on-disk format itself.
+// committed fixtures pin the on-disk format itself: version 2 as
+// written, version 1 as still read.
 
 var updateCkptFixtures = flag.Bool("update-ckpt-fixtures", false,
-	"regenerate the committed v1 checkpoint fixtures in testdata/")
+	"regenerate the committed v2 checkpoint fixtures in testdata/")
 
 // ckptRecords synthesizes a ten-day stream mixing persistent scanners
 // (sessions alive across checkpoints at every level), one-shot churn
@@ -252,47 +253,64 @@ func resnapshot(t testing.TB, data []byte, shards int) (snap []byte, ok bool) {
 	return buf.Bytes(), true
 }
 
-// TestCheckpointV1Fixture pins the on-disk v1 format with committed
-// fixture files: each must carry version 1, restore cleanly at one and
-// at three shards, and re-snapshot to the identical bytes. A failure here means the
-// snapshot encoding changed shape without a format-version bump —
-// bump Version and add a migration path instead of regenerating the
-// fixture in place. Regenerate (after an intentional, versioned
-// change) with: go test ./internal/pipeline -run TestCheckpointV1Fixture -update-ckpt-fixtures
-func TestCheckpointV1Fixture(t *testing.T) {
+// ckptFixtures are the committed checkpoint fixtures: one state per
+// kind, the cut at record 3,000 of ckptRecords(4_000), written as
+// version 1 (restore-only) and as version 2 (the current format).
+func ckptFixtures(t *testing.T) []struct {
+	name string
+	kind uint8
+	gen  func() []byte
+} {
 	recs := ckptRecords(4_000)
-	fixtures := []struct {
-		file string
+	return []struct {
+		name string
 		kind uint8
 		gen  func() []byte
 	}{
-		{"detector-v1.ckpt", checkpoint.KindDetector, func() []byte { return snapshotDetectorBytes(t, recs, 3_000) }},
-		{"ids-v1.ckpt", checkpoint.KindIDS, func() []byte { return snapshotIDSBytes(t, recs, 3_000) }},
+		{"detector", checkpoint.KindDetector, func() []byte { return snapshotDetectorBytes(t, recs, 3_000) }},
+		{"ids", checkpoint.KindIDS, func() []byte { return snapshotIDSBytes(t, recs, 3_000) }},
 	}
-	for _, fx := range fixtures {
-		t.Run(fx.file, func(t *testing.T) {
-			path := filepath.Join("testdata", fx.file)
+}
+
+// readFixture reads a committed fixture and checks its header.
+func readFixture(t *testing.T, file string, kind uint8, version uint16) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := checkpoint.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("committed fixture no longer opens: %v", err)
+	}
+	if h := cr.Header(); h.Version != version || h.Kind != kind {
+		t.Fatalf("fixture header: version %d kind %d, want version %d kind %d", h.Version, h.Kind, version, kind)
+	}
+	return data
+}
+
+// TestCheckpointV2Fixture pins the on-disk v2 format with committed
+// fixture files: each must carry version 2, restore cleanly at one and
+// at three shards, and re-snapshot to the identical bytes. A failure
+// here means the snapshot encoding changed shape without a
+// format-version bump — bump Version and keep reading this one instead
+// of regenerating the fixture in place. Regenerate (after an
+// intentional, versioned change) with:
+// go test ./internal/pipeline -run TestCheckpointV2Fixture -update-ckpt-fixtures
+func TestCheckpointV2Fixture(t *testing.T) {
+	for _, fx := range ckptFixtures(t) {
+		file := fx.name + "-v2.ckpt"
+		t.Run(file, func(t *testing.T) {
 			if *updateCkptFixtures {
-				if err := os.WriteFile(path, fx.gen(), 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join("testdata", file), fx.gen(), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := resume(bytes.NewReader(data), 1, nil)
-			if err != nil {
-				t.Fatalf("committed v1 fixture no longer restores: %v", err)
-			}
-			closeResumed(t, res)
-			if res.Kind != fx.kind {
-				t.Fatalf("fixture kind = %d, want %d", res.Kind, fx.kind)
-			}
+			data := readFixture(t, file, fx.kind, 2)
 			for _, shards := range []int{1, 3} {
 				snap, ok := resnapshot(t, data, shards)
 				if !ok {
-					t.Fatalf("shards=%d: committed v1 fixture no longer restores", shards)
+					t.Fatalf("shards=%d: committed v2 fixture no longer restores", shards)
 				}
 				if !bytes.Equal(snap, data) {
 					t.Errorf("shards=%d: restored fixture re-snapshots to different bytes (%d vs %d): format drifted without a version bump",
@@ -309,12 +327,51 @@ func TestCheckpointV1Fixture(t *testing.T) {
 	}
 }
 
+// TestCheckpointV1Fixture pins reading the version 1 format, whose
+// committed fixtures are restore-only since writers write version 2:
+// each v1 fixture must restore at one and at three shards and
+// re-snapshot to exactly its v2 fixture's bytes, the same state in the
+// current format. Version 2 changed only the IDS sketch encoding, so
+// the detector's two fixtures differ in nothing but the header's
+// version and checksum.
+func TestCheckpointV1Fixture(t *testing.T) {
+	for _, fx := range ckptFixtures(t) {
+		t.Run(fx.name+"-v1.ckpt", func(t *testing.T) {
+			v1 := readFixture(t, fx.name+"-v1.ckpt", fx.kind, 1)
+			v2 := readFixture(t, fx.name+"-v2.ckpt", fx.kind, 2)
+			for _, shards := range []int{1, 3} {
+				snap, ok := resnapshot(t, v1, shards)
+				if !ok {
+					t.Fatalf("shards=%d: committed v1 fixture no longer restores", shards)
+				}
+				if !bytes.Equal(snap, v2) {
+					t.Errorf("shards=%d: restored v1 fixture re-snapshots to %d bytes, not the v2 fixture's %d",
+						shards, len(snap), len(v2))
+				}
+			}
+			if fx.kind == checkpoint.KindDetector {
+				const hdr = 32 // magic, version, kind, reserved, mark, horizon, crc
+				if len(v1) != len(v2) || !bytes.Equal(v1[:8], v2[:8]) || !bytes.Equal(v1[10:hdr-4], v2[10:hdr-4]) ||
+					!bytes.Equal(v1[hdr:], v2[hdr:]) {
+					t.Error("detector v1 and v2 fixtures differ beyond the header's version and checksum")
+				}
+			}
+		})
+	}
+}
+
 // FuzzSnapshotRoundtrip feeds arbitrary bytes to Resume at one and at
 // three shards. Inputs the container or a decoder rejects are fine,
 // at both shard counts alike; any accepted input must re-snapshot to
-// the same bytes at both, deterministically — Snapshot∘Restore∘Snapshot
-// is byte-identity — and must never panic, hang, or over-allocate on
-// the way in. Seeds are valid detector and IDS snapshots, so mutation
+// the same bytes at both, deterministically, in the current format
+// version — so an accepted version 1 input's first re-snapshot is
+// version 2 — and every later re-snapshot must be byte-identical
+// (Snapshot∘Restore∘Snapshot is byte-identity); no input may panic,
+// hang, or over-allocate on the way in. Seeds are valid detector and
+// IDS snapshots of both versions (the version 1 ones, made by a
+// version 1 writer, are the v1-* files in
+// testdata/fuzz/FuzzSnapshotRoundtrip; the IDS one at sketch precision
+// 6 holds sketches on both sides of the densify cutoff), so mutation
 // explores the decode paths from the inside.
 func FuzzSnapshotRoundtrip(f *testing.F) {
 	// Seeds stay small (a few hundred records of state) so each fuzz
@@ -337,6 +394,9 @@ func FuzzSnapshotRoundtrip(f *testing.F) {
 		}
 		if !ok {
 			return // rejected: the only acceptable failure mode
+		}
+		if cr, err := checkpoint.NewReader(bytes.NewReader(first)); err != nil || cr.Header().Version != checkpoint.Version {
+			t.Fatalf("re-snapshot of an accepted input is not a version %d snapshot (%v)", checkpoint.Version, err)
 		}
 		for _, shards := range []int{1, 3} {
 			again, ok := resnapshot(t, first, shards)

@@ -116,7 +116,8 @@ type State struct {
 	// QueueDepth is the shard dispatcher's buffered batch count (0
 	// inline).
 	QueueDepth int `json:"queue_depth"`
-	// MemoryBytes is the engine's sketch-memory estimate.
+	// MemoryBytes is the sketch memory the engine's live candidates
+	// hold (ids.Engine.MemoryBytes): actual bytes, sparse or dense.
 	MemoryBytes int `json:"memory_bytes"`
 	// Tail is the follow-mode source's progress.
 	Tail pipeline.TailStats `json:"tail"`
@@ -206,7 +207,7 @@ func (d *Daemon) registerServeMetrics() {
 	d.sm.queueDepth = reg.Gauge("v6scand_shard_queue_depth",
 		"Batches buffered in the shard dispatcher (as of the last tick).", nil)
 	d.sm.memoryBytes = reg.Gauge("v6scand_ids_memory_bytes",
-		"IDS sketch-memory estimate (as of the last tick).", nil)
+		"Bytes held by the IDS candidates' destination sketches, sparse or dense (as of the last tick).", nil)
 	d.sm.generation = reg.Gauge("v6scand_generation",
 		"Pipeline generation (increments on reload).", nil)
 	d.sm.candidates = make(map[netaddr6.AggLevel]*metrics.Gauge)

@@ -8,7 +8,8 @@
 // The two metrics gate differently. allocs/op is deterministic even on
 // a one-iteration smoke run on a shared 1-CPU runner, so an allocs/op
 // regression is a failing check: it emits a ::error:: annotation and
-// the tool exits 1. ns/op on the same runner is noise-dominated, so
+// the tool exits 1 — also for any allocation by a benchmark that
+// allocated nothing on main. ns/op on the same runner is noise-dominated, so
 // timing regressions stay advisory ::warning:: annotations for a human
 // (or a longer local run) to judge, and never affect the exit code.
 // Missing or unparsable baselines are reported and skipped (exit 0).
@@ -19,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -110,10 +112,15 @@ func parse(path string) (map[string]metrics, error) {
 	return out, sc.Err()
 }
 
-// delta formats a relative change, guarding the zero baseline.
+// delta formats a relative change. From a zero baseline any rise is
+// an unbounded regression (+Inf), so a benchmark that allocated
+// nothing stays gated; zero to zero is no change.
 func delta(old, new float64) (float64, string) {
 	if old == 0 {
-		return 0, "n/a"
+		if new == 0 {
+			return 0, "+0.0%"
+		}
+		return math.Inf(1), "+inf%"
 	}
 	d := (new - old) / old * 100
 	return d, fmt.Sprintf("%+.1f%%", d)

@@ -84,6 +84,30 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
+// TestRunZeroAllocBaseline: a benchmark that allocated nothing on main
+// is still gated — any allocation fails the check — and zero stays
+// zero without a regression.
+func TestRunZeroAllocBaseline(t *testing.T) {
+	base := writeFile(t, "old.json", benchJSON(t, "BenchmarkX", "1\t1000 ns/op\t0 allocs/op"))
+	for _, tc := range []struct {
+		allocs string
+		code   int
+		out    string
+	}{
+		{"28", 1, "::error title=allocation regression::BenchmarkX allocs/op +inf% vs main (0 → 28)"},
+		{"0", 0, "no >10% regressions vs main"},
+	} {
+		cur := writeFile(t, "new.json", benchJSON(t, "BenchmarkX", "1\t1000 ns/op\t"+tc.allocs+" allocs/op"))
+		var out strings.Builder
+		if code := run([]string{base, cur}, &out); code != tc.code {
+			t.Fatalf("0 → %s allocs/op: exit %d, want %d; output:\n%s", tc.allocs, code, tc.code, out.String())
+		}
+		if !strings.Contains(out.String(), tc.out) {
+			t.Fatalf("0 → %s allocs/op: output lacks %q:\n%s", tc.allocs, tc.out, out.String())
+		}
+	}
+}
+
 func TestRunMissingBaseline(t *testing.T) {
 	cur := writeFile(t, "new.json", benchJSON(t, "BenchmarkX", "1\t1000 ns/op\t10 allocs/op"))
 	for name, base := range map[string]string{
