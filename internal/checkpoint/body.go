@@ -42,19 +42,23 @@ type Restorer interface {
 	Results(d *Dec) error
 }
 
-// Buffers are the buffers WriteBody fills: one payload encoder and one
-// gather slice. A snapshot kind keeps one Buffers across its cuts, so
-// each grows to the largest section once and a steady-state cut neither
-// allocates nor copies on growth; the previous cut sizes the next.
+// Buffers are the buffers WriteBody fills: one payload encoder, one
+// gather slice and the counters of the key sort (netaddr6.SortByKey). A
+// snapshot kind keeps one Buffers across its cuts, so each grows to the
+// largest section once and a steady-state cut neither allocates nor
+// copies on growth; the previous cut sizes the next.
 type Buffers[E any] struct {
 	enc     Enc
 	entries []Keyed[E]
+	counts  []uint32
 }
 
 // WriteBody writes a snapshot of kind at mark in the body layout, each
-// level's entries from every shard merged and sorted by key, encoding
-// every section in buf's one Enc. It clears the gathered entries
-// before returning, so buf pins no state between cuts.
+// level's entries from every shard merged and sorted by key with
+// netaddr6.SortByKey, encoding every section in buf's one Enc. Keys are
+// unique within a level, so their ascending order is unique and a cut's
+// bytes do not depend on the shards' gather order. It clears the
+// gathered entries before returning, so buf pins no state between cuts.
 func WriteBody[E any](w io.Writer, kind uint8, mark time.Time, b Body[E], buf *Buffers[E]) error {
 	cw, err := NewWriter(w, kind, mark)
 	if err != nil {
@@ -73,7 +77,7 @@ func WriteBody[E any](w io.Writer, kind uint8, mark time.Time, b Body[E], buf *B
 	}()
 	for li, l := range b.Levels() {
 		entries = b.Gather(entries[:0], li)
-		slices.SortFunc(entries, func(x, y Keyed[E]) int { return x.Key.Cmp(y.Key) })
+		netaddr6.SortByKey(entries, func(x Keyed[E]) netaddr6.U128 { return x.Key }, &buf.counts)
 		e.B = e.B[:0]
 		e.Varint(int64(l))
 		e.Uvarint(uint64(len(entries)))

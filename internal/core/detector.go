@@ -263,10 +263,12 @@ type Detector struct {
 	scrDst  []netaddr6.U128
 	scrSvc  []uint32
 	scrWeek []uint32
-	// dstOut is the canonical-order scratch for TrackDsts emission,
-	// counts the sort buffer for emitting spilled counters.
-	dstOut []netaddr6.U128
-	counts []countSlot
+	// dstOut is the canonical-order scratch for TrackDsts emission and
+	// dstCounts its sort's counters; counts is the sort buffer for
+	// emitting spilled counters.
+	dstOut    []netaddr6.U128
+	dstCounts []uint32
+	counts    []countSlot
 	// one backs the Process single-record wrapper.
 	one [1]firewall.Record
 }
@@ -445,7 +447,7 @@ func (d *Detector) emitOrDrop(ls *levelState, h uint32) {
 			// Set iteration is canonical (ascending U128), which for
 			// 16-byte addresses is exactly netip.Addr.Compare order:
 			// the ascending order DstAddrs promises.
-			d.dstOut = s.dsts.AppendSorted(d.dstOut[:0])
+			d.dstOut = s.dsts.AppendSorted(d.dstOut[:0], &d.dstCounts)
 			for _, a := range d.dstOut {
 				scan.DstAddrs = append(scan.DstAddrs, a.ToAddr())
 			}

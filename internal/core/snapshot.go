@@ -80,12 +80,13 @@ func RestoreShardedDetector(cr *checkpoint.Reader, n int) (*ShardedDetector, err
 // ShardedDetector keeps one across its cuts.
 type detectorBody struct {
 	sd *ShardedDetector
-	// scratch and counts are the reused sort buffers for every encoded
-	// address set and spilled counter in the snapshot; each grows to
-	// the largest once and keeps the encode loop allocation-free
-	// (TestEncodeSessionNoAllocs).
-	scratch []netaddr6.U128
-	counts  []countSlot
+	// scratch (with keyCounts, its sort's counters) and counts are the
+	// reused sort buffers for every encoded address set and spilled
+	// counter in the snapshot; each grows to the largest once and keeps
+	// the encode loop allocation-free (TestEncodeSessionNoAllocs).
+	scratch   []netaddr6.U128
+	keyCounts []uint32
+	counts    []countSlot
 	// scans is Results' merge buffer, grown to the largest level once.
 	scans []Scan
 }
@@ -137,8 +138,8 @@ func (b *detectorBody) Entry(e *checkpoint.Enc, ls liveSession) {
 	e.Time(s.start)
 	e.U64(uint64(ls.last))
 	e.Uvarint(s.packets)
-	encodeU128Set(e, &b.scratch, &s.dsts, s.firstDst)
-	encodeU128Set(e, &b.scratch, &s.srcs, s.firstSrc)
+	encodeU128Set(e, &b.scratch, &b.keyCounts, &s.dsts, s.firstDst)
+	encodeU128Set(e, &b.scratch, &b.keyCounts, &s.srcs, s.firstSrc)
 	e.Uvarint(uint64(s.ports.len()))
 	s.ports.eachSorted(&b.counts, func(k uint32, n uint64) { encodeService(e, keyService(k), n) })
 	e.Uvarint(uint64(s.weeks.len()))
@@ -258,16 +259,17 @@ func (r *detectorRestore) Results(d *checkpoint.Dec) error {
 // encodeU128Set writes the logical address set of an inline-or-set
 // pair: the set's canonical (sorted) members when materialized (always
 // ≥ 2 entries, including the first value), the single inline value
-// otherwise. scratch is a reused sort buffer threaded through the
-// encoder so repeated sections don't allocate.
-func encodeU128Set(e *checkpoint.Enc, scratch *[]netaddr6.U128, set *u128idx.Set, first netaddr6.U128) {
+// otherwise. scratch and keyCounts are the reused sort buffers
+// (u128idx.Set.AppendSorted) threaded through the encoder so repeated
+// sections don't allocate.
+func encodeU128Set(e *checkpoint.Enc, scratch *[]netaddr6.U128, keyCounts *[]uint32, set *u128idx.Set, first netaddr6.U128) {
 	if set.Len() == 0 {
 		e.Uvarint(1)
 		e.U64(first.Hi)
 		e.U64(first.Lo)
 		return
 	}
-	keys := set.AppendSorted((*scratch)[:0])
+	keys := set.AppendSorted((*scratch)[:0], keyCounts)
 	*scratch = keys
 	e.Uvarint(uint64(len(keys)))
 	for _, k := range keys {

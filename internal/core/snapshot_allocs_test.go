@@ -28,11 +28,12 @@ func TestEncodeU128SetNoAllocs(t *testing.T) {
 
 	var e checkpoint.Enc
 	var scratch []netaddr6.U128
+	var keyCounts []uint32
 	encode := func() {
 		e.B = e.B[:0]
-		encodeU128Set(&e, &scratch, &spilled, first)
-		encodeU128Set(&e, &scratch, &small, first)
-		encodeU128Set(&e, &scratch, &inline, first)
+		encodeU128Set(&e, &scratch, &keyCounts, &spilled, first)
+		encodeU128Set(&e, &scratch, &keyCounts, &small, first)
+		encodeU128Set(&e, &scratch, &keyCounts, &inline, first)
 	}
 	encode() // warm the scratch buffer and encoder capacity
 	if allocs := testing.AllocsPerRun(20, encode); allocs != 0 {

@@ -41,10 +41,10 @@
 package ids
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -124,39 +124,47 @@ func (a Alert) String() string {
 }
 
 // sortAlerts orders alerts by first activity, then address, then
-// prefix length, then the remaining fields (alertLess). The comparator
-// is a total order, so the result is deterministic regardless of
-// accumulation order — the property the merge across shards and a
-// restored engine (whose pending alerts come back in this order) rely
-// on for byte-identical output. The tie-breaking fields matter only
+// prefix length, then the remaining fields (compareAlerts). The
+// comparator is a total order, so the result is deterministic
+// regardless of accumulation order — the property the merge across
+// shards and a restored engine (whose pending alerts come back in this
+// order) rely on for byte-identical output. The tie-breaking fields matter only
 // when one prefix alerts twice with the same first activity between
 // drains, which takes out-of-order input.
 func sortAlerts(alerts []Alert) {
-	sort.Slice(alerts, func(i, j int) bool { return alertLess(&alerts[i], &alerts[j]) })
+	slices.SortFunc(alerts, func(a, b Alert) int { return compareAlerts(&a, &b) })
 }
 
-// alertLess is a full total order over alerts: first activity,
-// address and prefix length, then every remaining field.
-func alertLess(a, b *Alert) bool {
-	if !a.First.Equal(b.First) {
-		return a.First.Before(b.First)
+// compareAlerts is a full total order over alerts: first activity,
+// address and prefix length, then every remaining field (an
+// unescalated alert before an escalated one).
+func compareAlerts(a, b *Alert) int {
+	if c := a.First.Compare(b.First); c != 0 {
+		return c
 	}
 	if c := a.Prefix.Addr().Compare(b.Prefix.Addr()); c != 0 {
-		return c < 0
+		return c
 	}
-	if a.Prefix.Bits() != b.Prefix.Bits() {
-		return a.Prefix.Bits() < b.Prefix.Bits()
+	if c := cmp.Compare(a.Prefix.Bits(), b.Prefix.Bits()); c != 0 {
+		return c
 	}
-	if !a.Last.Equal(b.Last) {
-		return a.Last.Before(b.Last)
+	if c := a.Last.Compare(b.Last); c != 0 {
+		return c
 	}
-	if a.EstimatedDsts != b.EstimatedDsts {
-		return a.EstimatedDsts < b.EstimatedDsts
+	if c := cmp.Compare(a.EstimatedDsts, b.EstimatedDsts); c != 0 {
+		return c
 	}
-	if a.Packets != b.Packets {
-		return a.Packets < b.Packets
+	if c := cmp.Compare(a.Packets, b.Packets); c != 0 {
+		return c
 	}
-	return !a.Escalated && b.Escalated
+	switch {
+	case a.Escalated == b.Escalated:
+		return 0
+	case b.Escalated:
+		return -1
+	default:
+		return 1
+	}
 }
 
 // candidate is the in-flight state for one aggregated source prefix.
@@ -256,6 +264,8 @@ type shard struct {
 
 	// scrDst is the per-run destination scratch for process.
 	scrDst []netaddr6.U128
+	// keyCounts holds sweep's key-sort counters (netaddr6.SortByKey).
+	keyCounts []uint32
 }
 
 // normalize applies the defaults to cfg's zero fields and orders a
@@ -283,7 +293,7 @@ func normalize(cfg Config) Config {
 		cfg.MaxCandidates = def.MaxCandidates
 	}
 	levels := append([]netaddr6.AggLevel(nil), cfg.Levels...)
-	sort.Slice(levels, func(i, j int) bool { return levels[i] > levels[j] })
+	slices.SortFunc(levels, func(a, b netaddr6.AggLevel) int { return cmp.Compare(b, a) })
 	cfg.Levels = levels
 	return cfg
 }
@@ -413,7 +423,9 @@ func (s *shard) memoryBytes() int {
 // cutoff (u128idx.ExpireAll at Flush), level by level, most specific
 // first, applying the suppression/escalation logic. The level order
 // was fixed by normalize; within a level, closed candidates are
-// visited in address order for determinism.
+// visited in address order (netaddr6.SortByKey on their keys, which
+// are unique within a level), so the alerts do not depend on the
+// table's slot order.
 func (s *shard) sweep(cutoff int64) {
 	var (
 		closed  []uint32 // due handles at or above the threshold, reused per level
@@ -431,7 +443,7 @@ func (s *shard) sweep(cutoff int64) {
 		if len(closed) == 0 {
 			continue
 		}
-		slices.SortFunc(closed, func(a, b uint32) int { return lv.tab.Key(a).Cmp(lv.tab.Key(b)) })
+		netaddr6.SortByKey(closed, lv.tab.Key, &s.keyCounts)
 		// Suppression: a coarser candidate is redundant if
 		// already-emitted more specific alerts cover CoverageShare of
 		// its destinations (approximated by cardinality sums — sketches

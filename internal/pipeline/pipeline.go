@@ -166,8 +166,8 @@
 //     Drain orderings) sorts canonically — by key, or by the
 //     deterministic alert/scan total orders — before bytes leave the
 //     sink, so index layout, shard count, and probe history never
-//     reach an output. u128idx.AppendKeysSorted is the
-//     canonical-iteration helper those seams use.
+//     reach an output. Every key sort at those seams is
+//     netaddr6.SortByKey (u128idx.AppendKeysSorted for a bare index).
 //   - Small sets stay inline. Per-session address sets start as a
 //     sorted array (u128idx.SmallSetSpill entries) and spill to an
 //     index only beyond it; both representations serialize as the same

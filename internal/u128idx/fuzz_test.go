@@ -68,7 +68,7 @@ func FuzzU128Idx(f *testing.F) {
 			}
 		}
 		// Canonical iteration must be sorted and complete.
-		keys := ix.AppendKeysSorted(nil)
+		keys := ix.AppendKeysSorted(nil, nil)
 		if len(keys) != len(ref) {
 			t.Fatalf("AppendKeysSorted: %d keys, want %d", len(keys), len(ref))
 		}

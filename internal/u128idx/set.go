@@ -91,11 +91,12 @@ func (s *Set) Reset() {
 
 // AppendSorted appends the members to dst in canonical order and
 // returns the extended slice. The inline fast path is already sorted
-// (a copy); the spilled path collects and sorts. Callers reuse dst as
-// a scratch buffer across calls to keep serialization allocation-free.
-func (s *Set) AppendSorted(dst []netaddr6.U128) []netaddr6.U128 {
+// (a copy); the spilled path collects and sorts (Index.AppendKeysSorted,
+// with counts as the sort's counters). Callers reuse dst and counts as
+// scratch buffers across calls to keep serialization allocation-free.
+func (s *Set) AppendSorted(dst []netaddr6.U128, counts *[]uint32) []netaddr6.U128 {
 	if s.idx.Len() > 0 {
-		return s.idx.AppendKeysSorted(dst)
+		return s.idx.AppendKeysSorted(dst, counts)
 	}
 	return append(dst, s.small...)
 }

@@ -21,10 +21,13 @@
 // Probe order depends on the hash and table size and is NOT canonical.
 // Range visits entries in slot order (arbitrary, like map iteration);
 // any output that must be deterministic goes through AppendKeysSorted
-// (or sorts what Range collected), exactly as the snapshot/merge seams
-// in core and ids already do. Hashing is seedless and deterministic
-// across processes — canonical byte output never depends on it because
-// every serialization path sorts first.
+// (or sorts what Range collected by key), exactly as the snapshot/merge
+// seams in core and ids already do. Every such sort is
+// netaddr6.SortByKey: keys are unique within an index, so ascending key
+// order is unique and the sorted output does not depend on slot order.
+// Hashing is seedless and deterministic across processes — canonical
+// byte output never depends on it because every serialization path
+// sorts first.
 //
 // # Debug knob
 //
@@ -39,7 +42,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"os"
-	"slices"
 
 	"v6scan/internal/netaddr6"
 )
@@ -341,15 +343,16 @@ func (ix *Index) Range(f func(k netaddr6.U128, v uint32) bool) {
 // AppendKeysSorted appends every live key to dst in canonical
 // (numeric, equivalently netip.Addr.Compare) order and returns the
 // extended slice — the deterministic-iteration helper the
-// snapshot/merge seams consume.
-func (ix *Index) AppendKeysSorted(dst []netaddr6.U128) []netaddr6.U128 {
+// snapshot/merge seams consume. The appended keys are sorted by
+// netaddr6.SortByKey with counts as its counters, so a caller that
+// reuses dst and counts across calls sorts without allocating.
+func (ix *Index) AppendKeysSorted(dst []netaddr6.U128, counts *[]uint32) []netaddr6.U128 {
 	start := len(dst)
 	for s, c := range ix.ctrl {
 		if c&0x80 == 0 {
 			dst = append(dst, ix.keys[s])
 		}
 	}
-	tail := dst[start:]
-	slices.SortFunc(tail, netaddr6.U128.Cmp)
+	netaddr6.SortByKey(dst[start:], func(k netaddr6.U128) netaddr6.U128 { return k }, counts)
 	return dst
 }

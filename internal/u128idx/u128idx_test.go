@@ -82,7 +82,7 @@ func (m *refModel) check() {
 		wantKeys = append(wantKeys, k)
 	}
 	sort.Slice(wantKeys, func(i, j int) bool { return wantKeys[i].Cmp(wantKeys[j]) < 0 })
-	gotKeys := m.ix.AppendKeysSorted(nil)
+	gotKeys := m.ix.AppendKeysSorted(nil, nil)
 	if len(gotKeys) != len(wantKeys) {
 		m.t.Fatalf("AppendKeysSorted: %d keys, want %d", len(gotKeys), len(wantKeys))
 	}
@@ -227,7 +227,7 @@ func TestSetDifferential(t *testing.T) {
 		if s.Len() != len(ref) {
 			t.Fatalf("Len = %d, want %d", s.Len(), len(ref))
 		}
-		got := s.AppendSorted(nil)
+		got := s.AppendSorted(nil, nil)
 		want := make([]netaddr6.U128, 0, len(ref))
 		for k := range ref {
 			want = append(want, k)
