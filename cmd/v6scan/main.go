@@ -35,8 +35,9 @@
 // single-input and serial-decode.
 //
 // Long runs survive interruption with -checkpoint-dir: the terminal's
-// state is snapshotted every -checkpoint-every of stream time, at cuts
-// aligned with the eviction cadence, into versioned checksummed files.
+// state is snapshotted every -checkpoint-every of stream time, at
+// eviction fire points (without -advance-every the detector evicts on
+// the -checkpoint-every cadence), into versioned checksummed files.
 // Rerunning with -resume restores the latest snapshot (re-partitioned
 // to the current -shards, which may differ from the interrupted run's)
 // and replays the same input with the already-processed prefix
@@ -44,11 +45,7 @@
 // detection parameters (-min-dsts, -timeout, -agg) travel inside the
 // snapshot, so the resumed run uses the interrupted run's. A detector
 // snapshot holds every scan emitted so far, so each cut re-encodes all
-// of them: a cut's size and time grow with the run. A detector run
-// without -advance-every evicts nothing before the end of input, so
-// every cut also carries every session opened so far; give
-// -advance-every alongside -checkpoint-dir to keep cuts to the open
-// sessions.
+// of them: a cut's size and time grow with the run.
 //
 //	v6scan -i telescope.log                  # offline detector
 //	v6scan -i telescope.log -shards 8        # sharded detector
@@ -117,9 +114,9 @@ func run(args []string, stdout, stderr io.Writer) (runErr error) {
 		shards   = fs.Int("shards", 1, "detector/IDS worker shards (at 1 the detector runs on one worker, the IDS inline; output is identical)")
 		useIDS   = fs.Bool("ids", false, "run the inline dynamic-aggregation IDS instead of the offline detector")
 		window   = fs.Duration("window", 0, "repair at most this much timestamp disorder in flight through a reorder buffer bounded to one window of records; for pcap, 0 buffers the whole capture in the reorder stage and sorts it at end of input (tolerating any disorder), for logs 0 streams as-is (logs are written in order)")
-		advEvery = fs.Duration("advance-every", 0, "stream-time eviction cadence: periodically close idle detector sessions / tick the IDS, bounding memory (0 = only at end of input, so a detector checkpoint carries every session opened so far)")
-		ckptDir  = fs.String("checkpoint-dir", "", "write versioned snapshots of detector/IDS state into this directory on the -checkpoint-every cadence; with -resume, also where the snapshot to restore is found. Without -advance-every the detector evicts nothing before the end, so every cut carries every session opened so far")
-		ckptEv   = fs.Duration("checkpoint-every", time.Hour, "stream-time cadence between checkpoints (needs -checkpoint-dir); a detector checkpoint holds every scan found so far, so each one grows with the run")
+		advEvery = fs.Duration("advance-every", 0, "stream-time eviction cadence: periodically close idle detector sessions / tick the IDS, bounding memory (0 = the IDS ticks every minute; the detector evicts on the -checkpoint-every cadence with -checkpoint-dir, else only at end of input)")
+		ckptDir  = fs.String("checkpoint-dir", "", "write versioned snapshots of detector/IDS state into this directory on the -checkpoint-every cadence, each at an eviction fire point; with -resume, also where the snapshot to restore is found")
+		ckptEv   = fs.Duration("checkpoint-every", time.Hour, "stream-time cadence between checkpoints (needs -checkpoint-dir; without -advance-every it is the detector's eviction cadence too); a detector checkpoint holds every scan found so far, so each one grows with the run")
 		resume   = fs.Bool("resume", false, "restore the latest checkpoint in -checkpoint-dir and skip the already-processed input prefix")
 		publish  = fs.Int("publish", 0, "distributed demonstration: split the input log across N publisher pipelines feeding one aggregator over an in-process event bus (output is identical to the direct run; needs a single binary log input)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")

@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		resume    = fs.Bool("resume", false, "restore the latest checkpoint before tailing")
 		poll      = fs.Duration("poll", 0, "tail growth-poll interval (0 = default)")
 		blocklist = fs.String("blocklist", "", "CIDR rule file to mirror alerted prefixes into")
-		filter    = fs.Bool("filter", false, "apply the 5-duplicate artifact pre-filter (it holds each UTC day's records until the next day's first record, so alerts wait for the day to end)")
 		alertCap  = fs.Int("alert-backlog", 0, "paginable alert backlog bound (0 = default 4096)")
 		sseBuf    = fs.Int("sse-buffer", 0, "per-SSE-client buffer bound (0 = default 64)")
 	)
@@ -90,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		CheckpointDir:   *ckptDir,
 		Resume:          *resume,
 		Poll:            *poll,
-		ArtifactFilter:  *filter,
 		BlocklistPath:   *blocklist,
 		AlertBacklog:    *alertCap,
 		SSEBuffer:       *sseBuf,

@@ -135,9 +135,11 @@ func (b *Builder) WindowSort(window time.Duration) *Builder {
 // when idle candidates close). Across worker shards the horizon
 // travels to every shard through the dispatcher's marks, ordered with
 // the record stream, so output stays byte-identical at any shard
-// count. Zero (the default) leaves all eviction to Flush. The builder
-// is the one place a sink's cadence is set: RunInto applies it to the
-// built-in detector and IDS sinks; other terminals ignore it.
+// count. Zero (the default) leaves all eviction to Flush, unless a
+// CheckpointEvery cadence is set, which then is the eviction cadence
+// too. The builder is the one place a sink's cadence is set: RunInto
+// applies it to the built-in detector and IDS sinks; other terminals
+// ignore it.
 func (b *Builder) AdvanceEvery(every time.Duration) *Builder {
 	b.advanceEvery = every
 	return b
@@ -147,13 +149,15 @@ func (b *Builder) AdvanceEvery(every time.Duration) *Builder {
 // terminal: RunInto's sink snapshots its state into dir (one file per
 // cut, atomically renamed into place; see ResumeLatest and
 // ResumeFile). Every snapshot is a consistent prefix of the stream — all
-// records strictly before the cut applied, none at or after it. When
-// an AdvanceEvery cadence is configured, checkpoints ride it: the
-// snapshot is cut at the first eviction fire at least every past the
-// previous snapshot, right after the advance/tick runs, which keeps
-// the eviction schedule untouched by checkpointing and lets a
-// resumed run pick the schedule up exactly in phase. Without
-// AdvanceEvery the checkpoint cadence fires on its own. Only the
+// records strictly before the cut applied, none at or after it.
+// Checkpoints ride the AdvanceEvery cadence: the snapshot is cut at
+// the first eviction fire at least every past the previous snapshot,
+// right after the advance/tick runs, so it holds no state eviction
+// has released, the eviction schedule is untouched by checkpointing, and
+// a resumed run picks the schedule up exactly in phase. Without
+// AdvanceEvery, every is the eviction cadence as well (an IDS then
+// ticks at every); the first fire arms the checkpoint mark, so the
+// first snapshot comes one cadence after the first record's. Only the
 // built-in detector and IDS sinks can snapshot; other terminals
 // ignore the cadence. A zero every with a dir cuts no periodic
 // checkpoints but gives a hooked IDS sink (see IDSHook) the directory

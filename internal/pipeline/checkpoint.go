@@ -17,20 +17,20 @@ package pipeline
 // Time ≤ horizon (= mark − 1ns, i.e. Time < mark) ahead of the
 // terminal, which reconstructs the uninterrupted run byte-exactly.
 //
-// When an eviction cadence (AdvanceEvery) is configured, the
-// checkpoint cadence rides it: snapshots are cut only at eviction
-// fire points (the first one at least CheckpointEvery past the last
-// snapshot), immediately after the advance/tick runs. Two things
-// follow. First, a snapshot always includes the eviction horizon's
-// effect, in the order the live run applied it. Second, at every cut
-// the eviction cadence's own mark equals the snapshot mark, so resume
-// — which restores both marks to the snapshot's — puts the resumed
-// run's eviction schedule exactly in phase with the uninterrupted
-// one. That matters for the IDS, whose tick timing is semantic:
-// checkpointing never perturbs the tick schedule, and a resumed run
-// ticks where the uninterrupted run would have. Without an eviction
-// cadence the checkpoint cadence fires (and splits batches) on its
-// own, and there is no eviction phase to preserve.
+// The checkpoint cadence always rides the eviction cadence
+// (AdvanceEvery; a checkpoint cadence set alone is the eviction
+// cadence too): snapshots are cut only at eviction fire points (the
+// first one at least CheckpointEvery past the last snapshot; the
+// first fire only arms the checkpoint mark), immediately after the
+// advance/tick runs. Two things follow. First, a snapshot always
+// includes the eviction horizon's effect, in the order the live run
+// applied it, so it holds no state eviction has released. Second, at
+// every cut the eviction cadence's own mark equals the snapshot mark,
+// so resume — which restores both marks to the snapshot's — puts the
+// resumed run's eviction schedule exactly in phase with the
+// uninterrupted one. That matters for the IDS, whose tick timing is
+// semantic: checkpointing never perturbs the tick schedule, and a
+// resumed run ticks where the uninterrupted run would have.
 //
 // # Files
 //
@@ -71,10 +71,10 @@ type Checkpointer interface {
 }
 
 // cadence is the stream-time schedule every detector and IDS sink
-// embeds: the eviction cadence (advanceEvery — its fire runs the
-// sink's advance, ShardedDetector.Advance or Engine.Tick), the checkpoint
-// cadence riding it (checkpointEvery, into checkpointDir), both
-// cadences' marks — the phase a checkpoint carries — and the metrics
+// embeds: the eviction cadence (advanceEvery — its fires, the only
+// fire points, run the sink's advance, ShardedDetector.Advance or
+// Engine.Tick), the checkpoint cadence riding it (checkpointEvery,
+// into checkpointDir), both cadences' marks — the phase a checkpoint carries — and the metrics
 // bundle the fires report into. Builder.AdvanceEvery,
 // CheckpointEvery and Instrument are its only setters, through
 // RunInto.
@@ -98,8 +98,13 @@ type cadenced interface {
 }
 
 // setCadence applies a builder's settings (RunInto); the marks stay.
+// A checkpoint cadence without an eviction cadence sets both: every
+// cut is an eviction fire point.
 func (c *cadence) setCadence(advance, ckpt time.Duration, dir string, m *Metrics) {
 	c.advanceEvery, c.checkpointEvery, c.checkpointDir, c.met = advance, ckpt, dir, m
+	if advance <= 0 && c.checkpoints() {
+		c.advanceEvery = ckpt
+	}
 }
 
 // setPhase restores both cadence marks (resume).
@@ -108,30 +113,17 @@ func (c *cadence) setPhase(m marks) { c.lastAdvance, c.lastCkpt = m.Advance, m.C
 // checkpoints reports whether periodic checkpoints are on.
 func (c *cadence) checkpoints() bool { return c.checkpointEvery > 0 && c.checkpointDir != "" }
 
-// due reports whether t is a fire point, advancing the mark of the
-// driving cadence: the eviction cadence when there is one, else the
-// checkpoint cadence alone.
-func (c *cadence) due(t time.Time) bool {
-	if c.advanceEvery > 0 {
-		return due(&c.lastAdvance, c.advanceEvery, t)
-	}
-	return c.checkpoints() && due(&c.lastCkpt, c.checkpointEvery, t)
-}
-
 // fire runs the fire point at t: the advance, then — at the first
-// eviction fire at least CheckpointEvery past the last cut, or at
-// every fire of a checkpoint-only cadence — a snapshot, then fired.
-// Cutting after the advance keeps the snapshot inclusive of the
-// eviction's effect and the eviction mark equal to the snapshot mark
-// (see the package comment above on resume phase).
+// fire at least CheckpointEvery past the last cut — a snapshot, then
+// fired. Cutting after the advance keeps the snapshot inclusive of
+// the eviction's effect and the eviction mark equal to the snapshot
+// mark (see the package comment above on resume phase).
 func (c *cadence) fire(s cadenced, t time.Time) error {
-	if c.advanceEvery > 0 {
-		if err := s.advance(t); err != nil {
-			return err
-		}
-		c.met.advanceFired(t)
+	if err := s.advance(t); err != nil {
+		return err
 	}
-	if c.advanceEvery <= 0 || (c.checkpoints() && due(&c.lastCkpt, c.checkpointEvery, t)) {
+	c.met.advanceFired(t)
+	if c.checkpoints() && due(&c.lastCkpt, c.checkpointEvery, t) {
 		start := time.Now()
 		err := WriteCheckpoint(c.checkpointDir, s, t)
 		c.met.checkpointDone(time.Since(start), err)
@@ -147,12 +139,12 @@ func (c *cadence) fire(s cadenced, t time.Time) error {
 // sequence alone, so batch size never changes which sessions merge,
 // when eviction horizons advance, or where checkpoints cut.
 func (c *cadence) split(s cadenced, recs []firewall.Record) error {
-	if c.advanceEvery <= 0 && !c.checkpoints() {
+	if c.advanceEvery <= 0 {
 		return s.process(recs)
 	}
 	start := 0
 	for i := range recs {
-		if !c.due(recs[i].Time) {
+		if !due(&c.lastAdvance, c.advanceEvery, recs[i].Time) {
 			continue
 		}
 		if err := s.process(recs[start:i]); err != nil {
@@ -201,12 +193,6 @@ func (c *cadence) cutFinal(ck Checkpointer, mark time.Time) (*Handoff, error) {
 		return nil, err
 	}
 	h := &Handoff{snapshot: buf.Bytes(), phase: marks{c.lastAdvance, c.lastCkpt}}
-	if c.advanceEvery <= 0 {
-		// No eviction cadence, no eviction phase: a run resumed from a
-		// fire-point cut holds that cut as its eviction mark, which an
-		// uninterrupted run never set.
-		h.phase.Advance = time.Time{}
-	}
 	if c.checkpointDir != "" {
 		start := time.Now()
 		err := writeCheckpoint(c.checkpointDir, h, mark, &h.phase)

@@ -54,17 +54,24 @@ const invJitter = 2 * time.Second
 
 // invCadence is one AdvanceEvery/CheckpointEvery setting. A source
 // hands the sink the same record sequence under any cadence, so the
-// source rows run under one cadence, the one with sources set.
+// source rows run under one cadence, the one with sources set. A
+// cadence with spelled set is shorthand for that setting: its baseline
+// result and files must equal the baseline run under spelled.
 type invCadence struct {
 	name          string
 	advance, ckpt time.Duration
 	sources       bool
+	spelled       *invCadence
 }
 
 var invCadences = []invCadence{
-	{"flush", 0, 0, false},
-	{"tick", 30 * time.Second, 2 * time.Minute, true},
-	{"ckpt-only", 0, 5 * time.Minute, false},
+	{name: "flush"},
+	{name: "tick", advance: 30 * time.Second, ckpt: 2 * time.Minute, sources: true},
+	// A checkpoint cadence alone is the eviction cadence too. Its first
+	// fire only arms the checkpoint mark, so the cadence is shorter
+	// than the tape's 125-second stretches between lulls.
+	{name: "ckpt-only", ckpt: 2 * time.Minute,
+		spelled: &invCadence{advance: 2 * time.Minute, ckpt: 2 * time.Minute}},
 }
 
 // invRow is one execution strategy. resume > 0 kills a run at shards
@@ -521,6 +528,16 @@ func TestInvariance(t *testing.T) {
 			t.Run(e.name+"/"+c.name, func(t *testing.T) {
 				rows := e.rows
 				want, wantFiles := h.run(t, e, c, rows[0])
+				if c.spelled != nil {
+					got, files := h.run(t, e, *c.spelled, rows[0])
+					if got != want {
+						t.Errorf("%s: result differs from the spelled-out cadence's\n%s", rows[0].name, firstDiff(want, got))
+					}
+					if !slices.Equal(files, wantFiles) {
+						t.Errorf("%s: checkpoint files differ from the spelled-out cadence's: only here %v, only there %v",
+							rows[0].name, without(wantFiles, files), without(files, wantFiles))
+					}
+				}
 				if e.reference != nil {
 					ref := e.reference(t)
 					if want != ref {

@@ -121,14 +121,15 @@
 //     past the boundary and fires before that record is consumed, so a
 //     snapshot with mark t captures exactly the records with Time < t
 //     — the same cut at any batch size.
-//   - When an eviction cadence (Advance/Tick) is configured, the
-//     checkpoint cadence rides it: snapshots are cut only at eviction
-//     fire points, immediately after the advance/tick runs. A
-//     checkpoint therefore always reflects the eviction horizon the
-//     live run had applied, checkpointing never perturbs the (for the
-//     IDS, semantic) eviction schedule, and a resumed run's cadence
-//     marks — both restored to the snapshot mark — are exactly in
-//     phase with the uninterrupted run's. The one cut off the cadence,
+//   - The checkpoint cadence rides the eviction cadence (Advance/Tick;
+//     a checkpoint cadence set alone is the eviction cadence too):
+//     snapshots are cut only at eviction fire points, immediately
+//     after the advance/tick runs. A checkpoint therefore always
+//     reflects the eviction horizon the live run had applied and holds
+//     no state it released, checkpointing never perturbs the (for
+//     the IDS, semantic) eviction schedule, and a resumed run's
+//     cadence marks — both restored to the snapshot mark — are exactly
+//     in phase with the uninterrupted run's. The one cut off the cadence,
 //     a stopping serving sink's final state (IDSHook), carries its
 //     phase in a sidecar that ResumeFile restores instead.
 //   - Sharded sinks snapshot through a dispatcher barrier: the barrier

@@ -57,10 +57,10 @@ func Collector(add func(r firewall.Record)) RecordSink {
 // never changes the detected scans — a session closed early is exactly
 // the session Finish would have closed — so it only bounds memory.
 //
-// Builder.CheckpointEvery adds a second cadence that snapshots the
-// detector to disk at consistent stream-time cuts; at a shared fire
-// point the advance runs first, so the snapshot includes the eviction
-// horizon's effect.
+// Builder.CheckpointEvery snapshots the detector to disk at
+// consistent stream-time cuts, each at an advance fire point (set
+// alone, its cadence is the advance cadence too). The advance runs
+// first, so a snapshot holds no session the advance closed.
 type ShardedSink struct {
 	D *core.ShardedDetector
 	cadence
@@ -122,9 +122,10 @@ type IDSHook interface {
 // Builder.AdvanceEvery, when positive, forwards Engine.Tick on a
 // stream-time cadence (checked per record) so idle candidates
 // are evicted mid-stream as in an inline deployment; zero leaves all
-// eviction to Flush. Checkpoints ride the cadence as on ShardedSink:
-// the tick fires before the snapshot at a shared cut. A hook (Attach)
-// turns the batch terminal into the serving one.
+// eviction to Flush unless a checkpoint cadence is set, which then
+// sets the tick cadence too. Checkpoints ride the cadence as on
+// ShardedSink: the tick fires before the snapshot at every cut. A
+// hook (Attach) turns the batch terminal into the serving one.
 type IDSSink struct {
 	E *ids.Engine
 	cadence

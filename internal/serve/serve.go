@@ -73,12 +73,6 @@ type Config struct {
 	// Poll is the tail's growth-poll interval (default
 	// pipeline.DefaultTailPoll).
 	Poll time.Duration
-	// ArtifactFilter applies the 5-duplicate artifact pre-filter. The
-	// filter judges a source /64 over a whole UTC day, so it holds each
-	// day's records until the first record of a later day is tailed:
-	// with it on, an alert waits for the day to end, not for the first
-	// tick past the timeout.
-	ArtifactFilter bool
 	// BlocklistPath, when set, mirrors every alerted prefix into an
 	// atomically rewritten one-CIDR-per-line rule file. With Resume,
 	// the set starts from the file's existing prefixes.
@@ -307,9 +301,6 @@ func (d *Daemon) runGeneration(ctx context.Context, gen int, g *generation) (rel
 	b := pipeline.From(g.tail).Instrument(d.pm).
 		AdvanceEvery(d.cfg.AdvanceEvery).
 		CheckpointEvery(d.cfg.CheckpointEvery, d.cfg.CheckpointDir)
-	if d.cfg.ArtifactFilter {
-		b = b.Artifact()
-	}
 	if !g.restored.IsZero() {
 		b = b.ResumeFrom(g.restored.Add(-time.Nanosecond))
 	}

@@ -150,7 +150,7 @@ func startDaemon(t *testing.T, cfg Config) *daemonRun {
 }
 
 // waitRecords blocks until the pipeline's source has emitted n records
-// (raw tail output, before any filter).
+// (raw tail output, before the resume skip).
 func (dr *daemonRun) waitRecords(t *testing.T, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -523,42 +523,6 @@ func TestDaemonReload(t *testing.T) {
 		t.Fatalf("post-reload alerts %s do not name the scanner", alertsJSON(t, got))
 	}
 	dr.stop(t)
-}
-
-// TestArtifactFilterDelaysAlerts: the artifact pre-filter holds a UTC
-// day's records until a later day's first record arrives. Without it a
-// burst alerts at the first tick past the timeout; with it the same
-// log publishes nothing, the engine consuming no record, until a
-// record of the next day is appended.
-func TestArtifactFilterDelaysAlerts(t *testing.T) {
-	day := scanBurst("2001:db8:bad::1", 0, 20)
-	for i, r := range fillers(1, 15) {
-		// Distinct destinations: one /64 of fillers repeating one
-		// destination would be an artifact the filter drops.
-		r.Dst = netip.MustParseAddr(fmt.Sprintf("2001:db8:eeee::%x", i+1))
-		day = append(day, r)
-	}
-	for _, filter := range []bool{false, true} {
-		log := filepath.Join(t.TempDir(), "fw.log")
-		appendLog(t, log, day)
-		dr := startDaemon(t, Config{LogPath: log, IDS: testIDS(), AdvanceEvery: time.Minute, ArtifactFilter: filter})
-		if filter {
-			dr.waitRecords(t, uint64(len(day)))
-			for range 20 {
-				time.Sleep(5 * time.Millisecond)
-				if st := dr.d.State(); st.Records != 0 || st.AlertsPublished != 0 {
-					t.Fatalf("filtered: %d records consumed, %d alerts published before the day ended",
-						st.Records, st.AlertsPublished)
-				}
-			}
-			appendLog(t, log, fillers(24*60, 24*60+1))
-		}
-		dr.waitAlerts(t, 1)
-		if got := alertsJSON(t, dr.alerts()); !strings.Contains(got, "2001:db8:bad::") {
-			t.Fatalf("filter=%v: alerts %s do not name the scanner", filter, got)
-		}
-		dr.stop(t)
-	}
 }
 
 // TestNewDaemonRejectsCheckpointWithoutDir: a checkpoint setting with

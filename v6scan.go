@@ -78,10 +78,12 @@
 // # Checkpoint and resume
 //
 // Long runs survive interruption through versioned snapshots of the
-// terminal's state, cut at consistent stream-time points riding the
-// AdvanceEvery cadence. Enable them with CheckpointEvery; resume by
-// restoring the latest snapshot and replaying the same input with the
-// already-processed prefix skipped:
+// terminal's state, cut at consistent stream-time points that ride
+// the eviction cadence: every cut is an AdvanceEvery fire point, so a
+// snapshot holds no state eviction has released (CheckpointEvery set
+// alone is the AdvanceEvery cadence too). Enable them with
+// CheckpointEvery; resume by restoring the latest snapshot and
+// replaying the same input with the already-processed prefix skipped:
 //
 //	// Checkpointed run: a snapshot every 6h of stream time.
 //	det, err := v6scan.FromFiles(logs...).
