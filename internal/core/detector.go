@@ -20,9 +20,11 @@
 // # State table and small-set cutoffs
 //
 // Each level's sessions live in a u128idx.Table keyed by masked
-// source, which also keeps every session's last activity in a dense
-// column, so Advance is one Expire sweep over plain integers — the
-// IDS engine's candidates live in the same table. Per-session
+// source, which also files every session by its last activity in a
+// timing wheel, so Advance is one Expire sweep that visits only the
+// sessions that may be due — the IDS engine's candidates live in the
+// same table. Expire's visit order is the wheel's; Scans and the
+// checkpoint sort the scans (sortScans). Per-session
 // destination/source sets are u128idx.Set values with an inline
 // sorted-array fast path (cutoff u128idx.SmallSetSpill = 16) before
 // spilling to an index. Sessions additionally keep their very first
@@ -51,9 +53,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"v6scan/internal/checkpoint"
@@ -469,15 +472,65 @@ func (d *Detector) Scans(level netaddr6.AggLevel) []Scan {
 }
 
 // sortScans puts scans in their deterministic order, the order of
-// Scans and of a checkpoint's results: by start time, then by source,
-// so the order does not depend on the order sessions closed in.
+// Scans and of a checkpoint's results: by start time, then by source
+// (compareScans). The comparator is a total order, so the result does
+// not depend on the order sessions closed in — even for scans that tie
+// on start and source, a session reopened at the instant an Advance
+// closed it.
 func sortScans(scans []Scan) {
-	sort.Slice(scans, func(i, j int) bool {
-		if !scans[i].Start.Equal(scans[j].Start) {
-			return scans[i].Start.Before(scans[j].Start)
+	slices.SortFunc(scans, func(a, b Scan) int { return compareScans(&a, &b) })
+}
+
+// compareScans is a total order over scans: start, source address and
+// prefix length, then every remaining field.
+func compareScans(a, b *Scan) int {
+	if c := a.Start.Compare(b.Start); c != 0 {
+		return c
+	}
+	if c := a.Source.Addr().Compare(b.Source.Addr()); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Source.Bits(), b.Source.Bits()); c != 0 {
+		return c
+	}
+	if c := a.End.Compare(b.End); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Packets, b.Packets); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dsts, b.Dsts); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.SrcAddrs, b.SrcAddrs); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Level, b.Level); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.LenEntropy, b.LenEntropy); c != 0 {
+		return c
+	}
+	if c := slices.CompareFunc(a.Ports, b.Ports, func(x, y PortCount) int {
+		if c := cmp.Compare(x.Service.Proto, y.Service.Proto); c != 0 {
+			return c
 		}
-		return scans[i].Source.Addr().Compare(scans[j].Source.Addr()) < 0
-	})
+		if c := cmp.Compare(x.Service.Port, y.Service.Port); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Packets, y.Packets)
+	}); c != 0 {
+		return c
+	}
+	if c := slices.CompareFunc(a.WeekPackets, b.WeekPackets, func(x, y WeekCount) int {
+		if c := cmp.Compare(x.Week, y.Week); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Packets, y.Packets)
+	}); c != 0 {
+		return c
+	}
+	return slices.CompareFunc(a.DstAddrs, b.DstAddrs, netip.Addr.Compare)
 }
 
 // Dropped returns the number of sessions at the level that closed

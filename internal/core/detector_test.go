@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -372,5 +374,47 @@ func TestFinishClosesFinalInstant(t *testing.T) {
 	}
 	if n := d.OpenSessions(netaddr6.Agg128); n != 0 {
 		t.Fatalf("%d sessions left after Finish", n)
+	}
+}
+
+// TestSortScansTotalOrder: scans that tie on start and source — a
+// session reopened at the instant an Advance closed it — sort into one
+// order whatever order they closed in, so the order Expire visits
+// sessions in never reaches Scans or a checkpoint.
+func TestSortScansTotalOrder(t *testing.T) {
+	t0 := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
+	src := netip.MustParsePrefix("2001:db8::1/128")
+	tied := func(end time.Duration, packets uint64, dsts int) Scan {
+		return Scan{Source: src, Level: netaddr6.Agg128, Start: t0, End: t0.Add(end), Packets: packets, Dsts: dsts}
+	}
+	scans := []Scan{
+		tied(time.Hour, 200, 150),
+		tied(time.Minute, 200, 150),
+		tied(time.Hour, 150, 150),
+		tied(time.Hour, 200, 120),
+		{Source: netip.MustParsePrefix("2001:db8::/128"), Level: netaddr6.Agg128, Start: t0, End: t0, Packets: 1, Dsts: 100},
+		{Source: src, Level: netaddr6.Agg128, Start: t0.Add(-time.Second), End: t0, Packets: 1, Dsts: 100},
+	}
+	withPorts := tied(time.Hour, 200, 150)
+	withPorts.Ports = []PortCount{{firewall.Service{Proto: layers.ProtoTCP, Port: 22}, 200}}
+	withDsts := tied(time.Hour, 200, 150)
+	withDsts.DstAddrs = []netip.Addr{netip.MustParseAddr("2001:db8::99")}
+	scans = append(scans, withPorts, withDsts)
+
+	want := append([]Scan(nil), scans...)
+	sortScans(want)
+	for i := 1; i < len(want); i++ {
+		if compareScans(&want[i-1], &want[i]) >= 0 {
+			t.Fatalf("sorted scans %d and %d not strictly ascending:\n%v\n%v", i-1, i, want[i-1], want[i])
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for range 200 {
+		got := append([]Scan(nil), scans...)
+		rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+		sortScans(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shuffled input sorted to\n%v\nwant\n%v", got, want)
+		}
 	}
 }

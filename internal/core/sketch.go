@@ -85,15 +85,27 @@ func maxRank(p uint8) uint8 { return 65 - p }
 // NewDstSketch returns an empty (sparse) sketch with 2^precision
 // registers (4 ≤ precision ≤ 16; out-of-range values are clamped).
 func NewDstSketch(precision uint8) *DstSketch {
-	if precision < 4 {
-		precision = 4
-	}
-	if precision > 16 {
-		precision = 16
-	}
+	precision = clampPrecision(precision)
 	s := &DstSketch{zeros: 1 << precision, precision: precision}
 	s.sparse = s.inline[:0]
 	return s
+}
+
+// clampPrecision clamps a requested precision to [4, 16].
+func clampPrecision(p uint8) uint8 { return min(max(p, 4), 16) }
+
+// Precision returns the sketch's precision: it has 2^precision
+// registers.
+func (s *DstSketch) Precision() uint8 { return s.precision }
+
+// Nonzero returns the number of nonzero registers, from the zero count
+// the sketch keeps, or −1 while that count is unknown (a restored dense
+// sketch, until an Estimate runs its full loop).
+func (s *DstSketch) Nonzero() int {
+	if s.zeros < 0 {
+		return -1
+	}
+	return 1<<s.precision - int(s.zeros)
 }
 
 // Add observes one destination address.
@@ -166,7 +178,7 @@ func (s *DstSketch) addSparse(idx uint32, rank uint8) {
 func (s *DstSketch) Estimate() uint64 {
 	m := float64(int(1) << s.precision)
 	if z := s.zeros; z >= 0 && 3*int(z) >= 1<<s.precision {
-		return uint64(m*math.Log(m/float64(z)) + 0.5)
+		return linearCount(m, int(z))
 	}
 	var sum float64
 	zeros := 0
@@ -185,6 +197,74 @@ func (s *DstSketch) Estimate() uint64 {
 	}
 	return uint64(e + 0.5)
 }
+
+// linearCount is Estimate's O(1) branch: the linear-counting estimate
+// of m registers of which zeros are zero, rounded.
+func linearCount(m float64, zeros int) uint64 {
+	return uint64(m*math.Log(m/float64(zeros)) + 0.5)
+}
+
+// Threshold decides Estimate() >= min for sketches of one precision
+// from their nonzero-register count (Nonzero) alone, wherever Estimate
+// takes its O(1) branch, and tells which counts may belong to a dense
+// sketch. A caller that keeps the count beside its sketch pointer
+// (the IDS engine's candidates) decides most sketches without touching
+// them. The linear-counting estimate falls as the zero count rises, so
+// the counts that reach min are those at or above one bound, found
+// once with Estimate's own float expression.
+type Threshold struct {
+	precision uint8
+	// minRegs is the least count in the O(1) branch whose estimate
+	// reaches min, or maxO1+1 when none does.
+	minRegs int
+	// maxO1 is the largest count in the O(1) branch: 3·zeros ≥ m.
+	maxO1 int
+	// sparseMax is the densify cutoff: a larger count is dense.
+	sparseMax int
+}
+
+// NewThreshold returns the threshold of min for sketches of the given
+// precision (clamped as NewDstSketch clamps it).
+func NewThreshold(precision uint8, min uint64) Threshold {
+	p := clampPrecision(precision)
+	m := 1 << p
+	t := Threshold{precision: p, maxO1: m - (m+2)/3, sparseMax: sparseMax(p)}
+	// The least zero count in the branch is ⌈m/3⌉ (count maxO1); find
+	// the largest zero count whose estimate still reaches min.
+	lo, hi := (m+2)/3, m // the answer z lies in [lo−1, hi]
+	if linearCount(float64(m), lo) < min {
+		t.minRegs = t.maxO1 + 1
+		return t
+	}
+	for lo < hi { // invariant: estimate(lo) ≥ min
+		mid := lo + (hi-lo+1)/2
+		if linearCount(float64(m), mid) >= min {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	t.minRegs = m - lo
+	return t
+}
+
+// Precision returns the (clamped) precision the threshold decides for.
+func (t *Threshold) Precision() uint8 { return t.precision }
+
+// Decide reports whether a sketch of the threshold's precision with n
+// nonzero registers estimates at least min. ok is false when n alone
+// does not decide it — n unknown (−1) or past Estimate's O(1) branch —
+// and the caller must ask Estimate.
+func (t *Threshold) Decide(n int) (reached, ok bool) {
+	if n < 0 || n > t.maxO1 {
+		return false, false
+	}
+	return n >= t.minRegs, true
+}
+
+// MayBeDense reports whether a sketch of the threshold's precision with
+// n nonzero registers (−1 for unknown) may hold the dense form.
+func (t *Threshold) MayBeDense(n int) bool { return n < 0 || n > t.sparseMax }
 
 // MemoryBytes returns the bytes the sketch holds: its struct, and the
 // dense registers or the sparse list's capacity outside the struct.

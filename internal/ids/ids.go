@@ -31,10 +31,11 @@
 // sets inside the sketch's own struct, and turns dense (2^precision
 // register bytes) only past m/8 nonzero registers (core.DstSketch);
 // the checkpoint writes each sketch in the form it is held in. A
-// minute Tick is the table's Expire sweep over its dense last-activity
-// column, which touches a candidate only when it is due, and a due
-// candidate below the threshold is recycled after an O(1) sketch
-// estimate (see core.DstSketch). ProcessBatch additionally groups adjacent
+// minute Tick is the table's Expire sweep, whose timing wheel visits
+// only the candidates that may be due (u128idx.Table). A due candidate
+// below the threshold is decided from the nonzero-register count it
+// keeps beside its sketch pointer (core.Threshold) and recycled
+// without touching the sketch. ProcessBatch additionally groups adjacent
 // same-source records so a burst of N records to one candidate costs
 // one table probe per level. The state is split into shards (this
 // file) that an Engine runs in a dispatch.Group (sharded.go).
@@ -184,11 +185,19 @@ func compareAlerts(a, b *Alert) int {
 // one candidate per source per level, which dominates the engine's
 // allocation rate on million-record days. A candidate's key and last
 // activity are the table's.
+//
+// A candidate also keeps its sketch's nonzero-register count (regs),
+// so the sweep decides a due candidate below the threshold, and pools
+// its sparse sketch, from the candidate's own slot without touching
+// the sketch (reaches, recycle).
 type candidate struct {
 	firstDst netaddr6.U128
 	sketch   *core.DstSketch
 	packets  uint64
 	first    time.Time
+	// regs is sketch.Nonzero() as of the last insert or restore: −1
+	// while unknown (a restored dense sketch), 0 without a sketch.
+	regs int32
 }
 
 // estimate returns the candidate's destination cardinality: exactly 1
@@ -200,25 +209,41 @@ func (c *candidate) estimate() uint64 {
 	return c.sketch.Estimate()
 }
 
+// reaches reports estimate() >= MinDsts: from the cached count when
+// the threshold can decide it (always for a sparse sketch), else from
+// the sketch's estimate.
+func (c *candidate) reaches(th *core.Threshold, minDsts uint64) bool {
+	if c.sketch == nil {
+		return 1 >= minDsts
+	}
+	if reached, ok := th.Decide(int(c.regs)); ok {
+		return reached
+	}
+	return c.sketch.Estimate() >= minDsts
+}
+
 // level is one aggregation level's candidate table, keyed by the
 // masked 128-bit source (the prefix length is the level itself), with
 // last activity on the checkpoint time axis (checkpoint.EncodeTime),
-// plus the pool of reset sketches for the next candidates that need
-// one. A reset sketch is sparse and empty: it keeps a sparse list's
-// capacity for its next candidate but drops a dense register array,
-// so the pool holds no dense memory.
+// plus the pool of sketches for the next candidates that need one. The
+// pool holds no dense memory: recycle resets a sketch that may be
+// dense at once, and pools a sparse one as it is (its list's capacity
+// is all it holds) for observeDst to reset when it takes it out, when
+// the sketch is about to be written anyway.
 type level struct {
 	agg        netaddr6.AggLevel
 	tab        u128idx.Table[candidate]
 	freeSketch []*core.DstSketch
 }
 
-// recycle resets an evicted candidate, pools its sketch and releases
+// recycle empties an evicted candidate, pools its sketch and releases
 // its handle. Callers must be done reading it.
-func (lv *level) recycle(h uint32) {
+func (lv *level) recycle(h uint32, th *core.Threshold) {
 	c := lv.tab.At(h)
 	if c.sketch != nil {
-		c.sketch.Reset()
+		if th.MayBeDense(int(c.regs)) {
+			c.sketch.Reset()
+		}
 		lv.freeSketch = append(lv.freeSketch, c.sketch)
 	}
 	*c = candidate{}
@@ -226,8 +251,9 @@ func (lv *level) recycle(h uint32) {
 }
 
 // observeDst records one destination for a candidate, materializing
-// the sketch (pooled when available) on the second distinct address.
-// HyperLogLog insertion is idempotent per address, so the
+// the sketch (pooled when available) on the second distinct address,
+// and refreshes the candidate's register count while the sketch is in
+// cache. HyperLogLog insertion is idempotent per address, so the
 // late-materialized sketch is byte-identical to one fed every record.
 func (lv *level) observeDst(c *candidate, d netaddr6.U128, precision uint8) {
 	if c.sketch == nil {
@@ -237,12 +263,14 @@ func (lv *level) observeDst(c *candidate, d netaddr6.U128, precision uint8) {
 		if n := len(lv.freeSketch) - 1; n >= 0 {
 			c.sketch = lv.freeSketch[n]
 			lv.freeSketch = lv.freeSketch[:n]
+			c.sketch.Reset()
 		} else {
 			c.sketch = core.NewDstSketch(precision)
 		}
 		c.sketch.AddU128(c.firstDst)
 	}
 	c.sketch.AddU128(d)
+	c.regs = int32(c.sketch.Nonzero())
 }
 
 // shard is one partition of an Engine's candidate state: every level's
@@ -251,7 +279,8 @@ func (lv *level) observeDst(c *candidate, d netaddr6.U128, precision uint8) {
 // runs its one shard inline, or each of its shards on its own worker.
 type shard struct {
 	cfg    Config
-	levels []*level // most specific first, as ordered by normalize
+	th     core.Threshold // MinDsts at the sketch precision, the engine's
+	levels []*level       // most specific first, as ordered by normalize
 	now    time.Time
 
 	// alerts accumulated since the last Drain.
@@ -264,7 +293,9 @@ type shard struct {
 
 	// scrDst is the per-run destination scratch for process.
 	scrDst []netaddr6.U128
-	// keyCounts holds sweep's key-sort counters (netaddr6.SortByKey).
+	// closed holds sweep's due handles at or above the threshold, and
+	// keyCounts its key-sort counters (netaddr6.SortByKey).
+	closed    []uint32
 	keyCounts []uint32
 }
 
@@ -298,9 +329,10 @@ func normalize(cfg Config) Config {
 	return cfg
 }
 
-// newShard returns an empty shard over a normalized configuration.
-func newShard(cfg Config) *shard {
-	s := &shard{cfg: cfg}
+// newShard returns an empty shard over a normalized configuration and
+// its threshold (core.NewThreshold of MinDsts at SketchPrecision).
+func newShard(cfg Config, th core.Threshold) *shard {
+	s := &shard{cfg: cfg, th: th}
 	for _, l := range cfg.Levels {
 		s.levels = append(s.levels, &level{agg: l})
 	}
@@ -421,39 +453,39 @@ func (s *shard) memoryBytes() int {
 
 // sweep evicts the candidates the level tables' Expire finds due at
 // cutoff (u128idx.ExpireAll at Flush), level by level, most specific
-// first, applying the suppression/escalation logic. The level order
-// was fixed by normalize; within a level, closed candidates are
-// visited in address order (netaddr6.SortByKey on their keys, which
-// are unique within a level), so the alerts do not depend on the
-// table's slot order.
+// first, applying the suppression/escalation logic. Expire visits only
+// the due candidates, and one below the threshold is decided and
+// recycled from its own slot (candidate.reaches, level.recycle). The
+// level order was fixed by normalize; within a level, closed
+// candidates are visited in address order (netaddr6.SortByKey on their
+// keys, which are unique within a level), so the alerts depend neither
+// on the table's slot order nor on the order Expire visits them.
 func (s *shard) sweep(cutoff int64) {
-	var (
-		closed  []uint32 // due handles at or above the threshold, reused per level
-		emitted []Alert
-	)
+	minDsts := uint64(s.cfg.MinDsts)
+	swept := len(s.alerts) // this sweep's alerts are s.alerts[swept:]
 	for _, lv := range s.levels {
-		closed = closed[:0]
+		s.closed = s.closed[:0]
 		lv.tab.Expire(cutoff, func(h uint32) {
-			if lv.tab.At(h).estimate() >= uint64(s.cfg.MinDsts) {
-				closed = append(closed, h)
+			if lv.tab.At(h).reaches(&s.th, minDsts) {
+				s.closed = append(s.closed, h)
 			} else {
-				lv.recycle(h)
+				lv.recycle(h, &s.th)
 			}
 		})
-		if len(closed) == 0 {
+		if len(s.closed) == 0 {
 			continue
 		}
-		netaddr6.SortByKey(closed, lv.tab.Key, &s.keyCounts)
+		netaddr6.SortByKey(s.closed, lv.tab.Key, &s.keyCounts)
 		// Suppression: a coarser candidate is redundant if
 		// already-emitted more specific alerts cover CoverageShare of
 		// its destinations (approximated by cardinality sums — sketches
 		// cannot intersect, and scan destination sets at different
 		// levels of one entity nest).
-		for _, h := range closed {
+		for _, h := range s.closed {
 			c := lv.tab.At(h)
 			prefix := netip.PrefixFrom(lv.tab.Key(h).ToAddr(), int(lv.agg))
 			var coveredDsts uint64
-			for _, a := range emitted {
+			for _, a := range s.alerts[swept:] {
 				if netaddr6.PrefixContains(prefix, a.Prefix) {
 					coveredDsts += a.EstimatedDsts
 				}
@@ -462,7 +494,7 @@ func (s *shard) sweep(cutoff int64) {
 			if float64(coveredDsts) >= s.cfg.CoverageShare*float64(est) {
 				continue // explained by finer alerts
 			}
-			emitted = append(emitted, Alert{
+			s.alerts = append(s.alerts, Alert{
 				Prefix:        prefix,
 				Level:         lv.agg,
 				EstimatedDsts: est,
@@ -474,9 +506,8 @@ func (s *shard) sweep(cutoff int64) {
 		}
 		// Alerts hold copies of everything they need; the closed
 		// candidates (and their sketches) can re-enter the table.
-		for _, h := range closed {
-			lv.recycle(h)
+		for _, h := range s.closed {
+			lv.recycle(h, &s.th)
 		}
 	}
-	s.alerts = append(s.alerts, emitted...)
 }

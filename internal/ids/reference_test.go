@@ -410,9 +410,10 @@ func TestIDSTapeShardedSeed(t *testing.T) {
 }
 
 // FuzzIDSEngine is the differential check of the optimized engine
-// (dense last column, saturating cutoff, O(1) sketch estimate, run
-// grouping, snapshot/restore) against the naive reference, at one
-// shard and, while no candidate was dropped, at three.
+// (timing-wheel expiry, saturating cutoff, the threshold decided from
+// the cached register count, run grouping, snapshot/restore) against
+// the naive reference, at one shard and, while no candidate was
+// dropped, at three.
 func FuzzIDSEngine(f *testing.F) {
 	// Late and equal timestamps, then ticks exactly at and 1ns past
 	// last + Timeout, a snapshot, and a drain.

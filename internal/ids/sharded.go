@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"v6scan/internal/checkpoint"
+	"v6scan/internal/core"
 	"v6scan/internal/dispatch"
 	"v6scan/internal/firewall"
 	"v6scan/internal/netaddr6"
@@ -47,8 +48,9 @@ func New(cfg Config) *Engine { return NewSharded(cfg, 1) }
 // aggregation levels across n parallel shards; n ≤ 1 is New.
 func NewSharded(cfg Config, n int) *Engine {
 	cfg = normalize(cfg)
+	th := core.NewThreshold(cfg.SketchPrecision, uint64(cfg.MinDsts))
 	return &Engine{cfg: cfg, g: dispatch.NewGroup(n, cfg.Levels, dispatch.IDSInline,
-		func() *shard { return newShard(cfg) })}
+		func() *shard { return newShard(cfg, th) })}
 }
 
 // Config returns the engine's normalized configuration (defaults

@@ -180,7 +180,8 @@ func (r *idsRestore) Config(d *checkpoint.Dec) ([]netaddr6.AggLevel, error) {
 // Entry rebuilds one candidate into the shard the group routes its
 // records to.
 func (r *idsRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
-	lv := r.e.g.Shards()[r.e.g.ShardFor(key)].levels[li]
+	shard := r.e.g.Shards()[r.e.g.ShardFor(key)]
+	lv := shard.levels[li]
 	var c candidate
 	c.packets = d.Uvarint()
 	c.first = d.Time()
@@ -199,6 +200,14 @@ func (r *idsRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
 	}
 	if err != nil {
 		return err
+	}
+	if c.sketch != nil {
+		// The sweep reads the cached count against the engine's
+		// threshold, which holds for its own precision only.
+		if p := shard.th.Precision(); c.sketch.Precision() != p {
+			return fmt.Errorf("%w: candidate sketch precision %d, engine %d", checkpoint.ErrFormat, c.sketch.Precision(), p)
+		}
+		c.regs = int32(c.sketch.Nonzero())
 	}
 	h, _ := lv.tab.Ref(key, last) // keys arrive strictly ascending
 	*lv.tab.At(h) = c

@@ -13,8 +13,10 @@
 // per-entry pointers: the garbage collector never traces it bucket by
 // bucket, lookups touch two contiguous cache lines per probe group
 // instead of chasing bucket chains, and a combined lookup-or-insert is
-// a single probe (Ref). The Table's dense last-activity column makes
-// its idle sweep (Expire) a linear pass over plain integers.
+// a single probe (Ref). The Table files each handle in a hashed timing
+// wheel of coarse time buckets, on intrusive links beside its last
+// activity, so its idle sweep (Expire) visits only the buckets that
+// are due, not every entry.
 //
 // # Determinism
 //
