@@ -50,17 +50,23 @@ const (
 // is, so a handle never sits in a bucket later than its activity's;
 // Expire visits only the buckets up to the cutoff's and re-files the
 // handles there that have moved on. A sweep costs what is due plus
-// what was touched since it was filed, not what is resident. The zero
-// value is an empty table ready for use. Not safe for concurrent use.
+// what was touched since it was filed, not what is resident. Each
+// handle also keeps its index slot, so Release deletes its key without
+// a probe. The zero value is an empty table ready for use. Not safe
+// for concurrent use.
 type Table[T any] struct {
 	idx   Index
 	pages [][]entry[T]
 	// nodes holds the wheel: nodes[:ringSize] are the buckets' list
-	// heads, nodes[ringSize+h] is handle h's last activity and links.
+	// heads, nodes[ringSize+h] is handle h's last activity, links and
+	// index slot.
 	// Lists are circular through their head, and a handle on no list
 	// (free, or closed by Expire and not yet released) links to itself.
 	nodes []node
-	free  []uint32
+	// slotGen is the index's gen when the nodes' slots were last
+	// brought up to date (resync).
+	slotGen uint32
+	free    []uint32
 	// cur is the wheel's position, an absolute bucket number (last
 	// activity >> bucketShift): every filed handle sits under a bucket
 	// at or after cur and at or before its last activity's.
@@ -73,11 +79,13 @@ type entry[T any] struct {
 	val T
 }
 
-// node is one wheel node: a handle's last activity and its list
-// links, as node indices.
+// node is one wheel node: a handle's last activity, its list links
+// (node indices) and its index slot, so Release deletes the key without
+// probing for it.
 type node struct {
 	last       int64
 	next, prev uint32
+	slot       uint32
 }
 
 func (t *Table[T]) slot(h uint32) *entry[T] { return &t.pages[h>>pageShift][h&(pageSize-1)] }
@@ -108,9 +116,9 @@ func (t *Table[T]) Get(key netaddr6.U128) (uint32, bool) { return t.idx.GetH(Has
 // when absent (existed reports which): lookup and admission in one
 // probe. An existing entry's last activity is unchanged.
 func (t *Table[T]) Ref(key netaddr6.U128, at int64) (h uint32, existed bool) {
-	vp, existed := t.idx.RefH(Hash(key), key)
+	s, existed := t.idx.refSlot(Hash(key), key)
 	if existed {
-		return *vp, true
+		return t.idx.vals[s], true
 	}
 	if len(t.nodes) == 0 {
 		t.nodes = make([]node, ringSize, ringSize+pageSize)
@@ -133,8 +141,9 @@ func (t *Table[T]) Ref(key netaddr6.U128, at int64) (h uint32, existed bool) {
 		t.cur = b // nothing else is filed below b
 	}
 	t.nodes[ringSize+h].last = at
+	t.nodes[ringSize+h].slot = uint32(s)
 	t.file(ringSize+h, at)
-	*vp = h
+	t.idx.vals[s] = h
 	return h, false
 }
 
@@ -142,9 +151,23 @@ func (t *Table[T]) Ref(key netaddr6.U128, at int64) (h uint32, existed bool) {
 // returns the handle to the free list. Its value is left as is (see
 // Table).
 func (t *Table[T]) Release(h uint32) {
-	t.idx.Delete(t.slot(h).key)
+	if t.slotGen != t.idx.gen {
+		t.resync()
+	}
+	t.idx.deleteSlot(int(t.nodes[ringSize+h].slot))
 	t.unlink(ringSize + h)
 	t.free = append(t.free, h)
+}
+
+// resync records every live handle's index slot after a rehash moved
+// them: O(capacity), once per rehash, which costs as much.
+func (t *Table[T]) resync() {
+	for s, c := range t.idx.ctrl {
+		if c&0x80 == 0 {
+			t.nodes[ringSize+t.idx.vals[s]].slot = uint32(s)
+		}
+	}
+	t.slotGen = t.idx.gen
 }
 
 // file links node n at the head of the bucket of activity at.

@@ -107,6 +107,9 @@ type Index struct {
 	n      int             // live entries
 	dead   int             // tombstones
 	growAt int             // occupied (live+dead) threshold triggering rehash
+	// gen counts rehashes, the only operation that moves entries: a
+	// slot refSlot returned stays the key's while gen is unchanged.
+	gen uint32
 }
 
 // NewIndex returns an index pre-sized for about hint entries. A zero
@@ -213,24 +216,30 @@ func (ix *Index) Ref(k netaddr6.U128) (v *uint32, existed bool) {
 
 // RefH is Ref with a caller-computed hash.
 func (ix *Index) RefH(h uint64, k netaddr6.U128) (v *uint32, existed bool) {
+	s, existed := ix.refSlot(h, k)
+	return &ix.vals[s], existed
+}
+
+// refSlot is RefH returning k's slot.
+func (ix *Index) refSlot(h uint64, k netaddr6.U128) (s int, existed bool) {
 	if ix.ctrl == nil {
 		ix.init(1)
 	}
 	if s := ix.find(h, k); s >= 0 {
-		return &ix.vals[s], true
+		return s, true
 	}
 	if ix.n+ix.dead >= ix.growAt {
 		ix.rehash()
 	}
-	s := ix.insertSlot(h)
-	if ix.ctrl[s] == ctrlDeleted {
+	i := ix.insertSlot(h)
+	if ix.ctrl[i] == ctrlDeleted {
 		ix.dead--
 	}
-	ix.ctrl[s] = uint8(h & 0x7f)
-	ix.keys[s] = k
-	ix.vals[s] = 0
+	ix.ctrl[i] = uint8(h & 0x7f)
+	ix.keys[i] = k
+	ix.vals[i] = 0
 	ix.n++
-	return &ix.vals[s], false
+	return int(i), false
 }
 
 // insertSlot returns the first empty-or-deleted slot on k's probe
@@ -274,6 +283,12 @@ func (ix *Index) DeleteH(h uint64, k netaddr6.U128) (uint32, bool) {
 		return 0, false
 	}
 	v := ix.vals[s]
+	ix.deleteSlot(s)
+	return v, true
+}
+
+// deleteSlot removes the live entry at slot s.
+func (ix *Index) deleteSlot(s int) {
 	// If the slot's group still has an empty slot, no probe chain
 	// passes through this group, so the slot can re-become empty
 	// instead of a tombstone (the abseil "never-full group" rule).
@@ -286,7 +301,6 @@ func (ix *Index) DeleteH(h uint64, k netaddr6.U128) (uint32, bool) {
 		ix.dead++
 	}
 	ix.n--
-	return v, true
 }
 
 // Reset empties the index, retaining its arrays for reuse at the same
@@ -317,6 +331,7 @@ func (ix *Index) rehash() {
 	ix.gmask = groups - 1
 	ix.growAt = int(slots) * 7 / 8
 	ix.dead = 0
+	ix.gen++
 	for s, c := range oldCtrl {
 		if c&0x80 != 0 {
 			continue
