@@ -63,10 +63,10 @@ type Table[T any] struct {
 	// Lists are circular through their head, and a handle on no list
 	// (free, or closed by Expire and not yet released) links to itself.
 	nodes []node
-	// slotGen is the index's gen when the nodes' slots were last
-	// brought up to date (resync).
-	slotGen uint32
-	free    []uint32
+	free  []uint32
+	// stale reports that a rehash moved the index's entries since the
+	// nodes' slots were last brought up to date (resync).
+	stale bool
 	// cur is the wheel's position, an absolute bucket number (last
 	// activity >> bucketShift): every filed handle sits under a bucket
 	// at or after cur and at or before its last activity's.
@@ -116,10 +116,11 @@ func (t *Table[T]) Get(key netaddr6.U128) (uint32, bool) { return t.idx.GetH(Has
 // when absent (existed reports which): lookup and admission in one
 // probe. An existing entry's last activity is unchanged.
 func (t *Table[T]) Ref(key netaddr6.U128, at int64) (h uint32, existed bool) {
-	s, existed := t.idx.refSlot(Hash(key), key)
+	s, existed, moved := t.idx.refSlot(Hash(key), key)
 	if existed {
 		return t.idx.vals[s], true
 	}
+	t.stale = t.stale || moved
 	if len(t.nodes) == 0 {
 		t.nodes = make([]node, ringSize, ringSize+pageSize)
 		for i := range uint32(ringSize) {
@@ -151,7 +152,7 @@ func (t *Table[T]) Ref(key netaddr6.U128, at int64) (h uint32, existed bool) {
 // returns the handle to the free list. Its value is left as is (see
 // Table).
 func (t *Table[T]) Release(h uint32) {
-	if t.slotGen != t.idx.gen {
+	if t.stale {
 		t.resync()
 	}
 	t.idx.deleteSlot(int(t.nodes[ringSize+h].slot))
@@ -167,7 +168,7 @@ func (t *Table[T]) resync() {
 			t.nodes[ringSize+t.idx.vals[s]].slot = uint32(s)
 		}
 	}
-	t.slotGen = t.idx.gen
+	t.stale = false
 }
 
 // file links node n at the head of the bucket of activity at.

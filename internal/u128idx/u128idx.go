@@ -107,9 +107,6 @@ type Index struct {
 	n      int             // live entries
 	dead   int             // tombstones
 	growAt int             // occupied (live+dead) threshold triggering rehash
-	// gen counts rehashes, the only operation that moves entries: a
-	// slot refSlot returned stays the key's while gen is unchanged.
-	gen uint32
 }
 
 // NewIndex returns an index pre-sized for about hint entries. A zero
@@ -216,20 +213,23 @@ func (ix *Index) Ref(k netaddr6.U128) (v *uint32, existed bool) {
 
 // RefH is Ref with a caller-computed hash.
 func (ix *Index) RefH(h uint64, k netaddr6.U128) (v *uint32, existed bool) {
-	s, existed := ix.refSlot(h, k)
+	s, existed, _ := ix.refSlot(h, k)
 	return &ix.vals[s], existed
 }
 
-// refSlot is RefH returning k's slot.
-func (ix *Index) refSlot(h uint64, k netaddr6.U128) (s int, existed bool) {
+// refSlot is RefH returning k's slot. moved reports that the insertion
+// rehashed the index, the only operation that moves entries: every
+// other key's slot may have changed.
+func (ix *Index) refSlot(h uint64, k netaddr6.U128) (s int, existed, moved bool) {
 	if ix.ctrl == nil {
 		ix.init(1)
 	}
 	if s := ix.find(h, k); s >= 0 {
-		return s, true
+		return s, true, false
 	}
 	if ix.n+ix.dead >= ix.growAt {
 		ix.rehash()
+		moved = true
 	}
 	i := ix.insertSlot(h)
 	if ix.ctrl[i] == ctrlDeleted {
@@ -239,7 +239,7 @@ func (ix *Index) refSlot(h uint64, k netaddr6.U128) (s int, existed bool) {
 	ix.keys[i] = k
 	ix.vals[i] = 0
 	ix.n++
-	return int(i), false
+	return int(i), false, moved
 }
 
 // insertSlot returns the first empty-or-deleted slot on k's probe
@@ -331,7 +331,6 @@ func (ix *Index) rehash() {
 	ix.gmask = groups - 1
 	ix.growAt = int(slots) * 7 / 8
 	ix.dead = 0
-	ix.gen++
 	for s, c := range oldCtrl {
 		if c&0x80 != 0 {
 			continue
