@@ -16,10 +16,11 @@
 // firewall reload hook to consume.
 //
 // Lifecycle: SIGTERM/SIGINT drain everything durable in the log, cut
-// a final checkpoint (with -checkpoint-dir), and exit; SIGHUP drains,
-// snapshots, and restarts the pipeline in place with the engine state
-// carried over — the log path is reopened, so rotation schemes that
-// replace the file are picked up. After a crash or a stop, -resume
+// a final checkpoint (with -checkpoint-dir), end the SSE streams, and
+// exit. The tail itself follows the log across rotation (rename or
+// replace) and truncation, so no signal is needed to pick up a new
+// file: SIGHUP, which logrotate-style postrotate hooks send, is noted
+// on stdout and otherwise ignored. After a crash or a stop, -resume
 // restores the latest checkpoint and skips the already-processed log
 // prefix; the alerts of the exact tick a periodic checkpoint was cut
 // at may be re-published (at-least-once delivery).
@@ -103,25 +104,31 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	srv := &http.Server{Handler: d.Handler()}
 	go srv.Serve(ln)
-	fmt.Fprintf(stdout, "v6scand: tailing %s, serving http://%s\n", *input, ln.Addr())
 
+	// Signals are caught before the serving line is printed, so a
+	// supervisor that waits for that line may signal at once.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
 	defer signal.Stop(sig)
 	go func() {
-		for s := range sig {
-			if s == syscall.SIGHUP {
-				fmt.Fprintln(stdout, "v6scand: reloading (SIGHUP)")
-				d.Reload()
-				continue
+		for {
+			select {
+			case s := <-sig:
+				if s == syscall.SIGHUP {
+					fmt.Fprintln(stdout, "v6scand: SIGHUP ignored: the tail follows log rotation")
+					continue
+				}
+				fmt.Fprintf(stdout, "v6scand: draining (%v)\n", s)
+				cancel()
+				return
+			case <-ctx.Done():
+				return
 			}
-			fmt.Fprintf(stdout, "v6scand: draining (%v)\n", s)
-			cancel()
-			return
 		}
 	}()
+	fmt.Fprintf(stdout, "v6scand: tailing %s, serving http://%s\n", *input, ln.Addr())
 
 	err = d.Run(ctx)
 	shCtx, shCancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -43,7 +43,6 @@ package pipeline
 // sidecar that ResumeFile reads back.
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -178,51 +177,24 @@ func due(last *time.Time, every time.Duration, t time.Time) bool {
 // which resume assumes; a cut off the cadence — a stopping sink's
 // final state at its newest record + 1ns — would shift the resumed
 // tick schedule that way, so its phase travels in a sidecar file
-// "<checkpoint>.marks" holding this JSON (or in the Handoff).
+// "<checkpoint>.marks" holding this JSON.
 type marks struct {
 	Advance    time.Time `json:"advance"`
 	Checkpoint time.Time `json:"checkpoint"`
 }
 
-// cutFinal snapshots ck at mark — a valid cut off the cadence: every
-// consumed record is before it — and publishes it with its phase
-// sidecar when the sink has a checkpoint dir.
-func (c *cadence) cutFinal(ck Checkpointer, mark time.Time) (*Handoff, error) {
-	var buf bytes.Buffer
-	if err := ck.Checkpoint(&buf, mark); err != nil {
-		return nil, err
+// cutFinal publishes ck's state at mark — a valid cut off the cadence:
+// every consumed record is before it — into the checkpoint dir, with
+// its phase sidecar. Call it only when the sink has a checkpoint dir.
+func (c *cadence) cutFinal(ck Checkpointer, mark time.Time) error {
+	start := time.Now()
+	err := writeCheckpoint(c.checkpointDir, ck, mark, &marks{c.lastAdvance, c.lastCkpt})
+	c.met.checkpointDone(time.Since(start), err)
+	if err != nil {
+		return err
 	}
-	h := &Handoff{snapshot: buf.Bytes(), phase: marks{c.lastAdvance, c.lastCkpt}}
-	if c.checkpointDir != "" {
-		start := time.Now()
-		err := writeCheckpoint(c.checkpointDir, h, mark, &h.phase)
-		c.met.checkpointDone(time.Since(start), err)
-		if err != nil {
-			return nil, err
-		}
-		c.lastCkpt = mark
-	}
-	return h, nil
-}
-
-// Handoff is a stopped IDS sink's final state for a next run to
-// continue from: the snapshot a checkpoint and its sidecar would hold,
-// kept in memory (the serve daemon's reload path).
-type Handoff struct {
-	snapshot []byte
-	phase    marks
-}
-
-// Checkpoint implements Checkpointer by writing the held snapshot.
-func (h *Handoff) Checkpoint(w io.Writer, _ time.Time) error {
-	_, err := w.Write(h.snapshot)
-	return err
-}
-
-// Resume restores a sink from the handoff, in the cadence phase it was
-// cut in, as ResumeFile does from a checkpoint and its sidecar.
-func (h *Handoff) Resume(shards int) (*Resumed, error) {
-	return resume(bytes.NewReader(h.snapshot), shards, &h.phase)
+	c.lastCkpt = mark
+	return nil
 }
 
 // checkpointFileName names a checkpoint by its mark so lexical order

@@ -227,6 +227,15 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	closeResumed(t, res)
 }
 
+// rawSnapshot is a Checkpointer that writes snapshot bytes cut
+// earlier, whatever the mark.
+type rawSnapshot []byte
+
+func (r rawSnapshot) Checkpoint(w io.Writer, _ time.Time) error {
+	_, err := w.Write(r)
+	return err
+}
+
 // closeResumed stops a resumed sink the test does not run; a detector
 // restore has live workers.
 func closeResumed(t testing.TB, res *Resumed) {

@@ -18,11 +18,11 @@ import (
 )
 
 // drainHook is the serving pattern in miniature: drain the engine at
-// every fire, keep the final cut.
+// every fire, note the checkpoint mark the sink stopped at.
 type drainHook struct {
-	eng   *ids.Engine
-	fires []drained
-	final *Handoff
+	eng         *ids.Engine
+	fires       []drained
+	stoppedCkpt time.Time
 }
 
 // drained is what a fire at drained the engine of.
@@ -47,8 +47,8 @@ func (h *drainHook) alerts() []ids.Alert {
 
 func (h *drainHook) Consumed(time.Time) {}
 
-func (h *drainHook) Stopped(final *Handoff, _ time.Time) error {
-	h.final = final
+func (h *drainHook) Stopped(lastCkpt time.Time) error {
+	h.stoppedCkpt = lastCkpt
 	return nil
 }
 
@@ -86,26 +86,29 @@ func runHooked(t *testing.T, s *IDSSink, recs []firewall.Record, horizon time.Ti
 // TestHookedFinalCutResumesInPhase: a hooked IDS sink that stops
 // mid-stream cuts its state at its newest record + 1ns — off the
 // cadence — and publishes the phase in a sidecar. Resuming that cut
-// from disk (ResumeFile) or from memory (Handoff.Resume) restores the
-// phase, so the fire-drained alerts of the two legs concatenate to the
-// uninterrupted run's exactly.
+// (ResumeFile) restores the phase, so the fire-drained alerts of the
+// two legs concatenate to the uninterrupted run's exactly.
 func TestHookedFinalCutResumesInPhase(t *testing.T) {
 	recs := ckptRecords(20_000)
 	kill := killIndex(recs, 3*24*time.Hour+7*time.Hour)
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprint("shards=", shards), func(t *testing.T) {
-			want := canonicalIDSAlerts(runHooked(t, newIDSTerminal(shards), recs, time.Time{}, "").alerts())
+			ref := runHooked(t, newIDSTerminal(shards), recs, time.Time{}, "")
+			want := canonicalIDSAlerts(ref.alerts())
 			if want == "" {
 				t.Fatal("reference drained no alerts")
+			}
+			if !ref.stoppedCkpt.IsZero() {
+				t.Fatalf("a sink without a checkpoint dir cut a final checkpoint at %v", ref.stoppedCkpt)
 			}
 
 			dir := t.TempDir()
 			first := newIDSTerminal(shards)
 			a := runHooked(t, first, recs[:kill], time.Time{}, dir)
-			if a.final == nil {
-				t.Fatal("stopped sink handed over no final cut")
-			}
 			mark := recs[kill-1].Time.Add(time.Nanosecond)
+			if !a.stoppedCkpt.Equal(mark) {
+				t.Fatalf("Stopped saw checkpoint mark %v, want the final cut %v", a.stoppedCkpt, mark)
+			}
 			path, err := latestCheckpoint(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -121,22 +124,16 @@ func TestHookedFinalCutResumesInPhase(t *testing.T) {
 				t.Fatalf("stopped phase %+v: want an off-cadence advance mark and the cut at %v", stopped, mark)
 			}
 
-			fromFile, err := ResumeFile(path, shards)
+			res, err := ResumeFile(path, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromMemory, err := a.final.Resume(shards)
-			if err != nil {
-				t.Fatal(err)
+			if got := phaseOf(t, res.Sink); !got.Advance.Equal(stopped.Advance) {
+				t.Errorf("resumed advance mark %v, want %v", got.Advance, stopped.Advance)
 			}
-			for name, res := range map[string]*Resumed{"file": fromFile, "handoff": fromMemory} {
-				if got := phaseOf(t, res.Sink); !got.Advance.Equal(stopped.Advance) {
-					t.Errorf("%s: resumed advance mark %v, want %v", name, got.Advance, stopped.Advance)
-				}
-				b := runHooked(t, res.Sink.(*IDSSink), recs, res.Horizon, "")
-				if got := canonicalIDSAlerts(append(a.alerts(), b.alerts()...)); got != want {
-					t.Errorf("%s: interrupted+resumed alerts differ from uninterrupted run\n got:\n%s\nwant:\n%s", name, got, want)
-				}
+			b := runHooked(t, res.Sink.(*IDSSink), recs, res.Horizon, "")
+			if got := canonicalIDSAlerts(append(a.alerts(), b.alerts()...)); got != want {
+				t.Errorf("interrupted+resumed alerts differ from uninterrupted run\n got:\n%s\nwant:\n%s", got, want)
 			}
 		})
 	}
@@ -227,7 +224,7 @@ func TestOrphanSidecarIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCheckpoint(dir, &Handoff{snapshot: data}, res.Mark); err != nil {
+	if err := WriteCheckpoint(dir, rawSnapshot(data), res.Mark); err != nil {
 		t.Fatal(err)
 	}
 	later := res.Mark.Add(time.Hour)
@@ -275,7 +272,7 @@ func TestFireCutDropsStaleSidecar(t *testing.T) {
 	}
 	m := res.Mark
 	stale := marks{m.Add(-30 * time.Second), m.Add(-2 * time.Hour)}
-	if err := writeCheckpoint(dir, &Handoff{snapshot: data}, m, &stale); err != nil {
+	if err := writeCheckpoint(dir, rawSnapshot(data), m, &stale); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, checkpointFileName(m))
@@ -285,7 +282,7 @@ func TestFireCutDropsStaleSidecar(t *testing.T) {
 		t.Fatalf("final cut resumes in phase %+v, want %+v", ph, stale)
 	}
 
-	if err := WriteCheckpoint(dir, &Handoff{snapshot: data}, m); err != nil {
+	if err := WriteCheckpoint(dir, rawSnapshot(data), m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + sidecarSuffix); !errors.Is(err, os.ErrNotExist) {

@@ -107,12 +107,12 @@ type IDSHook interface {
 	// the newest record time consumed.
 	Consumed(last time.Time)
 	// Stopped runs once when Flush begins, before the engine's final
-	// sweep. final is the sink's state cut off the cadence at the
-	// newest consumed record's time + 1ns — already published, with
-	// its phase sidecar, when the builder set a checkpoint dir — or
-	// nil when the sink holds no stream position. lastCkpt is as in
-	// Fired.
-	Stopped(final *Handoff, lastCkpt time.Time) error
+	// sweep. When the builder set a checkpoint dir and the sink holds a
+	// stream position, the sink has just published its state there,
+	// cut off the cadence at the newest consumed record's time + 1ns,
+	// with its phase sidecar; lastCkpt (as in Fired) is then that
+	// cut's mark.
+	Stopped(lastCkpt time.Time) error
 }
 
 // IDSSink terminates a pipeline in the dynamic-aggregation IDS engine,
@@ -180,8 +180,8 @@ func (s *IDSSink) process(recs []firewall.Record) error {
 
 // Flush implements RecordSink, draining the engine exactly once (a
 // second Flush would return an empty alert set, so repeats are
-// no-ops). A hooked sink first cuts its final state and hands it to
-// the hook's Stopped.
+// no-ops). A hooked sink first cuts its final state into the
+// checkpoint dir, when there is one, then calls the hook's Stopped.
 func (s *IDSSink) Flush() error {
 	if s.flushed {
 		return nil
@@ -189,12 +189,11 @@ func (s *IDSSink) Flush() error {
 	s.flushed = true
 	var err error
 	if s.hook != nil {
-		var final *Handoff
-		if !s.lastSeen.IsZero() {
-			final, err = s.cutFinal(s, s.lastSeen.Add(time.Nanosecond))
+		if s.checkpointDir != "" && !s.lastSeen.IsZero() {
+			err = s.cutFinal(s, s.lastSeen.Add(time.Nanosecond))
 		}
 		if err == nil {
-			err = s.hook.Stopped(final, s.lastCkpt)
+			err = s.hook.Stopped(s.lastCkpt)
 		}
 	}
 	s.alerts = s.E.Flush()

@@ -1,13 +1,12 @@
 package serve
 
-// A generation is one pipeline run of the daemon: the tail feeding
-// the pipeline's own IDS sink — the terminal a batch `v6scan -ids` run
+// A generation is the daemon's pipeline run: the tail feeding the
+// pipeline's own IDS sink — the terminal a batch `v6scan -ids` run
 // uses, with the same cadence, batch splitting and checkpoint firing —
 // plus the sink's hook, through which the daemon acts where a batch
 // run has nothing to do: at each tick fire it drains and publishes the
 // fresh alerts, after each record run it refreshes the stream
-// progress, and when the generation stops it keeps the sink's final
-// cut for the next one.
+// progress, and when the run stops it publishes the final State.
 //
 // The sink fires Tick → checkpoint → hook at a cadence point, so the
 // snapshot is cut after eviction but before the fired alerts leave the
@@ -22,21 +21,18 @@ import (
 
 // generation implements pipeline.IDSHook. Single-goroutine, like
 // every terminal sink: all fields are touched only by the pipeline's
-// dispatching goroutine (and by Daemon.Run once the run has returned).
+// dispatching goroutine (and by Daemon.Run before the run starts).
 type generation struct {
 	d    *Daemon
 	sink *pipeline.IDSSink
 	tail *pipeline.TailSource
-	// restored is the mark of the state the generation resumed from
-	// (zero when fresh); the replay skips everything before it.
+	// restored is the mark of the state the run resumed from (zero
+	// when fresh); the replay skips everything before it.
 	restored time.Time
 
 	lastCkpt time.Time
 	lastSeen time.Time
 	lastPub  time.Time // wall clock of the last light State publish
-
-	// final is the sink's parting cut, the next generation's start.
-	final *pipeline.Handoff
 }
 
 // statePublishInterval throttles the stream-progress State refresh:
@@ -60,17 +56,16 @@ func (g *generation) Consumed(last time.Time) {
 	}
 }
 
-// Stopped implements pipeline.IDSHook at the end of a generation
-// (shutdown or reload). The sink has cut its state at lastSeen+1ns —
-// a valid cut that is not a cadence fire point, so no tick is forced
-// and the cadence phase travels with the cut. The alerts the engine's
-// final sweep then emits are deliberately not published: they are the
-// premature eviction of still-open candidates, which the cut
-// preserves; a resumed daemon (or the same process after reload)
-// re-grows them and alerts at the stream time an uninterrupted run
-// would have.
-func (g *generation) Stopped(final *pipeline.Handoff, lastCkpt time.Time) error {
-	g.final, g.lastCkpt = final, lastCkpt
+// Stopped implements pipeline.IDSHook at shutdown. With a checkpoint
+// dir the sink has cut its state at lastSeen+1ns — a valid cut that is
+// not a cadence fire point, so no tick is forced and the cadence phase
+// travels in the cut's sidecar. The alerts the engine's final sweep
+// then emits are deliberately not published: they are the premature
+// eviction of still-open candidates, which the cut preserves; a
+// resumed daemon re-grows them and alerts at the stream time an
+// uninterrupted run would have.
+func (g *generation) Stopped(lastCkpt time.Time) error {
+	g.lastCkpt = lastCkpt
 	g.d.publishFinal(g)
 	return nil
 }

@@ -109,7 +109,8 @@ func (d *Daemon) handleAlerts(w http.ResponseWriter, r *http.Request) {
 //
 // A slow client's buffer overflowing drops alerts for that client
 // only (counted in v6scand_sse_dropped_total); the pipeline never
-// blocks on a reader.
+// blocks on a reader. Once Run has returned, the stream writes out
+// what the client's buffer holds and ends.
 func (d *Daemon) handleAlertStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -144,6 +145,18 @@ func (d *Daemon) handleAlertStream(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		case <-r.Context().Done():
 			return
+		case <-d.hub.done:
+			for {
+				select {
+				case sa := <-sub.ch:
+					if writeSSE(w, sa) != nil {
+						return
+					}
+				default:
+					fl.Flush()
+					return
+				}
+			}
 		}
 	}
 }

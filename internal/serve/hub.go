@@ -48,11 +48,14 @@ type subscriber struct {
 	dropped uint64 // alerts this client missed; guarded by hub.mu
 }
 
-// hub owns the alert ring and the subscriber set. All fields are
-// guarded by mu; publish runs on the pipeline's dispatching goroutine,
-// subscribe/unsubscribe and the read accessors run on HTTP handler
-// goroutines.
+// hub owns the alert ring and the subscriber set. All fields but done
+// are guarded by mu; publish runs on the pipeline's dispatching
+// goroutine, subscribe/unsubscribe and the read accessors run on HTTP
+// handler goroutines.
 type hub struct {
+	// done closes once nothing more will be published (close), which
+	// ends every SSE stream.
+	done     chan struct{}
 	mu       sync.Mutex
 	ring     []SeqAlert // ring[i].Seq == firstSeq+i, len ≤ capHint
 	firstSeq uint64
@@ -70,8 +73,12 @@ func newHub(backlog, buffer int) *hub {
 	if buffer <= 0 {
 		buffer = 64
 	}
-	return &hub{subs: make(map[*subscriber]struct{}), capHint: backlog, bufHint: buffer}
+	return &hub{done: make(chan struct{}), subs: make(map[*subscriber]struct{}), capHint: backlog, bufHint: buffer}
 }
+
+// close tells the SSE handlers that publishing is over; call it once,
+// after the last publish.
+func (h *hub) close() { close(h.done) }
 
 // publish assigns sequence numbers to a batch of alerts, appends them
 // to the ring (evicting the oldest past the bound), and offers each to

@@ -7,23 +7,22 @@
 //
 // # Lifecycle
 //
-// A Daemon runs in generations. Each generation opens the tail, builds
-// a pipeline into the pipeline's IDS sink — the terminal a batch
-// `v6scan -ids` run uses, so the daemon ticks, splits batches and cuts
-// checkpoints exactly where the batch run would — with the daemon
-// attached as the sink's hook (see generation.go), and streams until
-// the run context is cancelled (SIGTERM path: drain what is durable,
-// cut a final checkpoint, exit) or a Reload is requested (SIGHUP path:
-// same drain and final cut, then a new generation resumes from the
-// just-cut state in place, with the same configuration — the log is
-// reopened, so a renamed or replaced path is picked up).
+// Run opens the tail, builds a pipeline into the pipeline's IDS sink —
+// the terminal a batch `v6scan -ids` run uses, so the daemon ticks,
+// splits batches and cuts checkpoints exactly where the batch run
+// would — with the daemon attached as the sink's hook (see
+// generation.go), and streams until the run context is cancelled: the
+// tail drains what is durable, the sink cuts a final checkpoint (with
+// a checkpoint dir), and every SSE stream ends. The tail follows the
+// log across rotation by rename or replacement (pipeline.TailSource),
+// so the daemon never restarts its pipeline to pick up a new file.
 //
-// Crash recovery is the batch CLI's resume story: start the daemon
-// with Config.Resume and it restores the latest checkpoint, replays
-// the log with the already-processed prefix skipped, and continues.
-// Alerts of the exact fire a periodic checkpoint was cut at are
-// re-published on such a resume (at-least-once delivery; see
-// generation.go).
+// Recovery after a crash or a stop is the batch CLI's resume story,
+// and the only way state is restored: start the daemon with
+// Config.Resume and it restores the latest checkpoint, replays the log
+// with the already-processed prefix skipped, and continues. Alerts of
+// the exact fire a periodic checkpoint was cut at are re-published on
+// such a resume (at-least-once delivery; see generation.go).
 //
 // # Concurrency
 //
@@ -88,13 +87,12 @@ type Config struct {
 // progress) and every tick fire (engine-derived fields); handlers
 // only ever read whole snapshots.
 type State struct {
-	// Generation counts pipeline (re)starts: 1 on first run,
-	// incremented by each reload.
+	// Generation is 1 once the pipeline has started.
 	Generation int `json:"generation"`
-	// Running is false once the final generation has flushed.
+	// Running is false once the pipeline has flushed.
 	Running bool `json:"running"`
 	// StreamTime is the newest record timestamp consumed; Records the
-	// total consumed across all generations.
+	// total the tail has emitted (replayed records included).
 	StreamTime time.Time `json:"stream_time"`
 	Records    uint64    `json:"records"`
 	// AlertsPublished counts alerts ever published (the SSE sequence
@@ -125,23 +123,22 @@ type State struct {
 	levels []netaddr6.AggLevel
 }
 
-// Daemon is one serving process: a pipeline generation loop plus the
-// read-side surfaces. Create with NewDaemon, drive with Run, expose
-// with Handler.
+// Daemon is one serving process: a pipeline run plus the read-side
+// surfaces. Create with NewDaemon, drive once with Run, expose with
+// Handler.
 type Daemon struct {
-	cfg      Config
-	reg      *metrics.Registry
-	pm       *pipeline.Metrics
-	sm       serveMetrics
-	hub      *hub
-	block    *blocklist
-	state    atomic.Pointer[State]
-	reloadCh chan struct{}
+	cfg   Config
+	reg   *metrics.Registry
+	pm    *pipeline.Metrics
+	sm    serveMetrics
+	hub   *hub
+	block *blocklist
+	state atomic.Pointer[State]
 }
 
 // serveMetrics are the daemon-level instruments (the pipeline-level
 // ones live in pipeline.Metrics). candidates holds one gauge per level
-// any generation's engine has run, registered as it first appears.
+// the engine runs, registered as it first appears.
 type serveMetrics struct {
 	alerts           *metrics.Counter
 	candidates       map[netaddr6.AggLevel]*metrics.Gauge
@@ -150,7 +147,6 @@ type serveMetrics struct {
 	queueDepth       *metrics.Gauge
 	memoryBytes      *metrics.Gauge
 	blocklistEntries *metrics.Gauge
-	generation       *metrics.Gauge
 }
 
 // NewDaemon validates cfg and builds the serving surfaces. No
@@ -169,10 +165,9 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		return nil, errors.New("serve: CheckpointEvery requires CheckpointDir")
 	}
 	d := &Daemon{
-		cfg:      cfg,
-		hub:      newHub(cfg.AlertBacklog, cfg.SSEBuffer),
-		reg:      metrics.NewRegistry(),
-		reloadCh: make(chan struct{}, 1),
+		cfg: cfg,
+		hub: newHub(cfg.AlertBacklog, cfg.SSEBuffer),
+		reg: metrics.NewRegistry(),
 	}
 	if cfg.BlocklistPath != "" {
 		d.block = newBlocklist(cfg.BlocklistPath)
@@ -202,8 +197,6 @@ func (d *Daemon) registerServeMetrics() {
 		"Batches buffered in the shard dispatcher (as of the last tick).", nil)
 	d.sm.memoryBytes = reg.Gauge("v6scand_ids_memory_bytes",
 		"Bytes held by the IDS candidates' destination sketches, sparse or dense (as of the last tick).", nil)
-	d.sm.generation = reg.Gauge("v6scand_generation",
-		"Pipeline generation (increments on reload).", nil)
 	d.sm.candidates = make(map[netaddr6.AggLevel]*metrics.Gauge)
 	for i := range max(d.cfg.Shards, 1) {
 		d.sm.droppedPerShard = append(d.sm.droppedPerShard, reg.Gauge(
@@ -226,7 +219,7 @@ func (d *Daemon) registerServeMetrics() {
 // candidateGauge returns level l's working-set gauge, registering it
 // on first use. Detection parameters travel in a checkpoint, so a
 // resumed engine's levels need not be the configured ones. Runs on the
-// generation loop's goroutine only.
+// pipeline's dispatching goroutine only.
 func (d *Daemon) candidateGauge(l netaddr6.AggLevel) *metrics.Gauge {
 	g := d.sm.candidates[l]
 	if g == nil {
@@ -242,87 +235,41 @@ func (d *Daemon) candidateGauge(l netaddr6.AggLevel) *metrics.Gauge {
 // goroutine; the value is immutable.
 func (d *Daemon) State() *State { return d.state.Load() }
 
-// Reload requests a generation restart (the SIGHUP path): the current
-// generation drains, snapshots, and a new one resumes from that
-// snapshot in place. Coalesces when a reload is already pending.
-func (d *Daemon) Reload() {
-	select {
-	case d.reloadCh <- struct{}{}:
-	default:
-	}
-}
-
-// Run drives the generation loop until ctx is cancelled (after a
-// clean drain and final checkpoint) or a pipeline error. It blocks;
-// start the HTTP server around it.
+// Run streams the log until ctx is cancelled (after a clean drain and
+// final checkpoint) or a pipeline error. It blocks; start the HTTP
+// server around it. When it returns, every SSE stream writes out what
+// its client has buffered and ends, so a server Shutdown need not wait
+// for SSE clients to hang up.
 func (d *Daemon) Run(ctx context.Context) error {
-	var carry *pipeline.Handoff
-	for gen := 1; ; gen++ {
-		d.sm.generation.Set(float64(gen))
-		g, err := d.newGeneration(carry)
-		if err != nil {
-			return err
-		}
-		reloaded, err := d.runGeneration(ctx, gen, g)
-		if err != nil {
-			return err
-		}
-		if !reloaded {
-			return nil
-		}
-		carry = g.final
+	defer d.hub.close()
+	g, err := d.newGeneration()
+	if err != nil {
+		return err
 	}
-}
-
-// runGeneration streams one pipeline until stop or reload; reports
-// which ended it.
-func (d *Daemon) runGeneration(ctx context.Context, gen int, g *generation) (reloaded bool, err error) {
-	genCtx, genCancel := context.WithCancel(context.Background())
-	defer genCancel()
+	// Cancelling ctx ends the tail once it has drained what is
+	// durable; the pipeline then flushes and the sink cuts its final
+	// checkpoint.
 	g.tail = pipeline.NewTailSource(d.cfg.LogPath, pipeline.TailConfig{
 		Poll:    d.cfg.Poll,
-		Context: genCtx,
+		Context: ctx,
 	})
-	g.start(gen)
-
-	stop := make(chan struct{})
-	defer close(stop)
-	var sawReload atomic.Bool
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-d.reloadCh:
-			sawReload.Store(true)
-		case <-stop:
-		}
-		genCancel() // the tail drains what is durable, then ends cleanly
-	}()
-
+	g.start()
 	b := pipeline.From(g.tail).Instrument(d.pm).
 		AdvanceEvery(d.cfg.AdvanceEvery).
 		CheckpointEvery(d.cfg.CheckpointEvery, d.cfg.CheckpointDir)
 	if !g.restored.IsZero() {
 		b = b.ResumeFrom(g.restored.Add(-time.Nanosecond))
 	}
-	if err := b.RunInto(context.Background(), g.sink); err != nil {
-		return false, err
-	}
-	return sawReload.Load(), nil
+	return b.RunInto(context.Background(), g.sink)
 }
 
-// newGeneration builds a generation's IDS sink: restored from the
-// previous generation's final cut, else from the latest disk
+// newGeneration builds the IDS sink — restored from the latest disk
 // checkpoint (Config.Resume), else fresh — and attaches the generation
 // as its hook.
-func (d *Daemon) newGeneration(carry *pipeline.Handoff) (*generation, error) {
+func (d *Daemon) newGeneration() (*generation, error) {
 	var res *pipeline.Resumed
-	var err error
-	switch {
-	case carry != nil:
-		if res, err = carry.Resume(d.cfg.Shards); err != nil {
-			return nil, fmt.Errorf("serve: reload handoff: %w", err)
-		}
-	case d.cfg.Resume:
+	if d.cfg.Resume {
+		var err error
 		if res, err = pipeline.ResumeLatest(d.cfg.CheckpointDir, d.cfg.Shards); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
@@ -342,15 +289,15 @@ func (d *Daemon) newGeneration(carry *pipeline.Handoff) (*generation, error) {
 	return g, nil
 }
 
-// start publishes the generation's first State and any alerts the
+// start publishes the first running State and any alerts the
 // restored state still held. Those exist only when resuming a
 // checkpoint cut at a tick fire, before the fire's drain (the
 // at-least-once crash-recovery path) — so the restored mark is both
 // the last tick and the last checkpoint.
-func (g *generation) start(gen int) {
+func (g *generation) start() {
 	d := g.d
 	cur := *d.state.Load()
-	cur.Generation = gen
+	cur.Generation = 1
 	cur.Running = true
 	cur.levels = g.sink.E.Config().Levels
 	for _, l := range cur.levels {
@@ -412,7 +359,7 @@ func (d *Daemon) publishLight(g *generation) {
 	d.finishState(&cur, g)
 }
 
-// publishFinal marks the daemon stopped (or the generation over).
+// publishFinal marks the daemon stopped.
 func (d *Daemon) publishFinal(g *generation) {
 	cur := *d.state.Load()
 	cur.Running = false

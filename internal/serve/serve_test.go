@@ -361,7 +361,7 @@ func TestResumeBlocklistLoad(t *testing.T) {
 // TestDaemonEndToEnd: the acceptance scenario — records appended to a
 // live log are observed through /api/state, an alert reaches both the
 // SSE stream and /api/alerts, /metrics exposes the serving families,
-// and cancellation cuts a final checkpoint.
+// and cancellation cuts a final checkpoint and ends the SSE stream.
 func TestDaemonEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	log := filepath.Join(dir, "fw.log")
@@ -387,6 +387,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	defer sse.Body.Close()
 	events := make(chan string, 16)
+	sseEnded := make(chan error, 1)
 	go func() {
 		sc := bufio.NewScanner(sse.Body)
 		for sc.Scan() {
@@ -394,6 +395,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 				events <- data
 			}
 		}
+		sseEnded <- sc.Err()
 	}()
 
 	// A scan burst appears in the live log and is observed via state.
@@ -489,40 +491,51 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if st := dr.d.State(); st.Running {
 		t.Fatal("state still Running after stop")
 	}
+	// The stopped daemon ends the SSE stream itself, so a server
+	// Shutdown does not wait for the client to hang up.
+	select {
+	case err := <-sseEnded:
+		if err != nil {
+			t.Fatalf("SSE stream ended with %v, want EOF", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("SSE stream still open 1s after the daemon stopped")
+	}
 }
 
-// TestDaemonReload: SIGHUP restarts the generation, carrying engine
-// state across in memory — candidates survive and alert after the
-// reload, and the generation counter advances.
-func TestDaemonReload(t *testing.T) {
+// TestDaemonFollowsRotation: a log renamed away mid-run and recreated
+// at its path is followed by the tail itself — the scanner seen in the
+// old file alerts exactly once on the time jump written to the new
+// one, and the pipeline never restarts or re-reads a record.
+func TestDaemonFollowsRotation(t *testing.T) {
 	dir := t.TempDir()
 	log := filepath.Join(dir, "fw.log")
-	dr := startDaemon(t, Config{
-		LogPath:      log,
-		IDS:          testIDS(),
-		AdvanceEvery: time.Minute,
-	})
-	appendLog(t, log, scanBurst("2001:db8:bad::1", 0, 20))
-	dr.waitRecords(t, 20)
+	dr := startDaemon(t, Config{LogPath: log, IDS: testIDS(), AdvanceEvery: time.Minute})
+	burst := scanBurst("2001:db8:bad::1", 0, 20)
+	appendLog(t, log, burst)
+	dr.waitRecords(t, uint64(len(burst))) // the old file drained before it rotates
 
-	dr.d.Reload()
-	deadline := time.Now().Add(10 * time.Second)
-	for dr.d.State().Generation < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("generation = %d, want 2", dr.d.State().Generation)
-		}
-		time.Sleep(time.Millisecond)
+	if err := os.Rename(log, log+".1"); err != nil {
+		t.Fatal(err)
 	}
-
-	// The reloaded generation still holds the scanner candidate: the
-	// time jump must alert without re-reading the burst (which the
-	// resume horizon skips).
-	appendLog(t, log, fillers(1, 15))
+	jump := fillers(1, 15)
+	appendLog(t, log, jump)
 	dr.waitAlerts(t, 1)
-	if got := dr.alerts(); !strings.Contains(alertsJSON(t, got), "2001:db8:bad::") {
-		t.Fatalf("post-reload alerts %s do not name the scanner", alertsJSON(t, got))
-	}
+	dr.waitRecords(t, uint64(len(burst)+len(jump)))
 	dr.stop(t)
+
+	got := alertsJSON(t, dr.alerts())
+	if n := strings.Count(got, `"prefix":"2001:db8:bad::1/128"`); n != 1 {
+		t.Fatalf("scanner alert published %d times, want once:\n%s", n, got)
+	}
+	st := dr.d.State()
+	if st.Tail.Rotations != 1 {
+		t.Fatalf("Tail.Rotations = %d, want 1", st.Tail.Rotations)
+	}
+	if want := uint64(len(burst) + len(jump)); st.Generation != 1 || st.Records != want {
+		t.Fatalf("generation %d with %d records read, want one run reading each of the %d records once",
+			st.Generation, st.Records, want)
+	}
 }
 
 // TestNewDaemonRejectsCheckpointWithoutDir: a checkpoint setting with
@@ -539,38 +552,6 @@ func TestNewDaemonRejectsCheckpointWithoutDir(t *testing.T) {
 	}
 	if _, err := NewDaemon(Config{LogPath: "fw.log", CheckpointEvery: time.Hour, CheckpointDir: t.TempDir()}); err != nil {
 		t.Fatalf("valid checkpoint config rejected: %v", err)
-	}
-}
-
-// TestDaemonIdleReloadCarriesState: a generation that consumes nothing
-// new — reloaded again before the log grows — still hands its restored
-// state on, so back-to-back reloads neither lose the engine nor replay
-// the log into a fresh one and publish its alerts a second time.
-func TestDaemonIdleReloadCarriesState(t *testing.T) {
-	log := filepath.Join(t.TempDir(), "fw.log")
-	dr := startDaemon(t, Config{LogPath: log, IDS: testIDS(), AdvanceEvery: time.Minute})
-	first := append(scanBurst("2001:db8:bad::1", 0, 20), fillers(1, 15)...)
-	appendLog(t, log, first)
-	dr.waitAlerts(t, 1)
-
-	for gen := 2; gen <= 3; gen++ {
-		dr.d.Reload()
-		deadline := time.Now().Add(10 * time.Second)
-		for dr.d.State().Generation < gen {
-			if time.Now().After(deadline) {
-				t.Fatalf("generation = %d, want %d", dr.d.State().Generation, gen)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	// Every generation re-reads the log from its start; the third
-	// must skip what the first consumed.
-	appendLog(t, log, fillers(40, 41))
-	dr.waitRecords(t, uint64(3*len(first)+1))
-	dr.stop(t)
-	got := alertsJSON(t, dr.alerts())
-	if n := strings.Count(got, `"prefix":"2001:db8:bad::1/128"`); n != 1 {
-		t.Fatalf("scanner alert published %d times, want once:\n%s", n, got)
 	}
 }
 

@@ -116,14 +116,15 @@ func FuzzHashConsistency(f *testing.F) {
 }
 
 // FuzzTable is the fuzz form of TestTableDifferential: a Table[uint64]
-// against a map model, op for op, on random Ref/Touch/Release/Expire
-// tapes. Each 3-byte step is (op, key, time). A time byte picks one of
-// fuzzTimes — both ends of the axis, bucket and ring boundaries — or,
-// with its high bit set, a time near a moving clock that another op
-// advances by up to a ring. Expire closes exactly the model's idle
-// entries, whether the callback releases each handle at once or the
-// caller releases them after the sweep. Runs in the CI fuzz smoke
-// step.
+// against a map model, op for op, on random Ref/Touch/Expire tapes,
+// each closed handle released. Each 3-byte step is (op, key, time). A
+// time byte picks one of fuzzTimes — both ends of the axis, bucket and
+// ring boundaries — or, with its high bit set, a time near a moving
+// clock that another op advances by up to a ring. Expire closes
+// exactly the model's idle entries, whether the callback releases each
+// handle at once or the caller releases them after the sweep; a live
+// entry is released only through an Expire that closes it. Runs in the
+// CI fuzz smoke step.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 5, 2, 1, 15, 4, 0, 6, 5, 1, 0, 3, 2, 0, 4, 9, 14})
 	f.Add([]byte{0, 1, 0x80, 6, 200, 0, 0, 2, 0x81, 2, 1, 0xbf, 6, 255, 0, 7, 60, 0, 5, 1, 0, 7, 1, 0})
@@ -199,9 +200,9 @@ func runTableTape(t *testing.T, data []byte) {
 				ref[key] = e
 			}
 		case 3:
+			// Close key and every entry idle before it.
 			if h, ok := tab.Get(key); ok {
-				tab.Release(h)
-				delete(ref, key)
+				expire(closingCutoff(tab.Last(h)), tb&1 != 0)
 			}
 		case 4:
 			cutoff := at

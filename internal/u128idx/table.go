@@ -50,18 +50,20 @@ const (
 // is, so a handle never sits in a bucket later than its activity's;
 // Expire visits only the buckets up to the cutoff's and re-files the
 // handles there that have moved on. A sweep costs what is due plus
-// what was touched since it was filed, not what is resident. Each
-// handle also keeps its index slot, so Release deletes its key without
-// a probe. The zero value is an empty table ready for use. Not safe
-// for concurrent use.
+// what was touched since it was filed, not what is resident. Only a
+// handle Expire has closed is released, and Expire takes every handle
+// it visits off its list, so the lists are singly linked and Release
+// never unlinks. Each handle also keeps its index slot, so Release
+// deletes its key without a probe. The zero value is an empty table
+// ready for use. Not safe for concurrent use.
 type Table[T any] struct {
 	idx   Index
 	pages [][]entry[T]
 	// nodes holds the wheel: nodes[:ringSize] are the buckets' list
-	// heads, nodes[ringSize+h] is handle h's last activity, links and
-	// index slot.
-	// Lists are circular through their head, and a handle on no list
-	// (free, or closed by Expire and not yet released) links to itself.
+	// heads, nodes[ringSize+h] is handle h's last activity, link and
+	// index slot. Lists are circular through their head; the link of a
+	// handle on no list (free, or closed by Expire and not yet
+	// released) is stale.
 	nodes []node
 	free  []uint32
 	// stale reports that a rehash moved the index's entries since the
@@ -79,13 +81,13 @@ type entry[T any] struct {
 	val T
 }
 
-// node is one wheel node: a handle's last activity, its list links
-// (node indices) and its index slot, so Release deletes the key without
+// node is one wheel node: a handle's last activity, its list link (a
+// node index) and its index slot, so Release deletes the key without
 // probing for it.
 type node struct {
-	last       int64
-	next, prev uint32
-	slot       uint32
+	last int64
+	next uint32
+	slot uint32
 }
 
 func (t *Table[T]) slot(h uint32) *entry[T] { return &t.pages[h>>pageShift][h&(pageSize-1)] }
@@ -124,7 +126,7 @@ func (t *Table[T]) Ref(key netaddr6.U128, at int64) (h uint32, existed bool) {
 	if len(t.nodes) == 0 {
 		t.nodes = make([]node, ringSize, ringSize+pageSize)
 		for i := range uint32(ringSize) {
-			t.nodes[i].next, t.nodes[i].prev = i, i
+			t.nodes[i].next = i
 		}
 	}
 	if n := len(t.free) - 1; n >= 0 {
@@ -148,15 +150,14 @@ func (t *Table[T]) Ref(key netaddr6.U128, at int64) (h uint32, existed bool) {
 	return h, false
 }
 
-// Release removes live handle h's key, unlinks it from the wheel and
-// returns the handle to the free list. Its value is left as is (see
-// Table).
+// Release removes the key of handle h, which Expire has closed, and
+// returns the handle to the free list. Releasing a handle Expire has
+// not closed corrupts the wheel. Its value is left as is (see Table).
 func (t *Table[T]) Release(h uint32) {
 	if t.stale {
 		t.resync()
 	}
 	t.idx.deleteSlot(int(t.nodes[ringSize+h].slot))
-	t.unlink(ringSize + h)
 	t.free = append(t.free, h)
 }
 
@@ -174,19 +175,8 @@ func (t *Table[T]) resync() {
 // file links node n at the head of the bucket of activity at.
 func (t *Table[T]) file(n uint32, at int64) {
 	b := uint32(at >> bucketShift & ringMask)
-	first := t.nodes[b].next
-	t.nodes[n].next, t.nodes[n].prev = first, b
-	t.nodes[first].prev = n
+	t.nodes[n].next = t.nodes[b].next
 	t.nodes[b].next = n
-}
-
-// unlink takes node n off its list in O(1) and links it to itself; a
-// node on no list stays as it is.
-func (t *Table[T]) unlink(n uint32) {
-	next, prev := t.nodes[n].next, t.nodes[n].prev
-	t.nodes[prev].next = next
-	t.nodes[next].prev = prev
-	t.nodes[n].next, t.nodes[n].prev = n, n
 }
 
 // Range calls f for every live entry in arbitrary order until f
@@ -205,11 +195,12 @@ func Cutoff(now, timeout int64) int64 {
 
 // Expire calls f for every live entry whose last activity is before
 // cutoff — for ExpireAll, every live entry — and from then on treats
-// it as closed. f must not insert, and must Release h before the next
-// insertion. The sweep visits only the wheel buckets from its position
-// to the cutoff's (each at most once, so the whole ring when the
-// cutoff is a ring or more ahead): a handle there whose last activity
-// is before cutoff closes, the others are re-filed under their current
+// it as closed. f must not insert, and h must be released before the
+// next insertion; only handles closed this way may be released. The
+// sweep visits only the wheel buckets from its position to the
+// cutoff's (each at most once, so the whole ring when the cutoff is a
+// ring or more ahead): a handle there whose last activity is before
+// cutoff closes, the others are re-filed under their current
 // activity. Visit order is the wheel's, not the keys'.
 func (t *Table[T]) Expire(cutoff int64, f func(h uint32)) {
 	if t.idx.Len() == 0 {
@@ -220,10 +211,9 @@ func (t *Table[T]) Expire(cutoff int64, f func(h uint32)) {
 		// the drain walks the index, which holds every live entry, and
 		// empties the ring.
 		for b := range uint32(ringSize) {
-			t.nodes[b].next, t.nodes[b].prev = b, b
+			t.nodes[b].next = b
 		}
 		t.idx.Range(func(_ netaddr6.U128, h uint32) bool {
-			t.nodes[ringSize+h].next, t.nodes[ringSize+h].prev = ringSize+h, ringSize+h
 			f(h)
 			return true
 		})
@@ -244,11 +234,10 @@ func (t *Table[T]) Expire(cutoff int64, f func(h uint32)) {
 			continue
 		}
 		// Detach the bucket's list; its last node still links to b.
-		t.nodes[b].next, t.nodes[b].prev = b, b
+		t.nodes[b].next = b
 		for n != b {
 			nd := &t.nodes[n]
 			next, last := nd.next, nd.last
-			nd.next, nd.prev = n, n
 			if last < cutoff {
 				f(n - ringSize)
 			} else {

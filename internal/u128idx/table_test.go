@@ -9,10 +9,10 @@ import (
 )
 
 // TestTableDifferential drives a Table[uint64] and a map reference
-// through random Ref/Touch/Release/Expire operations, with last
-// activity drawn across the whole axis including both ends, and checks
-// lookups, values, last activity, Len, and that each Expire closes
-// exactly the reference's idle entries.
+// through random Ref/Touch/Expire operations, each closed handle
+// released, with last activity drawn across the whole axis including
+// both ends, and checks lookups, values, last activity, Len, and that
+// each Expire closes exactly the reference's idle entries.
 func TestTableDifferential(t *testing.T) {
 	type refEntry struct {
 		val  uint64
@@ -24,6 +24,22 @@ func TestTableDifferential(t *testing.T) {
 		var tab Table[uint64]
 		ref := map[netaddr6.U128]refEntry{}
 		handles := map[netaddr6.U128]uint32{}
+		expire := func(cutoff int64) {
+			closed := map[netaddr6.U128]bool{}
+			tab.Expire(cutoff, func(h uint32) {
+				closed[tab.Key(h)] = true
+				tab.Release(h)
+			})
+			for k, e := range ref {
+				if due := cutoff == ExpireAll || e.last < cutoff; due != closed[k] {
+					t.Fatalf("Expire(%d): key %v last %d closed=%v", cutoff, k, e.last, closed[k])
+				}
+				if closed[k] {
+					delete(ref, k)
+					delete(handles, k)
+				}
+			}
+		}
 		for op := 0; op < 2000; op++ {
 			key := randomKey(rng, 64)
 			at := times[rng.Intn(len(times))]
@@ -50,30 +66,17 @@ func TestTableDifferential(t *testing.T) {
 					ref[key] = e
 				}
 			case 3:
+				// Release reaches a live entry only through Expire:
+				// close key and every entry idle before it.
 				if h, ok := tab.Get(key); ok {
-					tab.Release(h)
-					delete(ref, key)
-					delete(handles, key)
+					expire(closingCutoff(tab.Last(h)))
 				}
 			case 4:
 				cutoff := times[rng.Intn(len(times))]
 				if rng.Intn(4) == 0 {
 					cutoff = ExpireAll
 				}
-				closed := map[netaddr6.U128]bool{}
-				tab.Expire(cutoff, func(h uint32) {
-					closed[tab.Key(h)] = true
-					tab.Release(h)
-				})
-				for k, e := range ref {
-					if due := cutoff == ExpireAll || e.last < cutoff; due != closed[k] {
-						t.Fatalf("Expire(%d): key %v last %d closed=%v", cutoff, k, e.last, closed[k])
-					}
-					if closed[k] {
-						delete(ref, k)
-						delete(handles, k)
-					}
-				}
+				expire(cutoff)
 			case 5:
 				h, ok := tab.Get(key)
 				e, want := ref[key]
@@ -95,7 +98,7 @@ func TestTableDifferential(t *testing.T) {
 // ones are carved, and values stay put across page growth.
 func TestTableHandlesAndPages(t *testing.T) {
 	var tab Table[int]
-	first, _ := tab.Ref(netaddr6.U128{Lo: 1}, 10)
+	first, _ := tab.Ref(netaddr6.U128{Lo: 1}, 5)
 	p := tab.At(first)
 	*p = 7
 	for i := 2; i <= 3*pageSize; i++ {
@@ -104,10 +107,24 @@ func TestTableHandlesAndPages(t *testing.T) {
 	if tab.At(first) != p || *p != 7 {
 		t.Fatal("value moved across page growth")
 	}
-	tab.Release(first)
+	tab.Expire(6, func(h uint32) {
+		if h != first {
+			t.Fatalf("Expire(6) closed handle %d, want only %d", h, first)
+		}
+		tab.Release(h)
+	})
 	if h, existed := tab.Ref(netaddr6.U128{Lo: 99999}, 20); existed || h != first || tab.Last(h) != 20 {
 		t.Fatalf("Ref after Release = handle %d (existed %v, last %d), want reused %d", h, existed, tab.Last(h), first)
 	}
+}
+
+// closingCutoff is the Expire cutoff just past last: it closes an
+// entry whose last activity is last, and every entry idle before it.
+func closingCutoff(last int64) int64 {
+	if last == math.MaxInt64 {
+		return ExpireAll
+	}
+	return last + 1
 }
 
 func TestCutoff(t *testing.T) {

@@ -14,7 +14,7 @@
 // bucket, lookups touch two contiguous cache lines per probe group
 // instead of chasing bucket chains, and a combined lookup-or-insert is
 // a single probe (Ref). The Table files each handle in a hashed timing
-// wheel of coarse time buckets, on intrusive links beside its last
+// wheel of coarse time buckets, on an intrusive link beside its last
 // activity, so its idle sweep (Expire) visits only the buckets that
 // are due, not every entry.
 //
