@@ -1025,6 +1025,49 @@ func BenchmarkIDSSnapshot(b *testing.B) {
 	b.ReportMetric(float64(buf.Len()), "bytes/cut")
 }
 
+// BenchmarkIDSTickPublish measures what v6scand reads from the engine
+// at every tick fire besides the alerts: MemoryBytes and the candidate
+// count of every level. The engine holds about 10k and about 100k
+// candidates — sources of two destinations each, whose sketches are
+// sparse — and the running totals make ns/op the same for both, with
+// 0 allocs/op.
+func BenchmarkIDSTickPublish(b *testing.B) {
+	for _, sources := range []int{9_000, 90_000} {
+		e := NewShardedIDS(DefaultIDSConfig(), 1)
+		recs := make([]Record, 0, 2*sources)
+		for i := range sources {
+			// Sixteen sources per /64, each /64 in its own /48.
+			src := netaddr6.U128{Hi: 0x20010db8_00000000 | uint64(i>>4)<<16, Lo: uint64(i)}.ToAddr()
+			for d := range 2 {
+				recs = append(recs, Record{Time: benchStart, Src: src,
+					Dst: netaddr6.WithIID(netaddr6.MustAddr("2001:db8:f::"), uint64(2*i+d))})
+			}
+		}
+		if err := e.ProcessBatch(recs); err != nil {
+			b.Fatal(err)
+		}
+		levels := e.Config().Levels
+		held := 0
+		for _, l := range levels {
+			held += e.Candidates(l)
+		}
+		b.Run(fmt.Sprintf("candidates=%dk", (held+500)/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				sink += e.MemoryBytes()
+				for _, l := range levels {
+					sink += e.Candidates(l)
+				}
+			}
+			if sink == 0 {
+				b.Fatal("no candidates")
+			}
+		})
+		e.Flush()
+	}
+}
+
 // encodeBenchLog writes records to an in-memory binary log for the
 // ingest benchmarks.
 func encodeBenchLog(b *testing.B, recs []Record) []byte {

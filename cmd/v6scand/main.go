@@ -10,6 +10,13 @@
 //	GET /api/alerts         published alerts, paginated (?offset=&limit=)
 //	GET /api/alerts/stream  Server-Sent Events alert feed (?from=)
 //	GET /metrics            Prometheus text exposition
+//	GET /debug/pprof/       the runtime profiles of net/http/pprof
+//
+// The profiles (/debug/pprof/profile?seconds=N for CPU, heap,
+// goroutine, trace, …) serve `go tool pprof` against the running
+// daemon. Like the API they are served to whoever can reach -listen,
+// whose default is loopback only; widen it behind a proxy that keeps
+// /debug/ private.
 //
 // Alerted prefixes can additionally be mirrored into an atomically
 // rewritten one-CIDR-per-line blocklist file (-blocklist) for a
@@ -38,6 +45,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -70,8 +78,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		resume    = fs.Bool("resume", false, "restore the latest checkpoint before tailing")
 		poll      = fs.Duration("poll", 0, "tail growth-poll interval (0 = default)")
 		blocklist = fs.String("blocklist", "", "CIDR rule file to mirror alerted prefixes into")
-		alertCap  = fs.Int("alert-backlog", 0, "paginable alert backlog bound (0 = default 4096)")
-		sseBuf    = fs.Int("sse-buffer", 0, "per-SSE-client buffer bound (0 = default 64)")
+		alertCap  = fs.Int("alert-backlog", 0, "alert backlog bound for pagination and SSE clients (0 = default 4096)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -92,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Poll:            *poll,
 		BlocklistPath:   *blocklist,
 		AlertBacklog:    *alertCap,
-		SSEBuffer:       *sseBuf,
 	})
 	if err != nil {
 		return err
@@ -102,7 +108,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: d.Handler()}
+	mux := http.NewServeMux()
+	mux.Handle("/", d.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
 
 	// Signals are caught before the serving line is printed, so a

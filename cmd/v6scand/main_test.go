@@ -91,7 +91,8 @@ func appendRecords(t *testing.T, path string, from, n int) {
 
 // TestRunSignals drives the command through its signals: SIGHUP is
 // noted and the daemon keeps tailing and serving; SIGTERM drains, cuts
-// a final checkpoint with its phase sidecar and stops cleanly.
+// a final checkpoint with its phase sidecar and stops cleanly. On the
+// way it reads a runtime profile beside the API.
 func TestRunSignals(t *testing.T) {
 	dir := t.TempDir()
 	log := filepath.Join(dir, "fw.log")
@@ -101,10 +102,10 @@ func TestRunSignals(t *testing.T) {
 	var out lines
 	done := make(chan error, 1)
 	go func() {
-		// A tick every record second publishes the State each append
-		// reaches.
+		// The default one-minute tick never fires on these ten-second
+		// appends: /api/state counts them from the stream progress.
 		done <- run([]string{"-i", log, "-listen", "127.0.0.1:0", "-poll", "2ms",
-			"-advance-every", "1s", "-checkpoint-dir", ckpt}, &out, io.Discard)
+			"-checkpoint-dir", ckpt}, &out, io.Discard)
 	}()
 	stopped := false
 	t.Cleanup(func() { // a failed test still stops the daemon
@@ -150,6 +151,17 @@ func TestRunSignals(t *testing.T) {
 		}
 	}
 	waitRecords(10)
+
+	// The runtime profiles share the API's listener.
+	resp, err := client.Get(url + "/debug/pprof/goroutine?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine profile:") {
+		t.Fatalf("/debug/pprof/goroutine: status %d, err %v, body %.80q", resp.StatusCode, err, body)
+	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
 		t.Fatal(err)

@@ -40,7 +40,9 @@ import (
 // or the sparse list's capacity beyond the inline room, at most
 // 4·m/8 = m/2 bytes. So no sketch holds more than its struct and m
 // bytes, and one that has seen a handful of destinations holds its
-// struct alone.
+// struct alone. It changes only on an insert that grows the sparse
+// list or densifies, and the insert returns that change, so a holder
+// of many sketches keeps their total without walking them.
 //
 // The sketch also counts its zero registers, so Estimate is O(1) while
 // at least a third of them are zero — always in the sparse form (zeros
@@ -115,21 +117,26 @@ func (s *DstSketch) Add(a netip.Addr) {
 
 // AddU128 observes one destination already in 128-bit integer form —
 // the hot-path variant for callers that convert the address once and
-// feed several sketches (the IDS engine's per-level tables).
-func (s *DstSketch) AddU128(u netaddr6.U128) {
-	s.addHash(hashU128(u.Hi, u.Lo))
+// feed several sketches (the IDS engine's per-level tables). It
+// returns the change in MemoryBytes the insert caused: non-zero only
+// when the sparse list outgrows its capacity or the sketch turns
+// dense, so a caller that keeps a running total of the bytes its
+// sketches hold (the IDS engine does) adds it without reading the
+// sketch again.
+func (s *DstSketch) AddU128(u netaddr6.U128) int {
+	return s.addHash(hashU128(u.Hi, u.Lo))
 }
 
 // addHash raises register idx (the hash's top precision bits) to the
 // rank of the rest: its leading zeros plus one, with a guard bit so a
-// zero remainder ranks 65−precision.
-func (s *DstSketch) addHash(h uint64) {
+// zero remainder ranks 65−precision. It returns the MemoryBytes
+// growth, which only addSparse causes.
+func (s *DstSketch) addHash(h uint64) int {
 	p := uint64(s.precision)
 	idx := uint32(h >> (64 - p))
 	rank := uint8(bits.LeadingZeros64(h<<p|1<<(p-1))) + 1
 	if s.registers == nil {
-		s.addSparse(idx, rank)
-		return
+		return s.addSparse(idx, rank)
 	}
 	if r := s.registers[idx]; rank > r {
 		if r == 0 && s.zeros > 0 {
@@ -137,37 +144,52 @@ func (s *DstSketch) addHash(h uint64) {
 		}
 		s.registers[idx] = rank
 	}
+	return 0
 }
 
 // addSparse raises register idx to rank in the sparse list, inserting
-// it in index order, or densifies when a new register would lengthen
-// the list past sparseMax.
-func (s *DstSketch) addSparse(idx uint32, rank uint8) {
+// it in index order. A new register the list has no room for goes
+// through addStorage, whose MemoryBytes growth it returns; every other
+// insert returns 0.
+func (s *DstSketch) addSparse(idx uint32, rank uint8) int {
 	v := idx<<8 | uint32(rank)
 	i, _ := slices.BinarySearch(s.sparse, idx<<8) // the entry ≥ (idx, 0)
 	if i < len(s.sparse) && s.sparse[i]>>8 == idx {
 		s.sparse[i] = max(s.sparse[i], v)
-		return
+		return 0
 	}
 	s.zeros--
+	n := len(s.sparse)
+	if n == cap(s.sparse) || n == sparseMax(s.precision) {
+		return s.addStorage(i, v)
+	}
+	s.sparse = s.sparse[:n+1]
+	copy(s.sparse[i+1:], s.sparse[i:n])
+	s.sparse[i] = v
+	return 0
+}
+
+// addStorage inserts entry v at list position i where the list has no
+// room: it densifies when the list is at the cutoff, and otherwise
+// moves the list to a larger array. It returns the MemoryBytes growth.
+func (s *DstSketch) addStorage(i int, v uint32) int {
+	before := s.heldBytes()
 	n := len(s.sparse)
 	if n == sparseMax(s.precision) {
 		s.registers = make([]uint8, 1<<s.precision)
 		for _, e := range s.sparse {
 			s.registers[e>>8] = uint8(e)
 		}
-		s.registers[idx] = rank
+		s.registers[v>>8] = uint8(v)
 		s.sparse = s.inline[:0]
-		return
+		return s.heldBytes() - before
 	}
-	if n == cap(s.sparse) {
-		grown := make([]uint32, n, min(max(4*n, 16), sparseMax(s.precision)))
-		copy(grown, s.sparse)
-		s.sparse = grown
-	}
-	s.sparse = s.sparse[:n+1]
-	copy(s.sparse[i+1:], s.sparse[i:n])
-	s.sparse[i] = v
+	list := make([]uint32, n+1, min(max(4*n, 16), sparseMax(s.precision)))
+	copy(list, s.sparse[:i])
+	list[i] = v
+	copy(list[i+1:], s.sparse[i:])
+	s.sparse = list
+	return s.heldBytes() - before
 }
 
 // Estimate returns the approximate number of distinct addresses added.
@@ -271,8 +293,12 @@ func (t *Threshold) MayBeDense(n int) bool { return n < 0 || n > t.sparseMax }
 // Every sparse list outside the struct has room for more than
 // sparseInline entries (addSparse grows to at least 16 or sparseMax;
 // SketchDecoder places lists of at most sparseInline inline).
-func (s *DstSketch) MemoryBytes() int {
-	n := int(unsafe.Sizeof(*s)) + cap(s.registers)
+func (s *DstSketch) MemoryBytes() int { return int(unsafe.Sizeof(*s)) + s.heldBytes() }
+
+// heldBytes is MemoryBytes outside the struct: the dense registers or
+// the sparse list's capacity beyond the inline room.
+func (s *DstSketch) heldBytes() int {
+	n := cap(s.registers)
 	if cap(s.sparse) > sparseInline {
 		n += 4 * cap(s.sparse)
 	}

@@ -97,6 +97,36 @@ func TestDstSketchResetAndMemory(t *testing.T) {
 	}
 }
 
+// TestDstSketchAddReportsGrowth: every insert returns exactly the
+// change in MemoryBytes it caused — on a new sketch, a reset one that
+// kept its sparse list, and a restored one whose list was cut from the
+// decoder's backing array — through sparse growth and densifying.
+func TestDstSketchAddReportsGrowth(t *testing.T) {
+	for _, p := range []uint8{4, 6, 10, 14} {
+		m := 1 << p
+		rng := rand.New(rand.NewSource(int64(p)))
+		add := func(s *DstSketch, n int, what string) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				before := s.MemoryBytes()
+				grown := s.AddU128(netaddr6.U128{Hi: rng.Uint64(), Lo: rng.Uint64()})
+				if got := s.MemoryBytes() - before; grown != got {
+					t.Fatalf("p=%d %s insert %d: reported growth %d, MemoryBytes moved %d", p, what, i, grown, got)
+				}
+			}
+		}
+		s := NewDstSketch(p)
+		add(s, m/16+1, "new")
+		restored := roundtripSketch(t, s, false)
+		add(restored, 2*m, "restored")
+		s.Reset()
+		add(s, 2*m, "reset")
+		if s.registers == nil || restored.registers == nil {
+			t.Fatalf("p=%d: sketches did not densify", p)
+		}
+	}
+}
+
 // TestDstSketchPrecisionClamp: out-of-range precisions clamp to 4 and
 // 16, which hold 2^4 and 2^16 register bytes once dense.
 func TestDstSketchPrecisionClamp(t *testing.T) {

@@ -186,10 +186,12 @@ func compareAlerts(a, b *Alert) int {
 // allocation rate on million-record days. A candidate's key and last
 // activity are the table's.
 //
-// A candidate also keeps its sketch's nonzero-register count (regs),
-// so the sweep decides a due candidate below the threshold, and pools
-// its sparse sketch, from the candidate's own slot without touching
-// the sketch (reaches, recycle).
+// A candidate also keeps its sketch's nonzero-register count (regs)
+// and held bytes (bytes), so the sweep decides a due candidate below
+// the threshold, pools its sparse sketch and takes its bytes off the
+// level's total from the candidate's own slot without touching the
+// sketch (reaches, recycle). Both fit the struct's padding: it stays
+// one 64-byte cache line.
 type candidate struct {
 	firstDst netaddr6.U128
 	sketch   *core.DstSketch
@@ -198,6 +200,9 @@ type candidate struct {
 	// regs is sketch.Nonzero() as of the last insert or restore: −1
 	// while unknown (a restored dense sketch), 0 without a sketch.
 	regs int32
+	// bytes is sketch.MemoryBytes(), kept as the sketch changes; 0
+	// without a sketch.
+	bytes int32
 }
 
 // estimate returns the candidate's destination cardinality: exactly 1
@@ -230,17 +235,25 @@ func (c *candidate) reaches(th *core.Threshold, minDsts uint64) bool {
 // dense at once, and pools a sparse one as it is (its list's capacity
 // is all it holds) for observeDst to reset when it takes it out, when
 // the sketch is about to be written anyway.
+//
+// bytes is the running total of the live candidates' sketch bytes
+// (candidate.bytes): observeDst and the restore add to it as sketches
+// are attached and grow, and recycle takes a candidate's bytes off it,
+// so reading it never walks the table. Pooled sketches are not in it.
 type level struct {
 	agg        netaddr6.AggLevel
 	tab        u128idx.Table[candidate]
 	freeSketch []*core.DstSketch
+	bytes      int
 }
 
-// recycle empties an evicted candidate, pools its sketch and releases
-// its handle. Callers must be done reading it.
+// recycle empties an evicted candidate, takes its sketch bytes off the
+// level's total, pools its sketch and releases its handle. Callers
+// must be done reading it.
 func (lv *level) recycle(h uint32, th *core.Threshold) {
 	c := lv.tab.At(h)
 	if c.sketch != nil {
+		lv.bytes -= int(c.bytes)
 		if th.MayBeDense(int(c.regs)) {
 			c.sketch.Reset()
 		}
@@ -253,8 +266,10 @@ func (lv *level) recycle(h uint32, th *core.Threshold) {
 // observeDst records one destination for a candidate, materializing
 // the sketch (pooled when available) on the second distinct address,
 // and refreshes the candidate's register count while the sketch is in
-// cache. HyperLogLog insertion is idempotent per address, so the
-// late-materialized sketch is byte-identical to one fed every record.
+// cache. It adds an attached sketch's bytes, and any growth an insert
+// reports, to the candidate's and the level's totals. HyperLogLog
+// insertion is idempotent per address, so the late-materialized sketch
+// is byte-identical to one fed every record.
 func (lv *level) observeDst(c *candidate, d netaddr6.U128, precision uint8) {
 	if c.sketch == nil {
 		if d == c.firstDst {
@@ -268,8 +283,13 @@ func (lv *level) observeDst(c *candidate, d netaddr6.U128, precision uint8) {
 			c.sketch = core.NewDstSketch(precision)
 		}
 		c.sketch.AddU128(c.firstDst)
+		c.bytes = int32(c.sketch.MemoryBytes())
+		lv.bytes += int(c.bytes)
 	}
-	c.sketch.AddU128(d)
+	if grown := c.sketch.AddU128(d); grown != 0 {
+		c.bytes += int32(grown)
+		lv.bytes += grown
+	}
 	c.regs = int32(c.sketch.Nonzero())
 }
 
@@ -436,17 +456,13 @@ func (s *shard) candidates(l netaddr6.AggLevel) int {
 }
 
 // memoryBytes sums the sketch bytes the shard's candidates hold across
-// all levels (core.DstSketch.MemoryBytes). Candidates on the inline
-// single-dst fast path hold none; pooled sketches are not counted.
+// all levels (core.DstSketch.MemoryBytes), from each level's running
+// total. Candidates on the inline single-dst fast path hold none;
+// pooled sketches are not counted.
 func (s *shard) memoryBytes() int {
 	total := 0
 	for _, lv := range s.levels {
-		lv.tab.Range(func(_ netaddr6.U128, h uint32) bool {
-			if c := lv.tab.At(h); c.sketch != nil {
-				total += c.sketch.MemoryBytes()
-			}
-			return true
-		})
+		total += lv.bytes
 	}
 	return total
 }

@@ -12,6 +12,7 @@ package ids
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/netip"
@@ -219,11 +220,12 @@ func tapeSrc(b byte) netip.Addr {
 //	7           snapshot and restore both engines mid-stream
 //
 // Any op but a record processes the pending batch first, then checks
-// per-level candidate counts and the drop counter. The reference
-// judges the one-shard engine on every tape. The three-shard engine
-// applies MaxCandidates per shard, so it must match the one-shard
-// engine — drains, candidate counts, snapshot bytes, the final Flush —
-// only while that has dropped nothing.
+// per-level candidate counts, the drop counter and, at both shard
+// counts, the running sketch-memory total against the walk
+// (checkMemory). The reference judges the one-shard engine on every
+// tape. The three-shard engine applies MaxCandidates per shard, so it
+// must match the one-shard engine — drains, candidate counts, snapshot
+// bytes, the final Flush — only while that has dropped nothing.
 func runIDSTape(t *testing.T, tape []byte) (sharded int) {
 	if len(tape) < 2 {
 		return 0
@@ -258,6 +260,8 @@ func runIDSTape(t *testing.T, tape []byte) (sharded int) {
 	}
 	check := func(at int) {
 		t.Helper()
+		checkMemory(t, e, fmt.Sprintf("op %d", at))
+		checkMemory(t, e3, fmt.Sprintf("op %d", at))
 		for i, agg := range ref.cfg.Levels {
 			if got, want := e.Candidates(agg), len(ref.levels[i]); got != want {
 				t.Fatalf("op %d: Candidates(%v) = %d, reference %d", at, agg, got, want)

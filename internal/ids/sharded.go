@@ -125,7 +125,9 @@ func (e *Engine) Candidates(l netaddr6.AggLevel) int {
 // MemoryBytes returns the sketch bytes the live candidates hold across
 // all shards and levels — the quantity an IDS deployment budgets: per
 // materialized sketch its struct plus its dense registers or sparse
-// list (core.DstSketch.MemoryBytes).
+// list (core.DstSketch.MemoryBytes). Each level keeps the total as its
+// sketches are attached, grow and are recycled, so the read adds one
+// integer per shard and level and costs nothing per candidate.
 func (e *Engine) MemoryBytes() int { return e.sum((*shard).memoryBytes) }
 
 // sum adds f over the shards, read after the workers caught up.

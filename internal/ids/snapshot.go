@@ -208,6 +208,8 @@ func (r *idsRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
 			return fmt.Errorf("%w: candidate sketch precision %d, engine %d", checkpoint.ErrFormat, c.sketch.Precision(), p)
 		}
 		c.regs = int32(c.sketch.Nonzero())
+		c.bytes = int32(c.sketch.MemoryBytes())
+		lv.bytes += int(c.bytes)
 	}
 	h, _ := lv.tab.Ref(key, last) // keys arrive strictly ascending
 	*lv.tab.At(h) = c

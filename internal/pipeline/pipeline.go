@@ -211,10 +211,11 @@
 // The serving layer on top (internal/serve) adds the read-side
 // contract: detection state is owned by the pipeline goroutine alone;
 // HTTP handlers read immutable published snapshots. Its SSE alert
-// stream applies backpressure by shedding, never by blocking — each
-// client has a bounded buffer, a slow client's overflow drops alerts
-// for that client only (counted per client and globally), and a
-// bounded in-memory ring serves pagination and reconnect backlog.
+// stream applies backpressure by shedding, never by blocking — one
+// bounded in-memory ring serves pagination, reconnect backlog and
+// every live client, each reading from its own cursor, and a client
+// that falls further behind than the ring holds loses (and counts)
+// only the alerts the ring evicted.
 //
 // # Wire layer
 //

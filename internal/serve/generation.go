@@ -5,8 +5,9 @@ package serve
 // uses, with the same cadence, batch splitting and checkpoint firing —
 // plus the sink's hook, through which the daemon acts where a batch
 // run has nothing to do: at each tick fire it drains and publishes the
-// fresh alerts, after each record run it refreshes the stream
-// progress, and when the run stops it publishes the final State.
+// fresh alerts, after each record run it records the stream progress
+// (which every State read overlays), and when the run stops it
+// publishes the final State.
 //
 // The sink fires Tick → checkpoint → hook at a cadence point, so the
 // snapshot is cut after eviction but before the fired alerts leave the
@@ -31,14 +32,7 @@ type generation struct {
 	restored time.Time
 
 	lastCkpt time.Time
-	lastSeen time.Time
-	lastPub  time.Time // wall clock of the last light State publish
 }
-
-// statePublishInterval throttles the stream-progress State refresh:
-// often enough that /api/state tracks a live tail, rare enough that
-// a tail delivering many small batches stays allocation-light.
-const statePublishInterval = 100 * time.Millisecond
 
 // Fired implements pipeline.IDSHook: publish what the tick alerted on.
 func (g *generation) Fired(t, lastCkpt time.Time) error {
@@ -47,13 +41,11 @@ func (g *generation) Fired(t, lastCkpt time.Time) error {
 	return nil
 }
 
-// Consumed implements pipeline.IDSHook, tracking stream progress.
+// Consumed implements pipeline.IDSHook, recording the stream progress
+// after every record run, so a State read right after the log goes
+// quiet already counts its last records.
 func (g *generation) Consumed(last time.Time) {
-	g.lastSeen = last
-	if now := time.Now(); now.Sub(g.lastPub) >= statePublishInterval {
-		g.lastPub = now
-		g.d.publishLight(g)
-	}
+	g.d.progress.set(g.d.pm.SourceRecords.Value(), last, g.tail.Stats())
 }
 
 // Stopped implements pipeline.IDSHook at shutdown. With a checkpoint

@@ -107,10 +107,14 @@ func (d *Daemon) handleAlerts(w http.ResponseWriter, r *http.Request) {
 //	event: alert
 //	data: <SeqAlert JSON>
 //
-// A slow client's buffer overflowing drops alerts for that client
-// only (counted in v6scand_sse_dropped_total); the pipeline never
-// blocks on a reader. Once Run has returned, the stream writes out
-// what the client's buffer holds and ends.
+// Each client reads the alert ring from its own cursor, writing
+// whatever has been published since its last write and flushing once
+// per batch, so a burst costs one flush. A client that falls further
+// behind than the ring holds (Config.AlertBacklog) loses the alerts it
+// evicted, counted in v6scand_sse_dropped_total, and the stream goes
+// on from the oldest retained one (an SSE client sees the gap in the
+// ids); the pipeline never blocks on a reader. Once Run has returned,
+// the stream writes out everything published and ends.
 func (d *Daemon) handleAlertStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -128,35 +132,26 @@ func (d *Daemon) handleAlertStream(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, "retry: 2000\n\n")
 	fl.Flush()
 
-	sub, backlog := d.hub.subscribe(from)
+	sub, next := d.hub.subscribe(from)
 	defer d.hub.unsubscribe(sub)
-	for _, sa := range backlog {
-		if writeSSE(w, sa) != nil {
-			return
-		}
-	}
-	fl.Flush()
-	for {
-		select {
-		case sa := <-sub.ch:
+	var batch []SeqAlert
+	for final := false; ; {
+		batch, next = d.hub.read(next, batch[:0])
+		for _, sa := range batch {
 			if writeSSE(w, sa) != nil {
 				return
 			}
-			fl.Flush()
+		}
+		fl.Flush()
+		if final {
+			return
+		}
+		select {
+		case <-sub.wake:
 		case <-r.Context().Done():
 			return
 		case <-d.hub.done:
-			for {
-				select {
-				case sa := <-sub.ch:
-					if writeSSE(w, sa) != nil {
-						return
-					}
-				default:
-					fl.Flush()
-					return
-				}
-			}
+			final = true // nothing more is published: one last read
 		}
 	}
 }

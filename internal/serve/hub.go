@@ -1,11 +1,12 @@
 package serve
 
 // Alert fan-out: a bounded ring of published alerts (the pagination
-// backlog behind /api/alerts) plus live SSE subscribers with bounded
-// per-client buffers. Slow clients never block the pipeline: when a
-// subscriber's buffer is full the alert is dropped for that client
-// and counted, which is the whole backpressure policy (see the
-// pipeline package doc, "Serving").
+// backlog behind /api/alerts) that live SSE subscribers read with
+// their own cursors. Publishing only appends and wakes them, so slow
+// clients never block the pipeline; a client that falls further behind
+// than the ring holds loses the alerts the ring evicted, counted,
+// which is the whole backpressure policy (see the pipeline package
+// doc, "Serving").
 
 import (
 	"encoding/json"
@@ -42,10 +43,11 @@ func (sa SeqAlert) MarshalJSON() ([]byte, error) {
 		a.Packets, a.First, a.Last, a.Escalated})
 }
 
-// subscriber is one live SSE client.
+// subscriber is one live SSE client. publish signals wake (capacity
+// one, so signals coalesce) and the client reads the ring from its
+// cursor (hub.read).
 type subscriber struct {
-	ch      chan SeqAlert
-	dropped uint64 // alerts this client missed; guarded by hub.mu
+	wake chan struct{}
 }
 
 // hub owns the alert ring and the subscriber set. All fields but done
@@ -61,19 +63,15 @@ type hub struct {
 	firstSeq uint64
 	nextSeq  uint64 // == total alerts ever published
 	subs     map[*subscriber]struct{}
-	dropped  uint64 // total alerts dropped across all slow clients
+	dropped  uint64 // total alerts the ring evicted before a client read them
 	capHint  int    // ring bound
-	bufHint  int    // per-subscriber channel buffer
 }
 
-func newHub(backlog, buffer int) *hub {
+func newHub(backlog int) *hub {
 	if backlog <= 0 {
 		backlog = 4096
 	}
-	if buffer <= 0 {
-		buffer = 64
-	}
-	return &hub{done: make(chan struct{}), subs: make(map[*subscriber]struct{}), capHint: backlog, bufHint: buffer}
+	return &hub{done: make(chan struct{}), subs: make(map[*subscriber]struct{}), capHint: backlog}
 }
 
 // close tells the SSE handlers that publishing is over; call it once,
@@ -81,8 +79,8 @@ func newHub(backlog, buffer int) *hub {
 func (h *hub) close() { close(h.done) }
 
 // publish assigns sequence numbers to a batch of alerts, appends them
-// to the ring (evicting the oldest past the bound), and offers each to
-// every subscriber without blocking.
+// to the ring (evicting the oldest past the bound), and wakes every
+// subscriber without blocking.
 func (h *hub) publish(alerts []ids.Alert) {
 	if len(alerts) == 0 {
 		return
@@ -90,40 +88,44 @@ func (h *hub) publish(alerts []ids.Alert) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, a := range alerts {
-		sa := SeqAlert{Seq: h.nextSeq, Alert: a}
+		h.ring = append(h.ring, SeqAlert{Seq: h.nextSeq, Alert: a})
 		h.nextSeq++
-		h.ring = append(h.ring, sa)
-		for s := range h.subs {
-			select {
-			case s.ch <- sa:
-			default:
-				s.dropped++
-				h.dropped++
-			}
-		}
 	}
 	if over := len(h.ring) - h.capHint; over > 0 {
 		h.ring = append(h.ring[:0], h.ring[over:]...)
 		h.firstSeq += uint64(over)
 	}
-}
-
-// subscribe registers a new client and returns the backlog of ring
-// entries with Seq ≥ from. Backlog collection and registration happen
-// under one lock acquisition, so the backlog plus the channel stream
-// is gapless and duplicate-free.
-func (h *hub) subscribe(from uint64) (*subscriber, []SeqAlert) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := &subscriber{ch: make(chan SeqAlert, h.bufHint)}
-	h.subs[s] = struct{}{}
-	var backlog []SeqAlert
-	for _, sa := range h.ring {
-		if sa.Seq >= from {
-			backlog = append(backlog, sa)
+	for s := range h.subs {
+		select {
+		case s.wake <- struct{}{}:
+		default: // already woken
 		}
 	}
-	return s, backlog
+}
+
+// subscribe registers a new client and returns its cursor: from, or
+// the oldest sequence the ring holds when that is later, or the next
+// sequence when from is in the future.
+func (h *hub) subscribe(from uint64) (*subscriber, uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := &subscriber{wake: make(chan struct{}, 1)}
+	h.subs[s] = struct{}{}
+	return s, min(max(from, h.firstSeq), h.nextSeq)
+}
+
+// read appends to dst the ring entries from a subscriber's cursor next
+// on, and returns them with the cursor past them. Entries published
+// after the client subscribed that the ring evicted before this read
+// are counted as dropped.
+func (h *hub) read(next uint64, dst []SeqAlert) ([]SeqAlert, uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if next < h.firstSeq {
+		h.dropped += h.firstSeq - next
+		next = h.firstSeq
+	}
+	return append(dst, h.ring[next-h.firstSeq:]...), h.nextSeq
 }
 
 // unsubscribe removes a client; its channel is left to the garbage
@@ -155,7 +157,8 @@ func (h *hub) page(offset uint64, limit int) (alerts []SeqAlert, total, first ui
 }
 
 // stats reports the subscriber count and the cumulative slow-client
-// drop total; safe from any goroutine (used by the metrics gauges).
+// drop total (read); safe from any goroutine (used by the metrics
+// gauges).
 func (h *hub) stats() (clients int, dropped uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

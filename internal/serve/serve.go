@@ -28,8 +28,9 @@
 //
 // The pipeline's dispatching goroutine owns all detection state; HTTP
 // handlers never touch the engine. They read an immutable State
-// snapshot through an atomic pointer, page alerts out of the hub's
-// mutex-guarded ring, and scrape metrics whose instruments are atomic.
+// snapshot through an atomic pointer, overlaid with the mutex-guarded
+// stream progress, page alerts out of the hub's mutex-guarded ring,
+// and scrape metrics whose instruments are atomic.
 package serve
 
 import (
@@ -37,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,15 +78,17 @@ type Config struct {
 	// atomically rewritten one-CIDR-per-line rule file. With Resume,
 	// the set starts from the file's existing prefixes.
 	BlocklistPath string
-	// AlertBacklog bounds the paginable alert ring (default 4096);
-	// SSEBuffer bounds each SSE client's buffer (default 64).
+	// AlertBacklog bounds the alert ring (default 4096) behind
+	// pagination and the SSE streams: an SSE client that falls further
+	// behind loses the alerts the ring evicted.
 	AlertBacklog int
-	SSEBuffer    int
 }
 
 // State is the immutable serving snapshot behind /healthz, /api/state
-// and /api/sessions. A new value is published on every batch (stream
-// progress) and every tick fire (engine-derived fields); handlers
+// and /api/sessions. A new value is published at the pipeline's start,
+// every tick fire (the engine-derived fields) and the stop; the stream
+// progress (StreamTime, Records, Tail) is that of the last record run
+// the engine consumed, overlaid at every read (Daemon.State). Handlers
 // only ever read whole snapshots.
 type State struct {
 	// Generation is 1 once the pipeline has started.
@@ -109,14 +113,16 @@ type State struct {
 	// inline).
 	QueueDepth int `json:"queue_depth"`
 	// MemoryBytes is the sketch memory the engine's live candidates
-	// hold (ids.Engine.MemoryBytes): actual bytes, sparse or dense.
+	// hold (ids.Engine.MemoryBytes): actual bytes, sparse or dense, as
+	// of the last tick fire. The engine keeps the total as its sketches
+	// change, so reading it at a fire costs nothing per candidate.
 	MemoryBytes int `json:"memory_bytes"`
 	// Tail is the follow-mode source's progress.
 	Tail pipeline.TailStats `json:"tail"`
 	// LastTick and LastCheckpoint are the most recent cadence marks.
 	LastTick       time.Time `json:"last_tick"`
 	LastCheckpoint time.Time `json:"last_checkpoint"`
-	// UpdatedAt is the wall-clock publish instant.
+	// UpdatedAt is the wall-clock instant of the last publish.
 	UpdatedAt time.Time `json:"updated_at"`
 	// levels are the running engine's aggregation levels, finest
 	// first: the rows of Candidates and /api/sessions.
@@ -134,6 +140,37 @@ type Daemon struct {
 	hub   *hub
 	block *blocklist
 	state atomic.Pointer[State]
+	// progress is the stream position as of the last record run the
+	// engine consumed, which State overlays on the published snapshot.
+	progress progress
+}
+
+// progress is the stream-progress part of State. The pipeline's
+// dispatching goroutine sets it after every record run (one uncontended
+// lock, no allocation); readers copy it out under the same lock.
+type progress struct {
+	mu         sync.Mutex
+	records    uint64
+	streamTime time.Time
+	tail       pipeline.TailStats
+}
+
+// set records the progress after a record run: the source's record
+// count, the newest record time consumed and the tail's position.
+func (p *progress) set(records uint64, last time.Time, tail pipeline.TailStats) {
+	p.mu.Lock()
+	p.records, p.tail = records, tail
+	if last.After(p.streamTime) {
+		p.streamTime = last
+	}
+	p.mu.Unlock()
+}
+
+// overlay copies the progress into s.
+func (p *progress) overlay(s *State) {
+	p.mu.Lock()
+	s.Records, s.StreamTime, s.Tail = p.records, p.streamTime, p.tail
+	p.mu.Unlock()
 }
 
 // serveMetrics are the daemon-level instruments (the pipeline-level
@@ -166,7 +203,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		cfg: cfg,
-		hub: newHub(cfg.AlertBacklog, cfg.SSEBuffer),
+		hub: newHub(cfg.AlertBacklog),
 		reg: metrics.NewRegistry(),
 	}
 	if cfg.BlocklistPath != "" {
@@ -212,7 +249,7 @@ func (d *Daemon) registerServeMetrics() {
 		"Connected SSE alert-stream clients.", nil,
 		func() float64 { n, _ := d.hub.stats(); return float64(n) })
 	reg.GaugeFunc("v6scand_sse_dropped_total",
-		"Alerts dropped across all slow SSE clients.", nil,
+		"Alerts the backlog ring evicted before a slow SSE client read them, across all clients.", nil,
 		func() float64 { _, n := d.hub.stats(); return float64(n) })
 }
 
@@ -231,15 +268,20 @@ func (d *Daemon) candidateGauge(l netaddr6.AggLevel) *metrics.Gauge {
 	return g
 }
 
-// State returns the latest published serving snapshot. Safe from any
-// goroutine; the value is immutable.
-func (d *Daemon) State() *State { return d.state.Load() }
+// State returns the latest published serving snapshot with the stream
+// progress of the last record run the engine consumed. Safe from any
+// goroutine; the value is the caller's.
+func (d *Daemon) State() *State {
+	s := *d.state.Load()
+	d.progress.overlay(&s)
+	return &s
+}
 
 // Run streams the log until ctx is cancelled (after a clean drain and
 // final checkpoint) or a pipeline error. It blocks; start the HTTP
 // server around it. When it returns, every SSE stream writes out what
-// its client has buffered and ends, so a server Shutdown need not wait
-// for SSE clients to hang up.
+// its client has not read yet and ends, so a server Shutdown need not
+// wait for SSE clients to hang up.
 func (d *Daemon) Run(ctx context.Context) error {
 	defer d.hub.close()
 	g, err := d.newGeneration()
@@ -348,15 +390,7 @@ func (d *Daemon) publish(g *generation, alerts []ids.Alert, tick time.Time) {
 	}
 	cur.QueueDepth = eng.QueueDepth()
 	d.sm.queueDepth.Set(float64(cur.QueueDepth))
-	d.finishState(&cur, g)
-}
-
-// publishLight refreshes only the stream-progress fields — cheap
-// enough for every batch, so /api/state is current even between tick
-// fires.
-func (d *Daemon) publishLight(g *generation) {
-	cur := *d.state.Load()
-	d.finishState(&cur, g)
+	d.finishState(&cur)
 }
 
 // publishFinal marks the daemon stopped.
@@ -364,20 +398,13 @@ func (d *Daemon) publishFinal(g *generation) {
 	cur := *d.state.Load()
 	cur.Running = false
 	cur.LastCheckpoint = g.lastCkpt
-	d.finishState(&cur, g)
+	d.finishState(&cur)
 }
 
 // finishState stamps the shared trailer fields and stores the new
 // snapshot.
-func (d *Daemon) finishState(s *State, g *generation) {
-	s.Records = d.pm.SourceRecords.Value()
-	if g.lastSeen.After(s.StreamTime) {
-		s.StreamTime = g.lastSeen
-	}
+func (d *Daemon) finishState(s *State) {
 	s.AlertsPublished = d.sm.alerts.Value()
-	if g.tail != nil {
-		s.Tail = g.tail.Stats()
-	}
 	s.UpdatedAt = time.Now()
 	d.state.Store(s)
 }

@@ -216,22 +216,37 @@ func alertsJSON(t *testing.T, alerts []SeqAlert) string {
 	return b.String()
 }
 
-// TestHubBackpressure: a slow subscriber loses alerts (counted), the
-// hub and other subscribers are unaffected, and the ring stays
-// bounded with pagination reporting the trimmed window.
+// TestHubBackpressure: publishing only appends to the ring and wakes
+// subscribers; a client that falls further behind than the ring holds
+// loses only what the ring evicted (counted) and goes on from the
+// oldest retained alert; the ring stays bounded with pagination
+// reporting the trimmed window; ?from= starts a client at the retained
+// suffix.
 func TestHubBackpressure(t *testing.T) {
-	h := newHub(8, 2)
-	slow, _ := h.subscribe(0)
+	h := newHub(8)
+	slow, next := h.subscribe(0)
 	alerts := make([]ids.Alert, 20)
 	for i := range alerts {
 		alerts[i] = ids.Alert{Prefix: netip.MustParsePrefix("2001:db8::/48")}
 	}
-	h.publish(alerts)
-	if len(slow.ch) != 2 {
-		t.Fatalf("slow client buffered %d, want 2", len(slow.ch))
+	h.publish(alerts[:5])
+	select {
+	case <-slow.wake:
+	default:
+		t.Fatal("publish did not wake the subscriber")
 	}
-	if _, dropped := h.stats(); dropped != 18 {
-		t.Fatalf("dropped = %d, want 18", dropped)
+	got, next := h.read(next, nil)
+	if len(got) != 5 || got[0].Seq != 0 || next != 5 {
+		t.Fatalf("first read: %d alerts from %d, cursor %d; want 5 from 0, cursor 5", len(got), got[0].Seq, next)
+	}
+	// Fifteen more overrun the eight-alert ring: seqs 5–11 are gone.
+	h.publish(alerts[5:])
+	got, next = h.read(next, got[:0])
+	if len(got) != 8 || got[0].Seq != 12 || next != 20 {
+		t.Fatalf("lagging read: %d alerts from %d, cursor %d; want 8 from 12, cursor 20", len(got), got[0].Seq, next)
+	}
+	if _, dropped := h.stats(); dropped != 7 {
+		t.Fatalf("dropped = %d, want 7", dropped)
 	}
 	page, total, first := h.page(0, 0)
 	if total != 20 || first != 12 || len(page) != 8 {
@@ -240,14 +255,34 @@ func TestHubBackpressure(t *testing.T) {
 	if page[0].Seq != 12 || page[7].Seq != 19 {
 		t.Fatalf("ring window [%d,%d], want [12,19]", page[0].Seq, page[7].Seq)
 	}
-	// Late subscriber with from: only the retained suffix arrives.
-	_, backlog := h.subscribe(15)
-	if len(backlog) != 5 || backlog[0].Seq != 15 {
-		t.Fatalf("backlog from 15: %d entries starting %d", len(backlog), backlog[0].Seq)
+	// Late subscribers: from inside the ring reads its suffix; from
+	// before it starts at the oldest retained alert, counting nothing.
+	_, next = h.subscribe(15)
+	if got, _ = h.read(next, got[:0]); len(got) != 5 || got[0].Seq != 15 {
+		t.Fatalf("read from 15: %d entries starting %d", len(got), got[0].Seq)
+	}
+	if _, next = h.subscribe(3); next != 12 {
+		t.Fatalf("subscribe(3) cursor = %d, want the oldest retained 12", next)
+	}
+	if _, dropped := h.stats(); dropped != 7 {
+		t.Fatalf("late subscribers changed dropped to %d", dropped)
 	}
 	h.unsubscribe(slow)
-	if n, _ := h.stats(); n != 1 {
-		t.Fatalf("subscribers = %d after unsubscribe, want 1", n)
+	if n, _ := h.stats(); n != 2 {
+		t.Fatalf("subscribers = %d after unsubscribe, want 2", n)
+	}
+	// A client that reads nothing while a catch-up publishes a
+	// thousand alerts in bursts loses none the default ring holds.
+	h = newHub(0)
+	_, next = h.subscribe(0)
+	for range 100 {
+		h.publish(alerts[:10])
+	}
+	if got, next = h.read(next, got[:0]); len(got) != 1000 || next != 1000 {
+		t.Fatalf("idle client read %d alerts, cursor %d; want all 1000", len(got), next)
+	}
+	if _, dropped := h.stats(); dropped != 0 {
+		t.Fatalf("idle client dropped %d", dropped)
 	}
 }
 
@@ -536,6 +571,51 @@ func TestDaemonFollowsRotation(t *testing.T) {
 		t.Fatalf("generation %d with %d records read, want one run reading each of the %d records once",
 			st.Generation, st.Records, want)
 	}
+}
+
+// TestStateTracksQuietLog: records appended right after a publish,
+// after which the log goes quiet, reach /api/state within a tail poll
+// — with a one-minute tick, no fire or later batch publishes them.
+func TestStateTracksQuietLog(t *testing.T) {
+	log := filepath.Join(t.TempDir(), "fw.log")
+	dr := startDaemon(t, Config{LogPath: log, IDS: testIDS(), AdvanceEvery: time.Minute})
+	waitState := func(what string, ok func(*State) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !ok(dr.d.State()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: state %+v", what, dr.d.State())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// The record at minute 1 fires the minute-1 tick, which publishes.
+	appendLog(t, log, fillers(0, 2))
+	waitState("tick fired", func(s *State) bool { return s.Records == 2 && s.LastTick.Equal(testBase.Add(time.Minute)) })
+	// Five more inside minute 1: no tick fires, and the log goes quiet.
+	burst := scanBurst("2001:db8:bad::1", time.Minute+time.Second, 5)
+	appendLog(t, log, burst)
+	fi, err := os.Stat(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := burst[len(burst)-1].Time
+	waitState("quiet log", func(s *State) bool {
+		return s.Records == 7 && s.StreamTime.Equal(last) && s.Tail.Offset == fi.Size()
+	})
+	rr := httptest.NewRecorder()
+	dr.d.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/state", nil))
+	var st struct {
+		Records    uint64    `json:"records"`
+		StreamTime time.Time `json:"stream_time"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 7 || !st.StreamTime.Equal(last) {
+		t.Fatalf("/api/state: %d records at %v, want 7 at %v", st.Records, st.StreamTime, last)
+	}
+	dr.stop(t)
 }
 
 // TestNewDaemonRejectsCheckpointWithoutDir: a checkpoint setting with

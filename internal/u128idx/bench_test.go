@@ -129,8 +129,8 @@ func BenchmarkMapU128Churn(b *testing.B) {
 // are touched again, then an Expire one hour behind the clock closes
 // (and releases) what went idle. About 55k handles stay resident.
 // ns/expire is the sweep alone. Once the table has reached its working
-// set an op allocates only in the index's occasional tombstone purge,
-// which is rarer than one per op, so allocs/op reads 0.
+// set an op allocates nothing: the index's occasional tombstone purge
+// rebuilds in place, so B/op reads 0 as well as allocs/op.
 func BenchmarkU128IdxTableExpire(b *testing.B) {
 	const (
 		perMinute = 830

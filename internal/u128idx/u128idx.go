@@ -315,11 +315,13 @@ func (ix *Index) Reset() {
 // rehash rebuilds the table: doubled when genuinely full, at the same
 // size when tombstones account for the pressure (churn workloads), so
 // sustained delete/insert cycles stay O(1) amortized without growing.
+// The same-size purge rebuilds in place (purge) and allocates nothing.
 func (ix *Index) rehash() {
-	groups := ix.gmask + 1
-	if ix.n >= ix.growAt/2 {
-		groups *= 2
+	if ix.n < ix.growAt/2 {
+		ix.purge()
+		return
 	}
+	groups := 2 * (ix.gmask + 1)
 	oldCtrl, oldKeys, oldVals := ix.ctrl, ix.keys, ix.vals
 	slots := groups * groupSize
 	ix.ctrl = make([]uint8, slots)
@@ -340,6 +342,48 @@ func (ix *Index) rehash() {
 		ix.ctrl[ns] = uint8(h & 0x7f)
 		ix.keys[ns] = oldKeys[s]
 		ix.vals[ns] = oldVals[s]
+	}
+}
+
+// purge drops every tombstone and re-places the live entries in the
+// arrays they are in (abseil's drop-deletes-without-resize). It first
+// marks every tombstone empty and every live entry deleted — "still to
+// place". Then each such entry goes to the first non-full slot of its
+// probe chain, where every slot before it is full, so find reaches it:
+// it stays put when that slot is in its own group, moves into an empty
+// slot, or swaps with another entry still to place, which is then
+// placed from its new slot. A full slot never empties, so a chain that
+// ran through full slots when an entry was placed still does.
+func (ix *Index) purge() {
+	for i, c := range ix.ctrl {
+		if c&0x80 != 0 {
+			ix.ctrl[i] = ctrlEmpty
+		} else {
+			ix.ctrl[i] = ctrlDeleted
+		}
+	}
+	ix.dead = 0
+	for i := uint64(0); i < uint64(len(ix.ctrl)); i++ {
+		if ix.ctrl[i] != ctrlDeleted {
+			continue
+		}
+		h := Hash(ix.keys[i])
+		ns := ix.insertSlot(h)
+		if ns/groupSize == i/groupSize {
+			ix.ctrl[i] = uint8(h & 0x7f)
+			continue
+		}
+		moveTo := ix.ctrl[ns]
+		ix.ctrl[ns] = uint8(h & 0x7f)
+		if moveTo == ctrlEmpty {
+			ix.keys[ns], ix.vals[ns] = ix.keys[i], ix.vals[i]
+			ix.ctrl[i] = ctrlEmpty
+			continue
+		}
+		// ns held an entry still to place: swap, and place it from i.
+		ix.keys[ns], ix.keys[i] = ix.keys[i], ix.keys[ns]
+		ix.vals[ns], ix.vals[i] = ix.vals[i], ix.vals[ns]
+		i--
 	}
 }
 

@@ -2,6 +2,7 @@ package u128idx
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -164,6 +165,60 @@ func TestIndexChurnRehashesInPlace(t *testing.T) {
 	}
 	if ix.Cap() > capBefore*2 {
 		t.Fatalf("churn grew table from %d to %d slots; tombstones not reclaimed", capBefore, ix.Cap())
+	}
+}
+
+// TestIndexPurgeInPlace: under churn at a steady working set, the
+// same-size rehash that clears tombstones rebuilds in the index's own
+// arrays — three purges allocate nothing — and every live key stays
+// reachable with its value.
+func TestIndexPurgeInPlace(t *testing.T) {
+	key := func(i uint64) netaddr6.U128 {
+		z := i * 0x9e3779b97f4a7c15
+		return netaddr6.U128{Hi: z ^ z>>29, Lo: i}
+	}
+	const live = 440 // below half of a 1024-slot index's threshold
+	ix := NewIndex(896)
+	var oldest, next uint64
+	for ; next < live; next++ {
+		ix.Put(key(next), uint32(next))
+	}
+	// churn replaces the oldest key with a fresh one until the index
+	// has purged n times, and returns its slot count.
+	churn := func(n int) int {
+		for cycle := 0; n > 0; cycle++ {
+			if cycle == 1_000_000 {
+				t.Fatalf("no purge in %d cycles", cycle)
+			}
+			ix.Delete(key(oldest))
+			oldest++
+			dead := ix.dead
+			ix.Put(key(next), uint32(next))
+			next++
+			if dead > 1 && ix.dead == 0 {
+				n--
+			}
+		}
+		return ix.Cap()
+	}
+	capBefore := churn(1) // reach the working-set size
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	capAfter := churn(3)
+	runtime.ReadMemStats(&after)
+	if capAfter != capBefore {
+		t.Fatalf("churn at %d live keys grew the index from %d to %d slots", live, capBefore, capAfter)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("three same-size purges allocated %d times", n)
+	}
+	if ix.Len() != live {
+		t.Fatalf("Len = %d, want %d", ix.Len(), live)
+	}
+	for i := oldest; i < next; i++ {
+		if v, ok := ix.Get(key(i)); !ok || v != uint32(i) {
+			t.Fatalf("key %d: got %d, %v", i, v, ok)
+		}
 	}
 }
 
