@@ -903,6 +903,80 @@ func BenchmarkIDSMinuteTick(b *testing.B) {
 	b.ReportMetric(float64(len(recs)), "records/op")
 }
 
+// benchRecordsScanners returns a time-ordered stream shaped like the
+// one v6scand catches up on in perfbench's daemon workload: about 3
+// background records per second, each source sending 1–3 within ten
+// minutes from a random /64 of one of 65536 /48s, and 200
+// single-address scanners per stream hour, each probing 110–199
+// destinations 1–20 seconds apart. Scanner records are about three
+// quarters of the stream, and once sorted by time each is a run of
+// its own between other sources' records, from a source whose
+// candidates already exist at every level.
+func benchRecordsScanners(hours int) []Record {
+	rng := rand.New(rand.NewSource(39))
+	secs := int64(hours) * 3600
+	dstBase := netaddr6.MustPrefix("2001:db8:f000::/44")
+	p48s := make([]netip.Prefix, 1<<16)
+	for i := range p48s {
+		p48s[i] = netaddr6.RandomSubprefix(netaddr6.MustPrefix("2000::/4"), 48, rng)
+	}
+	at := func(sec int64) time.Time { return benchStart.Add(time.Duration(sec) * time.Second) }
+	var recs []Record
+	for i := 0; i < int(3*secs/2); i++ {
+		src := netaddr6.RandomAddrIn(p48s[rng.Intn(len(p48s))], rng)
+		t0 := rng.Int63n(secs)
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			recs = append(recs, Record{
+				Time: at(min(t0+rng.Int63n(600), secs-1)), Src: src, Dst: netaddr6.RandomAddrIn(dstBase, rng),
+				Proto: layers.ProtoTCP, DstPort: 443, Length: 60,
+			})
+		}
+	}
+	for i := 200 * hours; i > 0; i-- {
+		src := netaddr6.RandomAddrIn(netaddr6.MustPrefix("2400::/8"), rng)
+		t := rng.Int63n(secs - 1800)
+		for k := 110 + rng.Intn(90); k > 0; k-- {
+			recs = append(recs, Record{
+				Time: at(t), Src: src, Dst: netaddr6.RandomAddrIn(dstBase, rng),
+				Proto: layers.ProtoTCP, DstPort: 22, Length: 60,
+			})
+			t += 1 + rng.Int63n(20)
+		}
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time.Before(recs[j].Time) })
+	return recs
+}
+
+// BenchmarkIDSScannerRuns measures IDS ingest on the daemon-shaped
+// stream of benchRecordsScanners (three stream hours, default levels,
+// one inline shard, one Tick per stream minute). Most records are
+// single-record runs of a scanner whose coarser candidates its /128
+// candidate already names (ids.candidate's up hint), so this is the
+// per-run cost of reaching every level. ns/record is the whole pass.
+func BenchmarkIDSScannerRuns(b *testing.B) {
+	recs := benchRecordsScanners(3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := NewShardedIDS(DefaultIDSConfig(), 1)
+		for j := 0; j < len(recs); {
+			minute := recs[j].Time.Truncate(time.Minute).Add(time.Minute)
+			k := j
+			for k < len(recs) && recs[k].Time.Before(minute) {
+				k++
+			}
+			e.ProcessBatch(recs[j:k])
+			e.Tick(minute)
+			j = k
+		}
+		if alerts := e.Flush(); len(alerts) == 0 {
+			b.Fatal("no alerts")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+	b.ReportMetric(float64(len(recs)), "records/op")
+}
+
 // BenchmarkDetectorAdvance is BenchmarkIDSMinuteTick's detector
 // analogue: one Advance per stream minute over the same churn-shaped
 // stream, the cadence v6scan -advance-every 1m runs, so the eviction

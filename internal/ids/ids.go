@@ -37,8 +37,12 @@
 // keeps beside its sketch pointer (core.Threshold) and recycled
 // without touching the sketch. ProcessBatch additionally groups adjacent
 // same-source records so a burst of N records to one candidate costs
-// one table probe per level. The state is split into shards (this
-// file) that an Engine runs in a dispatch.Group (sharded.go).
+// one table probe, at the most specific level: each candidate keeps
+// the handle of the next coarser level's candidate for its source, so
+// a run reaches the coarser candidates it has reached before without
+// probing their tables, and probes only where that hint is missing or
+// stale (shard.ingestRun). The state is split into shards (this file)
+// that an Engine runs in a dispatch.Group (sharded.go).
 package ids
 
 import (
@@ -190,19 +194,28 @@ func compareAlerts(a, b *Alert) int {
 // and held bytes (bytes), so the sweep decides a due candidate below
 // the threshold, pools its sparse sketch and takes its bytes off the
 // level's total from the candidate's own slot without touching the
-// sketch (reaches, recycle). Both fit the struct's padding: it stays
-// one 64-byte cache line.
+// sketch (reaches, recycle). Its first activity is an int64 on the
+// checkpoint time axis, like the table's last, and up is a hint to
+// the next coarser level's candidate for the same source (ingestRun).
+// The struct is 56 bytes, under a 64-byte cache line's size.
 type candidate struct {
 	firstDst netaddr6.U128
 	sketch   *core.DstSketch
 	packets  uint64
-	first    time.Time
+	// first is the earliest record time seen (checkpoint.EncodeTime).
+	first int64
 	// regs is sketch.Nonzero() as of the last insert or restore: −1
 	// while unknown (a restored dense sketch), 0 without a sketch.
 	regs int32
 	// bytes is sketch.MemoryBytes(), kept as the sketch changes; 0
 	// without a sketch.
 	bytes int32
+	// up is the handle + 1 of the candidate this source reached at the
+	// next coarser level, 0 for none. It is only a cache: the handle
+	// may since have been released, or reused by another key, so
+	// ingestRun checks it before use. It is never written to a
+	// checkpoint, and recycle and restore leave it 0.
+	up uint32
 }
 
 // estimate returns the candidate's destination cardinality: exactly 1
@@ -293,6 +306,18 @@ func (lv *level) observeDst(c *candidate, d netaddr6.U128, precision uint8) {
 	c.regs = int32(c.sketch.Nonzero())
 }
 
+// hinted reports whether handle h, which a finer candidate's up hint
+// names, still holds key's live candidate.
+func (lv *level) hinted(h uint32, key netaddr6.U128) bool {
+	if lv.tab.Key(h) != key {
+		return false // released, and reused by another key
+	}
+	if lv.tab.At(h).packets == 0 {
+		return false // released (recycle zeroed it), key not yet reused
+	}
+	return true
+}
+
 // shard is one partition of an Engine's candidate state: every level's
 // table for the sources that partition to it, the shard's clock and
 // its pending alerts; a dispatch.Shard. Single-goroutine: an Engine
@@ -363,8 +388,8 @@ func newShard(cfg Config, th core.Threshold) *shard {
 //
 // Adjacent records with the same source (the shape dispatch staging
 // and real scan bursts produce) are grouped into runs, so N records to
-// one candidate cost one table probe per aggregation level instead of
-// N map lookups.
+// one candidate cost at most one table probe per aggregation level
+// instead of N map lookups (ingestRun).
 func (s *shard) ProcessBatch(recs []firewall.Record) error {
 	for i := 0; i < len(recs); {
 		j := i + 1
@@ -377,10 +402,22 @@ func (s *shard) ProcessBatch(recs []firewall.Record) error {
 	return nil
 }
 
-// ingestRun applies one same-source run: a single table probe per
-// level resolves (or, below the MaxCandidates bound, creates in the
-// same probe) the candidate, each record's destination then updates it
-// through the value pointer, and the run's activity bounds apply once.
+// ingestRun applies one same-source run: the candidate of each level
+// is resolved once, each record's destination then updates it through
+// the value pointer, and the run's activity bounds apply once.
+//
+// The most specific level is probed: below the MaxCandidates bound one
+// Ref resolves or creates the candidate, at the bound a Get finds it
+// or the run is dropped at that level. Each coarser level is first
+// tried through the finer candidate's up hint, which is used only
+// while the handle still holds this level's key and its candidate is
+// live (recycle zeroes packets, and a live candidate has at least one
+// packet): then the candidate exists and no probe runs. Otherwise the
+// level is probed as the most specific one is, and the handle found is
+// stored in the finer candidate's hint. The check cannot be replaced
+// by an invariant: with drops at the bound and late records, a coarser
+// candidate admitted after its finer one can carry an older last
+// activity, close first and have its handle reused.
 //
 // A candidate's activity bounds are the earliest and latest record
 // times seen, not the first and last to arrive: without a sorting
@@ -401,15 +438,18 @@ func (s *shard) ingestRun(rs []firewall.Record) {
 		}
 		s.scrDst = append(s.scrDst, netaddr6.ToU128(r.Dst))
 	}
-	first, last := rs[lo].Time, checkpoint.EncodeTime(rs[hi].Time)
+	first, last := checkpoint.EncodeTime(rs[lo].Time), checkpoint.EncodeTime(rs[hi].Time)
 	src := netaddr6.ToU128(rs[0].Src)
+	var up *uint32 // the finer level's candidate's hint to this level
 	for _, lv := range s.levels {
 		key := src.Mask(int(lv.agg))
 		var (
 			h       uint32
 			existed bool
 		)
-		if lv.tab.Len() < s.cfg.MaxCandidates {
+		if up != nil && *up != 0 && lv.hinted(*up-1, key) {
+			h, existed = *up-1, true
+		} else if lv.tab.Len() < s.cfg.MaxCandidates {
 			// Below the bound, lookup and admission are one probe.
 			h, existed = lv.tab.Ref(key, last)
 		} else if h, existed = lv.tab.Get(key); !existed {
@@ -417,7 +457,11 @@ func (s *shard) ingestRun(rs []firewall.Record) {
 			// missing key drops every record of the run, as the
 			// per-record path did.
 			s.dropped.Add(uint64(len(rs)))
+			up = nil
 			continue
+		}
+		if up != nil {
+			*up = h + 1
 		}
 		c := lv.tab.At(h)
 		dsts := s.scrDst
@@ -429,10 +473,9 @@ func (s *shard) ingestRun(rs []firewall.Record) {
 			lv.observeDst(c, d, s.cfg.SketchPrecision)
 		}
 		c.packets += uint64(len(rs))
-		if first.Before(c.first) {
-			c.first = first
-		}
+		c.first = min(c.first, first)
 		lv.tab.Touch(h, last)
+		up = &c.up
 	}
 }
 
@@ -515,7 +558,7 @@ func (s *shard) sweep(cutoff int64) {
 				Level:         lv.agg,
 				EstimatedDsts: est,
 				Packets:       c.packets,
-				First:         c.first,
+				First:         checkpoint.DecodeTime(c.first),
 				Last:          checkpoint.DecodeTime(lv.tab.Last(h)),
 				Escalated:     coveredDsts > 0 || lv.agg != s.levels[0].agg,
 			})

@@ -204,11 +204,19 @@ func tapeSrc(b byte) netip.Addr {
 	}.ToAddr()
 }
 
+// tapeStats is what runIDSTape counts: the ops that compared the
+// three-shard engine with the one-shard one, and the stale up hints
+// the first run of each batch met (hintMisses).
+type tapeStats struct {
+	sharded          int
+	released, reused int
+}
+
 // runIDSTape interprets tape against the reference, a one-shard
-// engine and a three-shard one, and returns how many ops compared the
-// three-shard engine with the one-shard one. The first two bytes pick
-// MaxCandidates (1–8), MinDsts (1–4) and the sketch precision (4–6);
-// the rest is a sequence of ops:
+// engine, a three-shard one and a hint-free twin of the one-shard
+// engine, and returns what it counted (tapeStats). The first two bytes
+// pick MaxCandidates (1–8), MinDsts (1–4) and the sketch precision
+// (4–6); the rest is a sequence of ops:
 //
 //	0–3 src, b: record from tapeSrc(src) to one of 32 destinations,
 //	            stepping time by int8(b)>>3 seconds (late, equal or
@@ -223,12 +231,16 @@ func tapeSrc(b byte) netip.Addr {
 // per-level candidate counts, the drop counter and, at both shard
 // counts, the running sketch-memory total against the walk
 // (checkMemory). The reference judges the one-shard engine on every
-// tape. The three-shard engine applies MaxCandidates per shard, so it
-// must match the one-shard engine — drains, candidate counts, snapshot
+// tape. The twin takes each record as its own batch with every up hint
+// cleared first (clearHints), so it never reaches a candidate through
+// a hint, and takes the same cuts: its drains, drop counter, snapshot
+// bytes at every op and final Flush must equal the one-shard engine's.
+// The three-shard engine applies MaxCandidates per shard, so it must
+// match the one-shard engine — drains, candidate counts, snapshot
 // bytes, the final Flush — only while that has dropped nothing.
-func runIDSTape(t *testing.T, tape []byte) (sharded int) {
+func runIDSTape(t *testing.T, tape []byte) (st tapeStats) {
 	if len(tape) < 2 {
-		return 0
+		return st
 	}
 	cfg := Config{
 		Timeout:         time.Minute,
@@ -236,16 +248,23 @@ func runIDSTape(t *testing.T, tape []byte) (sharded int) {
 		MinDsts:         1 + int(tape[1]%4),
 		SketchPrecision: 4 + tape[1]>>4%3,
 	}
-	e, e3, ref := New(cfg), NewSharded(cfg, 3), newRefIDS(cfg)
+	e, e3, free, ref := New(cfg), NewSharded(cfg, 3), New(cfg), newRefIDS(cfg)
 	// Flush stops the workers of whichever three-shard engine is live.
 	defer func() { e3.Flush() }()
 	clock := int64(1_622_505_600e9) // 2021-06-01T00:00:00Z
 	var pending []firewall.Record
 	process := func() {
+		if len(pending) > 0 {
+			released, reused := hintMisses(e, pending[0].Src)
+			st.released += released
+			st.reused += reused
+		}
 		e.ProcessBatch(pending)
 		e3.ProcessBatch(pending)
 		for _, r := range pending {
 			ref.process(r)
+			clearHints(free)
+			free.Process(r)
 		}
 		pending = pending[:0]
 	}
@@ -255,7 +274,7 @@ func runIDSTape(t *testing.T, tape []byte) (sharded int) {
 		if e.DroppedCandidates() != 0 {
 			return false
 		}
-		sharded++
+		st.sharded++
 		return true
 	}
 	check := func(at int) {
@@ -282,10 +301,25 @@ func runIDSTape(t *testing.T, tape []byte) (sharded int) {
 			t.Fatalf("op %d: 3 shards: DroppedCandidates = %d, one shard 0", at, got)
 		}
 	}
-	compare := func(at int, got, got3, want []Alert) {
+	// checkTwin requires the hint-free twin's drop counter and snapshot
+	// to equal the one-shard engine's; both must be open.
+	checkTwin := func(at int) {
+		t.Helper()
+		if got, want := free.DroppedCandidates(), e.DroppedCandidates(); got != want {
+			t.Fatalf("op %d: hint-free twin: DroppedCandidates = %d, engine %d", at, got, want)
+		}
+		mark := time.Unix(0, clock).UTC()
+		if !bytes.Equal(snapshot(t, free, mark), snapshot(t, e, mark)) {
+			t.Fatalf("op %d: hint-free twin: snapshot differs", at)
+		}
+	}
+	compare := func(at int, got, got3, gotFree, want []Alert) {
 		t.Helper()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("op %d: alerts differ\nengine:    %v\nreference: %v", at, got, want)
+		}
+		if !reflect.DeepEqual(gotFree, got) {
+			t.Fatalf("op %d: hint-free twin: alerts differ\ntwin:   %v\nengine: %v", at, gotFree, got)
 		}
 		if exact() && !reflect.DeepEqual(got3, got) {
 			t.Fatalf("op %d: 3 shards: alerts differ\n3 shards:  %v\none shard: %v", at, got3, got)
@@ -295,11 +329,8 @@ func runIDSTape(t *testing.T, tape []byte) (sharded int) {
 	// count and requires the restored engine to snapshot identically.
 	roundtrip := func(at int, eng *Engine, mark time.Time) (*Engine, []byte) {
 		t.Helper()
-		var snap bytes.Buffer
-		if err := eng.Snapshot(&snap, mark); err != nil {
-			t.Fatal(err)
-		}
-		cr, err := checkpoint.NewReader(bytes.NewReader(snap.Bytes()))
+		snap := snapshot(t, eng, mark)
+		cr, err := checkpoint.NewReader(bytes.NewReader(snap))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,14 +339,10 @@ func runIDSTape(t *testing.T, tape []byte) (sharded int) {
 			t.Fatal(err)
 		}
 		eng.Flush()
-		var again bytes.Buffer
-		if err := restored.Snapshot(&again, mark); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(snap.Bytes(), again.Bytes()) {
+		if !bytes.Equal(snap, snapshot(t, restored, mark)) {
 			t.Fatalf("op %d: %d shards: snapshot of the restored engine differs", at, eng.NumShards())
 		}
-		return restored, snap.Bytes()
+		return restored, snap
 	}
 	for i := 2; i < len(tape); i++ {
 		op := tape[i] % 8
@@ -344,9 +371,10 @@ func runIDSTape(t *testing.T, tape []byte) (sharded int) {
 			}
 			e.Tick(now)
 			e3.Tick(now)
+			free.Tick(now)
 			ref.tick(now)
 		case 6:
-			compare(i, e.Drain(), e3.Drain(), ref.drain())
+			compare(i, e.Drain(), e3.Drain(), free.Drain(), ref.drain())
 		case 7:
 			mark := ref.now.Add(time.Nanosecond)
 			if ref.now.IsZero() {
@@ -355,16 +383,70 @@ func runIDSTape(t *testing.T, tape []byte) (sharded int) {
 			var snap, snap3 []byte
 			e, snap = roundtrip(i, e, mark)
 			e3, snap3 = roundtrip(i, e3, mark)
+			// The twin takes the same cut, so the engines differ only in
+			// the hints (a clock off the checkpoint axis, such as a tick
+			// before any record, does not survive a cut).
+			free, _ = roundtrip(i, free, mark)
 			if exact() && !bytes.Equal(snap3, snap) {
 				t.Fatalf("op %d: 3 shards: snapshot differs from the one-shard engine's", i)
 			}
 		}
 		check(i)
+		checkTwin(i)
 	}
 	process()
-	compare(len(tape), e.Flush(), e3.Flush(), func() []Alert { ref.sweep(true); return ref.drain() }())
+	checkTwin(len(tape))
+	compare(len(tape), e.Flush(), e3.Flush(), free.Flush(), func() []Alert { ref.sweep(true); return ref.drain() }())
 	check(len(tape))
-	return sharded
+	return st
+}
+
+// snapshot returns eng's checkpoint at mark.
+func snapshot(t *testing.T, eng *Engine, mark time.Time) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := eng.Snapshot(&buf, mark); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// clearHints zeroes every candidate's up hint in e, as a restore
+// leaves them.
+func clearHints(e *Engine) {
+	e.sync()
+	for _, s := range e.g.Shards() {
+		for _, lv := range s.levels {
+			lv.tab.Range(func(_ netaddr6.U128, h uint32) bool {
+				lv.tab.At(h).up = 0
+				return true
+			})
+		}
+	}
+}
+
+// hintMisses counts the stale up hints a run from src meets next in
+// the one-shard engine e: hints to a released handle that still holds
+// the coarser level's key (recycle zeroed its candidate), and hints to
+// a handle since reused by another key. ingestRun falls back to a
+// probe at each.
+func hintMisses(e *Engine, src netip.Addr) (released, reused int) {
+	s := e.g.Shards()[0]
+	u := netaddr6.ToU128(src)
+	for li, lv := range s.levels[:len(s.levels)-1] {
+		h, ok := lv.tab.Get(u.Mask(int(lv.agg)))
+		if !ok || lv.tab.At(h).up == 0 {
+			continue
+		}
+		up, next := lv.tab.At(h).up-1, s.levels[li+1]
+		switch {
+		case next.tab.Key(up) != u.Mask(int(next.agg)):
+			reused++
+		case next.tab.At(up).packets == 0:
+			released++
+		}
+	}
+	return released, reused
 }
 
 // shardedSeed is a tape that never fills a candidate table: sources in
@@ -391,6 +473,36 @@ var cutoffSeed = []byte{7, 0,
 	0, 0, 9, 0, 0, 10, 0, 0, 11, 0, 0, 12,
 	7, 5, 1, 6}
 
+// staleHintSeed makes a /128 candidate's up hint name a /64 handle
+// that was released, first while the handle still holds the /64's key
+// and then after another /64 reused it. MaxCandidates is 2 and MinDsts
+// 2; A is 2001:db8:0:1::1, its /64 K1; Z's /64 is K2. Times are
+// seconds after the start.
+var staleHintSeed = []byte{1, 1,
+	0, 0x00, 0x01, // 2001:db8::1 at 0
+	0, 0x08, 0x79, // 2001:db8::2 at 15: both /128 slots taken
+	0, 0x02, 0x7a, // Z at 30: dropped at /128, K2 fills the /64s
+	5, 168, // tick at 70: 2001:db8::1 closes
+	0, 0x04, 0x50, // A at 40: dropped at /64
+	5, 153, // tick at 95: the /64s close, A stays
+	0, 0x04, 0xd8, // A late, at 35: K1 admitted at 35, A's hint to it
+	5, 0x01, // cutoff 35s+1ns: K1 closes before A
+	0, 0x04, 0x08, 4, // A at 36: the hint names K1's released handle
+	5, 0x01, // cutoff 36s+1ns: K1 closes again
+	0, 0x02, 0x08, 4, // Z at 37: K2 reuses K1's handle
+	0, 0x04, 0x00, 4, // A at 37: the hint names K2's handle
+	7, 6}
+
+// TestIDSTapeStaleHint: staleHintSeed meets both kinds of stale hint,
+// and the engine still matches the reference and the hint-free twin
+// (runIDSTape).
+func TestIDSTapeStaleHint(t *testing.T) {
+	st := runIDSTape(t, staleHintSeed)
+	if st.released != 1 || st.reused != 1 {
+		t.Fatalf("stale hints met: %d released, %d reused; want 1 each", st.released, st.reused)
+	}
+}
+
 // TestIDSTapeShardedSeed: shardedSeed reaches the three-shard
 // comparison at every op — each op's check, each drain and snapshot,
 // and the final Flush and check.
@@ -408,7 +520,7 @@ func TestIDSTapeShardedSeed(t *testing.T) {
 		}
 		want++
 	}
-	if got := runIDSTape(t, shardedSeed); got != want {
+	if got := runIDSTape(t, shardedSeed).sharded; got != want {
 		t.Fatalf("three-shard comparisons = %d, want %d", got, want)
 	}
 }
@@ -430,5 +542,6 @@ func FuzzIDSEngine(f *testing.F) {
 	}
 	f.Add(shardedSeed)
 	f.Add(cutoffSeed)
+	f.Add(staleHintSeed)
 	f.Fuzz(func(t *testing.T, tape []byte) { runIDSTape(t, tape) })
 }

@@ -107,11 +107,12 @@ func (b *idsBody) Gather(dst []checkpoint.Keyed[liveCandidate], li int) []checkp
 // (the sketch's registers are its complete state; the inline
 // destination is the whole state before materialization), so restore
 // reproduces the exact representation and a re-snapshot the exact
-// bytes. Last activity is already on Enc.Time's axis.
+// bytes. First and last activity are already on Enc.Time's axis; the
+// up hint is a cache and is not written.
 func (b *idsBody) Entry(e *checkpoint.Enc, lc liveCandidate) {
 	c := lc.c
 	e.Uvarint(c.packets)
-	e.Time(c.first)
+	e.U64(uint64(c.first))
 	e.U64(uint64(lc.last))
 	if c.sketch == nil {
 		e.U8(0)
@@ -178,14 +179,20 @@ func (r *idsRestore) Config(d *checkpoint.Dec) ([]netaddr6.AggLevel, error) {
 }
 
 // Entry rebuilds one candidate into the shard the group routes its
-// records to.
+// records to, with no up hint. A candidate without packets is rejected:
+// no writer produces one, and ingestRun reads packets != 0 as the
+// liveness of a hinted candidate.
 func (r *idsRestore) Entry(d *checkpoint.Dec, li int, key netaddr6.U128) error {
 	shard := r.e.g.Shards()[r.e.g.ShardFor(key)]
 	lv := shard.levels[li]
 	var c candidate
 	c.packets = d.Uvarint()
-	c.first = d.Time()
-	last := int64(d.U64()) // Dec.Time's axis, kept as the table stores it
+	// Dec.Time's axis, kept as the candidate and the table store them.
+	c.first = int64(d.U64())
+	last := int64(d.U64())
+	if c.packets == 0 && d.Err() == nil {
+		return fmt.Errorf("%w: candidate without packets", checkpoint.ErrFormat)
+	}
 	var err error
 	switch flag := d.U8(); flag {
 	case 0:

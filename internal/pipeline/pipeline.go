@@ -176,8 +176,10 @@
 //     re-tune it freely without touching any format or golden output.
 //
 // Batches also feed the index efficiently: the detector's and IDS's
-// ProcessBatch group adjacent same-source records so a burst costs one
-// probe per aggregation level, and the dispatcher preserves that
+// ProcessBatch group adjacent same-source records so a burst costs at
+// most one probe per aggregation level (the IDS reaches the coarser
+// candidates a source has reached before through a hint, unprobed),
+// and the dispatcher preserves that
 // adjacency when partitioning (same-source runs stay contiguous within
 // a shard's batch).
 //

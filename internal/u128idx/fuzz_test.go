@@ -145,6 +145,14 @@ func runTableTape(t *testing.T, data []byte) {
 	var tab Table[uint64]
 	ref := map[netaddr6.U128]refEntry{}
 	var clock int64
+	// release releases h, which held k; until Ref reuses it, Key still
+	// returns k.
+	release := func(k netaddr6.U128, h uint32) {
+		tab.Release(h)
+		if got := tab.Key(h); got != k {
+			t.Fatalf("released handle %d: Key = %v, want %v", h, got, k)
+		}
+	}
 	expire := func(cutoff int64, deferRelease bool) {
 		closed := map[netaddr6.U128]uint32{}
 		tab.Expire(cutoff, func(h uint32) {
@@ -154,7 +162,7 @@ func runTableTape(t *testing.T, data []byte) {
 			}
 			closed[k] = h
 			if !deferRelease {
-				tab.Release(h)
+				release(k, h)
 			}
 		})
 		for k, e := range ref {
@@ -167,8 +175,8 @@ func runTableTape(t *testing.T, data []byte) {
 			}
 		}
 		if len(closed) > 0 && deferRelease {
-			for _, h := range closed {
-				tab.Release(h)
+			for k, h := range closed {
+				release(k, h)
 			}
 		}
 	}

@@ -98,7 +98,12 @@ func (t *Table[T]) Len() int { return t.idx.Len() }
 // At returns the value of handle h.
 func (t *Table[T]) At(h uint32) *T { return &t.slot(h).val }
 
-// Key returns the key of live handle h.
+// Key returns the key of handle h. For a released handle it is the
+// key the handle last held: pages never move, Release leaves the key
+// in place, and only Ref overwrites it when it reuses the handle. So an
+// owner holding a handle that may since have been released can check
+// that it still names its key (and then whether its value is live)
+// without a probe.
 func (t *Table[T]) Key(h uint32) netaddr6.U128 { return t.slot(h).key }
 
 // Last returns the last activity of live handle h.

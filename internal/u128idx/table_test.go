@@ -95,7 +95,8 @@ func TestTableDifferential(t *testing.T) {
 }
 
 // TestTableHandlesAndPages: released handles are reused before new
-// ones are carved, and values stay put across page growth.
+// ones are carved, a released handle keeps its key until then, and
+// values stay put across page growth.
 func TestTableHandlesAndPages(t *testing.T) {
 	var tab Table[int]
 	first, _ := tab.Ref(netaddr6.U128{Lo: 1}, 5)
@@ -113,8 +114,14 @@ func TestTableHandlesAndPages(t *testing.T) {
 		}
 		tab.Release(h)
 	})
+	if k := tab.Key(first); k != (netaddr6.U128{Lo: 1}) {
+		t.Fatalf("released handle's Key = %v, want the key it held", k)
+	}
 	if h, existed := tab.Ref(netaddr6.U128{Lo: 99999}, 20); existed || h != first || tab.Last(h) != 20 {
 		t.Fatalf("Ref after Release = handle %d (existed %v, last %d), want reused %d", h, existed, tab.Last(h), first)
+	}
+	if k := tab.Key(first); k != (netaddr6.U128{Lo: 99999}) {
+		t.Fatalf("reused handle's Key = %v, want the new key", k)
 	}
 }
 
