@@ -678,14 +678,11 @@ func BenchmarkEndToEndFilteredPipeline(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sink := NewShardedSink(NewShardedDetector(DefaultDetectorConfig(), 8))
-			p := From(src).
+			err := From(src).
 				Policy(DefaultCollectPolicy()).
 				Artifact().
-				Build(sink)
-			if err := p.RunContext(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			if err := sink.Close(); err != nil {
+				RunInto(context.Background(), sink)
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -731,10 +728,7 @@ func BenchmarkMetricsHotPath(b *testing.B) {
 			if m != nil {
 				bl = bl.Instrument(m)
 			}
-			if err := bl.Build(sink).RunContext(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-			if err := sink.Close(); err != nil {
+			if err := bl.RunInto(context.Background(), sink); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -361,7 +361,7 @@ func TestPublishFlagValidation(t *testing.T) {
 	// Against a populated checkpoint dir the refusals must not leave a
 	// restored sink's workers running (TestMain fails on the leak):
 	// -publish is refused before any restore, and an input that cannot
-	// be opened after the restore closes the restored sink.
+	// be opened after the restore flushes the restored sink.
 	ckpt := t.TempDir()
 	runGolden(t, "-i", log, "-checkpoint-dir", ckpt, "-checkpoint-every", "10m")
 	fail("-resume", "-publish", "3", "-resume",

@@ -184,10 +184,10 @@ func run(args []string, stdout, stderr io.Writer) (runErr error) {
 		} else if resumed == nil {
 			fmt.Fprintln(stderr, "v6scan: no checkpoint to resume from; starting fresh")
 		} else {
-			// A restored sink runs workers. RunInto closes the sink it
-			// runs; this closes it on every return that does not run it
-			// (Close is idempotent).
-			defer resumed.Sink.(v6scan.TerminalSink).Close()
+			// A restored sink runs workers. RunInto flushes the sink it
+			// runs; this flushes it on every return that does not run it
+			// (Flush is idempotent).
+			defer resumed.Sink.Flush()
 		}
 	}
 

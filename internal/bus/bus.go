@@ -14,24 +14,23 @@
 // subscriber — while that subscriber's buffer is full. Backpressure is
 // therefore end-to-end: a publisher can run ahead of a consumer by at
 // most the subscription depth. Publishing to a topic nobody subscribes
-// to drops the message (counted in Stats); subscribe before
-// publishing.
+// to drops the message; subscribe before publishing.
 //
 // # Ordering
 //
 // Messages published to one topic arrive at each subscriber in publish
 // order (delivery happens under the publisher's call, into a FIFO
 // buffer). Messages on different topics have no relative order, even
-// within one subscription. Each topic carries a bus-assigned sequence
-// number, monotone from 1, that subscribers can use to detect missed
-// messages (a subscription created after publishing started).
+// within one subscription. The bus numbers nothing: a subscriber that
+// must detect missed messages (a subscription created after publishing
+// started) relies on sequence numbers inside the payload, as the
+// pipeline's event envelopes carry.
 package bus
 
 import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultDepth is the per-subscription buffer depth when Subscribe is
@@ -46,19 +45,7 @@ var ErrClosed = errors.New("bus: closed")
 // the topic: receivers must treat it as read-only.
 type Msg struct {
 	Topic string
-	// Seq is the topic's bus-assigned sequence number, monotone from 1.
-	Seq  uint64
-	Data []byte
-}
-
-// Stats is a point-in-time copy of the bus counters.
-type Stats struct {
-	// Published counts Publish calls that completed (including drops).
-	Published uint64
-	// Delivered counts per-subscriber deliveries.
-	Delivered uint64
-	// Dropped counts publishes to topics with no subscriber.
-	Dropped uint64
+	Data  []byte
 }
 
 // Bus is an in-memory broker. The zero value is not usable; call New.
@@ -66,30 +53,13 @@ type Stats struct {
 type Bus struct {
 	mu     sync.Mutex
 	closed bool
-	topics map[string]*topic
-
-	published atomic.Uint64
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-}
-
-type topic struct {
-	seq  uint64
-	subs []*Subscription
+	// topics holds each topic's current subscriptions.
+	topics map[string][]*Subscription
 }
 
 // New returns an empty bus.
 func New() *Bus {
-	return &Bus{topics: make(map[string]*topic)}
-}
-
-// Stats returns the current counters.
-func (b *Bus) Stats() Stats {
-	return Stats{
-		Published: b.published.Load(),
-		Delivered: b.delivered.Load(),
-		Dropped:   b.dropped.Load(),
-	}
+	return &Bus{topics: make(map[string][]*Subscription)}
 }
 
 // Close shuts the bus down: every subscription is closed and future
@@ -103,9 +73,9 @@ func (b *Bus) Close() {
 	}
 	b.closed = true
 	var subs []*Subscription
-	for _, t := range b.topics {
-		subs = append(subs, t.subs...)
-		t.subs = nil
+	for name, ts := range b.topics {
+		subs = append(subs, ts...)
+		delete(b.topics, name)
 	}
 	b.mu.Unlock()
 	for _, s := range subs {
@@ -117,34 +87,23 @@ func (b *Bus) Close() {
 // the payload once (subscribers share the copy read-only). It blocks,
 // per subscriber, while that subscriber's buffer is full — the
 // backpressure path — and unblocks when the subscriber pulls, closes,
-// or ctx is cancelled. With no subscriber the message is dropped and
-// counted.
+// or ctx is cancelled. With no subscriber the message is dropped.
 func (b *Bus) Publish(ctx context.Context, topicName string, data []byte) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	t := b.topics[topicName]
-	if t == nil {
-		t = &topic{}
-		b.topics[topicName] = t
-	}
-	t.seq++
-	msg := Msg{Topic: topicName, Seq: t.seq}
-	subs := append([]*Subscription(nil), t.subs...)
+	subs := append([]*Subscription(nil), b.topics[topicName]...)
 	b.mu.Unlock()
 
-	b.published.Add(1)
 	if len(subs) == 0 {
-		b.dropped.Add(1)
 		return nil
 	}
-	msg.Data = append([]byte(nil), data...)
+	msg := Msg{Topic: topicName, Data: append([]byte(nil), data...)}
 	for _, s := range subs {
 		select {
 		case s.ch <- msg:
-			b.delivered.Add(1)
 		case <-s.done:
 			// Subscriber left between the snapshot and the send.
 		case <-ctx.Done():
@@ -177,12 +136,7 @@ func (b *Bus) Subscribe(depth int, topics ...string) (*Subscription, error) {
 		return nil, ErrClosed
 	}
 	for _, name := range s.topics {
-		t := b.topics[name]
-		if t == nil {
-			t = &topic{}
-			b.topics[name] = t
-		}
-		t.subs = append(t.subs, s)
+		b.topics[name] = append(b.topics[name], s)
 	}
 	return s, nil
 }
@@ -227,12 +181,11 @@ func (s *Subscription) Pull(ctx context.Context) (Msg, error) {
 func (s *Subscription) Close() {
 	s.bus.mu.Lock()
 	for _, name := range s.topics {
-		if t := s.bus.topics[name]; t != nil {
-			for i, sub := range t.subs {
-				if sub == s {
-					t.subs = append(t.subs[:i], t.subs[i+1:]...)
-					break
-				}
+		subs := s.bus.topics[name]
+		for i, sub := range subs {
+			if sub == s {
+				s.bus.topics[name] = append(subs[:i], subs[i+1:]...)
+				break
 			}
 		}
 	}

@@ -20,7 +20,7 @@ func pull(t *testing.T, s *Subscription) Msg {
 	return m
 }
 
-func TestPublishOrderAndSeq(t *testing.T) {
+func TestPublishOrder(t *testing.T) {
 	b := New()
 	sub, err := b.Subscribe(0, "t")
 	if err != nil {
@@ -34,7 +34,7 @@ func TestPublishOrderAndSeq(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		m := pull(t, sub)
-		if m.Topic != "t" || m.Seq != uint64(i+1) || m.Data[0] != byte(i) {
+		if m.Topic != "t" || m.Data[0] != byte(i) {
 			t.Fatalf("msg %d: got %+v", i, m)
 		}
 	}
@@ -71,9 +71,6 @@ func TestFanout(t *testing.T) {
 			t.Fatalf("subscriber %d: got %+v", i, m)
 		}
 	}
-	if st := b.Stats(); st.Published != 1 || st.Delivered != 3 || st.Dropped != 0 {
-		t.Fatalf("stats: %+v", st)
-	}
 }
 
 func TestMultiTopicSubscription(t *testing.T) {
@@ -100,8 +97,12 @@ func TestNoSubscriberDrops(t *testing.T) {
 	if err := b.Publish(context.Background(), "nobody", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if st := b.Stats(); st.Dropped != 1 || st.Published != 1 {
-		t.Fatalf("stats: %+v", st)
+	// A later subscriber does not receive the dropped message.
+	sub, _ := b.Subscribe(0, "nobody")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if m, err := sub.Pull(cancelled); err != context.Canceled {
+		t.Fatalf("late subscriber pulled %+v, %v; want nothing buffered", m, err)
 	}
 }
 
@@ -208,8 +209,9 @@ func TestClosedSubscriberNotDelivered(t *testing.T) {
 	if m := pull(t, keep); string(m.Data) != "x" {
 		t.Fatalf("got %+v", m)
 	}
-	if st := b.Stats(); st.Delivered != 1 {
-		t.Fatalf("stats: %+v", st)
+	// Pull drains a closed subscription's buffer before ErrClosed.
+	if m, err := sub.Pull(context.Background()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed subscriber pulled %+v, %v; want ErrClosed", m, err)
 	}
 }
 
@@ -277,13 +279,11 @@ func TestConcurrentPublishersSubscribers(t *testing.T) {
 		rg.Add(1)
 		go func(i int, s *Subscription) {
 			defer rg.Done()
-			var last uint64
+			// One publisher per topic, so its payloads arrive in order.
 			for n := 0; n < perTopic; n++ {
-				m := pull(t, s)
-				if m.Seq <= last {
-					t.Errorf("topic %d: seq went backwards: %d after %d", i, m.Seq, last)
+				if m := pull(t, s); m.Data[0] != byte(n) {
+					t.Errorf("topic %d: message %d carries %d", i, n, m.Data[0])
 				}
-				last = m.Seq
 				got[i]++
 			}
 		}(i, s)
@@ -294,8 +294,5 @@ func TestConcurrentPublishersSubscribers(t *testing.T) {
 		if n != perTopic {
 			t.Errorf("topic %d: got %d messages, want %d", i, n, perTopic)
 		}
-	}
-	if st := b.Stats(); st.Published != publishers*perTopic || st.Delivered != publishers*perTopic {
-		t.Fatalf("stats: %+v", st)
 	}
 }

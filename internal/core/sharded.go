@@ -53,7 +53,9 @@ func (sd *ShardedDetector) ProcessBatch(recs []firewall.Record) error {
 
 // Advance closes every session idle past the timeout as of now, like
 // Detector.Advance. The horizon travels to every shard ordered with
-// the records dispatched before it, so eviction sees them.
+// the records dispatched before it, so eviction sees them. A now off
+// the checkpoint time axis (dispatch.Group.Advance) is refused with an
+// error.
 func (sd *ShardedDetector) Advance(now time.Time) error { return sd.g.Advance(now) }
 
 // Finish drains all shards, closes every open session, and merges the

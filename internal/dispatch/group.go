@@ -1,8 +1,10 @@
 package dispatch
 
 import (
+	"fmt"
 	"time"
 
+	"v6scan/internal/checkpoint"
 	"v6scan/internal/firewall"
 	"v6scan/internal/netaddr6"
 )
@@ -119,10 +121,16 @@ func (g *Group[S]) ProcessBatch(recs []firewall.Record) error {
 // shard, ordered after the records dispatched before it, so every
 // shard expires against the same clock and sees its records first.
 // Inline, the horizon is now and the shard's own clock covers its
-// records.
+// records. A now off the checkpoint time axis — roughly outside
+// 1678–2262, where checkpoint.EncodeTime does not round-trip — is
+// refused with an error and changes nothing, so every clock an engine
+// keeps survives a checkpoint cut.
 func (g *Group[S]) Advance(now time.Time) error {
 	if g.closed {
 		return ErrClosed
+	}
+	if !checkpoint.DecodeTime(checkpoint.EncodeTime(now)).Equal(now) {
+		return fmt.Errorf("dispatch: horizon %v is outside the checkpoint time axis", now)
 	}
 	if g.lastSeen.After(now) {
 		now = g.lastSeen

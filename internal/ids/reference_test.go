@@ -223,7 +223,10 @@ type tapeStats struct {
 //	            later), staged into the pending batch
 //	4           process the pending batch
 //	5 b         tick at the last record's time + Timeout (+1ns when b
-//	            is odd), or b seconds past the clock when b ≥ 128
+//	            is odd), or b−128 seconds past the reference's clock
+//	            when b ≥ 128; a time off the checkpoint axis (past a
+//	            zero clock) must be refused by every engine and is a
+//	            no-op for the reference
 //	6           drain and compare alerts
 //	7           snapshot and restore both engines mid-stream
 //
@@ -369,10 +372,18 @@ func runIDSTape(t *testing.T, tape []byte) (st tapeStats) {
 			if b >= 128 {
 				now = ref.now.Add(time.Duration(b-128) * time.Second)
 			}
-			e.Tick(now)
-			e3.Tick(now)
-			free.Tick(now)
-			ref.tick(now)
+			// Every engine refuses a clock off the checkpoint time axis
+			// (a tick before any record, b ≥ 128), and the reference
+			// skips it.
+			refused := !checkpoint.DecodeTime(checkpoint.EncodeTime(now)).Equal(now)
+			for k, eng := range []*Engine{e, e3, free} {
+				if err := eng.Tick(now); (err != nil) != refused {
+					t.Fatalf("op %d: engine %d: Tick(%v) = %v, want refused %v", i, k, now, err, refused)
+				}
+			}
+			if !refused {
+				ref.tick(now)
+			}
 		case 6:
 			compare(i, e.Drain(), e3.Drain(), free.Drain(), ref.drain())
 		case 7:
@@ -384,8 +395,7 @@ func runIDSTape(t *testing.T, tape []byte) (st tapeStats) {
 			e, snap = roundtrip(i, e, mark)
 			e3, snap3 = roundtrip(i, e3, mark)
 			// The twin takes the same cut, so the engines differ only in
-			// the hints (a clock off the checkpoint axis, such as a tick
-			// before any record, does not survive a cut).
+			// the hints.
 			free, _ = roundtrip(i, free, mark)
 			if exact() && !bytes.Equal(snap3, snap) {
 				t.Fatalf("op %d: 3 shards: snapshot differs from the one-shard engine's", i)

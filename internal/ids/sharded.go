@@ -80,7 +80,8 @@ func (e *Engine) ProcessBatch(recs []firewall.Record) error { return e.g.Process
 // minute of stream time); Flush emits everything at shutdown. The
 // horizon every shard evicts at is the later of now and the latest
 // record time, so shards whose own records lag the global clock still
-// close the same candidates.
+// close the same candidates. A now off the checkpoint time axis
+// (dispatch.Group.Advance) is refused with an error.
 func (e *Engine) Tick(now time.Time) error { return e.g.Advance(now) }
 
 // Drain returns and clears the alerts accumulated by past Ticks,

@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math/rand"
@@ -128,5 +129,42 @@ func TestEngineUseAfterFlush(t *testing.T) {
 		if len(e.Drain()) != 0 || e.Candidates(netaddr6.Agg128) != 0 {
 			t.Errorf("%d shards: state left after Flush", n)
 		}
+	}
+}
+
+// TestTickOffCheckpointAxis pins the engine clock to the checkpoint
+// time axis at every shard count: a tick at a time checkpoint.EncodeTime
+// cannot round-trip is refused and leaves the snapshot bytes
+// unchanged, while in-range ticks evict and alert as before.
+func TestTickOffCheckpointAxis(t *testing.T) {
+	src := netaddr6.MustAddr("2001:db8:bad0::1")
+	for _, n := range []int{1, 3} {
+		e := NewSharded(DefaultConfig(), n)
+		before := snapshot(t, e, t0)
+		for _, now := range []time.Time{
+			time.Time{}.Add(93 * time.Second),
+			time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC),
+		} {
+			if err := e.Tick(now); err == nil {
+				t.Fatalf("%d shards: Tick(%v) on a fresh engine succeeded", n, now)
+			}
+		}
+		if !bytes.Equal(snapshot(t, e, t0), before) {
+			t.Fatalf("%d shards: a refused tick changed the snapshot", n)
+		}
+		last := feed(e, t0, src, 150, 0)
+		if err := e.Tick(last); err != nil {
+			t.Fatalf("%d shards: in-range Tick: %v", n, err)
+		}
+		if alerts := e.Drain(); len(alerts) != 0 {
+			t.Fatalf("%d shards: alerts before the timeout: %v", n, alerts)
+		}
+		if err := e.Tick(last.Add(3 * time.Hour)); err != nil {
+			t.Fatalf("%d shards: in-range Tick: %v", n, err)
+		}
+		if alerts := e.Drain(); len(alerts) != 1 {
+			t.Fatalf("%d shards: alerts after the timeout: %v", n, alerts)
+		}
+		e.Flush()
 	}
 }

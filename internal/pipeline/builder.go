@@ -21,20 +21,17 @@ import (
 //
 // Builder methods mutate and return the same builder, so conditional
 // stages compose naturally (b := From(src); if filter { b.Artifact() }).
-// A builder is single-use: exactly one of the terminal calls (Build,
-// RunInto, Detect — or Into for a source-less Chain) may be made,
-// after which the builder is spent; a second terminal call panics.
+// A builder is single-use: exactly one of the terminal calls (RunInto,
+// Detect — or Into for a source-less Chain) may be made, after which
+// the builder is spent; a second terminal call panics.
 //
 // Records flow batch-to-batch from the source's EmitBatch through
-// every stage to the terminal's ConsumeBatch. RunInto and Detect own
-// the sink lifecycle: they run the pipeline, Flush (finalize) and
-// Close (release) the sink even on mid-stream errors.
+// every stage to the terminal's ConsumeBatch. RunInto — and Detect,
+// which calls it — is the one way to run a pipeline: it owns the
+// sink lifecycle and flushes the chain, even on a mid-stream error.
 type Builder struct {
 	src    Source
 	stages []func(next RecordSink) RecordSink
-	// branches collects Tee side sinks so RunInto can extend the
-	// terminal lifecycle (Close) to them.
-	branches []RecordSink
 	// advanceEvery is the stream-time eviction cadence RunInto gives
 	// a cadence-capable sink (detector Advance, IDS Tick). Zero leaves
 	// eviction to Flush.
@@ -44,9 +41,9 @@ type Builder struct {
 	// sinks).
 	ckptEvery time.Duration
 	ckptDir   string
-	// met is the metrics bundle Instrument attached: Build mounts a
-	// meter stage ahead of every other stage, and RunInto hands the
-	// bundle to the terminal sink for cadence/checkpoint timing.
+	// met is the metrics bundle Instrument attached: RunInto mounts a
+	// meter stage ahead of every other stage and hands the bundle to
+	// the terminal sink for cadence/checkpoint timing.
 	met   *Metrics
 	spent bool
 }
@@ -213,12 +210,11 @@ func (b *Builder) Artifact(filter ...*firewall.ArtifactFilter) *Builder {
 
 // Tee appends a fan-out stage: every branch sees each record (side
 // branches first, in argument order), and the stream continues down
-// the main chain. Branches are flushed when the pipeline flushes, and
-// RunInto closes branches implementing Sink along with the terminal.
-// Every branch but the main chain receives a copy of each batch, so a
+// the main chain. Branches are flushed when the pipeline flushes —
+// exactly once, even when a stage upstream fails its drain. Every
+// branch but the main chain receives a copy of each batch, so a
 // compacting branch cannot corrupt its siblings' view.
 func (b *Builder) Tee(branches ...RecordSink) *Builder {
-	b.branches = append(b.branches, branches...)
 	return b.stage(func(next RecordSink) RecordSink {
 		sinks := make([]RecordSink, 0, len(branches)+1)
 		sinks = append(sinks, branches...)
@@ -232,7 +228,7 @@ func (b *Builder) Tee(branches ...RecordSink) *Builder {
 // silently share state between runs.
 func (b *Builder) mark() {
 	if b.spent {
-		panic("pipeline: builder reused after Build/Into/RunInto (builders are single-use)")
+		panic("pipeline: builder reused after Into/RunInto (builders are single-use)")
 	}
 	b.spent = true
 }
@@ -248,40 +244,40 @@ func (b *Builder) Into(sink RecordSink) RecordSink {
 	return head
 }
 
-// Build folds the stages around sink and couples the source to the
-// chain.
-func (b *Builder) Build(sink RecordSink) *Pipeline {
-	if b.src == nil {
-		panic("pipeline: Build on a source-less Chain builder (use Into)")
-	}
-	head := b.Into(sink)
-	if b.met != nil {
-		head = &meterStage{m: b.met, next: head}
-	}
-	return New(b.src, head)
-}
-
-// RunInto builds the pipeline into sink and runs it under ctx, owning
-// the sink lifecycle: the chain is flushed even on a mid-stream error,
-// and afterwards the terminal — and every Tee branch sink — that
-// implements Sink is closed. The run error wins over any teardown
-// error; otherwise the first teardown error is returned. A detector or
-// IDS terminal first takes the builder's AdvanceEvery, CheckpointEvery
-// and Instrument settings, zero values included.
+// RunInto builds the pipeline into sink and runs it under ctx: the
+// source's batches flow through every stage to sink, the first error
+// — from the source, a stage, the sink, or ctx being cancelled
+// (checked per batch) — aborts the stream, and the chain is flushed
+// either way, so the terminal and every Tee branch finalize and
+// release their resources exactly once. The run error wins over the
+// flush error. A detector or IDS terminal first takes the builder's
+// AdvanceEvery, CheckpointEvery and Instrument settings, zero values
+// included.
 func (b *Builder) RunInto(ctx context.Context, sink RecordSink) error {
+	if b.src == nil {
+		panic("pipeline: RunInto on a source-less Chain builder (use Into)")
+	}
 	if c, ok := sink.(interface {
 		setCadence(time.Duration, time.Duration, string, *Metrics)
 	}); ok {
 		c.setCadence(b.advanceEvery, b.ckptEvery, b.ckptDir, b.met)
 	}
-	branches := b.branches
-	err := b.Build(sink).RunContext(ctx)
-	for _, s := range append([]RecordSink{sink}, branches...) {
-		if c, ok := s.(Sink); ok {
-			if cerr := c.Close(); err == nil {
-				err = cerr
+	head := b.Into(sink)
+	if b.met != nil {
+		head = &meterStage{m: b.met, next: head}
+	}
+	emit := head.ConsumeBatch
+	if ctx.Done() != nil {
+		emit = func(recs []firewall.Record) error {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
+			return head.ConsumeBatch(recs)
 		}
+	}
+	err := b.src.EmitBatch(DefaultBatchSize, emit)
+	if ferr := head.Flush(); err == nil {
+		err = ferr
 	}
 	return err
 }
@@ -289,7 +285,9 @@ func (b *Builder) RunInto(ctx context.Context, sink RecordSink) error {
 // Detect terminates the pipeline in the multi-aggregation scan
 // detector, run on a ShardedSink across shards worker goroutines (one
 // worker when shards ≤ 1), and returns the deterministically merged
-// detector. Output is identical at any shard count.
+// detector. Output is identical at any shard count. Like RunInto, it
+// flushes the sink — stopping its workers — whether or not the run
+// fails.
 func (b *Builder) Detect(ctx context.Context, cfg core.Config, shards int) (*core.Detector, error) {
 	sink := NewShardedSink(core.NewShardedDetector(cfg, shards))
 	if err := b.RunInto(ctx, sink); err != nil {

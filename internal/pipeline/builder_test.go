@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -132,7 +133,7 @@ func TestBuilderTeeBranchesSeePreCompactionStream(t *testing.T) {
 		Tee(Chain().Counter(&branch).Into(discard)).
 		Policy(firewall.DefaultCollectPolicy()).
 		Counter(&main)
-	if err := b.Build(discard).RunContext(context.Background()); err != nil {
+	if err := b.RunInto(context.Background(), discard); err != nil {
 		t.Fatal(err)
 	}
 	if branch.Count() != uint64(len(recs)) {
@@ -150,35 +151,80 @@ func TestBuilderTeeBranchesSeePreCompactionStream(t *testing.T) {
 	}
 }
 
-// closeTrackingSink records lifecycle calls, for branch-teardown
-// checks.
-type closeTrackingSink struct {
-	recs    int
-	flushes int
-	closes  int
+// flushTrackingSink counts the records and batches it consumes and
+// its flushes; with fail set, every ConsumeBatch fails with it.
+type flushTrackingSink struct {
+	recs, batches, flushes int
+	fail                   error
 }
 
-func (s *closeTrackingSink) ConsumeBatch(recs []firewall.Record) error {
+func (s *flushTrackingSink) ConsumeBatch(recs []firewall.Record) error {
 	s.recs += len(recs)
-	return nil
+	s.batches++
+	return s.fail
 }
-func (s *closeTrackingSink) Flush() error { s.flushes++; return nil }
-func (s *closeTrackingSink) Close() error { s.closes++; return nil }
+func (s *flushTrackingSink) Flush() error { s.flushes++; return nil }
 
-// TestRunIntoClosesTeeBranches verifies the unified lifecycle reaches
-// Tee side sinks: RunInto must close branch sinks implementing Sink,
-// not just the terminal.
-func TestRunIntoClosesTeeBranches(t *testing.T) {
+// TestRunIntoFlushesTeeBranchesOnce verifies RunInto's one Flush of
+// the chain reaches Tee side sinks as well as the terminal, exactly
+// once each.
+func TestRunIntoFlushesTeeBranchesOnce(t *testing.T) {
 	recs := scanStream(100)
-	branch := &closeTrackingSink{}
-	term := &closeTrackingSink{}
+	branch := &flushTrackingSink{}
+	term := &flushTrackingSink{}
 	if err := From(SliceSource(recs)).Tee(branch).RunInto(context.Background(), term); err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]*closeTrackingSink{"branch": branch, "terminal": term} {
-		if s.recs != len(recs) || s.flushes != 1 || s.closes != 1 {
-			t.Fatalf("%s: recs=%d flushes=%d closes=%d, want %d/1/1", name, s.recs, s.flushes, s.closes, len(recs))
+	for name, s := range map[string]*flushTrackingSink{"branch": branch, "terminal": term} {
+		if s.recs != len(recs) || s.flushes != 1 {
+			t.Fatalf("%s: recs=%d flushes=%d, want %d/1", name, s.recs, s.flushes, len(recs))
 		}
+	}
+}
+
+// TestStageFlushFailureStillFlushesDownstream verifies the one-Flush
+// guarantee past a failed end-of-stream drain. Each buffering stage
+// holds the whole (one-day) stream until Flush, and the terminal
+// behind a Tee fails the one batch the drain hands it. The terminal and
+// both Tee branches — one of them a 4-shard detector — must still be
+// flushed exactly once, so the detector has run Finish: Result is
+// readable, and TestMain's leak check finds no worker left.
+func TestStageFlushFailureStillFlushesDownstream(t *testing.T) {
+	boom := errors.New("terminal fails the drain")
+	recs := scanStream(300)
+	for _, tc := range []struct {
+		name  string
+		stage func(b *Builder) *Builder
+	}{
+		{"DaySort", func(b *Builder) *Builder { return b.DaySort() }},
+		{"WindowSort", func(b *Builder) *Builder { return b.WindowSort(24 * time.Hour) }},
+		{"ArtifactStage", func(b *Builder) *Builder { return b.Artifact() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			branch := &flushTrackingSink{}
+			det := NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 4))
+			term := &flushTrackingSink{fail: boom}
+			err := tc.stage(From(SliceSource(recs))).
+				Tee(branch, det).
+				RunInto(context.Background(), term)
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the terminal's drain failure", err)
+			}
+			if term.batches != 1 || term.recs != len(recs) {
+				t.Fatalf("terminal consumed %d records in %d batches, want the one drained batch of %d",
+					term.recs, term.batches, len(recs))
+			}
+			if branch.recs != len(recs) {
+				t.Fatalf("branch consumed %d records, want %d", branch.recs, len(recs))
+			}
+			if term.flushes != 1 || branch.flushes != 1 {
+				t.Fatalf("flushes: terminal %d, branch %d; want 1 each", term.flushes, branch.flushes)
+			}
+			// Result panics unless Finish has run.
+			if scans := det.Result().Scans(netaddr6.Agg64); len(scans) != 1 || scans[0].Dsts != len(recs) {
+				t.Fatalf("branch detector scans: %+v", scans)
+			}
+		})
 	}
 }
 
@@ -195,7 +241,7 @@ func TestBuilderSingleUse(t *testing.T) {
 			t.Fatal("reusing a spent builder should panic")
 		}
 	}()
-	b.Build(discard)
+	b.Into(discard)
 }
 
 // TestBuilderTerminalHelpers checks that Detect and an IDS sink run
@@ -260,9 +306,9 @@ func TestChainInto(t *testing.T) {
 	}
 }
 
-// TestRunContextCancel verifies cancellation aborts a batch source and
-// a record-at-a-time producer (SourceFunc) with ctx's error while
-// still flushing the chain.
+// TestRunContextCancel verifies that cancelling RunInto's context
+// aborts a batch source and a record-at-a-time producer (SourceFunc)
+// with ctx's error while still flushing the chain.
 func TestRunContextCancel(t *testing.T) {
 	recs := scanStream(10_000)
 
@@ -277,8 +323,7 @@ func TestRunContextCancel(t *testing.T) {
 				cancel()
 			}
 		}, sink)
-		p := From(SliceSource(recs)).Build(head)
-		err := p.RunContext(ctx)
+		err := From(SliceSource(recs)).RunInto(ctx, head)
 		if err != context.Canceled {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -305,12 +350,11 @@ func TestRunContextCancel(t *testing.T) {
 			}
 			return nil
 		})
-		p := New(src, tap(func(firewall.Record) {
+		err := From(src).RunInto(ctx, tap(func(firewall.Record) {
 			if n++; n == 100 {
 				cancel()
 			}
 		}, sink))
-		err := p.RunContext(ctx)
 		if err != context.Canceled {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -333,12 +377,12 @@ func TestRunContextCancel(t *testing.T) {
 			}
 			return true
 		})
-		// RunInto flushes and closes the sharded sink even though the
-		// run aborted, so Finish has run and Result is safe to read.
+		// RunInto flushes the sharded sink even though the run
+		// aborted, so Finish has run and Result is safe to read.
 		if err := b.RunInto(ctx, sink); err != context.Canceled {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		_ = sink.Result() // must not panic: Close implies Finish
+		_ = sink.Result() // must not panic: Flush ran Finish
 	})
 }
 

@@ -37,8 +37,8 @@ var ErrEnvelopeGap = errors.New("pipeline: envelope sequence gap")
 // into per-topic staging buffers, and the bus copies again on
 // publish). Each topic's envelopes carry consecutive sequence numbers
 // from 0; Flush publishes any staged remainder and then one EOS
-// envelope per topic, idempotently — a second Flush is a no-op, and
-// Close (which implies Flush) releases the staging buffers.
+// envelope per topic, idempotently — a second Flush is a no-op — and,
+// once that succeeds, returns the staging buffers to the pool.
 type PublishSink struct {
 	ctx    context.Context
 	bus    *bus.Bus
@@ -52,7 +52,6 @@ type PublishSink struct {
 	env   events.Envelope
 
 	flushed bool
-	closed  bool
 }
 
 // NewPublishSink returns a sink publishing onto b, routing each record
@@ -145,9 +144,10 @@ func (s *PublishSink) publishTopic(i int) error {
 }
 
 // Flush implements RecordSink: staged remainders are published, then
-// one EOS envelope per topic ends each stream. Idempotent — after the
-// first successful Flush further calls are no-ops, and a failed Flush
-// resumes where it stopped (EOS is sent at most once per topic).
+// one EOS envelope per topic ends each stream, and the staging buffers
+// go back to the pool. Idempotent — after the first successful Flush
+// further calls are no-ops, and a failed Flush resumes where it
+// stopped (EOS is sent at most once per topic).
 func (s *PublishSink) Flush() error {
 	if s.flushed {
 		return nil
@@ -172,22 +172,11 @@ func (s *PublishSink) Flush() error {
 		s.eos[i] = true
 	}
 	s.flushed = true
-	return nil
-}
-
-// Close implements Sink: Flush, then release the staging buffers.
-// Idempotent.
-func (s *PublishSink) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	err := s.Flush()
 	for _, st := range s.stage {
 		dispatch.PutBatch(st)
 	}
 	s.stage = nil
-	return err
+	return nil
 }
 
 // SubscribeSource replays one topic's record envelopes from a bus into

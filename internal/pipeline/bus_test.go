@@ -80,17 +80,15 @@ func TestPublishSinkFlushIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
+	if sink.stage != nil {
+		t.Fatal("Flush kept the staging buffers")
 	}
 
-	// Every topic sees its records (if any) and then exactly one EOS.
+	// Every topic sees its records (if any) and then exactly one EOS,
+	// and nothing follows.
 	eos := map[string]int{}
 	total := 0
-	for i := uint64(0); i < b.Stats().Published; i++ {
+	for eos["a"] == 0 || eos["b"] == 0 {
 		msg, err := sub.Pull(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -111,6 +109,11 @@ func TestPublishSinkFlushIdempotent(t *testing.T) {
 	}
 	if eos["a"] != 1 || eos["b"] != 1 {
 		t.Fatalf("EOS counts: %v, want exactly one per topic", eos)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := sub.Pull(cancelled); err != context.Canceled {
+		t.Fatalf("pull after both EOS: %v, want nothing buffered", err)
 	}
 	if total != len(recs) {
 		t.Fatalf("published %d records, want %d", total, len(recs))

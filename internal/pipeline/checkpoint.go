@@ -408,7 +408,7 @@ type Resumed struct {
 	// starts the workers a new engine at that shard count starts (see
 	// dispatch.DetectorInline and IDSInline): always for a detector, above
 	// one shard for the IDS. A caller that does not run the sink must
-	// Close it; Close is idempotent, so closing a sink RunInto ran is
+	// Flush it; Flush is idempotent, so flushing a sink RunInto ran is
 	// harmless.
 	Sink RecordSink
 	// Kind is the snapshot kind (checkpoint.KindDetector or

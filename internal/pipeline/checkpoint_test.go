@@ -224,7 +224,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pristine snapshot failed to restore: %v", err)
 	}
-	closeResumed(t, res)
+	flushResumed(t, res)
 }
 
 // rawSnapshot is a Checkpointer that writes snapshot bytes cut
@@ -236,11 +236,11 @@ func (r rawSnapshot) Checkpoint(w io.Writer, _ time.Time) error {
 	return err
 }
 
-// closeResumed stops a resumed sink the test does not run; a detector
+// flushResumed stops a resumed sink the test does not run; a detector
 // restore has live workers.
-func closeResumed(t testing.TB, res *Resumed) {
+func flushResumed(t testing.TB, res *Resumed) {
 	t.Helper()
-	if err := res.Sink.(Sink).Close(); err != nil {
+	if err := res.Sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -254,7 +254,7 @@ func resnapshot(t testing.TB, data []byte, shards int) (snap []byte, ok bool) {
 	if err != nil {
 		return nil, false
 	}
-	defer closeResumed(t, res)
+	defer flushResumed(t, res)
 	var buf bytes.Buffer
 	if err := res.Sink.(Checkpointer).Checkpoint(&buf, res.Mark); err != nil {
 		t.Fatalf("shards=%d: restored snapshot failed to re-snapshot: %v", shards, err)
@@ -434,7 +434,7 @@ func TestCheckpointFilePublishing(t *testing.T) {
 
 	recs := ckptRecords(2_000)
 	sink := NewShardedSink(core.NewShardedDetector(streamParityConfig(), 1))
-	defer sink.Close()
+	defer sink.Flush()
 	if err := sink.ConsumeBatch(recs[:1_000]); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestCheckpointFilePublishing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closeResumed(t, res)
+	flushResumed(t, res)
 	if !res.Mark.Equal(m2) {
 		t.Fatalf("restored mark = %v, want %v", res.Mark, m2)
 	}
@@ -516,7 +516,7 @@ func TestResumeKindDispatch(t *testing.T) {
 			if !res.Horizon.Add(time.Nanosecond).Equal(res.Mark) {
 				t.Errorf("horizon %v is not mark−1ns (%v)", res.Horizon, res.Mark)
 			}
-			closeResumed(t, res)
+			flushResumed(t, res)
 		})
 	}
 }
@@ -590,7 +590,7 @@ func TestSweepCheckpointTemps(t *testing.T) {
 
 	// A real checkpoint, published atomically.
 	sink := NewShardedSink(core.NewShardedDetector(streamParityConfig(), 1))
-	defer sink.Close()
+	defer sink.Flush()
 	recs := ckptRecords(500)
 	if err := sink.ConsumeBatch(recs); err != nil {
 		t.Fatal(err)
@@ -623,7 +623,7 @@ func TestSweepCheckpointTemps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closeResumed(t, res)
+	flushResumed(t, res)
 	if !res.Mark.Equal(mark) {
 		t.Fatalf("restored mark = %v, want %v", res.Mark, mark)
 	}

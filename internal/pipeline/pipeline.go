@@ -32,9 +32,12 @@
 // Stages pass batches downstream synchronously; parallelism lives in
 // the detector and IDS sinks, which partition batches across worker
 // shards.
-// Flush propagates end-of-stream down the chain so buffered stages
-// drain and detectors finalize exactly once; Close (on terminal
-// sinks) releases resources and is owned by the builder's RunInto.
+// Flush propagates end-of-stream down the chain: buffered stages
+// drain, then always flush downstream, so one Flush at the head
+// reaches the terminal and every Tee branch exactly once — even when a
+// drain fails — and the terminal finalizes its results and releases
+// its resources (worker goroutines, buffered writers). Builder.RunInto
+// is the one way to run a chain, and owns that Flush.
 //
 // # Batch ownership
 //
@@ -277,8 +280,6 @@
 package pipeline
 
 import (
-	"context"
-
 	"v6scan/internal/dispatch"
 	"v6scan/internal/firewall"
 )
@@ -290,22 +291,14 @@ type RecordSink interface {
 	// batch-ownership rule: valid only during the call, compactable in
 	// place, copy on retain.
 	ConsumeBatch(recs []firewall.Record) error
-	// Flush signals end-of-stream: buffered stages drain downstream,
-	// detectors close open sessions. A sink is not reusable after
-	// Flush.
+	// Flush signals end-of-stream and is the one way to end a sink.
+	// A stage drains what it buffered, then flushes downstream even
+	// if the drain failed, and returns the first error. A terminal
+	// finalizes its results once (repeat calls are no-ops) and
+	// releases what it holds (worker goroutines, buffered writers), so
+	// its typed Result accessor is valid afterwards. A sink is not
+	// reusable after Flush.
 	Flush() error
-}
-
-// Sink is the unified terminal-sink lifecycle. Flush finalizes
-// results exactly once (further calls are no-ops), after which the
-// sink's typed result accessor — ShardedSink.Result, IDSSink.Result —
-// is valid. Close releases held resources (worker
-// goroutines, buffered writers); it is idempotent, implies Flush, and
-// is safe after a mid-stream error. The builder's RunInto owns calling
-// both.
-type Sink interface {
-	RecordSink
-	Close() error
 }
 
 // Source produces records in non-decreasing time order.
@@ -319,7 +312,7 @@ type Source interface {
 	EmitBatch(batchSize int, emit func(recs []firewall.Record) error) error
 }
 
-// DefaultBatchSize is the chunk size Run uses — large enough to
+// DefaultBatchSize is the chunk size RunInto uses — large enough to
 // amortize dispatch overhead, small enough to keep per-chunk buffers
 // cache-friendly.
 const DefaultBatchSize = 4096
@@ -358,45 +351,4 @@ func (f SourceFunc) EmitBatch(batchSize int, emit func(recs []firewall.Record) e
 		return err
 	}
 	return emit(*buf)
-}
-
-// Pipeline couples a source to a sink chain.
-type Pipeline struct {
-	src  Source
-	sink RecordSink
-}
-
-// New returns a pipeline streaming src into sink. Prefer assembling
-// chains with From(...).Build / RunInto.
-func New(src Source, sink RecordSink) *Pipeline {
-	return &Pipeline{src: src, sink: sink}
-}
-
-// RunContext streams every record from the source through the sink
-// chain in batches of DefaultBatchSize, then flushes it. The first
-// error — from the source, a stage, the terminal sink, or ctx being
-// cancelled (checked per batch) — aborts the run. The chain is
-// flushed even on a mid-stream error so sinks holding resources (the
-// sharded consumers' worker goroutines, buffered writers) release
-// them; the original error wins over any flush error.
-func (p *Pipeline) RunContext(ctx context.Context) error {
-	err := p.stream(ctx)
-	ferr := p.sink.Flush()
-	if err != nil {
-		return err
-	}
-	return ferr
-}
-
-func (p *Pipeline) stream(ctx context.Context) error {
-	emit := p.sink.ConsumeBatch
-	if ctx.Done() != nil {
-		emit = func(recs []firewall.Record) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return p.sink.ConsumeBatch(recs)
-		}
-	}
-	return p.src.EmitBatch(DefaultBatchSize, emit)
 }

@@ -53,7 +53,7 @@ func runIDS(ctx context.Context, b *Builder, cfg ids.Config, shards int) ([]ids.
 
 func TestPipelineDetectsScan(t *testing.T) {
 	sink := NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 1))
-	if err := New(SliceSource(scanStream(150)), sink).RunContext(context.Background()); err != nil {
+	if err := From(SliceSource(scanStream(150))).RunInto(context.Background(), sink); err != nil {
 		t.Fatal(err)
 	}
 	scans := sink.Result().Scans(netaddr6.Agg64)
@@ -67,8 +67,7 @@ func TestPolicyStageFilters(t *testing.T) {
 	recs[3].DstPort = 443 // excluded by the CDN policy
 	recs[7].Proto = layers.ProtoICMPv6
 	cnt := NewCounter(discard)
-	p := New(SliceSource(recs), Policy(firewall.DefaultCollectPolicy(), cnt))
-	if err := p.RunContext(context.Background()); err != nil {
+	if err := From(SliceSource(recs)).RunInto(context.Background(), Policy(firewall.DefaultCollectPolicy(), cnt)); err != nil {
 		t.Fatal(err)
 	}
 	if cnt.Count() != 8 {
@@ -89,8 +88,8 @@ func TestDaySortOrders(t *testing.T) {
 		mk(day.Add(26 * time.Hour)), mk(day.Add(25 * time.Hour)),
 	}
 	var got []firewall.Record
-	p := New(SliceSource(in), NewDaySort(Collector(func(r firewall.Record) { got = append(got, r) })))
-	if err := p.RunContext(context.Background()); err != nil {
+	sink := NewDaySort(Collector(func(r firewall.Record) { got = append(got, r) }))
+	if err := From(SliceSource(in)).RunInto(context.Background(), sink); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(in) {
@@ -126,8 +125,7 @@ func TestArtifactStageDrops(t *testing.T) {
 	}
 	f := firewall.NewArtifactFilter()
 	cnt := NewCounter(discard)
-	p := New(SliceSource(in), NewDaySort(NewArtifactStage(f, cnt)))
-	if err := p.RunContext(context.Background()); err != nil {
+	if err := From(SliceSource(in)).RunInto(context.Background(), NewDaySort(NewArtifactStage(f, cnt))); err != nil {
 		t.Fatal(err)
 	}
 	if cnt.Count() != 40 {
@@ -140,8 +138,7 @@ func TestArtifactStageDrops(t *testing.T) {
 
 func TestTeeFansOut(t *testing.T) {
 	a, b := NewCounter(discard), NewCounter(discard)
-	p := From(SliceSource(scanStream(25))).Tee(a).Build(b)
-	if err := p.RunContext(context.Background()); err != nil {
+	if err := From(SliceSource(scanStream(25))).Tee(a).RunInto(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}
 	if a.Count() != 25 || b.Count() != 25 {
@@ -153,11 +150,11 @@ func TestLogRoundTripThroughPipeline(t *testing.T) {
 	recs := scanStream(120)
 	var buf bytes.Buffer
 	w := firewall.NewWriter(&buf)
-	if err := New(SliceSource(recs), NewLogSink(w)).RunContext(context.Background()); err != nil {
+	if err := From(SliceSource(recs)).RunInto(context.Background(), NewLogSink(w)); err != nil {
 		t.Fatal(err)
 	}
 	sink := NewShardedSink(core.NewShardedDetector(core.DefaultConfig(), 1))
-	if err := New(NewLogSource(&buf), sink).RunContext(context.Background()); err != nil {
+	if err := From(NewLogSource(&buf)).RunInto(context.Background(), sink); err != nil {
 		t.Fatal(err)
 	}
 	if scans := sink.Result().Scans(netaddr6.Agg64); len(scans) != 1 || scans[0].Dsts != 120 {
@@ -165,13 +162,13 @@ func TestLogRoundTripThroughPipeline(t *testing.T) {
 	}
 }
 
-// TestRunUsesBatchPath verifies that Run streams in DefaultBatchSize
+// TestRunUsesBatchPath verifies that RunInto streams in DefaultBatchSize
 // chunks, straight through an intermediate stage.
 func TestRunUsesBatchPath(t *testing.T) {
 	recs := scanStream(10_000)
 	var batches, records int
 	sink := &countingBatchSink{onBatch: func(n int) { batches++; records += n }}
-	if err := New(SliceSource(recs), sink).RunContext(context.Background()); err != nil {
+	if err := From(SliceSource(recs)).RunInto(context.Background(), sink); err != nil {
 		t.Fatal(err)
 	}
 	if records != len(recs) {
@@ -182,7 +179,7 @@ func TestRunUsesBatchPath(t *testing.T) {
 	}
 	batches, records = 0, 0
 	sink2 := &countingBatchSink{onBatch: func(n int) { batches++; records += n }}
-	if err := New(SliceSource(recs), Filter(func(firewall.Record) bool { return true }, sink2)).RunContext(context.Background()); err != nil {
+	if err := From(SliceSource(recs)).RunInto(context.Background(), Filter(func(firewall.Record) bool { return true }, sink2)); err != nil {
 		t.Fatal(err)
 	}
 	if records != len(recs) || batches >= len(recs) {
@@ -207,7 +204,7 @@ func TestLogSourceEmitBatch(t *testing.T) {
 	recs := scanStream(150)
 	var buf bytes.Buffer
 	w := firewall.NewWriter(&buf)
-	if err := New(SliceSource(recs), NewLogSink(w)).RunContext(context.Background()); err != nil {
+	if err := From(SliceSource(recs)).RunInto(context.Background(), NewLogSink(w)); err != nil {
 		t.Fatal(err)
 	}
 	ref := ids.New(ids.DefaultConfig())
@@ -217,7 +214,7 @@ func TestLogSourceEmitBatch(t *testing.T) {
 	want := ref.Flush()
 
 	sink := NewIDSSink(ids.New(ids.DefaultConfig()))
-	if err := New(NewLogSource(&buf), sink).RunContext(context.Background()); err != nil {
+	if err := From(NewLogSource(&buf)).RunInto(context.Background(), sink); err != nil {
 		t.Fatal(err)
 	}
 	got := sink.Result()
@@ -242,7 +239,7 @@ func TestIDSSinkAdvanceEvery(t *testing.T) {
 		recs = append(recs, r)
 	}
 	merged := NewIDSSink(ids.New(ids.DefaultConfig()))
-	if err := New(SliceSource(recs), merged).RunContext(context.Background()); err != nil {
+	if err := From(SliceSource(recs)).RunInto(context.Background(), merged); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(merged.Result()); n != 1 {

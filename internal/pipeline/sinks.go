@@ -8,12 +8,13 @@ import (
 	"v6scan/internal/ids"
 )
 
-// Every built-in terminal sink implements the unified Sink lifecycle:
-// Flush finalizes results exactly once (repeat calls are no-ops),
-// Close implies Flush, is idempotent, and releases held resources —
-// so the builder's RunInto can tear any terminal down uniformly, even
-// after a mid-stream error. Results are read through each sink's typed
-// Result accessor, valid after Flush.
+// Flush is the one way to end every built-in terminal sink: it
+// finalizes results exactly once (repeat calls are no-ops) and
+// releases held resources (worker goroutines, buffered writers), so
+// the builder's RunInto ends any terminal uniformly, even after a
+// mid-stream error, and a restored sink that is never run is released
+// the same way. Results are read through each sink's typed Result
+// accessor, valid after Flush.
 
 // SinkFunc adapts a record function to RecordSink: ConsumeBatch calls
 // it on every record of the batch in order; Flush is a no-op.
@@ -31,9 +32,6 @@ func (f SinkFunc) ConsumeBatch(recs []firewall.Record) error {
 
 // Flush implements RecordSink.
 func (f SinkFunc) Flush() error { return nil }
-
-// Close implements Sink.
-func (f SinkFunc) Close() error { return nil }
 
 // Collector adapts an error-free accumulator (the analysis package's
 // HeatmapCollector.Add, DNSCollector.Add, …) to RecordSink.
@@ -80,13 +78,10 @@ func (s *ShardedSink) advance(t time.Time) error            { return s.D.Advance
 func (s *ShardedSink) fired(time.Time) error                { return nil }
 func (s *ShardedSink) process(recs []firewall.Record) error { return s.D.ProcessBatch(recs) }
 
-// Flush implements RecordSink. The detector's Finish is idempotent, so
-// repeat flushes only re-report the first worker error.
+// Flush implements RecordSink, stopping the worker shards. The
+// detector's Finish is idempotent, so repeat flushes only re-report
+// the first worker error.
 func (s *ShardedSink) Flush() error { return s.D.Finish() }
-
-// Close implements Sink, stopping the worker shards if Flush has not
-// already.
-func (s *ShardedSink) Close() error { return s.D.Finish() }
 
 // Result returns the merged single-detector view of all shards — the
 // same object the analysis builders consume. Valid after Flush.
@@ -200,9 +195,6 @@ func (s *IDSSink) Flush() error {
 	return err
 }
 
-// Close implements Sink.
-func (s *IDSSink) Close() error { return s.Flush() }
-
 // Result returns the accumulated alerts. Valid after Flush.
 func (s *IDSSink) Result() []ids.Alert { return s.alerts }
 
@@ -228,6 +220,3 @@ func (s *LogSink) ConsumeBatch(recs []firewall.Record) error {
 // Flush implements RecordSink; draining the writer's buffer is
 // naturally idempotent.
 func (s *LogSink) Flush() error { return s.W.Flush() }
-
-// Close implements Sink.
-func (s *LogSink) Close() error { return s.W.Flush() }

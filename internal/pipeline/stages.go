@@ -144,12 +144,14 @@ func (d *DaySort) ConsumeBatch(recs []firewall.Record) error {
 	return nil
 }
 
-// Flush drains the buffered day downstream.
+// Flush drains the buffered day downstream, then flushes downstream
+// even if the drain failed, and returns the first error.
 func (d *DaySort) Flush() error {
-	if err := d.emit(); err != nil {
-		return err
+	err := d.emit()
+	if ferr := d.next.Flush(); err == nil {
+		err = ferr
 	}
-	return d.next.Flush()
+	return err
 }
 
 func (d *DaySort) emit() error {
@@ -189,12 +191,15 @@ func (a *ArtifactStage) ConsumeBatch(recs []firewall.Record) error {
 	return nil
 }
 
-// Flush finalizes the buffered day and drains downstream.
+// Flush finalizes the buffered day and drains it downstream, then
+// flushes downstream even if the drain failed, and returns the first
+// error.
 func (a *ArtifactStage) Flush() error {
-	if err := a.forward(a.f.Close()); err != nil {
-		return err
+	err := a.forward(a.f.Close())
+	if ferr := a.next.Flush(); err == nil {
+		err = ferr
 	}
-	return a.next.Flush()
+	return err
 }
 
 // forward passes a completed day downstream in DefaultBatchSize

@@ -164,16 +164,17 @@ func (w *WindowSort) emit(recs []firewall.Record) error {
 	return nil
 }
 
-// Flush drains every still-buffered record downstream in order. The
-// merge scratch is dropped before the drain and the buffer after it,
-// so neither outlives the stream.
+// Flush drains every still-buffered record downstream in order, then
+// flushes downstream even if the drain failed, and returns the first
+// error. The merge scratch is dropped before the drain and the buffer
+// after it, so neither outlives the stream.
 func (w *WindowSort) Flush() error {
 	w.buf.sort()
 	w.buf.bounds, w.buf.scratch = nil, nil
 	err := w.emit(w.buf.recs)
 	w.buf = runBuf{}
-	if err != nil {
-		return err
+	if ferr := w.next.Flush(); err == nil {
+		err = ferr
 	}
-	return w.next.Flush()
+	return err
 }

@@ -322,7 +322,7 @@ func (d *Daemon) newGeneration() (*generation, error) {
 	} else {
 		s, ok := res.Sink.(*pipeline.IDSSink)
 		if !ok {
-			res.Sink.(pipeline.Sink).Close() // a detector restore has live workers
+			res.Sink.Flush() // a detector restore has live workers
 			return nil, errors.New("serve: checkpoint holds a detector snapshot, not IDS state")
 		}
 		g.sink, g.restored = s, res.Mark

@@ -2,7 +2,6 @@ package u128idx
 
 import (
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -202,15 +201,16 @@ func TestIndexPurgeInPlace(t *testing.T) {
 		return ix.Cap()
 	}
 	capBefore := churn(1) // reach the working-set size
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	capAfter := churn(3)
-	runtime.ReadMemStats(&after)
+	// AllocsPerRun runs at GOMAXPROCS 1 and discards a warm-up run, so
+	// it measures three purges without counting other goroutines'
+	// allocations.
+	var capAfter int
+	allocs := testing.AllocsPerRun(3, func() { capAfter = churn(1) })
 	if capAfter != capBefore {
 		t.Fatalf("churn at %d live keys grew the index from %d to %d slots", live, capBefore, capAfter)
 	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("three same-size purges allocated %d times", n)
+	if allocs != 0 {
+		t.Errorf("same-size purges allocated %.1f times each", allocs)
 	}
 	if ix.Len() != live {
 		t.Fatalf("Len = %d, want %d", ix.Len(), live)

@@ -66,8 +66,9 @@
 // idle per-source state is released continuously instead of
 // accumulating until the end of input. The builder is the one place a
 // terminal's cadence is set. Arbitrary terminals plug in through
-// RunInto, which owns the sink lifecycle (Flush to finalize, Close to
-// release, typed Result accessors):
+// RunInto, the one way to run a pipeline; it owns the sink lifecycle
+// (one Flush finalizes the terminal and every Tee branch and releases
+// their resources; typed Result accessors read the outcome):
 //
 //	sink := v6scan.NewIDSSink(v6scan.NewShardedIDS(cfg, 8))
 //	err := v6scan.From(src).Artifact().
@@ -225,15 +226,11 @@ type (
 	// Builder assembles a pipeline fluently, left to right; see From
 	// and Chain.
 	Builder = pipeline.Builder
-	// Pipeline couples a record source to a sink chain.
-	Pipeline = pipeline.Pipeline
 	// RecordSink is the one interface every stage and terminal
-	// consumer implements.
+	// consumer implements. Its Flush is the one way to end a sink:
+	// a terminal finalizes exactly once and releases its resources,
+	// and typed Result accessors then read the outcome.
 	RecordSink = pipeline.RecordSink
-	// TerminalSink is the unified terminal lifecycle every built-in
-	// sink implements: Flush finalizes exactly once, Close releases
-	// idempotently, typed Result accessors read the outcome.
-	TerminalSink = pipeline.Sink
 	// RecordSource produces a time-ordered record stream in batches.
 	RecordSource = pipeline.Source
 	// SourceFunc adapts a record-at-a-time producer to RecordSource,

@@ -86,15 +86,12 @@ func TestFacadeBuilderBatchEndToEnd(t *testing.T) {
 	det := NewShardedDetector(DefaultDetectorConfig(), 4)
 	sink := NewShardedSink(det)
 	var counted *PipelineCounter
-	p := From(NewLogSource(&buf)).
+	err := From(NewLogSource(&buf)).
 		Policy(DefaultCollectPolicy()).
 		Artifact().
 		Counter(&counted).
-		Build(sink)
-	if err := p.RunContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
+		RunInto(context.Background(), sink)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if counted.Count() != 200 {
